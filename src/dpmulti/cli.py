@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: learn, sanitize, attack, mech, experiment. All randomness comes
-from --seed; runs are reproducible byte for byte. Exit codes: 0 success,
+from --seed; runs are reproducible byte for byte. `learn` and `attack` run the
+harness's paths and its LEARNERS table. Trials run serially: `experiment run
+--threads` changes neither output nor scheduling. Exit codes: 0 success,
 1 invalid configuration or arguments, 2 runtime failure.
 """
 
@@ -10,26 +12,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import fingerprint
-from .domain import generalization_error, load_database, sample_database
+from .domain import generalization_error, load_database
 from .harness import (
+    LEARNERS,
     ConfigError,
+    ExperimentConfig,
     TrialReport,
-    _draw_targets,
-    _learn_universe,
     emit,
     load_config,
-    make_attack_learner,
-    parse_distribution,
     run_experiment,
-)
-from .learners import (
-    LearnResult,
-    direct_sum_learner,
-    erm_multi,
-    generic_multi_learner,
-    parity_learner,
-    point_learner,
+    sample_and_learn,
 )
 from .mechanisms import (
     PrivacyParams,
@@ -47,7 +39,6 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, required=True, help="master seed (no ambient randomness)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     learn = sub.add_parser("learn", help="run one multi-learning pass on sampled data")
-    learn.add_argument("algorithm", choices=("points", "parities", "generic", "direct-sum", "erm"))
+    learn.add_argument("algorithm", choices=tuple(LEARNERS))
     learn.add_argument("--k", type=int, required=True)
     learn.add_argument("--n", type=int, required=True)
     learn.add_argument("--alpha", type=float, default=0.2)
@@ -83,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--n", type=int, required=True, help="number of users (<= 8)")
     attack.add_argument("--xi", type=float, required=True, help="code security level")
     attack.add_argument("--trials", type=int, required=True)
-    attack.add_argument("--learner", choices=("erm", "points", "generic", "parities"), default="erm")
+    attack.add_argument("--learner", choices=tuple(LEARNERS), default="erm")
     attack.add_argument("--variant", choices=("pac", "padded", "parity"), default="pac")
     attack.add_argument("--alpha", type=float, default=0.2)
     attack.add_argument("--length", type=int, default=None)
@@ -114,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_sub = exp.add_subparsers(dest="action", required=True)
     run = exp_sub.add_parser("run")
     run.add_argument("--config", required=True)
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--threads", type=int, default=1, help="accepted; trials run serially")
     run.add_argument("--format", choices=("csv", "json"), default=None, help="override config format")
     run.add_argument("--out", default=None)
     return parser
@@ -126,41 +117,13 @@ def _emit(report: TrialReport, fmt: str, out: str | None) -> None:
 
 def _cmd_learn(args) -> int:
     params = {
-        "algorithm": args.algorithm,
-        "k": str(args.k),
-        "alpha": str(args.alpha),
-        "beta": str(args.beta),
-        "epsilon": str(args.epsilon),
-        "delta": str(args.delta),
-        "targets": args.targets,
+        "algorithm": args.algorithm, "k": args.k, "alpha": args.alpha, "beta": args.beta,
+        "epsilon": args.epsilon, "epsilon_prime": args.epsilon_prime, "delta": args.delta,
+        "universe": args.universe, "d": args.d, "class": args.class_kind,
+        "dist": args.dist, "targets": args.targets,
     }
-    if args.universe is not None:
-        params["universe"] = str(args.universe)
-    if args.d is not None:
-        params["d"] = str(args.d)
-    if args.class_kind is not None:
-        params["class"] = args.class_kind
-    universe, cclass = _learn_universe(params)
-    rng = stream(args.seed, 0, 0)
-    dist = parse_distribution(args.dist, universe)
-    targets = _draw_targets(params, cclass, args.k, rng)
-    db = sample_database(dist, targets, args.n, rng)
-
-    if args.algorithm == "erm":
-        result = LearnResult(erm_multi(db, cclass))
-    elif args.algorithm == "parities":
-        result = parity_learner(db, args.epsilon, args.delta, args.beta, rng)
-    elif args.algorithm == "points":
-        result = point_learner(db, args.alpha, args.epsilon, args.delta, rng, beta=args.beta)
-    elif args.algorithm == "direct-sum":
-        base = lambda sdb, srng: point_learner(sdb, args.alpha, args.epsilon, args.delta, srng, beta=args.beta)
-        result = direct_sum_learner(base, db, "basic", rng)
-    else:
-        if args.epsilon_prime is None:
-            raise ConfigError("learn.epsilon_prime: required for the generic learner")
-        result = generic_multi_learner(
-            db, cclass, args.alpha, args.beta, args.epsilon, args.epsilon_prime, args.delta, rng
-        )
+    params = {key: value for key, value in params.items() if value is not None}
+    _, _, dist, targets, result = sample_and_learn(params, args.seed, args.n, 0, 0)
 
     columns = ["label", "hypothesis", "parameter", "target", "error"]
     rows = []
@@ -196,24 +159,11 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    learner = make_attack_learner(
-        args.learner, args.variant,
-        {"alpha": str(args.alpha)},
-    )
-    report = fingerprint.attack_experiment(
-        learner, args.n, args.xi, args.trials, args.variant, args.alpha, args.seed, length=args.length
-    )
-    columns = [
-        "n_users", "trials", "completeness_rate", "soundness_violation_rate",
-        "accuracy_rate", "flagged_rate",
-    ]
-    rows = [[args.n, args.trials, report.completeness_rate, report.soundness_violation_rate,
-             report.accuracy_rate, report.flagged_rate]]
-    per_cols = ["trial", "feasible", "accused", "accurate", "flagged"]
-    per_rows = [[r["trial"], r["feasible"], r["accused"], r["accurate"], r["flagged"]] for r in report.rows]
-    out = TrialReport("attack", columns, rows, per_trial_columns=per_cols,
-                      per_trial_rows=per_rows, meta={"seed": args.seed, "length": report.length}).rounded()
-    _emit(out, args.format, args.out)
+    params = {"n_users": args.n, "xi": args.xi, "learner": args.learner, "variant": args.variant, "alpha": args.alpha}
+    if args.length is not None:
+        params["length"] = args.length
+    config = ExperimentConfig("attack", args.trials, args.seed, None, (), params)
+    _emit(run_experiment(config), args.format, args.out)
     return 0
 
 

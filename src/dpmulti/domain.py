@@ -478,6 +478,9 @@ def load_database(path) -> MultiLabeledDatabase:
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing header line")
         fields = dict(part.split("=", 1) for part in header[1:].split())
+        for key in ("universe", "k"):
+            if key not in fields:
+                raise ValueError(f"{path}: header lacks {key}=<value>")
         size = int(fields["universe"])
         k = int(fields["k"])
         bits = int(fields["bits"]) if "bits" in fields else None

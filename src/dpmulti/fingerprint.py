@@ -138,11 +138,6 @@ def trace_word(word: np.ndarray, codebook: Codebook) -> int | None:
     return int(over[0]) if over.size else None
 
 
-def tardos_codebook(n_users: int, length: int, security: float, rng: np.random.Generator) -> Codebook:
-    """Interface stub for the optimal-length biased-column code; not constructed here."""
-    raise NotImplementedError("tardos-style codebook generation is out of scope; interface stub only")
-
-
 def tardos_length(n_users: int, security: float) -> int:
     """Planning value for the optimal-length code family: ceil(n^2 ln(n/security))."""
     return math.ceil(n_users**2 * math.log(n_users / security))

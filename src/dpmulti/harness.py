@@ -2,7 +2,9 @@
 
 Configs are INI files (key = value sections) with no embedded code. Every
 trial draws its randomness from a stream keyed by (seed, point index, trial
-index), so reports are byte-identical across runs and across worker counts.
+index), so reports are byte-identical across runs. Trials run serially.
+LEARNERS is the one per-algorithm table; configs, the CLI and attack
+experiments all build their learners from it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ import configparser
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,25 +33,104 @@ from .domain import (
     vc_sample_size,
 )
 from .learners import (
+    LearnerFn,
     LearnResult,
     direct_sum_learner,
     erm_multi,
     generic_multi_learner,
-    generic_privacy_total,
     generic_rows_bound,
     parity_block_plan,
     parity_learner,
     point_learner,
     point_rows_bound,
 )
+from .mechanisms import PrivacyParams
 from .rng import stream
 from .sanitize import sanitize_points
-
-LEARN_ALGORITHMS = ("points", "parities", "generic", "direct-sum", "erm")
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
+
+
+@dataclass(frozen=True)
+class LearnParams:
+    """Parsed learner parameters. erm and generic learn over the class `kind` on
+    the universe of the database they are given."""
+
+    kind: str
+    alpha: float
+    beta: float
+    epsilon: float
+    delta: float
+    epsilon_prime: float | None = None
+    mode: str = "basic"
+    synth_size: int | None = None
+
+
+@dataclass(frozen=True)
+class Learner:
+    """One LEARNERS entry.
+
+    build(params) returns a (db, rng) learner that looks the learner up by its
+    module-level name at call time, so wrappers installed on module attributes
+    see every call. plan takes plan_sample_size's keywords.
+    charges(params, k) lists, in order, the data-independent charges the
+    learner's ledger must hold. An exact learner learns parities only, and its
+    trials succeed only on exact recovery of the targets.
+    """
+
+    build: Callable[[LearnParams], LearnerFn]
+    plan: Callable[..., int]
+    charges: Callable[[LearnParams, int], list[PrivacyParams]]
+    exact: bool = False
+
+
+def _generic(p: LearnParams) -> LearnerFn:
+    if p.epsilon_prime is None:
+        raise ConfigError("learn.epsilon_prime: required for the generic learner")
+    return lambda db, rng: generic_multi_learner(
+        db, ConceptClass(p.kind, db.universe), p.alpha, p.beta, p.epsilon, p.epsilon_prime, p.delta, rng,
+        synth_size=p.synth_size,
+    )
+
+
+_POINTS = Learner(
+    lambda p: lambda db, rng: point_learner(db, p.alpha, p.epsilon, p.delta, rng, beta=p.beta),
+    lambda alpha, beta, delta, epsilon, **_: point_rows_bound(alpha, beta, delta, epsilon),
+    lambda p, k: [PrivacyParams(p.epsilon / 2, p.delta / 2)] * 2,
+)
+
+LEARNERS: dict[str, Learner] = {
+    "points": _POINTS,
+    "parities": Learner(
+        lambda p: lambda db, rng: parity_learner(db, p.epsilon, p.delta, p.beta, rng),
+        lambda cclass, epsilon, beta, delta, **_: math.prod(
+            parity_block_plan(cclass.universe.bit_width, epsilon, beta, delta)
+        ),
+        lambda p, k: [PrivacyParams(p.epsilon, p.delta)],
+        exact=True,
+    ),
+    "generic": Learner(
+        _generic,
+        lambda cclass, k, alpha, beta, epsilon, epsilon_prime, delta, **_: generic_rows_bound(
+            cclass, k, alpha, beta, epsilon, epsilon_prime, delta
+        ),
+        lambda p, k: [PrivacyParams(p.epsilon, p.delta)] + [PrivacyParams(p.epsilon_prime)] * k,
+    ),
+    "direct-sum": Learner(
+        lambda p: lambda db, rng: direct_sum_learner(_POINTS.build(p), db, p.mode, rng),
+        _POINTS.plan,
+        lambda p, k: _POINTS.charges(p, 1) * k,
+    ),
+    "erm": Learner(
+        lambda p: lambda db, rng: LearnResult(erm_multi(db, ConceptClass(p.kind, db.universe))),
+        lambda cclass, alpha, beta, agnostic, **_: vc_sample_size(
+            cclass.vc_dim, alpha, beta, "agnostic" if agnostic else "realizable"
+        ),
+        lambda p, k: [],
+    ),
+}
 
 
 def plan_sample_size(
@@ -65,16 +146,12 @@ def plan_sample_size(
     agnostic: bool = False,
 ) -> int:
     """Planning sample size for each learner, with this package's pinned constants."""
-    if algorithm == "erm":
-        return vc_sample_size(cclass.vc_dim, alpha, beta, "agnostic" if agnostic else "realizable")
-    if algorithm == "parities":
-        m, s = parity_block_plan(cclass.universe.bit_width, epsilon, beta, delta)
-        return m * s
-    if algorithm in ("points", "direct-sum"):
-        return point_rows_bound(alpha, beta, delta, epsilon)
-    if algorithm == "generic":
-        return generic_rows_bound(cclass, k, alpha, beta, epsilon, epsilon_prime, delta)
-    raise ValueError(f"unknown algorithm tag {algorithm!r}")
+    if algorithm not in LEARNERS:
+        raise ValueError(f"unknown algorithm tag {algorithm!r}")
+    return LEARNERS[algorithm].plan(
+        cclass=cclass, k=k, alpha=alpha, beta=beta, epsilon=epsilon, delta=delta,
+        epsilon_prime=epsilon_prime, agnostic=agnostic,
+    )
 
 
 def format_float(value: float) -> str:
@@ -267,15 +344,16 @@ def parse_distribution(spec: str, universe: Universe) -> Distribution:
     if spec.startswith("weights:"):
         weights = [float(w) for w in spec.split(":", 1)[1].split(",")]
         return Distribution.from_weights(universe, weights)
+    if not os.path.exists(spec):
+        raise ConfigError(f"dist: expected uniform | pointmass:<x> | weights:<w,...> | <file>, got {spec!r}")
     with open(spec) as fh:
         weights = [float(line) for line in fh if line.strip()]
     return Distribution.from_weights(universe, weights)
 
 
-def _learn_universe(params: dict) -> tuple[Universe, ConceptClass]:
-    algorithm = params.get("algorithm", "")
-    class_kind = params.get("class", "parity" if algorithm == "parities" else "point")
-    if class_kind == "parity" or algorithm == "parities":
+def _learn_universe(params: dict, parities: bool) -> tuple[Universe, ConceptClass]:
+    class_kind = params.get("class", "parity" if parities else "point")
+    if class_kind == "parity" or parities:
         d = _need(params, "learn", "d", int)
         universe = Universe.bitvectors(d)
         return universe, ConceptClass(PARITY, universe)
@@ -300,68 +378,56 @@ def _draw_targets(params: dict, cclass: ConceptClass, k: int, rng: np.random.Gen
     return tuple(cclass.concept(p) for p in fixed)
 
 
-def _static_charge(algorithm: str, params: dict, k: int) -> tuple[float, float]:
-    """Charge each algorithm is expected to report, per its composition schedule."""
-    eps = float(params.get("epsilon", 0) or 0)
-    delta = float(params.get("delta", 0) or 0)
-    if algorithm == "erm":
-        return 0.0, 0.0
-    if algorithm in ("points", "parities"):
-        return eps, delta
-    if algorithm == "direct-sum":
-        return k * eps, k * delta
-    if algorithm == "generic":
-        eps_prime = float(params.get("epsilon_prime", 0) or 0)
-        total = generic_privacy_total(k, eps, eps_prime, delta, "basic")
-        return total.epsilon, total.delta
-    raise ConfigError(f"learn.algorithm: unknown {algorithm!r}")
+def _learn_params(params: dict, section: str, kind: str, delta: float, epsilon_prime: float | None) -> LearnParams:
+    """Parse a section's learner parameters; delta and epsilon_prime are the section's defaults."""
+    return LearnParams(
+        kind,
+        alpha=_need(params, section, "alpha", float, default=0.2),
+        beta=_need(params, section, "beta", float, default=0.1),
+        epsilon=_need(params, section, "epsilon", float, default=1.0),
+        delta=_need(params, section, "delta", float, default=delta),
+        epsilon_prime=_need(params, section, "epsilon_prime", float) if "epsilon_prime" in params else epsilon_prime,
+        mode=params.get("mode", "basic"),
+    )
 
 
-def run_learn_trial(config: ExperimentConfig, n: int, point_idx: int, trial: int) -> tuple[bool, float, float, float]:
-    params = config.params
+def sample_and_learn(params: dict, seed: int, n: int, point_idx: int, trial: int):
+    """Sample one database for a learn section, from the stream keyed by (seed,
+    point_idx, trial), and run its learner on it: (entry, params, dist, targets, result)."""
     algorithm = params.get("algorithm", "")
-    if algorithm not in LEARN_ALGORITHMS:
-        raise ConfigError(f"learn.algorithm: expected one of {LEARN_ALGORITHMS}, got {algorithm!r}")
+    if algorithm not in LEARNERS:
+        raise ConfigError(f"learn.algorithm: expected one of {tuple(LEARNERS)}, got {algorithm!r}")
+    entry = LEARNERS[algorithm]
     k = _need(params, "learn", "k", int)
-    alpha = _need(params, "learn", "alpha", float, default=0.2)
-    beta = _need(params, "learn", "beta", float, default=0.1)
-    eps = _need(params, "learn", "epsilon", float, default=1.0)
-    delta = _need(params, "learn", "delta", float, default=0.0)
-    universe, cclass = _learn_universe(params)
-    rng = stream(config.seed, point_idx, trial)
+    universe, cclass = _learn_universe(params, entry.exact)
+    p = _learn_params(params, "learn", cclass.kind, 0.0, None)
+    learner = entry.build(p)
+    rng = stream(seed, point_idx, trial)
     dist = parse_distribution(params.get("dist", "uniform"), universe)
     targets = _draw_targets(params, cclass, k, rng)
     db = sample_database(dist, targets, n, rng)
+    return entry, p, dist, targets, learner(db, rng)
 
-    if algorithm == "erm":
-        result = LearnResult(erm_multi(db, cclass))
-    elif algorithm == "parities":
-        result = parity_learner(db, eps, delta, beta, rng)
-    elif algorithm == "points":
-        result = point_learner(db, alpha, eps, delta, rng, beta=beta)
-    elif algorithm == "direct-sum":
-        base = lambda sdb, srng: point_learner(sdb, alpha, eps, delta, srng, beta=beta)
-        result = direct_sum_learner(base, db, params.get("mode", "basic"), rng)
-    else:
-        eps_prime = _need(params, "learn", "epsilon_prime", float)
-        result = generic_multi_learner(db, cclass, alpha, beta, eps, eps_prime, delta, rng)
 
-    if result.ledger.charges:
+def run_learn_trial(config: ExperimentConfig, n: int, point_idx: int, trial: int) -> tuple[bool, float, float, float]:
+    entry, p, dist, targets, result = sample_and_learn(config.params, config.seed, n, point_idx, trial)
+    charges = result.ledger.charges
+    planned = entry.charges(p, len(targets))
+    if charges != planned:
+        raise RuntimeError(f"ledger charges {charges} != planned charges {planned}")
+    if charges:
         total = result.ledger.basic_total()
         eps_total, delta_total = total.epsilon, total.delta
     else:
         eps_total = delta_total = 0.0
-    expected = _static_charge(algorithm, params, k)
-    if not (math.isclose(eps_total, expected[0], abs_tol=1e-9) and math.isclose(delta_total, expected[1], abs_tol=1e-9)):
-        raise RuntimeError(f"ledger total ({eps_total}, {delta_total}) != static charge {expected}")
 
     if result.failed:
         return False, 1.0, eps_total, delta_total
     max_err = max(generalization_error(dist, c, h) for c, h in zip(targets, result.hypotheses))
-    if algorithm == "parities":
+    if entry.exact:
         success = all(h.param == c.param for h, c in zip(result.hypotheses, targets))
     else:
-        success = max_err <= alpha
+        success = max_err <= p.alpha
     return success, max_err, eps_total, delta_total
 
 
@@ -382,37 +448,19 @@ def run_sanitize_trial(config: ExperimentConfig, n: int, point_idx: int, trial: 
     return max_err <= alpha, max_err, eps, delta
 
 
-def make_attack_learner(name: str, variant: str, params: dict) -> "fingerprint.LearnerFn":
+def make_attack_learner(name: str, variant: str, params: dict) -> LearnerFn:
     """Map a config learner name to a callable on attack databases."""
-    alpha = float(params.get("alpha", 0.2))
-    beta = float(params.get("beta", 0.1))
-    eps = float(params.get("epsilon", 1.0))
-    delta = float(params.get("delta", 0.01))
-    eps_prime = float(params.get("epsilon_prime", 1.0))
-    if name == "erm":
-        kind = PARITY if variant == "parity" else THRESH
-
-        def run_erm(db, rng):
-            return LearnResult(erm_multi(db, ConceptClass(kind, db.universe)))
-
-        return run_erm
-    if name == "points":
-        return lambda db, rng: point_learner(db, alpha, eps, delta, rng, beta=beta)
-    if name == "parities":
-        return lambda db, rng: parity_learner(db, eps, delta, beta, rng)
-    if name == "generic":
-        kind = PARITY if variant == "parity" else THRESH
-        # Attack databases have <= 8 users; a size-6 synthetic database keeps
-        # the exhaustive sanitizer inside its enumeration budget.
-        return lambda db, rng: generic_multi_learner(
-            db, ConceptClass(kind, db.universe), alpha, beta, eps, eps_prime, delta, rng,
-            sanitizer="exhaustive", synth_size=6,
-        )
-    raise ConfigError(f"attack.learner: unknown {name!r}")
+    if name not in LEARNERS:
+        raise ConfigError(f"attack.learner: unknown {name!r}")
+    p = _learn_params(params, "attack", PARITY if variant == "parity" else THRESH, 0.01, 1.0)
+    # Attack databases have <= 8 users; a size-6 synthetic database keeps
+    # the exhaustive sanitizer inside its enumeration budget.
+    return LEARNERS[name].build(replace(p, synth_size=6))
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
-    """Execute all sweep points and trials; deterministic for any thread count."""
+    """Execute all sweep points and trials serially; `threads` changes neither
+    the output nor the scheduling, since trials are bound by the interpreter lock."""
     if config.kind == "attack":
         return _run_attack(config)
     runner = run_learn_trial if config.kind == "learn" else run_sanitize_trial
@@ -421,12 +469,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
     rows = []
     for point_idx, point in enumerate(config.points()):
         n = point if point is not None else _need(config.params, config.kind, "n", int)
-        tasks = range(config.trials)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(lambda t: runner(config, n, point_idx, t), tasks))
-        else:
-            outcomes = [runner(config, n, point_idx, t) for t in tasks]
+        outcomes = [runner(config, n, point_idx, t) for t in range(config.trials)]
         success = sum(1 for ok, *_ in outcomes if ok)
         mean_err = math.fsum(err for _, err, *_ in outcomes) / config.trials
         eps_totals = {format_float(o[2]) for o in outcomes}

@@ -7,6 +7,8 @@ import pytest
 
 from dpmulti.cli import main
 from dpmulti.domain import Distribution, MultiLabeledDatabase, Universe, save_database
+from dpmulti.harness import LEARNERS, format_float, sample_and_learn
+from dpmulti.mechanisms import compose_basic
 from dpmulti.rng import stream
 
 CONFIG = """
@@ -26,6 +28,14 @@ length = 30
 def _run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+@pytest.fixture
+def db_file(tmp_path):
+    u = Universe.indexed(8)
+    xs = Distribution.from_weights(u, [5, 3, 1, 1, 0, 0, 0, 0]).sample(400, stream(200, 0))
+    save_database(MultiLabeledDatabase.unlabeled(u, xs), tmp_path / "db.txt")
+    return str(tmp_path / "db.txt")
 
 
 class TestLearnCommand:
@@ -71,15 +81,45 @@ class TestLearnCommand:
         )
         assert code == 1
 
+    def test_unknown_dist_spec_is_invalid_input(self, capsys):
+        code = main(["learn", "erm", "--k", "1", "--n", "20", "--universe", "4", "--dist", "bogus", "--seed", "1"])
+        assert code == 1
+        assert "uniform | pointmass:<x> | weights:<w,...> | <file>" in capsys.readouterr().err
+
+
+# Per learner: the learn settings besides algorithm, k=2 and the CLI's delta=0.01.
+AGREEMENT_SETTINGS = {
+    "points": {"universe": "8", "dist": "weights:1,1,1,1,0,0,0,0", "n": "600"},
+    "parities": {"d": "6", "delta": "0.1", "n": "1152"},
+    "generic": {"universe": "8", "epsilon_prime": "2", "n": "400"},
+    "direct-sum": {"universe": "8", "dist": "weights:1,1,1,1,0,0,0,0", "n": "800"},
+    "erm": {"universe": "8", "n": "200"},
+}
+
+
+@pytest.mark.parametrize("algorithm", list(LEARNERS))
+def test_learn_command_matches_harness_learn_path(capsys, algorithm):
+    seed = 21
+    params = {"algorithm": algorithm, "k": "2", "delta": "0.01", **AGREEMENT_SETTINGS[algorithm]}
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in params.items() if key != "algorithm"]
+    code, out = _run(capsys, "learn", algorithm, *flags, "--seed", str(seed), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+
+    entry, p, _, _, result = sample_and_learn(params, seed, int(params["n"]), 0, 0)
+    assert not result.failed
+    released = [[h.kind, -1 if h.param is None else h.param] for h in result.hypotheses]
+    assert [row[1:3] for row in payload["rows"]] == released
+    planned = entry.charges(p, 2)
+    if planned:
+        total = compose_basic(planned)
+        assert payload["meta"]["epsilon_total"] == float(format_float(total.epsilon))
+        assert payload["meta"]["delta_total"] == float(format_float(total.delta))
+    else:
+        assert "epsilon_total" not in payload["meta"] and "delta_total" not in payload["meta"]
+
 
 class TestSanitizeCommand:
-    @pytest.fixture
-    def db_file(self, tmp_path):
-        u = Universe.indexed(8)
-        xs = Distribution.from_weights(u, [5, 3, 1, 1, 0, 0, 0, 0]).sample(400, stream(200, 0))
-        save_database(MultiLabeledDatabase.unlabeled(u, xs), tmp_path / "db.txt")
-        return str(tmp_path / "db.txt")
-
     def test_csv_columns(self, capsys, db_file):
         code, out = _run(
             capsys,
@@ -105,6 +145,17 @@ class TestSanitizeCommand:
             "--input", str(tmp_path / "nope.txt"), "--seed", "5",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("header,missing", [("# k=0", "universe"), ("# universe=8", "k")])
+    def test_header_missing_key_is_invalid_input(self, capsys, tmp_path, header, missing):
+        path = tmp_path / "db.txt"
+        path.write_text(header + "\n1\n2\n")
+        code = main([
+            "sanitize", "points", "--alpha", "0.2", "--epsilon", "1", "--delta", "0.01",
+            "--input", str(path), "--seed", "5",
+        ])
+        assert code == 1
+        assert f"lacks {missing}=" in capsys.readouterr().err
 
 
 class TestAttackCommand:
@@ -174,6 +225,23 @@ class TestExperimentCommand:
 
     def test_missing_config_file(self, capsys, tmp_path):
         assert main(["experiment", "run", "--config", str(tmp_path / "none.ini")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn", "erm", "--k", "1", "--n", "20", "--universe", "4"],
+        ["sanitize", "points", "--alpha", "0.2", "--epsilon", "1", "--delta", "0.01", "--input", None],
+        ["attack", "boneh-shaw", "--n", "4", "--xi", "0.1", "--trials", "1", "--length", "30"],
+        ["mech", "laplace", "--scale", "1.0"],
+        ["mech", "exponential", "--scores", "a:1,b:0", "--epsilon", "1"],
+    ],
+    ids=["learn", "sanitize", "attack", "mech-laplace", "mech-exponential"],
+)
+def test_threads_flag_rejected_outside_experiment_run(capsys, db_file, argv):
+    argv = [db_file if arg is None else arg for arg in argv] + ["--seed", "1"]
+    assert main(argv) == 0
+    assert main(argv + ["--threads", "2"]) == 1
 
 
 class TestExitCodes:

@@ -15,7 +15,6 @@ from dpmulti.fingerprint import (
     feasible,
     gen_codebook,
     pirate_word,
-    tardos_codebook,
     tardos_length,
     trace_word,
 )
@@ -222,9 +221,5 @@ class TestAttackExperiment:
 
 
 class TestTardosStub:
-    def test_interface_stub(self):
-        with pytest.raises(NotImplementedError):
-            tardos_codebook(4, 100, 0.1, stream(101, 0))
-
     def test_planning_length(self):
         assert tardos_length(10, 0.05) == math.ceil(100 * math.log(10 / 0.05))
