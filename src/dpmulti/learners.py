@@ -90,35 +90,51 @@ def erm_mismatch_counts(db: MultiLabeledDatabase, cclass: ConceptClass) -> np.nd
 
 
 def gf2_solve(bits: int, equations: Iterable[tuple[int, int]]) -> int | None:
-    """Solve <a_i, x> = b_i over GF(2); None when inconsistent.
+    """Solve the systems <a_i, x_j> = bit j of b_i over GF(2) that share the rows a_i.
 
-    Rows are bitmasks (coordinate i = bit i). Free variables are fixed to 0,
-    so the returned solution is deterministic.
+    Rows a_i are bitmasks (coordinate c = bit c); b_i packs one right-hand side
+    per system, bit j for system j. The result packs system j's solution into
+    bits [j*bits, (j+1)*bits), or is None when any system is inconsistent. With
+    b_i in {0, 1} this is the single system <a_i, x> = b_i. One elimination
+    serves every system: pivots and row operations depend only on the a_i.
+    Free variables are fixed to 0, so each solution is deterministic.
     """
-    rows = [(int(a) | (int(b) & 1) << bits) for a, b in equations]
+    rows = [int(a) | int(b) << bits for a, b in equations]
     pivot_cols: list[int] = []
     pos = 0
     for col in range(bits):
-        pivot = next((r for r in range(pos, len(rows)) if (rows[r] >> col) & 1), None)
+        bit = 1 << col
+        pivot = next((r for r in range(pos, len(rows)) if rows[r] & bit), None)
         if pivot is None:
             continue
-        rows[pos], rows[pivot] = rows[pivot], rows[pos]
-        for r in range(len(rows)):
-            if r != pos and (rows[r] >> col) & 1:
-                rows[r] ^= rows[pos]
+        prow = rows[pivot]
+        rows[pivot] = rows[pos]
+        rows = [r ^ prow if r & bit else r for r in rows]
+        rows[pos] = prow
         pivot_cols.append(col)
         pos += 1
-    for r in range(pos, len(rows)):
-        if rows[r] == 1 << bits:
-            return None
+    # Rows past the pivots have no coefficients left; a right-hand bit set there reads 0 = 1.
+    if any(rows[pos:]):
+        return None
     solution = 0
     for row_idx, col in enumerate(pivot_cols):
-        solution |= ((rows[row_idx] >> bits) & 1) << col
+        solution |= _spread(rows[row_idx] >> bits, bits) << col
     return solution
+
+
+def _spread(x: int, stride: int) -> int:
+    """Move bit j of x to bit j*stride."""
+    return int(("0" * (stride - 1)).join(format(x, "b")), 2)
 
 
 def parity_block_plan(bits: int, epsilon: float, beta: float, delta: float) -> tuple[int, int]:
     """Pinned block schedule: m = ceil(8/eps * ln(4/(beta*delta))) blocks of s = 4*bits rows."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if not 0 < beta < 1:
+        raise ValueError(f"beta must be in (0, 1), got {beta}")
     m = math.ceil((8.0 / epsilon) * math.log(4.0 / (beta * delta)))
     return m, 4 * bits
 
@@ -133,10 +149,10 @@ def parity_learner(
     """Learn k parities exactly (under uniform examples) via block voting.
 
     The rows are split into m disjoint blocks; each block solves all k label
-    columns by GF(2) elimination, contributing one candidate vector (or an
-    abstention when some column is inconsistent). A single stable-selection
-    step releases the most frequent vector, so the whole run costs
-    (epsilon, delta) regardless of k.
+    columns with one GF(2) elimination carrying all k right-hand sides,
+    contributing one candidate vector (or an abstention when some column is
+    inconsistent). A single stable-selection step releases the most frequent
+    vector, so the whole run costs (epsilon, delta) regardless of k.
     """
     universe = db.universe
     if universe.bit_width is None:
@@ -150,24 +166,24 @@ def parity_learner(
     s = max(1, db.n // m)
     m_eff = min(m, db.n // s)
 
-    votes: Counter[tuple[int, ...]] = Counter()
-    first_seen: dict[tuple[int, ...], int] = {}
+    # Row i's k labels as one int, bit j = label j; a block's solution packs
+    # its k masks the same way, so it is the vote key as it stands.
+    used = m_eff * s
+    xs = db.xs[:used].tolist()
+    packed = np.packbits(db.labels[:used], axis=1, bitorder="little").tolist()
+    rhs = [int.from_bytes(row, "little") for row in packed]
+    votes: Counter[int] = Counter()
+    first_seen: dict[int, int] = {}
     for t in range(m_eff):
         lo, hi = t * s, (t + 1) * s
-        block_xs = db.xs[lo:hi]
-        vec: list[int] = []
-        for j in range(k):
-            sol = gf2_solve(bits, zip(block_xs.tolist(), db.labels[lo:hi, j].tolist()))
-            if sol is None:
-                break
-            vec.append(sol)
-        if len(vec) == k:
-            votes[tuple(vec)] += 1
-            first_seen.setdefault(tuple(vec), t)
+        sol = gf2_solve(bits, zip(xs[lo:hi], rhs[lo:hi]))
+        if sol is not None:
+            votes[sol] += 1
+            first_seen.setdefault(sol, t)
 
-    best_vec, best_count, second_count = _top_two_votes(votes, first_seen, k)
+    best, best_count, second_count = _top_two_votes(votes, first_seen)
     choice = stable_argmax(
-        ScoredCandidate(best_vec, float(best_count)),
+        ScoredCandidate(best, float(best_count)),
         ScoredCandidate("runner-up", float(second_count)),
         epsilon,
         delta,
@@ -176,23 +192,25 @@ def parity_learner(
     ledger = PrivacyLedger([PrivacyParams(epsilon, delta)])
     if choice is None:
         return LearnResult(None, ledger, below)
-    hyps = tuple(parity(universe, mask) for mask in best_vec)
+    full = (1 << bits) - 1
+    hyps = tuple(parity(universe, (best >> (j * bits)) & full) for j in range(k))
     return LearnResult(hyps, ledger, below)
 
 
-def _top_two_votes(votes: Counter, first_seen: dict, k: int) -> tuple[tuple[int, ...], int, int]:
+def _top_two_votes(votes: Counter, first_seen: dict) -> tuple[int, int, int]:
     """Top-2 multiplicities over the (implicit) full candidate space.
 
     Unseen vectors count 0, so an empty or single-entry tally still yields a
-    well-defined runner-up score. Ties break to the earliest-observed vector,
-    which is deterministic and commutes with label-column permutations.
+    well-defined runner-up score (and the all-zero vector, key 0, as leader).
+    Ties break to the earliest-observed vector, which is deterministic and
+    commutes with label-column permutations.
     """
     if not votes:
-        return tuple([0] * k), 0, 0
+        return 0, 0, 0
     ordered = sorted(votes.items(), key=lambda item: (-item[1], first_seen[item[0]]))
-    best_vec, best_count = ordered[0]
+    best, best_count = ordered[0]
     second_count = ordered[1][1] if len(ordered) > 1 else 0
-    return best_vec, best_count, second_count
+    return best, best_count, second_count
 
 
 def point_rows_bound(alpha: float, beta: float, delta: float, epsilon: float) -> int:

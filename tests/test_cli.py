@@ -1,5 +1,6 @@
 """CLI surface: subcommands, output formats, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -158,6 +159,28 @@ class TestSanitizeCommand:
         assert f"lacks {missing}=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,sha256",
+    [
+        # k > 63 labels with exact recovery.
+        (
+            "learn parities --k 70 --n 1152 --d 6 --delta 0.1 --seed 3 --format json",
+            "a3c20e06c5fdeaf2f89061239bbde8f45eaaf500966356ed237a8da382782c67",
+        ),
+        # k = 2370 code columns learned as parities.
+        (
+            "attack boneh-shaw --n 6 --xi 0.05 --trials 4 --learner parities --variant parity --seed 7 --format json",
+            "2b04388a07d6d6ffcae3e08a1736033fb1d69f91201bb477a0e04a2779b16fcd",
+        ),
+    ],
+    ids=["learn-parities-k70", "attack-parities-k2370"],
+)
+def test_parity_report_golden(capsys, argv, sha256):
+    code, out = _run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 class TestAttackCommand:
     def test_per_trial_csv(self, capsys):
         code, out = _run(
@@ -251,6 +274,13 @@ class TestExitCodes:
     def test_bad_flag_value(self, capsys):
         assert main(["attack", "boneh-shaw", "--n", "four", "--xi", "0.1",
                      "--trials", "1", "--seed", "1"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--delta", "--beta"])
+    def test_zero_parity_parameter_is_invalid_input(self, capsys, flag):
+        argv = ["learn", "parities", "--k", "2", "--n", "100", "--d", "4", "--seed", "1"]
+        assert main(argv) == 0
+        assert main(argv + [flag, "0"]) == 1
+        assert flag[2:] in capsys.readouterr().err
 
     def test_unwritable_out_is_runtime_failure(self, capsys, tmp_path):
         code = main([

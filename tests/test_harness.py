@@ -1,5 +1,6 @@
 """Experiment harness: config parsing, planning, reports, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -51,6 +52,26 @@ variant = pac
 learner = erm
 length = 30
 """
+
+# d=10, k=32 parity sweep; the digest of its JSON report pins the parity
+# learner's output byte for byte.
+PARITY_GOLDEN_CFG = """
+[experiment]
+kind = learn
+trials = 2
+seed = 1861917694
+sweep = n
+values = 480 1920
+
+[learn]
+algorithm = parities
+d = 10
+k = 32
+epsilon = 1
+delta = 0.1
+beta = 0.1
+"""
+PARITY_GOLDEN_SHA256 = "e23a02546abc2382b392e24520f64048402a1d63a12059ea181a44c403a04ca6"
 
 SANITIZE_CFG = """
 [experiment]
@@ -141,6 +162,10 @@ class TestRunExperiment:
         assert rates[0] <= rates[1] + 0.15 and rates[1] <= rates[2] + 0.15
         assert rates[2] >= 0.9
         assert report.columns[0] == "n"
+
+    def test_parity_sweep_report_golden(self):
+        report = run_experiment(parse_config(PARITY_GOLDEN_CFG))
+        assert hashlib.sha256(to_json(report).encode()).hexdigest() == PARITY_GOLDEN_SHA256
 
     def test_thread_count_invariance(self):
         cfg = parse_config(ATTACK_CFG)

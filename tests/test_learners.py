@@ -41,7 +41,7 @@ from dpmulti.learners import (
     secrecy_amplification,
     subsampled_learner,
 )
-from dpmulti.mechanisms import PrivacyLedger, PrivacyParams
+from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, ScoredCandidate, stable_argmax
 from dpmulti.rng import stream
 from dpmulti.sanitize import answers_to_synthetic, sanitize_points
 
@@ -107,7 +107,88 @@ class TestGf2Solve:
                 assert got is None
 
 
+    def test_packed_columns_match_single_column_solves(self):
+        # One packed solve equals the per-column solves, and each column's
+        # solution satisfies its system whenever brute force finds one.
+        rng = stream(31, 1)
+        for _ in range(200):
+            d = int(rng.integers(1, 9))
+            k = int(rng.integers(1, 71))
+            rows = int(rng.integers(0, 2 * d))
+            masks = rng.integers(0, 1 << d, size=rows).tolist()
+            cols = rng.integers(0, 2, size=(rows, k))
+            if rows and rng.random() < 0.5:
+                # Columns labelled by a parity are consistent; the others may not be.
+                x = rng.integers(0, 1 << d, size=k).tolist()
+                for j in rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist():
+                    cols[:, j] = [(m & x[j]).bit_count() & 1 for m in masks]
+            singles = [gf2_solve(d, zip(masks, cols[:, j].tolist())) for j in range(k)]
+            packed_rhs = [sum(int(b) << j for j, b in enumerate(row)) for row in cols]
+            got = gf2_solve(d, zip(masks, packed_rhs))
+            for j, single in enumerate(singles):
+                brute = [x for x in range(1 << d) if all(((m & x).bit_count() & 1) == b for m, b in zip(masks, cols[:, j]))]
+                assert (single in brute) if brute else single is None
+            if any(single is None for single in singles):
+                assert got is None
+            else:
+                assert got == sum(single << (j * d) for j, single in enumerate(singles))
+
+    def test_packed_inconsistent_column_gives_none(self):
+        # Column 0 is consistent, column 69 contradicts itself.
+        assert gf2_solve(2, [(0b01, 1), (0b01, 1 | 1 << 69)]) is None
+        assert gf2_solve(2, [(0b01, 1 | 1 << 69), (0b10, 1 << 69)]) == 0b01 | 0b11 << (69 * 2)
+
+
+def _reference_parity_learner(db, epsilon, delta, beta, rng):
+    """The parity learner as one single-column gf2_solve per (block, label)."""
+    bits, k = db.universe.bit_width, db.k
+    m, s_target = parity_block_plan(bits, epsilon, beta, delta)
+    s = max(1, db.n // m)
+    votes, first_seen = {}, {}
+    for t in range(min(m, db.n // s)):
+        lo, hi = t * s, (t + 1) * s
+        vec = []
+        for j in range(k):
+            sol = gf2_solve(bits, zip(db.xs[lo:hi].tolist(), db.labels[lo:hi, j].tolist()))
+            if sol is None:
+                break
+            vec.append(sol)
+        if len(vec) == k:
+            votes[tuple(vec)] = votes.get(tuple(vec), 0) + 1
+            first_seen.setdefault(tuple(vec), t)
+    ordered = sorted(votes.items(), key=lambda item: (-item[1], first_seen[item[0]]))
+    best, best_count = ordered[0] if ordered else ((0,) * k, 0)
+    second_count = ordered[1][1] if len(ordered) > 1 else 0
+    choice = stable_argmax(
+        ScoredCandidate(best, float(best_count)), ScoredCandidate("runner-up", float(second_count)), epsilon, delta, rng
+    )
+    return (None if choice is None else best), db.n < m * s_target
+
+
 class TestParityLearner:
+    @pytest.mark.parametrize("k", [0, 1, 5, 64, 100])
+    @pytest.mark.parametrize("labels", ["parity", "random"])
+    @pytest.mark.parametrize("planned", [False, True])
+    def test_matches_per_column_reference(self, k, labels, planned):
+        d, eps, delta, beta = 4, 1.0, 0.1, 0.1
+        m, s = parity_block_plan(d, eps, beta, delta)
+        u = Universe.bitvectors(d)
+        for trial in range(4):
+            rng = stream(39, k, trial)
+            n = m * s if planned else int(rng.integers(1, m * s))
+            xs = rng.integers(0, u.size, size=n)
+            if labels == "parity":
+                masks = rng.integers(0, u.size, size=k)
+                ys = np.array([[(x & mk).bit_count() & 1 for mk in masks.tolist()] for x in xs.tolist()], dtype=np.uint8)
+            else:
+                ys = rng.integers(0, 2, size=(n, k)).astype(np.uint8)
+            db = MultiLabeledDatabase(u, xs, ys.reshape(n, k))
+            res = parity_learner(db, eps, delta, beta, stream(39, k, trial, 1))
+            want, want_below = _reference_parity_learner(db, eps, delta, beta, stream(39, k, trial, 1))
+            got = None if res.failed else tuple(h.param for h in res.hypotheses)
+            assert got == want
+            assert res.below_sample_bound == want_below
+
     def _setup(self, d=6, k=3, seed=32, trial=0):
         u = Universe.bitvectors(d)
         cc = ConceptClass(PARITY, u)
