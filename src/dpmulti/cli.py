@@ -32,7 +32,7 @@ from .mechanisms import (
     laplace_sample,
 )
 from .rng import stream
-from .sanitize import sanitize_points
+from .sanitize import EnumerationBudgetError, sanitize_points
 
 
 def _add_common(parser):
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
         if args.command == "mech":
             return _cmd_mech(args)
         return _cmd_experiment(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

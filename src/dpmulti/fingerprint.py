@@ -291,6 +291,10 @@ def attack_experiment(
     """
     if n_users > 8:
         raise ValueError("attack experiments are desk-scale: n_users <= 8")
+    if n_users < 2:
+        raise ValueError(f"n_users must be >= 2, got {n_users}")
+    if not 0 < security < 1:
+        raise ValueError(f"security (xi) must be in (0, 1), got {security}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if length is None:

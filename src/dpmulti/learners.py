@@ -400,8 +400,8 @@ def generic_multi_learner(
 
     hyps = []
     for j in range(db.k):
-        candidates = [ScoredCandidate(i, -float(mismatches[i, j])) for i in range(len(witnesses))]
-        hyps.append(witnesses[exponential_mechanism(candidates, epsilon_prime, 1.0, rng)])
+        scores = -mismatches[:, j].astype(np.float64)
+        hyps.append(witnesses[exponential_mechanism(scores, epsilon_prime, 1.0, rng)])
 
     ledger = PrivacyLedger([PrivacyParams(epsilon, delta)])
     ledger.extend([PrivacyParams(epsilon_prime)] * db.k)

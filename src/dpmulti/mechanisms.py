@@ -105,39 +105,57 @@ def laplace_sf(t: float, scale: float) -> float:
     return 1.0 - 0.5 * math.exp(t / scale)
 
 
+def _score_array(candidates: Sequence[ScoredCandidate] | np.ndarray) -> np.ndarray:
+    """Scores as a 1-D float64 array: a score array as is, or one entry per ScoredCandidate."""
+    if isinstance(candidates, np.ndarray):
+        scores = candidates.astype(np.float64, copy=False)
+    else:
+        scores = np.array([c.score for c in candidates], dtype=np.float64)
+    if scores.ndim != 1 or scores.size == 0:
+        raise ValueError("candidates must be a non-empty list or 1-D score array")
+    bad = scores[~np.isfinite(scores)]
+    if bad.size:
+        raise ValueError(f"candidate score must be finite, got {bad[0]}")
+    return scores
+
+
 def exponential_mechanism_pmf(
-    candidates: Sequence[ScoredCandidate],
+    candidates: Sequence[ScoredCandidate] | np.ndarray,
     epsilon: float,
     sensitivity: float,
 ) -> np.ndarray:
     """Exact output pmf: P[f] proportional to exp(epsilon * score(f) / (2 sensitivity)).
 
-    Scores are max-shifted before exponentiation; the shift cancels in the
+    candidates is a list of ScoredCandidate or a 1-D float array of scores;
+    entry i of the pmf belongs to candidate i either way. Scores are
+    max-shifted before exponentiation; the shift cancels in the
     normalization, so the pmf is unchanged and overflow-free.
     """
-    if not candidates:
-        raise ValueError("candidate list must be non-empty")
+    scores = _score_array(candidates)
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-    scores = np.array([c.score for c in candidates], dtype=np.float64)
     logits = epsilon * scores / (2.0 * sensitivity)
     weights = np.exp(logits - logits.max())
     return weights / weights.sum()
 
 
 def exponential_mechanism(
-    candidates: Sequence[ScoredCandidate],
+    candidates: Sequence[ScoredCandidate] | np.ndarray,
     epsilon: float,
     sensitivity: float,
     rng: np.random.Generator,
 ) -> Hashable:
-    """Sample a candidate id with probability proportional to exp(eps*score/2s)."""
+    """Sample a candidate with probability proportional to exp(eps*score/2s).
+
+    Returns the candidate's id, or its index when candidates is a score
+    array. Draws one uniform from rng either way.
+    """
     pmf = exponential_mechanism_pmf(candidates, epsilon, sensitivity)
     idx = int(np.searchsorted(np.cumsum(pmf), rng.random(), side="right"))
-    idx = min(idx, len(candidates) - 1)
-    return candidates[idx].id
+    idx = min(idx, len(pmf) - 1)
+    return idx if isinstance(candidates, np.ndarray) else candidates[idx].id
 
 
 def stable_argmax(

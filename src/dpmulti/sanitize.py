@@ -6,19 +6,20 @@ Two sanitizers are provided:
   plus a reconstruction of the answers into a small synthetic database.
 * sanitize_exhaustive: the exponential mechanism over every candidate
   synthetic database of a fixed size, scored by worst-case query error.
-  Exact and exhaustive by design; guarded by an enumeration budget.
+  Each distinct histogram is scored once and the sample is drawn over
+  ordered tuples. Exact and exhaustive by design; guarded by an
+  enumeration budget.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import ConceptClass, EmptyDatabaseError, MultiLabeledDatabase, Universe, xor_eval_matrix
-from .mechanisms import ScoredCandidate, exponential_mechanism, exponential_mechanism_pmf, laplace_sample
+from .mechanisms import exponential_mechanism, exponential_mechanism_pmf, laplace_sample
 
 # Rows of a synthetic database holding residual mass; outside the universe,
 # so every counting query evaluates to 0 on them.
@@ -193,9 +194,11 @@ def sanitize_exhaustive(
 ) -> SyntheticDatabase:
     """Pure-DP sanitizer: exponential mechanism over all size-m databases.
 
-    Candidates are the |X|^m element tuples; the score of a candidate is
-    -n * max_c |c(D) - c(candidate)|, sensitivity 1. Exact but exponential,
-    so the candidate count is capped by `budget`.
+    Candidates are the |X|^m ordered element tuples; the score of a candidate
+    is -n * max_c |c(D) - c(candidate)|, sensitivity 1. A score depends only
+    on the tuple's histogram, so each histogram is scored once, but the
+    sample is drawn over ordered tuples. Exact but exponential, so the
+    candidate count is capped by `budget`.
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot sanitize an empty database")
@@ -205,31 +208,51 @@ def sanitize_exhaustive(
     if synth_size is None:
         cclass = query_class[0] if isinstance(query_class, tuple) else query_class
         synth_size = max(1, math.ceil(cclass.vc_dim * math.log(2.0 / min(alpha, 1.0)) / alpha**2))
-    n_candidates = size**synth_size
-    if n_candidates > budget:
+    if synth_size < 1:
+        raise ValueError(f"synth_size must be >= 1, got {synth_size}")
+    # 2^m > budget already settles it, without computing a huge |X|^m.
+    if size > 1 and (synth_size >= budget.bit_length() or size**synth_size > budget):
         raise EnumerationBudgetError(
-            f"|X|^m = {size}^{synth_size} = {n_candidates} exceeds budget {budget}; "
+            f"|X|^m = {size}^{synth_size} exceeds budget {budget}; "
             "for point queries use sanitize_points instead"
         )
-    scored, tuples = _exhaustive_candidates(db, query_class, synth_size)
-    idx = exponential_mechanism(scored, epsilon, 1.0, rng)
-    return SyntheticDatabase(db.universe, np.array(tuples[idx], dtype=np.int64))
+    scores, tuples = _exhaustive_candidates(db, query_class, synth_size)
+    idx = exponential_mechanism(scores, epsilon, 1.0, rng)
+    return SyntheticDatabase(db.universe, tuples[idx])
 
 
 def _exhaustive_candidates(db, query_class, synth_size):
-    """Score every candidate tuple; shared by the sampler and its exact oracle."""
+    """Score every candidate tuple; shared by the sampler and its exact oracle.
+
+    Returns (scores, tuples): tuples is the (|X|^m, m) array of candidate
+    tuples in itertools.product order, and scores[i] is the score of row i.
+    Each distinct histogram is scored once. A tuple's histogram is named by
+    its sorted copy, read as a base-|X| code (below |X|^m, so it fits int64
+    and indexes the tuples themselves); every tuple then takes its
+    histogram's score.
+    """
     size = db.universe.size
     full = _query_matrix(query_class, db.universe.elements())
     target = _query_answers(full, np.bincount(db.xs, minlength=size), db.n)
-    tuples = list(itertools.product(range(size), repeat=synth_size))
-    counts = np.zeros((len(tuples), size))
-    for i, tup in enumerate(tuples):
-        counts[i] = np.bincount(np.array(tup, dtype=np.int64), minlength=size)
-    answers = (full @ counts.T) / synth_size  # (queries, candidates)
-    max_err = np.abs(answers - target[:, None]).max(axis=0)
-    scores = -db.n * max_err
-    scored = [ScoredCandidate(i, float(s)) for i, s in enumerate(scores)]
-    return scored, tuples
+    digits = np.indices((size,) * synth_size, dtype=np.min_scalar_type(size - 1)).reshape(synth_size, -1)
+    # Odd-even transposition sort of every tuple's digits at once: m passes.
+    ordered = list(digits)
+    for step in range(synth_size):
+        for j in range(step % 2, synth_size - 1, 2):
+            lo, hi = ordered[j], ordered[j + 1]
+            ordered[j], ordered[j + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+    keys = np.zeros(digits.shape[1], dtype=np.int64)
+    for column in ordered:
+        keys = keys * size + column
+    is_key = np.zeros(digits.shape[1], dtype=bool)
+    is_key[keys] = True
+    hist_codes = np.flatnonzero(is_key)  # one sorted tuple per histogram
+    inverse = np.cumsum(is_key)[keys] - 1
+    offsets = size * np.arange(len(hist_codes))
+    counts = np.bincount((digits[:, hist_codes] + offsets).ravel(), minlength=size * len(hist_codes))
+    answers = _query_answers(full, counts.reshape(-1, size).T, synth_size)  # (queries, histograms)
+    scores = -db.n * np.abs(answers - target[:, None]).max(axis=0)
+    return scores[inverse], digits.T
 
 
 def sanitize_exhaustive_pmf(
@@ -239,5 +262,5 @@ def sanitize_exhaustive_pmf(
     synth_size: int,
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Exact output distribution of sanitize_exhaustive over candidate tuples."""
-    scored, tuples = _exhaustive_candidates(db, query_class, synth_size)
-    return exponential_mechanism_pmf(scored, epsilon, 1.0), tuples
+    scores, tuples = _exhaustive_candidates(db, query_class, synth_size)
+    return exponential_mechanism_pmf(scores, epsilon, 1.0), [tuple(t) for t in tuples.tolist()]

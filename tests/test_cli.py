@@ -181,6 +181,27 @@ def test_parity_report_golden(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "argv,sha256",
+    [
+        (
+            "attack boneh-shaw --n 4 --xi 0.1 --trials 3 --learner generic --seed 5 --format json",
+            "cd1756ab4a66395f0e204540b10ef035f758f8171df147bdf24d4e3702db161a",
+        ),
+        (
+            "attack boneh-shaw --n 6 --xi 0.05 --trials 2 --learner generic --variant padded --seed 9 --format json",
+            "e0537898abec90746c57b1ce79e1bdae8947062ae0cf6c20936dbb19238bb4e8",
+        ),
+    ],
+    ids=["n4", "n6-padded"],
+)
+def test_generic_attack_report_golden(capsys, argv, sha256):
+    # Frozen from the per-tuple exhaustive sanitizer.
+    code, out = _run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 class TestAttackCommand:
     def test_per_trial_csv(self, capsys):
         code, out = _run(
@@ -281,6 +302,24 @@ class TestExitCodes:
         assert main(argv) == 0
         assert main(argv + [flag, "0"]) == 1
         assert flag[2:] in capsys.readouterr().err
+
+    def test_enumeration_budget_overflow_is_invalid_input(self, capsys):
+        code = main(["learn", "generic", "--k", "2", "--n", "100", "--universe", "8", "--class", "thresh",
+                     "--delta", "0", "--epsilon-prime", "1", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "|X|^m = 8^2446 exceeds budget 1048576; " in err
+        assert "sanitize_points" in err and len(err) < 200
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--n", "1", "--xi", "0.1"], "n_users"),
+        (["--n", "4", "--xi", "0"], "xi"),
+        (["--n", "4", "--xi", "-0.5"], "xi"),
+    ], ids=["n1", "xi0", "xi-negative"])
+    def test_bad_attack_parameter_is_invalid_input(self, capsys, argv, name):
+        code = main(["attack", "boneh-shaw", *argv, "--trials", "1", "--learner", "erm", "--seed", "1"])
+        assert code == 1
+        assert name in capsys.readouterr().err
 
     def test_unwritable_out_is_runtime_failure(self, capsys, tmp_path):
         code = main([

@@ -161,6 +161,27 @@ class TestExponentialMechanism:
             assert dp_bound_holds(p, q, eps, 0.0)
             assert dp_bound_holds(q, p, eps, 0.0)
 
+    def test_score_array_matches_candidate_list(self):
+        # Same pmf, same sampled index and the same RNG state afterwards.
+        scores = stream(11, 4).integers(-40, 1, size=23).astype(np.float64)
+        cands = [ScoredCandidate(i, float(s)) for i, s in enumerate(scores)]
+        pmf = exponential_mechanism_pmf(scores, 0.7, 1.0)
+        assert np.array_equal(pmf, exponential_mechanism_pmf(cands, 0.7, 1.0))
+        rng_a, rng_l = stream(11, 5), stream(11, 5)
+        for _ in range(200):
+            picked = exponential_mechanism(scores, 0.7, 1.0, rng_a)
+            assert picked == exponential_mechanism(cands, 0.7, 1.0, rng_l)
+        np.testing.assert_equal(rng_a.bit_generator.state, rng_l.bit_generator.state)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_array_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            exponential_mechanism(np.array([0.0, bad, -1.0]), 1.0, 1.0, stream(11, 6))
+
+    def test_empty_score_array_rejected(self):
+        with pytest.raises(ValueError):
+            exponential_mechanism_pmf(np.array([], dtype=np.float64), 1.0, 1.0)
+
 
 class TestStableArgmax:
     def test_large_gap_releases_argmax(self):

@@ -1,5 +1,7 @@
 """Point-query sanitizer, synthetic reconstruction, and exhaustive sanitizer."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +22,8 @@ from dpmulti.sanitize import (
     EnumerationBudgetError,
     SanitizedAnswers,
     SyntheticDatabase,
+    _exhaustive_candidates,
+    _query_matrix,
     answers_to_synthetic,
     point_sanitizer_min_rows,
     point_sanitizer_rows,
@@ -32,6 +36,30 @@ from dpmulti.sanitize import (
 
 def _unlabeled(universe, xs):
     return MultiLabeledDatabase.unlabeled(universe, np.array(xs, dtype=np.int64))
+
+
+def _per_tuple_scores(db, query_class, m):
+    """Reference scorer: one bincount per ordered tuple."""
+    size = db.universe.size
+    full = _query_matrix(query_class, db.universe.elements())
+    target = (full @ np.bincount(db.xs, minlength=size).astype(np.float64)) / db.n
+    tuples = list(itertools.product(range(size), repeat=m))
+    counts = np.zeros((len(tuples), size))
+    for i, tup in enumerate(tuples):
+        counts[i] = np.bincount(np.array(tup, dtype=np.int64), minlength=size)
+    answers = (full @ counts.T) / m
+    return -db.n * np.abs(answers - target[:, None]).max(axis=0)
+
+
+# (|X|, m, query class); (200, 2) has more histograms than a base-(m+1) count key
+# could index in int64. Its xor closure (~20k queries) is left out: the
+# reference would multiply that by 40k tuples.
+EXACT_CASES = [
+    (size, m, kind, queries)
+    for size, m in [(2, 1), (2, 12), (3, 4), (8, 5), (200, 2)]
+    for kind in (POINT, THRESH)
+    for queries in (("plain",) if size == 200 else ("plain", "xor"))
+]
 
 
 class TestSanitizePoints:
@@ -280,3 +308,43 @@ class TestSanitizeExhaustive:
         db = _unlabeled(u, [0, 1])
         with pytest.raises(EnumerationBudgetError, match="sanitize_points"):
             sanitize_exhaustive(db, ConceptClass(POINT, u), 0.1, 1.0, stream(29, 0), synth_size=8)
+
+    def test_rejects_empty_synthetic_size(self):
+        u = Universe.indexed(4)
+        db = _unlabeled(u, [0, 1])
+        with pytest.raises(ValueError, match="synth_size"):
+            sanitize_exhaustive(db, ConceptClass(POINT, u), 0.5, 1.0, stream(29, 2), synth_size=0)
+
+    def test_budget_exceeded_at_huge_default_size(self):
+        # alpha = 1e-6 plans m ~ 1.5e13 rows; 8^m must never be built.
+        u = Universe.indexed(8)
+        db = _unlabeled(u, [0, 1])
+        with pytest.raises(EnumerationBudgetError, match=r"\|X\|\^m = 8\^\d+ exceeds budget 1048576; "):
+            sanitize_exhaustive(db, ConceptClass(THRESH, u), 1e-6, 1.0, stream(29, 1))
+
+    @pytest.mark.parametrize("size,m,kind,queries", EXACT_CASES)
+    def test_scores_equal_per_tuple_reference(self, size, m, kind, queries):
+        u = Universe.indexed(size)
+        db = _unlabeled(u, stream(30, size, m).integers(0, size, size=37))
+        query_class = (ConceptClass(kind, u), "xor") if queries == "xor" else ConceptClass(kind, u)
+        scores, tuples = _exhaustive_candidates(db, query_class, m)
+        assert len(tuples) == size**m
+        assert np.array_equal(scores, _per_tuple_scores(db, query_class, m))
+
+    @pytest.mark.parametrize("size,m", [(2, 1), (2, 3), (3, 4), (5, 2)])
+    def test_pmf_tuples_in_product_order(self, size, m):
+        u = Universe.indexed(size)
+        db = _unlabeled(u, list(range(size)))
+        _, tuples = sanitize_exhaustive_pmf(db, ConceptClass(THRESH, u), 1.0, m)
+        assert tuples == list(itertools.product(range(size), repeat=m))
+
+    def test_release_golden(self):
+        # Frozen from the per-tuple sanitizer: same RNG draws, same released rows.
+        u = Universe.indexed(8)
+        db = MultiLabeledDatabase.unlabeled(u, stream(31, 0).integers(0, 8, size=400))
+        queries = (ConceptClass(THRESH, u), "xor")
+        digest = hashlib.sha256()
+        for t in range(20):
+            synth = sanitize_exhaustive(db, queries, 0.04, 1.0, stream(31, 1, t), synth_size=5)
+            digest.update(synth.elements.tobytes())
+        assert digest.hexdigest() == "d04752d44f13d6910e7de601655ed05b30917fcc10ffef3a1bce63390d350192"
