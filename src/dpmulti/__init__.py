@@ -10,6 +10,7 @@ from .domain import (
     ConceptClass,
     Distribution,
     EmptyDatabaseError,
+    Hypotheses,
     LabeledDistribution,
     LabeledView,
     MultiLabeledDatabase,
@@ -20,6 +21,7 @@ from .domain import (
     evaluate,
     evaluate_many,
     generalization_error,
+    generalization_errors,
     load_database,
     parity,
     point,
@@ -27,7 +29,6 @@ from .domain import (
     save_database,
     thresh,
     vc_sample_size,
-    xor_evaluate,
     zero,
 )
 from .mechanisms import (

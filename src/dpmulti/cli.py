@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .domain import generalization_error, load_database
+from .domain import generalization_errors, load_database
 from .harness import (
     LEARNERS,
     ConfigError,
@@ -54,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--epsilon", type=float, default=1.0)
     learn.add_argument("--epsilon-prime", type=float, default=None)
     learn.add_argument("--delta", type=float, default=0.01)
+    learn.add_argument("--synth-size", type=int, default=None, help="exhaustive sanitizer's synthetic rows")
     learn.add_argument("--universe", type=int, default=None, help="universe size (indexed classes)")
     learn.add_argument("--d", type=int, default=None, help="bit width (parity class)")
     learn.add_argument("--class", dest="class_kind", default=None, choices=("point", "thresh", "parity"))
@@ -120,19 +121,20 @@ def _cmd_learn(args) -> int:
         "algorithm": args.algorithm, "k": args.k, "alpha": args.alpha, "beta": args.beta,
         "epsilon": args.epsilon, "epsilon_prime": args.epsilon_prime, "delta": args.delta,
         "universe": args.universe, "d": args.d, "class": args.class_kind,
-        "dist": args.dist, "targets": args.targets,
+        "dist": args.dist, "targets": args.targets, "synth_size": args.synth_size,
     }
     params = {key: value for key, value in params.items() if value is not None}
     _, _, dist, targets, result = sample_and_learn(params, args.seed, args.n, 0, 0)
 
     columns = ["label", "hypothesis", "parameter", "target", "error"]
     rows = []
+    target_params = targets.params.tolist()
     if result.failed:
-        rows = [[j, "bottom", -1, int(targets[j].param), 1.0] for j in range(args.k)]
+        rows = [[j, "bottom", -1, c, 1.0] for j, c in enumerate(target_params)]
     else:
-        for j, (h, c) in enumerate(zip(result.hypotheses, targets)):
-            err = generalization_error(dist, c, h)
-            rows.append([j, h.kind, -1 if h.param is None else int(h.param), int(c.param), err])
+        errors = generalization_errors(dist, targets, result.hypotheses)
+        for j, (h, c, err) in enumerate(zip(result.hypotheses, target_params, errors)):
+            rows.append([j, h.kind, -1 if h.param is None else h.param, c, err])
     meta = {"seed": args.seed, "n": args.n, "failed": result.failed,
             "below_sample_bound": result.below_sample_bound}
     if result.ledger.charges:

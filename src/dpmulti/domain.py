@@ -1,4 +1,5 @@
-"""Finite universes, concept classes, multi-labeled databases, and error functionals.
+"""Finite universes, concept classes, multi-hypothesis tables, multi-labeled
+databases, and error functionals.
 
 Everything here is desk-scale by design: universes are explicitly indexed
 finite sets (|X| <= 2^20, bit-vector domains up to 20 bits), distributions are
@@ -142,24 +143,104 @@ def evaluate(concept: Concept, x: int) -> int:
     return 0
 
 
+def _evaluate_params(kind: str, params: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The (len(params), len(xs)) uint8 bits of one class's concepts; param -1 is zero."""
+    params = params[:, None]
+    xs = xs[None, :]
+    if kind == POINT:
+        return (xs == params).astype(np.uint8)
+    if kind == THRESH:
+        return (xs <= params).astype(np.uint8)
+    return _parity_bits(params & xs)
+
+
+def _checked_elements(universe: Universe, xs: np.ndarray) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.size and (xs.min() < 0 or xs.max() >= universe.size):
+        raise ValueError("element outside universe")
+    return xs
+
+
 def evaluate_many(concept: Concept, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluate over an int array; returns uint8 bits."""
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.size and (xs.min() < 0 or xs.max() >= concept.universe.size):
-        raise ValueError("element outside universe")
-    if concept.kind == POINT:
-        return (xs == concept.param).astype(np.uint8)
-    if concept.kind == THRESH:
-        return (xs <= concept.param).astype(np.uint8)
-    if concept.kind == PARITY:
-        return _parity_bits(xs & concept.param)
-    return np.zeros(xs.shape, dtype=np.uint8)
+    xs = _checked_elements(concept.universe, xs)
+    kind, param = (POINT, -1) if concept.kind == ZERO else (concept.kind, concept.param)
+    return _evaluate_params(kind, np.array([param], dtype=np.int64), xs.ravel())[0].reshape(xs.shape)
 
 
-def xor_evaluate(f: Concept, g: Concept, x: int) -> int:
-    """Evaluate the symmetric difference f xor g on one element."""
-    f.universe.require_same(g.universe)
-    return evaluate(f, x) ^ evaluate(g, x)
+@dataclass(frozen=True, eq=False)
+class Hypotheses:
+    """A multi-hypothesis (h_1, ..., h_k) from one concept class, as a parameter table.
+
+    params[j] is h_j's parameter in the class `kind`; -1 is the constant-zero
+    hypothesis, allowed for point and threshold kinds (x == -1 and x <= -1 hold
+    nowhere). The constructor checks every parameter at once. evaluate(xs) is
+    the (k, len(xs)) bit matrix of all k hypotheses. As a sequence the table
+    yields Concepts, built on access, and it equals the Concept sequence it
+    stands for.
+    """
+
+    universe: Universe
+    kind: str
+    params: np.ndarray  # shape (k,), int64
+
+    def __post_init__(self):
+        if self.kind not in CLASS_KINDS:
+            raise ValueError(f"unknown hypothesis kind {self.kind!r}")
+        if self.kind == PARITY and self.universe.bit_width is None:
+            raise ValueError("parity hypotheses require a bit-vector universe")
+        raw = np.asarray(self.params)
+        if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
+            raise ValueError("hypothesis parameters must be a 1-D integer array")
+        params = raw.astype(np.int64)
+        low = 0 if self.kind == PARITY else -1
+        if params.size and (params.min() < low or params.max() >= self.universe.size):
+            raise ValueError(
+                f"{self.kind} parameters must be in [{low}, {self.universe.size}), "
+                f"got [{params.min()}, {params.max()}]"
+            )
+        params.flags.writeable = False
+        object.__setattr__(self, "params", params)
+
+    @staticmethod
+    def from_concepts(concepts: Sequence[Concept], universe: Universe | None = None) -> "Hypotheses":
+        """The table of a Concept sequence; the zero concept joins any point or threshold kind."""
+        if universe is None:
+            if not concepts:
+                raise ValueError("an empty Concept sequence needs its universe")
+            universe = concepts[0].universe
+        for c in concepts:
+            universe.require_same(c.universe)
+        kinds = {c.kind for c in concepts} - {ZERO}
+        if len(kinds) > 1:
+            raise ValueError(f"hypotheses mix concept kinds {sorted(kinds)}")
+        kind = kinds.pop() if kinds else POINT
+        params = np.array([-1 if c.kind == ZERO else c.param for c in concepts], dtype=np.int64)
+        return Hypotheses(universe, kind, params)
+
+    def evaluate(self, xs: np.ndarray) -> np.ndarray:
+        """The (k, len(xs)) uint8 matrix whose row j is h_j on the 1-D element array xs."""
+        xs = _checked_elements(self.universe, xs)
+        if xs.ndim != 1:
+            raise ValueError(f"elements must be a 1-D array, got shape {xs.shape}")
+        return _evaluate_params(self.kind, self.params, xs)
+
+    def _concept(self, param: int) -> Concept:
+        return Concept(ZERO, self.universe) if param < 0 else Concept(self.kind, self.universe, param)
+
+    def __len__(self) -> int:
+        return self.params.shape[0]
+
+    def __getitem__(self, j: int) -> Concept:
+        return self._concept(int(self.params[j]))
+
+    def __iter__(self) -> Iterator[Concept]:
+        return (self._concept(p) for p in self.params.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Hypotheses, tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -199,13 +280,7 @@ class ConceptClass:
         """Return the (|C| x len(xs)) 0/1 evaluation matrix in canonical order."""
         if xs is None:
             xs = self.universe.elements()
-        xs = np.asarray(xs, dtype=np.int64)
-        params = self.universe.elements()
-        if self.kind == POINT:
-            return (params[:, None] == xs[None, :]).astype(np.uint8)
-        if self.kind == THRESH:
-            return (xs[None, :] <= params[:, None]).astype(np.uint8)
-        return _parity_bits(params[:, None] & xs[None, :])
+        return _evaluate_params(self.kind, self.universe.elements(), np.asarray(xs, dtype=np.int64))
 
 
 def xor_eval_matrix(cclass: ConceptClass, xs: np.ndarray) -> np.ndarray:
@@ -341,6 +416,30 @@ def generalization_error(dist: Distribution, c: Concept, h: Concept) -> float:
     xs = dist.universe.elements()
     diff = evaluate_many(c, xs) != evaluate_many(h, xs)
     return math.fsum(dist.pmf[diff].tolist())
+
+
+# Cells per block of the (k, |X|) disagreement matrix, so its memory does not grow with k.
+DISAGREEMENT_BLOCK_CELLS = 1 << 12
+
+
+def generalization_errors(dist: Distribution, targets: Hypotheses, hyps: Hypotheses) -> list[float]:
+    """generalization_error of each (targets[j], hyps[j]) pair: the disagreement
+    matrix of all k pairs over the universe, built a block of rows at a time,
+    and one fsum of disagreement mass per row."""
+    dist.universe.require_same(targets.universe)
+    targets.universe.require_same(hyps.universe)
+    if len(targets) != len(hyps):
+        raise ValueError(f"{len(targets)} targets but {len(hyps)} hypotheses")
+    xs = dist.universe.elements()
+    step = max(1, DISAGREEMENT_BLOCK_CELLS // xs.size)
+    errors = []
+    for lo in range(0, len(targets), step):
+        rows = slice(lo, lo + step)
+        diff = _evaluate_params(targets.kind, targets.params[rows], xs) != _evaluate_params(
+            hyps.kind, hyps.params[rows], xs
+        )
+        errors.extend(math.fsum(dist.pmf[row].tolist()) for row in diff)
+    return errors
 
 
 def _unpack_bits(values: np.ndarray, k: int) -> np.ndarray:

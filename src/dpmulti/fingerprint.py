@@ -22,15 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import (
-    PARITY,
-    THRESH,
-    Concept,
-    ConceptClass,
-    MultiLabeledDatabase,
-    Universe,
-    evaluate_many,
-)
+from .domain import PARITY, THRESH, ConceptClass, Hypotheses, MultiLabeledDatabase, Universe
 from .learners import LearnerFn, erm_mismatch_counts
 from .rng import stream
 
@@ -138,18 +130,13 @@ def trace_word(word: np.ndarray, codebook: Codebook) -> int | None:
     return int(over[0]) if over.size else None
 
 
-def tardos_length(n_users: int, security: float) -> int:
-    """Planning value for the optimal-length code family: ceil(n^2 ln(n/security))."""
-    return math.ceil(n_users**2 * math.log(n_users / security))
-
-
 @dataclass(frozen=True)
 class PirateResult:
     """A pirate word plus the artifacts needed to audit the trial."""
 
     word: np.ndarray
     flagged: bool
-    hypotheses: tuple[Concept, ...] | None
+    hypotheses: Hypotheses | None
     database: MultiLabeledDatabase
 
 
@@ -157,29 +144,6 @@ def _attack_universe(variant: str, n_users: int) -> Universe:
     if variant == "parity":
         return Universe.bitvectors(max(1, math.ceil(math.log2(n_users))))
     return Universe.indexed(n_users)
-
-
-def _hypothesis_averages(hyps: Sequence[Concept], xs: np.ndarray) -> np.ndarray:
-    kinds: dict[str, list[int]] = {}
-    for idx, h in enumerate(hyps):
-        kinds.setdefault(h.kind, []).append(idx)
-    out = np.zeros(len(hyps))
-    xs = np.asarray(xs, dtype=np.int64)
-    for kind, indices in kinds.items():
-        params = np.array([hyps[i].param if hyps[i].param is not None else 0 for i in indices])
-        if kind == "point":
-            evals = (xs[None, :] == params[:, None])
-        elif kind == "thresh":
-            evals = (xs[None, :] <= params[:, None])
-        elif kind == "parity":
-            v = xs[None, :] & params[:, None]
-            for shift in (16, 8, 4, 2, 1):
-                v = v ^ (v >> shift)
-            evals = (v & 1).astype(bool)
-        else:
-            evals = np.zeros((len(indices), xs.size), dtype=bool)
-        out[indices] = evals.mean(axis=1)
-    return out
 
 
 def pirate_word(
@@ -198,7 +162,8 @@ def pirate_word(
     element, where every realizable column concept evaluates 0) and the i-th
     bit string for the parity variant.
 
-    Rounding of the per-hypothesis averages over the database's example set:
+    All k hypotheses are evaluated on the database's examples as one (k, rows)
+    bit matrix, and each row's average is rounded:
       pac     1 iff avg >= 1/2
       padded  1 iff avg >= 3*alpha/2 (midpoint of the accurate 0/1 gap)
       parity  0 if avg <= alpha, 1 if avg >= 1/2 - alpha, else 0 and flagged
@@ -226,7 +191,7 @@ def pirate_word(
         fallback = codebook.words[np.array(members)[picks], np.arange(k)]
         return PirateResult(fallback.astype(np.uint8), True, None, db)
 
-    averages = _hypothesis_averages(result.hypotheses, db.xs)
+    averages = result.hypotheses.evaluate(db.xs).mean(axis=1)
     flagged = False
     if variant == "pac":
         word = (averages >= 0.5).astype(np.uint8)
@@ -263,12 +228,7 @@ def _contract_met(result: PirateResult, variant: str, alpha: float) -> bool:
     db = result.database
     cclass = ConceptClass(PARITY if variant == "parity" else THRESH, db.universe)
     best = erm_mismatch_counts(db, cclass).min(axis=0)
-    errors = np.array(
-        [
-            np.count_nonzero(evaluate_many(h, db.xs) != db.labels[:, j])
-            for j, h in enumerate(result.hypotheses)
-        ]
-    )
+    errors = np.count_nonzero(result.hypotheses.evaluate(db.xs) != db.labels.T, axis=1)
     return bool(((errors - best) / db.n <= alpha).all())
 
 

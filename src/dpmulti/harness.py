@@ -26,15 +26,15 @@ from .domain import (
     THRESH,
     ConceptClass,
     Distribution,
+    Hypotheses,
     MultiLabeledDatabase,
     Universe,
-    generalization_error,
+    generalization_errors,
     sample_database,
     vc_sample_size,
 )
 from .learners import (
     LearnerFn,
-    LearnResult,
     direct_sum_learner,
     erm_multi,
     generic_multi_learner,
@@ -124,7 +124,7 @@ LEARNERS: dict[str, Learner] = {
         lambda p, k: _POINTS.charges(p, 1) * k,
     ),
     "erm": Learner(
-        lambda p: lambda db, rng: LearnResult(erm_multi(db, ConceptClass(p.kind, db.universe))),
+        lambda p: lambda db, rng: erm_multi(db, ConceptClass(p.kind, db.universe)),
         lambda cclass, alpha, beta, agnostic, **_: vc_sample_size(
             cclass.vc_dim, alpha, beta, "agnostic" if agnostic else "realizable"
         ),
@@ -365,17 +365,19 @@ def _learn_universe(params: dict, parities: bool) -> tuple[Universe, ConceptClas
     return universe, ConceptClass(kinds[class_kind], universe)
 
 
-def _draw_targets(params: dict, cclass: ConceptClass, k: int, rng: np.random.Generator):
+def _draw_targets(params: dict, cclass: ConceptClass, k: int, rng: np.random.Generator) -> Hypotheses:
     spec = params.get("targets", "random").strip()
     if spec == "random":
-        return tuple(cclass.concept(int(p)) for p in rng.integers(0, cclass.universe.size, size=k))
+        return Hypotheses(cclass.universe, cclass.kind, rng.integers(0, cclass.universe.size, size=k))
     try:
         fixed = [int(p) for p in spec.split(",")]
     except ValueError:
         raise ConfigError(f"learn.targets: expected 'random' or comma list, got {spec!r}")
     if len(fixed) != k:
         raise ConfigError(f"learn.targets: expected {k} parameters, got {len(fixed)}")
-    return tuple(cclass.concept(p) for p in fixed)
+    if min(fixed) < 0:
+        raise ConfigError(f"learn.targets: parameters must be >= 0, got {min(fixed)}")
+    return Hypotheses(cclass.universe, cclass.kind, np.array(fixed, dtype=np.int64))
 
 
 def _learn_params(params: dict, section: str, kind: str, delta: float, epsilon_prime: float | None) -> LearnParams:
@@ -388,6 +390,7 @@ def _learn_params(params: dict, section: str, kind: str, delta: float, epsilon_p
         delta=_need(params, section, "delta", float, default=delta),
         epsilon_prime=_need(params, section, "epsilon_prime", float) if "epsilon_prime" in params else epsilon_prime,
         mode=params.get("mode", "basic"),
+        synth_size=_need(params, section, "synth_size", int) if "synth_size" in params else None,
     )
 
 
@@ -423,9 +426,9 @@ def run_learn_trial(config: ExperimentConfig, n: int, point_idx: int, trial: int
 
     if result.failed:
         return False, 1.0, eps_total, delta_total
-    max_err = max(generalization_error(dist, c, h) for c, h in zip(targets, result.hypotheses))
+    max_err = max(generalization_errors(dist, targets, result.hypotheses))
     if entry.exact:
-        success = all(h.param == c.param for h, c in zip(result.hypotheses, targets))
+        success = np.array_equal(result.hypotheses.params, targets.params)
     else:
         success = max_err <= p.alpha
     return success, max_err, eps_total, delta_total
@@ -453,14 +456,27 @@ def make_attack_learner(name: str, variant: str, params: dict) -> LearnerFn:
     if name not in LEARNERS:
         raise ConfigError(f"attack.learner: unknown {name!r}")
     p = _learn_params(params, "attack", PARITY if variant == "parity" else THRESH, 0.01, 1.0)
-    # Attack databases have <= 8 users; a size-6 synthetic database keeps
-    # the exhaustive sanitizer inside its enumeration budget.
-    return LEARNERS[name].build(replace(p, synth_size=6))
+    if p.synth_size is None:
+        # Attack databases have <= 8 users; a size-6 synthetic database keeps
+        # the exhaustive sanitizer inside its enumeration budget.
+        p = replace(p, synth_size=6)
+    return LEARNERS[name].build(p)
+
+
+# The integer keys a sweep may set, per experiment kind.
+SWEEP_AXES = {"learn": ("n", "k", "d", "universe"), "sanitize": ("n", "universe"), "attack": ()}
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
     """Execute all sweep points and trials serially; `threads` changes neither
-    the output nor the scheduling, since trials are bound by the interpreter lock."""
+    the output nor the scheduling, since trials are bound by the interpreter lock.
+
+    Each sweep value replaces the section's key named by the sweep axis.
+    """
+    axes = SWEEP_AXES[config.kind]
+    if config.sweep_axis is not None and config.sweep_axis not in axes:
+        allowed = " | ".join(axes) if axes else "no sweep"
+        raise ConfigError(f"experiment.sweep: {config.kind} takes {allowed}, got {config.sweep_axis!r}")
     if config.kind == "attack":
         return _run_attack(config)
     runner = run_learn_trial if config.kind == "learn" else run_sanitize_trial
@@ -468,8 +484,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
     columns = [axis, "trials", "success_rate", "mean_max_error", "epsilon_total", "delta_total"]
     rows = []
     for point_idx, point in enumerate(config.points()):
-        n = point if point is not None else _need(config.params, config.kind, "n", int)
-        outcomes = [runner(config, n, point_idx, t) for t in range(config.trials)]
+        point_config = config if point is None else replace(config, params={**config.params, axis: str(point)})
+        n = _need(point_config.params, config.kind, "n", int)
+        outcomes = [runner(point_config, n, point_idx, t) for t in range(config.trials)]
         success = sum(1 for ok, *_ in outcomes if ok)
         mean_err = math.fsum(err for _, err, *_ in outcomes) / config.trials
         eps_totals = {format_float(o[2]) for o in outcomes}
@@ -477,7 +494,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
         if len(eps_totals) != 1 or len(delta_totals) != 1:
             raise RuntimeError("trials of one point reported different ledger totals")
         rows.append(
-            [n, config.trials, success / config.trials, mean_err, outcomes[0][2], outcomes[0][3]]
+            [n if point is None else point, config.trials, success / config.trials, mean_err,
+             outcomes[0][2], outcomes[0][3]]
         )
     return TrialReport(config.kind, columns, rows, meta={"seed": config.seed}).rounded()
 

@@ -23,17 +23,16 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .domain import (
+    PARITY,
     POINT,
     Concept,
     ConceptClass,
     EmptyDatabaseError,
+    Hypotheses,
     MultiLabeledDatabase,
     Universe,
     dichotomy_projection,
-    evaluate_many,
     parity,
-    point,
-    zero,
 )
 from .mechanisms import (
     PrivacyLedger,
@@ -46,40 +45,46 @@ from .mechanisms import (
 )
 from .sanitize import answers_to_synthetic, point_sanitizer_rows, sanitize_exhaustive, sanitize_points
 
-MultiHypothesis = tuple[Concept, ...]
-
 LearnerFn = Callable[[MultiLabeledDatabase, np.random.Generator], "LearnResult"]
 
 
 @dataclass(frozen=True)
 class LearnResult:
-    """Hypotheses (None when selection aborted) plus the privacy charge schedule.
+    """The released multi-hypothesis (None when selection aborted) plus the
+    privacy charge schedule.
 
+    hypotheses is always a Hypotheses table; a non-empty Concept sequence
+    passed in is turned into one here, so a learner may release either.
     details carries learner-specific diagnostics (e.g. hypothesis-set sizes)
     for experiment reporting; it is not part of the privacy surface.
     """
 
-    hypotheses: MultiHypothesis | None
+    hypotheses: Hypotheses | None
     ledger: PrivacyLedger = field(default_factory=PrivacyLedger)
     below_sample_bound: bool = False
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.hypotheses is not None and not isinstance(self.hypotheses, Hypotheses):
+            object.__setattr__(self, "hypotheses", Hypotheses.from_concepts(self.hypotheses))
 
     @property
     def failed(self) -> bool:
         return self.hypotheses is None
 
 
-def erm_multi(db: MultiLabeledDatabase, cclass: ConceptClass) -> MultiHypothesis:
-    """Per-label empirical-error minimizer over a finite class.
+def erm_multi(db: MultiLabeledDatabase, cclass: ConceptClass) -> LearnResult:
+    """Per-label empirical-error minimizer over a finite class, charging nothing.
 
     The objective separates per label, so each column is solved independently;
-    ties break to the lowest concept parameter.
+    ties break to the lowest concept parameter. The released table holds the
+    argmin parameters as they are.
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot minimize empirical error on an empty database")
     db.universe.require_same(cclass.universe)
     best = np.argmin(erm_mismatch_counts(db, cclass), axis=0)
-    return tuple(cclass.concept(int(p)) for p in best)
+    return LearnResult(Hypotheses(db.universe, cclass.kind, best))
 
 
 def erm_mismatch_counts(db: MultiLabeledDatabase, cclass: ConceptClass) -> np.ndarray:
@@ -193,8 +198,8 @@ def parity_learner(
     if choice is None:
         return LearnResult(None, ledger, below)
     full = (1 << bits) - 1
-    hyps = tuple(parity(universe, (best >> (j * bits)) & full) for j in range(k))
-    return LearnResult(hyps, ledger, below)
+    masks = np.array([(best >> (j * bits)) & full for j in range(k)], dtype=np.int64)
+    return LearnResult(Hypotheses(universe, PARITY, masks), ledger, below)
 
 
 def _top_two_votes(votes: Counter, first_seen: dict) -> tuple[int, int, int]:
@@ -253,7 +258,7 @@ def point_learner(
         heavy.sort()
     if not heavy:
         # No heavy elements: every selected vector is vacuously all-zero.
-        return LearnResult(tuple(zero(universe) for _ in range(k)), ledger, below)
+        return LearnResult(Hypotheses(universe, POINT, np.full(k, -1)), ledger, below)
 
     top1, top2 = _per_element_top_vectors(db, heavy)
     best_q = min(c for c, _ in top1.values())
@@ -274,11 +279,11 @@ def point_learner(
     )
     if choice is None:
         return LearnResult(None, ledger, below)
-    hyps: list[Concept] = []
-    for j in range(k):
-        carriers = [x for x in heavy if selected[x][j] == 1]
-        hyps.append(point(universe, carriers[0]) if carriers else zero(universe))
-    return LearnResult(tuple(hyps), ledger, below)
+    # Label j goes to the first heavy element carrying bit j, else to zero (-1).
+    params = np.full(k, -1, dtype=np.int64)
+    for x in reversed(heavy):
+        params[np.array(selected[x], dtype=bool)] = x
+    return LearnResult(Hypotheses(universe, POINT, params), ledger, below)
 
 
 def _per_element_top_vectors(db, heavy):
@@ -393,21 +398,21 @@ def generic_multi_learner(
         raise ValueError(f"unknown sanitizer {sanitizer!r}")
 
     support = synth.distinct_elements()
-    witnesses = list(dichotomy_projection(cclass, support).values())
+    witnesses = np.array([h.param for h in dichotomy_projection(cclass, support).values()], dtype=np.int64)
     labels = db.labels.astype(np.int64)
-    evals = np.stack([evaluate_many(h, db.xs) for h in witnesses]).astype(np.int64)
+    evals = Hypotheses(db.universe, cclass.kind, witnesses).evaluate(db.xs).astype(np.int64)
     mismatches = evals @ (1 - labels) + (1 - evals) @ labels  # (|H|, k)
 
-    hyps = []
-    for j in range(db.k):
-        scores = -mismatches[:, j].astype(np.float64)
-        hyps.append(witnesses[exponential_mechanism(scores, epsilon_prime, 1.0, rng)])
+    chosen = [
+        exponential_mechanism(-mismatches[:, j].astype(np.float64), epsilon_prime, 1.0, rng)
+        for j in range(db.k)
+    ]
 
     ledger = PrivacyLedger([PrivacyParams(epsilon, delta)])
     ledger.extend([PrivacyParams(epsilon_prime)] * db.k)
     below = db.n < generic_rows_bound(cclass, max(db.k, 1), alpha, beta, epsilon, epsilon_prime, delta)
     details = {"support_size": int(len(support)), "hypothesis_count": len(witnesses)}
-    return LearnResult(tuple(hyps), ledger, below, details)
+    return LearnResult(Hypotheses(db.universe, cclass.kind, witnesses[chosen]), ledger, below, details)
 
 
 def direct_sum_learner(
@@ -438,7 +443,7 @@ def direct_sum_learner(
         if result.failed:
             return LearnResult(None, ledger, below)
         hyps.append(result.hypotheses[0])
-    return LearnResult(tuple(hyps), ledger, below)
+    return LearnResult(Hypotheses.from_concepts(hyps, db.universe), ledger, below)
 
 
 def secrecy_amplification(

@@ -31,7 +31,6 @@ from dpmulti.domain import (
 from dpmulti.fingerprint import attack_experiment, code_length
 from dpmulti.harness import parse_config, plan_sample_size, run_experiment, to_csv, to_json
 from dpmulti.learners import (
-    LearnResult,
     erm_mismatch_counts,
     erm_multi,
     generic_multi_learner,
@@ -235,7 +234,7 @@ def test_criterion_08_fingerprinting_attack():
     length = code_length(n_users, xi)
 
     def erm_learner(db, rng):
-        return LearnResult(erm_multi(db, ConceptClass(THRESH, db.universe)))
+        return erm_multi(db, ConceptClass(THRESH, db.universe))
 
     rep = attack_experiment(erm_learner, n_users, xi, trials, "pac", 0.2, seed=1008, length=length)
     per_user = {u: [r["violation"] for r in rep.soundness_rows if r["missing"] == u] for u in range(n_users)}

@@ -82,6 +82,17 @@ class TestLearnCommand:
         )
         assert code == 1
 
+    def test_pure_dp_generic_with_synth_size(self, capsys):
+        code, out = _run(
+            capsys,
+            "learn", "generic", "--k", "2", "--n", "100", "--universe", "8", "--class", "thresh",
+            "--delta", "0", "--epsilon-prime", "1", "--synth-size", "4", "--seed", "1", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert [r[1] for r in payload["rows"]] == ["thresh", "thresh"]
+        assert payload["meta"]["epsilon_total"] == 3.0 and payload["meta"]["delta_total"] == 0.0
+
     def test_unknown_dist_spec_is_invalid_input(self, capsys):
         code = main(["learn", "erm", "--k", "1", "--n", "20", "--universe", "4", "--dist", "bogus", "--seed", "1"])
         assert code == 1
@@ -197,6 +208,31 @@ def test_parity_report_golden(capsys, argv, sha256):
 )
 def test_generic_attack_report_golden(capsys, argv, sha256):
     # Frozen from the per-tuple exhaustive sanitizer.
+    code, out = _run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "argv,sha256",
+    [
+        (
+            "attack boneh-shaw --n 6 --xi 0.05 --trials 4 --learner erm --seed 7 --format json",
+            "61ab17f6d812905e998e4a59c630028f9d5697a7e61638cc0e9f83a41494844d",
+        ),
+        (
+            "attack boneh-shaw --n 6 --xi 0.05 --trials 3 --learner erm --variant padded --seed 9 --format json",
+            "6105230cf8196aa6366ffc2c74cffa80e29bcb79acbdb7e25ab27380778bbb88",
+        ),
+        (
+            "attack boneh-shaw --n 6 --xi 0.05 --trials 3 --learner erm --variant parity --seed 5 --format json",
+            "1df1c14454147089a0d876fbe2420d49cd640f75e9bb88470655055c1e791d75",
+        ),
+    ],
+    ids=["pac", "padded", "parity"],
+)
+def test_erm_attack_report_golden(capsys, argv, sha256):
+    # k = 2370 ERM hypotheses; frozen from the per-Concept pirate and contract check.
     code, out = _run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -320,6 +356,22 @@ class TestExitCodes:
         code = main(["attack", "boneh-shaw", *argv, "--trials", "1", "--learner", "erm", "--seed", "1"])
         assert code == 1
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,section,axis", [
+        ("learn", "[learn]\nalgorithm = erm\nk = 1\nuniverse = 4", "bogus"),
+        ("sanitize", "[sanitize]\nuniverse = 4\nalpha = 0.2\nepsilon = 1\ndelta = 0.01", "k"),
+        ("attack", "[attack]\nn_users = 4\nxi = 0.1", "n"),
+    ], ids=["learn-bogus", "sanitize-k", "attack-n"])
+    def test_unknown_sweep_axis_is_invalid_input(self, capsys, tmp_path, kind, section, axis):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\nkind = {kind}\ntrials = 1\nseed = 1\nsweep = {axis}\nvalues = 10 20\n\n{section}\n")
+        assert main(["experiment", "run", "--config", str(cfg)]) == 1
+        assert "experiment.sweep" in capsys.readouterr().err
+
+    def test_negative_target_is_invalid_input(self, capsys):
+        code = main(["learn", "erm", "--k", "2", "--n", "20", "--universe", "4", "--targets=-1,2", "--seed", "1"])
+        assert code == 1
+        assert "learn.targets" in capsys.readouterr().err
 
     def test_unwritable_out_is_runtime_failure(self, capsys, tmp_path):
         code = main([

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dpmulti.domain import (
+    DISAGREEMENT_BLOCK_CELLS,
     PARITY,
     POINT,
     THRESH,
@@ -15,6 +16,7 @@ from dpmulti.domain import (
     ConceptClass,
     Distribution,
     EmptyDatabaseError,
+    Hypotheses,
     LabeledDistribution,
     MultiLabeledDatabase,
     Universe,
@@ -24,6 +26,7 @@ from dpmulti.domain import (
     evaluate,
     evaluate_many,
     generalization_error,
+    generalization_errors,
     load_database,
     parity,
     point,
@@ -31,7 +34,6 @@ from dpmulti.domain import (
     save_database,
     thresh,
     vc_sample_size,
-    xor_evaluate,
     zero,
 )
 from dpmulti.rng import stream
@@ -76,22 +78,145 @@ class TestEvaluate:
             assert evaluate(parity(u, a ^ b), x) == evaluate(parity(u, a), x) ^ evaluate(parity(u, b), x)
 
 
-class TestXor:
-    def test_self_xor_is_zero(self):
-        f = thresh(U5, 3)
-        assert all(xor_evaluate(f, f, x) == 0 for x in range(5))
+U16 = Universe.indexed(16)
+B4 = Universe.bitvectors(4)
 
-    def test_point_pair(self):
-        f, g = point(U3, 0), point(U3, 1)
-        assert [xor_evaluate(f, g, x) for x in range(3)] == [1, 1, 0]
+# kind -> (universe, parameters covering the whole range, zero = -1 included where allowed)
+TABLE_CASES = {
+    POINT: (U16, [3, -1, 0, 15, 3, -1]),
+    THRESH: (U16, [-1, 0, 7, 15, 7]),
+    PARITY: (B4, [0, 1, 5, 15, 8, 0]),
+}
 
-    def test_thresh_pair_interval(self):
-        f, g = thresh(U5, 1), thresh(U5, 3)
-        assert [xor_evaluate(f, g, x) for x in range(5)] == [0, 0, 1, 1, 0]
 
-    def test_universe_mismatch(self):
+def _as_concept(universe, kind, p):
+    return zero(universe) if p < 0 else Concept(kind, universe, p)
+
+
+class TestHypotheses:
+    @pytest.mark.parametrize("kind", sorted(TABLE_CASES))
+    def test_evaluate_matches_stacked_evaluate_many(self, kind):
+        universe, params = TABLE_CASES[kind]
+        xs = stream(9, 0).integers(0, universe.size, size=40)
+        table = Hypotheses(universe, kind, np.array(params))
+        expected = np.stack([evaluate_many(_as_concept(universe, kind, p), xs) for p in params])
+        got = table.evaluate(xs)
+        assert got.dtype == np.uint8 and got.shape == (len(params), 40)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_CASES))
+    def test_k0_evaluates_to_empty_matrix(self, kind):
+        universe, _ = TABLE_CASES[kind]
+        table = Hypotheses(universe, kind, np.zeros(0, dtype=np.int64))
+        assert len(table) == 0 and list(table) == [] and table == ()
+        assert table.evaluate(np.arange(5)).shape == (0, 5)
+
+    def test_eval_matrix_is_the_full_table(self):
+        for kind, (universe, _) in TABLE_CASES.items():
+            xs = universe.elements()
+            table = Hypotheses(universe, kind, universe.elements())
+            assert np.array_equal(ConceptClass(kind, universe).eval_matrix(xs), table.evaluate(xs))
+
+    @pytest.mark.parametrize(
+        "kind,universe,params",
+        [
+            (POINT, U16, [0, 16]),
+            (POINT, U16, [-2]),
+            (THRESH, U16, [16]),
+            (THRESH, U16, [3, -2]),
+            (PARITY, B4, [-1]),
+            (PARITY, B4, [16]),
+        ],
+        ids=["point-high", "point-low", "thresh-high", "thresh-low", "parity-zero", "parity-high"],
+    )
+    def test_out_of_range_params_rejected(self, kind, universe, params):
+        with pytest.raises(ValueError):
+            Hypotheses(universe, kind, np.array(params))
+
+    def test_malformed_tables_rejected(self):
+        with pytest.raises(ValueError):
+            Hypotheses(U16, POINT, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            Hypotheses(U16, POINT, np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError):
+            Hypotheses(U16, "zero", np.array([-1]))
+        with pytest.raises(ValueError):
+            Hypotheses(U16, PARITY, np.array([1]))
+
+    def test_evaluate_rejects_elements_outside_universe(self):
+        table = Hypotheses(U16, POINT, np.array([1]))
+        with pytest.raises(ValueError):
+            table.evaluate(np.array([16]))
+        with pytest.raises(ValueError):
+            table.evaluate(np.array([-1]))
+        with pytest.raises(ValueError):
+            table.evaluate(np.zeros((2, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_CASES))
+    def test_indexing_and_iteration_give_the_concepts(self, kind):
+        universe, params = TABLE_CASES[kind]
+        concepts = [_as_concept(universe, kind, p) for p in params]
+        table = Hypotheses(universe, kind, np.array(params))
+        assert len(table) == len(concepts)
+        assert [table[j] for j in range(len(table))] == concepts
+        assert table[-1] == concepts[-1]
+        assert list(table) == concepts
+        assert all(type(h.param) in (int, type(None)) for h in table)
+        assert table == tuple(concepts) and table == concepts
+        assert table != tuple(concepts[:-1])
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_CASES))
+    def test_from_concepts_round_trip(self, kind):
+        universe, params = TABLE_CASES[kind]
+        concepts = [_as_concept(universe, kind, p) for p in params]
+        if kind == PARITY:
+            concepts = [c for c in concepts if c.kind != "zero"]
+        table = Hypotheses.from_concepts(concepts)
+        assert table == tuple(concepts)
+        assert table == Hypotheses.from_concepts(tuple(table), universe)
+
+    def test_table_equality(self):
+        a = Hypotheses(U16, POINT, np.array([1, -1]))
+        assert a == Hypotheses(U16, POINT, np.array([1, -1]))
+        assert a != Hypotheses(U16, THRESH, np.array([1, -1]))
+        assert a != Hypotheses(Universe.indexed(17), POINT, np.array([1, -1]))
+        # Tables compare as the Concept sequences they stand for, so all-zero tables are equal.
+        assert Hypotheses(U16, POINT, np.array([-1, -1])) == Hypotheses(U16, THRESH, np.array([-1, -1]))
+
+    def test_from_concepts_rejects_mixed_and_zero_parity(self):
+        with pytest.raises(ValueError):
+            Hypotheses.from_concepts([point(U5, 1), thresh(U5, 1)])
+        with pytest.raises(ValueError):
+            Hypotheses.from_concepts([parity(B4, 3), zero(B4)])
         with pytest.raises(UniverseMismatchError):
-            xor_evaluate(point(U5, 0), point(U3, 0), 0)
+            Hypotheses.from_concepts([point(U5, 1), point(U3, 1)])
+        with pytest.raises(ValueError):
+            Hypotheses.from_concepts([])
+        assert len(Hypotheses.from_concepts([], U5)) == 0
+
+    def test_parameters_are_read_only(self):
+        table = Hypotheses(U16, POINT, np.array([1, 2]))
+        with pytest.raises(ValueError):
+            table.params[0] = 5
+
+    def test_generalization_errors_match_per_pair(self):
+        rng = stream(9, 1)
+        for kind, (universe, params) in TABLE_CASES.items():
+            dist = Distribution.from_weights(universe, rng.random(universe.size))
+            hyps = Hypotheses(universe, kind, np.array(params))
+            targets = Hypotheses(universe, kind, rng.integers(0, universe.size, size=len(params)))
+            expected = [generalization_error(dist, c, h) for c, h in zip(targets, hyps)]
+            assert generalization_errors(dist, targets, hyps) == expected
+
+    @pytest.mark.parametrize("kind,universe", [(POINT, Universe.indexed(1500)), (PARITY, Universe.bitvectors(10))])
+    def test_generalization_errors_across_row_blocks(self, kind, universe):
+        # More labels than one block of the disagreement matrix holds at this universe size.
+        rng = stream(9, 2)
+        k = 3 * DISAGREEMENT_BLOCK_CELLS // universe.size + 2
+        dist = Distribution.from_weights(universe, rng.random(universe.size))
+        targets, hyps = (Hypotheses(universe, kind, rng.integers(0, universe.size, size=k)) for _ in range(2))
+        expected = [generalization_error(dist, c, h) for c, h in zip(targets, hyps)]
+        assert generalization_errors(dist, targets, hyps) == expected
 
 
 class TestEmpiricalError:

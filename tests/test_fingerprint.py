@@ -15,7 +15,6 @@ from dpmulti.fingerprint import (
     feasible,
     gen_codebook,
     pirate_word,
-    tardos_length,
     trace_word,
 )
 from dpmulti.learners import LearnResult, erm_multi
@@ -24,7 +23,7 @@ from dpmulti.rng import stream
 
 
 def _erm_thresholds(db, rng):
-    return LearnResult(erm_multi(db, ConceptClass(THRESH, db.universe)))
+    return erm_multi(db, ConceptClass(THRESH, db.universe))
 
 
 def _all_zero_learner(db, rng):
@@ -219,7 +218,3 @@ class TestAttackExperiment:
         with pytest.raises(ValueError):
             attack_experiment(_erm_thresholds, 9, 0.05, 1, "pac", 0.2, seed=100)
 
-
-class TestTardosStub:
-    def test_planning_length(self):
-        assert tardos_length(10, 0.05) == math.ceil(100 * math.log(10 / 0.05))

@@ -21,6 +21,7 @@ from dpmulti.harness import (
     to_csv,
     to_json,
 )
+from dpmulti.sanitize import EnumerationBudgetError
 
 PARITY_SWEEP = """
 [experiment]
@@ -228,6 +229,57 @@ dist = weights:1,1,1,1,0,0,0,0
         row = report.rows[0]
         assert row[4] == pytest.approx(eps_total) and row[5] == pytest.approx(delta_total)
         assert row[2] >= 0.75  # realizable point targets at n=3000 succeed
+
+
+# case -> (experiment kind, section body without the swept key, sweep axis, two sweep values)
+SWEEP_SECTIONS = {
+    "learn-k": ("learn", "algorithm = generic\nclass = point\nn = 300\nuniverse = 8\nepsilon_prime = 2\ndelta = 0.01", "k", (1, 4)),
+    "learn-n": ("learn", "algorithm = erm\nclass = thresh\nk = 3\nuniverse = 8", "n", (20, 80)),
+    "learn-universe": ("learn", "algorithm = erm\nclass = thresh\nk = 3\nn = 40", "universe", (4, 16)),
+    "learn-d": ("learn", "algorithm = erm\nclass = parity\nk = 3\nn = 40", "d", (3, 5)),
+    "sanitize-n": ("sanitize", "universe = 8\nalpha = 0.2\nepsilon = 1\ndelta = 0.01", "n", (100, 400)),
+    "sanitize-universe": ("sanitize", "n = 300\nalpha = 0.2\nepsilon = 1\ndelta = 0.01", "universe", (4, 16)),
+}
+
+
+def _sweep_config(kind, body, axis=None, values=()):
+    sweep = f"sweep = {axis}\nvalues = {' '.join(map(str, values))}\n" if axis else ""
+    return parse_config(f"[experiment]\nkind = {kind}\ntrials = 3\nseed = 5\n{sweep}\n[{kind}]\n{body}\n")
+
+
+class TestSweepAxis:
+    @pytest.mark.parametrize("case", sorted(SWEEP_SECTIONS))
+    def test_first_point_equals_unswept_config(self, case):
+        # The first sweep point and an unswept run both draw from the streams (seed, 0, trial).
+        kind, body, axis, values = SWEEP_SECTIONS[case]
+        swept = run_experiment(_sweep_config(kind, body, axis, values))
+        assert swept.columns[0] == axis
+        assert [row[0] for row in swept.rows] == list(values)
+        single = run_experiment(_sweep_config(kind, f"{body}\n{axis} = {values[0]}"))
+        assert swept.rows[0][1:] == single.rows[0][1:]
+
+    def test_k_sweep_sets_k(self):
+        kind, body, axis, values = SWEEP_SECTIONS["learn-k"]
+        report = run_experiment(_sweep_config(kind, body, axis, values))
+        # One sanitization at epsilon 1 plus k selections at epsilon' 2.
+        assert [row[4] for row in report.rows] == [1.0 + 2.0 * k for k in values]
+
+    @pytest.mark.parametrize("kind,axis", [("learn", "bogus"), ("learn", "alpha"), ("sanitize", "d"), ("attack", "n")])
+    def test_unknown_axis_rejected(self, kind, axis):
+        body = {"learn": SWEEP_SECTIONS["learn-n"][1], "sanitize": SWEEP_SECTIONS["sanitize-universe"][1],
+                "attack": "n_users = 4\nxi = 0.1"}[kind]
+        with pytest.raises(ConfigError, match="experiment.sweep"):
+            run_experiment(_sweep_config(kind, body, axis, (10, 20)))
+
+
+def test_synth_size_key_reaches_the_generic_learner():
+    body = "algorithm = generic\nclass = thresh\nk = 2\nn = 100\nuniverse = 8\ndelta = 0\nepsilon_prime = 1"
+    with pytest.raises(EnumerationBudgetError):
+        run_experiment(_sweep_config("learn", body))
+    report = run_experiment(_sweep_config("learn", body + "\nsynth_size = 4"))
+    assert report.rows[0][4:] == [3.0, 0.0]
+    with pytest.raises(ConfigError, match="learn.synth_size"):
+        run_experiment(_sweep_config("learn", body + "\nsynth_size = four"))
 
 
 class TestEmit:

@@ -12,6 +12,7 @@ from dpmulti.domain import (
     THRESH,
     ConceptClass,
     Distribution,
+    Hypotheses,
     LabeledDistribution,
     MultiLabeledDatabase,
     Universe,
@@ -25,6 +26,7 @@ from dpmulti.domain import (
     thresh,
     zero,
 )
+from dpmulti.harness import sample_and_learn
 from dpmulti.learners import (
     LearnResult,
     direct_sum_learner,
@@ -52,14 +54,14 @@ class TestErmMulti:
         cclass = ConceptClass(THRESH, u)
         targets = [thresh(u, 2), thresh(u, 6)]
         db = sample_database(Distribution.uniform(u), targets, 200, stream(30, 0))
-        hyps = erm_multi(db, cclass)
+        hyps = erm_multi(db, cclass).hypotheses
         for j, h in enumerate(hyps):
             assert empirical_error(db.view(j), h) == 0
 
     def test_tie_breaks_to_lowest_parameter(self):
         u = Universe.indexed(3)
         db = MultiLabeledDatabase.from_rows(u, [(0, [1]), (1, [1]), (2, [0])])
-        (h,) = erm_multi(db, ConceptClass(POINT, u))
+        (h,) = erm_multi(db, ConceptClass(POINT, u)).hypotheses
         assert h.param == 0
         assert empirical_error(db.view(0), h) == pytest.approx(1 / 3)
 
@@ -69,9 +71,42 @@ class TestErmMulti:
         db = MultiLabeledDatabase(u, rng.integers(0, 6, size=50), rng.integers(0, 2, size=(50, 3)).astype(np.uint8))
         perm = [2, 0, 1]
         permuted = MultiLabeledDatabase(u, db.xs, db.labels[:, perm])
-        a = erm_multi(db, ConceptClass(POINT, u))
-        b = erm_multi(permuted, ConceptClass(POINT, u))
+        a = erm_multi(db, ConceptClass(POINT, u)).hypotheses
+        b = erm_multi(permuted, ConceptClass(POINT, u)).hypotheses
         assert all(b[i] == a[p] for i, p in enumerate(perm))
+
+
+class TestLearnResult:
+    def test_concept_sequence_becomes_a_table(self):
+        u = Universe.indexed(6)
+        res = LearnResult((point(u, 2), zero(u), point(u, 5)))
+        assert isinstance(res.hypotheses, Hypotheses)
+        assert res.hypotheses.kind == POINT and res.hypotheses.params.tolist() == [2, -1, 5]
+        assert LearnResult(None).failed
+
+    def test_erm_multi_releases_the_argmin_table(self):
+        u = Universe.indexed(8)
+        rng = stream(30, 2)
+        db = MultiLabeledDatabase(u, rng.integers(0, 8, size=60), rng.integers(0, 2, size=(60, 5)).astype(np.uint8))
+        cclass = ConceptClass(THRESH, u)
+        res = erm_multi(db, cclass)
+        assert res.ledger.charges == [] and not res.below_sample_bound
+        assert res.hypotheses.kind == THRESH
+        assert res.hypotheses.params.tolist() == np.argmin(erm_mismatch_counts(db, cclass), axis=0).tolist()
+
+    @pytest.mark.parametrize("algorithm", ["points", "parities", "generic", "direct-sum", "erm"])
+    def test_every_learner_releases_a_table(self, algorithm):
+        settings = {
+            "points": {"universe": "8", "dist": "weights:1,1,1,1,0,0,0,0"},
+            "parities": {"d": "6", "delta": "0.1"},
+            "generic": {"universe": "8", "epsilon_prime": "2"},
+            "direct-sum": {"universe": "8", "dist": "weights:1,1,1,1,0,0,0,0"},
+            "erm": {"universe": "8"},
+        }[algorithm]
+        params = {"algorithm": algorithm, "k": "3", "delta": "0.01", **settings}
+        *_, targets, res = sample_and_learn(params, 5, 1200, 0, 0)
+        assert isinstance(targets, Hypotheses) and len(targets) == 3
+        assert isinstance(res.hypotheses, Hypotheses) and len(res.hypotheses) == 3
 
 
 class TestGf2Solve:
@@ -438,7 +473,7 @@ class _StubBase:
 
     def __call__(self, db, rng):
         cclass = ConceptClass(POINT, self.universe)
-        hyps = erm_multi(db, cclass)
+        hyps = erm_multi(db, cclass).hypotheses
         return LearnResult(hyps, PrivacyLedger([PrivacyParams(self.epsilon, self.delta)]))
 
 
@@ -509,7 +544,7 @@ class TestSubsampledLearner:
         from dpmulti.domain import vc_sample_size
 
         n = vc_sample_size(1, alpha, beta)
-        base = lambda db, rng: LearnResult(erm_multi(db, cclass))
+        base = lambda db, rng: erm_multi(db, cclass)
         good = 0
         for trial in range(40):
             rng = stream(70, trial)
@@ -525,7 +560,7 @@ class TestSubsampledLearner:
     def test_deterministic_given_seed(self):
         u = Universe.indexed(8)
         cclass = ConceptClass(POINT, u)
-        base = lambda db, rng: LearnResult(erm_multi(db, cclass))
+        base = lambda db, rng: erm_multi(db, cclass)
         db = sample_database(Distribution.uniform(u), [point(u, 1)], 90, stream(71, 0))
         a = subsampled_learner(base, 10, db, stream(71, 1))
         b = subsampled_learner(base, 10, db, stream(71, 1))
