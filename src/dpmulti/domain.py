@@ -418,8 +418,14 @@ def generalization_error(dist: Distribution, c: Concept, h: Concept) -> float:
     return math.fsum(dist.pmf[diff].tolist())
 
 
-# Cells per block of the (k, |X|) disagreement matrix, so its memory does not grow with k.
-DISAGREEMENT_BLOCK_CELLS = 1 << 12
+# Cells per block of rows when a table is evaluated, so the kernel's int64
+# temporaries stay the same size whatever k is.
+EVAL_BLOCK_CELLS = 1 << 12
+
+
+def _row_blocks(k: int, n_elements: int) -> Iterator[slice]:
+    step = max(1, EVAL_BLOCK_CELLS // max(1, n_elements))
+    return (slice(lo, lo + step) for lo in range(0, k, step))
 
 
 def generalization_errors(dist: Distribution, targets: Hypotheses, hyps: Hypotheses) -> list[float]:
@@ -431,10 +437,8 @@ def generalization_errors(dist: Distribution, targets: Hypotheses, hyps: Hypothe
     if len(targets) != len(hyps):
         raise ValueError(f"{len(targets)} targets but {len(hyps)} hypotheses")
     xs = dist.universe.elements()
-    step = max(1, DISAGREEMENT_BLOCK_CELLS // xs.size)
     errors = []
-    for lo in range(0, len(targets), step):
-        rows = slice(lo, lo + step)
+    for rows in _row_blocks(len(targets), xs.size):
         diff = _evaluate_params(targets.kind, targets.params[rows], xs) != _evaluate_params(
             hyps.kind, hyps.params[rows], xs
         )
@@ -445,6 +449,21 @@ def generalization_errors(dist: Distribution, targets: Hypotheses, hyps: Hypothe
 def _unpack_bits(values: np.ndarray, k: int) -> np.ndarray:
     """Decode ints into (n, k) bit arrays, bit j of value = label j."""
     return ((values[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
+
+
+def _label_rows(universe: Universe, concepts: Sequence[Concept], xs: np.ndarray) -> np.ndarray:
+    """The (k, len(xs)) uint8 bits of each concept on xs; a table is evaluated a block of rows at a time."""
+    rows = np.zeros((len(concepts), len(xs)), dtype=np.uint8)
+    if isinstance(concepts, Hypotheses):
+        universe.require_same(concepts.universe)
+        xs = _checked_elements(universe, xs)
+        for block in _row_blocks(len(concepts), xs.size):
+            rows[block] = _evaluate_params(concepts.kind, concepts.params[block], xs)
+        return rows
+    for j, c in enumerate(concepts):
+        universe.require_same(c.universe)
+        rows[j] = evaluate_many(c, xs)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -470,9 +489,8 @@ class LabeledDistribution:
         k = len(concepts)
         xs = dist.universe.elements()
         codes = np.zeros(dist.universe.size, dtype=np.int64)
-        for j, c in enumerate(concepts):
-            dist.universe.require_same(c.universe)
-            codes |= evaluate_many(c, xs).astype(np.int64) << j
+        for j, row in enumerate(_label_rows(dist.universe, concepts, xs)):
+            codes |= row.astype(np.int64) << j
         pmf = np.zeros((dist.universe.size, 1 << k))
         pmf[xs, codes] = dist.pmf
         return LabeledDistribution(dist.universe, k, pmf)
@@ -513,10 +531,7 @@ def sample_database(
     if n < 1:
         raise ValueError("n must be >= 1")
     xs = dist.sample(n, rng)
-    labels = np.zeros((n, len(concepts)), dtype=np.uint8)
-    for j, c in enumerate(concepts):
-        dist.universe.require_same(c.universe)
-        labels[:, j] = evaluate_many(c, xs)
+    labels = np.ascontiguousarray(_label_rows(dist.universe, concepts, xs).T)
     return MultiLabeledDatabase(dist.universe, xs, labels)
 
 

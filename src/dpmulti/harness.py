@@ -351,9 +351,14 @@ def parse_distribution(spec: str, universe: Universe) -> Distribution:
     return Distribution.from_weights(universe, weights)
 
 
+def _is_parity_section(params: dict, parities: bool) -> bool:
+    """Whether a learn section learns parities, which read `d`; the other classes read `universe`."""
+    return parities or params.get("class", "point") == "parity"
+
+
 def _learn_universe(params: dict, parities: bool) -> tuple[Universe, ConceptClass]:
     class_kind = params.get("class", "parity" if parities else "point")
-    if class_kind == "parity" or parities:
+    if _is_parity_section(params, parities):
         d = _need(params, "learn", "d", int)
         universe = Universe.bitvectors(d)
         return universe, ConceptClass(PARITY, universe)
@@ -456,11 +461,9 @@ def make_attack_learner(name: str, variant: str, params: dict) -> LearnerFn:
     if name not in LEARNERS:
         raise ConfigError(f"attack.learner: unknown {name!r}")
     p = _learn_params(params, "attack", PARITY if variant == "parity" else THRESH, 0.01, 1.0)
-    if p.synth_size is None:
-        # Attack databases have <= 8 users; a size-6 synthetic database keeps
-        # the exhaustive sanitizer inside its enumeration budget.
-        p = replace(p, synth_size=6)
-    return LEARNERS[name].build(p)
+    # Attack databases have <= 8 users; a size-6 synthetic database keeps
+    # the exhaustive sanitizer inside its enumeration budget.
+    return LEARNERS[name].build(replace(p, synth_size=6))
 
 
 # The integer keys a sweep may set, per experiment kind.
@@ -477,6 +480,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
     if config.sweep_axis is not None and config.sweep_axis not in axes:
         allowed = " | ".join(axes) if axes else "no sweep"
         raise ConfigError(f"experiment.sweep: {config.kind} takes {allowed}, got {config.sweep_axis!r}")
+    if config.kind == "learn" and config.sweep_axis in ("d", "universe"):
+        entry = LEARNERS.get(config.params.get("algorithm", ""))
+        read = "d" if _is_parity_section(config.params, entry is not None and entry.exact) else "universe"
+        if config.sweep_axis != read:
+            raise ConfigError(f"experiment.sweep: this learn class reads {read}, not {config.sweep_axis!r}")
     if config.kind == "attack":
         return _run_attack(config)
     runner = run_learn_trial if config.kind == "learn" else run_sanitize_trial

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dpmulti.domain import (
-    DISAGREEMENT_BLOCK_CELLS,
+    EVAL_BLOCK_CELLS,
     PARITY,
     POINT,
     THRESH,
@@ -212,11 +212,30 @@ class TestHypotheses:
     def test_generalization_errors_across_row_blocks(self, kind, universe):
         # More labels than one block of the disagreement matrix holds at this universe size.
         rng = stream(9, 2)
-        k = 3 * DISAGREEMENT_BLOCK_CELLS // universe.size + 2
+        k = 3 * EVAL_BLOCK_CELLS // universe.size + 2
         dist = Distribution.from_weights(universe, rng.random(universe.size))
         targets, hyps = (Hypotheses(universe, kind, rng.integers(0, universe.size, size=k)) for _ in range(2))
         expected = [generalization_error(dist, c, h) for c, h in zip(targets, hyps)]
         assert generalization_errors(dist, targets, hyps) == expected
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_CASES))
+    @pytest.mark.parametrize("n", [60, EVAL_BLOCK_CELLS // 2], ids=["one-block", "row-blocks"])
+    def test_table_labels_like_its_concepts(self, kind, n):
+        universe, params = TABLE_CASES[kind]
+        table = Hypotheses(universe, kind, np.array(params))
+        dist = Distribution.from_weights(universe, stream(9, 3).random(universe.size))
+        a = sample_database(dist, table, n, stream(9, 4))
+        b = sample_database(dist, tuple(table), n, stream(9, 4))
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.labels, b.labels)
+        assert a.labels.flags.c_contiguous
+        assert np.array_equal(
+            LabeledDistribution.realizable(dist, table).pmf, LabeledDistribution.realizable(dist, tuple(table)).pmf
+        )
+
+    def test_table_on_another_universe_rejected(self):
+        table = Hypotheses(U16, POINT, np.array([1, 2]))
+        with pytest.raises(UniverseMismatchError):
+            sample_database(Distribution.uniform(U5), table, 10, stream(9, 5))
 
 
 class TestEmpiricalError:

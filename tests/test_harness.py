@@ -264,10 +264,23 @@ class TestSweepAxis:
         # One sanitization at epsilon 1 plus k selections at epsilon' 2.
         assert [row[4] for row in report.rows] == [1.0 + 2.0 * k for k in values]
 
-    @pytest.mark.parametrize("kind,axis", [("learn", "bogus"), ("learn", "alpha"), ("sanitize", "d"), ("attack", "n")])
-    def test_unknown_axis_rejected(self, kind, axis):
-        body = {"learn": SWEEP_SECTIONS["learn-n"][1], "sanitize": SWEEP_SECTIONS["sanitize-universe"][1],
-                "attack": "n_users = 4\nxi = 0.1"}[kind]
+    @pytest.mark.parametrize(
+        "kind,body,axis",
+        [
+            ("learn", SWEEP_SECTIONS["learn-n"][1], "bogus"),
+            ("learn", SWEEP_SECTIONS["learn-n"][1], "alpha"),
+            ("sanitize", SWEEP_SECTIONS["sanitize-universe"][1], "d"),
+            ("attack", "n_users = 4\nxi = 0.1", "n"),
+            # Keys the class never reads: every point would rerun one config on fresh streams.
+            ("learn", SWEEP_SECTIONS["learn-universe"][1], "d"),
+            ("learn", "algorithm = points\nk = 3\nn = 40\nuniverse = 8", "d"),
+            ("learn", SWEEP_SECTIONS["learn-d"][1], "universe"),
+            ("learn", "algorithm = parities\nk = 3\nn = 40\nd = 3", "universe"),
+        ],
+        ids=["learn-bogus", "learn-alpha", "sanitize-d", "attack-n",
+             "thresh-d", "point-d", "parity-class-universe", "parities-universe"],
+    )
+    def test_unknown_axis_rejected(self, kind, body, axis):
         with pytest.raises(ConfigError, match="experiment.sweep"):
             run_experiment(_sweep_config(kind, body, axis, (10, 20)))
 
