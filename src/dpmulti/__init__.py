@@ -42,7 +42,6 @@ from .mechanisms import (
     exponential_mechanism_pmf,
     laplace_sample,
     stable_argmax,
-    stable_argmax_over,
     stable_argmax_pmf,
 )
 from .sanitize import (
@@ -61,7 +60,6 @@ from .learners import (
     generic_multi_learner,
     generic_privacy_total,
     gf2_solve,
-    nearest_parity,
     parity_learner,
     point_learner,
     secrecy_amplification,

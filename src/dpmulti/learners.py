@@ -6,7 +6,6 @@ generic_multi_learner one-time sanitization + per-label exponential mechanism
 parity_learner        block-wise GF(2) solving + stable vote selection
 point_learner         heavy-hitter discovery + stable label-vector selection
 subsampled_learner    with-replacement subsampling wrapper
-nearest_parity        rounds an arbitrary boolean table to the closest parity
 
 Learners do not enforce their sample-size bounds as hard errors; results carry
 a below_sample_bound flag instead, so deliberately under-sampled experiments
@@ -18,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -30,9 +29,7 @@ from .domain import (
     EmptyDatabaseError,
     Hypotheses,
     MultiLabeledDatabase,
-    Universe,
     dichotomy_projection,
-    parity,
 )
 from .mechanisms import (
     PrivacyLedger,
@@ -132,14 +129,19 @@ def _spread(x: int, stride: int) -> int:
     return int(("0" * (stride - 1)).join(format(x, "b")), 2)
 
 
-def parity_block_plan(bits: int, epsilon: float, beta: float, delta: float) -> tuple[int, int]:
-    """Pinned block schedule: m = ceil(8/eps * ln(4/(beta*delta))) blocks of s = 4*bits rows."""
+def _check_approx_dp(epsilon: float, delta: float, beta: float) -> None:
+    """Reject the (epsilon, delta, beta) that an approximate-DP bound cannot take."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not 0 < beta < 1:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
+
+
+def parity_block_plan(bits: int, epsilon: float, beta: float, delta: float) -> tuple[int, int]:
+    """Pinned block schedule: m = ceil(8/eps * ln(4/(beta*delta))) blocks of s = 4*bits rows."""
+    _check_approx_dp(epsilon, delta, beta)
     m = math.ceil((8.0 / epsilon) * math.log(4.0 / (beta * delta)))
     return m, 4 * bits
 
@@ -220,6 +222,7 @@ def _top_two_votes(votes: Counter, first_seen: dict) -> tuple[int, int, int]:
 
 def point_rows_bound(alpha: float, beta: float, delta: float, epsilon: float) -> int:
     """Pinned sample bound for the point learner: ceil(64/(alpha*eps) * ln(1/(alpha*beta*delta)))."""
+    _check_approx_dp(epsilon, delta, beta)
     return math.ceil((64.0 / (alpha * epsilon)) * math.log(1.0 / (alpha * beta * delta)))
 
 
@@ -239,7 +242,11 @@ def point_learner(
     label vectors, maximizing the minimal count of any selected (x, vector)
     pair. Label j maps to the heavy element whose selected vector has bit j
     set (the lowest such element), else to the constant-zero hypothesis.
-    `beta` only informs the sample-size advisory flag.
+    The (x, vector) counts come from one array tally (_per_element_top_vectors)
+    and the runner-up objective from the two smallest top counts, so there is
+    no per-row Python work and the runner-up scan is O(|G|).
+    `beta` only informs the sample-size advisory flag; epsilon, delta and beta
+    are checked (ValueError) before any randomness is drawn.
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot learn from an empty database")
@@ -260,16 +267,19 @@ def point_learner(
         # No heavy elements: every selected vector is vacuously all-zero.
         return LearnResult(Hypotheses(universe, POINT, np.full(k, -1)), ledger, below)
 
-    top1, top2 = _per_element_top_vectors(db, heavy)
-    best_q = min(c for c, _ in top1.values())
+    heavy = np.array(heavy, dtype=np.int64)
+    top_count, top_vec, second_count = _per_element_top_vectors(db, heavy)
+    best_q = int(top_count.min())
     # Runner-up objective value: any alternative selection downgrades at least
     # one element to (at best) its second-place vector count, and downgrading
-    # exactly one element is optimal, so scan the single-downgrade candidates.
-    second_q = 0
-    for x_down in heavy:
-        others = min((top1[x][0] for x in heavy if x != x_down), default=best_q)
-        second_q = max(second_q, min(others, top2[x_down]))
-    selected = {x: top1[x][1] for x in heavy}
+    # exactly one element is optimal. Leaving x out of the minimum over top
+    # counts gives the second smallest v1 when x holds the smallest v0, else v0.
+    if len(heavy) > 1:
+        v0, v1 = np.partition(top_count, 1)[:2]
+        others = np.where(top_count == v0, v1, v0)
+    else:
+        others = top_count
+    second_q = int(np.minimum(others, second_count).max())
     choice = stable_argmax(
         ScoredCandidate("selected", float(best_q)),
         ScoredCandidate("runner-up", float(second_q)),
@@ -280,39 +290,47 @@ def point_learner(
     if choice is None:
         return LearnResult(None, ledger, below)
     # Label j goes to the first heavy element carrying bit j, else to zero (-1).
-    params = np.full(k, -1, dtype=np.int64)
-    for x in reversed(heavy):
-        params[np.array(selected[x], dtype=bool)] = x
+    params = np.where(top_vec.any(axis=0), heavy[top_vec.argmax(axis=0)], -1)
     return LearnResult(Hypotheses(universe, POINT, params), ledger, below)
 
 
-def _per_element_top_vectors(db, heavy):
-    """Per heavy element: (top count, top vector) and the runner-up count.
+def _per_element_top_vectors(
+    db: MultiLabeledDatabase, heavy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per heavy element: top count, top label vector and runner-up count.
 
+    heavy is a sorted int64 array of distinct elements; the results are
+    int64[|G|], bool[|G|, k] and int64[|G|], aligned with it.
     Elements absent from the database get the all-zero vector with count 0.
     Top-vector ties break to the earliest row carrying the vector, which is
     deterministic and commutes with label-column permutations.
+
+    Each row of a heavy element is keyed by its big-endian 8-byte x followed by
+    its labels packed little-endian into bytes, so one np.unique tallies every
+    (x, vector) pair and returns the first row carrying it.
     """
-    k = db.k
-    counts: dict[int, Counter] = {x: Counter() for x in heavy}
-    first_row: dict[int, dict[tuple[int, ...], int]] = {x: {} for x in heavy}
-    heavy_set = set(heavy)
-    for i, (x, row) in enumerate(zip(db.xs.tolist(), db.labels)):
-        if x in heavy_set:
-            vec = tuple(int(b) for b in row)
-            counts[x][vec] += 1
-            first_row[x].setdefault(vec, i)
-    top1: dict[int, tuple[int, tuple[int, ...]]] = {}
-    top2: dict[int, int] = {}
-    for x in heavy:
-        if not counts[x]:
-            top1[x] = (0, tuple([0] * k))
-            top2[x] = 0
-            continue
-        ordered = sorted(counts[x].items(), key=lambda item: (-item[1], first_row[x][item[0]]))
-        top1[x] = (ordered[0][1], ordered[0][0])
-        top2[x] = ordered[1][1] if len(ordered) > 1 else 0
-    return top1, top2
+    top_count = np.zeros(len(heavy), dtype=np.int64)
+    top_vec = np.zeros((len(heavy), db.k), dtype=bool)
+    second_count = np.zeros(len(heavy), dtype=np.int64)
+    rows = np.flatnonzero(np.isin(db.xs, heavy))
+    if rows.size == 0:
+        return top_count, top_vec, second_count
+    packed = np.packbits(db.labels[rows], axis=1, bitorder="little")
+    keys = np.concatenate([db.xs[rows].astype(">i8").view(np.uint8).reshape(-1, 8), packed], axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    group_x = db.xs[rows[first]]
+    # Within each x run: descending count, then earliest first row.
+    order = np.lexsort((first, -counts, group_x))
+    first, counts, group_x = first[order], counts[order], group_x[order]
+    same = group_x[1:] == group_x[:-1]
+    head = np.flatnonzero(np.r_[True, ~same])
+    slot = np.searchsorted(heavy, group_x[head])
+    top_count[slot] = counts[head]
+    top_vec[slot] = db.labels[rows[first[head]]].astype(bool)
+    runner = np.r_[same, False][head]
+    second_count[slot[runner]] = counts[head[runner] + 1]
+    return top_count, top_vec, second_count
 
 
 def generic_rows_bound(
@@ -325,6 +343,8 @@ def generic_rows_bound(
     delta: float,
 ) -> int:
     """Pinned (unit-constant) sample bound for the generic learner."""
+    if not 0 < beta < 1:
+        raise ValueError(f"beta must be in (0, 1), got {beta}")
     vc = cclass.vc_dim
     select = (
         (vc / (alpha**3 * epsilon_prime)) * math.log(1.0 / alpha)
@@ -479,35 +499,3 @@ def subsampled_learner(
     idx = rng.integers(0, db.n, size=subsample_rows)
     sub = MultiLabeledDatabase(db.universe, db.xs[idx], db.labels[idx])
     return base(sub, rng)
-
-
-def _fwht(values: np.ndarray) -> np.ndarray:
-    out = values.astype(np.int64, copy=True)
-    h = 1
-    while h < out.size:
-        for start in range(0, out.size, 2 * h):
-            a = out[start : start + h].copy()
-            b = out[start + h : start + 2 * h]
-            out[start : start + h] = a + b
-            out[start + h : start + 2 * h] = a - b
-        h *= 2
-    return out
-
-
-def nearest_parity(table: Sequence[int], universe: Universe) -> Concept:
-    """Round a boolean truth table to the parity minimizing disagreement mass
-    under the uniform distribution; ties break to the lowest mask.
-
-    Enumerative via a Walsh-Hadamard transform; limited to 12-bit domains.
-    """
-    if universe.bit_width is None:
-        raise ValueError("nearest_parity requires a bit-vector universe")
-    if universe.bit_width > 12:
-        raise ValueError("nearest_parity supports at most 12 bits")
-    bits = np.asarray(table, dtype=np.int64)
-    if bits.shape != (universe.size,):
-        raise ValueError(f"table must have length {universe.size}")
-    signs = 1 - 2 * bits
-    spectrum = _fwht(signs)
-    disagreements = (universe.size - spectrum) // 2
-    return parity(universe, int(np.argmin(disagreements)))

@@ -193,22 +193,6 @@ def stable_argmax_pmf(gap: float, epsilon: float, delta: float) -> tuple[float, 
     return p_top, 1.0 - p_top
 
 
-def stable_argmax_over(
-    candidates: Sequence[ScoredCandidate],
-    epsilon: float,
-    delta: float,
-    rng: np.random.Generator,
-) -> Hashable | None:
-    """Convenience wrapper scanning a candidate list for its top two scores."""
-    if not candidates:
-        raise ValueError("candidate list must be non-empty")
-    ordered = sorted(candidates, key=lambda c: -c.score)
-    if len(ordered) == 1:
-        # A lone candidate leads by an unbounded gap; release it outright.
-        return ordered[0].id
-    return stable_argmax(ordered[0], ordered[1], epsilon, delta, rng)
-
-
 def dp_bound_holds(
     pmf_p: np.ndarray,
     pmf_q: np.ndarray,

@@ -238,6 +238,32 @@ def test_erm_attack_report_golden(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "argv,sha256",
+    [
+        (
+            "learn points --k 70 --n 2726 --universe 16 --seed 3 --format json",
+            "20bf8b4d567b53bf7613308825f8739355be6c99e2b5a14920975ce4c8078f73",
+        ),
+        (
+            "learn direct-sum --k 9 --n 2726 --universe 16 --seed 3 --format json",
+            "a1336585f586b1a3de1170a8ee7c4ca69fa7182917f08f671064a1722c844948",
+        ),
+        # k = 2370 code columns learned as points.
+        (
+            "attack boneh-shaw --learner points --n 6 --xi 0.05 --trials 3 --seed 7 --format json",
+            "3c2e063955c305c1d27cc7871c344b72dd9dcbb5e6cf07d7d821b60d36b49720",
+        ),
+    ],
+    ids=["learn-points-k70", "learn-direct-sum-k9", "attack-points-k2370"],
+)
+def test_point_report_golden(capsys, argv, sha256):
+    # Frozen from the per-row tuple tally of label vectors.
+    code, out = _run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 class TestAttackCommand:
     def test_per_trial_csv(self, capsys):
         code, out = _run(
@@ -338,6 +364,28 @@ class TestExitCodes:
         assert main(argv) == 0
         assert main(argv + [flag, "0"]) == 1
         assert flag[2:] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["points", "direct-sum"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--epsilon", "0", "epsilon must be positive, got 0.0"),
+        ("--epsilon", "-1", "epsilon must be positive, got -1.0"),
+        ("--delta", "0", "delta must be in (0, 1), got 0.0"),
+        ("--beta", "0", "beta must be in (0, 1), got 0.0"),
+    ], ids=["epsilon0", "epsilon-negative", "delta0", "beta0"])
+    def test_bad_point_parameter_is_invalid_input(self, capsys, algorithm, flag, value, message):
+        argv = ["learn", algorithm, "--k", "3", "--n", "500", "--universe", "8", "--seed", "1"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + [flag, value]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_zero_generic_beta_is_invalid_input(self, capsys):
+        argv = ["learn", "generic", "--class", "point", "--k", "3", "--n", "500", "--universe", "8",
+                "--epsilon-prime", "1", "--seed", "1"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--beta", "0"]) == 1
+        assert "beta must be in (0, 1), got 0.0" in capsys.readouterr().err
 
     def test_enumeration_budget_overflow_is_invalid_input(self, capsys):
         code = main(["learn", "generic", "--k", "2", "--n", "100", "--universe", "8", "--class", "thresh",

@@ -74,6 +74,28 @@ beta = 0.1
 """
 PARITY_GOLDEN_SHA256 = "e23a02546abc2382b392e24520f64048402a1d63a12059ea181a44c403a04ca6"
 
+# The point-learn workload's k=32 config, swept across the n where stable
+# selection starts to release; the digest pins the point learner's output.
+POINT_GOLDEN_CFG = """
+[experiment]
+kind = learn
+trials = 6
+seed = 1861917694
+sweep = n
+values = 50 60 2726
+
+[learn]
+algorithm = points
+universe = 16
+dist = weights:1,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0
+k = 32
+alpha = 0.2
+beta = 0.1
+delta = 0.01
+epsilon = 1
+"""
+POINT_GOLDEN_SHA256 = "0fb9030a7fd2399bf705b33c92c56100ba0b47e23812cc282be78b9cf2848cd7"
+
 SANITIZE_CFG = """
 [experiment]
 kind = sanitize
@@ -167,6 +189,11 @@ class TestRunExperiment:
     def test_parity_sweep_report_golden(self):
         report = run_experiment(parse_config(PARITY_GOLDEN_CFG))
         assert hashlib.sha256(to_json(report).encode()).hexdigest() == PARITY_GOLDEN_SHA256
+
+    def test_point_learn_report_golden(self):
+        report = run_experiment(parse_config(POINT_GOLDEN_CFG))
+        assert [row[2] for row in report.rows] == [0.0, 0.5, 1.0]
+        assert hashlib.sha256(to_json(report).encode()).hexdigest() == POINT_GOLDEN_SHA256
 
     def test_thread_count_invariance(self):
         cfg = parse_config(ATTACK_CFG)

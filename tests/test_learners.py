@@ -1,7 +1,8 @@
 """Learner behavior: ERM, GF(2) solving, parity/point/generic learners,
-direct sum, subsampling, and parity rounding."""
+direct sum, and subsampling."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from dpmulti.domain import (
     empirical_error,
     evaluate,
     generalization_error,
-    parity,
     point,
     sample_database,
     thresh,
@@ -35,9 +35,9 @@ from dpmulti.learners import (
     generic_multi_learner,
     generic_privacy_total,
     gf2_solve,
-    nearest_parity,
     parity_block_plan,
     parity_learner,
+    _per_element_top_vectors,
     point_learner,
     point_rows_bound,
     secrecy_amplification,
@@ -379,6 +379,37 @@ class TestPointLearner:
         if not a.failed:
             assert all(b.hypotheses[i] == a.hypotheses[p] for i, p in enumerate(perm))
 
+    @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 64, 2370])
+    def test_top_vectors_match_per_row_reference(self, k):
+        # Few distinct label rows force count ties; elements 6..9 never occur.
+        u = Universe.indexed(10)
+        rng = stream(46, k)
+        for _ in range(20):
+            n = int(rng.integers(0, 120))
+            pool = rng.integers(0, 2, size=(int(rng.integers(1, 4)), k)).astype(np.uint8)
+            db = MultiLabeledDatabase(u, rng.integers(0, 6, size=n), pool[rng.integers(0, len(pool), size=n)])
+            heavy = np.sort(rng.choice(10, size=int(rng.integers(1, 11)), replace=False))
+            top_count, top_vec, second_count = _per_element_top_vectors(db, heavy)
+            for i, x in enumerate(heavy):
+                count, vec, second = _reference_top_vectors(db, x)
+                assert (top_count[i], second_count[i]) == (count, second)
+                assert tuple(int(b) for b in top_vec[i]) == vec
+
+
+def _reference_top_vectors(db, x):
+    """Per-row tuple tally of one element: (top count, top vector, runner-up count)."""
+    counts: Counter = Counter()
+    first_row: dict = {}
+    for i, (xi, row) in enumerate(zip(db.xs.tolist(), db.labels)):
+        if xi == x:
+            vec = tuple(int(b) for b in row)
+            counts[vec] += 1
+            first_row.setdefault(vec, i)
+    if not counts:
+        return 0, (0,) * db.k, 0
+    ordered = sorted(counts.items(), key=lambda item: (-item[1], first_row[item[0]]))
+    return ordered[0][1], ordered[0][0], ordered[1][1] if len(ordered) > 1 else 0
+
 
 class TestGenericLearner:
     def test_hypothesis_set_structure(self):
@@ -580,38 +611,3 @@ class TestSubsampledLearner:
         assert amp_delta == pytest.approx(4 * math.exp(54 * eps) * 9 * delta)
         with pytest.raises(ValueError):
             secrecy_amplification(eps, delta, n, n)
-
-
-class TestNearestParity:
-    def test_parity_maps_to_itself(self):
-        u = Universe.bitvectors(4)
-        for mask in (0, 3, 9, 15):
-            table = [evaluate(parity(u, mask), x) for x in range(16)]
-            assert nearest_parity(table, u).param == mask
-
-    def test_small_corruption_rounds_back(self):
-        # Distance < 1/4 to a parity rounds to it, and the rounded error is at
-        # most twice the original error.
-        u = Universe.bitvectors(5)
-        rng = stream(80, 0)
-        for _ in range(20):
-            mask = int(rng.integers(0, 32))
-            table = np.array([evaluate(parity(u, mask), x) for x in range(32)])
-            flips = rng.choice(32, size=6, replace=False)  # 6/32 < 1/4
-            table[flips] ^= 1
-            rounded = nearest_parity(table.tolist(), u)
-            assert rounded.param == mask
-            dist_h = np.mean(table != [evaluate(parity(u, mask), x) for x in range(32)])
-            dist_rounded = generalization_error(
-                Distribution.uniform(u), rounded, parity(u, mask)
-            )
-            assert dist_rounded <= 2 * dist_h
-
-    def test_equidistant_tie_breaks_low(self):
-        # AND(x0, x1) at d=2 sits at distance 1/4 from masks 0, 1, 2 alike.
-        u = Universe.bitvectors(2)
-        assert nearest_parity([0, 0, 0, 1], u).param == 0
-
-    def test_bit_limit(self):
-        with pytest.raises(ValueError):
-            nearest_parity([0] * (1 << 13), Universe.bitvectors(13))

@@ -19,7 +19,6 @@ from dpmulti.mechanisms import (
     laplace_sample,
     laplace_sf,
     stable_argmax,
-    stable_argmax_over,
     stable_argmax_pmf,
 )
 from dpmulti.rng import stream
@@ -230,12 +229,6 @@ class TestStableArgmax:
                     q = np.array(stable_argmax_pmf(other, eps, delta))
                     assert dp_bound_holds(p, q, eps, delta)
                     assert dp_bound_holds(q, p, eps, delta)
-
-    def test_wrapper_scans_candidates(self):
-        rng = stream(12, 4)
-        cands = [ScoredCandidate(i, float(s)) for i, s in enumerate([1, 50, 3])]
-        assert stable_argmax_over(cands, 1.0, 0.1, rng) == 1
-        assert stable_argmax_over([ScoredCandidate("solo", 0.0)], 1.0, 0.1, rng) == "solo"
 
 
 class TestComposition:
