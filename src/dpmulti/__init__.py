@@ -62,8 +62,6 @@ from .learners import (
     gf2_solve,
     parity_learner,
     point_learner,
-    secrecy_amplification,
-    subsampled_learner,
 )
 from .fingerprint import (
     AttackReport,

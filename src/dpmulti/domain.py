@@ -73,11 +73,8 @@ class Universe:
 
 
 def _parity_bits(values: np.ndarray) -> np.ndarray:
-    """XOR-fold the bits of each value down to its parity (popcount mod 2)."""
-    v = values.astype(np.int64, copy=True)
-    for shift in (16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return (v & 1).astype(np.uint8)
+    """The parity (popcount mod 2) of each non-negative integer value, as uint8."""
+    return (np.bitwise_count(values) & 1).astype(np.uint8)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ direct_sum_learner    k independent runs of a single-concept base learner
 generic_multi_learner one-time sanitization + per-label exponential mechanism
 parity_learner        block-wise GF(2) solving + stable vote selection
 point_learner         heavy-hitter discovery + stable label-vector selection
-subsampled_learner    with-replacement subsampling wrapper
 
 Learners do not enforce their sample-size bounds as hard errors; results carry
 a below_sample_bound flag instead, so deliberately under-sampled experiments
@@ -15,7 +14,6 @@ a below_sample_bound flag instead, so deliberately under-sampled experiments
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -86,9 +84,56 @@ def erm_multi(db: MultiLabeledDatabase, cclass: ConceptClass) -> LearnResult:
 
 def erm_mismatch_counts(db: MultiLabeledDatabase, cclass: ConceptClass) -> np.ndarray:
     """Mismatch-count matrix (|C|, k) underlying erm_multi; exposed for oracles."""
-    evals = cclass.eval_matrix(db.xs).astype(np.int64)
-    labels = db.labels.astype(np.int64)
-    return evals @ (1 - labels) + (1 - evals) @ labels
+    return _mismatch_counts(cclass.eval_matrix(db.xs), db.labels)
+
+
+def _mismatch_counts(evals: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Entry (h, j): rows where 0/1 evals[h] differs from label column j, as int64.
+
+    |e - y| = e + y - 2ey, so one product gives every count. It is taken in
+    float64, which adds integers below 2^53 exactly, so the counts are exact.
+    """
+    evals, labels = evals.astype(np.float64), labels.astype(np.float64)
+    return (evals.sum(axis=1)[:, None] + labels.sum(axis=0) - 2 * (evals @ labels)).astype(np.int64)
+
+
+def gf2_solve_blocks(bits: int, xs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve m independent blocks of GF(2) systems <xs[t, i], x> = rhs bits, all at once.
+
+    xs has shape (m, s): block t's rows a_i as bitmasks below 2**bits. rhs has
+    shape (m, s, W) uint64 and packs W*64 right-hand sides per row, system j in
+    bit j % 64 of word j // 64. Returns (solutions, ok): solutions[t, c] (shape
+    (m, bits, W) uint64) packs coordinate c of every system's solution the same
+    way, and ok[t] is False when some system of block t is inconsistent (its
+    solutions are then meaningless).
+
+    Each block and its right-hand sides are one (s, 1 + W) word array, and the
+    blocks are eliminated together. For column c the pivot is the first row of
+    the block not used as a pivot yet that has bit c; it is XORed into every
+    other row with bit c. This full reduction needs no row swaps, and since a
+    consistent system has exactly one solution with its free variables at 0,
+    the pivot choice does not change the answer. A row that never pivots ends
+    with no coefficients, so a right-hand bit left on it reads 0 = 1.
+    """
+    m, s, _ = rhs.shape
+    rows = np.concatenate([xs.astype(np.uint64)[:, :, None], rhs], axis=2)
+    blocks = np.arange(m)
+    unused = np.ones((m, s), dtype=bool)
+    pivots = np.zeros((m, bits), dtype=np.intp)
+    has_pivot = np.zeros((m, bits), dtype=bool)
+    for col in range(bits):
+        has = (rows[:, :, 0] & np.uint64(1 << col)) != 0
+        eligible = has & unused
+        pivot = eligible.argmax(axis=1)
+        found = eligible[blocks, pivot]
+        hit = has & found[:, None]
+        hit[blocks, pivot] = False
+        rows ^= hit[:, :, None] * rows[blocks, pivot][:, None, :]
+        unused[blocks, pivot] &= ~found
+        pivots[:, col], has_pivot[:, col] = pivot, found
+    ok = ~((rows[:, :, 1:] != 0) & unused[:, :, None]).any(axis=(1, 2))
+    solutions = rows[blocks[:, None], pivots, 1:] * has_pivot[:, :, None]
+    return solutions, ok
 
 
 def gf2_solve(bits: int, equations: Iterable[tuple[int, int]]) -> int | None:
@@ -97,36 +142,38 @@ def gf2_solve(bits: int, equations: Iterable[tuple[int, int]]) -> int | None:
     Rows a_i are bitmasks (coordinate c = bit c); b_i packs one right-hand side
     per system, bit j for system j. The result packs system j's solution into
     bits [j*bits, (j+1)*bits), or is None when any system is inconsistent. With
-    b_i in {0, 1} this is the single system <a_i, x> = b_i. One elimination
-    serves every system: pivots and row operations depend only on the a_i.
-    Free variables are fixed to 0, so each solution is deterministic.
+    b_i in {0, 1} this is the single system <a_i, x> = b_i. Free variables are
+    fixed to 0, so each solution is deterministic. This is gf2_solve_blocks on
+    one block, with the packed ints split into 64-bit words.
     """
-    rows = [int(a) | int(b) << bits for a, b in equations]
-    pivot_cols: list[int] = []
-    pos = 0
-    for col in range(bits):
-        bit = 1 << col
-        pivot = next((r for r in range(pos, len(rows)) if rows[r] & bit), None)
-        if pivot is None:
-            continue
-        prow = rows[pivot]
-        rows[pivot] = rows[pos]
-        rows = [r ^ prow if r & bit else r for r in rows]
-        rows[pos] = prow
-        pivot_cols.append(col)
-        pos += 1
-    # Rows past the pivots have no coefficients left; a right-hand bit set there reads 0 = 1.
-    if any(rows[pos:]):
+    pairs = [(int(a), int(b)) for a, b in equations]
+    if not pairs:
+        return 0
+    words = -(-max(b.bit_length() for _, b in pairs) // 64)
+    rhs = np.frombuffer(b"".join(b.to_bytes(8 * words, "little") for _, b in pairs), dtype="<u8")
+    solutions, ok = gf2_solve_blocks(bits, np.array([[a for a, _ in pairs]]), rhs.reshape(1, len(pairs), words))
+    if not ok[0]:
         return None
-    solution = 0
-    for row_idx, col in enumerate(pivot_cols):
-        solution |= _spread(rows[row_idx] >> bits, bits) << col
-    return solution
+    # (bits, 64*W) coordinate bits, transposed so bit j*bits + c is system j's coordinate c.
+    coords = _unpack_words(solutions[0])
+    return int.from_bytes(np.packbits(coords.T, bitorder="little").tobytes(), "little")
 
 
-def _spread(x: int, stride: int) -> int:
-    """Move bit j of x to bit j*stride."""
-    return int(("0" * (stride - 1)).join(format(x, "b")), 2)
+def _pack_words(bits01: np.ndarray) -> np.ndarray:
+    """0/1 array (..., k) -> uint64 words (..., max(1, ceil(k/64))), bit j in word j // 64.
+
+    At least one word, so that a parity vote key is never empty.
+    """
+    packed = np.packbits(bits01, axis=-1, bitorder="little")
+    words = max(1, -(-bits01.shape[-1] // 64))
+    padded = np.zeros(packed.shape[:-1] + (8 * words,), dtype=np.uint8)
+    padded[..., : packed.shape[-1]] = packed
+    return padded.view("<u8")
+
+
+def _unpack_words(words: np.ndarray) -> np.ndarray:
+    """uint64 words (..., W) -> 0/1 uint8 array (..., 64*W), the inverse of _pack_words."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
 
 
 def _check_approx_dp(epsilon: float, delta: float, beta: float) -> None:
@@ -137,6 +184,18 @@ def _check_approx_dp(epsilon: float, delta: float, beta: float) -> None:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not 0 < beta < 1:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _check_generic(alpha: float, epsilon_prime: float) -> None:
+    """Reject the accuracy and per-label budget the generic learner cannot take."""
+    _check_alpha(alpha)
+    if not epsilon_prime > 0:
+        raise ValueError(f"epsilon_prime must be positive, got {epsilon_prime}")
 
 
 def parity_block_plan(bits: int, epsilon: float, beta: float, delta: float) -> tuple[int, int]:
@@ -156,10 +215,12 @@ def parity_learner(
     """Learn k parities exactly (under uniform examples) via block voting.
 
     The rows are split into m disjoint blocks; each block solves all k label
-    columns with one GF(2) elimination carrying all k right-hand sides,
-    contributing one candidate vector (or an abstention when some column is
-    inconsistent). A single stable-selection step releases the most frequent
-    vector, so the whole run costs (epsilon, delta) regardless of k.
+    columns at once, contributing one candidate vector (or an abstention when
+    some column is inconsistent). A single stable-selection step releases the
+    most frequent vector, so the whole run costs (epsilon, delta) regardless
+    of k. The labels are packed into 64-bit words once, one gf2_solve_blocks
+    call eliminates every block, and one np.unique over the solution words
+    tallies the votes; ties go to the vector first seen in the earliest block.
     """
     universe = db.universe
     if universe.bit_width is None:
@@ -173,24 +234,23 @@ def parity_learner(
     s = max(1, db.n // m)
     m_eff = min(m, db.n // s)
 
-    # Row i's k labels as one int, bit j = label j; a block's solution packs
-    # its k masks the same way, so it is the vote key as it stands.
     used = m_eff * s
-    xs = db.xs[:used].tolist()
-    packed = np.packbits(db.labels[:used], axis=1, bitorder="little").tolist()
-    rhs = [int.from_bytes(row, "little") for row in packed]
-    votes: Counter[int] = Counter()
-    first_seen: dict[int, int] = {}
-    for t in range(m_eff):
-        lo, hi = t * s, (t + 1) * s
-        sol = gf2_solve(bits, zip(xs[lo:hi], rhs[lo:hi]))
-        if sol is not None:
-            votes[sol] += 1
-            first_seen.setdefault(sol, t)
-
-    best, best_count, second_count = _top_two_votes(votes, first_seen)
+    rhs = _pack_words(db.labels[:used]).reshape(m_eff, s, -1)
+    solutions, ok = gf2_solve_blocks(bits, db.xs[:used].reshape(m_eff, s), rhs)
+    votes = solutions[ok]
+    if len(votes):
+        # A block's vote key is its (bits, W) solution words as raw bytes.
+        keys = votes.reshape(len(votes), -1).view(np.dtype((np.void, votes[0].nbytes))).ravel()
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        # Descending count, ties to the vector first seen in the earliest block.
+        order = np.lexsort((first, -counts))
+        best = votes[first[order[0]]]
+        best_count, second_count = counts[order[0]], (counts[order[1]] if len(order) > 1 else 0)
+    else:
+        # Unseen vectors count 0, so the all-zero vector leads an empty tally.
+        best, best_count, second_count = np.zeros(solutions.shape[1:], dtype=np.uint64), 0, 0
     choice = stable_argmax(
-        ScoredCandidate(best, float(best_count)),
+        ScoredCandidate("selected", float(best_count)),
         ScoredCandidate("runner-up", float(second_count)),
         epsilon,
         delta,
@@ -199,29 +259,14 @@ def parity_learner(
     ledger = PrivacyLedger([PrivacyParams(epsilon, delta)])
     if choice is None:
         return LearnResult(None, ledger, below)
-    full = (1 << bits) - 1
-    masks = np.array([(best >> (j * bits)) & full for j in range(k)], dtype=np.int64)
+    coords = _unpack_words(best)[:, :k].astype(np.int64)  # (bits, k)
+    masks = (coords << np.arange(bits)[:, None]).sum(axis=0)
     return LearnResult(Hypotheses(universe, PARITY, masks), ledger, below)
-
-
-def _top_two_votes(votes: Counter, first_seen: dict) -> tuple[int, int, int]:
-    """Top-2 multiplicities over the (implicit) full candidate space.
-
-    Unseen vectors count 0, so an empty or single-entry tally still yields a
-    well-defined runner-up score (and the all-zero vector, key 0, as leader).
-    Ties break to the earliest-observed vector, which is deterministic and
-    commutes with label-column permutations.
-    """
-    if not votes:
-        return 0, 0, 0
-    ordered = sorted(votes.items(), key=lambda item: (-item[1], first_seen[item[0]]))
-    best, best_count = ordered[0]
-    second_count = ordered[1][1] if len(ordered) > 1 else 0
-    return best, best_count, second_count
 
 
 def point_rows_bound(alpha: float, beta: float, delta: float, epsilon: float) -> int:
     """Pinned sample bound for the point learner: ceil(64/(alpha*eps) * ln(1/(alpha*beta*delta)))."""
+    _check_alpha(alpha)
     _check_approx_dp(epsilon, delta, beta)
     return math.ceil((64.0 / (alpha * epsilon)) * math.log(1.0 / (alpha * beta * delta)))
 
@@ -245,13 +290,11 @@ def point_learner(
     The (x, vector) counts come from one array tally (_per_element_top_vectors)
     and the runner-up objective from the two smallest top counts, so there is
     no per-row Python work and the runner-up scan is O(|G|).
-    `beta` only informs the sample-size advisory flag; epsilon, delta and beta
-    are checked (ValueError) before any randomness is drawn.
+    `beta` only informs the sample-size advisory flag; alpha, epsilon, delta
+    and beta are checked (ValueError) before any randomness is drawn.
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot learn from an empty database")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     universe = db.universe
     k = db.k
     below = db.n < point_rows_bound(alpha, beta, delta, epsilon)
@@ -343,6 +386,7 @@ def generic_rows_bound(
     delta: float,
 ) -> int:
     """Pinned (unit-constant) sample bound for the generic learner."""
+    _check_generic(alpha, epsilon_prime)
     if not 0 < beta < 1:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     vc = cclass.vc_dim
@@ -400,10 +444,12 @@ def generic_multi_learner(
     sanitizer: "points" routes through the point-query sanitizer (point
     classes, approximate DP), "exhaustive" through the enumerative pure-DP
     sanitizer (synth_size caps its candidate databases at desk scale), "auto"
-    picks by class.
+    picks by class. alpha and epsilon_prime are checked (ValueError) before
+    any randomness is drawn.
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot learn from an empty database")
+    _check_generic(alpha, epsilon_prime)
     db.universe.require_same(cclass.universe)
     if sanitizer == "auto":
         sanitizer = "points" if (cclass.kind == POINT and delta > 0) else "exhaustive"
@@ -419,9 +465,7 @@ def generic_multi_learner(
 
     support = synth.distinct_elements()
     witnesses = np.array([h.param for h in dichotomy_projection(cclass, support).values()], dtype=np.int64)
-    labels = db.labels.astype(np.int64)
-    evals = Hypotheses(db.universe, cclass.kind, witnesses).evaluate(db.xs).astype(np.int64)
-    mismatches = evals @ (1 - labels) + (1 - evals) @ labels  # (|H|, k)
+    mismatches = _mismatch_counts(Hypotheses(db.universe, cclass.kind, witnesses).evaluate(db.xs), db.labels)
 
     chosen = [
         exponential_mechanism(-mismatches[:, j].astype(np.float64), epsilon_prime, 1.0, rng)
@@ -464,38 +508,3 @@ def direct_sum_learner(
             return LearnResult(None, ledger, below)
         hyps.append(result.hypotheses[0])
     return LearnResult(Hypotheses.from_concepts(hyps, db.universe), ledger, below)
-
-
-def secrecy_amplification(
-    epsilon: float,
-    delta: float,
-    total_rows: int,
-    subsample_rows: int,
-) -> tuple[float, float]:
-    """Privacy charge of running an n-row mechanism on a with-replacement
-    subsample of an m-row database, as stated: (6*eps*m/n, 4*exp(6*eps*m/n)*(m/n)*delta)."""
-    if total_rows < 2 * subsample_rows:
-        raise ValueError("amplification statement requires m >= 2n")
-    ratio = total_rows / subsample_rows
-    eps = 6.0 * epsilon * ratio
-    return eps, 4.0 * math.exp(eps) * ratio * delta
-
-
-def subsampled_learner(
-    base: LearnerFn,
-    subsample_rows: int,
-    db: MultiLabeledDatabase,
-    rng: np.random.Generator,
-) -> LearnResult:
-    """Run `base` on a uniform with-replacement subsample of the rows.
-
-    Requires at least 9x the base sample size, turning a distributional
-    learner into one accurate on the fixed input database. The returned ledger
-    carries the base charges; see secrecy_amplification for the subsampling
-    privacy arithmetic.
-    """
-    if db.n < 9 * subsample_rows:
-        raise ValueError(f"need at least 9*{subsample_rows} rows, got {db.n}")
-    idx = rng.integers(0, db.n, size=subsample_rows)
-    sub = MultiLabeledDatabase(db.universe, db.xs[idx], db.labels[idx])
-    return base(sub, rng)

@@ -387,6 +387,20 @@ class TestExitCodes:
         assert main(argv + ["--beta", "0"]) == 1
         assert "beta must be in (0, 1), got 0.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--epsilon-prime", "0", "epsilon_prime must be positive, got 0.0"),
+        ("--epsilon-prime", "-1", "epsilon_prime must be positive, got -1.0"),
+        ("--alpha", "1.5", "alpha must be in (0, 1), got 1.5"),
+        ("--alpha", "0", "alpha must be in (0, 1), got 0.0"),
+    ], ids=["epsilon-prime0", "epsilon-prime-negative", "alpha-above-1", "alpha0"])
+    def test_bad_generic_parameter_is_invalid_input(self, capsys, flag, value, message):
+        argv = ["learn", "generic", "--k", "2", "--n", "100", "--universe", "8", "--class", "thresh",
+                "--delta", "0", "--epsilon-prime", "1", "--synth-size", "4", "--seed", "1"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + [flag, value]) == 1
+        assert message in capsys.readouterr().err
+
     def test_enumeration_budget_overflow_is_invalid_input(self, capsys):
         code = main(["learn", "generic", "--k", "2", "--n", "100", "--universe", "8", "--class", "thresh",
                      "--delta", "0", "--epsilon-prime", "1", "--seed", "1"])

@@ -36,6 +36,7 @@ from dpmulti.domain import (
     vc_sample_size,
     zero,
 )
+from dpmulti.domain import _parity_bits
 from dpmulti.rng import stream
 
 U5 = Universe.indexed(5)
@@ -76,6 +77,13 @@ class TestEvaluate:
         for _ in range(50):
             a, b, x = (int(v) for v in rng.integers(0, 64, size=3))
             assert evaluate(parity(u, a ^ b), x) == evaluate(parity(u, a), x) ^ evaluate(parity(u, b), x)
+
+    def test_parity_bits_match_int_popcount(self):
+        # Values past 32 bits too: the popcount covers every bit of the int64.
+        values = stream(2, 1).integers(0, 1 << 40, size=(40, 25))
+        want = [[v.bit_count() & 1 for v in row] for row in values.tolist()]
+        got = _parity_bits(values)
+        assert got.dtype == np.uint8 and got.tolist() == want
 
 
 U16 = Universe.indexed(16)

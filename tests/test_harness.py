@@ -177,6 +177,14 @@ class TestPlanSampleSize:
         with pytest.raises(ValueError, match="unknown algorithm"):
             plan_sample_size("boosting", alpha=0.1, beta=0.1)
 
+    @pytest.mark.parametrize("algorithm,alpha", [("points", 0), ("points", 1.5), ("generic", 0), ("generic", 1.5)])
+    def test_alpha_outside_unit_interval_rejected(self, algorithm, alpha):
+        cc = ConceptClass(POINT, Universe.indexed(8))
+        with pytest.raises(ValueError, match=rf"alpha must be in \(0, 1\), got {alpha}"):
+            plan_sample_size(
+                algorithm, cclass=cc, k=2, alpha=alpha, beta=0.1, epsilon=1.0, epsilon_prime=1.0, delta=0.01
+            )
+
 
 class TestRunExperiment:
     def test_parity_sweep_monotone(self):

@@ -1,5 +1,5 @@
 """Learner behavior: ERM, GF(2) solving, parity/point/generic learners,
-direct sum, and subsampling."""
+and direct sum."""
 
 import math
 from collections import Counter
@@ -35,13 +35,12 @@ from dpmulti.learners import (
     generic_multi_learner,
     generic_privacy_total,
     gf2_solve,
+    gf2_solve_blocks,
     parity_block_plan,
     parity_learner,
     _per_element_top_vectors,
     point_learner,
     point_rows_bound,
-    secrecy_amplification,
-    subsampled_learner,
 )
 from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, ScoredCandidate, stable_argmax
 from dpmulti.rng import stream
@@ -74,6 +73,19 @@ class TestErmMulti:
         a = erm_multi(db, ConceptClass(POINT, u)).hypotheses
         b = erm_multi(permuted, ConceptClass(POINT, u)).hypotheses
         assert all(b[i] == a[p] for i, p in enumerate(perm))
+
+    @pytest.mark.parametrize("kind", [POINT, THRESH, PARITY])
+    def test_mismatch_counts_match_two_product_form(self, kind):
+        u = Universe.bitvectors(4)
+        cclass = ConceptClass(kind, u)
+        for trial in range(5):
+            rng = stream(30, 3, trial)
+            n, k = int(rng.integers(1, 300)), int(rng.integers(0, 80))
+            db = MultiLabeledDatabase(u, rng.integers(0, u.size, size=n), rng.integers(0, 2, size=(n, k)).astype(np.uint8))
+            evals, labels = cclass.eval_matrix(db.xs).astype(np.int64), db.labels.astype(np.int64)
+            got = erm_mismatch_counts(db, cclass)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, evals @ (1 - labels) + (1 - evals) @ labels)
 
 
 class TestLearnResult:
@@ -137,7 +149,8 @@ class TestGf2Solve:
             ]
             got = gf2_solve(d, eqs)
             if brute:
-                assert got in brute
+                # Free variables at 0 make the solution the smallest one.
+                assert got == min(brute)
             else:
                 assert got is None
 
@@ -172,6 +185,56 @@ class TestGf2Solve:
         # Column 0 is consistent, column 69 contradicts itself.
         assert gf2_solve(2, [(0b01, 1), (0b01, 1 | 1 << 69)]) is None
         assert gf2_solve(2, [(0b01, 1 | 1 << 69), (0b10, 1 << 69)]) == 0b01 | 0b11 << (69 * 2)
+
+    @pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 2370])
+    def test_blocks_match_brute_force_and_single_block_solves(self, k):
+        # Blocks labelled by parities, by parities with one flipped label, or at
+        # random, so both consistent and abstaining blocks occur.
+        rng = stream(31, 2, k)
+        shapes = [(1, 1, 1), (10, 44, 50)] + [
+            (b, int(rng.integers(1, 4 * b + 5)), int(rng.integers(1, 51))) for b in rng.integers(1, 11, size=6).tolist()
+        ]
+        words = -(-k // 64)
+        seen = {True: 0, False: 0}
+        for bits, s, m in shapes:
+            xs = rng.integers(0, 1 << bits, size=(m, s))
+            labels = rng.integers(0, 2, size=(m, s, k)).astype(np.uint8)
+            kinds = rng.integers(0, 3, size=m)
+            for t in np.flatnonzero(kinds < 2).tolist():
+                masks = rng.integers(0, 1 << bits, size=k)
+                labels[t] = np.bitwise_count(xs[t][:, None] & masks[None, :]) & 1
+                if kinds[t] == 1 and k:
+                    labels[t, rng.integers(s), rng.integers(k)] ^= 1
+            packed = np.packbits(labels, axis=2, bitorder="little")
+            rhs = np.zeros((m, s, 8 * words), dtype=np.uint8)
+            rhs[:, :, : packed.shape[2]] = packed
+            solutions, ok = gf2_solve_blocks(bits, xs, rhs.view("<u8"))
+            assert solutions.shape == (m, bits, words) and ok.shape == (m,)
+            for t in range(m):
+                want = _smallest_solutions(bits, xs[t], labels[t])
+                assert ok[t] == (want >= 0).all()
+                seen[bool(ok[t])] += 1
+                if ok[t]:
+                    coords = np.unpackbits(solutions[t].astype("<u8").view(np.uint8), axis=1, bitorder="little")
+                    got = (coords[:, :k].astype(np.int64) << np.arange(bits)[:, None]).sum(axis=0)
+                    assert got.tolist() == want.tolist()
+                if t < 3:
+                    rows = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in labels[t]]
+                    single = gf2_solve(bits, zip(xs[t].tolist(), rows))
+                    assert single == (sum(x << (j * bits) for j, x in enumerate(want.tolist())) if ok[t] else None)
+        assert seen[True] and (seen[False] or k == 0)
+
+
+def _smallest_solutions(bits, xs, labels):
+    """Brute force over all 2**bits masks: per label column j, the smallest x with
+    <xs[i], x> = labels[i, j] for every row i, or -1 when there is none."""
+    weights = 1 << np.arange(len(xs), dtype=np.int64)
+    patterns = (np.bitwise_count(np.arange(1 << bits)[:, None] & xs[None, :]) & 1) @ weights
+    # np.unique keeps the first, so smallest, mask giving each row pattern.
+    keys, smallest = np.unique(patterns, return_index=True)
+    wanted = weights @ labels.astype(np.int64)
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[pos] == wanted, smallest[pos], -1)
 
 
 def _reference_parity_learner(db, epsilon, delta, beta, rng):
@@ -223,6 +286,27 @@ class TestParityLearner:
             got = None if res.failed else tuple(h.param for h in res.hypotheses)
             assert got == want
             assert res.below_sample_bound == want_below
+
+    @pytest.mark.parametrize("first,other", [(3, 1), (1, 3)])
+    def test_vote_tie_goes_to_earliest_block(self, first, other):
+        # Blocks alternate between two parities, so both get m/2 votes. A tie
+        # leaves a zero gap, which the selection releases only sometimes; when
+        # it does, the vector of block 0 wins.
+        eps, delta, beta = 1.0, 0.9, 0.5
+        m, s = parity_block_plan(2, eps, beta, delta)
+        assert m % 2 == 0
+        u = Universe.bitvectors(2)
+        xs = np.resize(np.array([1, 2, 3, 0]), m * s)
+        masks = np.repeat(np.resize(np.array([first, other]), m), s)
+        labels = (np.bitwise_count(xs & masks) & 1).astype(np.uint8)[:, None]
+        db = MultiLabeledDatabase(u, xs, labels)
+        released = 0
+        for trial in range(40):
+            res = parity_learner(db, eps, delta, beta, stream(39, 7, trial))
+            if not res.failed:
+                released += 1
+                assert res.hypotheses.params.tolist() == [first]
+        assert released
 
     def _setup(self, d=6, k=3, seed=32, trial=0):
         u = Universe.bitvectors(d)
@@ -493,6 +577,21 @@ class TestGenericLearner:
         assert adv.epsilon == pytest.approx(expected_eps)
         assert adv.delta == pytest.approx(0.02)
 
+    @pytest.mark.parametrize("alpha,epsilon_prime,message", [
+        (0.2, 0.0, "epsilon_prime must be positive, got 0.0"),
+        (0.2, -1.0, "epsilon_prime must be positive, got -1.0"),
+        (1.5, 1.0, "alpha must be in (0, 1), got 1.5"),
+        (0.0, 1.0, "alpha must be in (0, 1), got 0.0"),
+    ])
+    def test_bad_parameter_rejected_before_any_draw(self, alpha, epsilon_prime, message):
+        u = Universe.indexed(8)
+        db = sample_database(Distribution.uniform(u), [thresh(u, 3)], 100, stream(55, 0))
+        rng = stream(55, 1)
+        with pytest.raises(ValueError) as err:
+            generic_multi_learner(db, ConceptClass(THRESH, u), alpha, 0.1, 1.0, epsilon_prime, 0.0, rng, synth_size=4)
+        assert str(err.value) == message
+        assert rng.random() == stream(55, 1).random()
+
 
 class _StubBase:
     """Deterministic single-label base learner with a fixed privacy charge."""
@@ -565,49 +664,3 @@ class TestDirectSum:
         a = direct_sum_learner(_StubBase(u), db, "basic", stream(64, 1))
         b = direct_sum_learner(_StubBase(u), permuted, "basic", stream(64, 1))
         assert all(b.hypotheses[i] == a.hypotheses[p] for i, p in enumerate(perm))
-
-
-class TestSubsampledLearner:
-    def test_empirical_error_on_full_database(self):
-        u = Universe.indexed(8)
-        cclass = ConceptClass(POINT, u)
-        alpha, beta = 0.2, 0.1
-        from dpmulti.domain import vc_sample_size
-
-        n = vc_sample_size(1, alpha, beta)
-        base = lambda db, rng: erm_multi(db, cclass)
-        good = 0
-        for trial in range(40):
-            rng = stream(70, trial)
-            targets = [point(u, int(p)) for p in rng.integers(0, 8, size=2)]
-            db = sample_database(Distribution.uniform(u), targets, 9 * n, rng)
-            res = subsampled_learner(base, n, db, rng)
-            good += all(
-                float(empirical_error(db.view(j), h)) <= alpha
-                for j, h in enumerate(res.hypotheses)
-            )
-        assert good >= 36
-
-    def test_deterministic_given_seed(self):
-        u = Universe.indexed(8)
-        cclass = ConceptClass(POINT, u)
-        base = lambda db, rng: erm_multi(db, cclass)
-        db = sample_database(Distribution.uniform(u), [point(u, 1)], 90, stream(71, 0))
-        a = subsampled_learner(base, 10, db, stream(71, 1))
-        b = subsampled_learner(base, 10, db, stream(71, 1))
-        assert a.hypotheses == b.hypotheses
-
-    def test_insufficient_rows(self):
-        u = Universe.indexed(4)
-        db = sample_database(Distribution.uniform(u), [], 17, stream(72, 0))
-        with pytest.raises(ValueError):
-            subsampled_learner(lambda d, r: LearnResult(()), 2, db, stream(72, 1))
-
-    def test_amplification_formula(self):
-        eps, delta = 0.1, 1e-6
-        n = 100
-        amp_eps, amp_delta = secrecy_amplification(eps, delta, 9 * n, n)
-        assert amp_eps == pytest.approx(54 * eps)
-        assert amp_delta == pytest.approx(4 * math.exp(54 * eps) * 9 * delta)
-        with pytest.raises(ValueError):
-            secrecy_amplification(eps, delta, n, n)
