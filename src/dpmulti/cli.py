@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .domain import generalization_errors, load_database
+from .fingerprint import VARIANTS
 from .harness import (
     LEARNERS,
     ConfigError,
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--xi", type=float, required=True, help="code security level")
     attack.add_argument("--trials", type=int, required=True)
     attack.add_argument("--learner", choices=tuple(LEARNERS), default="erm")
-    attack.add_argument("--variant", choices=("pac", "padded", "parity"), default="pac")
+    attack.add_argument("--variant", choices=tuple(VARIANTS), default="pac")
     attack.add_argument("--alpha", type=float, default=0.2)
     attack.add_argument("--length", type=int, default=None)
     _add_common(attack)

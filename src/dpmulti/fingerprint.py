@@ -17,7 +17,7 @@ traceable words, which is exactly what rules out its differential privacy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,8 @@ from .domain import PARITY, THRESH, ConceptClass, Hypotheses, MultiLabeledDataba
 from .learners import LearnerFn, erm_mismatch_counts
 from .rng import stream
 
-VARIANTS = ("pac", "padded", "parity")
+# Each attack variant's concept class kind: the learners and the accuracy contract use it.
+VARIANTS = {"pac": THRESH, "padded": THRESH, "parity": PARITY}
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ class PirateResult:
 
 
 def _attack_universe(variant: str, n_users: int) -> Universe:
-    if variant == "parity":
+    if VARIANTS[variant] == PARITY:
         return Universe.bitvectors(max(1, math.ceil(math.log2(n_users))))
     return Universe.indexed(n_users)
 
@@ -206,27 +207,37 @@ def pirate_word(
 
 @dataclass(frozen=True)
 class AttackReport:
-    """Aggregated completeness/soundness/accuracy rates with per-trial rows."""
+    """Per-trial completeness and soundness rows, and the rates drawn from them."""
 
-    n_users: int
     length: int
-    security: float
-    variant: str
-    trials: int
-    completeness_rate: float
-    soundness_violation_rate: float
-    accuracy_rate: float
-    flagged_rate: float
-    rows: list[dict] = field(default_factory=list)
-    soundness_rows: list[dict] = field(default_factory=list)
+    rows: list[dict]
+    soundness_rows: list[dict]
+
+    @property
+    def completeness_rate(self) -> float:
+        """Feasible, traced words among the unflagged completeness trials."""
+        unflagged = [r for r in self.rows if not r["flagged"]]
+        traced = sum(1 for r in unflagged if r["feasible"] and r["accused"] >= 0)
+        return traced / len(unflagged) if unflagged else 0.0
+
+    @property
+    def soundness_violation_rate(self) -> float:
+        return sum(r["violation"] for r in self.soundness_rows) / len(self.soundness_rows)
+
+    @property
+    def accuracy_rate(self) -> float:
+        return sum(r["accurate"] for r in self.rows) / len(self.rows)
+
+    @property
+    def flagged_rate(self) -> float:
+        return sum(r["flagged"] for r in self.rows) / len(self.rows)
 
 
-def _contract_met(result: PirateResult, variant: str, alpha: float) -> bool:
+def _contract_met(result: PirateResult, cclass: ConceptClass, alpha: float) -> bool:
     """Did the learner meet the agnostic alpha contract on the attack database?"""
     if result.hypotheses is None:
         return False
     db = result.database
-    cclass = ConceptClass(PARITY if variant == "parity" else THRESH, db.universe)
     best = erm_mismatch_counts(db, cclass).min(axis=0)
     errors = np.count_nonzero(result.hypotheses.evaluate(db.xs) != db.labels.T, axis=1)
     return bool(((errors - best) / db.n <= alpha).all())
@@ -255,6 +266,9 @@ def attack_experiment(
         raise ValueError(f"n_users must be >= 2, got {n_users}")
     if not 0 < security < 1:
         raise ValueError(f"security (xi) must be in (0, 1), got {security}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    cclass = ConceptClass(VARIANTS[variant], _attack_universe(variant, n_users))
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if length is None:
@@ -262,14 +276,13 @@ def attack_experiment(
     full = list(range(n_users))
     rows: list[dict] = []
     soundness_rows: list[dict] = []
-    complete = flagged_count = accurate = violations = 0
     for trial in range(trials):
         rng = stream(seed, 0, trial)
         codebook = gen_codebook(n_users, length, security, rng)
         pirate = pirate_word(learner, codebook, full, variant, alpha, rng)
         is_feasible = feasible(pirate.word, codebook, full)
         accused = trace_word(pirate.word, codebook)
-        ok = _contract_met(pirate, variant, alpha)
+        ok = _contract_met(pirate, cclass, alpha)
         rows.append(
             {
                 "trial": trial,
@@ -279,12 +292,6 @@ def attack_experiment(
                 "flagged": int(pirate.flagged),
             }
         )
-        if pirate.flagged:
-            flagged_count += 1
-        elif is_feasible and accused is not None:
-            complete += 1
-        if ok:
-            accurate += 1
 
         rng_s = stream(seed, 1, trial)
         missing = trial % n_users
@@ -293,8 +300,6 @@ def attack_experiment(
         pirate_s = pirate_word(learner, codebook_s, coalition, variant, alpha, rng_s)
         accused_s = trace_word(pirate_s.word, codebook_s)
         violated = accused_s == missing
-        if violated:
-            violations += 1
         soundness_rows.append(
             {
                 "trial": trial,
@@ -303,17 +308,4 @@ def attack_experiment(
                 "violation": int(violated),
             }
         )
-    unflagged = trials - flagged_count
-    return AttackReport(
-        n_users=n_users,
-        length=length,
-        security=security,
-        variant=variant,
-        trials=trials,
-        completeness_rate=complete / unflagged if unflagged else 0.0,
-        soundness_violation_rate=violations / trials,
-        accuracy_rate=accurate / trials,
-        flagged_rate=flagged_count / trials,
-        rows=rows,
-        soundness_rows=soundness_rows,
-    )
+    return AttackReport(length, rows, soundness_rows)

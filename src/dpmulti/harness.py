@@ -37,10 +37,13 @@ from .learners import (
     LearnerFn,
     direct_sum_learner,
     erm_multi,
+    generic_charges,
     generic_multi_learner,
     generic_rows_bound,
     parity_block_plan,
+    parity_charges,
     parity_learner,
+    point_charges,
     point_learner,
     point_rows_bound,
 )
@@ -64,7 +67,6 @@ class LearnParams:
     epsilon: float
     delta: float
     epsilon_prime: float | None = None
-    mode: str = "basic"
     synth_size: int | None = None
 
 
@@ -75,9 +77,9 @@ class Learner:
     build(params) returns a (db, rng) learner that looks the learner up by its
     module-level name at call time, so wrappers installed on module attributes
     see every call. plan takes plan_sample_size's keywords.
-    charges(params, k) lists, in order, the data-independent charges the
-    learner's ledger must hold. An exact learner learns parities only, and its
-    trials succeed only on exact recovery of the targets.
+    charges(params, k) calls the learner's charge schedule: the ledger it must
+    hold on every outcome, aborts included. An exact learner learns parities
+    only, and its trials succeed only on exact recovery of the targets.
     """
 
     build: Callable[[LearnParams], LearnerFn]
@@ -98,7 +100,7 @@ def _generic(p: LearnParams) -> LearnerFn:
 _POINTS = Learner(
     lambda p: lambda db, rng: point_learner(db, p.alpha, p.epsilon, p.delta, rng, beta=p.beta),
     lambda alpha, beta, delta, epsilon, **_: point_rows_bound(alpha, beta, delta, epsilon),
-    lambda p, k: [PrivacyParams(p.epsilon / 2, p.delta / 2)] * 2,
+    lambda p, k: point_charges(p.epsilon, p.delta),
 )
 
 LEARNERS: dict[str, Learner] = {
@@ -108,7 +110,7 @@ LEARNERS: dict[str, Learner] = {
         lambda cclass, epsilon, beta, delta, **_: math.prod(
             parity_block_plan(cclass.universe.bit_width, epsilon, beta, delta)
         ),
-        lambda p, k: [PrivacyParams(p.epsilon, p.delta)],
+        lambda p, k: parity_charges(p.epsilon, p.delta),
         exact=True,
     ),
     "generic": Learner(
@@ -116,12 +118,12 @@ LEARNERS: dict[str, Learner] = {
         lambda cclass, k, alpha, beta, epsilon, epsilon_prime, delta, **_: generic_rows_bound(
             cclass, k, alpha, beta, epsilon, epsilon_prime, delta
         ),
-        lambda p, k: [PrivacyParams(p.epsilon, p.delta)] + [PrivacyParams(p.epsilon_prime)] * k,
+        lambda p, k: generic_charges(k, p.epsilon, p.epsilon_prime, p.delta),
     ),
     "direct-sum": Learner(
-        lambda p: lambda db, rng: direct_sum_learner(_POINTS.build(p), db, p.mode, rng),
+        lambda p: lambda db, rng: direct_sum_learner(_POINTS.build(p), db, rng),
         _POINTS.plan,
-        lambda p, k: _POINTS.charges(p, 1) * k,
+        lambda p, k: point_charges(p.epsilon, p.delta) * k,
     ),
     "erm": Learner(
         lambda p: lambda db, rng: erm_multi(db, ConceptClass(p.kind, db.universe)),
@@ -357,17 +359,15 @@ def _is_parity_section(params: dict, parities: bool) -> bool:
 
 
 def _learn_universe(params: dict, parities: bool) -> tuple[Universe, ConceptClass]:
-    class_kind = params.get("class", "parity" if parities else "point")
-    if _is_parity_section(params, parities):
-        d = _need(params, "learn", "d", int)
-        universe = Universe.bitvectors(d)
-        return universe, ConceptClass(PARITY, universe)
-    size = _need(params, "learn", "universe", int)
-    universe = Universe.indexed(size)
-    kinds = {"point": POINT, "thresh": THRESH}
-    if class_kind not in kinds:
-        raise ConfigError(f"learn.class: expected point|thresh|parity, got {class_kind!r}")
-    return universe, ConceptClass(kinds[class_kind], universe)
+    class_kind = params.get("class", PARITY if parities else POINT)
+    if class_kind not in (POINT, THRESH, PARITY) or (parities and class_kind != PARITY):
+        expected = PARITY if parities else "point|thresh|parity"
+        raise ConfigError(f"learn.class: expected {expected}, got {class_kind!r}")
+    if class_kind == PARITY:
+        universe = Universe.bitvectors(_need(params, "learn", "d", int))
+    else:
+        universe = Universe.indexed(_need(params, "learn", "universe", int))
+    return universe, ConceptClass(class_kind, universe)
 
 
 def _draw_targets(params: dict, cclass: ConceptClass, k: int, rng: np.random.Generator) -> Hypotheses:
@@ -394,14 +394,16 @@ def _learn_params(params: dict, section: str, kind: str, delta: float, epsilon_p
         epsilon=_need(params, section, "epsilon", float, default=1.0),
         delta=_need(params, section, "delta", float, default=delta),
         epsilon_prime=_need(params, section, "epsilon_prime", float) if "epsilon_prime" in params else epsilon_prime,
-        mode=params.get("mode", "basic"),
         synth_size=_need(params, section, "synth_size", int) if "synth_size" in params else None,
     )
 
 
 def sample_and_learn(params: dict, seed: int, n: int, point_idx: int, trial: int):
     """Sample one database for a learn section, from the stream keyed by (seed,
-    point_idx, trial), and run its learner on it: (entry, params, dist, targets, result)."""
+    point_idx, trial), and run its learner on it: (entry, params, dist, targets, result).
+
+    The result's ledger must equal the entry's planned charges, one by one.
+    """
     algorithm = params.get("algorithm", "")
     if algorithm not in LEARNERS:
         raise ConfigError(f"learn.algorithm: expected one of {tuple(LEARNERS)}, got {algorithm!r}")
@@ -414,16 +416,16 @@ def sample_and_learn(params: dict, seed: int, n: int, point_idx: int, trial: int
     dist = parse_distribution(params.get("dist", "uniform"), universe)
     targets = _draw_targets(params, cclass, k, rng)
     db = sample_database(dist, targets, n, rng)
-    return entry, p, dist, targets, learner(db, rng)
+    result = learner(db, rng)
+    planned = entry.charges(p, k)
+    if result.ledger.charges != planned:
+        raise RuntimeError(f"ledger charges {result.ledger.charges} != planned charges {planned}")
+    return entry, p, dist, targets, result
 
 
 def run_learn_trial(config: ExperimentConfig, n: int, point_idx: int, trial: int) -> tuple[bool, float, float, float]:
     entry, p, dist, targets, result = sample_and_learn(config.params, config.seed, n, point_idx, trial)
-    charges = result.ledger.charges
-    planned = entry.charges(p, len(targets))
-    if charges != planned:
-        raise RuntimeError(f"ledger charges {charges} != planned charges {planned}")
-    if charges:
+    if result.ledger.charges:
         total = result.ledger.basic_total()
         eps_total, delta_total = total.epsilon, total.delta
     else:
@@ -460,7 +462,9 @@ def make_attack_learner(name: str, variant: str, params: dict) -> LearnerFn:
     """Map a config learner name to a callable on attack databases."""
     if name not in LEARNERS:
         raise ConfigError(f"attack.learner: unknown {name!r}")
-    p = _learn_params(params, "attack", PARITY if variant == "parity" else THRESH, 0.01, 1.0)
+    if variant not in fingerprint.VARIANTS:
+        raise ConfigError(f"attack.variant: expected {'|'.join(fingerprint.VARIANTS)}, got {variant!r}")
+    p = _learn_params(params, "attack", fingerprint.VARIANTS[variant], 0.01, 1.0)
     # Attack databases have <= 8 users; a size-6 synthetic database keeps
     # the exhaustive sanitizer inside its enumeration budget.
     return LEARNERS[name].build(replace(p, synth_size=6))
@@ -508,6 +512,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
     return TrialReport(config.kind, columns, rows, meta={"seed": config.seed}).rounded()
 
 
+# An attack report's rate columns (AttackReport properties) and per-trial columns (its row keys).
+_ATTACK_RATES = ("completeness_rate", "soundness_violation_rate", "accuracy_rate", "flagged_rate")
+_ATTACK_TRIAL_COLUMNS = ("trial", "feasible", "accused", "accurate", "flagged")
+
+
 def _run_attack(config: ExperimentConfig) -> TrialReport:
     params = config.params
     n_users = _need(params, "attack", "n_users", int)
@@ -520,27 +529,10 @@ def _run_attack(config: ExperimentConfig) -> TrialReport:
     report = fingerprint.attack_experiment(
         learner, n_users, xi, config.trials, variant, alpha, config.seed, length=length
     )
-    columns = [
-        "n_users",
-        "trials",
-        "completeness_rate",
-        "soundness_violation_rate",
-        "accuracy_rate",
-        "flagged_rate",
-    ]
-    rows = [
-        [
-            n_users,
-            config.trials,
-            report.completeness_rate,
-            report.soundness_violation_rate,
-            report.accuracy_rate,
-            report.flagged_rate,
-        ]
-    ]
-    per_cols = ["trial", "feasible", "accused", "accurate", "flagged"]
-    per_rows = [[r["trial"], r["feasible"], r["accused"], r["accurate"], r["flagged"]] for r in report.rows]
+    columns = ["n_users", "trials", *_ATTACK_RATES]
+    rows = [[n_users, config.trials, *(getattr(report, rate) for rate in _ATTACK_RATES)]]
+    per_rows = [[r[column] for column in _ATTACK_TRIAL_COLUMNS] for r in report.rows]
     return TrialReport(
-        "attack", columns, rows, per_trial_columns=per_cols, per_trial_rows=per_rows,
+        "attack", columns, rows, per_trial_columns=list(_ATTACK_TRIAL_COLUMNS), per_trial_rows=per_rows,
         meta={"seed": config.seed, "length": report.length},
     ).rounded()

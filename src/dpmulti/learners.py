@@ -6,6 +6,10 @@ generic_multi_learner one-time sanitization + per-label exponential mechanism
 parity_learner        block-wise GF(2) solving + stable vote selection
 point_learner         heavy-hitter discovery + stable label-vector selection
 
+Each private learner's charge schedule is written once (parity_charges,
+point_charges, generic_charges); its ledger and the harness's plan are both
+built from it, so an abort charges what a release does.
+
 Learners do not enforce their sample-size bounds as hard errors; results carry
 a below_sample_bound flag instead, so deliberately under-sampled experiments
 (for scaling studies and lower-bound demos) still run.
@@ -22,7 +26,6 @@ import numpy as np
 from .domain import (
     PARITY,
     POINT,
-    Concept,
     ConceptClass,
     EmptyDatabaseError,
     Hypotheses,
@@ -198,6 +201,21 @@ def _check_generic(alpha: float, epsilon_prime: float) -> None:
         raise ValueError(f"epsilon_prime must be positive, got {epsilon_prime}")
 
 
+def parity_charges(epsilon: float, delta: float) -> list[PrivacyParams]:
+    """The parity learner's one stable vote selection."""
+    return [PrivacyParams(epsilon, delta)]
+
+
+def point_charges(epsilon: float, delta: float) -> list[PrivacyParams]:
+    """The point learner's two halves: the frequency sanitizer, then the stable selection."""
+    return [PrivacyParams(epsilon / 2, delta / 2)] * 2
+
+
+def generic_charges(k: int, epsilon: float, epsilon_prime: float, delta: float) -> list[PrivacyParams]:
+    """The generic learner's one sanitization, then k exponential-mechanism selections."""
+    return [PrivacyParams(epsilon, delta)] + [PrivacyParams(epsilon_prime)] * k
+
+
 def parity_block_plan(bits: int, epsilon: float, beta: float, delta: float) -> tuple[int, int]:
     """Pinned block schedule: m = ceil(8/eps * ln(4/(beta*delta))) blocks of s = 4*bits rows."""
     _check_approx_dp(epsilon, delta, beta)
@@ -230,6 +248,7 @@ def parity_learner(
     bits = universe.bit_width
     k = db.k
     m, s_target = parity_block_plan(bits, epsilon, beta, delta)
+    ledger = PrivacyLedger(parity_charges(epsilon, delta))
     below = db.n < m * s_target
     s = max(1, db.n // m)
     m_eff = min(m, db.n // s)
@@ -256,7 +275,6 @@ def parity_learner(
         delta,
         rng,
     )
-    ledger = PrivacyLedger([PrivacyParams(epsilon, delta)])
     if choice is None:
         return LearnResult(None, ledger, below)
     coords = _unpack_words(best)[:, :k].astype(np.int64)  # (bits, k)
@@ -298,7 +316,7 @@ def point_learner(
     universe = db.universe
     k = db.k
     below = db.n < point_rows_bound(alpha, beta, delta, epsilon)
-    ledger = PrivacyLedger([PrivacyParams(epsilon / 2, delta / 2), PrivacyParams(epsilon / 2, delta / 2)])
+    ledger = PrivacyLedger(point_charges(epsilon, delta))
 
     answers = sanitize_points(db, alpha / 30.0, epsilon / 2.0, delta / 2.0, rng)
     heavy = [x for x in answers.support if answers.answers[x] >= alpha / 15.0]
@@ -411,11 +429,10 @@ def generic_privacy_total(
     delta: float,
     mode: str = "basic",
 ) -> PrivacyParams:
-    """Composed charge of one sanitization plus k exponential-mechanism selections."""
-    sanitizer = PrivacyParams(epsilon, delta)
-    selections = [PrivacyParams(epsilon_prime)] * k
+    """Composed generic_charges: one sanitization plus k exponential-mechanism selections."""
+    sanitizer, *selections = generic_charges(k, epsilon, epsilon_prime, delta)
     if mode == "basic":
-        return compose_basic([sanitizer] + selections)
+        return compose_basic([sanitizer, *selections])
     if mode == "advanced":
         return compose_basic([sanitizer, compose_advanced(selections, delta)])
     raise ValueError(f"unknown composition mode {mode!r}")
@@ -444,12 +461,13 @@ def generic_multi_learner(
     sanitizer: "points" routes through the point-query sanitizer (point
     classes, approximate DP), "exhaustive" through the enumerative pure-DP
     sanitizer (synth_size caps its candidate databases at desk scale), "auto"
-    picks by class. alpha and epsilon_prime are checked (ValueError) before
-    any randomness is drawn.
+    picks by class. alpha, epsilon, epsilon_prime and delta are checked
+    (ValueError) before any randomness is drawn.
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot learn from an empty database")
     _check_generic(alpha, epsilon_prime)
+    ledger = PrivacyLedger(generic_charges(db.k, epsilon, epsilon_prime, delta))
     db.universe.require_same(cclass.universe)
     if sanitizer == "auto":
         sanitizer = "points" if (cclass.kind == POINT and delta > 0) else "exhaustive"
@@ -472,39 +490,22 @@ def generic_multi_learner(
         for j in range(db.k)
     ]
 
-    ledger = PrivacyLedger([PrivacyParams(epsilon, delta)])
-    ledger.extend([PrivacyParams(epsilon_prime)] * db.k)
     below = db.n < generic_rows_bound(cclass, max(db.k, 1), alpha, beta, epsilon, epsilon_prime, delta)
     details = {"support_size": int(len(support)), "hypothesis_count": len(witnesses)}
     return LearnResult(Hypotheses(db.universe, cclass.kind, witnesses[chosen]), ledger, below, details)
 
 
-def direct_sum_learner(
-    base: LearnerFn,
-    db: MultiLabeledDatabase,
-    mode: str,
-    rng: np.random.Generator,
-    delta_prime: float | None = None,
-) -> LearnResult:
+def direct_sum_learner(base: LearnerFn, db: MultiLabeledDatabase, rng: np.random.Generator) -> LearnResult:
     """Run a single-concept learner independently on each label column.
 
-    All runs share the same rows. The result ledger concatenates the base
-    charges; compose with basic_total() or advanced_total(delta_prime) to
-    match the chosen accounting mode.
+    All runs share the same rows, and every label runs even after one has
+    aborted, so the ledger is always the k base ledgers in order. The result
+    is None if any label aborted, and otherwise the k per-label hypotheses as
+    one table.
     """
-    if mode not in ("basic", "advanced"):
-        raise ValueError(f"unknown composition mode {mode!r}")
-    if mode == "advanced" and delta_prime is None:
-        raise ValueError("advanced mode requires delta_prime")
-    hyps: list[Concept] = []
-    ledger = PrivacyLedger()
-    below = False
-    for j in range(db.k):
-        single = MultiLabeledDatabase(db.universe, db.xs, db.labels[:, j : j + 1])
-        result = base(single, rng)
-        ledger.extend(result.ledger.charges)
-        below = below or result.below_sample_bound
-        if result.failed:
-            return LearnResult(None, ledger, below)
-        hyps.append(result.hypotheses[0])
-    return LearnResult(Hypotheses.from_concepts(hyps, db.universe), ledger, below)
+    results = [base(MultiLabeledDatabase(db.universe, db.xs, db.labels[:, j : j + 1]), rng) for j in range(db.k)]
+    ledger = PrivacyLedger([charge for result in results for charge in result.ledger.charges])
+    below = any(result.below_sample_bound for result in results)
+    if any(result.failed for result in results):
+        return LearnResult(None, ledger, below)
+    return LearnResult(Hypotheses.from_concepts([r.hypotheses[0] for r in results], db.universe), ledger, below)

@@ -50,9 +50,6 @@ class PrivacyLedger:
     def charge(self, epsilon: float, delta: float = 0.0) -> None:
         self.charges.append(PrivacyParams(epsilon, delta))
 
-    def extend(self, params: Sequence[PrivacyParams]) -> None:
-        self.charges.extend(params)
-
     def basic_total(self) -> PrivacyParams:
         return compose_basic(self.charges)
 

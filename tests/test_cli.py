@@ -392,7 +392,11 @@ class TestExitCodes:
         ("--epsilon-prime", "-1", "epsilon_prime must be positive, got -1.0"),
         ("--alpha", "1.5", "alpha must be in (0, 1), got 1.5"),
         ("--alpha", "0", "alpha must be in (0, 1), got 0.0"),
-    ], ids=["epsilon-prime0", "epsilon-prime-negative", "alpha-above-1", "alpha0"])
+        ("--delta", "-0.1", "delta must be in [0, 1), got -0.1"),
+        ("--delta", "1.0", "delta must be in [0, 1), got 1.0"),
+        ("--epsilon", "0", "epsilon must be positive, got 0.0"),
+    ], ids=["epsilon-prime0", "epsilon-prime-negative", "alpha-above-1", "alpha0", "delta-negative", "delta1",
+            "epsilon0"])
     def test_bad_generic_parameter_is_invalid_input(self, capsys, flag, value, message):
         argv = ["learn", "generic", "--k", "2", "--n", "100", "--universe", "8", "--class", "thresh",
                 "--delta", "0", "--epsilon-prime", "1", "--synth-size", "4", "--seed", "1"]
@@ -400,6 +404,27 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv + [flag, value]) == 1
         assert message in capsys.readouterr().err
+
+    def test_negative_generic_delta_named_before_the_sanitizer_runs(self, capsys):
+        code = main(["learn", "generic", "--k", "2", "--n", "100", "--universe", "8", "--class", "thresh",
+                     "--delta", "-0.1", "--epsilon-prime", "1", "--seed", "1"])
+        assert code == 1
+        assert "delta must be in [0, 1), got -0.1" in capsys.readouterr().err
+
+    def test_parities_with_another_class_is_invalid_input(self, capsys):
+        argv = ["learn", "parities", "--k", "2", "--n", "1200", "--d", "4", "--delta", "0.1", "--seed", "1"]
+        assert main(argv + ["--class", "parity"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--class", "point"]) == 1
+        assert "learn.class" in capsys.readouterr().err
+
+    def test_aborted_direct_sum_reports_full_totals(self, capsys):
+        code, out = _run(capsys, "learn", "direct-sum", "--k", "4", "--n", "30", "--universe", "8", "--seed", "3",
+                         "--format", "json")
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert meta["failed"] is True
+        assert (meta["epsilon_total"], meta["delta_total"]) == (4.0, 0.04)
 
     def test_enumeration_budget_overflow_is_invalid_input(self, capsys):
         code = main(["learn", "generic", "--k", "2", "--n", "100", "--universe", "8", "--class", "thresh",

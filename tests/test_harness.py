@@ -8,6 +8,7 @@ import pytest
 
 from dpmulti.domain import PARITY, POINT, ConceptClass, Universe
 from dpmulti.harness import (
+    LEARNERS,
     ConfigError,
     TrialReport,
     emit,
@@ -18,6 +19,7 @@ from dpmulti.harness import (
     parse_json,
     plan_sample_size,
     run_experiment,
+    sample_and_learn,
     to_csv,
     to_json,
 )
@@ -318,6 +320,47 @@ class TestSweepAxis:
     def test_unknown_axis_rejected(self, kind, body, axis):
         with pytest.raises(ConfigError, match="experiment.sweep"):
             run_experiment(_sweep_config(kind, body, axis, (10, 20)))
+
+
+# algorithm -> (learn section, n at which seed 1 aborts or None if it cannot, n at which it releases)
+LEDGER_SECTIONS = {
+    "points": ({"k": "4", "universe": "8", "delta": "0.01"}, 30, 400),
+    "direct-sum": ({"k": "4", "universe": "8", "delta": "0.01"}, 30, 400),
+    "parities": ({"k": "3", "d": "3", "delta": "0.1"}, 30, 400),
+    "generic": ({"k": "3", "class": "point", "universe": "8", "delta": "0.01", "epsilon_prime": "2"}, None, 400),
+    "erm": ({"k": "3", "class": "thresh", "universe": "8"}, None, 30),
+}
+
+
+@pytest.mark.parametrize("algorithm,aborts", [
+    (algorithm, aborts) for algorithm in sorted(LEDGER_SECTIONS) for aborts in (True, False)
+    if not aborts or LEDGER_SECTIONS[algorithm][1] is not None
+])
+def test_ledger_equals_planned_charges_on_every_outcome(algorithm, aborts):
+    section, abort_n, release_n = LEDGER_SECTIONS[algorithm]
+    params = {**section, "algorithm": algorithm}
+    _, p, _, targets, result = sample_and_learn(params, 1, abort_n if aborts else release_n, 0, 0)
+    assert result.failed == aborts
+    assert result.ledger.charges == LEARNERS[algorithm].charges(p, len(targets))
+
+
+def test_direct_sum_sweep_charges_k_base_ledgers_at_every_n():
+    body = "algorithm = direct-sum\nuniverse = 8\nk = 4\ndelta = 0.01"
+    report = run_experiment(_sweep_config("learn", body, "n", (30, 400)))
+    assert report.rows[0][2] == 0  # every trial at n = 30 aborts
+    assert [row[4:] for row in report.rows] == [[4.0, 0.04], [4.0, 0.04]]
+
+
+def test_parities_learner_rejects_other_classes():
+    body = "algorithm = parities\nk = 2\nn = 100\nd = 4\ndelta = 0.1"
+    run_experiment(_sweep_config("learn", body + "\nclass = parity"))
+    with pytest.raises(ConfigError, match="learn.class"):
+        run_experiment(_sweep_config("learn", body + "\nclass = point"))
+
+
+def test_unknown_attack_variant_rejected():
+    with pytest.raises(ConfigError, match="attack.variant"):
+        run_experiment(_sweep_config("attack", "n_users = 4\nxi = 0.1\nlength = 30\nvariant = bogus"))
 
 
 def test_synth_size_key_reaches_the_generic_learner():

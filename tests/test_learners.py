@@ -584,11 +584,25 @@ class TestGenericLearner:
         (0.0, 1.0, "alpha must be in (0, 1), got 0.0"),
     ])
     def test_bad_parameter_rejected_before_any_draw(self, alpha, epsilon_prime, message):
+        self._assert_rejected_before_any_draw(message, alpha=alpha, epsilon_prime=epsilon_prime)
+
+    @pytest.mark.parametrize("epsilon,delta,message", [
+        (1.0, -0.1, "delta must be in [0, 1), got -0.1"),
+        (1.0, 1.0, "delta must be in [0, 1), got 1.0"),
+        (0.0, 0.0, "epsilon must be positive, got 0.0"),
+    ], ids=["delta-negative", "delta1", "epsilon0"])
+    def test_bad_privacy_parameter_rejected_before_any_draw(self, epsilon, delta, message):
+        # A negative delta would otherwise pick the pure-DP sanitizer and run it.
+        self._assert_rejected_before_any_draw(message, epsilon=epsilon, delta=delta)
+
+    @staticmethod
+    def _assert_rejected_before_any_draw(message, alpha=0.2, epsilon=1.0, epsilon_prime=1.0, delta=0.0):
         u = Universe.indexed(8)
         db = sample_database(Distribution.uniform(u), [thresh(u, 3)], 100, stream(55, 0))
         rng = stream(55, 1)
         with pytest.raises(ValueError) as err:
-            generic_multi_learner(db, ConceptClass(THRESH, u), alpha, 0.1, 1.0, epsilon_prime, 0.0, rng, synth_size=4)
+            generic_multi_learner(db, ConceptClass(THRESH, u), alpha, 0.1, epsilon, epsilon_prime, delta, rng,
+                                  synth_size=4)
         assert str(err.value) == message
         assert rng.random() == stream(55, 1).random()
 
@@ -613,7 +627,7 @@ class TestDirectSum:
         db = sample_database(Distribution.uniform(u), [point(u, 2)], 300, stream(60, 0))
         base = _StubBase(u)
         direct = base(db, stream(60, 1))
-        summed = direct_sum_learner(base, db, "basic", stream(60, 1))
+        summed = direct_sum_learner(base, db, stream(60, 1))
         assert summed.hypotheses == direct.hypotheses
         assert summed.ledger.basic_total() == direct.ledger.basic_total()
 
@@ -622,18 +636,25 @@ class TestDirectSum:
         db = sample_database(
             Distribution.uniform(u), [point(u, i) for i in range(4)], 200, stream(61, 0)
         )
-        res = direct_sum_learner(_StubBase(u, 0.1, 0.0), db, "basic", stream(61, 1))
+        res = direct_sum_learner(_StubBase(u, 0.1, 0.0), db, stream(61, 1))
         total = res.ledger.basic_total()
         assert total.epsilon == pytest.approx(0.4)
         assert total.delta == 0.0
 
-    def test_advanced_needs_delta_prime(self):
-        u = Universe.indexed(4)
-        db = sample_database(Distribution.uniform(u), [point(u, 0)], 50, stream(62, 0))
-        with pytest.raises(ValueError):
-            direct_sum_learner(_StubBase(u), db, "advanced", stream(62, 1))
-        res = direct_sum_learner(_StubBase(u), db, "advanced", stream(62, 2), delta_prime=0.01)
-        assert res.ledger.advanced_total(0.01).epsilon > 0
+    def test_every_label_runs_after_an_abort(self):
+        u = Universe.indexed(6)
+        db = sample_database(Distribution.uniform(u), [point(u, i) for i in range(3)], 100, stream(65, 0))
+        labels_seen = []
+
+        def base(single, rng):
+            labels_seen.append(single.labels[:, 0].tolist())
+            result = _StubBase(u, 0.1, 0.01)(single, rng)
+            return LearnResult(None, result.ledger) if len(labels_seen) == 1 else result
+
+        res = direct_sum_learner(base, db, stream(65, 1))
+        assert res.failed
+        assert labels_seen == db.labels.T.tolist()
+        assert res.ledger.charges == [PrivacyParams(0.1, 0.01)] * 3
 
     def test_union_bound_accuracy(self):
         u = Universe.indexed(8)
@@ -645,7 +666,7 @@ class TestDirectSum:
             rng = stream(63, trial)
             targets = [point(u, int(p)) for p in rng.integers(0, 4, size=4)]
             db = sample_database(dist, targets, n, rng)
-            res = direct_sum_learner(base, db, "basic", rng)
+            res = direct_sum_learner(base, db, rng)
             if res.failed:
                 continue
             good += max(
@@ -661,6 +682,6 @@ class TestDirectSum:
         )
         perm = [2, 0, 1]
         permuted = MultiLabeledDatabase(u, db.xs, db.labels[:, perm])
-        a = direct_sum_learner(_StubBase(u), db, "basic", stream(64, 1))
-        b = direct_sum_learner(_StubBase(u), permuted, "basic", stream(64, 1))
+        a = direct_sum_learner(_StubBase(u), db, stream(64, 1))
+        b = direct_sum_learner(_StubBase(u), permuted, stream(64, 1))
         assert all(b.hypotheses[i] == a.hypotheses[p] for i, p in enumerate(perm))
