@@ -353,16 +353,17 @@ def parse_distribution(spec: str, universe: Universe) -> Distribution:
     return Distribution.from_weights(universe, weights)
 
 
-def _is_parity_section(params: dict, parities: bool) -> bool:
-    """Whether a learn section learns parities, which read `d`; the other classes read `universe`."""
-    return parities or params.get("class", "point") == "parity"
-
-
-def _learn_universe(params: dict, parities: bool) -> tuple[Universe, ConceptClass]:
+def _learn_class(params: dict, parities: bool) -> str:
+    """A learn section's concept class; parities read `d`, the other classes read `universe`."""
     class_kind = params.get("class", PARITY if parities else POINT)
     if class_kind not in (POINT, THRESH, PARITY) or (parities and class_kind != PARITY):
         expected = PARITY if parities else "point|thresh|parity"
         raise ConfigError(f"learn.class: expected {expected}, got {class_kind!r}")
+    return class_kind
+
+
+def _learn_universe(params: dict, parities: bool) -> tuple[Universe, ConceptClass]:
+    class_kind = _learn_class(params, parities)
     if class_kind == PARITY:
         universe = Universe.bitvectors(_need(params, "learn", "d", int))
     else:
@@ -486,7 +487,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
         raise ConfigError(f"experiment.sweep: {config.kind} takes {allowed}, got {config.sweep_axis!r}")
     if config.kind == "learn" and config.sweep_axis in ("d", "universe"):
         entry = LEARNERS.get(config.params.get("algorithm", ""))
-        read = "d" if _is_parity_section(config.params, entry is not None and entry.exact) else "universe"
+        read = "d" if _learn_class(config.params, entry is not None and entry.exact) == PARITY else "universe"
         if config.sweep_axis != read:
             raise ConfigError(f"experiment.sweep: this learn class reads {read}, not {config.sweep_axis!r}")
     if config.kind == "attack":
@@ -522,9 +523,9 @@ def _run_attack(config: ExperimentConfig) -> TrialReport:
     n_users = _need(params, "attack", "n_users", int)
     xi = _need(params, "attack", "xi", float)
     variant = params.get("variant", "pac").strip()
-    alpha = float(params.get("alpha", 0.2))
+    alpha = _need(params, "attack", "alpha", float, default=0.2)
     learner_name = params.get("learner", "erm").strip()
-    length = int(params["length"]) if "length" in params else None
+    length = _need(params, "attack", "length", int) if "length" in params else None
     learner = make_attack_learner(learner_name, variant, params)
     report = fingerprint.attack_experiment(
         learner, n_users, xi, config.trials, variant, alpha, config.seed, length=length

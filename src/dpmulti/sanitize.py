@@ -8,11 +8,14 @@ Two sanitizers are provided:
   synthetic database of a fixed size, scored by worst-case query error.
   Each distinct histogram is scored once and the sample is drawn over
   ordered tuples. Exact and exhaustive by design; guarded by an
-  enumeration budget.
+  enumeration budget. The candidate enumeration depends only on (|X|, m),
+  not on the data, so it is built once per pair and cached; at the default
+  budget the cache holds under 88 MiB (see _candidate_enumeration).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -224,16 +227,42 @@ def sanitize_exhaustive(
 def _exhaustive_candidates(db, query_class, synth_size):
     """Score every candidate tuple; shared by the sampler and its exact oracle.
 
-    Returns (scores, tuples): tuples is the (|X|^m, m) array of candidate
-    tuples in itertools.product order, and scores[i] is the score of row i.
-    Each distinct histogram is scored once. A tuple's histogram is named by
-    its sorted copy, read as a base-|X| code (below |X|^m, so it fits int64
-    and indexes the tuples themselves); every tuple then takes its
-    histogram's score.
+    Returns (scores, tuples): tuples is the read-only (|X|^m, m) array of
+    candidate tuples in itertools.product order, and scores[i] is the score
+    of row i. Each distinct histogram is scored once and every tuple then
+    takes its histogram's score. The enumeration is data-independent and
+    comes from the per-(|X|, m) cache of _candidate_enumeration; only the
+    target answers and the histogram scores are computed per call.
     """
     size = db.universe.size
+    tuples, inverse, count_cells = _candidate_enumeration(size, synth_size)
     full = _query_matrix(query_class, db.universe.elements())
     target = _query_answers(full, np.bincount(db.xs, minlength=size), db.n)
+    counts = np.bincount(count_cells, minlength=size * (len(count_cells) // synth_size)).reshape(size, -1)
+    answers = _query_answers(full, counts, synth_size)  # (queries, histograms)
+    scores = -db.n * np.abs(answers - target[:, None]).max(axis=0)
+    return scores.take(inverse), tuples
+
+
+@functools.lru_cache(maxsize=4)
+def _candidate_enumeration(size: int, synth_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The data-independent part of the exhaustive sanitizer, cached per (|X|, m).
+
+    Returns read-only (tuples, inverse, count_cells) for the H distinct
+    histograms of the candidates: tuples is the (|X|^m, m) array of candidate
+    tuples in itertools.product order; inverse[i] is the histogram index of
+    tuple i, in the smallest unsigned dtype that holds it; count_cells is
+    the (|X|, H) histogram-count matrix in sparse form, the flat index of
+    each of its m unit increments per column, so that np.bincount over it
+    rebuilds the matrix. A tuple's histogram is named by its sorted copy,
+    read as a base-|X| code (below |X|^m, so it fits int64 and indexes the
+    tuples themselves).
+
+    Memory: under the default budget |X|^m <= 2^20, an entry holds under
+    22 MiB (the most is at |X| = 2, m = 20: 20 MiB of tuples, 1 MiB of
+    inverse), so the four cached entries hold under 88 MiB. The dense count
+    matrix is not cached: at m = 1 and |X| = 2^20 it would take 8 TiB.
+    """
     digits = np.indices((size,) * synth_size, dtype=np.min_scalar_type(size - 1)).reshape(synth_size, -1)
     # Odd-even transposition sort of every tuple's digits at once: m passes.
     ordered = list(digits)
@@ -247,12 +276,12 @@ def _exhaustive_candidates(db, query_class, synth_size):
     is_key = np.zeros(digits.shape[1], dtype=bool)
     is_key[keys] = True
     hist_codes = np.flatnonzero(is_key)  # one sorted tuple per histogram
-    inverse = np.cumsum(is_key)[keys] - 1
-    offsets = size * np.arange(len(hist_codes))
-    counts = np.bincount((digits[:, hist_codes] + offsets).ravel(), minlength=size * len(hist_codes))
-    answers = _query_answers(full, counts.reshape(-1, size).T, synth_size)  # (queries, histograms)
-    scores = -db.n * np.abs(answers - target[:, None]).max(axis=0)
-    return scores[inverse], digits.T
+    inverse = (np.cumsum(is_key)[keys] - 1).astype(np.min_scalar_type(len(hist_codes) - 1))
+    count_cells = (digits[:, hist_codes].astype(np.int64) * len(hist_codes) + np.arange(len(hist_codes))).ravel()
+    tuples = digits.T
+    for array in (tuples, inverse, count_cells):
+        array.setflags(write=False)
+    return tuples, inverse, count_cells
 
 
 def sanitize_exhaustive_pmf(

@@ -455,6 +455,23 @@ class TestExitCodes:
         assert main(["experiment", "run", "--config", str(cfg)]) == 1
         assert "experiment.sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["alpha", "length"])
+    def test_unparsable_attack_key_is_named(self, capsys, tmp_path, key):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\nkind = attack\ntrials = 1\nseed = 1\n\n"
+                       f"[attack]\nn_users = 4\nxi = 0.1\n{key} = x\n")
+        assert main(["experiment", "run", "--config", str(cfg)]) == 1
+        assert f"attack.{key}: cannot parse 'x'" in capsys.readouterr().err
+
+    def test_bad_learn_class_is_blamed_before_the_sweep(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nkind = learn\ntrials = 1\nseed = 1\nsweep = universe\nvalues = 4 8\n\n"
+                       "[learn]\nalgorithm = parities\nclass = point\nk = 2\nn = 100\n")
+        assert main(["experiment", "run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "learn.class: expected parity, got 'point'" in err
+        assert "experiment.sweep" not in err
+
     def test_negative_target_is_invalid_input(self, capsys):
         code = main(["learn", "erm", "--k", "2", "--n", "20", "--universe", "4", "--targets=-1,2", "--seed", "1"])
         assert code == 1

@@ -22,6 +22,7 @@ from dpmulti.sanitize import (
     EnumerationBudgetError,
     SanitizedAnswers,
     SyntheticDatabase,
+    _candidate_enumeration,
     _exhaustive_candidates,
     _query_matrix,
     answers_to_synthetic,
@@ -337,6 +338,42 @@ class TestSanitizeExhaustive:
         db = _unlabeled(u, list(range(size)))
         _, tuples = sanitize_exhaustive_pmf(db, ConceptClass(THRESH, u), 1.0, m)
         assert tuples == list(itertools.product(range(size), repeat=m))
+
+    def test_cached_enumeration_keeps_no_state_between_calls(self):
+        # A, B, A, then C with A's (|X|, m) but other data: every call scores afresh.
+        cases = [(8, 3, 0), (3, 4, 1), (8, 3, 0), (8, 3, 2)]
+        for size, m, key in cases:
+            u = Universe.indexed(size)
+            db = _unlabeled(u, stream(32, key).integers(0, size, size=23 + 7 * key))
+            query_class = ConceptClass(THRESH, u)
+            scores, tuples = _exhaustive_candidates(db, query_class, m)
+            assert np.array_equal(scores, _per_tuple_scores(db, query_class, m))
+            assert tuples.tolist() == [list(t) for t in itertools.product(range(size), repeat=m)]
+
+    def test_cached_arrays_are_read_only(self):
+        u = Universe.indexed(3)
+        _, tuples = _exhaustive_candidates(_unlabeled(u, [0, 1, 2]), ConceptClass(POINT, u), 2)
+        with pytest.raises(ValueError):
+            tuples[0, 0] = 1
+        for array in _candidate_enumeration(3, 2):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_repeat_size_and_m_served_from_cache(self):
+        u = Universe.indexed(4)
+        cclass = ConceptClass(POINT, u)
+        _candidate_enumeration.cache_clear()
+        _exhaustive_candidates(_unlabeled(u, [0, 1]), cclass, 3)
+        _exhaustive_candidates(_unlabeled(u, [2, 3, 3]), cclass, 3)
+        info = _candidate_enumeration.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_inverse_uses_smallest_dtype(self):
+        # |X| = 2, m = 4: 16 tuples share 5 histograms, indexed in one byte;
+        # |X| = 200, m = 2 has 20,100 histograms, which need two.
+        _, inverse, count_cells = _candidate_enumeration(2, 4)
+        assert inverse.dtype == np.uint8 and count_cells.shape == (4 * 5,)
+        assert _candidate_enumeration(200, 2)[1].dtype == np.uint16
 
     def test_release_golden(self):
         # Frozen from the per-tuple sanitizer: same RNG draws, same released rows.
