@@ -5,17 +5,15 @@ Two sanitizers are provided:
 * sanitize_points: noisy thresholded release of every point-function count,
   plus a reconstruction of the answers into a small synthetic database.
 * sanitize_exhaustive: the exponential mechanism over every candidate
-  synthetic database of a fixed size, scored by worst-case query error.
-  Each distinct histogram is scored once and the sample is drawn over
-  ordered tuples. Exact and exhaustive by design; guarded by an
-  enumeration budget. The candidate enumeration depends only on (|X|, m),
-  not on the data, so it is built once per pair and cached; at the default
-  budget the cache holds under 88 MiB (see _candidate_enumeration).
+  synthetic database of a fixed size m, scored by worst-case query error.
+  It runs over the C(|X|+m-1, m) histograms, not the |X|^m ordered tuples,
+  with the same law on the released (sorted) multiset. Exact and exhaustive
+  by design; the histogram count is capped by ENUMERATION_BUDGET.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,8 +27,12 @@ from .mechanisms import exponential_mechanism, exponential_mechanism_pmf, laplac
 SINK = -1
 
 
+# Most candidate histograms the exhaustive sanitizer enumerates and scores.
+ENUMERATION_BUDGET = 1 << 20
+
+
 class EnumerationBudgetError(RuntimeError):
-    """Candidate count exceeds the configured exhaustive-enumeration budget."""
+    """Candidate count exceeds the exhaustive-enumeration budget."""
 
 
 @dataclass(frozen=True)
@@ -193,95 +195,26 @@ def sanitize_exhaustive(
     epsilon: float,
     rng: np.random.Generator,
     synth_size: int | None = None,
-    budget: int = 1 << 20,
 ) -> SyntheticDatabase:
     """Pure-DP sanitizer: exponential mechanism over all size-m databases.
 
-    Candidates are the |X|^m ordered element tuples; the score of a candidate
-    is -n * max_c |c(D) - c(candidate)|, sensitivity 1. A score depends only
-    on the tuple's histogram, so each histogram is scored once, but the
-    sample is drawn over ordered tuples. Exact but exponential, so the
-    candidate count is capped by `budget`.
+    A candidate is a multiset of m elements, named by its histogram h; its
+    score is -n * max_c |c(D) - c(h)|, sensitivity 1. Histogram h is drawn
+    with probability proportional to multinomial(h) * exp(eps * score / 2):
+    the multinomial(h) ordered tuples with histogram h share its score, so
+    this is the law, on the released multiset, of the exponential mechanism
+    over all |X|^m tuples. The chosen multiset is released in sorted order.
+    Exact but exponential, so the C(|X|+m-1, m) histograms are capped by
+    ENUMERATION_BUDGET.
     """
-    if db.n == 0:
-        raise EmptyDatabaseError("cannot sanitize an empty database")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    size = db.universe.size
     if synth_size is None:
         cclass = query_class[0] if isinstance(query_class, tuple) else query_class
         synth_size = max(1, math.ceil(cclass.vc_dim * math.log(2.0 / min(alpha, 1.0)) / alpha**2))
-    if synth_size < 1:
-        raise ValueError(f"synth_size must be >= 1, got {synth_size}")
-    # 2^m > budget already settles it, without computing a huge |X|^m.
-    if size > 1 and (synth_size >= budget.bit_length() or size**synth_size > budget):
-        raise EnumerationBudgetError(
-            f"|X|^m = {size}^{synth_size} exceeds budget {budget}; "
-            "for point queries use sanitize_points instead"
-        )
-    scores, tuples = _exhaustive_candidates(db, query_class, synth_size)
+    scores, histograms = _exhaustive_candidates(db, query_class, synth_size, epsilon)
     idx = exponential_mechanism(scores, epsilon, 1.0, rng)
-    return SyntheticDatabase(db.universe, tuples[idx])
-
-
-def _exhaustive_candidates(db, query_class, synth_size):
-    """Score every candidate tuple; shared by the sampler and its exact oracle.
-
-    Returns (scores, tuples): tuples is the read-only (|X|^m, m) array of
-    candidate tuples in itertools.product order, and scores[i] is the score
-    of row i. Each distinct histogram is scored once and every tuple then
-    takes its histogram's score. The enumeration is data-independent and
-    comes from the per-(|X|, m) cache of _candidate_enumeration; only the
-    target answers and the histogram scores are computed per call.
-    """
-    size = db.universe.size
-    tuples, inverse, count_cells = _candidate_enumeration(size, synth_size)
-    full = _query_matrix(query_class, db.universe.elements())
-    target = _query_answers(full, np.bincount(db.xs, minlength=size), db.n)
-    counts = np.bincount(count_cells, minlength=size * (len(count_cells) // synth_size)).reshape(size, -1)
-    answers = _query_answers(full, counts, synth_size)  # (queries, histograms)
-    scores = -db.n * np.abs(answers - target[:, None]).max(axis=0)
-    return scores.take(inverse), tuples
-
-
-@functools.lru_cache(maxsize=4)
-def _candidate_enumeration(size: int, synth_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The data-independent part of the exhaustive sanitizer, cached per (|X|, m).
-
-    Returns read-only (tuples, inverse, count_cells) for the H distinct
-    histograms of the candidates: tuples is the (|X|^m, m) array of candidate
-    tuples in itertools.product order; inverse[i] is the histogram index of
-    tuple i, in the smallest unsigned dtype that holds it; count_cells is
-    the (|X|, H) histogram-count matrix in sparse form, the flat index of
-    each of its m unit increments per column, so that np.bincount over it
-    rebuilds the matrix. A tuple's histogram is named by its sorted copy,
-    read as a base-|X| code (below |X|^m, so it fits int64 and indexes the
-    tuples themselves).
-
-    Memory: under the default budget |X|^m <= 2^20, an entry holds under
-    22 MiB (the most is at |X| = 2, m = 20: 20 MiB of tuples, 1 MiB of
-    inverse), so the four cached entries hold under 88 MiB. The dense count
-    matrix is not cached: at m = 1 and |X| = 2^20 it would take 8 TiB.
-    """
-    digits = np.indices((size,) * synth_size, dtype=np.min_scalar_type(size - 1)).reshape(synth_size, -1)
-    # Odd-even transposition sort of every tuple's digits at once: m passes.
-    ordered = list(digits)
-    for step in range(synth_size):
-        for j in range(step % 2, synth_size - 1, 2):
-            lo, hi = ordered[j], ordered[j + 1]
-            ordered[j], ordered[j + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
-    keys = np.zeros(digits.shape[1], dtype=np.int64)
-    for column in ordered:
-        keys = keys * size + column
-    is_key = np.zeros(digits.shape[1], dtype=bool)
-    is_key[keys] = True
-    hist_codes = np.flatnonzero(is_key)  # one sorted tuple per histogram
-    inverse = (np.cumsum(is_key)[keys] - 1).astype(np.min_scalar_type(len(hist_codes) - 1))
-    count_cells = (digits[:, hist_codes].astype(np.int64) * len(hist_codes) + np.arange(len(hist_codes))).ravel()
-    tuples = digits.T
-    for array in (tuples, inverse, count_cells):
-        array.setflags(write=False)
-    return tuples, inverse, count_cells
+    return SyntheticDatabase(db.universe, np.repeat(np.arange(db.universe.size), histograms[idx]))
 
 
 def sanitize_exhaustive_pmf(
@@ -290,6 +223,59 @@ def sanitize_exhaustive_pmf(
     epsilon: float,
     synth_size: int,
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Exact output distribution of sanitize_exhaustive over candidate tuples."""
-    scores, tuples = _exhaustive_candidates(db, query_class, synth_size)
-    return exponential_mechanism_pmf(scores, epsilon, 1.0), [tuple(t) for t in tuples.tolist()]
+    """Exact output law of sanitize_exhaustive: (pmf, multisets).
+
+    multisets[i] is the sorted tuple released for outcome i, in
+    lexicographic order, and pmf[i] its probability.
+    """
+    scores, histograms = _exhaustive_candidates(db, query_class, synth_size, epsilon)
+    elements = np.arange(db.universe.size)
+    multisets = [tuple(np.repeat(elements, h).tolist()) for h in histograms]
+    return exponential_mechanism_pmf(scores, epsilon, 1.0), multisets
+
+
+def _exhaustive_candidates(db, query_class, synth_size, epsilon):
+    """Check, enumerate and score every candidate histogram, for the sampler and its oracle.
+
+    Returns (scores, histograms): histograms is the (H, |X|) count array of
+    the H = C(|X|+m-1, m) size-m multisets, in lexicographic order of their
+    sorted tuples, and scores[i] is row i's score plus the offset
+    (2/eps) ln multinomial(h). The unchanged exponential mechanism then
+    weights h by multinomial(h) * exp(eps * score / 2). The offset does not
+    depend on the data, so between neighbouring databases the shifted score
+    moves exactly as the score does, by at most 1: sensitivity 1 still
+    holds, and so does eps-DP.
+    """
+    if db.n == 0:
+        raise EmptyDatabaseError("cannot sanitize an empty database")
+    if synth_size < 1:
+        raise ValueError(f"synth_size must be >= 1, got {synth_size}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    size = db.universe.size
+    # count = C(m+i, i) grows with i up to C(|X|+m-1, m) at i = |X|-1; stopping
+    # once it passes the budget keeps it a small integer, however big m is.
+    count = 1
+    for i in range(1, size):
+        count = count * (synth_size + i) // i
+        if count > ENUMERATION_BUDGET:
+            raise EnumerationBudgetError(
+                f"C(|X|+m-1, m) histograms at |X| = {size}, m = {synth_size} exceed budget "
+                f"{ENUMERATION_BUDGET}; for point queries use sanitize_points instead"
+            )
+    # Stars and bars: |X|-1 bars among m+|X|-1 slots cut the m stars into a
+    # histogram. Bar sets in descending order give the multisets in ascending order.
+    slots = synth_size + size - 1
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), size - 1)),
+        dtype=np.int64,
+        count=count * (size - 1),
+    ).reshape(count, size - 1)[::-1]
+    histograms = np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots)), axis=1) - 1
+    full = _query_matrix(query_class, db.universe.elements())
+    target = _query_answers(full, np.bincount(db.xs, minlength=size), db.n)
+    answers = _query_answers(full, histograms.T, synth_size)  # (queries, histograms)
+    scores = -db.n * np.abs(answers - target[:, None]).max(axis=0)
+    log_factorial = np.array([math.lgamma(c + 1) for c in range(synth_size + 1)])
+    log_multinomial = log_factorial[synth_size] - log_factorial[histograms].sum(axis=1)
+    return scores + (2.0 / epsilon) * log_multinomial, histograms

@@ -201,13 +201,13 @@ def test_parity_report_golden(capsys, argv, sha256):
         ),
         (
             "attack boneh-shaw --n 6 --xi 0.05 --trials 2 --learner generic --variant padded --seed 9 --format json",
-            "e0537898abec90746c57b1ce79e1bdae8947062ae0cf6c20936dbb19238bb4e8",
+            "eff9687241ae88d079f2cb7e711f4eb21d1a4d29b5398139f96df94147b286f2",
         ),
     ],
     ids=["n4", "n6-padded"],
 )
 def test_generic_attack_report_golden(capsys, argv, sha256):
-    # Frozen from the per-tuple exhaustive sanitizer.
+    # Frozen from the exhaustive sanitizer over histograms.
     code, out = _run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -431,7 +431,7 @@ class TestExitCodes:
                      "--delta", "0", "--epsilon-prime", "1", "--seed", "1"])
         err = capsys.readouterr().err
         assert code == 1
-        assert "|X|^m = 8^2446 exceeds budget 1048576; " in err
+        assert "histograms at |X| = 8, m = 2446 exceed budget 1048576; " in err
         assert "sanitize_points" in err and len(err) < 200
 
     @pytest.mark.parametrize("argv,name", [

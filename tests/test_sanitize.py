@@ -15,14 +15,13 @@ from dpmulti.domain import (
     MultiLabeledDatabase,
     Universe,
 )
-from dpmulti.mechanisms import ScoredCandidate, dp_bound_holds, exponential_mechanism_pmf
+from dpmulti.mechanisms import dp_bound_holds, exponential_mechanism_pmf
 from dpmulti.rng import stream
 from dpmulti.sanitize import (
     SINK,
     EnumerationBudgetError,
     SanitizedAnswers,
     SyntheticDatabase,
-    _candidate_enumeration,
     _exhaustive_candidates,
     _query_matrix,
     answers_to_synthetic,
@@ -262,22 +261,20 @@ class TestSanitizeError:
 
 class TestSanitizeExhaustive:
     def test_output_law_matches_exact_pmf(self):
-        # Scores at |X|=2, m=2 for D=(0,0,1,1): perfect tuples (0,1),(1,0) score
-        # 0, constant tuples score -2; the law is the exponential mechanism's.
+        # |X|=2, m=2 for D=(0,0,1,1): the perfect multiset (0,1) scores 0 and
+        # stands for two tuples; (0,0) and (1,1) score -2 and stand for one each.
         u = Universe.indexed(2)
         db = _unlabeled(u, [0, 0, 1, 1])
         eps = 2.0
-        pmf, tuples = sanitize_exhaustive_pmf(db, ConceptClass(POINT, u), eps, 2)
-        scores = {(0, 0): -2.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): -2.0}
-        expected = exponential_mechanism_pmf(
-            [ScoredCandidate(t, scores[t]) for t in tuples], eps, 1.0
-        )
-        assert np.allclose(pmf, expected)
-        counts = {t: 0 for t in tuples}
+        pmf, multisets = sanitize_exhaustive_pmf(db, ConceptClass(POINT, u), eps, 2)
+        weights = {(0, 0): math.exp(-eps), (0, 1): 2.0, (1, 1): math.exp(-eps)}
+        assert multisets == [(0, 0), (0, 1), (1, 1)]
+        assert np.allclose(pmf, [weights[t] / sum(weights.values()) for t in multisets])
+        counts = {t: 0 for t in multisets}
         for trial in range(4000):
             out = sanitize_exhaustive(db, ConceptClass(POINT, u), 0.5, eps, stream(26, trial), synth_size=2)
             counts[tuple(out.elements.tolist())] += 1
-        freqs = np.array([counts[t] / 4000 for t in tuples])
+        freqs = np.array([counts[t] / 4000 for t in multisets])
         assert np.abs(freqs - pmf).max() < 0.03
 
     def test_high_epsilon_concentrates_on_exact(self):
@@ -317,66 +314,60 @@ class TestSanitizeExhaustive:
             sanitize_exhaustive(db, ConceptClass(POINT, u), 0.5, 1.0, stream(29, 2), synth_size=0)
 
     def test_budget_exceeded_at_huge_default_size(self):
-        # alpha = 1e-6 plans m ~ 1.5e13 rows; 8^m must never be built.
+        # alpha = 1e-6 plans m ~ 1.5e13 rows; the budget check builds nothing that size.
         u = Universe.indexed(8)
         db = _unlabeled(u, [0, 1])
-        with pytest.raises(EnumerationBudgetError, match=r"\|X\|\^m = 8\^\d+ exceeds budget 1048576; "):
+        with pytest.raises(EnumerationBudgetError, match=r"\|X\| = 8, m = \d+ exceed budget 1048576; "):
             sanitize_exhaustive(db, ConceptClass(THRESH, u), 1e-6, 1.0, stream(29, 1))
+
+    @pytest.mark.parametrize("size,m", [(8, 30), (3, 1447)])
+    def test_oracle_budget_counts_histograms(self, size, m):
+        # C(37, 30) = 10,295,472 and C(1449, 1447) = 1,049,076 histograms, both over 2^20.
+        u = Universe.indexed(size)
+        with pytest.raises(EnumerationBudgetError, match=f"\\|X\\| = {size}, m = {m} exceed"):
+            sanitize_exhaustive_pmf(_unlabeled(u, [0, 1]), ConceptClass(THRESH, u), 1.0, m)
+
+    def test_runs_where_only_histograms_fit_the_budget(self):
+        # 4^58 ordered tuples, but only C(61, 3) = 35,990 histograms.
+        u = Universe.indexed(4)
+        db = _unlabeled(u, [0, 1, 1, 3])
+        scores, histograms = _exhaustive_candidates(db, ConceptClass(THRESH, u), 58, 1.0)
+        assert histograms.shape == (35990, 4) and scores.shape == (35990,)
+        out = sanitize_exhaustive(db, ConceptClass(THRESH, u), 0.5, 1.0, stream(29, 3), synth_size=58)
+        assert out.size == 58 and np.all(np.diff(out.elements) >= 0)
 
     @pytest.mark.parametrize("size,m,kind,queries", EXACT_CASES)
     def test_scores_equal_per_tuple_reference(self, size, m, kind, queries):
+        # Unshifted, each histogram's score is the reference score of its sorted tuple.
         u = Universe.indexed(size)
         db = _unlabeled(u, stream(30, size, m).integers(0, size, size=37))
         query_class = (ConceptClass(kind, u), "xor") if queries == "xor" else ConceptClass(kind, u)
-        scores, tuples = _exhaustive_candidates(db, query_class, m)
-        assert len(tuples) == size**m
-        assert np.array_equal(scores, _per_tuple_scores(db, query_class, m))
+        eps = 1.0
+        scores, histograms = _exhaustive_candidates(db, query_class, m, eps)
+        assert len(histograms) == math.comb(size + m - 1, m)
+        multinomials = [math.factorial(m) // math.prod(math.factorial(c) for c in h[h > 0]) for h in histograms]
+        sorted_tuples = np.repeat(np.tile(np.arange(size), len(histograms)), histograms.ravel()).reshape(-1, m)
+        reference = _per_tuple_scores(db, query_class, m)[sorted_tuples @ size ** np.arange(m - 1, -1, -1)]
+        assert np.abs(scores - (2.0 / eps) * np.log(multinomials) - reference).max() <= 1e-12
 
-    @pytest.mark.parametrize("size,m", [(2, 1), (2, 3), (3, 4), (5, 2)])
-    def test_pmf_tuples_in_product_order(self, size, m):
+    @pytest.mark.parametrize("size,m,kind,queries", [case for case in EXACT_CASES if case[0] ** case[1] <= 8**5])
+    def test_law_equals_summed_tuple_law(self, size, m, kind, queries):
+        # The tuple-level exponential mechanism, summed per sorted tuple, is the histogram law.
         u = Universe.indexed(size)
-        db = _unlabeled(u, list(range(size)))
-        _, tuples = sanitize_exhaustive_pmf(db, ConceptClass(THRESH, u), 1.0, m)
-        assert tuples == list(itertools.product(range(size), repeat=m))
-
-    def test_cached_enumeration_keeps_no_state_between_calls(self):
-        # A, B, A, then C with A's (|X|, m) but other data: every call scores afresh.
-        cases = [(8, 3, 0), (3, 4, 1), (8, 3, 0), (8, 3, 2)]
-        for size, m, key in cases:
-            u = Universe.indexed(size)
-            db = _unlabeled(u, stream(32, key).integers(0, size, size=23 + 7 * key))
-            query_class = ConceptClass(THRESH, u)
-            scores, tuples = _exhaustive_candidates(db, query_class, m)
-            assert np.array_equal(scores, _per_tuple_scores(db, query_class, m))
-            assert tuples.tolist() == [list(t) for t in itertools.product(range(size), repeat=m)]
-
-    def test_cached_arrays_are_read_only(self):
-        u = Universe.indexed(3)
-        _, tuples = _exhaustive_candidates(_unlabeled(u, [0, 1, 2]), ConceptClass(POINT, u), 2)
-        with pytest.raises(ValueError):
-            tuples[0, 0] = 1
-        for array in _candidate_enumeration(3, 2):
-            with pytest.raises(ValueError):
-                array[0] = 0
-
-    def test_repeat_size_and_m_served_from_cache(self):
-        u = Universe.indexed(4)
-        cclass = ConceptClass(POINT, u)
-        _candidate_enumeration.cache_clear()
-        _exhaustive_candidates(_unlabeled(u, [0, 1]), cclass, 3)
-        _exhaustive_candidates(_unlabeled(u, [2, 3, 3]), cclass, 3)
-        info = _candidate_enumeration.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-
-    def test_inverse_uses_smallest_dtype(self):
-        # |X| = 2, m = 4: 16 tuples share 5 histograms, indexed in one byte;
-        # |X| = 200, m = 2 has 20,100 histograms, which need two.
-        _, inverse, count_cells = _candidate_enumeration(2, 4)
-        assert inverse.dtype == np.uint8 and count_cells.shape == (4 * 5,)
-        assert _candidate_enumeration(200, 2)[1].dtype == np.uint16
+        db = _unlabeled(u, stream(33, size, m).integers(0, size, size=29))
+        query_class = (ConceptClass(kind, u), "xor") if queries == "xor" else ConceptClass(kind, u)
+        reference = _per_tuple_scores(db, query_class, m)
+        tuples = np.sort(np.array(list(itertools.product(range(size), repeat=m))), axis=1)
+        sorted_tuples, outcome = np.unique(tuples, axis=0, return_inverse=True)
+        for eps in (0.5, 1.0, 3.0):
+            pmf, multisets = sanitize_exhaustive_pmf(db, query_class, eps, m)
+            assert multisets == [tuple(t) for t in sorted_tuples.tolist()]
+            tuple_pmf = exponential_mechanism_pmf(reference, eps, 1.0)
+            summed = np.bincount(outcome.ravel(), weights=tuple_pmf, minlength=len(multisets))
+            assert np.abs(pmf - summed).max() <= 1e-12
 
     def test_release_golden(self):
-        # Frozen from the per-tuple sanitizer: same RNG draws, same released rows.
+        # Frozen from the histogram sanitizer: same RNG draws, same released rows.
         u = Universe.indexed(8)
         db = MultiLabeledDatabase.unlabeled(u, stream(31, 0).integers(0, 8, size=400))
         queries = (ConceptClass(THRESH, u), "xor")
@@ -384,4 +375,4 @@ class TestSanitizeExhaustive:
         for t in range(20):
             synth = sanitize_exhaustive(db, queries, 0.04, 1.0, stream(31, 1, t), synth_size=5)
             digest.update(synth.elements.tobytes())
-        assert digest.hexdigest() == "d04752d44f13d6910e7de601655ed05b30917fcc10ffef3a1bce63390d350192"
+        assert digest.hexdigest() == "0e0a7ec08b358d45050eb86d3cfce763fc5ce0b1e4334f7ec040abcfd65e0bfa"
