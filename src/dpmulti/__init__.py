@@ -12,7 +12,6 @@ from .domain import (
     EmptyDatabaseError,
     Hypotheses,
     LabeledDistribution,
-    LabeledView,
     MultiLabeledDatabase,
     Universe,
     UniverseMismatchError,

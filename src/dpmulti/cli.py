@@ -170,22 +170,40 @@ def _cmd_attack(args) -> int:
     return 0
 
 
+def _check_count(args, flag: str, low: int) -> None:
+    value = getattr(args, flag[2:])
+    if value < low:
+        raise ConfigError(f"mech.{args.mechanism}: {flag} must be >= {low}, got {value}")
+
+
+def _parse_scores(text: str) -> list[ScoredCandidate]:
+    candidates = []
+    for part in text.split(","):
+        name, _, score = part.partition(":")
+        try:
+            value = float(score)
+        except ValueError:
+            raise ConfigError(f"mech.exponential: --scores expects id:score pairs, got {part!r}") from None
+        candidates.append(ScoredCandidate(name.strip(), value))
+    return candidates
+
+
 def _cmd_mech(args) -> int:
     if args.mechanism == "laplace":
+        _check_count(args, "--draws", 0)
         rng = stream(args.seed, 0, 0)
         draws = laplace_sample(args.scale, rng, size=args.draws)
         report = TrialReport("mech", ["draw", "value"], [[i, float(v)] for i, v in enumerate(draws)],
                              meta={"scale": args.scale, "seed": args.seed})
     elif args.mechanism == "exponential":
+        _check_count(args, "--draws", 0)
+        candidates = _parse_scores(args.scores)
         rng = stream(args.seed, 0, 0)
-        candidates = []
-        for part in args.scores.split(","):
-            name, score = part.split(":")
-            candidates.append(ScoredCandidate(name.strip(), float(score)))
         picks = [exponential_mechanism(candidates, args.epsilon, args.sensitivity, rng) for _ in range(args.draws)]
         report = TrialReport("mech", ["draw", "choice"], [[i, p] for i, p in enumerate(picks)],
                              meta={"epsilon": args.epsilon, "seed": args.seed})
     else:
+        _check_count(args, "--count", 1)
         charges = [PrivacyParams(args.epsilon, args.delta)] * args.count
         if args.mode == "basic":
             total = compose_basic(charges)

@@ -172,9 +172,11 @@ class Hypotheses:
     params[j] is h_j's parameter in the class `kind`; -1 is the constant-zero
     hypothesis, allowed for point and threshold kinds (x == -1 and x <= -1 hold
     nowhere). The constructor checks every parameter at once. evaluate(xs) is
-    the (k, len(xs)) bit matrix of all k hypotheses. As a sequence the table
-    yields Concepts, built on access, and it equals the Concept sequence it
-    stands for.
+    the (k, len(xs)) bit matrix of all k hypotheses. It is the one form in
+    which k hypotheses or k labelling targets are passed around: learners
+    release it, and sample_database and LabeledDistribution.realizable label
+    with it. As a sequence the table yields Concepts, built on access, and it
+    equals any table or Concept sequence holding the same Concepts.
     """
 
     universe: Universe
@@ -199,22 +201,6 @@ class Hypotheses:
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
 
-    @staticmethod
-    def from_concepts(concepts: Sequence[Concept], universe: Universe | None = None) -> "Hypotheses":
-        """The table of a Concept sequence; the zero concept joins any point or threshold kind."""
-        if universe is None:
-            if not concepts:
-                raise ValueError("an empty Concept sequence needs its universe")
-            universe = concepts[0].universe
-        for c in concepts:
-            universe.require_same(c.universe)
-        kinds = {c.kind for c in concepts} - {ZERO}
-        if len(kinds) > 1:
-            raise ValueError(f"hypotheses mix concept kinds {sorted(kinds)}")
-        kind = kinds.pop() if kinds else POINT
-        params = np.array([-1 if c.kind == ZERO else c.param for c in concepts], dtype=np.int64)
-        return Hypotheses(universe, kind, params)
-
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """The (k, len(xs)) uint8 matrix whose row j is h_j on the 1-D element array xs."""
         xs = _checked_elements(self.universe, xs)
@@ -235,9 +221,10 @@ class Hypotheses:
         return (self._concept(p) for p in self.params.tolist())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (Hypotheses, tuple, list)):
+        try:
             return tuple(self) == tuple(other)
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -327,43 +314,16 @@ class MultiLabeledDatabase:
     def k(self) -> int:
         return self.labels.shape[1]
 
-    def view(self, j: int) -> "LabeledView":
-        if not 0 <= j < self.k:
-            raise ValueError(f"label index {j} outside k={self.k}")
-        return LabeledView(self, j)
 
-
-@dataclass(frozen=True)
-class LabeledView:
-    """The single-label view S|_j of a multi-labeled database."""
-
-    db: MultiLabeledDatabase
-    j: int
-
-    @property
-    def universe(self) -> Universe:
-        return self.db.universe
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.db.xs
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self.db.labels[:, self.j]
-
-    @property
-    def n(self) -> int:
-        return self.db.n
-
-
-def empirical_error(view: LabeledView, h: Concept) -> Fraction:
-    """Exact fraction of view rows where h disagrees with the label."""
-    if view.n == 0:
+def empirical_error(db: MultiLabeledDatabase, j: int, h: Concept) -> Fraction:
+    """Exact fraction of db's rows where h disagrees with label j."""
+    if not 0 <= j < db.k:
+        raise ValueError(f"label index {j} outside k={db.k}")
+    if db.n == 0:
         raise EmptyDatabaseError("empirical error of an empty database")
-    view.universe.require_same(h.universe)
-    mismatches = int(np.count_nonzero(evaluate_many(h, view.xs) != view.ys))
-    return Fraction(mismatches, view.n)
+    db.universe.require_same(h.universe)
+    mismatches = int(np.count_nonzero(evaluate_many(h, db.xs) != db.labels[:, j]))
+    return Fraction(mismatches, db.n)
 
 
 @dataclass(frozen=True)
@@ -448,18 +408,12 @@ def _unpack_bits(values: np.ndarray, k: int) -> np.ndarray:
     return ((values[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
 
 
-def _label_rows(universe: Universe, concepts: Sequence[Concept], xs: np.ndarray) -> np.ndarray:
-    """The (k, len(xs)) uint8 bits of each concept on xs; a table is evaluated a block of rows at a time."""
-    rows = np.zeros((len(concepts), len(xs)), dtype=np.uint8)
-    if isinstance(concepts, Hypotheses):
-        universe.require_same(concepts.universe)
-        xs = _checked_elements(universe, xs)
-        for block in _row_blocks(len(concepts), xs.size):
-            rows[block] = _evaluate_params(concepts.kind, concepts.params[block], xs)
-        return rows
-    for j, c in enumerate(concepts):
-        universe.require_same(c.universe)
-        rows[j] = evaluate_many(c, xs)
+def _label_rows(targets: Hypotheses, xs: np.ndarray) -> np.ndarray:
+    """The (k, len(xs)) uint8 bits of each target on xs, evaluated a block of rows at a time."""
+    xs = _checked_elements(targets.universe, xs)
+    rows = np.zeros((len(targets), len(xs)), dtype=np.uint8)
+    for block in _row_blocks(len(targets), xs.size):
+        rows[block] = _evaluate_params(targets.kind, targets.params[block], xs)
     return rows
 
 
@@ -482,11 +436,13 @@ class LabeledDistribution:
         object.__setattr__(self, "pmf", pmf)
 
     @staticmethod
-    def realizable(dist: Distribution, concepts: Sequence[Concept]) -> "LabeledDistribution":
-        k = len(concepts)
+    def realizable(dist: Distribution, targets: Hypotheses) -> "LabeledDistribution":
+        """Every element labelled by the k targets, with dist's mass."""
+        dist.universe.require_same(targets.universe)
+        k = len(targets)
         xs = dist.universe.elements()
         codes = np.zeros(dist.universe.size, dtype=np.int64)
-        for j, row in enumerate(_label_rows(dist.universe, concepts, xs)):
+        for j, row in enumerate(_label_rows(targets, xs)):
             codes |= row.astype(np.int64) << j
         pmf = np.zeros((dist.universe.size, 1 << k))
         pmf[xs, codes] = dist.pmf
@@ -520,15 +476,16 @@ class LabeledDistribution:
 
 def sample_database(
     dist: Distribution,
-    concepts: Sequence[Concept],
+    targets: Hypotheses,
     n: int,
     rng: np.random.Generator,
 ) -> MultiLabeledDatabase:
-    """Draw n elements i.i.d. from dist, labeled by each concept in order."""
+    """Draw n elements i.i.d. from dist; label j of each row is targets[j] on it."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    dist.universe.require_same(targets.universe)
     xs = dist.sample(n, rng)
-    labels = np.ascontiguousarray(_label_rows(dist.universe, concepts, xs).T)
+    labels = np.ascontiguousarray(_label_rows(targets, xs).T)
     return MultiLabeledDatabase(dist.universe, xs, labels)
 
 

@@ -127,9 +127,7 @@ LEARNERS: dict[str, Learner] = {
     ),
     "erm": Learner(
         lambda p: lambda db, rng: erm_multi(db, ConceptClass(p.kind, db.universe)),
-        lambda cclass, alpha, beta, agnostic, **_: vc_sample_size(
-            cclass.vc_dim, alpha, beta, "agnostic" if agnostic else "realizable"
-        ),
+        lambda cclass, alpha, beta, **_: vc_sample_size(cclass.vc_dim, alpha, beta),
         lambda p, k: [],
     ),
 }
@@ -145,14 +143,14 @@ def plan_sample_size(
     epsilon: float | None = None,
     delta: float | None = None,
     epsilon_prime: float | None = None,
-    agnostic: bool = False,
 ) -> int:
-    """Planning sample size for each learner, with this package's pinned constants."""
+    """Planning sample size for each learner, with this package's pinned
+    constants; erm plans the realizable VC bound."""
     if algorithm not in LEARNERS:
         raise ValueError(f"unknown algorithm tag {algorithm!r}")
     return LEARNERS[algorithm].plan(
         cclass=cclass, k=k, alpha=alpha, beta=beta, epsilon=epsilon, delta=delta,
-        epsilon_prime=epsilon_prime, agnostic=agnostic,
+        epsilon_prime=epsilon_prime,
     )
 
 
@@ -410,6 +408,8 @@ def sample_and_learn(params: dict, seed: int, n: int, point_idx: int, trial: int
         raise ConfigError(f"learn.algorithm: expected one of {tuple(LEARNERS)}, got {algorithm!r}")
     entry = LEARNERS[algorithm]
     k = _need(params, "learn", "k", int)
+    if k < 1:
+        raise ConfigError(f"learn.k: must be >= 1, got {k}")
     universe, cclass = _learn_universe(params, entry.exact)
     p = _learn_params(params, "learn", cclass.kind, 0.0, None)
     learner = entry.build(p)

@@ -48,11 +48,9 @@ LearnerFn = Callable[[MultiLabeledDatabase, np.random.Generator], "LearnResult"]
 
 @dataclass(frozen=True)
 class LearnResult:
-    """The released multi-hypothesis (None when selection aborted) plus the
-    privacy charge schedule.
+    """The released multi-hypothesis, a Hypotheses table (None when selection
+    aborted), plus the privacy charge schedule.
 
-    hypotheses is always a Hypotheses table; a non-empty Concept sequence
-    passed in is turned into one here, so a learner may release either.
     details carries learner-specific diagnostics (e.g. hypothesis-set sizes)
     for experiment reporting; it is not part of the privacy surface.
     """
@@ -61,10 +59,6 @@ class LearnResult:
     ledger: PrivacyLedger = field(default_factory=PrivacyLedger)
     below_sample_bound: bool = False
     details: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.hypotheses is not None and not isinstance(self.hypotheses, Hypotheses):
-            object.__setattr__(self, "hypotheses", Hypotheses.from_concepts(self.hypotheses))
 
     @property
     def failed(self) -> bool:
@@ -500,12 +494,18 @@ def direct_sum_learner(base: LearnerFn, db: MultiLabeledDatabase, rng: np.random
 
     All runs share the same rows, and every label runs even after one has
     aborted, so the ledger is always the k base ledgers in order. The result
-    is None if any label aborted, and otherwise the k per-label hypotheses as
-    one table.
+    is None if any label aborted, and otherwise the k one-row base tables
+    joined under the base's kind.
     """
+    if db.k == 0:
+        raise ValueError("direct sum needs at least one label, got k=0")
     results = [base(MultiLabeledDatabase(db.universe, db.xs, db.labels[:, j : j + 1]), rng) for j in range(db.k)]
     ledger = PrivacyLedger([charge for result in results for charge in result.ledger.charges])
     below = any(result.below_sample_bound for result in results)
     if any(result.failed for result in results):
         return LearnResult(None, ledger, below)
-    return LearnResult(Hypotheses.from_concepts([r.hypotheses[0] for r in results], db.universe), ledger, below)
+    kind = results[0].hypotheses.kind
+    if any(result.hypotheses.kind != kind for result in results):
+        raise ValueError("direct sum's base released hypotheses of more than one kind")
+    params = np.concatenate([result.hypotheses.params for result in results])
+    return LearnResult(Hypotheses(db.universe, kind, params), ledger, below)

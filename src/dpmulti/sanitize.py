@@ -13,6 +13,7 @@ Two sanitizers are provided:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -159,14 +160,25 @@ def answers_to_synthetic(ans: SanitizedAnswers, alpha: float) -> SyntheticDataba
     return SyntheticDatabase(ans.universe, np.array(rows, dtype=np.int64), sink_rows=sink)
 
 
-def _query_matrix(query_class: ConceptClass | tuple[ConceptClass, str], xs: np.ndarray) -> np.ndarray:
-    """Evaluation matrix for a class or its pairwise-xor closure ("xor" tag)."""
+def _base_class(query_class: ConceptClass | tuple[ConceptClass, str]) -> ConceptClass:
+    return query_class[0] if isinstance(query_class, tuple) else query_class
+
+
+@functools.lru_cache(maxsize=4)
+def _query_matrix(query_class: ConceptClass | tuple[ConceptClass, str]) -> np.ndarray:
+    """Read-only evaluation matrix, over the class's universe, of a class or its
+    pairwise-xor closure ("xor" tag). It depends on nothing else, so the last
+    few are cached; an entry holds at most |X|^2 rows of |X| bytes.
+    """
     if isinstance(query_class, tuple):
         cclass, tag = query_class
         if tag != "xor":
             raise ValueError(f"unknown query-class tag {tag!r}")
-        return xor_eval_matrix(cclass, xs)
-    return query_class.eval_matrix(xs)
+        full = xor_eval_matrix(cclass, cclass.universe.elements())
+    else:
+        full = query_class.eval_matrix()
+    full.setflags(write=False)
+    return full
 
 
 def _query_answers(query_matrix_full: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
@@ -180,7 +192,8 @@ def sanitize_error(
 ) -> float:
     """Worst query-answer gap max_c |c(D) - c(D_hat)|, by enumeration."""
     db.universe.require_same(synth.universe)
-    full = _query_matrix(query_class, db.universe.elements())
+    db.universe.require_same(_base_class(query_class).universe)
+    full = _query_matrix(query_class)
     counts_db = np.bincount(db.xs, minlength=db.universe.size)
     counts_synth = np.bincount(synth.elements, minlength=db.universe.size)
     a = _query_answers(full, counts_db, db.n)
@@ -210,7 +223,7 @@ def sanitize_exhaustive(
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if synth_size is None:
-        cclass = query_class[0] if isinstance(query_class, tuple) else query_class
+        cclass = _base_class(query_class)
         synth_size = max(1, math.ceil(cclass.vc_dim * math.log(2.0 / min(alpha, 1.0)) / alpha**2))
     scores, histograms = _exhaustive_candidates(db, query_class, synth_size, epsilon)
     idx = exponential_mechanism(scores, epsilon, 1.0, rng)
@@ -248,6 +261,7 @@ def _exhaustive_candidates(db, query_class, synth_size, epsilon):
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot sanitize an empty database")
+    db.universe.require_same(_base_class(query_class).universe)
     if synth_size < 1:
         raise ValueError(f"synth_size must be >= 1, got {synth_size}")
     if not epsilon > 0:
@@ -272,7 +286,7 @@ def _exhaustive_candidates(db, query_class, synth_size, epsilon):
         count=count * (size - 1),
     ).reshape(count, size - 1)[::-1]
     histograms = np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots)), axis=1) - 1
-    full = _query_matrix(query_class, db.universe.elements())
+    full = _query_matrix(query_class)
     target = _query_answers(full, np.bincount(db.xs, minlength=size), db.n)
     answers = _query_answers(full, histograms.T, synth_size)  # (queries, histograms)
     scores = -db.n * np.abs(answers - target[:, None]).max(axis=0)

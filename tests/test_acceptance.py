@@ -18,6 +18,7 @@ from dpmulti.domain import (
     THRESH,
     ConceptClass,
     Distribution,
+    Hypotheses,
     LabeledDistribution,
     MultiLabeledDatabase,
     Universe,
@@ -25,7 +26,6 @@ from dpmulti.domain import (
     empirical_error,
     evaluate,
     generalization_error,
-    point,
     sample_database,
 )
 from dpmulti.fingerprint import attack_experiment, code_length
@@ -158,7 +158,7 @@ def test_criterion_05_parity_learner_exact_recovery():
         wins = 0
         for trial in range(200):
             rng = stream(1005, salt, trial)
-            targets = tuple(cc.concept(int(p)) for p in rng.integers(0, u.size, size=k))
+            targets = Hypotheses(u, PARITY, rng.integers(0, u.size, size=k))
             db = sample_database(dist, targets, rows, rng)
             res = parity_learner(db, eps, delta, beta, rng)
             wins += (not res.failed) and all(
@@ -185,7 +185,7 @@ def test_criterion_06_point_learner_accuracy():
     for trial in range(200):
         rng = stream(1006, trial)
         params = [int(p) for p in rng.integers(0, 4, size=k - 1)] + [11]
-        targets = [point(u, p) for p in params]
+        targets = Hypotheses(u, POINT, np.array(params))
         db = sample_database(dist, targets, n, rng)
         res = point_learner(db, alpha, eps, delta, rng, beta=beta)
         if res.failed:
@@ -218,7 +218,7 @@ def test_criterion_07_generic_learner_agnostic_contract():
         structure_ok &= res.details["hypothesis_count"] <= 2 ** res.details["support_size"]
         best = erm_mismatch_counts(db, cc).min(axis=0) / db.n
         good += all(
-            float(empirical_error(db.view(j), h)) <= best[j] + alpha
+            float(empirical_error(db, j, h)) <= best[j] + alpha
             for j, h in enumerate(res.hypotheses)
         )
     elapsed = time.perf_counter() - t0

@@ -463,6 +463,28 @@ class TestExitCodes:
         assert main(["experiment", "run", "--config", str(cfg)]) == 1
         assert f"attack.{key}: cannot parse 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_invalid_input(self, capsys, k):
+        assert main(["learn", "points", "--k", k, "--n", "100", "--universe", "8", "--seed", "1"]) == 1
+        assert f"learn.k: must be >= 1, got {k}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["laplace", "--scale", "1", "--draws", "-1"], "mech.laplace: --draws must be >= 0, got -1"),
+        (["exponential", "--scores", "a:1,b:0", "--epsilon", "1", "--draws", "-1"],
+         "mech.exponential: --draws must be >= 0, got -1"),
+        (["exponential", "--scores", "a10", "--epsilon", "1"],
+         "mech.exponential: --scores expects id:score pairs, got 'a10'"),
+        (["exponential", "--scores", "a:1,b:x", "--epsilon", "1"],
+         "mech.exponential: --scores expects id:score pairs, got 'b:x'"),
+    ], ids=["laplace-draws", "exponential-draws", "scores-no-colon", "scores-not-a-number"])
+    def test_bad_mech_argument_is_named(self, capsys, argv, message):
+        assert main(["mech", *argv, "--seed", "1"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_compose_count_below_one_is_named(self, capsys):
+        assert main(["mech", "compose", "--epsilon", "1", "--count", "-2"]) == 1
+        assert "mech.compose: --count must be >= 1, got -2" in capsys.readouterr().err
+
     def test_bad_learn_class_is_blamed_before_the_sweep(self, capsys, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text("[experiment]\nkind = learn\ntrials = 1\nseed = 1\nsweep = universe\nvalues = 4 8\n\n"

@@ -173,16 +173,6 @@ class TestHypotheses:
         assert table == tuple(concepts) and table == concepts
         assert table != tuple(concepts[:-1])
 
-    @pytest.mark.parametrize("kind", sorted(TABLE_CASES))
-    def test_from_concepts_round_trip(self, kind):
-        universe, params = TABLE_CASES[kind]
-        concepts = [_as_concept(universe, kind, p) for p in params]
-        if kind == PARITY:
-            concepts = [c for c in concepts if c.kind != "zero"]
-        table = Hypotheses.from_concepts(concepts)
-        assert table == tuple(concepts)
-        assert table == Hypotheses.from_concepts(tuple(table), universe)
-
     def test_table_equality(self):
         a = Hypotheses(U16, POINT, np.array([1, -1]))
         assert a == Hypotheses(U16, POINT, np.array([1, -1]))
@@ -190,17 +180,6 @@ class TestHypotheses:
         assert a != Hypotheses(Universe.indexed(17), POINT, np.array([1, -1]))
         # Tables compare as the Concept sequences they stand for, so all-zero tables are equal.
         assert Hypotheses(U16, POINT, np.array([-1, -1])) == Hypotheses(U16, THRESH, np.array([-1, -1]))
-
-    def test_from_concepts_rejects_mixed_and_zero_parity(self):
-        with pytest.raises(ValueError):
-            Hypotheses.from_concepts([point(U5, 1), thresh(U5, 1)])
-        with pytest.raises(ValueError):
-            Hypotheses.from_concepts([parity(B4, 3), zero(B4)])
-        with pytest.raises(UniverseMismatchError):
-            Hypotheses.from_concepts([point(U5, 1), point(U3, 1)])
-        with pytest.raises(ValueError):
-            Hypotheses.from_concepts([])
-        assert len(Hypotheses.from_concepts([], U5)) == 0
 
     def test_parameters_are_read_only(self):
         table = Hypotheses(U16, POINT, np.array([1, 2]))
@@ -232,33 +211,37 @@ class TestHypotheses:
         universe, params = TABLE_CASES[kind]
         table = Hypotheses(universe, kind, np.array(params))
         dist = Distribution.from_weights(universe, stream(9, 3).random(universe.size))
-        a = sample_database(dist, table, n, stream(9, 4))
-        b = sample_database(dist, tuple(table), n, stream(9, 4))
-        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.labels, b.labels)
-        assert a.labels.flags.c_contiguous
-        assert np.array_equal(
-            LabeledDistribution.realizable(dist, table).pmf, LabeledDistribution.realizable(dist, tuple(table)).pmf
-        )
+        db = sample_database(dist, table, n, stream(9, 4))
+        assert np.array_equal(db.xs, dist.sample(n, stream(9, 4)))
+        # The scalar evaluate is the oracle, one (row, label) cell at a time.
+        assert db.labels.tolist() == [[evaluate(c, x) for c in table] for x in db.xs.tolist()]
+        assert db.labels.flags.c_contiguous
+        expected = np.zeros((universe.size, 1 << len(table)))
+        for x in range(universe.size):
+            expected[x, sum(evaluate(c, x) << j for j, c in enumerate(table))] = dist.pmf[x]
+        assert np.array_equal(LabeledDistribution.realizable(dist, table).pmf, expected)
 
     def test_table_on_another_universe_rejected(self):
         table = Hypotheses(U16, POINT, np.array([1, 2]))
         with pytest.raises(UniverseMismatchError):
             sample_database(Distribution.uniform(U5), table, 10, stream(9, 5))
+        with pytest.raises(UniverseMismatchError):
+            LabeledDistribution.realizable(Distribution.uniform(U5), table)
 
 
 class TestEmpiricalError:
     def test_consistent_labels(self):
         c = point(U5, 1)
         db = MultiLabeledDatabase.from_rows(U5, [(x, [evaluate(c, x)]) for x in [0, 1, 1, 4]])
-        assert empirical_error(db.view(0), c) == 0
+        assert empirical_error(db, 0, c) == 0
 
     def test_counted_mismatches(self):
         db = MultiLabeledDatabase.from_rows(U5, [(0, [1]), (1, [0]), (2, [1]), (3, [1])])
-        assert empirical_error(db.view(0), point(U5, 2)) == Fraction(2, 4)
+        assert empirical_error(db, 0, point(U5, 2)) == Fraction(2, 4)
 
     def test_zero_vs_all_ones(self):
         db = MultiLabeledDatabase.from_rows(U5, [(x, [1]) for x in range(5)])
-        assert empirical_error(db.view(0), zero(U5)) == 1
+        assert empirical_error(db, 0, zero(U5)) == 1
 
     def test_error_times_n_is_integer(self):
         rng = stream(3, 0)
@@ -266,14 +249,25 @@ class TestEmpiricalError:
             xs = rng.integers(0, 5, size=17)
             ys = rng.integers(0, 2, size=(17, 1))
             db = MultiLabeledDatabase(U5, xs, ys.astype(np.uint8))
-            err = empirical_error(db.view(0), thresh(U5, 2))
+            err = empirical_error(db, 0, thresh(U5, 2))
             assert (err * 17).denominator == 1
             assert 0 <= err <= 1
 
     def test_empty_database(self):
         db = MultiLabeledDatabase(U5, np.array([], dtype=np.int64), np.zeros((0, 1), dtype=np.uint8))
         with pytest.raises(EmptyDatabaseError):
-            empirical_error(db.view(0), zero(U5))
+            empirical_error(db, 0, zero(U5))
+
+    @pytest.mark.parametrize("j", [-1, 1])
+    def test_label_index_outside_k(self, j):
+        db = MultiLabeledDatabase.from_rows(U5, [(0, [1]), (1, [0])])
+        with pytest.raises(ValueError, match=f"label index {j} outside k=1"):
+            empirical_error(db, j, zero(U5))
+
+    def test_other_universe_rejected(self):
+        db = MultiLabeledDatabase.from_rows(U5, [(0, [1]), (1, [0])])
+        with pytest.raises(UniverseMismatchError):
+            empirical_error(db, 0, zero(U4))
 
 
 class TestGeneralizationError:
@@ -304,7 +298,7 @@ class TestGeneralizationError:
             c = point(u, int(rng.integers(0, 8)))
             h = thresh(u, int(rng.integers(0, 8)))
             exact = generalization_error(d, c, h)
-            db = sample_database(d, [c], 50_000, rng)
+            db = sample_database(d, Hypotheses(u, POINT, np.array([c.param])), 50_000, rng)
             emp = float(np.count_nonzero(evaluate_many(h, db.xs) != db.labels[:, 0])) / db.n
             assert abs(emp - exact) < 0.02
 
@@ -396,34 +390,35 @@ class TestShatterCertificates:
 class TestSampling:
     def test_point_mass_degenerate(self):
         d = Distribution.point_mass(U5, 3)
-        db = sample_database(d, [point(U5, 3)], 40, stream(7, 0))
+        db = sample_database(d, Hypotheses(U5, POINT, np.array([3])), 40, stream(7, 0))
         assert (db.xs == 3).all()
         assert (db.labels == 1).all()
 
     def test_unlabeled_k0(self):
-        db = sample_database(Distribution.uniform(U5), [], 10, stream(7, 1))
+        no_targets = Hypotheses(U5, POINT, np.zeros(0, dtype=np.int64))
+        db = sample_database(Distribution.uniform(U5), no_targets, 10, stream(7, 1))
         assert db.k == 0 and db.labels.shape == (10, 0)
 
     def test_fixed_seed_reproducible(self):
         d = Distribution.uniform(U5)
-        concepts = [thresh(U5, 2), point(U5, 4)]
-        a = sample_database(d, concepts, 100, stream(7, 2))
-        b = sample_database(d, concepts, 100, stream(7, 2))
+        targets = Hypotheses(U5, THRESH, np.array([2, 4]))
+        a = sample_database(d, targets, 100, stream(7, 2))
+        b = sample_database(d, targets, 100, stream(7, 2))
         assert (a.xs == b.xs).all() and (a.labels == b.labels).all()
 
     def test_labels_consistent_with_concepts(self):
         d = Distribution.uniform(U5)
         c = thresh(U5, 1)
-        db = sample_database(d, [c], 200, stream(7, 3))
+        db = sample_database(d, Hypotheses(U5, THRESH, np.array([1])), 200, stream(7, 3))
         assert (db.labels[:, 0] == evaluate_many(c, db.xs)).all()
 
 
 class TestLabeledDistribution:
     def test_realizable_matches_concept_labels(self):
         d = Distribution.uniform(U4)
-        ld = LabeledDistribution.realizable(d, [point(U4, 1), thresh(U4, 2)])
+        ld = LabeledDistribution.realizable(d, Hypotheses(U4, THRESH, np.array([1, 2])))
         db = ld.sample(300, stream(8, 0))
-        assert (db.labels[:, 0] == evaluate_many(point(U4, 1), db.xs)).all()
+        assert (db.labels[:, 0] == evaluate_many(thresh(U4, 1), db.xs)).all()
         assert (db.labels[:, 1] == evaluate_many(thresh(U4, 2), db.xs)).all()
 
     def test_marginal_error_matches_montecarlo(self):
@@ -457,7 +452,7 @@ class TestVcSampleSize:
 
 class TestDatabaseFiles:
     def test_round_trip(self, tmp_path):
-        db = sample_database(Distribution.uniform(U5), [thresh(U5, 2), point(U5, 0)], 25, stream(9, 0))
+        db = sample_database(Distribution.uniform(U5), Hypotheses(U5, THRESH, np.array([2, 0])), 25, stream(9, 0))
         path = tmp_path / "db.txt"
         save_database(db, path)
         back = load_database(path)
@@ -466,7 +461,7 @@ class TestDatabaseFiles:
 
     def test_bitvector_round_trip(self, tmp_path):
         u = Universe.bitvectors(3)
-        db = sample_database(Distribution.uniform(u), [parity(u, 5)], 10, stream(9, 1))
+        db = sample_database(Distribution.uniform(u), Hypotheses(u, PARITY, np.array([5])), 10, stream(9, 1))
         path = tmp_path / "db.txt"
         save_database(db, path)
         assert load_database(path).universe.bit_width == 3

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dpmulti.domain import THRESH, ConceptClass, zero
+from dpmulti.domain import POINT, THRESH, ConceptClass, Hypotheses
 from dpmulti.fingerprint import (
     Codebook,
     accusation_threshold,
@@ -27,7 +27,7 @@ def _erm_thresholds(db, rng):
 
 
 def _all_zero_learner(db, rng):
-    return LearnResult(tuple(zero(db.universe) for _ in range(db.k)))
+    return LearnResult(Hypotheses(db.universe, POINT, np.full(db.k, -1)))
 
 
 def _failing_learner(db, rng):

@@ -21,10 +21,7 @@ from dpmulti.domain import (
     empirical_error,
     evaluate,
     generalization_error,
-    point,
     sample_database,
-    thresh,
-    zero,
 )
 from dpmulti.harness import sample_and_learn
 from dpmulti.learners import (
@@ -51,18 +48,18 @@ class TestErmMulti:
     def test_realizable_zero_error(self):
         u = Universe.indexed(8)
         cclass = ConceptClass(THRESH, u)
-        targets = [thresh(u, 2), thresh(u, 6)]
+        targets = Hypotheses(u, THRESH, np.array([2, 6]))
         db = sample_database(Distribution.uniform(u), targets, 200, stream(30, 0))
         hyps = erm_multi(db, cclass).hypotheses
         for j, h in enumerate(hyps):
-            assert empirical_error(db.view(j), h) == 0
+            assert empirical_error(db, j, h) == 0
 
     def test_tie_breaks_to_lowest_parameter(self):
         u = Universe.indexed(3)
         db = MultiLabeledDatabase.from_rows(u, [(0, [1]), (1, [1]), (2, [0])])
         (h,) = erm_multi(db, ConceptClass(POINT, u)).hypotheses
         assert h.param == 0
-        assert empirical_error(db.view(0), h) == pytest.approx(1 / 3)
+        assert empirical_error(db, 0, h) == pytest.approx(1 / 3)
 
     def test_label_permutation_equivariance(self):
         u = Universe.indexed(6)
@@ -89,13 +86,6 @@ class TestErmMulti:
 
 
 class TestLearnResult:
-    def test_concept_sequence_becomes_a_table(self):
-        u = Universe.indexed(6)
-        res = LearnResult((point(u, 2), zero(u), point(u, 5)))
-        assert isinstance(res.hypotheses, Hypotheses)
-        assert res.hypotheses.kind == POINT and res.hypotheses.params.tolist() == [2, -1, 5]
-        assert LearnResult(None).failed
-
     def test_erm_multi_releases_the_argmin_table(self):
         u = Universe.indexed(8)
         rng = stream(30, 2)
@@ -103,6 +93,7 @@ class TestLearnResult:
         cclass = ConceptClass(THRESH, u)
         res = erm_multi(db, cclass)
         assert res.ledger.charges == [] and not res.below_sample_bound
+        assert not res.failed and LearnResult(None).failed
         assert res.hypotheses.kind == THRESH
         assert res.hypotheses.params.tolist() == np.argmin(erm_mismatch_counts(db, cclass), axis=0).tolist()
 
@@ -312,7 +303,7 @@ class TestParityLearner:
         u = Universe.bitvectors(d)
         cc = ConceptClass(PARITY, u)
         rng = stream(seed, trial)
-        targets = tuple(cc.concept(int(p)) for p in rng.integers(0, u.size, size=k))
+        targets = Hypotheses(u, PARITY, rng.integers(0, u.size, size=k))
         return u, cc, targets, rng
 
     def test_exact_recovery_at_bound(self):
@@ -391,7 +382,7 @@ class TestPointLearner:
     def test_point_mass_distribution(self):
         u = Universe.indexed(8)
         dist = Distribution.point_mass(u, 5)
-        targets = [point(u, 5)] * 3
+        targets = Hypotheses(u, POINT, np.full(3, 5))
         hits = 0
         for trial in range(40):
             rng = stream(40, trial)
@@ -405,7 +396,7 @@ class TestPointLearner:
     def test_zero_mass_target_yields_zero_hypothesis(self):
         u = Universe.indexed(8)
         dist = Distribution.from_weights(u, [1, 1, 0, 0, 0, 0, 0, 0])
-        targets = [point(u, 7)]
+        targets = Hypotheses(u, POINT, np.array([7]))
         rng = stream(41, 0)
         db = sample_database(dist, targets, 800, rng)
         res = point_learner(db, 0.2, 1.0, 0.01, rng)
@@ -422,7 +413,7 @@ class TestPointLearner:
         for trial in range(40):
             rng = stream(42, trial)
             params = [int(p) for p in rng.integers(0, 4, size=3)] + [9]
-            targets = [point(u, p) for p in params]
+            targets = Hypotheses(u, POINT, np.array(params))
             db = sample_database(dist, targets, n, rng)
             res = point_learner(db, 0.2, 1.0, 0.01, rng)
             if res.failed:
@@ -444,7 +435,7 @@ class TestPointLearner:
 
     def test_ledger_two_half_charges(self):
         u = Universe.indexed(4)
-        db = sample_database(Distribution.uniform(u), [point(u, 1)], 500, stream(44, 0))
+        db = sample_database(Distribution.uniform(u), Hypotheses(u, POINT, np.array([1])), 500, stream(44, 0))
         res = point_learner(db, 0.2, 1.0, 0.01, stream(44, 1))
         assert res.ledger.charges == [PrivacyParams(0.5, 0.005), PrivacyParams(0.5, 0.005)]
         assert res.ledger.basic_total() == PrivacyParams(1.0, 0.01)
@@ -503,7 +494,7 @@ class TestGenericLearner:
         cclass = ConceptClass(POINT, u)
         for trial in range(20):
             rng = stream(50, trial)
-            db = sample_database(Distribution.uniform(u), [point(u, 3)], 2000, rng)
+            db = sample_database(Distribution.uniform(u), Hypotheses(u, POINT, np.array([3])), 2000, rng)
             answers = sanitize_points(db, 0.02, 1.0, 0.01, rng)
             synth = answers_to_synthetic(answers, 0.02)
             support = synth.distinct_elements()
@@ -520,7 +511,7 @@ class TestGenericLearner:
         good = 0
         for trial in range(30):
             rng = stream(51, trial)
-            targets = [point(u, int(p)) for p in rng.integers(0, 8, size=2)]
+            targets = Hypotheses(u, POINT, rng.integers(0, 8, size=2))
             db = sample_database(dist, targets, 4000, rng)
             res = generic_multi_learner(db, cclass, 0.2, 0.1, 1.0, 50.0, 0.01, rng)
             good += max(
@@ -540,7 +531,7 @@ class TestGenericLearner:
             res = generic_multi_learner(db, cclass, 0.2, 0.1, 1.0, 50.0, 0.01, rng)
             best = erm_mismatch_counts(db, cclass).min(axis=0) / db.n
             ok = all(
-                float(empirical_error(db.view(j), h)) <= best[j] + 0.2
+                float(empirical_error(db, j, h)) <= best[j] + 0.2
                 for j, h in enumerate(res.hypotheses)
             )
             good += ok
@@ -553,7 +544,7 @@ class TestGenericLearner:
         good = 0
         for trial in range(10):
             rng = stream(53, trial)
-            targets = [thresh(u, int(p)) for p in rng.integers(0, 6, size=2)]
+            targets = Hypotheses(u, THRESH, rng.integers(0, 6, size=2))
             db = sample_database(dist, targets, 1500, rng)
             res = generic_multi_learner(
                 db, cclass, 0.4, 0.1, 1.0, 40.0, 0.0, rng, sanitizer="exhaustive", synth_size=6
@@ -567,7 +558,7 @@ class TestGenericLearner:
         u = Universe.indexed(8)
         cclass = ConceptClass(POINT, u)
         rng = stream(54, 0)
-        db = sample_database(Distribution.uniform(u), [point(u, 0), point(u, 1)], 3000, rng)
+        db = sample_database(Distribution.uniform(u), Hypotheses(u, POINT, np.array([0, 1])), 3000, rng)
         res = generic_multi_learner(db, cclass, 0.2, 0.1, 1.0, 0.5, 0.01, rng)
         basic = res.ledger.basic_total()
         assert basic == PrivacyParams(1.0 + 2 * 0.5, 0.01)
@@ -598,7 +589,7 @@ class TestGenericLearner:
     @staticmethod
     def _assert_rejected_before_any_draw(message, alpha=0.2, epsilon=1.0, epsilon_prime=1.0, delta=0.0):
         u = Universe.indexed(8)
-        db = sample_database(Distribution.uniform(u), [thresh(u, 3)], 100, stream(55, 0))
+        db = sample_database(Distribution.uniform(u), Hypotheses(u, THRESH, np.array([3])), 100, stream(55, 0))
         rng = stream(55, 1)
         with pytest.raises(ValueError) as err:
             generic_multi_learner(db, ConceptClass(THRESH, u), alpha, 0.1, epsilon, epsilon_prime, delta, rng,
@@ -624,7 +615,7 @@ class _StubBase:
 class TestDirectSum:
     def test_k1_identity(self):
         u = Universe.indexed(6)
-        db = sample_database(Distribution.uniform(u), [point(u, 2)], 300, stream(60, 0))
+        db = sample_database(Distribution.uniform(u), Hypotheses(u, POINT, np.array([2])), 300, stream(60, 0))
         base = _StubBase(u)
         direct = base(db, stream(60, 1))
         summed = direct_sum_learner(base, db, stream(60, 1))
@@ -634,7 +625,7 @@ class TestDirectSum:
     def test_basic_ledger_sums(self):
         u = Universe.indexed(6)
         db = sample_database(
-            Distribution.uniform(u), [point(u, i) for i in range(4)], 200, stream(61, 0)
+            Distribution.uniform(u), Hypotheses(u, POINT, np.arange(4)), 200, stream(61, 0)
         )
         res = direct_sum_learner(_StubBase(u, 0.1, 0.0), db, stream(61, 1))
         total = res.ledger.basic_total()
@@ -643,7 +634,7 @@ class TestDirectSum:
 
     def test_every_label_runs_after_an_abort(self):
         u = Universe.indexed(6)
-        db = sample_database(Distribution.uniform(u), [point(u, i) for i in range(3)], 100, stream(65, 0))
+        db = sample_database(Distribution.uniform(u), Hypotheses(u, POINT, np.arange(3)), 100, stream(65, 0))
         labels_seen = []
 
         def base(single, rng):
@@ -664,7 +655,7 @@ class TestDirectSum:
         good = 0
         for trial in range(30):
             rng = stream(63, trial)
-            targets = [point(u, int(p)) for p in rng.integers(0, 4, size=4)]
+            targets = Hypotheses(u, POINT, rng.integers(0, 4, size=4))
             db = sample_database(dist, targets, n, rng)
             res = direct_sum_learner(base, db, rng)
             if res.failed:
@@ -685,3 +676,29 @@ class TestDirectSum:
         a = direct_sum_learner(_StubBase(u), db, stream(64, 1))
         b = direct_sum_learner(_StubBase(u), permuted, stream(64, 1))
         assert all(b.hypotheses[i] == a.hypotheses[p] for i, p in enumerate(perm))
+
+    def test_point_base_joins_the_single_label_tables(self):
+        # Target 7 has no mass, so its label column is all 0 and the point learner releases zero (-1) for it.
+        u = Universe.indexed(8)
+        dist = Distribution.from_weights(u, [1, 1, 1, 1, 0, 0, 0, 0])
+        base = lambda db, rng: point_learner(db, 0.2, 1.0, 0.01, rng)
+        db = sample_database(dist, Hypotheses(u, POINT, np.array([1, 7, 3])), 2726, stream(66, 0))
+        res = direct_sum_learner(base, db, stream(66, 1))
+        assert not res.failed
+        assert res.hypotheses.kind == POINT and res.hypotheses.params[1] == -1
+        rng = stream(66, 1)
+        singles = [base(MultiLabeledDatabase(u, db.xs, db.labels[:, j : j + 1]), rng).hypotheses for j in range(3)]
+        assert res.hypotheses.params.tolist() == [p for table in singles for p in table.params.tolist()]
+
+    def test_k0_rejected(self):
+        u = Universe.indexed(6)
+        with pytest.raises(ValueError, match="k=0"):
+            direct_sum_learner(_StubBase(u), MultiLabeledDatabase.unlabeled(u, np.arange(6)), stream(67, 0))
+
+    def test_base_kinds_must_agree(self):
+        u = Universe.indexed(6)
+        db = sample_database(Distribution.uniform(u), Hypotheses(u, POINT, np.arange(2)), 50, stream(68, 0))
+        kinds = iter([POINT, THRESH])
+        base = lambda single, rng: erm_multi(single, ConceptClass(next(kinds), u))
+        with pytest.raises(ValueError, match="more than one kind"):
+            direct_sum_learner(base, db, stream(68, 1))

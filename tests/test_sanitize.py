@@ -14,6 +14,7 @@ from dpmulti.domain import (
     Distribution,
     MultiLabeledDatabase,
     Universe,
+    UniverseMismatchError,
 )
 from dpmulti.mechanisms import dp_bound_holds, exponential_mechanism_pmf
 from dpmulti.rng import stream
@@ -39,9 +40,9 @@ def _unlabeled(universe, xs):
 
 
 def _per_tuple_scores(db, query_class, m):
-    """Reference scorer: one bincount per ordered tuple."""
+    """Reference scorer: one bincount per ordered tuple, on a freshly built query matrix."""
     size = db.universe.size
-    full = _query_matrix(query_class, db.universe.elements())
+    full = _query_matrix.__wrapped__(query_class)
     target = (full @ np.bincount(db.xs, minlength=size).astype(np.float64)) / db.n
     tuples = list(itertools.product(range(size), repeat=m))
     counts = np.zeros((len(tuples), size))
@@ -257,6 +258,35 @@ class TestSanitizeError:
         err_thresh = sanitize_error(db, synth, ConceptClass(THRESH, u))
         err_xor = sanitize_error(db, synth, (ConceptClass(THRESH, u), "xor"))
         assert err_xor >= err_thresh - 1e-12
+
+    def test_query_class_on_another_universe_rejected(self):
+        u = Universe.indexed(4)
+        db = _unlabeled(u, [0, 1, 2, 3])
+        synth = SyntheticDatabase(u, np.array([0, 0]))
+        with pytest.raises(UniverseMismatchError):
+            sanitize_error(db, synth, ConceptClass(POINT, Universe.indexed(5)))
+        with pytest.raises(UniverseMismatchError):
+            sanitize_exhaustive_pmf(db, (ConceptClass(THRESH, Universe.bitvectors(2)), "xor"), 1.0, 2)
+
+
+class TestQueryMatrix:
+    @pytest.mark.parametrize("queries", ["plain", "xor"])
+    def test_built_once_per_query_class_and_read_only(self, queries):
+        def query_class():
+            cclass = ConceptClass(THRESH, Universe.indexed(8))
+            return (cclass, "xor") if queries == "xor" else cclass
+
+        full = _query_matrix(query_class())
+        # An equal query class built anew finds the same cached array.
+        assert _query_matrix(query_class()) is full
+        assert not full.flags.writeable
+        with pytest.raises(ValueError):
+            full[0, 0] = 1
+        assert np.array_equal(full, _query_matrix.__wrapped__(query_class()))
+
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ValueError, match="unknown query-class tag 'and'"):
+            _query_matrix((ConceptClass(THRESH, Universe.indexed(4)), "and"))
 
 
 class TestSanitizeExhaustive:
