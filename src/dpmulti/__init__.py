@@ -60,6 +60,7 @@ from .learners import (
     generic_privacy_total,
     gf2_solve,
     parity_learner,
+    parity_learner_pmf,
     point_learner,
 )
 from .fingerprint import (

@@ -148,7 +148,10 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
-    db = load_database(args.input)
+    try:
+        db = load_database(args.input)
+    except OSError as exc:
+        raise ConfigError(f"--input: cannot read {args.input}: {exc}") from exc
     rng = stream(args.seed, 0, 0)
     answers = sanitize_points(db, args.alpha, args.epsilon, args.delta, rng)
     columns = ["x", "a_x"]

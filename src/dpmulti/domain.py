@@ -141,9 +141,9 @@ def evaluate(concept: Concept, x: int) -> int:
 
 
 def _evaluate_params(kind: str, params: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The (len(params), len(xs)) uint8 bits of one class's concepts; param -1 is zero."""
-    params = params[:, None]
-    xs = xs[None, :]
+    """The uint8 bits of one class's concepts with parameters params on elements
+    xs, broadcast together (params[:, None] against 1-D xs gives the
+    (len(params), len(xs)) table); param -1 is zero."""
     if kind == POINT:
         return (xs == params).astype(np.uint8)
     if kind == THRESH:
@@ -162,7 +162,7 @@ def evaluate_many(concept: Concept, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluate over an int array; returns uint8 bits."""
     xs = _checked_elements(concept.universe, xs)
     kind, param = (POINT, -1) if concept.kind == ZERO else (concept.kind, concept.param)
-    return _evaluate_params(kind, np.array([param], dtype=np.int64), xs.ravel())[0].reshape(xs.shape)
+    return _evaluate_params(kind, np.int64(param), xs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +206,7 @@ class Hypotheses:
         xs = _checked_elements(self.universe, xs)
         if xs.ndim != 1:
             raise ValueError(f"elements must be a 1-D array, got shape {xs.shape}")
-        return _evaluate_params(self.kind, self.params, xs)
+        return _evaluate_params(self.kind, self.params[:, None], xs)
 
     def _concept(self, param: int) -> Concept:
         return Concept(ZERO, self.universe) if param < 0 else Concept(self.kind, self.universe, param)
@@ -264,7 +264,7 @@ class ConceptClass:
         """Return the (|C| x len(xs)) 0/1 evaluation matrix in canonical order."""
         if xs is None:
             xs = self.universe.elements()
-        return _evaluate_params(self.kind, self.universe.elements(), np.asarray(xs, dtype=np.int64))
+        return _evaluate_params(self.kind, self.universe.elements()[:, None], np.asarray(xs, dtype=np.int64))
 
 
 def xor_eval_matrix(cclass: ConceptClass, xs: np.ndarray) -> np.ndarray:
@@ -375,31 +375,41 @@ def generalization_error(dist: Distribution, c: Concept, h: Concept) -> float:
     return math.fsum(dist.pmf[diff].tolist())
 
 
-# Cells per block of rows when a table is evaluated, so the kernel's int64
-# temporaries stay the same size whatever k is.
-EVAL_BLOCK_CELLS = 1 << 12
+# Cells per block when a table is evaluated, so that a kernel's int64
+# temporaries (512 KiB at most) stay the same size whatever k and n are.
+EVAL_BLOCK_CELLS = 1 << 16
 
 
-def _row_blocks(k: int, n_elements: int) -> Iterator[slice]:
-    step = max(1, EVAL_BLOCK_CELLS // max(1, n_elements))
-    return (slice(lo, lo + step) for lo in range(0, k, step))
+def _row_blocks(rows: int, columns: int) -> Iterator[slice]:
+    step = max(1, EVAL_BLOCK_CELLS // max(1, columns))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 def generalization_errors(dist: Distribution, targets: Hypotheses, hyps: Hypotheses) -> list[float]:
-    """generalization_error of each (targets[j], hyps[j]) pair: the disagreement
-    matrix of all k pairs over the universe, built a block of rows at a time,
-    and one fsum of disagreement mass per row."""
+    """generalization_error of each (targets[j], hyps[j]) pair, bit for bit.
+
+    A pair of one kind with equal parameters disagrees nowhere, so its error
+    is 0.0 without evaluation. The other pairs are evaluated on dist's support
+    only, a block of pairs at a time, with one fsum of disagreement mass per
+    pair; zero-mass elements add nothing to an exact sum.
+    """
     dist.universe.require_same(targets.universe)
     targets.universe.require_same(hyps.universe)
     if len(targets) != len(hyps):
         raise ValueError(f"{len(targets)} targets but {len(hyps)} hypotheses")
-    xs = dist.universe.elements()
-    errors = []
-    for rows in _row_blocks(len(targets), xs.size):
-        diff = _evaluate_params(targets.kind, targets.params[rows], xs) != _evaluate_params(
-            hyps.kind, hyps.params[rows], xs
+    support = np.flatnonzero(dist.pmf)
+    mass = dist.pmf[support]
+    pairs = np.arange(len(targets))
+    if targets.kind == hyps.kind:
+        pairs = pairs[targets.params != hyps.params]
+    errors = [0.0] * len(targets)
+    for block in _row_blocks(len(pairs), support.size):
+        js = pairs[block]
+        diff = _evaluate_params(targets.kind, targets.params[js, None], support) != _evaluate_params(
+            hyps.kind, hyps.params[js, None], support
         )
-        errors.extend(math.fsum(dist.pmf[row].tolist()) for row in diff)
+        for j, row in zip(js.tolist(), diff):
+            errors[j] = math.fsum(mass[row].tolist())
     return errors
 
 
@@ -409,12 +419,12 @@ def _unpack_bits(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _label_rows(targets: Hypotheses, xs: np.ndarray) -> np.ndarray:
-    """The (k, len(xs)) uint8 bits of each target on xs, evaluated a block of rows at a time."""
+    """The (len(xs), k) uint8 labels of the elements xs under the k targets, a block of elements at a time."""
     xs = _checked_elements(targets.universe, xs)
-    rows = np.zeros((len(targets), len(xs)), dtype=np.uint8)
-    for block in _row_blocks(len(targets), xs.size):
-        rows[block] = _evaluate_params(targets.kind, targets.params[block], xs)
-    return rows
+    labels = np.empty((len(xs), len(targets)), dtype=np.uint8)
+    for block in _row_blocks(len(xs), len(targets)):
+        labels[block] = _evaluate_params(targets.kind, targets.params, xs[block, None])
+    return labels
 
 
 @dataclass(frozen=True)
@@ -441,9 +451,7 @@ class LabeledDistribution:
         dist.universe.require_same(targets.universe)
         k = len(targets)
         xs = dist.universe.elements()
-        codes = np.zeros(dist.universe.size, dtype=np.int64)
-        for j, row in enumerate(_label_rows(targets, xs)):
-            codes |= row.astype(np.int64) << j
+        codes = (_label_rows(targets, xs).astype(np.int64) << np.arange(k)).sum(axis=1)
         pmf = np.zeros((dist.universe.size, 1 << k))
         pmf[xs, codes] = dist.pmf
         return LabeledDistribution(dist.universe, k, pmf)
@@ -466,6 +474,8 @@ class LabeledDistribution:
 
     def marginal_error(self, j: int, h: Concept) -> float:
         """P[h(x) != y_j] under the joint pmf."""
+        if not 0 <= j < self.k:
+            raise ValueError(f"label index {j} outside k={self.k}")
         self.universe.require_same(h.universe)
         codes = np.arange(1 << self.k)
         bit_j = ((codes >> j) & 1).astype(np.uint8)
@@ -485,8 +495,7 @@ def sample_database(
         raise ValueError("n must be >= 1")
     dist.universe.require_same(targets.universe)
     xs = dist.sample(n, rng)
-    labels = np.ascontiguousarray(_label_rows(targets, xs).T)
-    return MultiLabeledDatabase(dist.universe, xs, labels)
+    return MultiLabeledDatabase(dist.universe, xs, _label_rows(targets, xs))
 
 
 def dichotomy_projection(
@@ -510,21 +519,13 @@ def dichotomy_projection(
     return out
 
 
-def vc_sample_size(vc: int, alpha: float, beta: float, mode: str = "realizable") -> int:
-    """Sample size from the standard VC generalization bounds.
-
-    realizable: ceil((64/alpha) * (vc*ln(64/alpha) + ln(8/beta)))
-    agnostic:   ceil((64/alpha^2) * (vc*ln(6/alpha) + ln(8/beta)))
-    """
+def vc_sample_size(vc: int, alpha: float, beta: float) -> int:
+    """Realizable sample size from the standard VC bound: ceil((64/alpha) * (vc*ln(64/alpha) + ln(8/beta)))."""
     if vc < 1:
         raise ValueError("vc must be >= 1")
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError("alpha and beta must be in (0, 1)")
-    if mode == "realizable":
-        return math.ceil((64.0 / alpha) * (vc * math.log(64.0 / alpha) + math.log(8.0 / beta)))
-    if mode == "agnostic":
-        return math.ceil((64.0 / alpha**2) * (vc * math.log(6.0 / alpha) + math.log(8.0 / beta)))
-    raise ValueError(f"unknown mode {mode!r}")
+    return math.ceil((64.0 / alpha) * (vc * math.log(64.0 / alpha) + math.log(8.0 / beta)))
 
 
 def save_database(db: MultiLabeledDatabase, path) -> None:

@@ -335,20 +335,24 @@ def _need(params: dict, section: str, key: str, cast: Callable, default=None):
         raise ConfigError(f"{section}.{key}: cannot parse {params[key]!r}")
 
 
-def parse_distribution(spec: str, universe: Universe) -> Distribution:
+def parse_distribution(spec: str, universe: Universe, section: str = "learn") -> Distribution:
+    """A section's `dist` key; any spec that does not parse or read names `<section>.dist`."""
     spec = spec.strip()
-    if spec == "uniform":
-        return Distribution.uniform(universe)
-    if spec.startswith("pointmass:"):
-        return Distribution.point_mass(universe, int(spec.split(":", 1)[1]))
-    if spec.startswith("weights:"):
-        weights = [float(w) for w in spec.split(":", 1)[1].split(",")]
+    try:
+        if spec == "uniform":
+            return Distribution.uniform(universe)
+        if spec.startswith("pointmass:"):
+            return Distribution.point_mass(universe, int(spec.split(":", 1)[1]))
+        if spec.startswith("weights:"):
+            weights = [float(w) for w in spec.split(":", 1)[1].split(",")]
+        elif os.path.exists(spec):
+            with open(spec) as fh:
+                weights = [float(line) for line in fh if line.strip()]
+        else:
+            raise ValueError(f"expected uniform | pointmass:<x> | weights:<w,...> | <file>, got {spec!r}")
         return Distribution.from_weights(universe, weights)
-    if not os.path.exists(spec):
-        raise ConfigError(f"dist: expected uniform | pointmass:<x> | weights:<w,...> | <file>, got {spec!r}")
-    with open(spec) as fh:
-        weights = [float(line) for line in fh if line.strip()]
-    return Distribution.from_weights(universe, weights)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{section}.dist: {exc}") from None
 
 
 def _learn_class(params: dict, parities: bool) -> str:
@@ -386,14 +390,20 @@ def _draw_targets(params: dict, cclass: ConceptClass, k: int, rng: np.random.Gen
 
 def _learn_params(params: dict, section: str, kind: str, delta: float, epsilon_prime: float | None) -> LearnParams:
     """Parse a section's learner parameters; delta and epsilon_prime are the section's defaults."""
+    alpha = _need(params, section, "alpha", float, default=0.2)
+    if not 0 < alpha < 1:
+        raise ConfigError(f"{section}.alpha must be in (0, 1), got {alpha}")
+    synth_size = _need(params, section, "synth_size", int) if "synth_size" in params else None
+    if synth_size is not None and synth_size < 1:
+        raise ConfigError(f"{section}.synth_size: must be >= 1, got {synth_size}")
     return LearnParams(
         kind,
-        alpha=_need(params, section, "alpha", float, default=0.2),
+        alpha=alpha,
         beta=_need(params, section, "beta", float, default=0.1),
         epsilon=_need(params, section, "epsilon", float, default=1.0),
         delta=_need(params, section, "delta", float, default=delta),
         epsilon_prime=_need(params, section, "epsilon_prime", float) if "epsilon_prime" in params else epsilon_prime,
-        synth_size=_need(params, section, "synth_size", int) if "synth_size" in params else None,
+        synth_size=synth_size,
     )
 
 
@@ -450,7 +460,7 @@ def run_sanitize_trial(config: ExperimentConfig, n: int, point_idx: int, trial: 
     delta = _need(params, "sanitize", "delta", float)
     universe = Universe.indexed(size)
     rng = stream(config.seed, point_idx, trial)
-    dist = parse_distribution(params.get("dist", "uniform"), universe)
+    dist = parse_distribution(params.get("dist", "uniform"), universe, "sanitize")
     xs = dist.sample(n, rng)
     db = MultiLabeledDatabase.unlabeled(universe, xs)
     answers = sanitize_points(db, alpha, eps, delta, rng)

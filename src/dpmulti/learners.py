@@ -4,6 +4,7 @@ erm_multi             exact per-label empirical risk minimization (non-private)
 direct_sum_learner    k independent runs of a single-concept base learner
 generic_multi_learner one-time sanitization + per-label exponential mechanism
 parity_learner        block-wise GF(2) solving + stable vote selection
+                      (parity_learner_pmf: its exact output law)
 point_learner         heavy-hitter discovery + stable label-vector selection
 
 Each private learner's charge schedule is written once (parity_charges,
@@ -40,6 +41,7 @@ from .mechanisms import (
     compose_basic,
     exponential_mechanism,
     stable_argmax,
+    stable_argmax_pmf,
 )
 from .sanitize import answers_to_synthetic, point_sanitizer_rows, sanitize_exhaustive, sanitize_points
 
@@ -217,22 +219,15 @@ def parity_block_plan(bits: int, epsilon: float, beta: float, delta: float) -> t
     return m, 4 * bits
 
 
-def parity_learner(
-    db: MultiLabeledDatabase,
-    epsilon: float,
-    delta: float,
-    beta: float,
-    rng: np.random.Generator,
-) -> LearnResult:
-    """Learn k parities exactly (under uniform examples) via block voting.
+def _parity_tally(
+    db: MultiLabeledDatabase, epsilon: float, delta: float, beta: float
+) -> tuple[np.ndarray, int, int, bool]:
+    """parity_learner's deterministic part: (best masks, best count, runner-up count, below bound).
 
-    The rows are split into m disjoint blocks; each block solves all k label
-    columns at once, contributing one candidate vector (or an abstention when
-    some column is inconsistent). A single stable-selection step releases the
-    most frequent vector, so the whole run costs (epsilon, delta) regardless
-    of k. The labels are packed into 64-bit words once, one gf2_solve_blocks
-    call eliminates every block, and one np.unique over the solution words
-    tallies the votes; ties go to the vector first seen in the earliest block.
+    The labels are packed into 64-bit words once, one gf2_solve_blocks call
+    eliminates every block, and one np.unique over the solution words tallies
+    the votes; ties go to the vector first seen in the earliest block. best
+    masks is the int64[k] parity masks of the most voted vector.
     """
     universe = db.universe
     if universe.bit_width is None:
@@ -240,9 +235,7 @@ def parity_learner(
     if db.n == 0:
         raise EmptyDatabaseError("cannot learn from an empty database")
     bits = universe.bit_width
-    k = db.k
     m, s_target = parity_block_plan(bits, epsilon, beta, delta)
-    ledger = PrivacyLedger(parity_charges(epsilon, delta))
     below = db.n < m * s_target
     s = max(1, db.n // m)
     m_eff = min(m, db.n // s)
@@ -262,6 +255,29 @@ def parity_learner(
     else:
         # Unseen vectors count 0, so the all-zero vector leads an empty tally.
         best, best_count, second_count = np.zeros(solutions.shape[1:], dtype=np.uint64), 0, 0
+    coords = _unpack_words(best)[:, : db.k].astype(np.int64)  # (bits, k)
+    masks = (coords << np.arange(bits)[:, None]).sum(axis=0)
+    return masks, int(best_count), int(second_count), below
+
+
+def parity_learner(
+    db: MultiLabeledDatabase,
+    epsilon: float,
+    delta: float,
+    beta: float,
+    rng: np.random.Generator,
+) -> LearnResult:
+    """Learn k parities exactly (under uniform examples) via block voting.
+
+    The rows are split into m disjoint blocks; each block solves all k label
+    columns at once, contributing one candidate vector (or an abstention when
+    some column is inconsistent). A single stable-selection step releases the
+    most frequent vector, so the whole run costs (epsilon, delta) regardless
+    of k. The vote tally (_parity_tally) is deterministic; parity_learner_pmf
+    gives the exact law of the one random step.
+    """
+    masks, best_count, second_count, below = _parity_tally(db, epsilon, delta, beta)
+    ledger = PrivacyLedger(parity_charges(epsilon, delta))
     choice = stable_argmax(
         ScoredCandidate("selected", float(best_count)),
         ScoredCandidate("runner-up", float(second_count)),
@@ -271,9 +287,20 @@ def parity_learner(
     )
     if choice is None:
         return LearnResult(None, ledger, below)
-    coords = _unpack_words(best)[:, :k].astype(np.int64)  # (bits, k)
-    masks = (coords << np.arange(bits)[:, None]).sum(axis=0)
-    return LearnResult(Hypotheses(universe, PARITY, masks), ledger, below)
+    return LearnResult(Hypotheses(db.universe, PARITY, masks), ledger, below)
+
+
+def parity_learner_pmf(
+    db: MultiLabeledDatabase, epsilon: float, delta: float, beta: float
+) -> tuple[np.ndarray, float, float]:
+    """Exact output law of parity_learner on db: (masks, P[release masks], P[bottom]).
+
+    The tally is deterministic, so the released masks are fixed and the only
+    randomness is stable_argmax's one Laplace draw on the vote gap.
+    """
+    masks, best_count, second_count, _ = _parity_tally(db, epsilon, delta, beta)
+    p_release, p_bottom = stable_argmax_pmf(float(best_count - second_count), epsilon, delta)
+    return masks, p_release, p_bottom
 
 
 def point_rows_bound(alpha: float, beta: float, delta: float, epsilon: float) -> int:
@@ -299,9 +326,10 @@ def point_learner(
     label vectors, maximizing the minimal count of any selected (x, vector)
     pair. Label j maps to the heavy element whose selected vector has bit j
     set (the lowest such element), else to the constant-zero hypothesis.
-    The (x, vector) counts come from one array tally (_per_element_top_vectors)
-    and the runner-up objective from the two smallest top counts, so there is
-    no per-row Python work and the runner-up scan is O(|G|).
+    The (x, vector) counts come from one stable lexsort of the heavy rows over
+    their elements and packed label words (_per_element_top_vectors), and the
+    runner-up objective from the two smallest top counts, so there is no
+    per-row Python work, no per-label pass and the runner-up scan is O(|G|).
     `beta` only informs the sample-size advisory flag; alpha, epsilon, delta
     and beta are checked (ValueError) before any randomness is drawn.
     """
@@ -360,21 +388,26 @@ def _per_element_top_vectors(
     Top-vector ties break to the earliest row carrying the vector, which is
     deterministic and commutes with label-column permutations.
 
-    Each row of a heavy element is keyed by its big-endian 8-byte x followed by
-    its labels packed little-endian into bytes, so one np.unique tallies every
-    (x, vector) pair and returns the first row carrying it.
+    The labels are packed into W uint64 words once, and the rows of heavy
+    elements are picked through a membership table over the universe. One
+    stable np.lexsort over x and the W words puts equal (x, vector) pairs in
+    adjacent runs: a run starts where x or a word changes, its first sorted
+    position is its earliest row (the sort is stable), and its length is its
+    count.
     """
     top_count = np.zeros(len(heavy), dtype=np.int64)
     top_vec = np.zeros((len(heavy), db.k), dtype=bool)
     second_count = np.zeros(len(heavy), dtype=np.int64)
-    rows = np.flatnonzero(np.isin(db.xs, heavy))
+    is_heavy = np.zeros(db.universe.size, dtype=bool)
+    is_heavy[heavy] = True
+    rows = np.flatnonzero(is_heavy[db.xs])
     if rows.size == 0:
         return top_count, top_vec, second_count
-    packed = np.packbits(db.labels[rows], axis=1, bitorder="little")
-    keys = np.concatenate([db.xs[rows].astype(">i8").view(np.uint8).reshape(-1, 8), packed], axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    group_x = db.xs[rows[first]]
+    xs, words = db.xs[rows], _pack_words(db.labels)[rows]
+    sort = np.lexsort((*words.T, xs))
+    xs, words = xs[sort], words[sort]
+    starts = np.flatnonzero(np.r_[True, (xs[1:] != xs[:-1]) | (words[1:] != words[:-1]).any(axis=1)])
+    first, counts, group_x = sort[starts], np.diff(np.r_[starts, rows.size]), xs[starts]
     # Within each x run: descending count, then earliest first row.
     order = np.lexsort((first, -counts, group_x))
     first, counts, group_x = first[order], counts[order], group_x[order]

@@ -150,14 +150,6 @@ class TestSanitizeCommand:
                        "--delta", "0.01", "--input", db_file, "--seed", "5")
         assert out1 == out2
 
-    def test_missing_input_is_runtime_failure(self, capsys, tmp_path):
-        code, _ = _run(
-            capsys,
-            "sanitize", "points", "--alpha", "0.2", "--epsilon", "1", "--delta", "0.01",
-            "--input", str(tmp_path / "nope.txt"), "--seed", "5",
-        )
-        assert code == 2
-
     @pytest.mark.parametrize("header,missing", [("# k=0", "universe"), ("# universe=8", "k")])
     def test_header_missing_key_is_invalid_input(self, capsys, tmp_path, header, missing):
         path = tmp_path / "db.txt"
@@ -410,6 +402,39 @@ class TestExitCodes:
                      "--delta", "-0.1", "--epsilon-prime", "1", "--seed", "1"])
         assert code == 1
         assert "delta must be in [0, 1), got -0.1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["nope.txt", "."], ids=["missing", "directory"])
+    def test_unreadable_sanitize_input_is_named(self, capsys, tmp_path, name):
+        code = main(["sanitize", "points", "--alpha", "0.2", "--epsilon", "1", "--delta", "0.01",
+                     "--input", str(tmp_path / name), "--seed", "5"])
+        assert code == 1
+        assert "--input: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [None, "weights:a", "pointmass:x", "weights:1,1"],
+                             ids=["directory", "weights-float", "pointmass-int", "weights-length"])
+    def test_bad_dist_names_its_key(self, capsys, tmp_path, spec):
+        argv = ["learn", "points", "--k", "2", "--n", "100", "--universe", "4", "--seed", "1"]
+        assert main(argv + ["--dist", "weights:1,1,1,1"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--dist", str(tmp_path) if spec is None else spec]) == 1
+        assert "error: learn.dist: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_nonpositive_synth_size_is_invalid_input(self, capsys, size):
+        argv = ["learn", "generic", "--k", "2", "--n", "100", "--universe", "8", "--class", "thresh",
+                "--delta", "0", "--epsilon-prime", "1", "--seed", "1"]
+        assert main(argv + ["--synth-size", "4"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--synth-size", size]) == 1
+        assert f"learn.synth_size: must be >= 1, got {size}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["2", "1", "0", "-0.5"])
+    def test_erm_alpha_outside_unit_interval_is_invalid_input(self, capsys, alpha):
+        argv = ["learn", "erm", "--k", "2", "--n", "100", "--universe", "8", "--class", "thresh", "--seed", "1"]
+        assert main(argv + ["--alpha", "0.5"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--alpha", alpha]) == 1
+        assert f"learn.alpha must be in (0, 1), got {float(alpha)}" in capsys.readouterr().err
 
     def test_parities_with_another_class_is_invalid_input(self, capsys):
         argv = ["learn", "parities", "--k", "2", "--n", "1200", "--d", "4", "--delta", "0.1", "--seed", "1"]

@@ -1,7 +1,6 @@
 """Domain vocabulary: concepts, databases, errors, dichotomies, sampling."""
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +201,24 @@ class TestHypotheses:
         k = 3 * EVAL_BLOCK_CELLS // universe.size + 2
         dist = Distribution.from_weights(universe, rng.random(universe.size))
         targets, hyps = (Hypotheses(universe, kind, rng.integers(0, universe.size, size=k)) for _ in range(2))
+        expected = [generalization_error(dist, c, h) for c, h in zip(targets, hyps)]
+        assert generalization_errors(dist, targets, hyps) == expected
+
+    @pytest.mark.parametrize("target_kind,hyp_kind", [(POINT, POINT), (THRESH, THRESH), (POINT, THRESH)])
+    def test_generalization_errors_equal_per_pair_with_skipped_work(self, target_kind, hyp_kind):
+        # Half the elements carry no mass, about a third of the pairs share their
+        # parameter, -1 (zero) parameters occur, and the differing pairs span
+        # several blocks of the support; every error is still the per-pair one.
+        rng = stream(9, 6)
+        universe = Universe.indexed(1500)
+        dist = Distribution.from_weights(universe, rng.random(universe.size) * (rng.random(universe.size) < 0.5))
+        support = np.count_nonzero(dist.pmf)
+        k = 3 * EVAL_BLOCK_CELLS // support + 2
+        params = rng.integers(-1, universe.size, size=k)
+        params[:4] = -1
+        hyp_params = np.where(rng.random(k) < 0.3, params, rng.integers(-1, universe.size, size=k))
+        hyp_params[:2] = -1
+        targets, hyps = Hypotheses(universe, target_kind, params), Hypotheses(universe, hyp_kind, hyp_params)
         expected = [generalization_error(dist, c, h) for c, h in zip(targets, hyps)]
         assert generalization_errors(dist, targets, hyps) == expected
 
@@ -431,14 +448,16 @@ class TestLabeledDistribution:
         emp = float(np.count_nonzero(evaluate_many(h, db.xs) != db.labels[:, 0])) / db.n
         assert abs(exact - emp) < 0.02
 
+    @pytest.mark.parametrize("j", [5, 2, -1])
+    def test_marginal_error_rejects_label_outside_k(self, j):
+        ld = LabeledDistribution.realizable(Distribution.uniform(U4), Hypotheses(U4, THRESH, np.array([1, 2])))
+        with pytest.raises(ValueError, match=rf"label index {j} outside k=2"):
+            ld.marginal_error(j, thresh(U4, 1))
+
 
 class TestVcSampleSize:
     def test_realizable_example(self):
-        assert vc_sample_size(1, 0.1, 0.1, "realizable") == 6940
-
-    def test_agnostic_example(self):
-        expected = math.ceil(256 * (math.log(12) + math.log(16)))
-        assert vc_sample_size(1, 0.5, 0.5, "agnostic") == expected
+        assert vc_sample_size(1, 0.1, 0.1) == 6940
 
     def test_monotone_in_alpha(self):
         assert vc_sample_size(1, 0.05, 0.1) > vc_sample_size(1, 0.1, 0.1)

@@ -35,11 +35,12 @@ from dpmulti.learners import (
     gf2_solve_blocks,
     parity_block_plan,
     parity_learner,
+    parity_learner_pmf,
     _per_element_top_vectors,
     point_learner,
     point_rows_bound,
 )
-from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, ScoredCandidate, stable_argmax
+from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, ScoredCandidate, dp_bound_holds, stable_argmax
 from dpmulti.rng import stream
 from dpmulti.sanitize import answers_to_synthetic, sanitize_points
 
@@ -254,7 +255,70 @@ def _reference_parity_learner(db, epsilon, delta, beta, rng):
     return (None if choice is None else best), db.n < m * s_target
 
 
+def _witness_database(relabel: bool) -> MultiLabeledDatabase:
+    """36 blocks of rows 1, 3, 0, ..., 0 at d=2: blocks 0..17 labelled by mask 1,
+    blocks 18..35 by mask 3; relabel sets the x=3 row of block 18 to 1 (mask 1's label)."""
+    m, s = parity_block_plan(2, 1.0, 0.5, 0.1)
+    assert (m, s) == (36, 8)
+    xs = np.tile(np.array([1, 3, 0, 0, 0, 0, 0, 0]), m)
+    masks = np.repeat(np.r_[np.full(18, 1), np.full(18, 3)], s)
+    labels = (np.bitwise_count(xs & masks) & 1).astype(np.uint8)
+    if relabel:
+        labels[18 * s + 1] = 1
+    return MultiLabeledDatabase(Universe.bitvectors(2), xs, labels[:, None])
+
+
+def _parity_law(db, eps, delta, beta) -> dict:
+    masks, p_release, p_bottom = parity_learner_pmf(db, eps, delta, beta)
+    return {tuple(masks.tolist()): p_release, None: p_bottom}
+
+
 class TestParityLearner:
+    def test_pmf_matches_seeded_sampler(self):
+        # A clear leader: 20 blocks vote mask 1 and 16 vote mask 3, a gap of 4.
+        eps, delta, beta = 1.0, 0.1, 0.5
+        db = _witness_database(relabel=False)
+        xs, labels = db.xs.reshape(36, 8), db.labels.reshape(36, 8).copy()
+        labels[18:20] = labels[:2]
+        db = MultiLabeledDatabase(db.universe, xs.ravel(), labels.reshape(-1, 1))
+        masks, p_release, p_bottom = parity_learner_pmf(db, eps, delta, beta)
+        assert masks.tolist() == [1]
+        assert p_release == pytest.approx(1 - 0.5 * math.exp(-(4 - math.log(10))), abs=1e-12)
+        assert p_release + p_bottom == pytest.approx(1.0, abs=1e-12)
+        trials = 2000
+        released = 0
+        for trial in range(trials):
+            res = parity_learner(db, eps, delta, beta, stream(47, trial))
+            if not res.failed:
+                released += 1
+                assert res.hypotheses.params.tolist() == [1]
+        assert abs(released / trials - p_release) < 4 * math.sqrt(p_release * p_bottom / trials)
+
+    def test_witness_laws(self):
+        # The exact laws behind the ROADMAP's privacy witness: one relabelled row
+        # moves the vote gap from 0 to 2.
+        eps, delta, beta = 1.0, 0.1, 0.5
+        before = _parity_law(_witness_database(relabel=False), eps, delta, beta)
+        after = _parity_law(_witness_database(relabel=True), eps, delta, beta)
+        assert set(before) == set(after) == {(1,), None}
+        assert before[(1,)] == pytest.approx(0.5 * math.exp(-math.log(10)), abs=1e-12)
+        assert after[(1,)] == pytest.approx(0.5 * math.exp(-(math.log(10) - 2)), abs=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1(c): stable_argmax is fed the raw vote gap, which one row moves by 2; "
+        "P[release mask 1] goes from 0.050 to 0.369 against an allowed 0.236",
+    )
+    def test_witness_neighbours_meet_the_ledger(self):
+        eps, delta, beta = 1.0, 0.1, 0.5
+        before = _parity_law(_witness_database(relabel=False), eps, delta, beta)
+        after = _parity_law(_witness_database(relabel=True), eps, delta, beta)
+        outcomes = sorted(set(before) | set(after), key=repr)
+        p = np.array([before.get(o, 0.0) for o in outcomes])
+        q = np.array([after.get(o, 0.0) for o in outcomes])
+        assert dp_bound_holds(p, q, eps, delta) and dp_bound_holds(q, p, eps, delta)
+
     @pytest.mark.parametrize("k", [0, 1, 5, 64, 100])
     @pytest.mark.parametrize("labels", ["parity", "random"])
     @pytest.mark.parametrize("planned", [False, True])
@@ -464,11 +528,25 @@ class TestPointLearner:
             pool = rng.integers(0, 2, size=(int(rng.integers(1, 4)), k)).astype(np.uint8)
             db = MultiLabeledDatabase(u, rng.integers(0, 6, size=n), pool[rng.integers(0, len(pool), size=n)])
             heavy = np.sort(rng.choice(10, size=int(rng.integers(1, 11)), replace=False))
-            top_count, top_vec, second_count = _per_element_top_vectors(db, heavy)
-            for i, x in enumerate(heavy):
-                count, vec, second = _reference_top_vectors(db, x)
-                assert (top_count[i], second_count[i]) == (count, second)
-                assert tuple(int(b) for b in top_vec[i]) == vec
+            _check_top_vectors(db, heavy)
+        # Over 1000 elements, rows fall on 240..271, across the byte boundary at
+        # 256, and the heavy set holds some of them plus elements that never occur.
+        u = Universe.indexed(1000)
+        for _ in range(10):
+            n = int(rng.integers(1, 200))
+            pool = rng.integers(0, 2, size=(int(rng.integers(1, 4)), k)).astype(np.uint8)
+            db = MultiLabeledDatabase(u, rng.integers(240, 272, size=n), pool[rng.integers(0, len(pool), size=n)])
+            candidates = np.r_[np.arange(240, 272), [0, 500, 999]]
+            heavy = np.sort(rng.choice(candidates, size=int(rng.integers(1, 20)), replace=False))
+            _check_top_vectors(db, heavy)
+
+
+def _check_top_vectors(db, heavy):
+    top_count, top_vec, second_count = _per_element_top_vectors(db, heavy)
+    for i, x in enumerate(heavy):
+        count, vec, second = _reference_top_vectors(db, x)
+        assert (top_count[i], second_count[i]) == (count, second)
+        assert tuple(int(b) for b in top_vec[i]) == vec
 
 
 def _reference_top_vectors(db, x):
