@@ -10,6 +10,7 @@ harness's paths and its LEARNERS table. Trials run serially: `experiment run
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .domain import generalization_errors, load_database
@@ -114,6 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: TrialReport, fmt: str, out: str | None) -> None:
+    if out is not None and os.path.isdir(out):
+        raise ConfigError(f"--out: cannot write report to {out}: it is a directory")
     emit(report, fmt, sys.stdout if out is None else out)
 
 

@@ -202,11 +202,16 @@ class Hypotheses:
         object.__setattr__(self, "params", params)
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        """The (k, len(xs)) uint8 matrix whose row j is h_j on the 1-D element array xs."""
+        """The (k, len(xs)) uint8 matrix whose row j is h_j on the 1-D element array xs.
+
+        It is stored example-major (the transpose of a C-ordered (len(xs), k)
+        array), so a reduction over the examples, such as .mean(axis=1),
+        walks contiguous runs of k hypotheses instead of one short row each.
+        """
         xs = _checked_elements(self.universe, xs)
         if xs.ndim != 1:
             raise ValueError(f"elements must be a 1-D array, got shape {xs.shape}")
-        return _evaluate_params(self.kind, self.params[:, None], xs)
+        return _evaluate_params(self.kind, self.params, xs[:, None]).T
 
     def _concept(self, param: int) -> Concept:
         return Concept(ZERO, self.universe) if param < 0 else Concept(self.kind, self.universe, param)

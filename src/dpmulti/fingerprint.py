@@ -74,6 +74,8 @@ def gen_codebook(
         raise ValueError("need at least 2 users")
     if not 0 < security < 1:
         raise ValueError(f"security must be in (0, 1), got {security}")
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
     if length % (n_users - 1) != 0:
         raise ValueError(f"length {length} not divisible by n-1 = {n_users - 1}")
     if strict and length < code_length(n_users, security):

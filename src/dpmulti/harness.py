@@ -393,13 +393,16 @@ def _learn_params(params: dict, section: str, kind: str, delta: float, epsilon_p
     alpha = _need(params, section, "alpha", float, default=0.2)
     if not 0 < alpha < 1:
         raise ConfigError(f"{section}.alpha must be in (0, 1), got {alpha}")
+    beta = _need(params, section, "beta", float, default=0.1)
+    if not 0 < beta < 1:
+        raise ConfigError(f"{section}.beta must be in (0, 1), got {beta}")
     synth_size = _need(params, section, "synth_size", int) if "synth_size" in params else None
     if synth_size is not None and synth_size < 1:
         raise ConfigError(f"{section}.synth_size: must be >= 1, got {synth_size}")
     return LearnParams(
         kind,
         alpha=alpha,
-        beta=_need(params, section, "beta", float, default=0.1),
+        beta=beta,
         epsilon=_need(params, section, "epsilon", float, default=1.0),
         delta=_need(params, section, "delta", float, default=delta),
         epsilon_prime=_need(params, section, "epsilon_prime", float) if "epsilon_prime" in params else epsilon_prime,
@@ -536,6 +539,8 @@ def _run_attack(config: ExperimentConfig) -> TrialReport:
     alpha = _need(params, "attack", "alpha", float, default=0.2)
     learner_name = params.get("learner", "erm").strip()
     length = _need(params, "attack", "length", int) if "length" in params else None
+    if length is not None and length < 1:
+        raise ConfigError(f"attack.length: must be >= 1, got {length}")
     learner = make_attack_learner(learner_name, variant, params)
     report = fingerprint.attack_experiment(
         learner, n_users, xi, config.trials, variant, alpha, config.seed, length=length

@@ -73,12 +73,20 @@ def erm_multi(db: MultiLabeledDatabase, cclass: ConceptClass) -> LearnResult:
     The objective separates per label, so each column is solved independently;
     ties break to the lowest concept parameter. The released table holds the
     argmin parameters as they are.
+
+    The argmin is one axis-0 minimum of the keys count * |C| + parameter: the
+    smallest key has the smallest count and, among equal counts, the lowest
+    parameter, which key % |C| recovers. Counts are at most n and |C| is at
+    most 2^20, so the keys fit in int64.
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot minimize empirical error on an empty database")
     db.universe.require_same(cclass.universe)
-    best = np.argmin(erm_mismatch_counts(db, cclass), axis=0)
-    return LearnResult(Hypotheses(db.universe, cclass.kind, best))
+    keys = erm_mismatch_counts(db, cclass)
+    size = keys.shape[0]
+    keys *= size
+    keys += np.arange(size)[:, None]
+    return LearnResult(Hypotheses(db.universe, cclass.kind, keys.min(axis=0) % size))
 
 
 def erm_mismatch_counts(db: MultiLabeledDatabase, cclass: ConceptClass) -> np.ndarray:
@@ -89,11 +97,16 @@ def erm_mismatch_counts(db: MultiLabeledDatabase, cclass: ConceptClass) -> np.nd
 def _mismatch_counts(evals: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Entry (h, j): rows where 0/1 evals[h] differs from label column j, as int64.
 
-    |e - y| = e + y - 2ey, so one product gives every count. It is taken in
-    float64, which adds integers below 2^53 exactly, so the counts are exact.
+    |e - y| = e + (1 - 2e)y, so one product with the +-1 matrix 1 - 2e gives
+    every count once the row sums of e are added into its buffer in place. It
+    is taken in float64, which adds integers below 2^53 exactly, so the counts
+    are exact. evals is copied row-major, since a table's evaluate() is stored
+    example-major and its short rows would otherwise be strided.
     """
-    evals, labels = evals.astype(np.float64), labels.astype(np.float64)
-    return (evals.sum(axis=1)[:, None] + labels.sum(axis=0) - 2 * (evals @ labels)).astype(np.int64)
+    evals = evals.astype(np.float64, order="C")
+    counts = (1 - 2 * evals) @ labels.astype(np.float64)
+    counts += evals.sum(axis=1)[:, None]
+    return counts.astype(np.int64)
 
 
 def gf2_solve_blocks(bits: int, xs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

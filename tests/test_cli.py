@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,7 +228,8 @@ def test_generic_attack_report_golden(capsys, argv, sha256):
     ids=["pac", "padded", "parity"],
 )
 def test_erm_attack_report_golden(capsys, argv, sha256):
-    # k = 2370 ERM hypotheses; frozen from the per-Concept pirate and contract check.
+    # k = 2370 ERM hypotheses; frozen before the hypothesis table replaced per-Concept
+    # evaluation in the pirate and the contract check, and unchanged by it.
     code, out = _run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -436,6 +441,20 @@ class TestExitCodes:
         assert main(argv + ["--alpha", alpha]) == 1
         assert f"learn.alpha must be in (0, 1), got {float(alpha)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["0", "2"])
+    def test_erm_beta_outside_unit_interval_is_invalid_input(self, capsys, beta):
+        argv = ["learn", "erm", "--k", "2", "--n", "100", "--universe", "8", "--class", "thresh", "--seed", "1"]
+        assert main(argv + ["--beta", "0.5"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--beta", beta]) == 1
+        assert f"learn.beta must be in (0, 1), got {float(beta)}" in capsys.readouterr().err
+
+    def test_out_directory_is_named(self, capsys, tmp_path):
+        argv = ["learn", "points", "--k", "2", "--n", "100", "--universe", "4", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "report.csv")]) == 0
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert f"error: --out: cannot write report to {tmp_path}: it is a directory" in capsys.readouterr().err
+
     def test_parities_with_another_class_is_invalid_input(self, capsys):
         argv = ["learn", "parities", "--k", "2", "--n", "1200", "--d", "4", "--delta", "0.1", "--seed", "1"]
         assert main(argv + ["--class", "parity"]) == 0
@@ -463,7 +482,9 @@ class TestExitCodes:
         (["--n", "1", "--xi", "0.1"], "n_users"),
         (["--n", "4", "--xi", "0"], "xi"),
         (["--n", "4", "--xi", "-0.5"], "xi"),
-    ], ids=["n1", "xi0", "xi-negative"])
+        (["--n", "4", "--xi", "0.1", "--length", "0"], "attack.length: must be >= 1, got 0"),
+        (["--n", "4", "--xi", "0.1", "--length", "-3"], "attack.length: must be >= 1, got -3"),
+    ], ids=["n1", "xi0", "xi-negative", "length0", "length-negative"])
     def test_bad_attack_parameter_is_invalid_input(self, capsys, argv, name):
         code = main(["attack", "boneh-shaw", *argv, "--trials", "1", "--learner", "erm", "--seed", "1"])
         assert code == 1
@@ -530,3 +551,13 @@ class TestExitCodes:
             "--out", str(tmp_path / "missing_dir" / "x.csv"),
         ])
         assert code == 2
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "dpmulti", "attack", "boneh-shaw", "--n", "4", "--xi", "0.1", "--trials", "1",
+            "--seed", "1"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("trial,feasible,accused,accurate,flagged")

@@ -109,6 +109,7 @@ class TestHypotheses:
         expected = np.stack([evaluate_many(_as_concept(universe, kind, p), xs) for p in params])
         got = table.evaluate(xs)
         assert got.dtype == np.uint8 and got.shape == (len(params), 40)
+        assert got.T.flags.c_contiguous  # stored example-major
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("kind", sorted(TABLE_CASES))

@@ -1,13 +1,16 @@
 """Codebook structure, feasibility, tracing, pirates, and attack experiments."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dpmulti.domain import POINT, THRESH, ConceptClass, Hypotheses
+from dpmulti.domain import PARITY, POINT, THRESH, ConceptClass, Hypotheses, empirical_error
 from dpmulti.fingerprint import (
+    VARIANTS,
     Codebook,
+    _contract_met,
     accusation_threshold,
     attack_experiment,
     block_one_counts,
@@ -56,6 +59,11 @@ class TestGenCodebook:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             gen_codebook(6, 31, 0.05, stream(92, 0))
+
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_length_below_one_rejected(self, length):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            gen_codebook(6, length, 0.05, stream(92, 3))
 
     def test_strict_length(self):
         with pytest.raises(ValueError):
@@ -186,6 +194,55 @@ class TestPirate:
         cb = gen_codebook(4, 30, 0.1, stream(95, 12))
         with pytest.raises(ValueError):
             pirate_word(_erm_thresholds, cb, range(4), "bogus", 0.1, stream(95, 13))
+
+
+def _random_table_learner(seed):
+    """A learner releasing a random table of its variant's kind, -1 (zero) included where allowed."""
+    def learner(db, rng):
+        kind = PARITY if db.universe.bit_width is not None else THRESH
+        low = 0 if kind == PARITY else -1
+        return LearnResult(Hypotheses(db.universe, kind, stream(seed, 1).integers(low, db.universe.size, size=db.k)))
+    return learner
+
+
+def _contract_gaps(result, cclass):
+    """Per label, the exact excess empirical error of the released hypothesis over the class's best."""
+    db = result.database
+    return [
+        empirical_error(db, j, h) - min(empirical_error(db, j, c) for c in cclass.concepts())
+        for j, h in enumerate(result.hypotheses)
+    ]
+
+
+class TestContractMet:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_label_brute_force(self, variant, seed):
+        n = 4 if variant == "parity" else 6
+        cb = gen_codebook(n, 10 * (n - 1), 0.1, stream(101, seed))
+        res = pirate_word(_random_table_learner(seed), cb, range(n), variant, 0.2, stream(102, seed))
+        cclass = ConceptClass(VARIANTS[variant], res.database.universe)
+        if variant != "parity":
+            assert (res.hypotheses.params == -1).any()
+        worst = max(_contract_gaps(res, cclass))
+        assert worst > 0
+        for alpha, met in [(float(worst) - 1e-9, False), (float(worst) + 1e-9, True), (0.2, worst <= Fraction(0.2))]:
+            assert _contract_met(res, cclass, alpha) is met
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_erm_table_meets_any_alpha(self, variant):
+        n = 4 if variant == "parity" else 6
+        cb = gen_codebook(n, 10 * (n - 1), 0.1, stream(103, 0))
+        learner = lambda db, rng: erm_multi(db, ConceptClass(VARIANTS[variant], db.universe))
+        res = pirate_word(learner, cb, range(n), variant, 0.2, stream(104, 0))
+        cclass = ConceptClass(VARIANTS[variant], res.database.universe)
+        assert max(_contract_gaps(res, cclass)) == 0
+        assert _contract_met(res, cclass, 1e-9)
+
+    def test_failed_learner_never_meets_the_contract(self):
+        cb = gen_codebook(4, 30, 0.1, stream(105, 0))
+        res = pirate_word(_failing_learner, cb, range(4), "pac", 0.2, stream(105, 1))
+        assert not _contract_met(res, ConceptClass(THRESH, res.database.universe), 0.99)
 
 
 class TestAttackExperiment:

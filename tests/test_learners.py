@@ -85,6 +85,19 @@ class TestErmMulti:
             assert got.dtype == np.int64
             assert np.array_equal(got, evals @ (1 - labels) + (1 - evals) @ labels)
 
+    @pytest.mark.parametrize("kind", [POINT, THRESH, PARITY])
+    def test_equals_argmin_of_mismatch_counts(self, kind):
+        # Few rows make equal counts, and so ties, common; k = 0 and k > 2000 included.
+        u = Universe.bitvectors(3)
+        cclass = ConceptClass(kind, u)
+        for trial, k in enumerate([0, 1, 7, 64, 2370]):
+            rng = stream(30, 4, trial)
+            n = int(rng.integers(1, 5))
+            db = MultiLabeledDatabase(u, rng.integers(0, u.size, size=n), rng.integers(0, 2, size=(n, k)).astype(np.uint8))
+            got = erm_multi(db, cclass).hypotheses
+            assert got.kind == kind
+            assert got.params.tolist() == np.argmin(erm_mismatch_counts(db, cclass), axis=0).tolist()
+
 
 class TestLearnResult:
     def test_erm_multi_releases_the_argmin_table(self):
