@@ -37,7 +37,7 @@ from .mechanisms import (
     PrivacyLedger,
     PrivacyParams,
     ScoredCandidate,
-    compose_advanced,
+    check_epsilon,
     compose_basic,
     exponential_mechanism,
     stable_argmax,
@@ -190,8 +190,7 @@ def _unpack_words(words: np.ndarray) -> np.ndarray:
 
 def _check_approx_dp(epsilon: float, delta: float, beta: float) -> None:
     """Reject the (epsilon, delta, beta) that an approximate-DP bound cannot take."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not 0 < beta < 1:
@@ -206,8 +205,7 @@ def _check_alpha(alpha: float) -> None:
 def _check_generic(alpha: float, epsilon_prime: float) -> None:
     """Reject the accuracy and per-label budget the generic learner cannot take."""
     _check_alpha(alpha)
-    if not epsilon_prime > 0:
-        raise ValueError(f"epsilon_prime must be positive, got {epsilon_prime}")
+    check_epsilon(epsilon_prime, "epsilon_prime")
 
 
 def parity_charges(epsilon: float, delta: float) -> list[PrivacyParams]:
@@ -434,6 +432,20 @@ def _per_element_top_vectors(
     return top_count, top_vec, second_count
 
 
+def generic_sanitizer(cclass: ConceptClass, delta: float, sanitizer: str = "auto") -> str:
+    """The sanitizer generic_multi_learner runs: "points" or "exhaustive".
+
+    "auto" takes the point-query sanitizer for point classes under approximate
+    DP (delta > 0) and the exhaustive pure-DP one otherwise. The learner and
+    its sample bound both resolve the sanitizer here.
+    """
+    if sanitizer == "auto":
+        return "points" if (cclass.kind == POINT and delta > 0) else "exhaustive"
+    if sanitizer not in ("points", "exhaustive"):
+        raise ValueError(f"unknown sanitizer {sanitizer!r}")
+    return sanitizer
+
+
 def generic_rows_bound(
     cclass: ConceptClass,
     k: int,
@@ -442,8 +454,12 @@ def generic_rows_bound(
     epsilon: float,
     epsilon_prime: float,
     delta: float,
+    sanitizer: str = "auto",
 ) -> int:
-    """Pinned (unit-constant) sample bound for the generic learner."""
+    """Pinned (unit-constant) sample bound for the generic learner.
+
+    Its sanitization term is that of the sanitizer generic_sanitizer resolves.
+    """
     _check_generic(alpha, epsilon_prime)
     if not 0 < beta < 1:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
@@ -453,29 +469,18 @@ def generic_rows_bound(
         + (1.0 / (alpha * epsilon_prime)) * math.log(k / beta)
         + (vc / alpha**2) * math.log(k / (alpha * beta))
     )
-    if delta > 0:
-        sanitizer = point_sanitizer_rows(alpha / 10.0, beta / 5.0, delta, epsilon)
+    if generic_sanitizer(cclass, delta, sanitizer) == "points":
+        sanitizer_rows = point_sanitizer_rows(alpha / 10.0, beta / 5.0, delta, epsilon)
     else:
-        sanitizer = math.ceil(
+        sanitizer_rows = math.ceil(
             vc * math.log(cclass.universe.size) * math.log(2.0 / alpha) / (alpha**3 * epsilon)
         )
-    return sanitizer + math.ceil(select)
+    return sanitizer_rows + math.ceil(select)
 
 
-def generic_privacy_total(
-    k: int,
-    epsilon: float,
-    epsilon_prime: float,
-    delta: float,
-    mode: str = "basic",
-) -> PrivacyParams:
+def generic_privacy_total(k: int, epsilon: float, epsilon_prime: float, delta: float) -> PrivacyParams:
     """Composed generic_charges: one sanitization plus k exponential-mechanism selections."""
-    sanitizer, *selections = generic_charges(k, epsilon, epsilon_prime, delta)
-    if mode == "basic":
-        return compose_basic([sanitizer, *selections])
-    if mode == "advanced":
-        return compose_basic([sanitizer, compose_advanced(selections, delta)])
-    raise ValueError(f"unknown composition mode {mode!r}")
+    return compose_basic(generic_charges(k, epsilon, epsilon_prime, delta))
 
 
 def generic_multi_learner(
@@ -501,25 +506,23 @@ def generic_multi_learner(
     sanitizer: "points" routes through the point-query sanitizer (point
     classes, approximate DP), "exhaustive" through the enumerative pure-DP
     sanitizer (synth_size caps its candidate databases at desk scale), "auto"
-    picks by class. alpha, epsilon, epsilon_prime and delta are checked
-    (ValueError) before any randomness is drawn.
+    picks by class and delta (generic_sanitizer), and below_sample_bound uses
+    the bound of the sanitizer that ran. alpha, epsilon, epsilon_prime and
+    delta are checked (ValueError) before any randomness is drawn.
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot learn from an empty database")
     _check_generic(alpha, epsilon_prime)
     ledger = PrivacyLedger(generic_charges(db.k, epsilon, epsilon_prime, delta))
     db.universe.require_same(cclass.universe)
-    if sanitizer == "auto":
-        sanitizer = "points" if (cclass.kind == POINT and delta > 0) else "exhaustive"
+    sanitizer = generic_sanitizer(cclass, delta, sanitizer)
     if sanitizer == "points":
         # Point-query error alpha/10 twice (release + reconstruction) bounds the
         # pairwise-xor query error by 2*(alpha/10 + alpha/10) = 2*alpha/5.
         answers = sanitize_points(db, alpha / 10.0, epsilon, delta, rng)
         synth = answers_to_synthetic(answers, alpha / 10.0)
-    elif sanitizer == "exhaustive":
-        synth = sanitize_exhaustive(db, (cclass, "xor"), alpha / 5.0, epsilon, rng, synth_size=synth_size)
     else:
-        raise ValueError(f"unknown sanitizer {sanitizer!r}")
+        synth = sanitize_exhaustive(db, (cclass, "xor"), alpha / 5.0, epsilon, rng, synth_size=synth_size)
 
     support = synth.distinct_elements()
     witnesses = np.array([h.param for h in dichotomy_projection(cclass, support).values()], dtype=np.int64)
@@ -530,7 +533,7 @@ def generic_multi_learner(
         for j in range(db.k)
     ]
 
-    below = db.n < generic_rows_bound(cclass, max(db.k, 1), alpha, beta, epsilon, epsilon_prime, delta)
+    below = db.n < generic_rows_bound(cclass, max(db.k, 1), alpha, beta, epsilon, epsilon_prime, delta, sanitizer)
     details = {"support_size": int(len(support)), "hypothesis_count": len(witnesses)}
     return LearnResult(Hypotheses(db.universe, cclass.kind, witnesses[chosen]), ledger, below, details)
 

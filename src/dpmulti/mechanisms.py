@@ -15,6 +15,18 @@ from typing import Hashable, Sequence
 import numpy as np
 
 
+def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
+    """Reject a privacy budget that is not a positive finite number, naming it.
+
+    An infinite epsilon would make every noise scale 0 and every mechanism
+    weight overflow, and it bounds nothing.
+    """
+    if not epsilon > 0:
+        raise ValueError(f"{name} must be positive, got {epsilon}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"{name} must be finite, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """An (epsilon, delta) differential privacy guarantee."""
@@ -23,8 +35,7 @@ class PrivacyParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        check_epsilon(self.epsilon)
         if not 0 <= self.delta < 1:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
 
@@ -131,6 +142,8 @@ def exponential_mechanism_pmf(
     scores = _score_array(candidates)
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
     logits = epsilon * scores / (2.0 * sensitivity)
@@ -168,8 +181,7 @@ def stable_argmax(
     gap_hat >= (1/epsilon) ln(1/delta), else None. The runner-up is never
     released. Satisfies (epsilon, delta)-DP for sensitivity-1 scores.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     gap = best.score - second.score

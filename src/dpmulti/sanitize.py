@@ -8,7 +8,11 @@ Two sanitizers are provided:
   synthetic database of a fixed size m, scored by worst-case query error.
   It runs over the C(|X|+m-1, m) histograms, not the |X|^m ordered tuples,
   with the same law on the released (sorted) multiset. Exact and exhaustive
-  by design; the histogram count is capped by ENUMERATION_BUDGET.
+  by design; the histogram count is capped by ENUMERATION_BUDGET. Only the
+  target answers and the worst-case errors depend on the data: the
+  histograms, their query answers and log multinomials are built once per
+  (query class, m) and kept read-only in a small cache (_histogram_table),
+  as the query matrix is per query class (_query_matrix).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConceptClass, EmptyDatabaseError, MultiLabeledDatabase, Universe, xor_eval_matrix
-from .mechanisms import exponential_mechanism, exponential_mechanism_pmf, laplace_sample
+from .mechanisms import check_epsilon, exponential_mechanism, exponential_mechanism_pmf, laplace_sample
 
 # Rows of a synthetic database holding residual mass; outside the universe,
 # so every counting query evaluates to 0 on them.
@@ -124,8 +128,7 @@ def sanitize_points(
     for name, value in (("alpha", alpha), ("delta", delta)):
         if not 0 < value < 1:
             raise ValueError(f"{name} must be in (0, 1), got {value}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     n = db.n
     counts = np.bincount(db.xs, minlength=db.universe.size)
     answers: dict[int, float] = {}
@@ -248,24 +251,27 @@ def sanitize_exhaustive_pmf(
 
 
 def _exhaustive_candidates(db, query_class, synth_size, epsilon):
-    """Check, enumerate and score every candidate histogram, for the sampler and its oracle.
+    """Check and score every candidate histogram, for the sampler and its oracle.
 
-    Returns (scores, histograms): histograms is the (H, |X|) count array of
-    the H = C(|X|+m-1, m) size-m multisets, in lexicographic order of their
-    sorted tuples, and scores[i] is row i's score plus the offset
+    Returns (scores, histograms): histograms is the read-only (H, |X|) count
+    array of the H = C(|X|+m-1, m) size-m multisets, in lexicographic order
+    of their sorted tuples, and scores[i] is row i's score plus the offset
     (2/eps) ln multinomial(h). The unchanged exponential mechanism then
     weights h by multinomial(h) * exp(eps * score / 2). The offset does not
     depend on the data, so between neighbouring databases the shifted score
     moves exactly as the score does, by at most 1: sensitivity 1 still
     holds, and so does eps-DP.
+
+    Every argument is checked on every call, the budget included, before the
+    data-independent part is looked up in _histogram_table; only the target
+    answers and the worst-case error are computed per call.
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot sanitize an empty database")
     db.universe.require_same(_base_class(query_class).universe)
     if synth_size < 1:
         raise ValueError(f"synth_size must be >= 1, got {synth_size}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     size = db.universe.size
     # count = C(m+i, i) grows with i up to C(|X|+m-1, m) at i = |X|-1; stopping
     # once it passes the budget keeps it a small integer, however big m is.
@@ -277,19 +283,39 @@ def _exhaustive_candidates(db, query_class, synth_size, epsilon):
                 f"C(|X|+m-1, m) histograms at |X| = {size}, m = {synth_size} exceed budget "
                 f"{ENUMERATION_BUDGET}; for point queries use sanitize_points instead"
             )
+    histograms, answers, log_multinomial = _histogram_table(query_class, synth_size)
+    target = _query_answers(_query_matrix(query_class), np.bincount(db.xs, minlength=size), db.n)
+    scores = -db.n * np.abs(answers - target[:, None]).max(axis=0)
+    return scores + (2.0 / epsilon) * log_multinomial, histograms
+
+
+@functools.lru_cache(maxsize=4)
+def _histogram_table(
+    query_class: ConceptClass | tuple[ConceptClass, str], synth_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (histograms, answers, log_multinomial) of the size-m multisets.
+
+    histograms is the (H, |X|) count array, in the order _exhaustive_candidates
+    documents; answers[q, i] is query q's answer on histogram i; and
+    log_multinomial[i] is ln multinomial(histograms[i]). None of it depends on
+    the data, so the last few (query class, m) pairs are cached. An entry holds
+    H * (|X| + Q + 1) * 8 bytes for Q queries, less than one call's scoring
+    allocates anyway. Callers check the enumeration budget first.
+    """
+    size = _base_class(query_class).universe.size
     # Stars and bars: |X|-1 bars among m+|X|-1 slots cut the m stars into a
     # histogram. Bar sets in descending order give the multisets in ascending order.
     slots = synth_size + size - 1
+    count = math.comb(slots, size - 1)
     bars = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(slots), size - 1)),
         dtype=np.int64,
         count=count * (size - 1),
     ).reshape(count, size - 1)[::-1]
     histograms = np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots)), axis=1) - 1
-    full = _query_matrix(query_class)
-    target = _query_answers(full, np.bincount(db.xs, minlength=size), db.n)
-    answers = _query_answers(full, histograms.T, synth_size)  # (queries, histograms)
-    scores = -db.n * np.abs(answers - target[:, None]).max(axis=0)
+    answers = _query_answers(_query_matrix(query_class), histograms.T, synth_size)  # (queries, histograms)
     log_factorial = np.array([math.lgamma(c + 1) for c in range(synth_size + 1)])
     log_multinomial = log_factorial[synth_size] - log_factorial[histograms].sum(axis=1)
-    return scores + (2.0 / epsilon) * log_multinomial, histograms
+    for table in (histograms, answers, log_multinomial):
+        table.setflags(write=False)
+    return histograms, answers, log_multinomial

@@ -368,13 +368,32 @@ class TestExitCodes:
         ("--epsilon", "-1", "epsilon must be positive, got -1.0"),
         ("--delta", "0", "delta must be in (0, 1), got 0.0"),
         ("--beta", "0", "beta must be in (0, 1), got 0.0"),
-    ], ids=["epsilon0", "epsilon-negative", "delta0", "beta0"])
+        ("--epsilon", "inf", "epsilon must be finite, got inf"),
+    ], ids=["epsilon0", "epsilon-negative", "delta0", "beta0", "epsilon-inf"])
     def test_bad_point_parameter_is_invalid_input(self, capsys, algorithm, flag, value, message):
         argv = ["learn", algorithm, "--k", "3", "--n", "500", "--universe", "8", "--seed", "1"]
         assert main(argv) == 0
         capsys.readouterr()
         assert main(argv + [flag, value]) == 1
         assert message in capsys.readouterr().err
+
+    def test_infinite_parity_epsilon_is_invalid_input(self, capsys):
+        argv = ["learn", "parities", "--k", "2", "--n", "100", "--d", "4", "--epsilon", "inf", "--seed", "1"]
+        assert main(argv) == 1
+        assert "epsilon must be finite, got inf" in capsys.readouterr().err
+
+    def test_infinite_sanitize_epsilon_is_invalid_input(self, capsys, db_file):
+        argv = ["sanitize", "points", "--alpha", "0.2", "--epsilon", "inf", "--delta", "0.01", "--input", db_file,
+                "--seed", "1"]
+        assert main(argv) == 1
+        assert "epsilon must be finite, got inf" in capsys.readouterr().err
+
+    def test_generic_sample_bound_is_the_exhaustive_sanitizers_for_thresholds(self, capsys):
+        # delta > 0, but "auto" runs the exhaustive sanitizer for thresholds: 931 rows, not 6413.
+        code, out = _run(capsys, "learn", "generic", "--k", "2", "--n", "5000", "--universe", "8", "--class",
+                         "thresh", "--epsilon-prime", "1", "--synth-size", "4", "--seed", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"]["below_sample_bound"] is False
 
     def test_zero_generic_beta_is_invalid_input(self, capsys):
         argv = ["learn", "generic", "--class", "point", "--k", "3", "--n", "500", "--universe", "8",
@@ -392,8 +411,10 @@ class TestExitCodes:
         ("--delta", "-0.1", "delta must be in [0, 1), got -0.1"),
         ("--delta", "1.0", "delta must be in [0, 1), got 1.0"),
         ("--epsilon", "0", "epsilon must be positive, got 0.0"),
+        ("--epsilon-prime", "inf", "epsilon_prime must be finite, got inf"),
+        ("--epsilon", "inf", "epsilon must be finite, got inf"),
     ], ids=["epsilon-prime0", "epsilon-prime-negative", "alpha-above-1", "alpha0", "delta-negative", "delta1",
-            "epsilon0"])
+            "epsilon0", "epsilon-prime-inf", "epsilon-inf"])
     def test_bad_generic_parameter_is_invalid_input(self, capsys, flag, value, message):
         argv = ["learn", "generic", "--k", "2", "--n", "100", "--universe", "8", "--class", "thresh",
                 "--delta", "0", "--epsilon-prime", "1", "--synth-size", "4", "--seed", "1"]
@@ -522,7 +543,8 @@ class TestExitCodes:
          "mech.exponential: --scores expects id:score pairs, got 'a10'"),
         (["exponential", "--scores", "a:1,b:x", "--epsilon", "1"],
          "mech.exponential: --scores expects id:score pairs, got 'b:x'"),
-    ], ids=["laplace-draws", "exponential-draws", "scores-no-colon", "scores-not-a-number"])
+        (["exponential", "--scores", "a:1,b:0", "--epsilon", "inf"], "epsilon must be finite, got inf"),
+    ], ids=["laplace-draws", "exponential-draws", "scores-no-colon", "scores-not-a-number", "exponential-inf"])
     def test_bad_mech_argument_is_named(self, capsys, argv, message):
         assert main(["mech", *argv, "--seed", "1"]) == 1
         assert message in capsys.readouterr().err

@@ -23,7 +23,7 @@ from dpmulti.domain import (
     generalization_error,
     sample_database,
 )
-from dpmulti.harness import sample_and_learn
+from dpmulti.harness import plan_sample_size, sample_and_learn
 from dpmulti.learners import (
     LearnResult,
     direct_sum_learner,
@@ -31,6 +31,8 @@ from dpmulti.learners import (
     erm_multi,
     generic_multi_learner,
     generic_privacy_total,
+    generic_rows_bound,
+    generic_sanitizer,
     gf2_solve,
     gf2_solve_blocks,
     parity_block_plan,
@@ -645,6 +647,35 @@ class TestGenericLearner:
             ) <= 0.4
         assert good >= 8
 
+    @pytest.mark.parametrize("kind,delta,sanitizer,resolved,rows", [
+        (THRESH, 0.01, "auto", "exhaustive", 931),
+        (THRESH, 0.0, "auto", "exhaustive", 931),
+        (THRESH, 0.01, "points", "points", 6413),
+        (POINT, 0.01, "auto", "points", 6413),
+        (POINT, 0.0, "auto", "exhaustive", 931),
+    ])
+    def test_sample_bound_follows_the_sanitizer_that_runs(self, kind, delta, sanitizer, resolved, rows):
+        # "auto" runs the exhaustive sanitizer for thresholds even when delta > 0,
+        # so their bound is the exhaustive sanitizer's, whatever delta is.
+        cclass = ConceptClass(kind, Universe.indexed(8))
+        assert generic_sanitizer(cclass, delta, sanitizer) == resolved
+        assert generic_rows_bound(cclass, 2, 0.2, 0.1, 1.0, 1.0, delta, sanitizer) == rows
+        if sanitizer == "auto":
+            assert plan_sample_size(
+                "generic", cclass=cclass, k=2, alpha=0.2, beta=0.1, epsilon=1.0, epsilon_prime=1.0, delta=delta
+            ) == rows
+
+    def test_below_bound_flag_uses_the_resolved_sanitizer(self):
+        u = Universe.indexed(8)
+        rng = stream(56, 0)
+        db = sample_database(Distribution.uniform(u), Hypotheses(u, THRESH, np.array([2, 5])), 1000, rng)
+        res = generic_multi_learner(db, ConceptClass(THRESH, u), 0.2, 0.1, 1.0, 1.0, 0.01, rng, synth_size=4)
+        assert not res.below_sample_bound
+
+    def test_unknown_sanitizer_rejected(self):
+        with pytest.raises(ValueError, match="unknown sanitizer 'best'"):
+            generic_sanitizer(ConceptClass(THRESH, Universe.indexed(8)), 0.0, "best")
+
     def test_ledger_matches_claimed_charges(self):
         u = Universe.indexed(8)
         cclass = ConceptClass(POINT, u)
@@ -653,15 +684,12 @@ class TestGenericLearner:
         res = generic_multi_learner(db, cclass, 0.2, 0.1, 1.0, 0.5, 0.01, rng)
         basic = res.ledger.basic_total()
         assert basic == PrivacyParams(1.0 + 2 * 0.5, 0.01)
-        assert generic_privacy_total(2, 1.0, 0.5, 0.01, "basic") == basic
-        adv = generic_privacy_total(2, 1.0, 0.5, 0.01, "advanced")
-        expected_eps = 1.0 + math.sqrt(2 * 2 * math.log(1 / 0.01)) * 0.5 + 2 * 2 * 0.5**2
-        assert adv.epsilon == pytest.approx(expected_eps)
-        assert adv.delta == pytest.approx(0.02)
+        assert generic_privacy_total(2, 1.0, 0.5, 0.01) == basic
 
     @pytest.mark.parametrize("alpha,epsilon_prime,message", [
         (0.2, 0.0, "epsilon_prime must be positive, got 0.0"),
         (0.2, -1.0, "epsilon_prime must be positive, got -1.0"),
+        (0.2, math.inf, "epsilon_prime must be finite, got inf"),
         (1.5, 1.0, "alpha must be in (0, 1), got 1.5"),
         (0.0, 1.0, "alpha must be in (0, 1), got 0.0"),
     ])
@@ -672,7 +700,8 @@ class TestGenericLearner:
         (1.0, -0.1, "delta must be in [0, 1), got -0.1"),
         (1.0, 1.0, "delta must be in [0, 1), got 1.0"),
         (0.0, 0.0, "epsilon must be positive, got 0.0"),
-    ], ids=["delta-negative", "delta1", "epsilon0"])
+        (math.inf, 0.0, "epsilon must be finite, got inf"),
+    ], ids=["delta-negative", "delta1", "epsilon0", "epsilon-inf"])
     def test_bad_privacy_parameter_rejected_before_any_draw(self, epsilon, delta, message):
         # A negative delta would otherwise pick the pure-DP sanitizer and run it.
         self._assert_rejected_before_any_draw(message, epsilon=epsilon, delta=delta)

@@ -99,6 +99,11 @@ class TestExponentialMechanism:
         pmf = exponential_mechanism_pmf([ScoredCandidate(i, float(i)) for i in range(5)], 0.0, 1.0)
         assert np.allclose(pmf, 0.2)
 
+    def test_infinite_epsilon_rejected(self):
+        # exp(inf * score) would give an all-NaN pmf, and every draw the last candidate.
+        with pytest.raises(ValueError, match="epsilon must be finite, got inf"):
+            exponential_mechanism_pmf(np.array([0.0, -1.0]), math.inf, 1.0)
+
     def test_shift_invariance(self):
         cands = [ScoredCandidate(i, s) for i, s in enumerate([4.0, -1.0, 2.5])]
         shifted = [ScoredCandidate(i, s + 137.0) for i, s in enumerate([4.0, -1.0, 2.5])]
@@ -234,6 +239,15 @@ class TestStableArgmax:
 class TestComposition:
     def test_single_charge_identity(self):
         assert compose_basic([PrivacyParams(0.3, 0.01)]) == PrivacyParams(0.3, 0.01)
+
+    @pytest.mark.parametrize("epsilon,message", [
+        (math.inf, "epsilon must be finite, got inf"),
+        (math.nan, "epsilon must be positive, got nan"),
+        (0.0, "epsilon must be positive, got 0.0"),
+    ])
+    def test_charge_needs_positive_finite_epsilon(self, epsilon, message):
+        with pytest.raises(ValueError, match=message):
+            PrivacyParams(epsilon, 0.01)
 
     def test_basic_examples(self):
         assert compose_basic([PrivacyParams(0.1)] * 4) == PrivacyParams(0.4, 0.0)

@@ -24,6 +24,7 @@ from dpmulti.sanitize import (
     SanitizedAnswers,
     SyntheticDatabase,
     _exhaustive_candidates,
+    _histogram_table,
     _query_matrix,
     answers_to_synthetic,
     point_sanitizer_min_rows,
@@ -289,6 +290,69 @@ class TestQueryMatrix:
             _query_matrix((ConceptClass(THRESH, Universe.indexed(4)), "and"))
 
 
+def _fresh_candidates(db, query_class, m, eps):
+    """Reference: _exhaustive_candidates' scoring on an uncached histogram table and query matrix."""
+    histograms, answers, log_multinomial = _histogram_table.__wrapped__(query_class, m)
+    full = _query_matrix.__wrapped__(query_class)
+    target = (full @ np.bincount(db.xs, minlength=db.universe.size).astype(np.float64)) / db.n
+    scores = -db.n * np.abs(answers - target[:, None]).max(axis=0)
+    return scores + (2.0 / eps) * log_multinomial, histograms
+
+
+class TestHistogramTable:
+    def test_entries_are_read_only(self):
+        u = Universe.indexed(8)
+        for table in _histogram_table(ConceptClass(THRESH, u), 5):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+        _, histograms = _exhaustive_candidates(_unlabeled(u, [0, 1]), ConceptClass(THRESH, u), 5, 1.0)
+        assert not histograms.flags.writeable
+
+    def test_query_classes_get_distinct_entries(self):
+        u = Universe.indexed(8)
+        query_classes = [ConceptClass(THRESH, u), ConceptClass(POINT, u),
+                         (ConceptClass(THRESH, u), "xor"), (ConceptClass(POINT, u), "xor")]
+        answers = [_histogram_table(q, 3)[1] for q in query_classes]
+        # All four are held at once, each is its own class's answers, and no two coincide.
+        assert all(_histogram_table(q, 3)[1] is a for q, a in zip(query_classes, answers))
+        assert all(np.array_equal(a, _histogram_table.__wrapped__(q, 3)[1]) for q, a in zip(query_classes, answers))
+        assert len({(a.shape, a.tobytes()) for a in answers}) == len(query_classes)
+
+    @pytest.mark.parametrize("queries", ["plain", "xor"])
+    def test_warm_scores_equal_a_fresh_build_bit_for_bit(self, queries):
+        u = Universe.indexed(8)
+        query_class = (ConceptClass(THRESH, u), "xor") if queries == "xor" else ConceptClass(THRESH, u)
+        _exhaustive_candidates(_unlabeled(u, [0]), query_class, 5, 1.0)  # warm the entry
+        for trial in range(4):
+            db = _unlabeled(u, stream(34, trial).integers(0, 8, size=50 + 100 * trial))
+            for eps in (0.1, 1.0, 3.7, 50.0):
+                scores, histograms = _exhaustive_candidates(db, query_class, 5, eps)
+                fresh_scores, fresh_histograms = _fresh_candidates(db, query_class, 5, eps)
+                assert np.array_equal(histograms, fresh_histograms)
+                assert scores.tobytes() == fresh_scores.tobytes()
+
+    def test_over_budget_call_caches_nothing(self):
+        u = Universe.indexed(64)
+        before = _histogram_table.cache_info()
+        for m in (8, 30):
+            with pytest.raises(EnumerationBudgetError):
+                _exhaustive_candidates(_unlabeled(u, [0, 1]), ConceptClass(POINT, u), m, 1.0)
+        after = _histogram_table.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+    def test_sampler_and_oracle_share_one_entry(self):
+        u = Universe.indexed(5)
+        query_class = (ConceptClass(THRESH, u), "xor")
+        db = _unlabeled(u, [0, 1, 1, 4])
+        sanitize_exhaustive(db, query_class, 0.5, 1.0, stream(35, 0), synth_size=4)
+        before = _histogram_table.cache_info()
+        pmf, _ = sanitize_exhaustive_pmf(db, query_class, 1.0, 4)
+        after = _histogram_table.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert pmf.shape == (math.comb(8, 4),)
+
+
 class TestSanitizeExhaustive:
     def test_output_law_matches_exact_pmf(self):
         # |X|=2, m=2 for D=(0,0,1,1): the perfect multiset (0,1) scores 0 and
@@ -336,6 +400,11 @@ class TestSanitizeExhaustive:
         db = _unlabeled(u, [0, 1])
         with pytest.raises(EnumerationBudgetError, match="sanitize_points"):
             sanitize_exhaustive(db, ConceptClass(POINT, u), 0.1, 1.0, stream(29, 0), synth_size=8)
+
+    def test_rejects_infinite_epsilon(self):
+        u = Universe.indexed(4)
+        with pytest.raises(ValueError, match="epsilon must be finite, got inf"):
+            sanitize_exhaustive_pmf(_unlabeled(u, [0, 1]), ConceptClass(POINT, u), math.inf, 2)
 
     def test_rejects_empty_synthetic_size(self):
         u = Universe.indexed(4)
