@@ -33,7 +33,6 @@ from .domain import (
 from .mechanisms import (
     PrivacyLedger,
     PrivacyParams,
-    ScoredCandidate,
     compose_advanced,
     compose_basic,
     dp_bound_holds,

@@ -2,14 +2,15 @@
 
 Subcommands: learn, sanitize, attack, mech, experiment. All randomness comes
 from --seed; runs are reproducible byte for byte. `learn` and `attack` run the
-harness's paths and its LEARNERS table. Trials run serially: `experiment run
---threads` changes neither output nor scheduling. Exit codes: 0 success,
-1 invalid configuration or arguments, 2 runtime failure.
+harness's paths and its LEARNERS table; `experiment run` runs its trials
+serially. Exit codes: 0 success, 1 invalid configuration or arguments,
+2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -27,7 +28,6 @@ from .harness import (
 )
 from .mechanisms import (
     PrivacyParams,
-    ScoredCandidate,
     compose_advanced,
     compose_basic,
     exponential_mechanism,
@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_sub = exp.add_subparsers(dest="action", required=True)
     run = exp_sub.add_parser("run")
     run.add_argument("--config", required=True)
-    run.add_argument("--threads", type=int, default=1, help="accepted; trials run serially")
     run.add_argument("--format", choices=("csv", "json"), default=None, help="override config format")
     run.add_argument("--out", default=None)
     return parser
@@ -182,16 +181,19 @@ def _check_count(args, flag: str, low: int) -> None:
         raise ConfigError(f"mech.{args.mechanism}: {flag} must be >= {low}, got {value}")
 
 
-def _parse_scores(text: str) -> list[ScoredCandidate]:
-    candidates = []
+def _parse_scores(text: str) -> tuple[list[str], list[float]]:
+    names, scores = [], []
     for part in text.split(","):
         name, _, score = part.partition(":")
         try:
             value = float(score)
         except ValueError:
             raise ConfigError(f"mech.exponential: --scores expects id:score pairs, got {part!r}") from None
-        candidates.append(ScoredCandidate(name.strip(), value))
-    return candidates
+        if not math.isfinite(value):
+            raise ConfigError(f"mech.exponential: --scores must be finite, got {part!r}")
+        names.append(name.strip())
+        scores.append(value)
+    return names, scores
 
 
 def _cmd_mech(args) -> int:
@@ -203,10 +205,10 @@ def _cmd_mech(args) -> int:
                              meta={"scale": args.scale, "seed": args.seed})
     elif args.mechanism == "exponential":
         _check_count(args, "--draws", 0)
-        candidates = _parse_scores(args.scores)
+        names, scores = _parse_scores(args.scores)
         rng = stream(args.seed, 0, 0)
-        picks = [exponential_mechanism(candidates, args.epsilon, args.sensitivity, rng) for _ in range(args.draws)]
-        report = TrialReport("mech", ["draw", "choice"], [[i, p] for i, p in enumerate(picks)],
+        picks = [exponential_mechanism(scores, args.epsilon, args.sensitivity, rng) for _ in range(args.draws)]
+        report = TrialReport("mech", ["draw", "choice"], [[i, names[p]] for i, p in enumerate(picks)],
                              meta={"epsilon": args.epsilon, "seed": args.seed})
     else:
         _check_count(args, "--count", 1)
@@ -228,7 +230,7 @@ def _cmd_experiment(args) -> int:
         config = load_config(args.config)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
-    report = run_experiment(config, threads=args.threads)
+    report = run_experiment(config)
     fmt = args.format or config.params.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"{config.kind}.format: expected csv|json, got {fmt!r}")

@@ -63,12 +63,11 @@ def gen_codebook(
     length: int,
     security: float,
     rng: np.random.Generator,
-    strict: bool = False,
 ) -> Codebook:
     """Generate a codebook of `length` secretly permuted stairstep columns.
 
-    strict=True additionally enforces the secure-length bound of code_length;
-    by default short codes are allowed for structural tests.
+    Codes shorter than the secure bound of code_length are allowed, for
+    structural tests and under-length attack experiments.
     """
     if n_users < 2:
         raise ValueError("need at least 2 users")
@@ -78,8 +77,6 @@ def gen_codebook(
         raise ValueError(f"length must be >= 1, got {length}")
     if length % (n_users - 1) != 0:
         raise ValueError(f"length {length} not divisible by n-1 = {n_users - 1}")
-    if strict and length < code_length(n_users, security):
-        raise ValueError(f"length {length} below secure bound {code_length(n_users, security)}")
     per_type = length // (n_users - 1)
     types = np.repeat(np.arange(1, n_users, dtype=np.int64), per_type)
     types = rng.permutation(types)

@@ -489,8 +489,9 @@ SWEEP_AXES = {"learn": ("n", "k", "d", "universe"), "sanitize": ("n", "universe"
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
-    """Execute all sweep points and trials serially; `threads` changes neither
-    the output nor the scheduling, since trials are bound by the interpreter lock.
+    """Execute all sweep points and trials serially.
+
+    `threads` is ignored. It stays only because bench/workloads.py passes it.
 
     Each sweep value replaces the section's key named by the sweep axis.
     """

@@ -36,7 +36,6 @@ from .domain import (
 from .mechanisms import (
     PrivacyLedger,
     PrivacyParams,
-    ScoredCandidate,
     check_epsilon,
     compose_basic,
     exponential_mechanism,
@@ -289,13 +288,7 @@ def parity_learner(
     """
     masks, best_count, second_count, below = _parity_tally(db, epsilon, delta, beta)
     ledger = PrivacyLedger(parity_charges(epsilon, delta))
-    choice = stable_argmax(
-        ScoredCandidate("selected", float(best_count)),
-        ScoredCandidate("runner-up", float(second_count)),
-        epsilon,
-        delta,
-        rng,
-    )
+    choice = stable_argmax(float(best_count - second_count), epsilon, delta, rng)
     if choice is None:
         return LearnResult(None, ledger, below)
     return LearnResult(Hypotheses(db.universe, PARITY, masks), ledger, below)
@@ -374,13 +367,7 @@ def point_learner(
     else:
         others = top_count
     second_q = int(np.minimum(others, second_count).max())
-    choice = stable_argmax(
-        ScoredCandidate("selected", float(best_q)),
-        ScoredCandidate("runner-up", float(second_q)),
-        epsilon / 2.0,
-        delta / 2.0,
-        rng,
-    )
+    choice = stable_argmax(float(best_q - second_q), epsilon / 2.0, delta / 2.0, rng)
     if choice is None:
         return LearnResult(None, ledger, below)
     # Label j goes to the first heavy element carrying bit j, else to zero (-1).

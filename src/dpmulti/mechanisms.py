@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,32 +40,14 @@ class PrivacyParams:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
-    """A selection candidate with its (finite) quality score."""
-
-    id: Hashable
-    score: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise ValueError(f"candidate score must be finite, got {self.score}")
-
-
 @dataclass
 class PrivacyLedger:
     """Accumulates (epsilon, delta) charges for later composition."""
 
     charges: list[PrivacyParams] = field(default_factory=list)
 
-    def charge(self, epsilon: float, delta: float = 0.0) -> None:
-        self.charges.append(PrivacyParams(epsilon, delta))
-
     def basic_total(self) -> PrivacyParams:
         return compose_basic(self.charges)
-
-    def advanced_total(self, delta_prime: float) -> PrivacyParams:
-        return compose_advanced(self.charges, delta_prime)
 
 
 def compose_basic(charges: Sequence[PrivacyParams]) -> PrivacyParams:
@@ -102,6 +84,8 @@ def laplace_sample(scale: float, rng: np.random.Generator, size: int | None = No
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     u = rng.random(size) - 0.5
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
@@ -113,33 +97,24 @@ def laplace_sf(t: float, scale: float) -> float:
     return 1.0 - 0.5 * math.exp(t / scale)
 
 
-def _score_array(candidates: Sequence[ScoredCandidate] | np.ndarray) -> np.ndarray:
-    """Scores as a 1-D float64 array: a score array as is, or one entry per ScoredCandidate."""
-    if isinstance(candidates, np.ndarray):
-        scores = candidates.astype(np.float64, copy=False)
-    else:
-        scores = np.array([c.score for c in candidates], dtype=np.float64)
+def _score_array(scores: np.ndarray) -> np.ndarray:
+    """Scores as a 1-D float64 array, checked non-empty and finite."""
+    scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
-        raise ValueError("candidates must be a non-empty list or 1-D score array")
+        raise ValueError("scores must be a non-empty 1-D array")
     bad = scores[~np.isfinite(scores)]
     if bad.size:
         raise ValueError(f"candidate score must be finite, got {bad[0]}")
     return scores
 
 
-def exponential_mechanism_pmf(
-    candidates: Sequence[ScoredCandidate] | np.ndarray,
-    epsilon: float,
-    sensitivity: float,
-) -> np.ndarray:
-    """Exact output pmf: P[f] proportional to exp(epsilon * score(f) / (2 sensitivity)).
+def exponential_mechanism_pmf(scores: np.ndarray, epsilon: float, sensitivity: float) -> np.ndarray:
+    """Exact output pmf: P[i] proportional to exp(epsilon * scores[i] / (2 sensitivity)).
 
-    candidates is a list of ScoredCandidate or a 1-D float array of scores;
-    entry i of the pmf belongs to candidate i either way. Scores are
-    max-shifted before exponentiation; the shift cancels in the
+    Scores are max-shifted before exponentiation; the shift cancels in the
     normalization, so the pmf is unchanged and overflow-free.
     """
-    scores = _score_array(candidates)
+    scores = _score_array(scores)
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if not math.isfinite(epsilon):
@@ -152,51 +127,43 @@ def exponential_mechanism_pmf(
 
 
 def exponential_mechanism(
-    candidates: Sequence[ScoredCandidate] | np.ndarray,
-    epsilon: float,
-    sensitivity: float,
-    rng: np.random.Generator,
-) -> Hashable:
-    """Sample a candidate with probability proportional to exp(eps*score/2s).
+    scores: np.ndarray, epsilon: float, sensitivity: float, rng: np.random.Generator
+) -> int:
+    """Sample an index i with probability proportional to exp(eps*scores[i]/2s).
 
-    Returns the candidate's id, or its index when candidates is a score
-    array. Draws one uniform from rng either way.
+    Draws one uniform from rng.
     """
-    pmf = exponential_mechanism_pmf(candidates, epsilon, sensitivity)
+    pmf = exponential_mechanism_pmf(scores, epsilon, sensitivity)
     idx = int(np.searchsorted(np.cumsum(pmf), rng.random(), side="right"))
-    idx = min(idx, len(pmf) - 1)
-    return idx if isinstance(candidates, np.ndarray) else candidates[idx].id
+    return min(idx, len(pmf) - 1)
 
 
-def stable_argmax(
-    best: ScoredCandidate,
-    second: ScoredCandidate,
-    epsilon: float,
-    delta: float,
-    rng: np.random.Generator,
-) -> Hashable | None:
-    """Release the argmax only when its lead over the runner-up is noisily large.
-
-    gap_hat = (best - second) + Lap(1/epsilon); output best.id when
-    gap_hat >= (1/epsilon) ln(1/delta), else None. The runner-up is never
-    released. Satisfies (epsilon, delta)-DP for sensitivity-1 scores.
-    """
+def _check_stable(gap: float, epsilon: float, delta: float) -> None:
+    """The arguments stable_argmax and its oracle share, each named when bad."""
+    if not (gap >= 0 and math.isfinite(gap)):
+        raise ValueError(f"gap must be finite and non-negative, got {gap}")
     check_epsilon(epsilon)
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    gap = best.score - second.score
-    if gap < 0:
-        raise ValueError(f"best score {best.score} below second {second.score}")
+
+
+def stable_argmax(gap: float, epsilon: float, delta: float, rng: np.random.Generator) -> int | None:
+    """Release the argmax only when its lead `gap` over the runner-up is noisily large.
+
+    gap_hat = gap + Lap(1/epsilon); return 0, the leader's index, when
+    gap_hat >= (1/epsilon) ln(1/delta), else None (bottom). The runner-up is
+    never released. Satisfies (epsilon, delta)-DP for sensitivity-1 scores.
+    """
+    _check_stable(gap, epsilon, delta)
     gap_hat = gap + float(laplace_sample(1.0 / epsilon, rng))
     if gap_hat < math.log(1.0 / delta) / epsilon:
         return None
-    return best.id
+    return 0
 
 
 def stable_argmax_pmf(gap: float, epsilon: float, delta: float) -> tuple[float, float]:
     """Exact (P[release argmax], P[bottom]) of stable_argmax at the given gap."""
-    if gap < 0:
-        raise ValueError("gap must be non-negative")
+    _check_stable(gap, epsilon, delta)
     threshold = math.log(1.0 / delta) / epsilon
     p_top = laplace_sf(threshold - gap, 1.0 / epsilon)
     return p_top, 1.0 - p_top

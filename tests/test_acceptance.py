@@ -40,7 +40,6 @@ from dpmulti.learners import (
 )
 from dpmulti.mechanisms import (
     PrivacyParams,
-    ScoredCandidate,
     compose_advanced,
     compose_basic,
     dp_bound_holds,
@@ -62,13 +61,13 @@ def report(number, name, passed, detail, elapsed, budget):
 
 def test_criterion_01_exponential_mechanism_exactness():
     t0 = time.perf_counter()
-    cands = [ScoredCandidate(i, float(s)) for i, s in enumerate([3, 2, 1, 0])]
-    pmf = exponential_mechanism_pmf(cands, 1.0, 1.0)
+    scores = np.array([3.0, 2.0, 1.0, 0.0])
+    pmf = exponential_mechanism_pmf(scores, 1.0, 1.0)
     rng = stream(1001, 0)
     draws = 100_000
     counts = np.zeros(4)
     for _ in range(draws):
-        counts[exponential_mechanism(cands, 1.0, 1.0, rng)] += 1
+        counts[exponential_mechanism(scores, 1.0, 1.0, rng)] += 1
     stat = float(((counts - draws * pmf) ** 2 / (draws * pmf)).sum())
     cutoff = scipy.stats.chi2.ppf(1 - 1e-3, df=3)
     elapsed = time.perf_counter() - t0
@@ -86,8 +85,8 @@ def test_criterion_02_exact_dp_verification():
         k = int(rng.integers(2, 65))
         base = rng.integers(0, 40, size=k).astype(float)
         neighbor = base + rng.uniform(-sens, sens, size=k)
-        p = exponential_mechanism_pmf([ScoredCandidate(i, s) for i, s in enumerate(base)], eps, sens)
-        q = exponential_mechanism_pmf([ScoredCandidate(i, s) for i, s in enumerate(neighbor)], eps, sens)
+        p = exponential_mechanism_pmf(base, eps, sens)
+        q = exponential_mechanism_pmf(neighbor, eps, sens)
         ok &= dp_bound_holds(p, q, eps, 0.0) and dp_bound_holds(q, p, eps, 0.0)
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -100,15 +99,9 @@ def test_criterion_03_stable_selection_contract():
     eps, delta, beta = 1.0, 0.01, 0.1
     gap = math.log(1 / (delta * beta)) / eps + 1e-6
     rng = stream(1003, 0)
-    top = sum(
-        stable_argmax(ScoredCandidate("top", gap), ScoredCandidate("2nd", 0.0), eps, delta, rng) == "top"
-        for _ in range(1000)
-    )
+    top = sum(stable_argmax(gap, eps, delta, rng) == 0 for _ in range(1000))
     rng = stream(1003, 1)
-    released_at_zero = sum(
-        stable_argmax(ScoredCandidate("a", 7.0), ScoredCandidate("b", 7.0), eps, delta, rng) is not None
-        for _ in range(1000)
-    )
+    released_at_zero = sum(stable_argmax(0.0, eps, delta, rng) is not None for _ in range(1000))
     # delta/2 = 0.005 plus pre-registered slack 0.010 (99% binomial half-width ~ 0.006)
     ok = top >= 880 and released_at_zero / 1000 <= 0.015
     elapsed = time.perf_counter() - t0

@@ -1,0 +1,31 @@
+"""The benchmark in bench/ drives dpmulti through names it wraps or passes:
+`run_experiment(threads=)`, `learners.gf2_solve`, `Concept`, `evaluate_many`,
+`.param` on released hypotheses, and more. Each case runs one workload's
+warm-up unit under the tracer, the way `bench/run.py --trace 1` does, so a
+change to src/ that drops one of those names fails here rather than only in a
+benchmark run."""
+
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.mark.parametrize("name", ["parity-sweep", "point-learn", "attack-erm", "generic-exhaustive"])
+def test_traced_warmup_unit_runs_clean(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+    import workloads
+
+    workload = workloads.WORKLOADS[name]
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        result = workload.run_unit(workloads.unit_seed(1, 0))
+        metrics = trace.metrics(workload.trial_span)
+    finally:
+        trace.uninstall()
+    assert result.problems == []
+    assert result.failed == 0
+    assert metrics["harness.trials"] == workload.unit_trials

@@ -312,15 +312,6 @@ class TestMechCommand:
 
 
 class TestExperimentCommand:
-    def test_run_with_threads_byte_identical(self, capsys, tmp_path):
-        cfg = tmp_path / "exp.ini"
-        cfg.write_text(CONFIG)
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        assert main(["experiment", "run", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["experiment", "run", "--config", str(cfg), "--threads", "4", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_bad_config_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[experiment]\nkind = learn\ntrials = 2\nseed = 1\n")
@@ -333,16 +324,19 @@ class TestExperimentCommand:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["learn", "erm", "--k", "1", "--n", "20", "--universe", "4"],
-        ["sanitize", "points", "--alpha", "0.2", "--epsilon", "1", "--delta", "0.01", "--input", None],
-        ["attack", "boneh-shaw", "--n", "4", "--xi", "0.1", "--trials", "1", "--length", "30"],
-        ["mech", "laplace", "--scale", "1.0"],
-        ["mech", "exponential", "--scores", "a:1,b:0", "--epsilon", "1"],
+        ["learn", "erm", "--k", "1", "--n", "20", "--universe", "4", "--seed", "1"],
+        ["sanitize", "points", "--alpha", "0.2", "--epsilon", "1", "--delta", "0.01", "--input", "DB", "--seed", "1"],
+        ["attack", "boneh-shaw", "--n", "4", "--xi", "0.1", "--trials", "1", "--length", "30", "--seed", "1"],
+        ["mech", "laplace", "--scale", "1.0", "--seed", "1"],
+        ["mech", "exponential", "--scores", "a:1,b:0", "--epsilon", "1", "--seed", "1"],
+        ["experiment", "run", "--config", "CONFIG"],
     ],
-    ids=["learn", "sanitize", "attack", "mech-laplace", "mech-exponential"],
+    ids=["learn", "sanitize", "attack", "mech-laplace", "mech-exponential", "experiment-run"],
 )
-def test_threads_flag_rejected_outside_experiment_run(capsys, db_file, argv):
-    argv = [db_file if arg is None else arg for arg in argv] + ["--seed", "1"]
+def test_threads_flag_rejected(capsys, db_file, tmp_path, argv):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG)
+    argv = [{"DB": db_file, "CONFIG": str(cfg)}.get(arg, arg) for arg in argv]
     assert main(argv) == 0
     assert main(argv + ["--threads", "2"]) == 1
 
@@ -544,7 +538,11 @@ class TestExitCodes:
         (["exponential", "--scores", "a:1,b:x", "--epsilon", "1"],
          "mech.exponential: --scores expects id:score pairs, got 'b:x'"),
         (["exponential", "--scores", "a:1,b:0", "--epsilon", "inf"], "epsilon must be finite, got inf"),
-    ], ids=["laplace-draws", "exponential-draws", "scores-no-colon", "scores-not-a-number", "exponential-inf"])
+        (["exponential", "--scores", "a:1,b:nan", "--epsilon", "1", "--draws", "0"],
+         "mech.exponential: --scores must be finite, got 'b:nan'"),
+        (["laplace", "--scale", "inf", "--draws", "2"], "scale must be finite, got inf"),
+    ], ids=["laplace-draws", "exponential-draws", "scores-no-colon", "scores-not-a-number", "exponential-inf",
+            "scores-not-finite", "laplace-inf-scale"])
     def test_bad_mech_argument_is_named(self, capsys, argv, message):
         assert main(["mech", *argv, "--seed", "1"]) == 1
         assert message in capsys.readouterr().err

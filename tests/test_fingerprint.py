@@ -65,11 +65,6 @@ class TestGenCodebook:
         with pytest.raises(ValueError, match="length must be >= 1"):
             gen_codebook(6, length, 0.05, stream(92, 3))
 
-    def test_strict_length(self):
-        with pytest.raises(ValueError):
-            gen_codebook(6, 30, 0.05, stream(92, 1), strict=True)
-        gen_codebook(6, code_length(6, 0.05), 0.05, stream(92, 2), strict=True)
-
     def test_code_length_value(self):
         raw = math.ceil(2 * 6**3 * math.log(2 * 6 / 0.05))
         assert code_length(6, 0.05) == math.ceil(raw / 5) * 5

@@ -42,7 +42,7 @@ from dpmulti.learners import (
     point_learner,
     point_rows_bound,
 )
-from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, ScoredCandidate, dp_bound_holds, stable_argmax
+from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, dp_bound_holds, stable_argmax
 from dpmulti.rng import stream
 from dpmulti.sanitize import answers_to_synthetic, sanitize_points
 
@@ -264,9 +264,7 @@ def _reference_parity_learner(db, epsilon, delta, beta, rng):
     ordered = sorted(votes.items(), key=lambda item: (-item[1], first_seen[item[0]]))
     best, best_count = ordered[0] if ordered else ((0,) * k, 0)
     second_count = ordered[1][1] if len(ordered) > 1 else 0
-    choice = stable_argmax(
-        ScoredCandidate(best, float(best_count)), ScoredCandidate("runner-up", float(second_count)), epsilon, delta, rng
-    )
+    choice = stable_argmax(float(best_count - second_count), epsilon, delta, rng)
     return (None if choice is None else best), db.n < m * s_target
 
 

@@ -10,7 +10,6 @@ import scipy.stats
 from dpmulti.mechanisms import (
     PrivacyLedger,
     PrivacyParams,
-    ScoredCandidate,
     compose_advanced,
     compose_basic,
     dp_bound_holds,
@@ -72,6 +71,11 @@ class TestLaplace:
         with pytest.raises(ValueError):
             laplace_sample(0.0, stream(10, 3))
 
+    def test_infinite_scale_rejected(self):
+        # An infinite scale would draw +-inf instead of noise.
+        with pytest.raises(ValueError, match="scale must be finite, got inf"):
+            laplace_sample(math.inf, stream(10, 3))
+
     def test_survival_function(self):
         assert laplace_sf(0.0, 1.0) == 0.5
         assert laplace_sf(1.0, 1.0) == pytest.approx(0.5 * math.exp(-1))
@@ -86,17 +90,17 @@ class TestLaplace:
 
 class TestExponentialMechanism:
     def test_closed_form_two_candidates(self):
-        pmf = exponential_mechanism_pmf([ScoredCandidate("a", 10), ScoredCandidate("b", 0)], 2.0, 1.0)
+        pmf = exponential_mechanism_pmf(np.array([10.0, 0.0]), 2.0, 1.0)
         assert pmf[0] == pytest.approx(math.exp(10) / (math.exp(10) + 1), abs=1e-12)
         assert pmf[1] == pytest.approx(1 / (math.exp(10) + 1), rel=1e-9)
 
     def test_equal_scores_uniform(self):
-        pmf = exponential_mechanism_pmf([ScoredCandidate(i, 3.0) for i in range(4)], 1.0, 1.0)
+        pmf = exponential_mechanism_pmf(np.full(4, 3.0), 1.0, 1.0)
         assert np.allclose(pmf, 0.25)
         assert abs(pmf.sum() - 1.0) < 1e-12
 
     def test_epsilon_zero_uniform(self):
-        pmf = exponential_mechanism_pmf([ScoredCandidate(i, float(i)) for i in range(5)], 0.0, 1.0)
+        pmf = exponential_mechanism_pmf(np.arange(5.0), 0.0, 1.0)
         assert np.allclose(pmf, 0.2)
 
     def test_infinite_epsilon_rejected(self):
@@ -105,17 +109,16 @@ class TestExponentialMechanism:
             exponential_mechanism_pmf(np.array([0.0, -1.0]), math.inf, 1.0)
 
     def test_shift_invariance(self):
-        cands = [ScoredCandidate(i, s) for i, s in enumerate([4.0, -1.0, 2.5])]
-        shifted = [ScoredCandidate(i, s + 137.0) for i, s in enumerate([4.0, -1.0, 2.5])]
+        scores = np.array([4.0, -1.0, 2.5])
         assert np.allclose(
-            exponential_mechanism_pmf(cands, 1.3, 2.0),
-            exponential_mechanism_pmf(shifted, 1.3, 2.0),
+            exponential_mechanism_pmf(scores, 1.3, 2.0),
+            exponential_mechanism_pmf(scores + 137.0, 1.3, 2.0),
         )
 
     def test_single_candidate_always_returned(self):
         rng = stream(11, 0)
         assert all(
-            exponential_mechanism([ScoredCandidate("only", 0.0)], 1.0, 1.0, rng) == "only"
+            exponential_mechanism(np.array([0.0]), 1.0, 1.0, rng) == 0
             for _ in range(20)
         )
 
@@ -125,13 +128,13 @@ class TestExponentialMechanism:
 
     def test_sampling_matches_pmf_chisquare(self):
         # Sampled frequencies match the exact pmf by a chi-square GoF test at 1e-3.
-        cands = [ScoredCandidate(i, float(s)) for i, s in enumerate([3, 2, 1, 0])]
-        pmf = exponential_mechanism_pmf(cands, 1.0, 1.0)
+        scores = np.array([3.0, 2.0, 1.0, 0.0])
+        pmf = exponential_mechanism_pmf(scores, 1.0, 1.0)
         rng = stream(11, 1)
         draws = 100_000
         counts = np.zeros(4)
         for _ in range(draws):
-            counts[exponential_mechanism(cands, 1.0, 1.0, rng)] += 1
+            counts[exponential_mechanism(scores, 1.0, 1.0, rng)] += 1
         stat = float(((counts - draws * pmf) ** 2 / (draws * pmf)).sum())
         assert stat < scipy.stats.chi2.ppf(1 - 1e-3, df=3)
 
@@ -140,12 +143,11 @@ class TestExponentialMechanism:
         n, eps, t = 100, 0.5, 0.2
         rng = stream(11, 2)
         scores = rng.integers(0, n + 1, size=16).astype(float)
-        cands = [ScoredCandidate(i, s) for i, s in enumerate(scores)]
         opt = scores.max()
         bound = 16 * math.exp(-eps * t * n / 2)
         draws = 20_000
         bad = sum(
-            scores[exponential_mechanism(cands, eps, 1.0, rng)] <= opt - t * n
+            scores[exponential_mechanism(scores, eps, 1.0, rng)] <= opt - t * n
             for _ in range(draws)
         )
         slack = 3 * math.sqrt(bound * (1 - min(bound, 1)) / draws) + 0.005
@@ -160,22 +162,10 @@ class TestExponentialMechanism:
             k = int(rng.integers(2, 33))
             base = rng.integers(0, 50, size=k).astype(float)
             neighbor = base + rng.uniform(-sens, sens, size=k)
-            p = exponential_mechanism_pmf([ScoredCandidate(i, s) for i, s in enumerate(base)], eps, sens)
-            q = exponential_mechanism_pmf([ScoredCandidate(i, s) for i, s in enumerate(neighbor)], eps, sens)
+            p = exponential_mechanism_pmf(base, eps, sens)
+            q = exponential_mechanism_pmf(neighbor, eps, sens)
             assert dp_bound_holds(p, q, eps, 0.0)
             assert dp_bound_holds(q, p, eps, 0.0)
-
-    def test_score_array_matches_candidate_list(self):
-        # Same pmf, same sampled index and the same RNG state afterwards.
-        scores = stream(11, 4).integers(-40, 1, size=23).astype(np.float64)
-        cands = [ScoredCandidate(i, float(s)) for i, s in enumerate(scores)]
-        pmf = exponential_mechanism_pmf(scores, 0.7, 1.0)
-        assert np.array_equal(pmf, exponential_mechanism_pmf(cands, 0.7, 1.0))
-        rng_a, rng_l = stream(11, 5), stream(11, 5)
-        for _ in range(200):
-            picked = exponential_mechanism(scores, 0.7, 1.0, rng_a)
-            assert picked == exponential_mechanism(cands, 0.7, 1.0, rng_l)
-        np.testing.assert_equal(rng_a.bit_generator.state, rng_l.bit_generator.state)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_score_array_rejected(self, bad):
@@ -192,11 +182,7 @@ class TestStableArgmax:
         eps, delta, beta = 1.0, 0.01, 0.1
         gap = math.log(1 / (delta * beta)) / eps + 0.5
         rng = stream(12, 0)
-        hits = sum(
-            stable_argmax(ScoredCandidate("top", gap), ScoredCandidate("second", 0.0), eps, delta, rng)
-            == "top"
-            for _ in range(1000)
-        )
+        hits = sum(stable_argmax(gap, eps, delta, rng) == 0 for _ in range(1000))
         assert hits >= 900
 
     def test_zero_gap_release_rate_is_half_delta(self):
@@ -204,23 +190,35 @@ class TestStableArgmax:
         assert p_top == pytest.approx(0.005)
         assert p_top + p_bot == pytest.approx(1.0)
         rng = stream(12, 1)
-        hits = sum(
-            stable_argmax(ScoredCandidate("a", 5.0), ScoredCandidate("b", 5.0), 1.0, 0.01, rng) == "a"
-            for _ in range(4000)
-        )
+        hits = sum(stable_argmax(0.0, 1.0, 0.01, rng) == 0 for _ in range(4000))
         assert hits / 4000 <= 0.015
 
     def test_never_returns_runner_up(self):
         rng = stream(12, 2)
-        outs = {
-            stable_argmax(ScoredCandidate("a", 3.0), ScoredCandidate("b", 2.0), 0.5, 0.05, rng)
-            for _ in range(500)
-        }
-        assert outs <= {"a", None}
+        outs = {stable_argmax(1.0, 0.5, 0.05, rng) for _ in range(500)}
+        assert outs <= {0, None}
 
     def test_negative_gap_rejected(self):
         with pytest.raises(ValueError):
-            stable_argmax(ScoredCandidate("a", 1.0), ScoredCandidate("b", 2.0), 1.0, 0.1, stream(12, 3))
+            stable_argmax(-1.0, 1.0, 0.1, stream(12, 3))
+
+    @pytest.mark.parametrize("gap,epsilon,delta,message", [
+        (-1.0, 1.0, 0.1, "gap must be finite and non-negative, got -1.0"),
+        (math.nan, 1.0, 0.1, "gap must be finite and non-negative, got nan"),
+        (math.inf, 1.0, 0.1, "gap must be finite and non-negative, got inf"),
+        (0.0, 0.0, 0.1, "epsilon must be positive, got 0.0"),
+        (0.0, math.inf, 0.1, "epsilon must be finite, got inf"),
+        (0.0, 1.0, 0.0, r"delta must be in \(0, 1\), got 0.0"),
+        (0.0, 1.0, 1.0, r"delta must be in \(0, 1\), got 1.0"),
+    ], ids=["negative-gap", "nan-gap", "inf-gap", "zero-epsilon", "inf-epsilon", "zero-delta", "one-delta"])
+    @pytest.mark.parametrize("call", [
+        lambda gap, eps, delta: stable_argmax(gap, eps, delta, stream(12, 3)),
+        stable_argmax_pmf,
+    ], ids=["sampler", "pmf"])
+    def test_bad_argument_is_named(self, call, gap, epsilon, delta, message):
+        # The sampler and its exact oracle share one check, so both reject alike.
+        with pytest.raises(ValueError, match=message):
+            call(gap, epsilon, delta)
 
     def test_dp_on_gap_statistic(self):
         # Exact two-point output laws of neighboring gaps satisfy (eps, delta)-DP.
@@ -289,11 +287,9 @@ class TestComposition:
         assert total.delta == pytest.approx(delta, rel=1e-13, abs=1e-300)
 
     def test_ledger_interface(self):
-        ledger = PrivacyLedger()
-        ledger.charge(0.5, 0.25)
-        ledger.charge(0.5, 0.25)
+        ledger = PrivacyLedger([PrivacyParams(0.5, 0.25)] * 2)
         assert ledger.basic_total() == PrivacyParams(1.0, 0.5)
-        assert ledger.advanced_total(0.01).delta == pytest.approx(0.51)
+        assert compose_advanced(ledger.charges, 0.01).delta == pytest.approx(0.51)
 
 
 class TestDpBoundHolds:
