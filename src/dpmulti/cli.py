@@ -3,8 +3,9 @@
 Subcommands: learn, sanitize, attack, mech, experiment. All randomness comes
 from --seed; runs are reproducible byte for byte. `learn` and `attack` run the
 harness's paths and its LEARNERS table; `experiment run` runs its trials
-serially. Exit codes: 0 success, 1 invalid configuration or arguments,
-2 runtime failure.
+serially. Every `learn` flag but --n and --seed is read by the harness as the
+[learn] key of its name (LEARN_KEYS), so a bad value is named `learn.<key>`.
+Exit codes: 0 success, 1 invalid configuration or arguments, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ from .rng import stream
 from .sanitize import EnumerationBudgetError, sanitize_points
 
 
+# The [learn] keys that are learn flags; their values reach the harness as strings, as from a config.
+LEARN_KEYS = ("k", "alpha", "beta", "epsilon", "epsilon_prime", "delta", "synth_size", "universe", "d", "class",
+              "dist", "targets")
+
+
 def _add_common(parser):
     parser.add_argument("--seed", type=int, required=True, help="master seed (no ambient randomness)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -47,21 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dpmulti")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    learn = sub.add_parser("learn", help="run one multi-learning pass on sampled data")
+    learn = sub.add_parser("learn", help="run one multi-learning pass on sampled data",
+                           description="Every flag but --n and --seed is the [learn] config key of its name.")
     learn.add_argument("algorithm", choices=tuple(LEARNERS))
-    learn.add_argument("--k", type=int, required=True)
     learn.add_argument("--n", type=int, required=True)
-    learn.add_argument("--alpha", type=float, default=0.2)
-    learn.add_argument("--beta", type=float, default=0.1)
-    learn.add_argument("--epsilon", type=float, default=1.0)
-    learn.add_argument("--epsilon-prime", type=float, default=None)
-    learn.add_argument("--delta", type=float, default=0.01)
-    learn.add_argument("--synth-size", type=int, default=None, help="exhaustive sanitizer's synthetic rows")
-    learn.add_argument("--universe", type=int, default=None, help="universe size (indexed classes)")
-    learn.add_argument("--d", type=int, default=None, help="bit width (parity class)")
-    learn.add_argument("--class", dest="class_kind", default=None, choices=("point", "thresh", "parity"))
-    learn.add_argument("--dist", default="uniform")
-    learn.add_argument("--targets", default="random")
+    for key in LEARN_KEYS:
+        learn.add_argument("--" + key.replace("_", "-"), dest=key)
     _add_common(learn)
 
     san = sub.add_parser("sanitize", help="differentially private query release")
@@ -120,13 +117,9 @@ def _emit(report: TrialReport, fmt: str, out: str | None) -> None:
 
 
 def _cmd_learn(args) -> int:
-    params = {
-        "algorithm": args.algorithm, "k": args.k, "alpha": args.alpha, "beta": args.beta,
-        "epsilon": args.epsilon, "epsilon_prime": args.epsilon_prime, "delta": args.delta,
-        "universe": args.universe, "d": args.d, "class": args.class_kind,
-        "dist": args.dist, "targets": args.targets, "synth_size": args.synth_size,
-    }
-    params = {key: value for key, value in params.items() if value is not None}
+    given = {key: value for key, value in vars(args).items() if key in LEARN_KEYS and value is not None}
+    # The CLI's delta default is 0.01; a [learn] section's is 0.0.
+    params = {"algorithm": args.algorithm, "delta": "0.01", **given}
     _, _, dist, targets, result = sample_and_learn(params, args.seed, args.n, 0, 0)
 
     columns = ["label", "hypothesis", "parameter", "target", "error"]

@@ -36,6 +36,11 @@ class EmptyDatabaseError(ValueError):
     """Operation requires at least one database row."""
 
 
+def _check_bit_width(bits: int) -> None:
+    if not 1 <= bits <= MAX_PARITY_BITS:
+        raise ValueError(f"bit_width must be in [1, {MAX_PARITY_BITS}], got {bits}")
+
+
 @dataclass(frozen=True)
 class Universe:
     """Finite domain {0, ..., size-1}; bit_width is set for bit-vector domains."""
@@ -44,13 +49,12 @@ class Universe:
     bit_width: int | None = None
 
     def __post_init__(self):
+        if self.bit_width is not None:
+            _check_bit_width(self.bit_width)
         if not 2 <= self.size <= MAX_UNIVERSE_SIZE:
             raise ValueError(f"universe size must be in [2, {MAX_UNIVERSE_SIZE}], got {self.size}")
-        if self.bit_width is not None:
-            if not 1 <= self.bit_width <= MAX_PARITY_BITS:
-                raise ValueError(f"bit_width must be in [1, {MAX_PARITY_BITS}], got {self.bit_width}")
-            if (1 << self.bit_width) != self.size:
-                raise ValueError(f"size {self.size} does not match bit_width {self.bit_width}")
+        if self.bit_width is not None and (1 << self.bit_width) != self.size:
+            raise ValueError(f"size {self.size} does not match bit_width {self.bit_width}")
 
     @staticmethod
     def indexed(size: int) -> "Universe":
@@ -58,6 +62,7 @@ class Universe:
 
     @staticmethod
     def bitvectors(bits: int) -> "Universe":
+        _check_bit_width(bits)  # before 1 << bits, which a negative or huge width breaks
         return Universe(1 << bits, bit_width=bits)
 
     def elements(self) -> np.ndarray:
@@ -331,6 +336,16 @@ def empirical_error(db: MultiLabeledDatabase, j: int, h: Concept) -> Fraction:
     return Fraction(mismatches, db.n)
 
 
+def _check_pmf_entries(pmf: np.ndarray) -> None:
+    """Reject entries that are not finite (NaN passes the next two tests), negative, or do not sum to 1."""
+    if not np.isfinite(pmf).all():
+        raise ValueError("pmf entries must be finite")
+    if pmf.min() < 0:
+        raise ValueError("pmf entries must be non-negative")
+    if abs(math.fsum(pmf.ravel().tolist()) - 1.0) > PMF_TOL:
+        raise ValueError("pmf must sum to 1 within 1e-12")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Exact pmf over a finite universe."""
@@ -342,10 +357,7 @@ class Distribution:
         pmf = np.asarray(self.pmf, dtype=np.float64)
         if pmf.shape != (self.universe.size,):
             raise ValueError(f"pmf shape {pmf.shape} does not match universe size {self.universe.size}")
-        if pmf.min() < 0:
-            raise ValueError("pmf entries must be non-negative")
-        if abs(math.fsum(pmf.tolist()) - 1.0) > PMF_TOL:
-            raise ValueError("pmf must sum to 1 within 1e-12")
+        _check_pmf_entries(pmf)
         object.__setattr__(self, "pmf", pmf)
 
     @staticmethod
@@ -362,6 +374,8 @@ class Distribution:
     @staticmethod
     def from_weights(universe: Universe, weights: Sequence[float]) -> "Distribution":
         w = np.asarray(weights, dtype=np.float64)
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         total = w.sum()
         if total <= 0:
             raise ValueError("weights must have positive total")
@@ -444,10 +458,7 @@ class LabeledDistribution:
         pmf = np.asarray(self.pmf, dtype=np.float64)
         if pmf.shape != (self.universe.size, 1 << self.k):
             raise ValueError(f"pmf shape {pmf.shape} does not match (|X|, 2^k)")
-        if pmf.min() < 0:
-            raise ValueError("pmf entries must be non-negative")
-        if abs(math.fsum(pmf.ravel().tolist()) - 1.0) > PMF_TOL:
-            raise ValueError("pmf must sum to 1 within 1e-12")
+        _check_pmf_entries(pmf)
         object.__setattr__(self, "pmf", pmf)
 
     @staticmethod

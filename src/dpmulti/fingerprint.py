@@ -24,6 +24,7 @@ import numpy as np
 
 from .domain import PARITY, THRESH, ConceptClass, Hypotheses, MultiLabeledDatabase, Universe
 from .learners import LearnerFn, erm_mismatch_counts
+from .mechanisms import check_fraction
 from .rng import stream
 
 # Each attack variant's concept class kind: the learners and the accuracy contract use it.
@@ -71,8 +72,7 @@ def gen_codebook(
     """
     if n_users < 2:
         raise ValueError("need at least 2 users")
-    if not 0 < security < 1:
-        raise ValueError(f"security must be in (0, 1), got {security}")
+    check_fraction(security, "security")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if length % (n_users - 1) != 0:
@@ -263,8 +263,7 @@ def attack_experiment(
         raise ValueError("attack experiments are desk-scale: n_users <= 8")
     if n_users < 2:
         raise ValueError(f"n_users must be >= 2, got {n_users}")
-    if not 0 < security < 1:
-        raise ValueError(f"security (xi) must be in (0, 1), got {security}")
+    check_fraction(security, "security (xi)")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cclass = ConceptClass(VARIANTS[variant], _attack_universe(variant, n_users))

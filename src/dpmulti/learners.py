@@ -37,6 +37,7 @@ from .mechanisms import (
     PrivacyLedger,
     PrivacyParams,
     check_epsilon,
+    check_fraction,
     compose_basic,
     exponential_mechanism,
     stable_argmax,
@@ -190,20 +191,13 @@ def _unpack_words(words: np.ndarray) -> np.ndarray:
 def _check_approx_dp(epsilon: float, delta: float, beta: float) -> None:
     """Reject the (epsilon, delta, beta) that an approximate-DP bound cannot take."""
     check_epsilon(epsilon)
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_fraction(delta, "delta")
+    check_fraction(beta, "beta")
 
 
 def _check_generic(alpha: float, epsilon_prime: float) -> None:
     """Reject the accuracy and per-label budget the generic learner cannot take."""
-    _check_alpha(alpha)
+    check_fraction(alpha, "alpha")
     check_epsilon(epsilon_prime, "epsilon_prime")
 
 
@@ -231,13 +225,19 @@ def parity_block_plan(bits: int, epsilon: float, beta: float, delta: float) -> t
 
 def _parity_tally(
     db: MultiLabeledDatabase, epsilon: float, delta: float, beta: float
-) -> tuple[np.ndarray, int, int, bool]:
-    """parity_learner's deterministic part: (best masks, best count, runner-up count, below bound).
+) -> tuple[np.ndarray, float, bool]:
+    """parity_learner's deterministic part: (best masks, distance, below bound).
 
     The labels are packed into 64-bit words once, one gf2_solve_blocks call
     eliminates every block, and one np.unique over the solution words tallies
     the votes; ties go to the vector first seen in the earliest block. best
     masks is the int64[k] parity masks of the most voted vector.
+
+    The stable selection is fed distance = max(0, (c1 - c2 - 1) // 2) for the
+    top two counts c1 >= c2 (Smith and Thakurta 2013). Changing a row moves one
+    block's vote, so each of c1, c2 moves by at most 1 and the distance by at
+    most 1. At distance >= 1, c1 - c2 >= 3: on every neighbour the leader keeps
+    >= c1 - 1 votes against <= c2 + 1 for any other vector, so it still wins.
     """
     universe = db.universe
     if universe.bit_width is None:
@@ -267,7 +267,7 @@ def _parity_tally(
         best, best_count, second_count = np.zeros(solutions.shape[1:], dtype=np.uint64), 0, 0
     coords = _unpack_words(best)[:, : db.k].astype(np.int64)  # (bits, k)
     masks = (coords << np.arange(bits)[:, None]).sum(axis=0)
-    return masks, int(best_count), int(second_count), below
+    return masks, float(max(0, (best_count - second_count - 1) // 2)), below
 
 
 def parity_learner(
@@ -283,12 +283,13 @@ def parity_learner(
     columns at once, contributing one candidate vector (or an abstention when
     some column is inconsistent). A single stable-selection step releases the
     most frequent vector, so the whole run costs (epsilon, delta) regardless
-    of k. The vote tally (_parity_tally) is deterministic; parity_learner_pmf
-    gives the exact law of the one random step.
+    of k. The vote tally (_parity_tally) is deterministic, and it feeds the
+    selection its distance to instability, not the raw vote gap, which one row
+    can move by 2; parity_learner_pmf gives the exact law of the one random step.
     """
-    masks, best_count, second_count, below = _parity_tally(db, epsilon, delta, beta)
+    masks, distance, below = _parity_tally(db, epsilon, delta, beta)
     ledger = PrivacyLedger(parity_charges(epsilon, delta))
-    choice = stable_argmax(float(best_count - second_count), epsilon, delta, rng)
+    choice = stable_argmax(distance, epsilon, delta, rng)
     if choice is None:
         return LearnResult(None, ledger, below)
     return LearnResult(Hypotheses(db.universe, PARITY, masks), ledger, below)
@@ -300,16 +301,16 @@ def parity_learner_pmf(
     """Exact output law of parity_learner on db: (masks, P[release masks], P[bottom]).
 
     The tally is deterministic, so the released masks are fixed and the only
-    randomness is stable_argmax's one Laplace draw on the vote gap.
+    randomness is stable_argmax's one Laplace draw on the tally's distance.
     """
-    masks, best_count, second_count, _ = _parity_tally(db, epsilon, delta, beta)
-    p_release, p_bottom = stable_argmax_pmf(float(best_count - second_count), epsilon, delta)
+    masks, distance, _ = _parity_tally(db, epsilon, delta, beta)
+    p_release, p_bottom = stable_argmax_pmf(distance, epsilon, delta)
     return masks, p_release, p_bottom
 
 
 def point_rows_bound(alpha: float, beta: float, delta: float, epsilon: float) -> int:
     """Pinned sample bound for the point learner: ceil(64/(alpha*eps) * ln(1/(alpha*beta*delta)))."""
-    _check_alpha(alpha)
+    check_fraction(alpha, "alpha")
     _check_approx_dp(epsilon, delta, beta)
     return math.ceil((64.0 / (alpha * epsilon)) * math.log(1.0 / (alpha * beta * delta)))
 
@@ -448,8 +449,7 @@ def generic_rows_bound(
     Its sanitization term is that of the sanitizer generic_sanitizer resolves.
     """
     _check_generic(alpha, epsilon_prime)
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    check_fraction(beta, "beta")
     vc = cclass.vc_dim
     select = (
         (vc / (alpha**3 * epsilon_prime)) * math.log(1.0 / alpha)

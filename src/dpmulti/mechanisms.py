@@ -16,7 +16,7 @@ import numpy as np
 
 
 def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
-    """Reject a privacy budget that is not a positive finite number, naming it.
+    """Reject a privacy budget, or a noise scale, that is not a positive finite number, naming it.
 
     An infinite epsilon would make every noise scale 0 and every mechanism
     weight overflow, and it bounds nothing.
@@ -25,6 +25,12 @@ def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
         raise ValueError(f"{name} must be positive, got {epsilon}")
     if not math.isfinite(epsilon):
         raise ValueError(f"{name} must be finite, got {epsilon}")
+
+
+def check_fraction(value: float, name: str) -> None:
+    """Reject an accuracy, confidence or delta outside the open interval (0, 1), naming it."""
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,7 @@ def compose_advanced(charges: Sequence[PrivacyParams], delta_prime: float) -> Pr
     """
     if not charges:
         raise ValueError("cannot compose an empty ledger")
-    if not 0 < delta_prime < 1:
-        raise ValueError(f"delta_prime must be in (0, 1), got {delta_prime}")
+    check_fraction(delta_prime, "delta_prime")
     first = charges[0]
     if any(c != first for c in charges[1:]):
         raise ValueError("advanced composition requires identical charges")
@@ -82,10 +87,7 @@ def laplace_sample(scale: float, rng: np.random.Generator, size: int | None = No
 
     One RNG consumption per draw keeps replay deterministic under seeding.
     """
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if not math.isfinite(scale):
-        raise ValueError(f"scale must be finite, got {scale}")
+    check_epsilon(scale, "scale")
     u = rng.random(size) - 0.5
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
@@ -143,8 +145,7 @@ def _check_stable(gap: float, epsilon: float, delta: float) -> None:
     if not (gap >= 0 and math.isfinite(gap)):
         raise ValueError(f"gap must be finite and non-negative, got {gap}")
     check_epsilon(epsilon)
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_fraction(delta, "delta")
 
 
 def stable_argmax(gap: float, epsilon: float, delta: float, rng: np.random.Generator) -> int | None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConceptClass, EmptyDatabaseError, MultiLabeledDatabase, Universe, xor_eval_matrix
-from .mechanisms import check_epsilon, exponential_mechanism, exponential_mechanism_pmf, laplace_sample
+from .mechanisms import check_epsilon, check_fraction, exponential_mechanism, exponential_mechanism_pmf, laplace_sample
 
 # Rows of a synthetic database holding residual mass; outside the universe,
 # so every counting query evaluates to 0 on them.
@@ -125,9 +125,8 @@ def sanitize_points(
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot sanitize an empty database")
-    for name, value in (("alpha", alpha), ("delta", delta)):
-        if not 0 < value < 1:
-            raise ValueError(f"{name} must be in (0, 1), got {value}")
+    check_fraction(alpha, "alpha")
+    check_fraction(delta, "delta")
     check_epsilon(epsilon)
     n = db.n
     counts = np.bincount(db.xs, minlength=db.universe.size)
@@ -152,8 +151,7 @@ def answers_to_synthetic(ans: SanitizedAnswers, alpha: float) -> SyntheticDataba
     Answer maps with mass > 1 are not representable as frequencies; the
     database then grows past m and the bound degrades gracefully.
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_fraction(alpha, "alpha")
     support = ans.support
     m = math.ceil(1.0 / alpha) + len(support)
     rows: list[int] = []

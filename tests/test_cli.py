@@ -565,6 +565,32 @@ class TestExitCodes:
         assert code == 1
         assert "learn.targets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case,key", [
+        (("sanitize", "n = 100\nuniverse = 1\nalpha = 0.2\nepsilon = 1\ndelta = 0.01"), "sanitize.universe"),
+        (("sanitize", "n = 0\nuniverse = 8\nalpha = 0.2\nepsilon = 1\ndelta = 0.01"), "sanitize.n"),
+        (("learn", "algorithm = points\nk = 2\nn = 0\nuniverse = 8"), "learn.n"),
+        (("learn", "algorithm = parities\nk = 2\nn = 100\nd = 30"), "learn.d"),
+        (("learn", "algorithm = erm\nk = 2\nn = 100\nuniverse = 8\ntargets = 1,9"), "learn.targets"),
+        (["--universe", "8", "--targets", "1,9"], "learn.targets"),
+        (["--universe", "4", "--dist", "weights:nan,1,1,1"], "learn.dist"),
+        (["--universe", "4", "--dist", "weights:inf,1,1,1"], "learn.dist"),
+        (["--class", "parity", "--d", "20000"], "learn.d"),
+        (["--class", "parity", "--d", "-1"], "learn.d"),
+        (["--universe", "8", "--k", "x"], "learn.k"),
+        (["--universe", "8", "--class", "bogus"], "learn.class"),
+    ], ids=["sanitize-universe1", "sanitize-n0", "learn-n0", "learn-d30", "config-targets-outside", "targets-outside",
+            "dist-nan", "dist-inf", "d-huge", "d-negative", "k-not-an-integer", "class-unknown"])
+    def test_bad_value_names_its_key(self, capsys, tmp_path, case, key):
+        if isinstance(case, list):
+            argv = ["learn", "erm", "--k", "2", "--n", "100", "--seed", "1", *case]
+        else:
+            kind, body = case
+            cfg = tmp_path / "exp.ini"
+            cfg.write_text(f"[experiment]\nkind = {kind}\ntrials = 1\nseed = 1\n\n[{kind}]\n{body}\n")
+            argv = ["experiment", "run", "--config", str(cfg)]
+        assert main(argv) == 1
+        assert f"error: {key}: " in capsys.readouterr().err
+
     def test_unwritable_out_is_runtime_failure(self, capsys, tmp_path):
         code = main([
             "mech", "compose", "--epsilon", "0.1", "--count", "2",

@@ -456,6 +456,28 @@ class TestLabeledDistribution:
             ld.marginal_error(j, thresh(U4, 1))
 
 
+class TestParameterChecks:
+    @pytest.mark.parametrize("pmf", [[np.nan, 0.5, 0.5, 0.0], [np.inf, 0.5, 0.5, 0.0], [-np.inf, 1.0, 0.0, 0.0]],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_distribution_rejects_non_finite_pmf(self, pmf):
+        with pytest.raises(ValueError, match="pmf entries must be finite"):
+            Distribution(U4, pmf)
+        with pytest.raises(ValueError, match="pmf entries must be finite"):
+            LabeledDistribution(U4, 0, np.array(pmf)[:, None])
+
+    @pytest.mark.parametrize("weights", [[np.inf, 1, 1, 1], [np.nan, 1, 1, 1]], ids=["inf", "nan"])
+    def test_from_weights_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            Distribution.from_weights(U4, weights)
+
+    @pytest.mark.parametrize("bits", [0, -1, 21, 20_000, 10**8])
+    def test_bit_width_checked_before_the_size(self, bits):
+        with pytest.raises(ValueError, match=rf"bit_width must be in \[1, 20\], got {bits}$"):
+            Universe.bitvectors(bits)
+        with pytest.raises(ValueError, match=rf"bit_width must be in \[1, 20\], got {bits}$"):
+            Universe(8, bit_width=bits)
+
+
 class TestVcSampleSize:
     def test_realizable_example(self):
         assert vc_sample_size(1, 0.1, 0.1) == 6940

@@ -264,7 +264,7 @@ def _reference_parity_learner(db, epsilon, delta, beta, rng):
     ordered = sorted(votes.items(), key=lambda item: (-item[1], first_seen[item[0]]))
     best, best_count = ordered[0] if ordered else ((0,) * k, 0)
     second_count = ordered[1][1] if len(ordered) > 1 else 0
-    choice = stable_argmax(float(best_count - second_count), epsilon, delta, rng)
+    choice = stable_argmax(float(max(0, (best_count - second_count - 1) // 2)), epsilon, delta, rng)
     return (None if choice is None else best), db.n < m * s_target
 
 
@@ -288,7 +288,8 @@ def _parity_law(db, eps, delta, beta) -> dict:
 
 class TestParityLearner:
     def test_pmf_matches_seeded_sampler(self):
-        # A clear leader: 20 blocks vote mask 1 and 16 vote mask 3, a gap of 4.
+        # A clear leader: 20 blocks vote mask 1 and 16 vote mask 3, a gap of 4
+        # and a distance of (4 - 1) // 2 = 1 below the threshold ln(10).
         eps, delta, beta = 1.0, 0.1, 0.5
         db = _witness_database(relabel=False)
         xs, labels = db.xs.reshape(36, 8), db.labels.reshape(36, 8).copy()
@@ -296,7 +297,7 @@ class TestParityLearner:
         db = MultiLabeledDatabase(db.universe, xs.ravel(), labels.reshape(-1, 1))
         masks, p_release, p_bottom = parity_learner_pmf(db, eps, delta, beta)
         assert masks.tolist() == [1]
-        assert p_release == pytest.approx(1 - 0.5 * math.exp(-(4 - math.log(10))), abs=1e-12)
+        assert p_release == pytest.approx(0.5 * math.exp(-(math.log(10) - 1)), abs=1e-12)
         assert p_release + p_bottom == pytest.approx(1.0, abs=1e-12)
         trials = 2000
         released = 0
@@ -308,21 +309,17 @@ class TestParityLearner:
         assert abs(released / trials - p_release) < 4 * math.sqrt(p_release * p_bottom / trials)
 
     def test_witness_laws(self):
-        # The exact laws behind the ROADMAP's privacy witness: one relabelled row
-        # moves the vote gap from 0 to 2.
+        # The exact laws of the privacy witness: one relabelled row moves the
+        # vote gap from 0 to 2, but the distance (gap - 1) // 2 stays at 0, so
+        # both laws are 0.5 * exp(-ln 10) = 0.05. Fed the raw gap, the second
+        # was 0.369, above the 0.236 that (1, 0.1)-DP allows.
         eps, delta, beta = 1.0, 0.1, 0.5
         before = _parity_law(_witness_database(relabel=False), eps, delta, beta)
         after = _parity_law(_witness_database(relabel=True), eps, delta, beta)
         assert set(before) == set(after) == {(1,), None}
         assert before[(1,)] == pytest.approx(0.5 * math.exp(-math.log(10)), abs=1e-12)
-        assert after[(1,)] == pytest.approx(0.5 * math.exp(-(math.log(10) - 2)), abs=1e-12)
+        assert after[(1,)] == pytest.approx(0.5 * math.exp(-math.log(10)), abs=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1(c): stable_argmax is fed the raw vote gap, which one row moves by 2; "
-        "P[release mask 1] goes from 0.050 to 0.369 against an allowed 0.236",
-    )
     def test_witness_neighbours_meet_the_ledger(self):
         eps, delta, beta = 1.0, 0.1, 0.5
         before = _parity_law(_witness_database(relabel=False), eps, delta, beta)
