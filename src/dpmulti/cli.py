@@ -3,8 +3,8 @@
 Subcommands: learn, sanitize, attack, mech, experiment. All randomness comes
 from --seed; runs are reproducible byte for byte. `learn` and `attack` run the
 harness's paths and its LEARNERS table; `experiment run` runs its trials
-serially. Every `learn` flag but --n and --seed is read by the harness as the
-[learn] key of its name (LEARN_KEYS), so a bad value is named `learn.<key>`.
+serially. Every `learn` flag but --seed is read by the harness as the [learn]
+key of its name (LEARN_KEYS), so a bad value is named `learn.<key>`.
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 runtime failure.
 """
 
@@ -26,6 +26,7 @@ from .harness import (
     load_config,
     run_experiment,
     sample_and_learn,
+    sample_size,
 )
 from .mechanisms import (
     PrivacyParams,
@@ -39,7 +40,7 @@ from .sanitize import EnumerationBudgetError, sanitize_points
 
 
 # The [learn] keys that are learn flags; their values reach the harness as strings, as from a config.
-LEARN_KEYS = ("k", "alpha", "beta", "epsilon", "epsilon_prime", "delta", "synth_size", "universe", "d", "class",
+LEARN_KEYS = ("n", "k", "alpha", "beta", "epsilon", "epsilon_prime", "delta", "synth_size", "universe", "d", "class",
               "dist", "targets")
 
 
@@ -54,9 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     learn = sub.add_parser("learn", help="run one multi-learning pass on sampled data",
-                           description="Every flag but --n and --seed is the [learn] config key of its name.")
+                           description="Every flag but --seed is the [learn] config key of its name.")
     learn.add_argument("algorithm", choices=tuple(LEARNERS))
-    learn.add_argument("--n", type=int, required=True)
     for key in LEARN_KEYS:
         learn.add_argument("--" + key.replace("_", "-"), dest=key)
     _add_common(learn)
@@ -120,7 +120,8 @@ def _cmd_learn(args) -> int:
     given = {key: value for key, value in vars(args).items() if key in LEARN_KEYS and value is not None}
     # The CLI's delta default is 0.01; a [learn] section's is 0.0.
     params = {"algorithm": args.algorithm, "delta": "0.01", **given}
-    _, _, dist, targets, result = sample_and_learn(params, args.seed, args.n, 0, 0)
+    n = sample_size(params, "learn")
+    _, _, dist, targets, result = sample_and_learn(params, args.seed, n, 0, 0)
 
     columns = ["label", "hypothesis", "parameter", "target", "error"]
     rows = []
@@ -131,7 +132,7 @@ def _cmd_learn(args) -> int:
         errors = generalization_errors(dist, targets, result.hypotheses)
         for j, (h, c, err) in enumerate(zip(result.hypotheses, target_params, errors)):
             rows.append([j, h.kind, -1 if h.param is None else h.param, c, err])
-    meta = {"seed": args.seed, "n": args.n, "failed": result.failed,
+    meta = {"seed": args.seed, "n": n, "failed": result.failed,
             "below_sample_bound": result.below_sample_bound}
     if result.ledger.charges:
         total = result.ledger.basic_total()

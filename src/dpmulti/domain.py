@@ -556,20 +556,43 @@ def save_database(db: MultiLabeledDatabase, path) -> None:
             fh.write(" ".join(fields) + "\n")
 
 
+def _file_field(path, lineno: int, name: str, text: str, high: int | None = None) -> int:
+    """One integer field of a database file: at least 0, and below high if given."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: {name}: cannot parse {text!r}") from None
+    if value < 0 or (high is not None and value >= high):
+        bound = ">= 0" if high is None else f"in [0, {high})"
+        raise ValueError(f"{path}:{lineno}: {name}: must be {bound}, got {value}")
+    return value
+
+
 def load_database(path) -> MultiLabeledDatabase:
-    """Parse the fixture format written by save_database."""
+    """Parse the fixture format written by save_database.
+
+    A value it cannot read raises ValueError naming `<path>:<line>` and the
+    field: a header key, `x`, or label `y<j>` (from 1).
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing header line")
-        fields = dict(part.split("=", 1) for part in header[1:].split())
+        fields = {}
+        for token in header[1:].split():
+            key, eq, text = token.partition("=")
+            if not eq:
+                raise ValueError(f"{path}:1: expected key=value, got {token!r}")
+            fields[key] = text
         for key in ("universe", "k"):
             if key not in fields:
                 raise ValueError(f"{path}: header lacks {key}=<value>")
-        size = int(fields["universe"])
-        k = int(fields["k"])
-        bits = int(fields["bits"]) if "bits" in fields else None
-        universe = Universe(size, bit_width=bits)
+        size, k = (_file_field(path, 1, key, fields[key]) for key in ("universe", "k"))
+        bits = _file_field(path, 1, "bits", fields["bits"]) if "bits" in fields else None
+        try:
+            universe = Universe(size, bit_width=bits)
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: {exc}") from None
         xs, labels = [], []
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
@@ -577,8 +600,8 @@ def load_database(path) -> MultiLabeledDatabase:
                 continue
             if len(parts) != 1 + k:
                 raise ValueError(f"{path}:{lineno}: expected 1+{k} fields, got {len(parts)}")
-            xs.append(int(parts[0]))
-            labels.append([int(b) for b in parts[1:]])
+            xs.append(_file_field(path, lineno, "x", parts[0], universe.size))
+            labels.append([_file_field(path, lineno, f"y{j}", b, 2) for j, b in enumerate(parts[1:], start=1)])
     return MultiLabeledDatabase(
         universe,
         np.array(xs, dtype=np.int64),

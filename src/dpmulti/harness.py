@@ -6,7 +6,7 @@ index), so reports are byte-identical across runs. Trials run serially.
 LEARNERS is the one per-algorithm table; configs, the CLI and attack
 experiments all build their learners from it.
 Section keys, and the CLI's learn flags, are read by _need (cast, default,
-integer floor) and check_fraction; _naming reports a value that a constructor
+integer floor), check_fraction and check_epsilon; _naming reports a value that a constructor
 refuses as `<section>.<key>: <message>`.
 """
 
@@ -51,7 +51,7 @@ from .learners import (
     point_learner,
     point_rows_bound,
 )
-from .mechanisms import PrivacyParams, check_fraction
+from .mechanisms import PrivacyParams, check_epsilon, check_fraction
 from .rng import stream
 from .sanitize import sanitize_points
 
@@ -277,6 +277,10 @@ class ExperimentConfig:
     sweep_values: tuple[int, ...]
     params: dict
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError(f"experiment.trials: must be >= 1, got {self.trials}")
+
     def points(self) -> Sequence[int | None]:
         return self.sweep_values if self.sweep_axis else (None,)
 
@@ -293,7 +297,7 @@ def parse_config(text: str) -> ExperimentConfig:
     kind = exp.get("kind", "").strip()
     if kind not in ("learn", "sanitize", "attack"):
         raise ConfigError(f"experiment.kind: expected learn|sanitize|attack, got {kind!r}")
-    trials = _need(exp, "experiment", "trials", int, low=1)
+    trials = _need(exp, "experiment", "trials", int)
     seed = _need(exp, "experiment", "seed", int)
     sweep_axis = exp.get("sweep", "").strip() or None
     sweep_values: tuple[int, ...] = ()
@@ -331,6 +335,11 @@ def _need(params: Mapping, section: str, key: str, cast: Callable, default=None,
     if low is not None and value < low:
         raise ConfigError(f"{section}.{key}: must be >= {low}, got {value}")
     return value
+
+
+def sample_size(params: Mapping, section: str) -> int:
+    """A section's `n`, the rows each trial samples."""
+    return _need(params, section, "n", int, low=1)
 
 
 @contextlib.contextmanager
@@ -400,15 +409,19 @@ def _learn_params(params: dict, section: str, kind: str, delta: float, epsilon_p
     check_fraction(alpha, f"{section}.alpha")
     beta = _need(params, section, "beta", float, default=0.1)
     check_fraction(beta, f"{section}.beta")
-    synth_size = _need(params, section, "synth_size", int, low=1) if "synth_size" in params else None
+    epsilon = _need(params, section, "epsilon", float, default=1.0)
+    check_epsilon(epsilon, f"{section}.epsilon")
+    if "epsilon_prime" in params:
+        epsilon_prime = _need(params, section, "epsilon_prime", float)
+        check_epsilon(epsilon_prime, f"{section}.epsilon_prime")
     return LearnParams(
         kind,
         alpha=alpha,
         beta=beta,
-        epsilon=_need(params, section, "epsilon", float, default=1.0),
+        epsilon=epsilon,
         delta=_need(params, section, "delta", float, default=delta),
-        epsilon_prime=_need(params, section, "epsilon_prime", float) if "epsilon_prime" in params else epsilon_prime,
-        synth_size=synth_size,
+        epsilon_prime=epsilon_prime,
+        synth_size=_need(params, section, "synth_size", int, low=1) if "synth_size" in params else None,
     )
 
 
@@ -459,8 +472,11 @@ def run_sanitize_trial(config: ExperimentConfig, n: int, point_idx: int, trial: 
     params = config.params
     size = _need(params, "sanitize", "universe", int)
     alpha = _need(params, "sanitize", "alpha", float)
+    check_fraction(alpha, "sanitize.alpha")
     eps = _need(params, "sanitize", "epsilon", float)
+    check_epsilon(eps, "sanitize.epsilon")
     delta = _need(params, "sanitize", "delta", float)
+    check_fraction(delta, "sanitize.delta")
     with _naming("sanitize", "universe"):
         universe = Universe.indexed(size)
     rng = stream(config.seed, point_idx, trial)
@@ -513,7 +529,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
     rows = []
     for point_idx, point in enumerate(config.points()):
         point_config = config if point is None else replace(config, params={**config.params, axis: str(point)})
-        n = _need(point_config.params, config.kind, "n", int, low=1)
+        n = sample_size(point_config.params, config.kind)
         outcomes = [runner(point_config, n, point_idx, t) for t in range(config.trials)]
         success = sum(1 for ok, *_ in outcomes if ok)
         mean_err = math.fsum(err for _, err, *_ in outcomes) / config.trials

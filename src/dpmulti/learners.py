@@ -188,6 +188,42 @@ def _unpack_words(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
 
 
+def _tally(keys: np.ndarray, group: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of the (n, W) uint64 keys: each group's earliest row and its count.
+
+    Groups rank by descending count, ties to the earliest row; with the int64
+    group column they are (group, key row) pairs ranked within ascending group.
+    One stable np.lexsort makes equal rows adjacent runs that open at their
+    earliest row. group is compared apart from the keys, never stacked: numpy
+    would promote int64 beside uint64 to float64, which merges words >= 2**53.
+    """
+    sort = np.lexsort([*keys.T] if group is None else [*keys.T, group])
+    runs = keys[sort]
+    change = (runs[1:] != runs[:-1]).any(axis=1)
+    if group is not None:
+        change |= np.diff(group[sort]) != 0
+    # Run bounds, then the end; an empty input opens no run.
+    bounds = np.flatnonzero(np.concatenate(([len(sort) > 0], change, [True])))
+    first, counts = sort[bounds[:-1]], np.diff(bounds)
+    order = np.lexsort((first, -counts) if group is None else (first, -counts, group[first]))
+    return first[order], counts[order]
+
+
+def _stability_distance(top: int, runner_up: int) -> float:
+    """Distance to instability of the two best scores (Smith and Thakurta 2013), fed to stable_argmax.
+
+    If one changed row moves every score by at most 1, the top two move by at
+    most 1 each and this by at most 1; at distance >= 1 the gap is >= 3, so on
+    every neighbour the leader keeps >= top - 1 against <= runner_up + 1 and
+    the argmax cannot flip, ties included. The raw gap can move by 2.
+    Parity: a score is a vector's block votes, and one row moves one block's vote.
+    Points: given the heavy set, each selection (one label vector per heavy
+    element) scores the minimum of its (x, vector) counts. One row moves two
+    counts by 1 each, so every score moves by at most 1, and so do the top two.
+    """
+    return float(max(0, (top - runner_up - 1) // 2))
+
+
 def _check_approx_dp(epsilon: float, delta: float, beta: float) -> None:
     """Reject the (epsilon, delta, beta) that an approximate-DP bound cannot take."""
     check_epsilon(epsilon)
@@ -229,15 +265,10 @@ def _parity_tally(
     """parity_learner's deterministic part: (best masks, distance, below bound).
 
     The labels are packed into 64-bit words once, one gf2_solve_blocks call
-    eliminates every block, and one np.unique over the solution words tallies
-    the votes; ties go to the vector first seen in the earliest block. best
-    masks is the int64[k] parity masks of the most voted vector.
-
-    The stable selection is fed distance = max(0, (c1 - c2 - 1) // 2) for the
-    top two counts c1 >= c2 (Smith and Thakurta 2013). Changing a row moves one
-    block's vote, so each of c1, c2 moves by at most 1 and the distance by at
-    most 1. At distance >= 1, c1 - c2 >= 3: on every neighbour the leader keeps
-    >= c1 - 1 votes against <= c2 + 1 for any other vector, so it still wins.
+    eliminates every block, and _tally ranks the blocks' solution words; ties
+    go to the vector of the earliest block. best masks is the int64[k] parity
+    masks of the most voted vector, and distance is _stability_distance of the
+    top two vote counts.
     """
     universe = db.universe
     if universe.bit_width is None:
@@ -254,20 +285,13 @@ def _parity_tally(
     rhs = _pack_words(db.labels[:used]).reshape(m_eff, s, -1)
     solutions, ok = gf2_solve_blocks(bits, db.xs[:used].reshape(m_eff, s), rhs)
     votes = solutions[ok]
-    if len(votes):
-        # A block's vote key is its (bits, W) solution words as raw bytes.
-        keys = votes.reshape(len(votes), -1).view(np.dtype((np.void, votes[0].nbytes))).ravel()
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        # Descending count, ties to the vector first seen in the earliest block.
-        order = np.lexsort((first, -counts))
-        best = votes[first[order[0]]]
-        best_count, second_count = counts[order[0]], (counts[order[1]] if len(order) > 1 else 0)
-    else:
-        # Unseen vectors count 0, so the all-zero vector leads an empty tally.
-        best, best_count, second_count = np.zeros(solutions.shape[1:], dtype=np.uint64), 0, 0
+    first, counts = _tally(votes.reshape(-1, solutions[0].size))
+    # Unseen vectors count 0, so the all-zero vector leads an empty tally.
+    best = votes[first[0]] if len(first) else np.zeros(solutions.shape[1:], dtype=np.uint64)
+    top, runner_up = [*counts[:2], 0, 0][:2]
     coords = _unpack_words(best)[:, : db.k].astype(np.int64)  # (bits, k)
     masks = (coords << np.arange(bits)[:, None]).sum(axis=0)
-    return masks, float(max(0, (best_count - second_count - 1) // 2)), below
+    return masks, _stability_distance(top, runner_up), below
 
 
 def parity_learner(
@@ -327,16 +351,12 @@ def point_learner(
 
     Half the budget sanitizes the element frequencies; elements whose released
     frequency reaches alpha/15 form the heavy set G (capped at floor(15/alpha)
-    entries). The other half runs stable selection over per-heavy-element
+    entries). The other half runs one stable selection over per-heavy-element
     label vectors, maximizing the minimal count of any selected (x, vector)
-    pair. Label j maps to the heavy element whose selected vector has bit j
-    set (the lowest such element), else to the constant-zero hypothesis.
-    The (x, vector) counts come from one stable lexsort of the heavy rows over
-    their elements and packed label words (_per_element_top_vectors), and the
-    runner-up objective from the two smallest top counts, so there is no
-    per-row Python work, no per-label pass and the runner-up scan is O(|G|).
-    `beta` only informs the sample-size advisory flag; alpha, epsilon, delta
-    and beta are checked (ValueError) before any randomness is drawn.
+    pair. Given G the tally (_point_tally) is deterministic, and it feeds the
+    selection its distance to instability, not the raw gap. `beta` only
+    informs the sample-size advisory flag; alpha, epsilon, delta and beta are
+    checked (ValueError) before any randomness is drawn.
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot learn from an empty database")
@@ -355,44 +375,22 @@ def point_learner(
         # No heavy elements: every selected vector is vacuously all-zero.
         return LearnResult(Hypotheses(universe, POINT, np.full(k, -1)), ledger, below)
 
-    heavy = np.array(heavy, dtype=np.int64)
-    top_count, top_vec, second_count = _per_element_top_vectors(db, heavy)
-    best_q = int(top_count.min())
-    # Runner-up objective value: any alternative selection downgrades at least
-    # one element to (at best) its second-place vector count, and downgrading
-    # exactly one element is optimal. Leaving x out of the minimum over top
-    # counts gives the second smallest v1 when x holds the smallest v0, else v0.
-    if len(heavy) > 1:
-        v0, v1 = np.partition(top_count, 1)[:2]
-        others = np.where(top_count == v0, v1, v0)
-    else:
-        others = top_count
-    second_q = int(np.minimum(others, second_count).max())
-    choice = stable_argmax(float(best_q - second_q), epsilon / 2.0, delta / 2.0, rng)
+    params, distance = _point_tally(db, np.array(heavy, dtype=np.int64))
+    choice = stable_argmax(distance, epsilon / 2.0, delta / 2.0, rng)
     if choice is None:
         return LearnResult(None, ledger, below)
-    # Label j goes to the first heavy element carrying bit j, else to zero (-1).
-    params = np.where(top_vec.any(axis=0), heavy[top_vec.argmax(axis=0)], -1)
     return LearnResult(Hypotheses(universe, POINT, params), ledger, below)
 
 
-def _per_element_top_vectors(
-    db: MultiLabeledDatabase, heavy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per heavy element: top count, top label vector and runner-up count.
+def _point_tally(db: MultiLabeledDatabase, heavy: np.ndarray) -> tuple[np.ndarray, float]:
+    """point_learner's deterministic part given the heavy set: (params, distance).
 
-    heavy is a sorted int64 array of distinct elements; the results are
-    int64[|G|], bool[|G|, k] and int64[|G|], aligned with it.
-    Elements absent from the database get the all-zero vector with count 0.
-    Top-vector ties break to the earliest row carrying the vector, which is
-    deterministic and commutes with label-column permutations.
-
-    The labels are packed into W uint64 words once, and the rows of heavy
-    elements are picked through a membership table over the universe. One
-    stable np.lexsort over x and the W words puts equal (x, vector) pairs in
-    adjacent runs: a run starts where x or a word changes, its first sorted
-    position is its earliest row (the sort is stable), and its length is its
-    count.
+    heavy is a sorted int64 array of distinct elements. One _tally of the
+    heavy rows' label words, grouped by element, gives each element's top and
+    runner-up (x, vector) counts (an absent element has the all-zero vector at
+    count 0; ties go to the earliest row). The best selection takes every top
+    vector. Label j maps to the first heavy element whose top vector has bit j
+    set, else to the constant-zero hypothesis (-1).
     """
     top_count = np.zeros(len(heavy), dtype=np.int64)
     top_vec = np.zeros((len(heavy), db.k), dtype=bool)
@@ -400,24 +398,26 @@ def _per_element_top_vectors(
     is_heavy = np.zeros(db.universe.size, dtype=bool)
     is_heavy[heavy] = True
     rows = np.flatnonzero(is_heavy[db.xs])
-    if rows.size == 0:
-        return top_count, top_vec, second_count
-    xs, words = db.xs[rows], _pack_words(db.labels)[rows]
-    sort = np.lexsort((*words.T, xs))
-    xs, words = xs[sort], words[sort]
-    starts = np.flatnonzero(np.r_[True, (xs[1:] != xs[:-1]) | (words[1:] != words[:-1]).any(axis=1)])
-    first, counts, group_x = sort[starts], np.diff(np.r_[starts, rows.size]), xs[starts]
-    # Within each x run: descending count, then earliest first row.
-    order = np.lexsort((first, -counts, group_x))
-    first, counts, group_x = first[order], counts[order], group_x[order]
-    same = group_x[1:] == group_x[:-1]
-    head = np.flatnonzero(np.r_[True, ~same])
+    first, counts = _tally(_pack_words(db.labels)[rows], db.xs[rows])
+    group_x = db.xs[rows[first]]
+    # Each element's run opens with its top vector; a second entry is its runner-up.
+    _, head = np.unique(group_x, return_index=True)
     slot = np.searchsorted(heavy, group_x[head])
     top_count[slot] = counts[head]
     top_vec[slot] = db.labels[rows[first[head]]].astype(bool)
-    runner = np.r_[same, False][head]
+    runner = np.diff(np.r_[head, len(group_x)]) > 1
     second_count[slot[runner]] = counts[head[runner] + 1]
-    return top_count, top_vec, second_count
+    # Any other selection downgrades some element to (at best) its runner-up
+    # count; downgrading one x is optimal, and the minimum of the other top
+    # counts is the second smallest v1 when x holds the smallest v0, else v0.
+    if len(heavy) > 1:
+        v0, v1 = np.partition(top_count, 1)[:2]
+        others = np.where(top_count == v0, v1, v0)
+    else:
+        others = top_count
+    runner_up = np.minimum(others, second_count).max()
+    params = np.where(top_vec.any(axis=0), heavy[top_vec.argmax(axis=0)], -1)
+    return params, _stability_distance(top_count.min(), runner_up)
 
 
 def generic_sanitizer(cclass: ConceptClass, delta: float, sanitizer: str = "auto") -> str:

@@ -165,6 +165,22 @@ class TestSanitizeCommand:
         assert code == 1
         assert f"lacks {missing}=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,where", [
+        ("# universe=8 k=x\n1\n", ":1: k: cannot parse 'x'"),
+        ("# universe=8 k\n1\n", ":1: expected key=value, got 'k'"),
+        ("# universe=8 k=0 bits=x\n1\n", ":1: bits: cannot parse 'x'"),
+        ("# universe=8 k=1\n1 0\n2 a\n", ":3: y1: cannot parse 'a'"),
+        ("# universe=8 k=1\n1 2\n", ":2: y1: must be in [0, 2), got 2"),
+        ("# universe=8 k=0\n1\n8\n", ":3: x: must be in [0, 8), got 8"),
+    ], ids=["header-k", "header-no-equals", "header-bits", "label-a", "label-2", "element-outside"])
+    def test_unreadable_database_value_is_named(self, capsys, tmp_path, text, where):
+        path = tmp_path / "db.txt"
+        path.write_text(text)
+        code = main(["sanitize", "points", "--alpha", "0.2", "--epsilon", "1", "--delta", "0.01",
+                     "--input", str(path), "--seed", "5"])
+        assert code == 1
+        assert f"error: {path}{where}\n" == capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv,sha256",
@@ -590,6 +606,41 @@ class TestExitCodes:
             argv = ["experiment", "run", "--config", str(cfg)]
         assert main(argv) == 1
         assert f"error: {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["attack", "boneh-shaw", "--n", "4", "--xi", "0.1", "--trials", "0"], "experiment.trials: must be >= 1, got 0"),
+        (["learn", "points", "--k", "2", "--n", "0", "--universe", "8"], "learn.n: must be >= 1, got 0"),
+        (["learn", "points", "--k", "2", "--n", "x", "--universe", "8"], "learn.n: cannot parse 'x'"),
+        (["learn", "points", "--k", "2", "--universe", "8"], "learn.n: required"),
+        (["learn", "erm", "--k", "2", "--n", "100", "--universe", "8", "--epsilon", "0"],
+         "learn.epsilon must be positive, got 0.0"),
+        (["learn", "generic", "--k", "2", "--n", "100", "--universe", "8", "--epsilon-prime", "0"],
+         "learn.epsilon_prime must be positive, got 0.0"),
+    ], ids=["attack-trials0", "learn-n0", "learn-n-not-an-integer", "learn-n-missing", "learn-epsilon0",
+            "learn-epsilon-prime0"])
+    def test_bad_flag_names_its_key(self, capsys, argv, message):
+        assert main([*argv, "--seed", "1"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,key,value,message", [
+        ("sanitize", "alpha", "2", "sanitize.alpha must be in (0, 1), got 2.0"),
+        ("sanitize", "epsilon", "0", "sanitize.epsilon must be positive, got 0.0"),
+        ("sanitize", "epsilon", "inf", "sanitize.epsilon must be finite, got inf"),
+        ("sanitize", "delta", "1", "sanitize.delta must be in (0, 1), got 1.0"),
+        ("learn", "epsilon", "-1", "learn.epsilon must be positive, got -1.0"),
+        ("learn", "epsilon_prime", "0", "learn.epsilon_prime must be positive, got 0.0"),
+    ], ids=["sanitize-alpha2", "sanitize-epsilon0", "sanitize-epsilon-inf", "sanitize-delta1", "learn-epsilon-negative",
+            "learn-epsilon-prime0"])
+    def test_bad_privacy_key_names_its_section(self, capsys, tmp_path, kind, key, value, message):
+        body = {"sanitize": {"n": "100", "universe": "8", "alpha": "0.2", "epsilon": "1", "delta": "0.01"},
+                "learn": {"algorithm": "points", "k": "2", "n": "100", "universe": "8", "delta": "0.01",
+                          "epsilon_prime": "1"}}[kind]
+        cfg = tmp_path / "exp.ini"
+        for config, code in ((body, 0), ({**body, key: value}, 1)):
+            lines = "".join(f"{name} = {text}\n" for name, text in config.items())
+            cfg.write_text(f"[experiment]\nkind = {kind}\ntrials = 1\nseed = 1\n\n[{kind}]\n{lines}")
+            assert main(["experiment", "run", "--config", str(cfg)]) == code
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_unwritable_out_is_runtime_failure(self, capsys, tmp_path):
         code = main([

@@ -1,12 +1,14 @@
 """Learner behavior: ERM, GF(2) solving, parity/point/generic learners,
 and direct sum."""
 
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from dpmulti import learners
 from dpmulti.domain import (
     PARITY,
     POINT,
@@ -38,13 +40,14 @@ from dpmulti.learners import (
     parity_block_plan,
     parity_learner,
     parity_learner_pmf,
-    _per_element_top_vectors,
+    _parity_tally,
+    _point_tally,
     point_learner,
     point_rows_bound,
 )
-from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, dp_bound_holds, stable_argmax
+from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, dp_bound_holds, stable_argmax, stable_argmax_pmf
 from dpmulti.rng import stream
-from dpmulti.sanitize import answers_to_synthetic, sanitize_points
+from dpmulti.sanitize import SanitizedAnswers, answers_to_synthetic, sanitize_points
 
 
 class TestErmMulti:
@@ -286,6 +289,41 @@ def _parity_law(db, eps, delta, beta) -> dict:
     return {tuple(masks.tolist()): p_release, None: p_bottom}
 
 
+def _neighbours(db):
+    """Every database that differs from db in exactly one row."""
+    rows = [(x, bits) for x in range(db.universe.size) for bits in itertools.product((0, 1), repeat=db.k)]
+    for i in range(db.n):
+        for x, bits in rows:
+            if x != db.xs[i] or bits != tuple(db.labels[i].tolist()):
+                xs, labels = db.xs.copy(), db.labels.copy()
+                xs[i], labels[i] = x, bits
+                yield MultiLabeledDatabase(db.universe, xs, labels)
+
+
+def _all_databases(universe, k, n):
+    """Every database of n rows over universe with k labels, rows in order."""
+    rows = [(x, bits) for x in range(universe.size) for bits in itertools.product((0, 1), repeat=k)]
+    for combo in itertools.product(rows, repeat=n):
+        yield MultiLabeledDatabase.from_rows(universe, combo)
+
+
+def _stable_under_substitution(tally, databases) -> int:
+    """Check a deterministic tally, db -> (released params, distance), on every
+    single-row substitution of each database: the distance moves by at most 1,
+    and at distance >= 1 the params do not move. Returns how many databases
+    had distance >= 1."""
+    stable = 0
+    for db in databases:
+        params, distance = tally(db)
+        stable += distance >= 1
+        for other in _neighbours(db):
+            other_params, other_distance = tally(other)
+            assert abs(other_distance - distance) <= 1
+            if distance >= 1:
+                assert other_params.tolist() == params.tolist()
+    return stable
+
+
 class TestParityLearner:
     def test_pmf_matches_seeded_sampler(self):
         # A clear leader: 20 blocks vote mask 1 and 16 vote mask 3, a gap of 4
@@ -328,6 +366,25 @@ class TestParityLearner:
         p = np.array([before.get(o, 0.0) for o in outcomes])
         q = np.array([after.get(o, 0.0) for o in outcomes])
         assert dp_bound_holds(p, q, eps, delta) and dp_bound_holds(q, p, eps, delta)
+
+    def test_tally_is_stable_under_every_substitution(self):
+        # eps = 8, delta = beta = 0.5 plans m = 3 blocks: every database of 3 or
+        # 4 rows at d = 1, and near-parity databases of 6..9 rows at d = 2, whose
+        # blocks hold 2 or 3 rows.
+        eps, delta, beta = 8.0, 0.5, 0.5
+        assert parity_block_plan(2, eps, beta, delta)[0] == 3
+        tally = lambda db: _parity_tally(db, eps, delta, beta)[:2]
+        tiny = Universe.bitvectors(1)
+        assert _stable_under_substitution(tally, (db for n in (3, 4) for db in _all_databases(tiny, 1, n)))
+        u, rng = Universe.bitvectors(2), stream(48, 0)
+        databases = []
+        for _ in range(40):
+            n, k = int(rng.integers(6, 10)), int(rng.integers(1, 3))
+            xs = rng.integers(0, u.size, size=n)
+            labels = np.bitwise_count(xs[:, None] & rng.integers(0, u.size, size=k)[None, :]) & 1
+            labels ^= rng.random((n, k)) < 0.05
+            databases.append(MultiLabeledDatabase(u, xs, labels.astype(np.uint8)))
+        assert _stable_under_substitution(tally, databases)
 
     @pytest.mark.parametrize("k", [0, 1, 5, 64, 100])
     @pytest.mark.parametrize("labels", ["parity", "random"])
@@ -452,7 +509,63 @@ class TestParityLearner:
         assert all(b.hypotheses[i] == a.hypotheses[p] for i, p in enumerate(perm))
 
 
+def _point_witness(relabel: bool) -> MultiLabeledDatabase:
+    """Eight rows at x = 0 with k = 1: label 1 five times, then 0 three times, so
+    the two vector counts are (5, 3); relabel sets the fifth row to 0, giving (4, 4)."""
+    labels = np.array([1, 1, 1, 1, 1, 0, 0, 0], dtype=np.uint8)
+    if relabel:
+        labels[4] = 0
+    return MultiLabeledDatabase(Universe.indexed(4), np.zeros(8, dtype=np.int64), labels[:, None])
+
+
+def _point_selection_law(db, monkeypatch) -> dict:
+    """Exact law of point_learner at (epsilon, delta) = (2, 0.2) given the heavy
+    set {0}: the sanitizer is replaced by one releasing only x = 0, and the
+    stable selection, whose budget is (1, 0.1), by one recording what it is fed."""
+    fed = []
+    monkeypatch.setattr(learners, "sanitize_points", lambda db, *_: SanitizedAnswers(db.universe, {0: 1.0}))
+    monkeypatch.setattr(learners, "stable_argmax", lambda gap, *_: fed.append(gap) or 0)
+    result = point_learner(db, 0.2, 2.0, 0.2, stream(49, 0))
+    p_release, p_bottom = stable_argmax_pmf(fed[0], 1.0, 0.1)
+    return {tuple(result.hypotheses.params.tolist()): p_release, None: p_bottom}
+
+
 class TestPointLearner:
+    def test_witness_laws(self, monkeypatch):
+        # Counts (5, 3) against (4, 4): the raw gaps 2 and 0 would give release
+        # laws 0.369 and 0.050, above the e * 0.050 + 0.1 = 0.236 that (1, 0.1)
+        # allows. Both distances are 0, so both laws are 0.5 * exp(-ln 10).
+        before = _point_selection_law(_point_witness(relabel=False), monkeypatch)
+        after = _point_selection_law(_point_witness(relabel=True), monkeypatch)
+        assert set(before) == set(after) == {(0,), None}
+        assert before[(0,)] == pytest.approx(0.5 * math.exp(-math.log(10)), abs=1e-12)
+        assert after[(0,)] == pytest.approx(0.5 * math.exp(-math.log(10)), abs=1e-12)
+
+    def test_witness_neighbours_meet_the_ledger(self, monkeypatch):
+        before = _point_selection_law(_point_witness(relabel=False), monkeypatch)
+        after = _point_selection_law(_point_witness(relabel=True), monkeypatch)
+        outcomes = sorted(set(before) | set(after), key=repr)
+        p = np.array([before.get(o, 0.0) for o in outcomes])
+        q = np.array([after.get(o, 0.0) for o in outcomes])
+        assert dp_bound_holds(p, q, 1.0, 0.1) and dp_bound_holds(q, p, 1.0, 0.1)
+
+    def test_tally_is_stable_under_every_substitution(self):
+        # Every 4-row database over {0, 1} with k = 1 and heavy set {0}, then
+        # 10..14-row databases over 4 elements, labels nearly a function of x,
+        # with heavy sets {0}, {0, 1} and {0, 1, 2}.
+        tally = lambda db: _point_tally(db, np.array([0]))
+        assert _stable_under_substitution(tally, _all_databases(Universe.indexed(2), 1, 4))
+        u, rng = Universe.indexed(4), stream(50, 0)
+        stable = Counter()
+        for _ in range(30):
+            n, k = int(rng.integers(10, 15)), int(rng.integers(1, 3))
+            xs = rng.choice(u.size, size=n, p=[0.45, 0.45, 0.1, 0.0])
+            labels = (xs[:, None] == rng.integers(0, u.size, size=k)[None, :]) ^ (rng.random((n, k)) < 0.05)
+            heavy = np.arange(int(rng.integers(1, 4)))
+            db = MultiLabeledDatabase(u, xs, labels.astype(np.uint8))
+            stable[len(heavy)] += _stable_under_substitution(lambda db: _point_tally(db, heavy), [db])
+        assert stable[1] and stable[2]
+
     def test_point_mass_distribution(self):
         u = Universe.indexed(8)
         dist = Distribution.point_mass(u, 5)
@@ -529,7 +642,7 @@ class TestPointLearner:
             assert all(b.hypotheses[i] == a.hypotheses[p] for i, p in enumerate(perm))
 
     @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 64, 2370])
-    def test_top_vectors_match_per_row_reference(self, k):
+    def test_top_vectors_match_per_row_reference(self, k, monkeypatch):
         # Few distinct label rows force count ties; elements 6..9 never occur.
         u = Universe.indexed(10)
         rng = stream(46, k)
@@ -538,7 +651,7 @@ class TestPointLearner:
             pool = rng.integers(0, 2, size=(int(rng.integers(1, 4)), k)).astype(np.uint8)
             db = MultiLabeledDatabase(u, rng.integers(0, 6, size=n), pool[rng.integers(0, len(pool), size=n)])
             heavy = np.sort(rng.choice(10, size=int(rng.integers(1, 11)), replace=False))
-            _check_top_vectors(db, heavy)
+            _check_top_vectors(db, heavy, monkeypatch)
         # Over 1000 elements, rows fall on 240..271, across the byte boundary at
         # 256, and the heavy set holds some of them plus elements that never occur.
         u = Universe.indexed(1000)
@@ -548,15 +661,28 @@ class TestPointLearner:
             db = MultiLabeledDatabase(u, rng.integers(240, 272, size=n), pool[rng.integers(0, len(pool), size=n)])
             candidates = np.r_[np.arange(240, 272), [0, 500, 999]]
             heavy = np.sort(rng.choice(candidates, size=int(rng.integers(1, 20)), replace=False))
-            _check_top_vectors(db, heavy)
+            _check_top_vectors(db, heavy, monkeypatch)
 
 
-def _check_top_vectors(db, heavy):
-    top_count, top_vec, second_count = _per_element_top_vectors(db, heavy)
-    for i, x in enumerate(heavy):
-        count, vec, second = _reference_top_vectors(db, x)
-        assert (top_count[i], second_count[i]) == (count, second)
-        assert tuple(int(b) for b in top_vec[i]) == vec
+def _check_top_vectors(db, heavy, monkeypatch):
+    """_point_tally against per-element reference tallies. Alone, each element
+    must feed _stability_distance its exact (top, runner-up) counts and map
+    label j to itself iff its top vector has bit j; with the whole heavy set,
+    the feed is the least top count against the best one-element downgrade,
+    and label j maps to the first element whose top vector has bit j."""
+    fed = []
+    distance = learners._stability_distance
+    monkeypatch.setattr(learners, "_stability_distance", lambda *pair: fed.append(pair) or distance(*pair))
+    tops, vecs, seconds = zip(*(_reference_top_vectors(db, x) for x in heavy))
+    for x, top, vec, second in zip(heavy, tops, vecs, seconds):
+        params, _ = _point_tally(db, np.array([x]))
+        assert fed.pop() == (top, second)
+        assert params.tolist() == [int(x) if bit else -1 for bit in vec]
+    params, _ = _point_tally(db, heavy)
+    runner_up = max(min([seconds[i], *tops[:i], *tops[i + 1 :]]) for i in range(len(heavy)))
+    assert fed.pop() == (min(tops), runner_up)
+    want = [next((int(x) for x, vec in zip(heavy, vecs) if vec[j]), -1) for j in range(db.k)]
+    assert params.tolist() == want
 
 
 def _reference_top_vectors(db, x):
