@@ -1,32 +1,34 @@
 """Command-line interface.
 
 Subcommands: learn, sanitize, attack, mech, experiment. All randomness comes
-from --seed; runs are reproducible byte for byte. `learn` and `attack` run the
-harness's paths and its LEARNERS table; `experiment run` runs its trials
-serially. Every `learn` flag but --seed is read by the harness as the [learn]
-key of its name (LEARN_KEYS), so a bad value is named `learn.<key>`.
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 runtime failure.
+from --seed; runs are reproducible byte for byte. The harness owns experiment
+I/O: each learn, sanitize and attack flag but --seed reaches it as a string
+under its config key (SECTION_KEYS; attack's --n is n_users, --trials is
+experiment.trials), so a bad value is named `<section>.<key>`, and harness.emit
+writes every report. Only `mech` reads its own flags.
+Exit codes: 0 success, 1 invalid configuration or arguments (an unwritable
+--out included), 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .domain import generalization_errors, load_database
-from .fingerprint import VARIANTS
 from .harness import (
     LEARNERS,
+    SECTION_KEYS,
     ConfigError,
-    ExperimentConfig,
     TrialReport,
+    config_from_sections,
     emit,
     load_config,
     run_experiment,
     sample_and_learn,
     sample_size,
+    sanitize_privacy,
 )
 from .mechanisms import (
     PrivacyParams,
@@ -37,11 +39,6 @@ from .mechanisms import (
 )
 from .rng import stream
 from .sanitize import EnumerationBudgetError, sanitize_points
-
-
-# The [learn] keys that are learn flags; their values reach the harness as strings, as from a config.
-LEARN_KEYS = ("n", "k", "alpha", "beta", "epsilon", "epsilon_prime", "delta", "synth_size", "universe", "d", "class",
-              "dist", "targets")
 
 
 def _add_common(parser):
@@ -57,27 +54,27 @@ def build_parser() -> argparse.ArgumentParser:
     learn = sub.add_parser("learn", help="run one multi-learning pass on sampled data",
                            description="Every flag but --seed is the [learn] config key of its name.")
     learn.add_argument("algorithm", choices=tuple(LEARNERS))
-    for key in LEARN_KEYS:
-        learn.add_argument("--" + key.replace("_", "-"), dest=key)
+    for key in SECTION_KEYS["learn"]:
+        if key != "algorithm":
+            learn.add_argument("--" + key.replace("_", "-"), dest=key)
     _add_common(learn)
 
-    san = sub.add_parser("sanitize", help="differentially private query release")
+    san = sub.add_parser("sanitize", help="differentially private query release",
+                         description="--alpha, --epsilon and --delta are the [sanitize] config keys of their names.")
     san.add_argument("queries", choices=("points",))
-    san.add_argument("--alpha", type=float, required=True)
-    san.add_argument("--epsilon", type=float, required=True)
-    san.add_argument("--delta", type=float, required=True)
+    for key in ("alpha", "epsilon", "delta"):
+        san.add_argument("--" + key)
     san.add_argument("--input", required=True, help="database file (header + `x y1 .. yk` rows)")
     _add_common(san)
 
-    attack = sub.add_parser("attack", help="fingerprinting-code tracing attack experiments")
+    attack = sub.add_parser("attack", help="fingerprinting-code tracing attack experiments",
+                            description="--trials is the [experiment] key, --n the [attack] key n_users, and every "
+                                        "other flag but --seed the [attack] key of its name.")
     attack.add_argument("code", choices=("boneh-shaw",))
-    attack.add_argument("--n", type=int, required=True, help="number of users (<= 8)")
-    attack.add_argument("--xi", type=float, required=True, help="code security level")
-    attack.add_argument("--trials", type=int, required=True)
-    attack.add_argument("--learner", choices=tuple(LEARNERS), default="erm")
-    attack.add_argument("--variant", choices=tuple(VARIANTS), default="pac")
-    attack.add_argument("--alpha", type=float, default=0.2)
-    attack.add_argument("--length", type=int, default=None)
+    attack.add_argument("--n", dest="n_users", help="number of users, 2 to 8")
+    attack.add_argument("--xi", help="code security level")
+    for key in ("trials", "learner", "variant", "alpha", "length"):
+        attack.add_argument("--" + key)
     _add_common(attack)
 
     mech = sub.add_parser("mech", help="mechanism demos")
@@ -110,16 +107,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _section(args, section: str) -> dict:
+    """The given flags that are keys of section, as the strings they were given."""
+    return {key: getattr(args, key) for key in SECTION_KEYS[section] if getattr(args, key, None) is not None}
+
+
 def _emit(report: TrialReport, fmt: str, out: str | None) -> None:
-    if out is not None and os.path.isdir(out):
-        raise ConfigError(f"--out: cannot write report to {out}: it is a directory")
-    emit(report, fmt, sys.stdout if out is None else out)
+    """Write the report to stdout, or to --out; an --out that cannot be written is invalid input."""
+    if out is None:
+        emit(report, fmt, sys.stdout)
+        return
+    try:
+        emit(report, fmt, out)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
 
 
 def _cmd_learn(args) -> int:
-    given = {key: value for key, value in vars(args).items() if key in LEARN_KEYS and value is not None}
     # The CLI's delta default is 0.01; a [learn] section's is 0.0.
-    params = {"algorithm": args.algorithm, "delta": "0.01", **given}
+    params = {"delta": "0.01", **_section(args, "learn")}
     n = sample_size(params, "learn")
     _, _, dist, targets, result = sample_and_learn(params, args.seed, n, 0, 0)
 
@@ -138,33 +144,27 @@ def _cmd_learn(args) -> int:
         total = result.ledger.basic_total()
         meta["epsilon_total"] = total.epsilon
         meta["delta_total"] = total.delta
-    report = TrialReport("learn", columns, rows, meta=meta).rounded()
+    report = TrialReport("learn", columns, rows, meta=meta)
     _emit(report, args.format, args.out)
     return 0
 
 
 def _cmd_sanitize(args) -> int:
+    alpha, epsilon, delta = sanitize_privacy(_section(args, "sanitize"))
     try:
         db = load_database(args.input)
     except OSError as exc:
         raise ConfigError(f"--input: cannot read {args.input}: {exc}") from exc
-    rng = stream(args.seed, 0, 0)
-    answers = sanitize_points(db, args.alpha, args.epsilon, args.delta, rng)
-    columns = ["x", "a_x"]
+    answers = sanitize_points(db, alpha, epsilon, delta, stream(args.seed, 0, 0))
     rows = [[x, answers.answers[x]] for x in answers.support]
-    report = TrialReport(
-        "sanitize", columns, rows,
-        meta={"seed": args.seed, "n": db.n, "universe": db.universe.size},
-    ).rounded()
-    _emit(report, args.format, args.out)
+    meta = {"seed": args.seed, "n": db.n, "universe": db.universe.size}
+    _emit(TrialReport("sanitize", ["x", "a_x"], rows, meta=meta), args.format, args.out)
     return 0
 
 
 def _cmd_attack(args) -> int:
-    params = {"n_users": args.n, "xi": args.xi, "learner": args.learner, "variant": args.variant, "alpha": args.alpha}
-    if args.length is not None:
-        params["length"] = args.length
-    config = ExperimentConfig("attack", args.trials, args.seed, None, (), params)
+    experiment = {"kind": "attack", **_section(args, "experiment")}
+    config = config_from_sections(experiment, {"attack": _section(args, "attack")})
     _emit(run_experiment(config), args.format, args.out)
     return 0
 
@@ -215,7 +215,7 @@ def _cmd_mech(args) -> int:
             total = compose_advanced(charges, args.delta_prime)
         report = TrialReport("mech", ["epsilon_total", "delta_total"],
                              [[total.epsilon, total.delta]], meta={"mode": args.mode})
-    _emit(report.rounded(), args.format, args.out)
+    _emit(report, args.format, args.out)
     return 0
 
 

@@ -30,6 +30,9 @@ from .rng import stream
 # Each attack variant's concept class kind: the learners and the accuracy contract use it.
 VARIANTS = {"pac": THRESH, "padded": THRESH, "parity": PARITY}
 
+# Attack experiments are desk-scale: at most this many users.
+MAX_USERS = 8
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -259,8 +262,8 @@ def attack_experiment(
     (fallback words or undefined-band roundings) are excluded from the
     completeness denominator and reported separately.
     """
-    if n_users > 8:
-        raise ValueError("attack experiments are desk-scale: n_users <= 8")
+    if n_users > MAX_USERS:
+        raise ValueError(f"attack experiments are desk-scale: n_users <= {MAX_USERS}")
     if n_users < 2:
         raise ValueError(f"n_users must be >= 2, got {n_users}")
     check_fraction(security, "security (xi)")

@@ -5,9 +5,14 @@ trial draws its randomness from a stream keyed by (seed, point index, trial
 index), so reports are byte-identical across runs. Trials run serially.
 LEARNERS is the one per-algorithm table; configs, the CLI and attack
 experiments all build their learners from it.
-Section keys, and the CLI's learn flags, are read by _need (cast, default,
-integer floor), check_fraction and check_epsilon; _naming reports a value that a constructor
-refuses as `<section>.<key>: <message>`.
+
+The harness owns experiment I/O. SECTION_KEYS declares the keys each section
+reads, and a section refuses any other. A config's values and the CLI's learn,
+sanitize and attack flags reach the same readers as strings: _need (cast,
+default, integer floor) and _checked (a range check such as check_fraction);
+_naming reports a value that a constructor refuses. Every refusal is named
+`<section>.<key>`. Reports hold full-precision values; to_csv and to_json
+alone write floats, at 9 significant digits.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .learners import (
     point_learner,
     point_rows_bound,
 )
-from .mechanisms import PrivacyParams, check_epsilon, check_fraction
+from .mechanisms import PrivacyParams, check_delta, check_epsilon, check_fraction
 from .rng import stream
 from .sanitize import sanitize_points
 
@@ -84,12 +89,14 @@ class Learner:
     charges(params, k) calls the learner's charge schedule: the ledger it must
     hold on every outcome, aborts included. An exact learner learns parities
     only, and its trials succeed only on exact recovery of the targets.
+    delta_check(delta, name) refuses a delta outside the learner's range.
     """
 
     build: Callable[[LearnParams], LearnerFn]
     plan: Callable[..., int]
     charges: Callable[[LearnParams, int], list[PrivacyParams]]
     exact: bool = False
+    delta_check: Callable[[float, str], None] = check_fraction
 
 
 def _generic(p: LearnParams) -> LearnerFn:
@@ -123,6 +130,7 @@ LEARNERS: dict[str, Learner] = {
             cclass, k, alpha, beta, epsilon, epsilon_prime, delta
         ),
         lambda p, k: generic_charges(k, p.epsilon, p.epsilon_prime, p.delta),
+        delta_check=check_delta,
     ),
     "direct-sum": Learner(
         lambda p: lambda db, rng: direct_sum_learner(_POINTS.build(p), db, rng),
@@ -133,6 +141,7 @@ LEARNERS: dict[str, Learner] = {
         lambda p: lambda db, rng: erm_multi(db, ConceptClass(p.kind, db.universe)),
         lambda cclass, alpha, beta, **_: vc_sample_size(cclass.vc_dim, alpha, beta),
         lambda p, k: [],
+        delta_check=lambda delta, name: None,  # erm charges nothing
     ),
 }
 
@@ -163,14 +172,13 @@ def format_float(value: float) -> str:
 
 
 def _round9(value):
-    if isinstance(value, float):
-        return float(format_float(value))
-    return value
+    """A float at the 9 significant digits reports are written with; any other value unchanged."""
+    return float(format_float(value)) if isinstance(value, float) else value
 
 
 @dataclass
 class TrialReport:
-    """Aggregate rows per sweep point, plus optional per-trial rows."""
+    """Aggregate rows per sweep point, plus optional per-trial rows, at full precision."""
 
     kind: str
     columns: list[str]
@@ -178,14 +186,6 @@ class TrialReport:
     per_trial_columns: list[str] | None = None
     per_trial_rows: list[list] | None = None
     meta: dict = field(default_factory=dict)
-
-    def rounded(self) -> "TrialReport":
-        rows = [[_round9(v) for v in row] for row in self.rows]
-        per_rows = None
-        if self.per_trial_rows is not None:
-            per_rows = [[_round9(v) for v in row] for row in self.per_trial_rows]
-        meta = {key: _round9(v) for key, v in self.meta.items()}
-        return TrialReport(self.kind, list(self.columns), rows, self.per_trial_columns, per_rows, meta)
 
 
 def emit(report: TrialReport, fmt: str, destination) -> None:
@@ -207,7 +207,7 @@ def emit(report: TrialReport, fmt: str, destination) -> None:
         with open(destination, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write report to {destination}: {exc}") from exc
+        raise OSError(f"cannot write report to {destination}: {exc.strerror or exc}") from exc
 
 
 def to_csv(report: TrialReport) -> str:
@@ -222,48 +222,36 @@ def to_csv(report: TrialReport) -> str:
     return buf.getvalue()
 
 
-def parse_csv(text: str) -> tuple[list[str], list[list]]:
-    """Inverse of to_csv; numeric fields come back as int or float."""
-    lines = [line for line in text.splitlines() if line]
-    columns = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        row = []
-        for fieldtext in line.split(","):
-            try:
-                row.append(int(fieldtext))
-            except ValueError:
-                try:
-                    row.append(float(fieldtext))
-                except ValueError:
-                    row.append(fieldtext)
-        rows.append(row)
-    return columns, rows
-
-
 def to_json(report: TrialReport) -> str:
-    rounded = report.rounded()
+    def table(rows):
+        return None if rows is None else [[_round9(v) for v in row] for row in rows]
+
     payload = {
-        "kind": rounded.kind,
-        "columns": rounded.columns,
-        "rows": rounded.rows,
-        "per_trial_columns": rounded.per_trial_columns,
-        "per_trial_rows": rounded.per_trial_rows,
-        "meta": rounded.meta,
+        "kind": report.kind,
+        "columns": report.columns,
+        "rows": table(report.rows),
+        "per_trial_columns": report.per_trial_columns,
+        "per_trial_rows": table(report.per_trial_rows),
+        "meta": {key: _round9(v) for key, v in report.meta.items()},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def parse_json(text: str) -> TrialReport:
-    payload = json.loads(text)
-    return TrialReport(
-        kind=payload["kind"],
-        columns=payload["columns"],
-        rows=payload["rows"],
-        per_trial_columns=payload["per_trial_columns"],
-        per_trial_rows=payload["per_trial_rows"],
-        meta=payload["meta"],
-    )
+# The keys each section reads; a section refuses any other. A kind's section may also set the report `format`.
+SECTION_KEYS = {
+    "experiment": ("kind", "trials", "seed", "sweep", "values"),
+    "learn": ("algorithm", "n", "k", "alpha", "beta", "epsilon", "epsilon_prime", "delta", "synth_size", "universe",
+              "d", "class", "dist", "targets"),
+    "sanitize": ("n", "universe", "alpha", "epsilon", "delta", "dist"),
+    "attack": ("n_users", "xi", "learner", "variant", "length", "alpha", "beta", "epsilon", "epsilon_prime", "delta"),
+}
+
+
+def _refuse_unknown(section: str, params: Mapping, known: Sequence[str]) -> None:
+    """Refuse the first key of a section that is not among known."""
+    for key in params:
+        if key not in known:
+            raise ConfigError(f"{section}.{key}: unknown key")
 
 
 @dataclass(frozen=True)
@@ -293,7 +281,15 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config: {exc}") from exc
     if "experiment" not in parser:
         raise ConfigError("experiment: section missing")
-    exp = parser["experiment"]
+    return config_from_sections(parser["experiment"], parser)
+
+
+def config_from_sections(exp: Mapping, sections: Mapping[str, Mapping]) -> ExperimentConfig:
+    """An experiment from its [experiment] section and the section named by its kind.
+
+    Values may be strings, as a config file gives them; the CLI passes its flags so.
+    """
+    _refuse_unknown("experiment", exp, SECTION_KEYS["experiment"])
     kind = exp.get("kind", "").strip()
     if kind not in ("learn", "sanitize", "attack"):
         raise ConfigError(f"experiment.kind: expected learn|sanitize|attack, got {kind!r}")
@@ -311,10 +307,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("experiment.values: integers required")
         if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
             raise ConfigError("experiment.values: must be strictly increasing")
-    if kind not in parser:
+    if kind not in sections:
         raise ConfigError(f"{kind}: section missing")
-    params = dict(parser[kind])
-    return ExperimentConfig(kind, trials, seed, sweep_axis, sweep_values, params)
+    _refuse_unknown(kind, sections[kind], SECTION_KEYS[kind] + ("format",))
+    return ExperimentConfig(kind, trials, seed, sweep_axis, sweep_values, dict(sections[kind]))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -335,6 +331,22 @@ def _need(params: Mapping, section: str, key: str, cast: Callable, default=None,
     if low is not None and value < low:
         raise ConfigError(f"{section}.{key}: must be >= {low}, got {value}")
     return value
+
+
+def _checked(params: Mapping, section: str, key: str, check: Callable, default: float | None = None) -> float:
+    """A section's float key that check(value, name) accepts; a refused value is named `<section>.<key>`."""
+    value = _need(params, section, key, float, default)
+    check(value, f"{section}.{key}")
+    return value
+
+
+def sanitize_privacy(params: Mapping) -> tuple[float, float, float]:
+    """A [sanitize] section's alpha, epsilon and delta, each checked under its key."""
+    return (
+        _checked(params, "sanitize", "alpha", check_fraction),
+        _checked(params, "sanitize", "epsilon", check_epsilon),
+        _checked(params, "sanitize", "delta", check_fraction),
+    )
 
 
 def sample_size(params: Mapping, section: str) -> int:
@@ -403,24 +415,19 @@ def _draw_targets(params: dict, cclass: ConceptClass, k: int, rng: np.random.Gen
         return Hypotheses(cclass.universe, cclass.kind, np.array(fixed, dtype=np.int64))
 
 
-def _learn_params(params: dict, section: str, kind: str, delta: float, epsilon_prime: float | None) -> LearnParams:
-    """Parse a section's learner parameters; delta and epsilon_prime are the section's defaults."""
-    alpha = _need(params, section, "alpha", float, default=0.2)
-    check_fraction(alpha, f"{section}.alpha")
-    beta = _need(params, section, "beta", float, default=0.1)
-    check_fraction(beta, f"{section}.beta")
-    epsilon = _need(params, section, "epsilon", float, default=1.0)
-    check_epsilon(epsilon, f"{section}.epsilon")
+def _learn_params(
+    params: Mapping, section: str, entry: Learner, kind: str, delta: float, epsilon_prime: float | None
+) -> LearnParams:
+    """Parse a section's parameters for entry's learner; delta and epsilon_prime are the section's defaults."""
     if "epsilon_prime" in params:
-        epsilon_prime = _need(params, section, "epsilon_prime", float)
-        check_epsilon(epsilon_prime, f"{section}.epsilon_prime")
+        epsilon_prime = _checked(params, section, "epsilon_prime", check_epsilon)
     return LearnParams(
         kind,
-        alpha=alpha,
-        beta=beta,
-        epsilon=epsilon,
-        delta=_need(params, section, "delta", float, default=delta),
+        alpha=_checked(params, section, "alpha", check_fraction, 0.2),
+        beta=_checked(params, section, "beta", check_fraction, 0.1),
+        epsilon=_checked(params, section, "epsilon", check_epsilon, 1.0),
         epsilon_prime=epsilon_prime,
+        delta=_checked(params, section, "delta", entry.delta_check, delta),
         synth_size=_need(params, section, "synth_size", int, low=1) if "synth_size" in params else None,
     )
 
@@ -437,7 +444,7 @@ def sample_and_learn(params: dict, seed: int, n: int, point_idx: int, trial: int
     entry = LEARNERS[algorithm]
     k = _need(params, "learn", "k", int, low=1)
     universe, cclass = _learn_universe(params, entry.exact)
-    p = _learn_params(params, "learn", cclass.kind, 0.0, None)
+    p = _learn_params(params, "learn", entry, cclass.kind, 0.0, None)
     learner = entry.build(p)
     rng = stream(seed, point_idx, trial)
     dist = parse_distribution(params.get("dist", "uniform"), universe)
@@ -471,12 +478,7 @@ def run_learn_trial(config: ExperimentConfig, n: int, point_idx: int, trial: int
 def run_sanitize_trial(config: ExperimentConfig, n: int, point_idx: int, trial: int) -> tuple[bool, float, float, float]:
     params = config.params
     size = _need(params, "sanitize", "universe", int)
-    alpha = _need(params, "sanitize", "alpha", float)
-    check_fraction(alpha, "sanitize.alpha")
-    eps = _need(params, "sanitize", "epsilon", float)
-    check_epsilon(eps, "sanitize.epsilon")
-    delta = _need(params, "sanitize", "delta", float)
-    check_fraction(delta, "sanitize.delta")
+    alpha, eps, delta = sanitize_privacy(params)
     with _naming("sanitize", "universe"):
         universe = Universe.indexed(size)
     rng = stream(config.seed, point_idx, trial)
@@ -487,18 +489,6 @@ def run_sanitize_trial(config: ExperimentConfig, n: int, point_idx: int, trial: 
     truth = np.bincount(db.xs, minlength=size) / db.n
     max_err = float(np.abs(answers.as_vector() - truth).max())
     return max_err <= alpha, max_err, eps, delta
-
-
-def make_attack_learner(name: str, variant: str, params: dict) -> LearnerFn:
-    """Map a config learner name to a callable on attack databases."""
-    if name not in LEARNERS:
-        raise ConfigError(f"attack.learner: unknown {name!r}")
-    if variant not in fingerprint.VARIANTS:
-        raise ConfigError(f"attack.variant: expected {'|'.join(fingerprint.VARIANTS)}, got {variant!r}")
-    p = _learn_params(params, "attack", fingerprint.VARIANTS[variant], 0.01, 1.0)
-    # Attack databases have <= 8 users; a size-6 synthetic database keeps
-    # the exhaustive sanitizer inside its enumeration budget.
-    return LEARNERS[name].build(replace(p, synth_size=6))
 
 
 # The integer keys a sweep may set, per experiment kind.
@@ -537,7 +527,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
             [n if point is None else point, config.trials, success / config.trials, mean_err,
              outcomes[0][2], outcomes[0][3]]
         )
-    return TrialReport(config.kind, columns, rows, meta={"seed": config.seed}).rounded()
+    return TrialReport(config.kind, columns, rows, meta={"seed": config.seed})
 
 
 # An attack report's rate columns (AttackReport properties) and per-trial columns (its row keys).
@@ -548,14 +538,23 @@ _ATTACK_TRIAL_COLUMNS = ("trial", "feasible", "accused", "accurate", "flagged")
 def _run_attack(config: ExperimentConfig) -> TrialReport:
     params = config.params
     n_users = _need(params, "attack", "n_users", int)
-    xi = _need(params, "attack", "xi", float)
-    variant = params.get("variant", "pac").strip()
-    alpha = _need(params, "attack", "alpha", float, default=0.2)
-    learner_name = params.get("learner", "erm").strip()
+    if not 2 <= n_users <= fingerprint.MAX_USERS:
+        raise ConfigError(f"attack.n_users: must be in [2, {fingerprint.MAX_USERS}], got {n_users}")
+    xi = _checked(params, "attack", "xi", check_fraction)
     length = _need(params, "attack", "length", int, low=1) if "length" in params else None
-    learner = make_attack_learner(learner_name, variant, params)
+    name = params.get("learner", "erm").strip()
+    if name not in LEARNERS:
+        raise ConfigError(f"attack.learner: unknown {name!r}")
+    variant = params.get("variant", "pac").strip()
+    if variant not in fingerprint.VARIANTS:
+        raise ConfigError(f"attack.variant: expected {'|'.join(fingerprint.VARIANTS)}, got {variant!r}")
+    entry = LEARNERS[name]
+    p = _learn_params(params, "attack", entry, fingerprint.VARIANTS[variant], 0.01, 1.0)
+    # Attack databases have <= 8 users; a size-6 synthetic database keeps
+    # the exhaustive sanitizer inside its enumeration budget.
+    learner = entry.build(replace(p, synth_size=6))
     report = fingerprint.attack_experiment(
-        learner, n_users, xi, config.trials, variant, alpha, config.seed, length=length
+        learner, n_users, xi, config.trials, variant, p.alpha, config.seed, length=length
     )
     columns = ["n_users", "trials", *_ATTACK_RATES]
     rows = [[n_users, config.trials, *(getattr(report, rate) for rate in _ATTACK_RATES)]]
@@ -563,4 +562,4 @@ def _run_attack(config: ExperimentConfig) -> TrialReport:
     return TrialReport(
         "attack", columns, rows, per_trial_columns=list(_ATTACK_TRIAL_COLUMNS), per_trial_rows=per_rows,
         meta={"seed": config.seed, "length": report.length},
-    ).rounded()
+    )

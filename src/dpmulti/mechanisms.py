@@ -33,6 +33,12 @@ def check_fraction(value: float, name: str) -> None:
         raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
+def check_delta(delta: float, name: str = "delta") -> None:
+    """Reject a delta outside [0, 1), naming it; 0 is pure differential privacy."""
+    if not 0 <= delta < 1:
+        raise ValueError(f"{name} must be in [0, 1), got {delta}")
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """An (epsilon, delta) differential privacy guarantee."""
@@ -42,8 +48,7 @@ class PrivacyParams:
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
-        if not 0 <= self.delta < 1:
-            raise ValueError(f"delta must be in [0, 1), got {self.delta}")
+        check_delta(self.delta)
 
 
 @dataclass

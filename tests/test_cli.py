@@ -484,7 +484,7 @@ class TestExitCodes:
         argv = ["learn", "points", "--k", "2", "--n", "100", "--universe", "4", "--seed", "1"]
         assert main(argv + ["--out", str(tmp_path / "report.csv")]) == 0
         assert main(argv + ["--out", str(tmp_path)]) == 1
-        assert f"error: --out: cannot write report to {tmp_path}: it is a directory" in capsys.readouterr().err
+        assert f"error: --out: cannot write report to {tmp_path}: Is a directory\n" == capsys.readouterr().err
 
     def test_parities_with_another_class_is_invalid_input(self, capsys):
         argv = ["learn", "parities", "--k", "2", "--n", "1200", "--d", "4", "--delta", "0.1", "--seed", "1"]
@@ -515,7 +515,13 @@ class TestExitCodes:
         (["--n", "4", "--xi", "-0.5"], "xi"),
         (["--n", "4", "--xi", "0.1", "--length", "0"], "attack.length: must be >= 1, got 0"),
         (["--n", "4", "--xi", "0.1", "--length", "-3"], "attack.length: must be >= 1, got -3"),
-    ], ids=["n1", "xi0", "xi-negative", "length0", "length-negative"])
+        (["--n", "9", "--xi", "0.1"], "attack.n_users: must be in [2, 8], got 9"),
+        (["--n", "four", "--xi", "0.1"], "attack.n_users: cannot parse 'four'"),
+        (["--n", "4", "--xi", "1.5"], "attack.xi must be in (0, 1), got 1.5"),
+        (["--n", "4"], "attack.xi: required"),
+        (["--n", "4", "--xi", "0.1", "--variant", "bogus"], "attack.variant: expected pac|padded|parity, got 'bogus'"),
+    ], ids=["n1", "xi0", "xi-negative", "length0", "length-negative", "n9", "n-not-an-integer", "xi-above-1",
+            "xi-missing", "variant-unknown"])
     def test_bad_attack_parameter_is_invalid_input(self, capsys, argv, name):
         code = main(["attack", "boneh-shaw", *argv, "--trials", "1", "--learner", "erm", "--seed", "1"])
         assert code == 1
@@ -642,12 +648,55 @@ class TestExitCodes:
             assert main(["experiment", "run", "--config", str(cfg)]) == code
         assert f"error: {message}" in capsys.readouterr().err
 
-    def test_unwritable_out_is_runtime_failure(self, capsys, tmp_path):
-        code = main([
-            "mech", "compose", "--epsilon", "0.1", "--count", "2",
-            "--out", str(tmp_path / "missing_dir" / "x.csv"),
-        ])
-        assert code == 2
+    @pytest.mark.parametrize("kind,experiment,section,message", [
+        ("learn", "threads = 2", "algorithm = points\nk = 2\nn = 100\nuniverse = 8\ndelta = 0.01",
+         "experiment.threads: unknown key"),
+        ("learn", "", "algorithm = points\nk = 2\nn = 100\nuniverse = 8\ndelta = 0.01\nalpah = 0.5\nepsilonn = 3",
+         "learn.alpah: unknown key"),
+        ("sanitize", "", "n = 100\nuniverse = 8\nalpha = 0.2\nepsilon = 1\ndelta = 0.01\nk = 2",
+         "sanitize.k: unknown key"),
+        ("attack", "", "n_users = 4\nxi = 0.1\nlength = 30\nsynth_size = 1000000", "attack.synth_size: unknown key"),
+    ], ids=["experiment-threads", "learn-typos", "sanitize-k", "attack-synth-size"])
+    def test_unknown_key_is_refused(self, capsys, tmp_path, kind, experiment, section, message):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\nkind = {kind}\ntrials = 1\nseed = 1\n{experiment}\n\n[{kind}]\n{section}\n")
+        assert main(["experiment", "run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("algorithm,section,message", [
+        ("points", "universe = 8", "learn.delta must be in (0, 1), got 0.0"),
+        ("direct-sum", "universe = 8\ndelta = 1", "learn.delta must be in (0, 1), got 1.0"),
+        ("parities", "d = 4\ndelta = 0", "learn.delta must be in (0, 1), got 0.0"),
+        ("generic", "universe = 8\nepsilon_prime = 1\ndelta = -0.5", "learn.delta must be in [0, 1), got -0.5"),
+        ("erm", "universe = 8\ndelta = 5", None),
+    ], ids=["points-default", "direct-sum-1", "parities-0", "generic-negative", "erm-unchecked"])
+    def test_learn_delta_is_checked_against_its_learner(self, capsys, tmp_path, algorithm, section, message):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\nkind = learn\ntrials = 1\nseed = 1\n\n"
+                       f"[learn]\nalgorithm = {algorithm}\nk = 2\nn = 100\n{section}\n")
+        code = main(["experiment", "run", "--config", str(cfg)])
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--alpha", "2", "--epsilon", "1", "--delta", "0.01"], "sanitize.alpha must be in (0, 1), got 2.0"),
+        (["--alpha", "x", "--epsilon", "1", "--delta", "0.01"], "sanitize.alpha: cannot parse 'x'"),
+        (["--alpha", "0.2", "--epsilon", "0", "--delta", "0.01"], "sanitize.epsilon must be positive, got 0.0"),
+        (["--alpha", "0.2", "--epsilon", "1", "--delta", "1"], "sanitize.delta must be in (0, 1), got 1.0"),
+        (["--alpha", "0.2", "--epsilon", "1"], "sanitize.delta: required"),
+    ], ids=["alpha2", "alpha-not-a-number", "epsilon0", "delta1", "delta-missing"])
+    def test_sanitize_flag_names_its_key(self, capsys, db_file, flags, message):
+        assert main(["sanitize", "points", *flags, "--input", db_file, "--seed", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unwritable_out_is_invalid_input(self, capsys, tmp_path):
+        target = tmp_path / "missing_dir" / "x.csv"
+        code = main(["mech", "compose", "--epsilon", "0.1", "--count", "2", "--out", str(target)])
+        assert code == 1
+        assert f"error: --out: cannot write report to {target}: No such file or directory\n" == capsys.readouterr().err
 
 
 def test_module_entry_point_runs_from_a_checkout():
