@@ -135,9 +135,10 @@ def _cmd_learn(args) -> int:
     if result.failed:
         rows = [[j, "bottom", -1, c, 1.0] for j, c in enumerate(target_params)]
     else:
-        errors = generalization_errors(dist, targets, result.hypotheses)
-        for j, (h, c, err) in enumerate(zip(result.hypotheses, target_params, errors)):
-            rows.append([j, h.kind, -1 if h.param is None else h.param, c, err])
+        table = result.hypotheses
+        errors = generalization_errors(dist, targets, table)
+        for j, (p, c, err) in enumerate(zip(table.params.tolist(), target_params, errors)):
+            rows.append([j, "zero" if p < 0 else table.kind, p, c, err])
     meta = {"seed": args.seed, "n": n, "failed": result.failed,
             "below_sample_bound": result.below_sample_bound}
     if result.ledger.charges:
@@ -224,11 +225,7 @@ def _cmd_experiment(args) -> int:
         config = load_config(args.config)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
-    report = run_experiment(config)
-    fmt = args.format or config.params.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"{config.kind}.format: expected csv|json, got {fmt!r}")
-    _emit(report, fmt, args.out)
+    _emit(run_experiment(config), args.format or config.format, args.out)
     return 0
 
 

@@ -82,6 +82,47 @@ def _parity_bits(values: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(values) & 1).astype(np.uint8)
 
 
+def _pack_words(bits01: np.ndarray) -> np.ndarray:
+    """0/1 array (..., k) -> uint64 words (..., max(1, ceil(k/64))), bit j in word j // 64.
+
+    At least one word, so that a parity vote key is never empty.
+    """
+    packed = np.packbits(bits01, axis=-1, bitorder="little")
+    words = max(1, -(-bits01.shape[-1] // 64))
+    padded = np.zeros(packed.shape[:-1] + (8 * words,), dtype=np.uint8)
+    padded[..., : packed.shape[-1]] = packed
+    return padded.view("<u8")
+
+
+def _unpack_words(words: np.ndarray, k: int) -> np.ndarray:
+    """uint64 words (..., W) -> their first k bits as a C-ordered 0/1 uint8 array (..., k), k <= 64*W.
+
+    The inverse of _pack_words on a (..., k) array.
+    """
+    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, count=k, bitorder="little")
+
+
+def _tally(keys: np.ndarray, group: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of the (n, W) uint64 keys: each group's earliest row and its count.
+
+    Groups rank by descending count, ties to the earliest row; with the int64
+    group column they are (group, key row) pairs ranked within ascending group.
+    One stable np.lexsort makes equal rows adjacent runs that open at their
+    earliest row. group is compared apart from the keys, never stacked: numpy
+    would promote int64 beside uint64 to float64, which merges words >= 2**53.
+    """
+    sort = np.lexsort([*keys.T] if group is None else [*keys.T, group])
+    runs = keys[sort]
+    change = (runs[1:] != runs[:-1]).any(axis=1)
+    if group is not None:
+        change |= np.diff(group[sort]) != 0
+    # Run bounds, then the end; an empty input opens no run.
+    bounds = np.flatnonzero(np.concatenate(([len(sort) > 0], change, [True])))
+    first, counts = sort[bounds[:-1]], np.diff(bounds)
+    order = np.lexsort((first, -counts) if group is None else (first, -counts, group[first]))
+    return first[order], counts[order]
+
+
 @dataclass(frozen=True)
 class Concept:
     """A predicate over a universe: point, threshold, parity, or constant zero.
@@ -178,10 +219,11 @@ class Hypotheses:
     hypothesis, allowed for point and threshold kinds (x == -1 and x <= -1 hold
     nowhere). The constructor checks every parameter at once. evaluate(xs) is
     the (k, len(xs)) bit matrix of all k hypotheses. It is the one form in
-    which k hypotheses or k labelling targets are passed around: learners
-    release it, and sample_database and LabeledDistribution.realizable label
-    with it. As a sequence the table yields Concepts, built on access, and it
-    equals any table or Concept sequence holding the same Concepts.
+    which a set of hypotheses is passed around: learners release it,
+    sample_database and LabeledDistribution.realizable label with it, and
+    dichotomy_projection returns its witnesses as one. Iterating it yields
+    one Concept per parameter, built on access, for scalar use; a table is
+    not a Concept list, so it has no indexing and compares by identity.
     """
 
     universe: Universe
@@ -218,23 +260,14 @@ class Hypotheses:
             raise ValueError(f"elements must be a 1-D array, got shape {xs.shape}")
         return _evaluate_params(self.kind, self.params, xs[:, None]).T
 
-    def _concept(self, param: int) -> Concept:
-        return Concept(ZERO, self.universe) if param < 0 else Concept(self.kind, self.universe, param)
-
     def __len__(self) -> int:
         return self.params.shape[0]
 
-    def __getitem__(self, j: int) -> Concept:
-        return self._concept(int(self.params[j]))
-
     def __iter__(self) -> Iterator[Concept]:
-        return (self._concept(p) for p in self.params.tolist())
-
-    def __eq__(self, other) -> bool:
-        try:
-            return tuple(self) == tuple(other)
-        except TypeError:
-            return NotImplemented
+        return (
+            Concept(ZERO, self.universe) if p < 0 else Concept(self.kind, self.universe, p)
+            for p in self.params.tolist()
+        )
 
 
 @dataclass(frozen=True)
@@ -262,9 +295,6 @@ class ConceptClass:
         if self.kind == PARITY:
             return self.universe.bit_width
         return 1
-
-    def concept(self, param: int) -> Concept:
-        return Concept(self.kind, self.universe, param)
 
     def concepts(self) -> Iterator[Concept]:
         for p in range(self.universe.size):
@@ -432,11 +462,6 @@ def generalization_errors(dist: Distribution, targets: Hypotheses, hyps: Hypothe
     return errors
 
 
-def _unpack_bits(values: np.ndarray, k: int) -> np.ndarray:
-    """Decode ints into (n, k) bit arrays, bit j of value = label j."""
-    return ((values[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
-
-
 def _label_rows(targets: Hypotheses, xs: np.ndarray) -> np.ndarray:
     """The (len(xs), k) uint8 labels of the elements xs under the k targets, a block of elements at a time."""
     xs = _checked_elements(targets.universe, xs)
@@ -467,7 +492,7 @@ class LabeledDistribution:
         dist.universe.require_same(targets.universe)
         k = len(targets)
         xs = dist.universe.elements()
-        codes = (_label_rows(targets, xs).astype(np.int64) << np.arange(k)).sum(axis=1)
+        codes = _pack_words(_label_rows(targets, xs))[:, 0]
         pmf = np.zeros((dist.universe.size, 1 << k))
         pmf[xs, codes] = dist.pmf
         return LabeledDistribution(dist.universe, k, pmf)
@@ -477,15 +502,14 @@ class LabeledDistribution:
         """Labels drawn independently per coordinate: label_probs[x, j] = P(y_j = 1 | x)."""
         probs = np.asarray(label_probs, dtype=np.float64)
         k = probs.shape[1]
-        codes = np.arange(1 << k)
-        bits = _unpack_bits(codes, k)  # (2^k, k)
+        bits = _unpack_words(np.arange(1 << k)[:, None], k)  # (2^k, k)
         cond = np.prod(np.where(bits[None, :, :] == 1, probs[:, None, :], 1.0 - probs[:, None, :]), axis=2)
         return LabeledDistribution(dist.universe, k, dist.pmf[:, None] * cond)
 
     def sample(self, n: int, rng: np.random.Generator) -> MultiLabeledDatabase:
         flat = rng.choice(self.pmf.size, size=n, p=self.pmf.ravel() / self.pmf.sum())
         xs = (flat // self.pmf.shape[1]).astype(np.int64)
-        labels = _unpack_bits(flat % self.pmf.shape[1], self.k)
+        labels = _unpack_words((flat % self.pmf.shape[1])[:, None], self.k)
         return MultiLabeledDatabase(self.universe, xs, labels)
 
     def marginal_error(self, j: int, h: Concept) -> float:
@@ -493,8 +517,7 @@ class LabeledDistribution:
         if not 0 <= j < self.k:
             raise ValueError(f"label index {j} outside k={self.k}")
         self.universe.require_same(h.universe)
-        codes = np.arange(1 << self.k)
-        bit_j = ((codes >> j) & 1).astype(np.uint8)
+        bit_j = _unpack_words(np.arange(1 << self.k)[:, None], self.k)[:, j]
         hx = evaluate_many(h, self.universe.elements())
         mism = hx[:, None] != bit_j[None, :]
         return math.fsum(self.pmf[mism].tolist())
@@ -514,25 +537,16 @@ def sample_database(
     return MultiLabeledDatabase(dist.universe, xs, _label_rows(targets, xs))
 
 
-def dichotomy_projection(
-    cclass: ConceptClass,
-    points: Sequence[int],
-) -> dict[tuple[int, ...], Concept]:
-    """All labelings of `points` realized by the class, with one witness each.
+def dichotomy_projection(cclass: ConceptClass, points: Sequence[int]) -> Hypotheses:
+    """One witness per labeling of `points` that the class realizes, as a table.
 
-    Witnesses are the first concept in canonical (ascending-parameter) order
-    realizing each labeling, so the projection is reproducible.
+    Each witness is the first concept in canonical (ascending-parameter) order
+    realizing its labeling, and the witnesses are listed in ascending order,
+    so the projection is reproducible; table.evaluate(points) gives their
+    labelings. One _tally of the packed evaluation rows finds them.
     """
-    xs = np.asarray(list(points), dtype=np.int64)
-    if xs.size == 0:
-        return {(): next(cclass.concepts())}
-    matrix = cclass.eval_matrix(xs)
-    out: dict[tuple[int, ...], Concept] = {}
-    for p in range(matrix.shape[0]):
-        key = tuple(int(b) for b in matrix[p])
-        if key not in out:
-            out[key] = cclass.concept(p)
-    return out
+    first, _ = _tally(_pack_words(cclass.eval_matrix(points)))
+    return Hypotheses(cclass.universe, cclass.kind, np.sort(first))
 
 
 def vc_sample_size(vc: int, alpha: float, beta: float) -> int:

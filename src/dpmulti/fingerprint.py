@@ -245,6 +245,17 @@ def _contract_met(result: PirateResult, cclass: ConceptClass, alpha: float) -> b
     return bool(((errors - best) / db.n <= alpha).all())
 
 
+def _play(
+    learner: LearnerFn, n_users: int, length: int, security: float, coalition: Sequence[int], variant: str,
+    alpha: float, rng: np.random.Generator,
+) -> tuple[Codebook, PirateResult, int]:
+    """One pirate game: a fresh codebook, the coalition's pirate word, and the accused user (-1 for no one)."""
+    codebook = gen_codebook(n_users, length, security, rng)
+    pirate = pirate_word(learner, codebook, coalition, variant, alpha, rng)
+    accused = trace_word(pirate.word, codebook)
+    return codebook, pirate, -1 if accused is None else accused
+
+
 def attack_experiment(
     learner: LearnerFn,
     n_users: int,
@@ -278,35 +289,23 @@ def attack_experiment(
     rows: list[dict] = []
     soundness_rows: list[dict] = []
     for trial in range(trials):
-        rng = stream(seed, 0, trial)
-        codebook = gen_codebook(n_users, length, security, rng)
-        pirate = pirate_word(learner, codebook, full, variant, alpha, rng)
-        is_feasible = feasible(pirate.word, codebook, full)
-        accused = trace_word(pirate.word, codebook)
-        ok = _contract_met(pirate, cclass, alpha)
+        codebook, pirate, accused = _play(
+            learner, n_users, length, security, full, variant, alpha, stream(seed, 0, trial)
+        )
         rows.append(
             {
                 "trial": trial,
-                "feasible": int(is_feasible),
-                "accused": -1 if accused is None else accused,
-                "accurate": int(ok),
+                "feasible": int(feasible(pirate.word, codebook, full)),
+                "accused": accused,
+                "accurate": int(_contract_met(pirate, cclass, alpha)),
                 "flagged": int(pirate.flagged),
             }
         )
 
-        rng_s = stream(seed, 1, trial)
         missing = trial % n_users
         coalition = [u for u in full if u != missing]
-        codebook_s = gen_codebook(n_users, length, security, rng_s)
-        pirate_s = pirate_word(learner, codebook_s, coalition, variant, alpha, rng_s)
-        accused_s = trace_word(pirate_s.word, codebook_s)
-        violated = accused_s == missing
+        _, _, accused = _play(learner, n_users, length, security, coalition, variant, alpha, stream(seed, 1, trial))
         soundness_rows.append(
-            {
-                "trial": trial,
-                "missing": missing,
-                "accused": -1 if accused_s is None else accused_s,
-                "violation": int(violated),
-            }
+            {"trial": trial, "missing": missing, "accused": accused, "violation": int(accused == missing)}
         )
     return AttackReport(length, rows, soundness_rows)

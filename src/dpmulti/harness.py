@@ -108,6 +108,19 @@ def _generic(p: LearnParams) -> LearnerFn:
     )
 
 
+def _erm_rows(cclass: ConceptClass, alpha: float, beta: float, **_) -> int:
+    """erm's plan, the realizable VC bound; its learner flags n below it."""
+    return vc_sample_size(cclass.vc_dim, alpha, beta)
+
+
+def _erm(p: LearnParams) -> LearnerFn:
+    def learn(db, rng):
+        cclass = ConceptClass(p.kind, db.universe)
+        return replace(erm_multi(db, cclass), below_sample_bound=db.n < _erm_rows(cclass, p.alpha, p.beta))
+
+    return learn
+
+
 _POINTS = Learner(
     lambda p: lambda db, rng: point_learner(db, p.alpha, p.epsilon, p.delta, rng, beta=p.beta),
     lambda alpha, beta, delta, epsilon, **_: point_rows_bound(alpha, beta, delta, epsilon),
@@ -138,8 +151,8 @@ LEARNERS: dict[str, Learner] = {
         lambda p, k: point_charges(p.epsilon, p.delta) * k,
     ),
     "erm": Learner(
-        lambda p: lambda db, rng: erm_multi(db, ConceptClass(p.kind, db.universe)),
-        lambda cclass, alpha, beta, **_: vc_sample_size(cclass.vc_dim, alpha, beta),
+        _erm,
+        _erm_rows,
         lambda p, k: [],
         delta_check=lambda delta, name: None,  # erm charges nothing
     ),
@@ -256,7 +269,7 @@ def _refuse_unknown(section: str, params: Mapping, known: Sequence[str]) -> None
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative experiment description parsed from an INI file."""
+    """Declarative experiment description parsed from an INI file; format is the report's, csv or json."""
 
     kind: str
     trials: int
@@ -264,6 +277,7 @@ class ExperimentConfig:
     sweep_axis: str | None
     sweep_values: tuple[int, ...]
     params: dict
+    format: str = "csv"
 
     def __post_init__(self):
         if self.trials < 1:
@@ -310,7 +324,11 @@ def config_from_sections(exp: Mapping, sections: Mapping[str, Mapping]) -> Exper
     if kind not in sections:
         raise ConfigError(f"{kind}: section missing")
     _refuse_unknown(kind, sections[kind], SECTION_KEYS[kind] + ("format",))
-    return ExperimentConfig(kind, trials, seed, sweep_axis, sweep_values, dict(sections[kind]))
+    params = dict(sections[kind])
+    fmt = params.pop("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"{kind}.format: expected csv|json, got {fmt!r}")
+    return ExperimentConfig(kind, trials, seed, sweep_axis, sweep_values, params, fmt)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -549,6 +567,8 @@ def _run_attack(config: ExperimentConfig) -> TrialReport:
     if variant not in fingerprint.VARIANTS:
         raise ConfigError(f"attack.variant: expected {'|'.join(fingerprint.VARIANTS)}, got {variant!r}")
     entry = LEARNERS[name]
+    if entry.exact and fingerprint.VARIANTS[variant] != PARITY:
+        raise ConfigError(f"attack.variant: expected parity for the {name} learner, got {variant!r}")
     p = _learn_params(params, "attack", entry, fingerprint.VARIANTS[variant], 0.01, 1.0)
     # Attack databases have <= 8 users; a size-6 synthetic database keeps
     # the exhaustive sanitizer inside its enumeration budget.

@@ -31,6 +31,9 @@ from .domain import (
     EmptyDatabaseError,
     Hypotheses,
     MultiLabeledDatabase,
+    _pack_words,
+    _tally,
+    _unpack_words,
     dichotomy_projection,
 )
 from .mechanisms import (
@@ -167,46 +170,8 @@ def gf2_solve(bits: int, equations: Iterable[tuple[int, int]]) -> int | None:
     if not ok[0]:
         return None
     # (bits, 64*W) coordinate bits, transposed so bit j*bits + c is system j's coordinate c.
-    coords = _unpack_words(solutions[0])
+    coords = _unpack_words(solutions[0], 64 * words)
     return int.from_bytes(np.packbits(coords.T, bitorder="little").tobytes(), "little")
-
-
-def _pack_words(bits01: np.ndarray) -> np.ndarray:
-    """0/1 array (..., k) -> uint64 words (..., max(1, ceil(k/64))), bit j in word j // 64.
-
-    At least one word, so that a parity vote key is never empty.
-    """
-    packed = np.packbits(bits01, axis=-1, bitorder="little")
-    words = max(1, -(-bits01.shape[-1] // 64))
-    padded = np.zeros(packed.shape[:-1] + (8 * words,), dtype=np.uint8)
-    padded[..., : packed.shape[-1]] = packed
-    return padded.view("<u8")
-
-
-def _unpack_words(words: np.ndarray) -> np.ndarray:
-    """uint64 words (..., W) -> 0/1 uint8 array (..., 64*W), the inverse of _pack_words."""
-    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
-
-
-def _tally(keys: np.ndarray, group: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal rows of the (n, W) uint64 keys: each group's earliest row and its count.
-
-    Groups rank by descending count, ties to the earliest row; with the int64
-    group column they are (group, key row) pairs ranked within ascending group.
-    One stable np.lexsort makes equal rows adjacent runs that open at their
-    earliest row. group is compared apart from the keys, never stacked: numpy
-    would promote int64 beside uint64 to float64, which merges words >= 2**53.
-    """
-    sort = np.lexsort([*keys.T] if group is None else [*keys.T, group])
-    runs = keys[sort]
-    change = (runs[1:] != runs[:-1]).any(axis=1)
-    if group is not None:
-        change |= np.diff(group[sort]) != 0
-    # Run bounds, then the end; an empty input opens no run.
-    bounds = np.flatnonzero(np.concatenate(([len(sort) > 0], change, [True])))
-    first, counts = sort[bounds[:-1]], np.diff(bounds)
-    order = np.lexsort((first, -counts) if group is None else (first, -counts, group[first]))
-    return first[order], counts[order]
 
 
 def _stability_distance(top: int, runner_up: int) -> float:
@@ -289,8 +254,8 @@ def _parity_tally(
     # Unseen vectors count 0, so the all-zero vector leads an empty tally.
     best = votes[first[0]] if len(first) else np.zeros(solutions.shape[1:], dtype=np.uint64)
     top, runner_up = [*counts[:2], 0, 0][:2]
-    coords = _unpack_words(best)[:, : db.k].astype(np.int64)  # (bits, k)
-    masks = (coords << np.arange(bits)[:, None]).sum(axis=0)
+    # (bits, k) coordinate bits; label j's mask packs column j.
+    masks = _pack_words(_unpack_words(best, db.k).T)[:, 0].astype(np.int64)
     return masks, _stability_distance(top, runner_up), below
 
 
@@ -512,8 +477,8 @@ def generic_multi_learner(
         synth = sanitize_exhaustive(db, (cclass, "xor"), alpha / 5.0, epsilon, rng, synth_size=synth_size)
 
     support = synth.distinct_elements()
-    witnesses = np.array([h.param for h in dichotomy_projection(cclass, support).values()], dtype=np.int64)
-    mismatches = _mismatch_counts(Hypotheses(db.universe, cclass.kind, witnesses).evaluate(db.xs), db.labels)
+    witnesses = dichotomy_projection(cclass, support)
+    mismatches = _mismatch_counts(witnesses.evaluate(db.xs), db.labels)
 
     chosen = [
         exponential_mechanism(-mismatches[:, j].astype(np.float64), epsilon_prime, 1.0, rng)
@@ -522,7 +487,7 @@ def generic_multi_learner(
 
     below = db.n < generic_rows_bound(cclass, max(db.k, 1), alpha, beta, epsilon, epsilon_prime, delta, sanitizer)
     details = {"support_size": int(len(support)), "hypothesis_count": len(witnesses)}
-    return LearnResult(Hypotheses(db.universe, cclass.kind, witnesses[chosen]), ledger, below, details)
+    return LearnResult(Hypotheses(db.universe, cclass.kind, witnesses.params[chosen]), ledger, below, details)
 
 
 def direct_sum_learner(base: LearnerFn, db: MultiLabeledDatabase, rng: np.random.Generator) -> LearnResult:

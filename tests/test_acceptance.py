@@ -286,10 +286,13 @@ def test_criterion_10_brute_force_oracle_equivalence():
             cclass = ConceptClass(kind, Universe.indexed(size))
             for salt in range(5):
                 pts = [int(p) for p in stream(1010, 1, size, salt).integers(0, size, size=5)]
-                brute = {tuple(evaluate(c, p) for p in pts) for c in cclass.concepts()}
+                # Every realized labeling, one witness each, each the lowest parameter realizing it.
+                brute = {}
+                for c in cclass.concepts():
+                    brute.setdefault(tuple(evaluate(c, p) for p in pts), c.param)
                 got = dichotomy_projection(cclass, pts)
-                proj_ok &= set(got) == brute
-                proj_ok &= all(tuple(evaluate(w, p) for p in pts) == key for key, w in got.items())
+                proj_ok &= got.kind == kind and got.params.tolist() == sorted(brute.values())
+                proj_ok &= all(brute[tuple(evaluate(w, p) for p in pts)] == w.param for w in got)
     elapsed = time.perf_counter() - t0
     report(10, "solvers agree with exhaustive oracles",
            gf2_ok and proj_ok,

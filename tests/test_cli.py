@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpmulti import fingerprint
 from dpmulti.cli import main
-from dpmulti.domain import Distribution, MultiLabeledDatabase, Universe, save_database
+from dpmulti.domain import THRESH, ConceptClass, Distribution, MultiLabeledDatabase, Universe, save_database
 from dpmulti.harness import LEARNERS, format_float, sample_and_learn
 from dpmulti.mechanisms import compose_basic
 from dpmulti.rng import stream
@@ -691,6 +692,34 @@ class TestExitCodes:
     def test_sanitize_flag_names_its_key(self, capsys, db_file, flags, message):
         assert main(["sanitize", "points", *flags, "--input", db_file, "--seed", "1"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--format", "csv"]], ids=["config-format", "format-flag"])
+    def test_bad_config_format_is_refused_before_any_trial(self, capsys, tmp_path, monkeypatch, flags):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(CONFIG + "format = xml\n")
+        ran = []
+        monkeypatch.setattr(fingerprint, "attack_experiment", lambda *args, **kwargs: ran.append(args))
+        assert main(["experiment", "run", "--config", str(cfg), *flags]) == 1
+        assert capsys.readouterr().err == "error: attack.format: expected csv|json, got 'xml'\n"
+        assert ran == []
+
+    @pytest.mark.parametrize("variant", ["pac", "padded"])
+    def test_parities_attack_needs_the_parity_variant(self, capsys, variant):
+        argv = ["attack", "boneh-shaw", "--n", "3", "--xi", "0.1", "--trials", "1", "--learner", "parities",
+                "--seed", "1"]
+        assert main(argv + ["--variant", "parity"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--variant", variant]) == 1
+        message = f"error: attack.variant: expected parity for the parities learner, got '{variant}'\n"
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("n,below", [("5", True), ("3248", True), ("3249", False)])
+    def test_erm_flags_n_below_its_plan(self, capsys, n, below):
+        assert LEARNERS["erm"].plan(cclass=ConceptClass(THRESH, Universe.indexed(8)), alpha=0.2, beta=0.1) == 3249
+        code, out = _run(capsys, "learn", "erm", "--k", "2", "--n", n, "--universe", "8", "--class", "thresh",
+                         "--seed", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"]["below_sample_bound"] is below
 
     def test_unwritable_out_is_invalid_input(self, capsys, tmp_path):
         target = tmp_path / "missing_dir" / "x.csv"

@@ -116,7 +116,7 @@ class TestHypotheses:
     def test_k0_evaluates_to_empty_matrix(self, kind):
         universe, _ = TABLE_CASES[kind]
         table = Hypotheses(universe, kind, np.zeros(0, dtype=np.int64))
-        assert len(table) == 0 and list(table) == [] and table == ()
+        assert len(table) == 0 and list(table) == [] and table.params.shape == (0,)
         assert table.evaluate(np.arange(5)).shape == (0, 5)
 
     def test_eval_matrix_is_the_full_table(self):
@@ -166,20 +166,19 @@ class TestHypotheses:
         concepts = [_as_concept(universe, kind, p) for p in params]
         table = Hypotheses(universe, kind, np.array(params))
         assert len(table) == len(concepts)
-        assert [table[j] for j in range(len(table))] == concepts
-        assert table[-1] == concepts[-1]
         assert list(table) == concepts
         assert all(type(h.param) in (int, type(None)) for h in table)
-        assert table == tuple(concepts) and table == concepts
-        assert table != tuple(concepts[:-1])
+        # A table is not a Concept list: it has no indexing, and it does not equal its Concepts.
+        with pytest.raises(TypeError):
+            table[0]
+        assert table != concepts and table != tuple(concepts)
 
     def test_table_equality(self):
+        # Tables compare by identity; their contents are compared through kind, universe and params.
         a = Hypotheses(U16, POINT, np.array([1, -1]))
-        assert a == Hypotheses(U16, POINT, np.array([1, -1]))
-        assert a != Hypotheses(U16, THRESH, np.array([1, -1]))
-        assert a != Hypotheses(Universe.indexed(17), POINT, np.array([1, -1]))
-        # Tables compare as the Concept sequences they stand for, so all-zero tables are equal.
-        assert Hypotheses(U16, POINT, np.array([-1, -1])) == Hypotheses(U16, THRESH, np.array([-1, -1]))
+        same = Hypotheses(U16, POINT, np.array([1, -1]))
+        assert a == a and a != same
+        assert (a.universe, a.kind, a.params.tolist()) == (same.universe, same.kind, same.params.tolist())
 
     def test_parameters_are_read_only(self):
         table = Hypotheses(U16, POINT, np.array([1, 2]))
@@ -321,37 +320,63 @@ class TestGeneralizationError:
             assert abs(emp - exact) < 0.02
 
 
+def _brute_projection(cclass, pts):
+    """Every labeling of pts that the class realizes, mapped to the lowest parameter realizing it."""
+    brute = {}
+    for c in cclass.concepts():
+        brute.setdefault(tuple(evaluate(c, p) for p in pts), c.param)
+    return brute
+
+
 class TestDichotomyProjection:
     def test_empty_points(self):
         proj = dichotomy_projection(ConceptClass(POINT, U3), [])
-        assert proj == {(): point(U3, 0)}
+        assert proj.kind == POINT and proj.universe == U3 and proj.params.tolist() == [0]
+        assert proj.evaluate(np.array([], dtype=np.int64)).shape == (1, 0)
 
     def test_point_example(self):
         proj = dichotomy_projection(ConceptClass(POINT, U3), [0, 1])
-        assert set(proj) == {(1, 0), (0, 1), (0, 0)}
-        assert proj[(1, 0)].param == 0
-        assert proj[(0, 1)].param == 1
-        assert proj[(0, 0)].param == 2
+        assert proj.kind == POINT and proj.params.tolist() == [0, 1, 2]
+        assert proj.evaluate(np.array([0, 1])).tolist() == [[1, 0], [0, 1], [0, 0]]
 
     def test_thresh_example(self):
         proj = dichotomy_projection(ConceptClass(THRESH, U3), [0, 2])
-        assert set(proj) == {(1, 0), (1, 1)}
+        assert proj.kind == THRESH and proj.params.tolist() == [0, 2]
+        assert {tuple(row) for row in proj.evaluate(np.array([0, 2])).tolist()} == {(1, 0), (1, 1)}
 
     def test_witnesses_realize_their_dichotomy(self):
+        # One witness per labeling, each the lowest parameter realizing it, in ascending order.
         rng = stream(6, 0)
         for kind in (POINT, THRESH):
             cclass = ConceptClass(kind, Universe.indexed(9))
             pts = [int(v) for v in rng.integers(0, 9, size=4)]
-            for labeling, witness in dichotomy_projection(cclass, pts).items():
-                assert tuple(evaluate(witness, p) for p in pts) == labeling
+            brute = _brute_projection(cclass, pts)
+            proj = dichotomy_projection(cclass, pts)
+            assert proj.params.tolist() == sorted(brute.values())
+            for witness in proj:
+                assert brute[tuple(evaluate(witness, p) for p in pts)] == witness.param
 
     def test_complete_against_enumeration(self):
         rng = stream(6, 1)
         for kind in (POINT, THRESH):
             cclass = ConceptClass(kind, Universe.indexed(11))
             pts = [int(v) for v in rng.integers(0, 11, size=5)]
-            brute = {tuple(evaluate(c, p) for p in pts) for c in cclass.concepts()}
-            assert set(dichotomy_projection(cclass, pts)) == brute
+            brute = _brute_projection(cclass, pts)
+            labelings = [tuple(row) for row in dichotomy_projection(cclass, pts).evaluate(np.array(pts)).tolist()]
+            assert len(labelings) == len(brute) and set(labelings) == set(brute)
+
+    def test_large_point_class(self):
+        # 100 distinct points of 2^16: each point is its own witness, and the all-zero
+        # labeling's witness is the first element not among them.
+        u = Universe.indexed(1 << 16)
+        rng = stream(6, 3)
+        pts = np.r_[np.arange(7), rng.choice(np.arange(8, 1 << 16), size=93, replace=False)]
+        rng.shuffle(pts)
+        proj = dichotomy_projection(ConceptClass(POINT, u), pts)
+        assert proj.kind == POINT
+        assert proj.params.tolist() == sorted(pts.tolist() + [7])
+        expected = (proj.params[:, None] == pts[None, :]).astype(np.uint8)
+        assert np.array_equal(proj.evaluate(pts), expected)
 
     def test_cardinality_bounds(self):
         for kind in (POINT, THRESH):
