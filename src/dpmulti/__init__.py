@@ -39,6 +39,8 @@ from .mechanisms import (
     exponential_mechanism,
     exponential_mechanism_pmf,
     laplace_sample,
+    noisy_threshold,
+    noisy_threshold_pmf,
     stable_argmax,
     stable_argmax_pmf,
 )

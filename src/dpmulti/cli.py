@@ -157,7 +157,7 @@ def _cmd_sanitize(args) -> int:
     except OSError as exc:
         raise ConfigError(f"--input: cannot read {args.input}: {exc}") from exc
     answers = sanitize_points(db, alpha, epsilon, delta, stream(args.seed, 0, 0))
-    rows = [[x, answers.answers[x]] for x in answers.support]
+    rows = [[x, a] for x, a in zip(answers.support.tolist(), answers.answers.tolist())]
     meta = {"seed": args.seed, "n": db.n, "universe": db.universe.size}
     _emit(TrialReport("sanitize", ["x", "a_x"], rows, meta=meta), args.format, args.out)
     return 0

@@ -331,16 +331,14 @@ def point_learner(
     ledger = PrivacyLedger(point_charges(epsilon, delta))
 
     answers = sanitize_points(db, alpha / 30.0, epsilon / 2.0, delta / 2.0, rng)
-    heavy = [x for x in answers.support if answers.answers[x] >= alpha / 15.0]
-    cap = int(15.0 / alpha)
-    if len(heavy) > cap:
-        heavy = sorted(heavy, key=lambda x: (-answers.answers[x], x))[:cap]
-        heavy.sort()
-    if not heavy:
+    # The floor(15/alpha) largest answers, ties to the smaller element, that reach alpha/15.
+    top = np.lexsort((answers.support, -answers.answers))[: int(15.0 / alpha)]
+    heavy = np.sort(answers.support[top][answers.answers[top] >= alpha / 15.0])
+    if not heavy.size:
         # No heavy elements: every selected vector is vacuously all-zero.
         return LearnResult(Hypotheses(universe, POINT, np.full(k, -1)), ledger, below)
 
-    params, distance = _point_tally(db, np.array(heavy, dtype=np.int64))
+    params, distance = _point_tally(db, heavy)
     choice = stable_argmax(distance, epsilon / 2.0, delta / 2.0, rng)
     if choice is None:
         return LearnResult(None, ledger, below)

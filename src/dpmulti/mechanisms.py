@@ -1,5 +1,6 @@
-"""Core randomized primitives: Laplace noise, the exponential mechanism,
-stable selection of a maximizer, and (epsilon, delta) composition accounting.
+"""Core randomized primitives: Laplace noise, the noisy threshold, the
+exponential mechanism, stable selection of a maximizer (a one-value noisy
+threshold), and (epsilon, delta) composition accounting.
 
 Every mechanism has an exact-distribution companion so privacy and utility
 claims can be checked against closed forms rather than sampled twice.
@@ -97,11 +98,24 @@ def laplace_sample(scale: float, rng: np.random.Generator, size: int | None = No
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
-def laplace_sf(t: float, scale: float) -> float:
-    """P[Lap(scale) >= t], exact."""
-    if t >= 0:
-        return 0.5 * math.exp(-t / scale)
-    return 1.0 - 0.5 * math.exp(t / scale)
+def noisy_threshold(values: np.ndarray, scale: float, threshold: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Release each value whose noisy copy reaches the threshold: (released, noisy).
+
+    noisy = values + Lap(scale), one uniform per value taken in order, and
+    released = noisy >= threshold. If each value moves by at most Delta between
+    neighbouring databases, each release decision is (Delta/scale, 0)-DP.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    noisy = values + laplace_sample(scale, rng, size=values.shape)
+    return noisy >= threshold, noisy
+
+
+def noisy_threshold_pmf(values: np.ndarray, scale: float, threshold: float) -> np.ndarray:
+    """Exact P[release] of noisy_threshold per value: P[Lap(scale) >= threshold - v]."""
+    check_epsilon(scale, "scale")
+    t = (threshold - np.asarray(values, dtype=np.float64)) / scale
+    half_tail = 0.5 * np.exp(-np.abs(t))
+    return np.where(t >= 0, half_tail, 1.0 - half_tail)
 
 
 def _score_array(scores: np.ndarray) -> np.ndarray:
@@ -156,22 +170,19 @@ def _check_stable(gap: float, epsilon: float, delta: float) -> None:
 def stable_argmax(gap: float, epsilon: float, delta: float, rng: np.random.Generator) -> int | None:
     """Release the argmax only when its lead `gap` over the runner-up is noisily large.
 
-    gap_hat = gap + Lap(1/epsilon); return 0, the leader's index, when
-    gap_hat >= (1/epsilon) ln(1/delta), else None (bottom). The runner-up is
+    One noisy_threshold of the gap: 0, the leader's index, when gap +
+    Lap(1/epsilon) >= ln(1/delta)/epsilon, else None (bottom); the runner-up is
     never released. Satisfies (epsilon, delta)-DP for sensitivity-1 scores.
     """
     _check_stable(gap, epsilon, delta)
-    gap_hat = gap + float(laplace_sample(1.0 / epsilon, rng))
-    if gap_hat < math.log(1.0 / delta) / epsilon:
-        return None
-    return 0
+    released, _ = noisy_threshold([gap], 1.0 / epsilon, math.log(1.0 / delta) / epsilon, rng)
+    return 0 if released[0] else None
 
 
 def stable_argmax_pmf(gap: float, epsilon: float, delta: float) -> tuple[float, float]:
     """Exact (P[release argmax], P[bottom]) of stable_argmax at the given gap."""
     _check_stable(gap, epsilon, delta)
-    threshold = math.log(1.0 / delta) / epsilon
-    p_top = laplace_sf(threshold - gap, 1.0 / epsilon)
+    p_top = float(noisy_threshold_pmf([gap], 1.0 / epsilon, math.log(1.0 / delta) / epsilon)[0])
     return p_top, 1.0 - p_top
 
 

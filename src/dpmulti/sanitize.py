@@ -2,7 +2,7 @@
 
 Two sanitizers are provided:
 
-* sanitize_points: noisy thresholded release of every point-function count,
+* sanitize_points: one noisy_threshold release of every point-function count,
   plus a reconstruction of the answers into a small synthetic database.
 * sanitize_exhaustive: the exponential mechanism over every candidate
   synthetic database of a fixed size m, scored by worst-case query error.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConceptClass, EmptyDatabaseError, MultiLabeledDatabase, Universe, xor_eval_matrix
-from .mechanisms import check_epsilon, check_fraction, exponential_mechanism, exponential_mechanism_pmf, laplace_sample
+from .mechanisms import check_epsilon, check_fraction, exponential_mechanism, exponential_mechanism_pmf, noisy_threshold
 
 # Rows of a synthetic database holding residual mass; outside the universe,
 # so every counting query evaluates to 0 on them.
@@ -42,23 +42,23 @@ class EnumerationBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class SanitizedAnswers:
-    """Sparse map x -> a_x in [0, 1]; absent elements answered 0."""
+    """Answers a_x in [0, 1] (float64) on an ascending int64 support; other elements answered 0."""
 
     universe: Universe
-    answers: dict[int, float]
+    support: np.ndarray
+    answers: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "support", np.asarray(self.support, dtype=np.int64))
+        object.__setattr__(self, "answers", np.asarray(self.answers, dtype=np.float64))
 
     def answer(self, x: int) -> float:
         self.universe.check_element(x)
-        return self.answers.get(int(x), 0.0)
-
-    @property
-    def support(self) -> list[int]:
-        return sorted(self.answers)
+        return float(self.answers[self.support == int(x)].sum())
 
     def as_vector(self) -> np.ndarray:
         vec = np.zeros(self.universe.size)
-        for x, a in self.answers.items():
-            vec[x] = a
+        vec[self.support] = self.answers
         return vec
 
 
@@ -115,12 +115,12 @@ def sanitize_points(
 ) -> SanitizedAnswers:
     """Release an approximate answer for every point-function counting query.
 
-    For each x: counts at or below alpha/4 release 0 outright; otherwise the
-    count gets Lap(2/(eps*n)) noise and is released only if the noisy value
-    exceeds alpha/2 (else 0). Released answers are clamped to [0, 1], which is
-    post-processing and privacy-neutral. Costs (epsilon, delta); delta is the
-    accounting share of the deterministic release-0 branch, not a noise knob.
-    Callers are responsible for supplying enough rows (see
+    For each x: counts at or below alpha/4 release 0 outright; the others go
+    through one noisy_threshold call at scale 2/(eps*n) and are released only
+    if the noisy value reaches alpha/2 (else 0). Released answers (all above
+    0) are capped at 1, post-processing that is privacy-neutral. Costs
+    (epsilon, delta); delta is the accounting share of the deterministic
+    release-0 branch, not a noise knob. Callers must supply enough rows (see
     point_sanitizer_rows); the bound is deliberately not enforced here.
     """
     if db.n == 0:
@@ -128,18 +128,10 @@ def sanitize_points(
     check_fraction(alpha, "alpha")
     check_fraction(delta, "delta")
     check_epsilon(epsilon)
-    n = db.n
-    counts = np.bincount(db.xs, minlength=db.universe.size)
-    answers: dict[int, float] = {}
-    for x in np.flatnonzero(counts):
-        frac = counts[x] / n
-        if frac <= alpha / 4.0:
-            continue
-        noisy = frac + float(laplace_sample(2.0 / (epsilon * n), rng))
-        if noisy <= alpha / 2.0:
-            continue
-        answers[int(x)] = min(max(noisy, 0.0), 1.0)
-    return SanitizedAnswers(db.universe, answers)
+    freqs = np.bincount(db.xs, minlength=db.universe.size) / db.n
+    candidates = np.flatnonzero(freqs > alpha / 4.0)
+    released, noisy = noisy_threshold(freqs[candidates], 2.0 / (epsilon * db.n), alpha / 2.0, rng)
+    return SanitizedAnswers(db.universe, candidates[released], np.minimum(noisy[released], 1.0))
 
 
 def answers_to_synthetic(ans: SanitizedAnswers, alpha: float) -> SyntheticDatabase:
@@ -152,13 +144,9 @@ def answers_to_synthetic(ans: SanitizedAnswers, alpha: float) -> SyntheticDataba
     database then grows past m and the bound degrades gracefully.
     """
     check_fraction(alpha, "alpha")
-    support = ans.support
-    m = math.ceil(1.0 / alpha) + len(support)
-    rows: list[int] = []
-    for x in support:
-        rows.extend([x] * int(ans.answers[x] * m))
-    sink = max(0, m - len(rows))
-    return SyntheticDatabase(ans.universe, np.array(rows, dtype=np.int64), sink_rows=sink)
+    m = math.ceil(1.0 / alpha) + len(ans.support)
+    rows = np.repeat(ans.support, (ans.answers * m).astype(np.int64))
+    return SyntheticDatabase(ans.universe, rows, sink_rows=max(0, m - len(rows)))
 
 
 def _base_class(query_class: ConceptClass | tuple[ConceptClass, str]) -> ConceptClass:

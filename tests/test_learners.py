@@ -524,7 +524,7 @@ def _point_selection_law(db, monkeypatch) -> dict:
     set {0}: the sanitizer is replaced by one releasing only x = 0, and the
     stable selection, whose budget is (1, 0.1), by one recording what it is fed."""
     fed = []
-    monkeypatch.setattr(learners, "sanitize_points", lambda db, *_: SanitizedAnswers(db.universe, {0: 1.0}))
+    monkeypatch.setattr(learners, "sanitize_points", lambda db, *_: SanitizedAnswers(db.universe, [0], [1.0]))
     monkeypatch.setattr(learners, "stable_argmax", lambda gap, *_: fed.append(gap) or 0)
     result = point_learner(db, 0.2, 2.0, 0.2, stream(49, 0))
     p_release, p_bottom = stable_argmax_pmf(fed[0], 1.0, 0.1)
@@ -630,18 +630,46 @@ class TestPointLearner:
         assert res.ledger.charges == [PrivacyParams(0.5, 0.005), PrivacyParams(0.5, 0.005)]
         assert res.ledger.basic_total() == PrivacyParams(1.0, 0.01)
 
+    def test_heavy_set_is_filter_then_cap(self, monkeypatch):
+        # Against the rule written out: answers reaching alpha/15, and past the
+        # cap floor(15/alpha) = 30 only the largest, ties to the smaller element.
+        u = Universe.indexed(64)
+        db = MultiLabeledDatabase(u, np.zeros(4, dtype=np.int64), np.zeros((4, 1), dtype=np.uint8))
+        fed = []
+
+        def record(db, heavy):
+            fed.append(heavy.tolist())
+            return np.full(1, -1), 0.0
+
+        monkeypatch.setattr(learners, "_point_tally", record)
+        rng = stream(47, 0)
+        for _ in range(100):
+            support = np.sort(rng.choice(64, size=int(rng.integers(0, 65)), replace=False))
+            answers = rng.choice([0.01, 1 / 30, 0.04, 0.2], size=len(support))
+            fed.clear()
+            monkeypatch.setattr(learners, "sanitize_points", lambda *_: SanitizedAnswers(u, support, answers))
+            point_learner(db, 0.5, 1.0, 0.01, stream(47, 1))
+            a = dict(zip(support.tolist(), answers.tolist()))
+            want = [x for x in a if a[x] >= 0.5 / 15]
+            if len(want) > 30:
+                want = sorted(sorted(want, key=lambda x: (-a[x], x))[:30])
+            assert fed == ([want] if want else [])
+
     def test_label_permutation_equivariance(self):
+        # Each row's labels are its element's bits with 5% flipped, so every
+        # element has a clear top vector and the learner releases: label j maps
+        # to the first element with bit j set.
         u = Universe.indexed(8)
         rng = stream(45, 0)
-        db = MultiLabeledDatabase(
-            u, rng.integers(0, 4, size=2000), rng.integers(0, 2, size=(2000, 3)).astype(np.uint8)
-        )
-        perm = [2, 0, 1]
-        permuted = MultiLabeledDatabase(u, db.xs, db.labels[:, perm])
-        a = point_learner(db, 0.2, 1.0, 0.01, stream(45, 1))
-        b = point_learner(permuted, 0.2, 1.0, 0.01, stream(45, 1))
-        assert a.failed == b.failed
-        if not a.failed:
+        xs = rng.integers(0, 4, size=2000)
+        bits = (xs[:, None] >> np.arange(3)) & 1
+        labels = (bits ^ (rng.random((2000, 3)) < 0.05)).astype(np.uint8)
+        a = point_learner(MultiLabeledDatabase(u, xs, labels), 0.2, 1.0, 0.01, stream(45, 1))
+        assert not a.failed
+        assert a.hypotheses.params.tolist() == [1, 2, -1]
+        for perm in ([2, 0, 1], [1, 2, 0]):
+            b = point_learner(MultiLabeledDatabase(u, xs, labels[:, perm]), 0.2, 1.0, 0.01, stream(45, 1))
+            assert not b.failed
             assert b.hypotheses.kind == a.hypotheses.kind
             assert b.hypotheses.params.tolist() == a.hypotheses.params[perm].tolist()
 

@@ -1,5 +1,5 @@
-"""Mechanism primitives: Laplace, exponential mechanism, stable selection,
-composition accounting, and the exact DP inequality checker."""
+"""Mechanism primitives: Laplace, the noisy threshold, exponential mechanism,
+stable selection, composition accounting, and the exact DP inequality checker."""
 
 import math
 
@@ -16,7 +16,8 @@ from dpmulti.mechanisms import (
     exponential_mechanism,
     exponential_mechanism_pmf,
     laplace_sample,
-    laplace_sf,
+    noisy_threshold,
+    noisy_threshold_pmf,
     stable_argmax,
     stable_argmax_pmf,
 )
@@ -77,15 +78,65 @@ class TestLaplace:
             laplace_sample(math.inf, stream(10, 3))
 
     def test_survival_function(self):
-        assert laplace_sf(0.0, 1.0) == 0.5
-        assert laplace_sf(1.0, 1.0) == pytest.approx(0.5 * math.exp(-1))
-        assert laplace_sf(-1.0, 1.0) == pytest.approx(1 - 0.5 * math.exp(-1))
+        # P[Lap(1) >= t] at t = 0, 1, -1: the release law of values -t at threshold 0.
+        sf = noisy_threshold_pmf([0.0, -1.0, 1.0], 1.0, 0.0)
+        assert sf[0] == 0.5
+        assert sf[1] == pytest.approx(0.5 * math.exp(-1))
+        assert sf[2] == pytest.approx(1 - 0.5 * math.exp(-1))
 
     def test_distribution_shape_kolmogorov_smirnov(self):
         # The inverse-CDF sampler matches the analytic law, not just its tails.
         draws = laplace_sample(1.5, stream(10, 4), size=100_000)
         stat = scipy.stats.kstest(draws, scipy.stats.laplace(scale=1.5).cdf).statistic
         assert stat < 0.006  # ~1.63/sqrt(n) is the 1% KS cutoff at 0.0052
+
+
+class TestNoisyThreshold:
+    def test_vector_call_is_a_loop_of_scalar_draws(self):
+        # One uniform per value, in order: the same stream gives the same noise
+        # through one vector call or one scalar laplace_sample per value, and
+        # leaves the stream at the same place.
+        values = np.array([0.3, -1.0, 2.5, 0.0, 7.0, 0.31])
+        vec = stream(13, 0)
+        released, noisy = noisy_threshold(values, 0.4, 0.3, vec)
+        loop = stream(13, 0)
+        expected = np.array([v + laplace_sample(0.4, loop) for v in values])
+        assert noisy.tolist() == expected.tolist()
+        assert released.tolist() == (expected >= 0.3).tolist()
+        assert vec.random() == loop.random()
+
+    def test_release_rate_matches_pmf(self):
+        values = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+        scale, threshold, trials = 0.7, 0.5, 20_000
+        p = noisy_threshold_pmf(values, scale, threshold)
+        rng = stream(13, 1)
+        hits = sum(noisy_threshold(values, scale, threshold, rng)[0] for _ in range(trials))
+        # Four binomial standard deviations, per value.
+        assert (np.abs(hits / trials - p) <= 4 * np.sqrt(p * (1 - p) / trials)).all()
+
+    def test_exact_dp_for_bounded_moves(self):
+        # A value that moves by at most Delta gives (Delta/scale, 0)-DP (release, bottom) laws.
+        for scale, threshold, sensitivity in [(0.5, 1.0, 1.0), (2.0, 0.0, 0.5), (0.01, 0.25, 0.02)]:
+            values = np.linspace(threshold - 10 * scale, threshold + 10 * scale, 41)
+            for shift in (-sensitivity, -sensitivity / 3, sensitivity / 2, sensitivity):
+                p = noisy_threshold_pmf(values, scale, threshold)
+                q = noisy_threshold_pmf(values + shift, scale, threshold)
+                for a, b in zip(p, q):
+                    assert dp_bound_holds([a, 1 - a], [b, 1 - b], sensitivity / scale, 0.0)
+                    assert dp_bound_holds([b, 1 - b], [a, 1 - a], sensitivity / scale, 0.0)
+
+    @pytest.mark.parametrize("scale,message", [
+        (0.0, "scale must be positive, got 0.0"),
+        (-1.0, "scale must be positive, got -1.0"),
+        (math.inf, "scale must be finite, got inf"),
+    ], ids=["zero", "negative", "inf"])
+    @pytest.mark.parametrize("call", [
+        lambda scale: noisy_threshold([0.0, 1.0], scale, 0.5, stream(13, 2)),
+        lambda scale: noisy_threshold_pmf([0.0, 1.0], scale, 0.5),
+    ], ids=["sampler", "pmf"])
+    def test_bad_scale_is_named(self, call, scale, message):
+        with pytest.raises(ValueError, match=message):
+            call(scale)
 
 
 class TestExponentialMechanism:

@@ -16,7 +16,7 @@ from dpmulti.domain import (
     Universe,
     UniverseMismatchError,
 )
-from dpmulti.mechanisms import dp_bound_holds, exponential_mechanism_pmf
+from dpmulti.mechanisms import dp_bound_holds, exponential_mechanism_pmf, laplace_sample, noisy_threshold_pmf
 from dpmulti.rng import stream
 from dpmulti.sanitize import (
     SINK,
@@ -80,7 +80,7 @@ class TestSanitizePoints:
         u = Universe.indexed(16)
         xs = list(range(16))  # 1/16 <= alpha/4 for alpha = 0.25
         ans = sanitize_points(_unlabeled(u, xs), 0.25, 1.0, 0.01, stream(20, 100))
-        assert ans.answers == {}
+        assert ans.support.size == 0 and ans.answers.size == 0
 
     def test_single_heavy_element_accurate(self):
         alpha, beta, eps = 0.2, 0.1, 1.0
@@ -96,8 +96,7 @@ class TestSanitizePoints:
         u = Universe.indexed(2)
         for trial in range(200):
             ans = sanitize_points(_unlabeled(u, [0] * 10), 0.3, 0.2, 0.05, stream(22, trial))
-            for a in ans.answers.values():
-                assert 0.0 <= a <= 1.0
+            assert ((0.0 <= ans.answers) & (ans.answers <= 1.0)).all()
 
     def test_accuracy_at_pinned_rows(self):
         # All queries within alpha, over mixed-frequency databases, in >= 85%
@@ -126,6 +125,30 @@ class TestSanitizePoints:
             n = point_sanitizer_min_rows(alpha, eps, delta)
             assert math.exp(-eps * n * alpha / 8 + eps / 2) <= delta
             assert math.exp(-eps * (n - 2) * alpha / 8 + eps / 2) > delta * 0.5
+
+    def test_matches_per_element_loop(self):
+        # The release rule one element at a time, ascending x, one draw per
+        # count above alpha/4: same answers, and the stream ends in the same place.
+        for trial in range(200):
+            rng = stream(26, trial)
+            size = int(rng.integers(2, 40))
+            weights = rng.random(size) ** 3
+            xs = rng.choice(size, size=int(rng.integers(1, 300)), p=weights / weights.sum())
+            db = _unlabeled(Universe.indexed(size), xs)
+            counts = np.bincount(db.xs, minlength=size)
+            alpha, eps = float(rng.uniform(0.02, 0.9)), float(rng.uniform(0.1, 3.0))
+            if trial % 2:  # the alpha/4 cut falls exactly on an occurring count
+                alpha = min(4.0 * rng.choice(counts[counts > 0]) / db.n, 0.9)
+            vec, loop, ref = stream(27, trial), stream(27, trial), {}
+            ans = sanitize_points(db, alpha, eps, 0.01, vec)
+            for x in np.flatnonzero(counts):
+                if counts[x] / db.n > alpha / 4:
+                    noisy = counts[x] / db.n + laplace_sample(2.0 / (eps * db.n), loop)
+                    if noisy >= alpha / 2:
+                        ref[int(x)] = min(noisy, 1.0)
+            assert dict(zip(ans.support.tolist(), ans.answers.tolist())) == ref
+            assert ans.support.dtype == np.int64 and ans.answers.dtype == np.float64
+            assert vec.random() == loop.random()
 
     def test_rejects_bad_input(self):
         u = Universe.indexed(4)
@@ -190,6 +213,11 @@ class TestPerQueryPrivacy:
             for m0, m1 in plist:
                 p = _answer_grid_pmf(m0, nn, a, e, grid)
                 q = _answer_grid_pmf(m1, nn, a, e, grid)
+                # Above the alpha/4 cut, the hand-written release mass is the primitive's.
+                for count, pmf in [(m0, p), (m1, q)]:
+                    if count / nn > a / 4:
+                        release = noisy_threshold_pmf([count / nn], 2.0 / (e * nn), a / 2)[0]
+                        assert 1 - pmf[0] == pytest.approx(release, abs=1e-12)
                 assert dp_bound_holds(p, q, e / 2, delta / 2, tol=1e-9)
                 assert dp_bound_holds(q, p, e / 2, delta / 2, tol=1e-9)
                 checked += 1
@@ -199,20 +227,20 @@ class TestPerQueryPrivacy:
 class TestAnswersToSynthetic:
     def test_exactly_representable(self):
         u = Universe.indexed(4)
-        synth = answers_to_synthetic(SanitizedAnswers(u, {2: 1.0}), 0.25)
+        synth = answers_to_synthetic(SanitizedAnswers(u, [2], [1.0]), 0.25)
         assert set(synth.elements.tolist()) == {2}
         assert synth.frequency(2) == 1.0
 
     def test_half_half(self):
         u = Universe.indexed(4)
-        synth = answers_to_synthetic(SanitizedAnswers(u, {0: 0.5, 1: 0.5}), 0.25)
+        synth = answers_to_synthetic(SanitizedAnswers(u, [0, 1], [0.5, 0.5]), 0.25)
         assert synth.frequency(0) == pytest.approx(0.5)
         assert synth.frequency(1) == pytest.approx(0.5)
         assert synth.size <= math.ceil(1 / 0.25) + 2
 
     def test_degenerate_empty_answers(self):
         u = Universe.indexed(4)
-        synth = answers_to_synthetic(SanitizedAnswers(u, {}), 0.25)
+        synth = answers_to_synthetic(SanitizedAnswers(u, [], []), 0.25)
         assert synth.size == 4 and synth.sink_rows == 4
         assert all(synth.frequency(x) == 0.0 for x in range(4))
 
@@ -226,7 +254,8 @@ class TestAnswersToSynthetic:
                 raw = rng.random(n_support)
                 raw = raw / raw.sum() * rng.uniform(0.3, 1.0)
                 xs = rng.choice(8, size=n_support, replace=False)
-                ans = SanitizedAnswers(u, {int(x): float(a) for x, a in zip(xs, raw)})
+                order = np.argsort(xs)
+                ans = SanitizedAnswers(u, xs[order], raw[order])
                 synth = answers_to_synthetic(ans, alpha)
                 errs = [abs(synth.frequency(x) - ans.answer(x)) for x in range(8)]
                 assert max(errs) <= alpha + 1e-12
@@ -235,7 +264,7 @@ class TestAnswersToSynthetic:
     def test_sink_is_outside_universe(self):
         assert SINK == -1
         u = Universe.indexed(4)
-        synth = answers_to_synthetic(SanitizedAnswers(u, {}), 0.5)
+        synth = answers_to_synthetic(SanitizedAnswers(u, [], []), 0.5)
         assert synth.elements.size == 0 and synth.sink_rows >= 1
 
 
