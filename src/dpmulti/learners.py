@@ -112,61 +112,92 @@ def _mismatch_counts(evals: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+def _check_gf2_bits(bits: int) -> None:
+    """Reject a column count that does not fit one uint64 coefficient word."""
+    if not 0 <= bits <= 64:
+        raise ValueError(f"bits must be in [0, 64], got {bits}")
+
+
 def gf2_solve_blocks(bits: int, xs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve m independent blocks of GF(2) systems <xs[t, i], x> = rhs bits, all at once.
 
-    xs has shape (m, s): block t's rows a_i as bitmasks below 2**bits. rhs has
-    shape (m, s, W) uint64 and packs W*64 right-hand sides per row, system j in
-    bit j % 64 of word j // 64. Returns (solutions, ok): solutions[t, c] (shape
+    xs has shape (m, s): block t's rows a_i as bitmasks, every entry in
+    [0, 2**bits) with bits in [0, 64] (ValueError otherwise). rhs has shape
+    (m, s, W) uint64 and packs W*64 right-hand sides per row, system j in bit
+    j % 64 of word j // 64. Returns (solutions, ok): solutions[t, c] (shape
     (m, bits, W) uint64) packs coordinate c of every system's solution the same
-    way, and ok[t] is False when some system of block t is inconsistent (its
-    solutions are then meaningless).
+    way, with free variables at 0, and ok[t] is False when some system of
+    block t is inconsistent (its solutions are then meaningless). Neither input
+    is modified.
 
-    Each block and its right-hand sides are one (s, 1 + W) word array, and the
-    blocks are eliminated together. For column c the pivot is the first row of
-    the block not used as a pivot yet that has bit c; it is XORed into every
-    other row with bit c. This full reduction needs no row swaps, and since a
+    Layout: the rows are held word-major, one (1 + W, m, 1 + s) uint64 array
+    whose word 0 is the coefficients and words 1..W the right-hand sides, so
+    each numpy pass runs over all blocks at once. Slot 0 of every block is an
+    all-zero sentinel row after which the s rows follow.
+
+    Pivot rule: columns are eliminated in order, fully (the pivot is XORed into
+    every other row with bit c, through 0/1 uint64 masks whose entry at the
+    pivot itself is cleared), so no row swaps are needed. A row that has not pivoted yet has every lower bit cleared, and a
+    row that has keeps its own pivot bit, so a row may pivot column c exactly
+    when coef & ((2 << c) - 1) == 1 << c; the first such row of each block
+    does, and its 0/1 mask of bit c is that low part shifted down by c. A
+    block with no such row gets argmax's 0, the sentinel, whose XOR changes
+    nothing and whose right-hand side reads as the 0 of a free variable. A
     consistent system has exactly one solution with its free variables at 0,
-    the pivot choice does not change the answer. A row that never pivots ends
-    with no coefficients, so a right-hand bit left on it reads 0 = 1.
+    so the pivot choice does not change the answer. Pivot rows are gathered
+    through the flat indices t*(1 + s) + pivot.
+
+    After the last column a row that never pivoted has coefficient 0, so a
+    right-hand bit left on such a row reads 0 = 1 and its block is inconsistent.
     """
-    m, s, _ = rhs.shape
-    rows = np.concatenate([xs.astype(np.uint64)[:, :, None], rhs], axis=2)
-    blocks = np.arange(m)
-    unused = np.ones((m, s), dtype=bool)
-    pivots = np.zeros((m, bits), dtype=np.intp)
-    has_pivot = np.zeros((m, bits), dtype=bool)
+    _check_gf2_bits(bits)
+    if xs.size and not (int(xs.min()) >= 0 and int(xs.max()) < 1 << bits):
+        raise ValueError(f"xs entries must be in [0, 2**bits) = [0, {1 << bits}), got min {xs.min()}, max {xs.max()}")
+    m, s, words = rhs.shape
+    rows = np.zeros((1 + words, m, 1 + s), dtype=np.uint64)
+    rows[0, :, 1:] = xs
+    rows[1:, :, 1:] = rhs.transpose(2, 0, 1)
+    coef, flat = rows[0], rows.reshape(1 + words, -1)
+    starts = np.arange(0, m * (1 + s), 1 + s)
+    pivots = np.empty((bits, m), dtype=np.intp)
+    update = np.empty_like(rows)
     for col in range(bits):
-        has = (rows[:, :, 0] & np.uint64(1 << col)) != 0
-        eligible = has & unused
-        pivot = eligible.argmax(axis=1)
-        found = eligible[blocks, pivot]
-        hit = has & found[:, None]
-        hit[blocks, pivot] = False
-        rows ^= hit[:, :, None] * rows[blocks, pivot][:, None, :]
-        unused[blocks, pivot] &= ~found
-        pivots[:, col], has_pivot[:, col] = pivot, found
-    ok = ~((rows[:, :, 1:] != 0) & unused[:, :, None]).any(axis=(1, 2))
-    solutions = rows[blocks[:, None], pivots, 1:] * has_pivot[:, :, None]
-    return solutions, ok
+        low = coef & np.uint64((2 << col) - 1)
+        pivot = pivots[col]
+        np.argmax(low == np.uint64(1 << col), axis=1, out=pivot)
+        pivot += starts
+        hit = low >> np.uint64(col)
+        hit.reshape(-1)[pivot] = 0
+        np.multiply(hit, np.take(flat, pivot, axis=1)[:, :, None], out=update)
+        rows ^= update
+    ok = ~((rows[1:] != 0) & (coef == 0)).any(axis=(0, 2))
+    return np.ascontiguousarray(flat[1:, pivots.T].transpose(1, 2, 0)), ok
 
 
 def gf2_solve(bits: int, equations: Iterable[tuple[int, int]]) -> int | None:
     """Solve the systems <a_i, x_j> = bit j of b_i over GF(2) that share the rows a_i.
 
-    Rows a_i are bitmasks (coordinate c = bit c); b_i packs one right-hand side
-    per system, bit j for system j. The result packs system j's solution into
-    bits [j*bits, (j+1)*bits), or is None when any system is inconsistent. With
-    b_i in {0, 1} this is the single system <a_i, x> = b_i. Free variables are
+    Rows a_i are bitmasks (coordinate c = bit c) in [0, 2**bits), bits in
+    [0, 64]; b_i >= 0 packs one right-hand side per system, bit j for system j
+    (ValueError otherwise). The result packs system j's solution into bits
+    [j*bits, (j+1)*bits), or is None when any system is inconsistent. With b_i
+    in {0, 1} this is the single system <a_i, x> = b_i. Free variables are
     fixed to 0, so each solution is deterministic. This is gf2_solve_blocks on
     one block, with the packed ints split into 64-bit words.
     """
+    _check_gf2_bits(bits)
     pairs = [(int(a), int(b)) for a, b in equations]
+    for a, b in pairs:
+        if not 0 <= a < 1 << bits:
+            raise ValueError(f"equation rows must be in [0, 2**bits) = [0, {1 << bits}), got {a}")
+        if b < 0:
+            raise ValueError(f"equation right-hand sides must be non-negative, got {b}")
     if not pairs:
         return 0
     words = -(-max(b.bit_length() for _, b in pairs) // 64)
     rhs = np.frombuffer(b"".join(b.to_bytes(8 * words, "little") for _, b in pairs), dtype="<u8")
-    solutions, ok = gf2_solve_blocks(bits, np.array([[a for a, _ in pairs]]), rhs.reshape(1, len(pairs), words))
+    xs = np.array([[a for a, _ in pairs]], dtype=np.uint64)
+    solutions, ok = gf2_solve_blocks(bits, xs, rhs.reshape(1, len(pairs), words))
     if not ok[0]:
         return None
     # (bits, 64*W) coordinate bits, transposed so bit j*bits + c is system j's coordinate c.

@@ -1,6 +1,7 @@
 """Learner behavior: ERM, GF(2) solving, parity/point/generic learners,
 and direct sum."""
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 
 from dpmulti import learners
 from dpmulti.domain import (
+    MAX_PARITY_BITS,
     PARITY,
     POINT,
     THRESH,
@@ -233,6 +235,102 @@ class TestGf2Solve:
                     single = gf2_solve(bits, zip(xs[t].tolist(), rows))
                     assert single == (sum(x << (j * bits) for j, x in enumerate(want.tolist())) if ok[t] else None)
         assert seen[True] and (seen[False] or k == 0)
+
+    @pytest.mark.parametrize(
+        "bits,equations,match",
+        [
+            (2, [(-1, 1)], "equation rows"),
+            (2, [(4, 1)], "equation rows"),
+            (2, [(1, -1)], "right-hand sides"),
+            (65, [(1, 1)], "bits"),
+            (-1, [(1, 1)], "bits"),
+            (65, [], "bits"),
+        ],
+    )
+    def test_adapter_rejects_inputs_outside_its_contract(self, bits, equations, match):
+        with pytest.raises(ValueError, match=match):
+            gf2_solve(bits, equations)
+
+    def test_adapter_takes_full_64_bit_rows(self):
+        assert gf2_solve(64, [((1 << 64) - 1, 1)]) == 1
+        assert gf2_solve(64, [(1 << 63, 1), (1, 0)]) == 1 << 63
+
+    @pytest.mark.parametrize(
+        "bits,xs,match",
+        [(65, [[1]], "bits"), (-1, [[0]], "bits"), (2, [[1, -1]], "xs"), (2, [[4, 1]], "xs"), (0, [[1]], "xs")],
+    )
+    def test_blocks_reject_inputs_outside_their_contract(self, bits, xs, match):
+        xs = np.array(xs)
+        with pytest.raises(ValueError, match=match):
+            gf2_solve_blocks(bits, xs, np.zeros(xs.shape + (1,), dtype=np.uint64))
+
+    def test_blocks_match_scalar_gauss_jordan(self):
+        # Up to MAX_PARITY_BITS columns, where brute force is too slow, and up
+        # to 38 words of right-hand sides. Blocks hold parity-labelled rows with
+        # an occasional flipped label, duplicated rows (some with a different
+        # right-hand side) and all-zero rows with a nonzero right-hand side.
+        rng = stream(31, 3)
+        seen = Counter()
+        for case in range(160):
+            bits = MAX_PARITY_BITS if case % 8 == 0 else int(rng.integers(1, MAX_PARITY_BITS + 1))
+            words = 38 if case % 10 == 0 else int(rng.integers(1, 4))
+            m, s = int(rng.integers(1, 5)), int(rng.integers(1, 2 * bits + 3))
+            xs = rng.integers(0, 1 << bits, size=(m, s))
+            labels = np.bitwise_count(xs[..., None] & rng.integers(0, 1 << bits, size=64 * words)) & 1
+            labels ^= rng.random(labels.shape) < rng.choice([0.0, 0.001, 0.02])
+            for t in range(m):
+                if s > 1 and rng.random() < 0.4:
+                    copied, dst = rng.choice(s, size=2, replace=False)
+                    xs[t, dst] = xs[t, copied]
+                    if rng.random() < 0.5:
+                        labels[t, dst] = labels[t, copied]
+                if rng.random() < 0.2:
+                    row = rng.integers(s)
+                    xs[t, row] = 0
+                    labels[t, row, rng.integers(64 * words)] = 1
+            rhs = np.packbits(labels.astype(np.uint8), axis=2, bitorder="little").view("<u8")
+            xs_before, rhs_before = xs.copy(), rhs.copy()
+            solutions, ok = gf2_solve_blocks(bits, xs, rhs)
+            assert np.array_equal(xs, xs_before) and np.array_equal(rhs, rhs_before)
+            assert solutions.shape == (m, bits, words) and solutions.dtype == np.uint64
+            for t in range(m):
+                packed = [int.from_bytes(rhs[t, i].astype("<u8").tobytes(), "little") for i in range(s)]
+                want = _gauss_jordan(bits, xs[t].tolist(), packed)
+                assert ok[t] == (want is not None)
+                if want is not None:
+                    got = [int.from_bytes(solutions[t, c].astype("<u8").tobytes(), "little") for c in range(bits)]
+                    assert got == want
+                seen[(bool(ok[t]), s < bits)] += 1
+        assert all(seen[key] for key in itertools.product((True, False), repeat=2))
+
+
+def _gauss_jordan(bits, rows, rhs):
+    """Scalar Gauss-Jordan elimination of one block over Python ints, free variables at 0.
+
+    rows[i] is a coefficient bitmask and rhs[i] packs row i's right-hand sides.
+    Returns, per coordinate c, the packed values of x_c in every system, or
+    None when some system is inconsistent.
+    """
+    rows, rhs = list(rows), list(rhs)
+    pivot_cols, rank = [], 0
+    for c in range(bits):
+        found = next((i for i in range(rank, len(rows)) if rows[i] >> c & 1), None)
+        if found is None:
+            continue
+        rows[rank], rows[found] = rows[found], rows[rank]
+        rhs[rank], rhs[found] = rhs[found], rhs[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i] >> c & 1:
+                rows[i] ^= rows[rank]
+                rhs[i] ^= rhs[rank]
+        pivot_cols.append(c)
+        rank += 1
+    if any(rhs[rank:]):
+        return None
+    solution = [0] * bits
+    for i, c in enumerate(pivot_cols):
+        solution[c] = rhs[i]
+    return solution
 
 
 def _smallest_solutions(bits, xs, labels):
@@ -508,6 +606,27 @@ class TestParityLearner:
         assert not a.failed and not b.failed
         assert b.hypotheses.kind == a.hypotheses.kind
         assert b.hypotheses.params.tolist() == a.hypotheses.params[perm].tolist()
+
+    def test_pmf_golden_off_the_benchmark_paths(self):
+        # parity_learner_pmf's (masks, P[release]) at d = 10 over 18 seeded
+        # databases, paths the parity-sweep benchmark does not take: k = 32
+        # and 70 (one and two label words); n = 96, 240, 480, so blocks of
+        # s = 2, 5, 10 rows, the first two below bits; clean parity labels,
+        # 2% flipped labels, and rows drawn from 12 elements, where most
+        # blocks abstain. The digest pins the learner's output across
+        # rewrites of the block solve.
+        universe, digest = Universe.bitvectors(10), hashlib.sha256()
+        for k in (32, 70):
+            for n in (96, 240, 480):
+                for pool, flip in ((1024, 0.0), (1024, 0.02), (12, 0.02)):
+                    rng = stream(37, k, n, pool, int(flip * 100))
+                    xs = rng.choice(1024, size=pool, replace=False)[rng.integers(0, pool, size=n)]
+                    labels = np.bitwise_count(xs[:, None] & rng.integers(0, 1024, size=k)[None, :]) & 1
+                    labels ^= rng.random((n, k)) < flip
+                    db = MultiLabeledDatabase(universe, xs, labels.astype(np.uint8))
+                    masks, p_release, _ = parity_learner_pmf(db, 1.0, 0.1, 0.1)
+                    digest.update(masks.astype("<i8").tobytes() + np.float64(p_release).tobytes())
+        assert digest.hexdigest() == "839d54d62a23e759dcc5234e93aadc81bab5008731530f449011a041c2b49d90"
 
 
 def _point_witness(relabel: bool) -> MultiLabeledDatabase:
