@@ -236,6 +236,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if getattr(args, "seed", 0) < 0:  # mech compose takes no seed
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         if args.command == "learn":
             return _cmd_learn(args)
         if args.command == "sanitize":

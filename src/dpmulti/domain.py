@@ -123,6 +123,14 @@ def _tally(keys: np.ndarray, group: np.ndarray | None = None) -> tuple[np.ndarra
     return first[order], counts[order]
 
 
+def _check_class(kind: str, universe: Universe) -> None:
+    """Refuse a kind that is not a class kind, and parity over a universe that is not bit vectors."""
+    if kind not in CLASS_KINDS:
+        raise ValueError(f"unknown concept class {kind!r}")
+    if kind == PARITY and universe.bit_width is None:
+        raise ValueError("parity concepts require a bit-vector universe")
+
+
 @dataclass(frozen=True)
 class Concept:
     """A predicate over a universe: point, threshold, parity, or constant zero.
@@ -138,20 +146,14 @@ class Concept:
     param: int | None = None
 
     def __post_init__(self):
-        if self.kind in (POINT, THRESH):
-            if self.param is None:
-                raise ValueError(f"{self.kind} concept requires a parameter")
-            self.universe.check_element(self.param)
-        elif self.kind == PARITY:
-            if self.universe.bit_width is None:
-                raise ValueError("parity concepts require a bit-vector universe")
-            if self.param is None or not 0 <= self.param < self.universe.size:
-                raise ValueError(f"parity mask {self.param} outside {self.universe.size} masks")
-        elif self.kind == ZERO:
+        if self.kind == ZERO:
             if self.param is not None:
                 raise ValueError("zero concept takes no parameter")
-        else:
-            raise ValueError(f"unknown concept kind {self.kind!r}")
+            return
+        _check_class(self.kind, self.universe)
+        if self.param is None:
+            raise ValueError(f"{self.kind} concept requires a parameter")
+        self.universe.check_element(self.param)
 
     def __call__(self, x: int) -> int:
         return evaluate(self, x)
@@ -198,10 +200,21 @@ def _evaluate_params(kind: str, params: np.ndarray, xs: np.ndarray) -> np.ndarra
 
 
 def _checked_elements(universe: Universe, xs: np.ndarray) -> np.ndarray:
+    """xs as an int64 array whose every entry is an element of universe."""
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size and (xs.min() < 0 or xs.max() >= universe.size):
         raise ValueError("element outside universe")
     return xs
+
+
+# Cells per block when a table is evaluated, so that a kernel's int64
+# temporaries (512 KiB at most) stay the same size whatever k and n are.
+EVAL_BLOCK_CELLS = 1 << 16
+
+
+def _row_blocks(rows: int, columns: int) -> Iterator[slice]:
+    step = max(1, EVAL_BLOCK_CELLS // max(1, columns))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 def evaluate_many(concept: Concept, xs: np.ndarray) -> np.ndarray:
@@ -220,10 +233,11 @@ class Hypotheses:
     nowhere). The constructor checks every parameter at once. evaluate(xs) is
     the (k, len(xs)) bit matrix of all k hypotheses. It is the one form in
     which a set of hypotheses is passed around: learners release it,
-    sample_database and LabeledDistribution.realizable label with it, and
-    dichotomy_projection returns its witnesses as one. Iterating it yields
-    one Concept per parameter, built on access, for scalar use; a table is
-    not a Concept list, so it has no indexing and compares by identity.
+    sample_database and LabeledDistribution.realizable label through its
+    evaluate, and dichotomy_projection returns its witnesses as one.
+    Iterating it yields one Concept per parameter, built on access, for
+    scalar use; a table is not a Concept list, so it has no indexing and
+    compares by identity.
     """
 
     universe: Universe
@@ -231,10 +245,7 @@ class Hypotheses:
     params: np.ndarray  # shape (k,), int64
 
     def __post_init__(self):
-        if self.kind not in CLASS_KINDS:
-            raise ValueError(f"unknown hypothesis kind {self.kind!r}")
-        if self.kind == PARITY and self.universe.bit_width is None:
-            raise ValueError("parity hypotheses require a bit-vector universe")
+        _check_class(self.kind, self.universe)
         raw = np.asarray(self.params)
         if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
             raise ValueError("hypothesis parameters must be a 1-D integer array")
@@ -253,12 +264,20 @@ class Hypotheses:
 
         It is stored example-major (the transpose of a C-ordered (len(xs), k)
         array), so a reduction over the examples, such as .mean(axis=1),
-        walks contiguous runs of k hypotheses instead of one short row each.
+        walks contiguous runs of k hypotheses instead of one short row each,
+        and its .T is the (len(xs), k) label array of a sampled database.
+        It is filled a block of examples at a time (EVAL_BLOCK_CELLS cells),
+        so the kernel's temporaries stay bounded whatever k and len(xs) are.
         """
         xs = _checked_elements(self.universe, xs)
         if xs.ndim != 1:
             raise ValueError(f"elements must be a 1-D array, got shape {xs.shape}")
-        return _evaluate_params(self.kind, self.params, xs[:, None]).T
+        if len(xs) * len(self) <= EVAL_BLOCK_CELLS:  # one block: no buffer to copy through
+            return _evaluate_params(self.kind, self.params, xs[:, None]).T
+        out = np.empty((len(xs), len(self)), dtype=np.uint8)
+        for block in _row_blocks(len(xs), len(self)):
+            out[block] = _evaluate_params(self.kind, self.params, xs[block, None])
+        return out.T
 
     def __len__(self) -> int:
         return self.params.shape[0]
@@ -282,10 +301,7 @@ class ConceptClass:
     universe: Universe
 
     def __post_init__(self):
-        if self.kind not in CLASS_KINDS:
-            raise ValueError(f"unknown concept class {self.kind!r}")
-        if self.kind == PARITY and self.universe.bit_width is None:
-            raise ValueError("parity class requires a bit-vector universe")
+        _check_class(self.kind, self.universe)
 
     def __len__(self) -> int:
         return self.universe.size
@@ -307,9 +323,9 @@ class ConceptClass:
         return _evaluate_params(self.kind, self.universe.elements()[:, None], np.asarray(xs, dtype=np.int64))
 
 
-def xor_eval_matrix(cclass: ConceptClass, xs: np.ndarray) -> np.ndarray:
-    """Evaluation matrix of the pairwise-xor closure {f xor g}, deduplicated."""
-    base = cclass.eval_matrix(xs)
+def xor_eval_matrix(cclass: ConceptClass) -> np.ndarray:
+    """Evaluation matrix, on every element, of the pairwise-xor closure {f xor g}, deduplicated."""
+    base = cclass.eval_matrix()
     pairs = base[:, None, :] ^ base[None, :, :]
     flat = pairs.reshape(-1, pairs.shape[-1])
     return np.unique(flat, axis=0)
@@ -324,12 +340,10 @@ class MultiLabeledDatabase:
     labels: np.ndarray  # shape (n, k), uint8
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.int64)
+        xs = _checked_elements(self.universe, self.xs)
         labels = np.asarray(self.labels, dtype=np.uint8)
         if labels.ndim != 2 or labels.shape[0] != xs.shape[0]:
             raise ValueError("labels must have shape (n, k)")
-        if xs.size and (xs.min() < 0 or xs.max() >= self.universe.size):
-            raise ValueError("row element outside universe")
         if labels.size and labels.max() > 1:
             raise ValueError("labels must be bits")
         object.__setattr__(self, "xs", xs)
@@ -424,16 +438,6 @@ def generalization_error(dist: Distribution, c: Concept, h: Concept) -> float:
     return math.fsum(dist.pmf[diff].tolist())
 
 
-# Cells per block when a table is evaluated, so that a kernel's int64
-# temporaries (512 KiB at most) stay the same size whatever k and n are.
-EVAL_BLOCK_CELLS = 1 << 16
-
-
-def _row_blocks(rows: int, columns: int) -> Iterator[slice]:
-    step = max(1, EVAL_BLOCK_CELLS // max(1, columns))
-    return (slice(lo, lo + step) for lo in range(0, rows, step))
-
-
 def generalization_errors(dist: Distribution, targets: Hypotheses, hyps: Hypotheses) -> list[float]:
     """generalization_error of each (targets[j], hyps[j]) pair, bit for bit.
 
@@ -462,15 +466,6 @@ def generalization_errors(dist: Distribution, targets: Hypotheses, hyps: Hypothe
     return errors
 
 
-def _label_rows(targets: Hypotheses, xs: np.ndarray) -> np.ndarray:
-    """The (len(xs), k) uint8 labels of the elements xs under the k targets, a block of elements at a time."""
-    xs = _checked_elements(targets.universe, xs)
-    labels = np.empty((len(xs), len(targets)), dtype=np.uint8)
-    for block in _row_blocks(len(xs), len(targets)):
-        labels[block] = _evaluate_params(targets.kind, targets.params, xs[block, None])
-    return labels
-
-
 @dataclass(frozen=True)
 class LabeledDistribution:
     """Joint pmf over (element, k-bit label vector); labels packed little-endian."""
@@ -492,7 +487,7 @@ class LabeledDistribution:
         dist.universe.require_same(targets.universe)
         k = len(targets)
         xs = dist.universe.elements()
-        codes = _pack_words(_label_rows(targets, xs))[:, 0]
+        codes = _pack_words(targets.evaluate(xs).T)[:, 0]
         pmf = np.zeros((dist.universe.size, 1 << k))
         pmf[xs, codes] = dist.pmf
         return LabeledDistribution(dist.universe, k, pmf)
@@ -534,7 +529,7 @@ def sample_database(
         raise ValueError("n must be >= 1")
     dist.universe.require_same(targets.universe)
     xs = dist.sample(n, rng)
-    return MultiLabeledDatabase(dist.universe, xs, _label_rows(targets, xs))
+    return MultiLabeledDatabase(dist.universe, xs, targets.evaluate(xs).T)
 
 
 def dichotomy_projection(cclass: ConceptClass, points: Sequence[int]) -> Hypotheses:

@@ -308,7 +308,7 @@ def config_from_sections(exp: Mapping, sections: Mapping[str, Mapping]) -> Exper
     if kind not in ("learn", "sanitize", "attack"):
         raise ConfigError(f"experiment.kind: expected learn|sanitize|attack, got {kind!r}")
     trials = _need(exp, "experiment", "trials", int)
-    seed = _need(exp, "experiment", "seed", int)
+    seed = _need(exp, "experiment", "seed", int, low=0)
     sweep_axis = exp.get("sweep", "").strip() or None
     sweep_values: tuple[int, ...] = ()
     if sweep_axis:
@@ -560,6 +560,8 @@ def _run_attack(config: ExperimentConfig) -> TrialReport:
         raise ConfigError(f"attack.n_users: must be in [2, {fingerprint.MAX_USERS}], got {n_users}")
     xi = _checked(params, "attack", "xi", check_fraction)
     length = _need(params, "attack", "length", int, low=1) if "length" in params else None
+    if length is not None and length % (n_users - 1):
+        raise ConfigError(f"attack.length: must be a multiple of n_users - 1 = {n_users - 1}, got {length}")
     name = params.get("learner", "erm").strip()
     if name not in LEARNERS:
         raise ConfigError(f"attack.learner: unknown {name!r}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ConceptClass, EmptyDatabaseError, MultiLabeledDatabase, Universe, xor_eval_matrix
+from .domain import ConceptClass, EmptyDatabaseError, MultiLabeledDatabase, Universe, _checked_elements, xor_eval_matrix
 from .mechanisms import check_epsilon, check_fraction, exponential_mechanism, exponential_mechanism_pmf, noisy_threshold
 
 # Rows of a synthetic database holding residual mass; outside the universe,
@@ -71,13 +71,11 @@ class SyntheticDatabase:
     sink_rows: int = 0
 
     def __post_init__(self):
-        elements = np.asarray(self.elements, dtype=np.int64)
+        elements = _checked_elements(self.universe, self.elements)
         if self.sink_rows < 0:
             raise ValueError("sink_rows must be non-negative")
         if elements.shape[0] + self.sink_rows < 1:
             raise ValueError("synthetic database must be non-empty")
-        if elements.size and (elements.min() < 0 or elements.max() >= self.universe.size):
-            raise ValueError("synthetic element outside universe")
         object.__setattr__(self, "elements", elements)
 
     @property
@@ -163,7 +161,7 @@ def _query_matrix(query_class: ConceptClass | tuple[ConceptClass, str]) -> np.nd
         cclass, tag = query_class
         if tag != "xor":
             raise ValueError(f"unknown query-class tag {tag!r}")
-        full = xor_eval_matrix(cclass, cclass.universe.elements())
+        full = xor_eval_matrix(cclass)
     else:
         full = query_class.eval_matrix()
     full.setflags(write=False)

@@ -521,8 +521,9 @@ class TestExitCodes:
         (["--n", "4", "--xi", "1.5"], "attack.xi must be in (0, 1), got 1.5"),
         (["--n", "4"], "attack.xi: required"),
         (["--n", "4", "--xi", "0.1", "--variant", "bogus"], "attack.variant: expected pac|padded|parity, got 'bogus'"),
+        (["--n", "6", "--xi", "0.05", "--length", "7"], "attack.length: must be a multiple of n_users - 1 = 5, got 7"),
     ], ids=["n1", "xi0", "xi-negative", "length0", "length-negative", "n9", "n-not-an-integer", "xi-above-1",
-            "xi-missing", "variant-unknown"])
+            "xi-missing", "variant-unknown", "length-not-a-multiple"])
     def test_bad_attack_parameter_is_invalid_input(self, capsys, argv, name):
         code = main(["attack", "boneh-shaw", *argv, "--trials", "1", "--learner", "erm", "--seed", "1"])
         assert code == 1
@@ -601,8 +602,9 @@ class TestExitCodes:
         (["--class", "parity", "--d", "-1"], "learn.d"),
         (["--universe", "8", "--k", "x"], "learn.k"),
         (["--universe", "8", "--class", "bogus"], "learn.class"),
+        (["--universe", "8", "--seed", "-3"], "--seed"),
     ], ids=["sanitize-universe1", "sanitize-n0", "learn-n0", "learn-d30", "config-targets-outside", "targets-outside",
-            "dist-nan", "dist-inf", "d-huge", "d-negative", "k-not-an-integer", "class-unknown"])
+            "dist-nan", "dist-inf", "d-huge", "d-negative", "k-not-an-integer", "class-unknown", "seed-negative"])
     def test_bad_value_names_its_key(self, capsys, tmp_path, case, key):
         if isinstance(case, list):
             argv = ["learn", "erm", "--k", "2", "--n", "100", "--seed", "1", *case]

@@ -104,13 +104,15 @@ class TestHypotheses:
     @pytest.mark.parametrize("kind", sorted(TABLE_CASES))
     def test_evaluate_matches_stacked_evaluate_many(self, kind):
         universe, params = TABLE_CASES[kind]
-        xs = stream(9, 0).integers(0, universe.size, size=40)
         table = Hypotheses(universe, kind, np.array(params))
-        expected = np.stack([evaluate_many(_as_concept(universe, kind, p), xs) for p in params])
-        got = table.evaluate(xs)
-        assert got.dtype == np.uint8 and got.shape == (len(params), 40)
-        assert got.T.flags.c_contiguous  # stored example-major
-        assert np.array_equal(got, expected)
+        # One block, then k * n above EVAL_BLOCK_CELLS: a block of examples at a time, the last block short.
+        for n in (40, EVAL_BLOCK_CELLS // 2 + 1):
+            xs = stream(9, 0).integers(0, universe.size, size=n)
+            expected = np.stack([evaluate_many(_as_concept(universe, kind, p), xs) for p in params])
+            got = table.evaluate(xs)
+            assert got.dtype == np.uint8 and got.shape == (len(params), n)
+            assert got.T.flags.c_contiguous  # stored example-major
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("kind", sorted(TABLE_CASES))
     def test_k0_evaluates_to_empty_matrix(self, kind):

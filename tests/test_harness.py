@@ -130,6 +130,7 @@ class TestParseConfig:
             ("trials = 0", "experiment.trials"),
             ("trials = many", "experiment.trials"),
             ("values = 100 100 400", "experiment.values"),
+            ("seed = -3", "experiment.seed: must be >= 0, got -3"),
         ],
     )
     def test_field_path_in_errors(self, mutation, path):
