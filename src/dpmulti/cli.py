@@ -25,9 +25,9 @@ from .harness import (
     config_from_sections,
     emit,
     load_config,
+    read_learn,
     run_experiment,
     sample_and_learn,
-    sample_size,
     sanitize_privacy,
 )
 from .mechanisms import (
@@ -125,9 +125,8 @@ def _emit(report: TrialReport, fmt: str, out: str | None) -> None:
 
 def _cmd_learn(args) -> int:
     # The CLI's delta default is 0.01; a [learn] section's is 0.0.
-    params = {"delta": "0.01", **_section(args, "learn")}
-    n = sample_size(params, "learn")
-    _, _, dist, targets, result = sample_and_learn(params, args.seed, n, 0, 0)
+    setting = read_learn({"delta": "0.01", **_section(args, "learn")})
+    targets, result = sample_and_learn(setting, args.seed, 0, 0)
 
     columns = ["label", "hypothesis", "parameter", "target", "error"]
     rows = []
@@ -136,10 +135,10 @@ def _cmd_learn(args) -> int:
         rows = [[j, "bottom", -1, c, 1.0] for j, c in enumerate(target_params)]
     else:
         table = result.hypotheses
-        errors = generalization_errors(dist, targets, table)
+        errors = generalization_errors(setting.dist, targets, table)
         for j, (p, c, err) in enumerate(zip(table.params.tolist(), target_params, errors)):
             rows.append([j, "zero" if p < 0 else table.kind, p, c, err])
-    meta = {"seed": args.seed, "n": n, "failed": result.failed,
+    meta = {"seed": args.seed, "n": setting.n, "failed": result.failed,
             "below_sample_bound": result.below_sample_bound}
     if result.ledger.charges:
         total = result.ledger.basic_total()

@@ -7,11 +7,11 @@ LEARNERS is the one per-algorithm table; configs, the CLI and attack
 experiments all build their learners from it.
 
 The harness owns experiment I/O. SECTION_KEYS declares the keys each section
-reads, and a section refuses any other. A config's values and the CLI's learn,
-sanitize and attack flags reach the same readers as strings: _need (cast,
-default, integer floor) and _checked (a range check such as check_fraction);
-_naming reports a value that a constructor refuses. Every refusal is named
-`<section>.<key>`. Reports hold full-precision values; to_csv and to_json
+reads, and a section refuses any other. Config values and the CLI's learn,
+sanitize and attack flags reach the same readers as strings (_need, _checked,
+_naming); every refusal is named `<section>.<key>`. A learn or sanitize section
+is read once per sweep point, every point before any trial runs, and trials
+take the values read. Reports hold full-precision values; to_csv and to_json
 alone write floats, at 9 significant digits.
 """
 
@@ -24,7 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -367,11 +367,6 @@ def sanitize_privacy(params: Mapping) -> tuple[float, float, float]:
     )
 
 
-def sample_size(params: Mapping, section: str) -> int:
-    """A section's `n`, the rows each trial samples."""
-    return _need(params, section, "n", int, low=1)
-
-
 @contextlib.contextmanager
 def _naming(section: str, key: str):
     """Report a value that a constructor or reader refuses as `<section>.<key>: <message>`."""
@@ -417,10 +412,10 @@ def _learn_universe(params: dict, parities: bool) -> tuple[Universe, ConceptClas
     return universe, ConceptClass(class_kind, universe)
 
 
-def _draw_targets(params: dict, cclass: ConceptClass, k: int, rng: np.random.Generator) -> Hypotheses:
+def _fixed_targets(params: Mapping, cclass: ConceptClass, k: int) -> Hypotheses | None:
     spec = params.get("targets", "random").strip()
     if spec == "random":
-        return Hypotheses(cclass.universe, cclass.kind, rng.integers(0, cclass.universe.size, size=k))
+        return None
     try:
         fixed = [int(p) for p in spec.split(",")]
     except ValueError:
@@ -450,12 +445,21 @@ def _learn_params(
     )
 
 
-def sample_and_learn(params: dict, seed: int, n: int, point_idx: int, trial: int):
-    """Sample one database for a learn section, from the stream keyed by (seed,
-    point_idx, trial), and run its learner on it: (entry, params, dist, targets, result).
+class LearnSetting(NamedTuple):
+    """A learn section's values; targets is None when each trial draws its own."""
 
-    The result's ledger must equal the entry's planned charges, one by one.
-    """
+    n: int
+    entry: Learner
+    params: LearnParams
+    learner: LearnerFn
+    k: int
+    dist: Distribution
+    targets: Hypotheses | None
+
+
+def read_learn(params: Mapping) -> LearnSetting:
+    """Read a learn section once; its checks run in the order their errors are reported."""
+    n = _need(params, "learn", "n", int, low=1)
     algorithm = params.get("algorithm", "")
     if algorithm not in LEARNERS:
         raise ConfigError(f"learn.algorithm: expected one of {tuple(LEARNERS)}, got {algorithm!r}")
@@ -464,47 +468,58 @@ def sample_and_learn(params: dict, seed: int, n: int, point_idx: int, trial: int
     universe, cclass = _learn_universe(params, entry.exact)
     p = _learn_params(params, "learn", entry, cclass.kind, 0.0, None)
     learner = entry.build(p)
-    rng = stream(seed, point_idx, trial)
     dist = parse_distribution(params.get("dist", "uniform"), universe)
-    targets = _draw_targets(params, cclass, k, rng)
-    db = sample_database(dist, targets, n, rng)
-    result = learner(db, rng)
-    planned = entry.charges(p, k)
+    return LearnSetting(n, entry, p, learner, k, dist, _fixed_targets(params, cclass, k))
+
+
+def sample_and_learn(s: LearnSetting, seed: int, point_idx: int, trial: int):
+    """(targets, result) of one trial on the stream keyed by (seed, point_idx, trial), which draws any random
+    targets before the sample; the result's ledger must equal the entry's planned charges, one by one."""
+    rng = stream(seed, point_idx, trial)
+    targets = s.targets
+    if targets is None:
+        targets = Hypotheses(s.dist.universe, s.params.kind, rng.integers(0, s.dist.universe.size, size=s.k))
+    db = sample_database(s.dist, targets, s.n, rng)
+    result = s.learner(db, rng)
+    planned = s.entry.charges(s.params, s.k)
     if result.ledger.charges != planned:
         raise RuntimeError(f"ledger charges {result.ledger.charges} != planned charges {planned}")
-    return entry, p, dist, targets, result
+    return targets, result
 
 
-def run_learn_trial(config: ExperimentConfig, n: int, point_idx: int, trial: int) -> tuple[bool, float, float, float]:
-    entry, p, dist, targets, result = sample_and_learn(config.params, config.seed, n, point_idx, trial)
+def run_learn_trial(seed: int, s: LearnSetting, point_idx: int, trial: int) -> tuple[bool, float, float, float]:
+    targets, result = sample_and_learn(s, seed, point_idx, trial)
     if result.ledger.charges:
         total = result.ledger.basic_total()
         eps_total, delta_total = total.epsilon, total.delta
     else:
         eps_total = delta_total = 0.0
-
     if result.failed:
         return False, 1.0, eps_total, delta_total
-    max_err = max(generalization_errors(dist, targets, result.hypotheses))
-    if entry.exact:
+    max_err = max(generalization_errors(s.dist, targets, result.hypotheses))
+    if s.entry.exact:
         success = np.array_equal(result.hypotheses.params, targets.params)
     else:
-        success = max_err <= p.alpha
+        success = max_err <= s.params.alpha
     return success, max_err, eps_total, delta_total
 
 
-def run_sanitize_trial(config: ExperimentConfig, n: int, point_idx: int, trial: int) -> tuple[bool, float, float, float]:
-    params = config.params
+def read_sanitize(params: Mapping) -> tuple[int, Distribution, float, float, float]:
+    """Read a sanitize section once: (n, dist, alpha, epsilon, delta), checked in the order errors are reported."""
+    n = _need(params, "sanitize", "n", int, low=1)
     size = _need(params, "sanitize", "universe", int)
-    alpha, eps, delta = sanitize_privacy(params)
+    privacy = sanitize_privacy(params)
     with _naming("sanitize", "universe"):
         universe = Universe.indexed(size)
-    rng = stream(config.seed, point_idx, trial)
-    dist = parse_distribution(params.get("dist", "uniform"), universe, "sanitize")
-    xs = dist.sample(n, rng)
-    db = MultiLabeledDatabase.unlabeled(universe, xs)
+    return n, parse_distribution(params.get("dist", "uniform"), universe, "sanitize"), *privacy
+
+
+def run_sanitize_trial(seed: int, setting: tuple, point_idx: int, trial: int) -> tuple[bool, float, float, float]:
+    n, dist, alpha, eps, delta = setting
+    rng = stream(seed, point_idx, trial)
+    db = MultiLabeledDatabase.unlabeled(dist.universe, dist.sample(n, rng))
     answers = sanitize_points(db, alpha, eps, delta, rng)
-    truth = np.bincount(db.xs, minlength=size) / db.n
+    truth = np.bincount(db.xs, minlength=dist.universe.size) / db.n
     max_err = float(np.abs(answers.as_vector() - truth).max())
     return max_err <= alpha, max_err, eps, delta
 
@@ -514,11 +529,10 @@ SWEEP_AXES = {"learn": ("n", "k", "d", "universe"), "sanitize": ("n", "universe"
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
-    """Execute all sweep points and trials serially.
-
-    `threads` is ignored. It stays only because bench/workloads.py passes it.
+    """Read every sweep point's section, then run each point's trials serially.
 
     Each sweep value replaces the section's key named by the sweep axis.
+    `threads` is ignored. It stays only because bench/workloads.py passes it.
     """
     axes = SWEEP_AXES[config.kind]
     if config.sweep_axis is not None and config.sweep_axis not in axes:
@@ -531,20 +545,17 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
             raise ConfigError(f"experiment.sweep: this learn class reads {read}, not {config.sweep_axis!r}")
     if config.kind == "attack":
         return _run_attack(config)
-    runner = run_learn_trial if config.kind == "learn" else run_sanitize_trial
+    reader, runner = (read_learn, run_learn_trial) if config.kind == "learn" else (read_sanitize, run_sanitize_trial)
     axis = config.sweep_axis or "n"
+    settings = [reader(config.params if p is None else {**config.params, axis: str(p)}) for p in config.points()]
     columns = [axis, "trials", "success_rate", "mean_max_error", "epsilon_total", "delta_total"]
     rows = []
-    for point_idx, point in enumerate(config.points()):
-        point_config = config if point is None else replace(config, params={**config.params, axis: str(point)})
-        n = sample_size(point_config.params, config.kind)
-        outcomes = [runner(point_config, n, point_idx, t) for t in range(config.trials)]
+    for point_idx, (point, setting) in enumerate(zip(config.points(), settings)):
+        outcomes = [runner(config.seed, setting, point_idx, t) for t in range(config.trials)]
         success = sum(1 for ok, *_ in outcomes if ok)
         mean_err = math.fsum(err for _, err, *_ in outcomes) / config.trials
-        rows.append(
-            [n if point is None else point, config.trials, success / config.trials, mean_err,
-             outcomes[0][2], outcomes[0][3]]
-        )
+        key = setting[0] if point is None else point  # n, first in every setting, when nothing is swept
+        rows.append([key, config.trials, success / config.trials, mean_err, outcomes[0][2], outcomes[0][3]])
     return TrialReport(config.kind, columns, rows, meta={"seed": config.seed})
 
 

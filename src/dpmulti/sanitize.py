@@ -27,11 +27,6 @@ import numpy as np
 from .domain import ConceptClass, EmptyDatabaseError, MultiLabeledDatabase, Universe, _checked_elements, xor_eval_matrix
 from .mechanisms import check_epsilon, check_fraction, exponential_mechanism, exponential_mechanism_pmf, noisy_threshold
 
-# Rows of a synthetic database holding residual mass; outside the universe,
-# so every counting query evaluates to 0 on them.
-SINK = -1
-
-
 # Most candidate histograms the exhaustive sanitizer enumerates and scores.
 ENUMERATION_BUDGET = 1 << 20
 

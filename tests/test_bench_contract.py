@@ -9,7 +9,9 @@ that drew noise without going through `laplace_sample` would zero them.
 
 Each workload's warm-up report digest is pinned at seed 1 (the traced unit)
 and at the held-out seed 2 (one untraced unit), so a speed-up that changed a
-report fails here before the benchmark compares digests."""
+report fails here before the benchmark compares digests. The traced unit's
+hypotheses digest is pinned too: the tracer keys it by the (point, trial)
+arguments of `run_learn_trial`, so moving them fails here."""
 
 from pathlib import Path
 
@@ -37,6 +39,14 @@ WARMUP_SHA256 = {
     ),
 }
 
+# Traced hypotheses_sha256 of the seed-1 warm-up unit per workload.
+HYPOTHESES_SHA256 = {
+    "parity-sweep": "29120b46fe5ee9465dfa4c0fef42188398769246a970fd3b5e551cb1b1bde7b4",
+    "point-learn": "b6ba2dffae6cd138b1bc003d2ac05bc7a6f5e62b16e600477ef262693739e689",
+    "attack-erm": "932deb0d383d9b805e9b7c9fd3c0e643275936ec4526a7b4ff5a44f98c8e8b0b",
+    "generic-exhaustive": "2b01efb7908e7f3ff12dccef107017bb366034acaad9f18b39aa7873c897e631",
+}
+
 
 @pytest.mark.parametrize("name", list(WARMUP_SHA256))
 def test_traced_warmup_unit_runs_clean(monkeypatch, name):
@@ -46,6 +56,7 @@ def test_traced_warmup_unit_runs_clean(monkeypatch, name):
 
     workload = workloads.WORKLOADS[name]
     trace = tracer.Tracer()
+    trace.collect_hypotheses = True
     trace.install()
     try:
         result = workload.run_unit(workloads.unit_seed(1, 0))
@@ -56,6 +67,7 @@ def test_traced_warmup_unit_runs_clean(monkeypatch, name):
     assert result.failed == 0
     assert metrics["harness.trials"] == workload.unit_trials
     assert result.report_sha256 == WARMUP_SHA256[name][0]
+    assert trace.hypotheses_sha256() == HYPOTHESES_SHA256[name]
     if name == "point-learn":
         # Per trial: four sanitizer draws (one per element) and one selection draw.
         assert metrics["mechanisms.laplace_sample.draws"] == 5.0

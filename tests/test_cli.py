@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpmulti import fingerprint
+from dpmulti import fingerprint, harness
 from dpmulti.cli import main
 from dpmulti.domain import THRESH, ConceptClass, Distribution, MultiLabeledDatabase, Universe, save_database
-from dpmulti.harness import LEARNERS, format_float, sample_and_learn
+from dpmulti.harness import LEARNERS, format_float, read_learn, sample_and_learn
 from dpmulti.mechanisms import compose_basic
 from dpmulti.rng import stream
 
@@ -123,11 +123,12 @@ def test_learn_command_matches_harness_learn_path(capsys, algorithm):
     assert code == 0
     payload = json.loads(out)
 
-    entry, p, _, _, result = sample_and_learn(params, seed, int(params["n"]), 0, 0)
+    setting = read_learn(params)
+    _, result = sample_and_learn(setting, seed, 0, 0)
     assert not result.failed
     released = [[h.kind, -1 if h.param is None else h.param] for h in result.hypotheses]
     assert [row[1:3] for row in payload["rows"]] == released
-    planned = entry.charges(p, 2)
+    planned = setting.entry.charges(setting.params, 2)
     if planned:
         total = compose_basic(planned)
         assert payload["meta"]["epsilon_total"] == float(format_float(total.epsilon))
@@ -704,6 +705,29 @@ class TestExitCodes:
         assert main(["experiment", "run", "--config", str(cfg), *flags]) == 1
         assert capsys.readouterr().err == "error: attack.format: expected csv|json, got 'xml'\n"
         assert ran == []
+
+    @pytest.mark.parametrize("kind,sweep,section,key", [
+        ("sanitize", "sweep = universe\nvalues = 8 2000000", "n = 100\nalpha = 0.2\nepsilon = 1\ndelta = 0.01",
+         "sanitize.universe"),
+        ("learn", "sweep = k\nvalues = 2 3", "algorithm = erm\nn = 100\nuniverse = 8\ntargets = 1,2", "learn.targets"),
+    ], ids=["sanitize-universe", "learn-targets"])
+    def test_bad_second_sweep_point_is_refused_before_any_trial(self, capsys, tmp_path, monkeypatch, kind, sweep,
+                                                                 section, key):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\nkind = {kind}\ntrials = 3\nseed = 1\n{sweep}\n\n[{kind}]\n{section}\n")
+        ran = []
+        trial = getattr(harness, f"run_{kind}_trial")
+        monkeypatch.setattr(harness, f"run_{kind}_trial", lambda *args: ran.append(args) or trial(*args))
+        assert main(["experiment", "run", "--config", str(cfg)]) == 1
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert len(ran) == 0
+
+    def test_learn_command_reads_its_distribution_once(self, capsys, monkeypatch):
+        reads = []
+        parse = harness.parse_distribution
+        monkeypatch.setattr(harness, "parse_distribution", lambda *args: reads.append(args) or parse(*args))
+        assert main(["learn", "erm", "--k", "2", "--n", "100", "--universe", "8", "--seed", "1"]) == 0
+        assert len(reads) == 1
 
     @pytest.mark.parametrize("variant", ["pac", "padded"])
     def test_parities_attack_needs_the_parity_variant(self, capsys, variant):

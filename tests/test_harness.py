@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dpmulti import harness
 from dpmulti.domain import PARITY, POINT, ConceptClass, Universe
 from dpmulti.harness import (
     LEARNERS,
@@ -20,6 +21,7 @@ from dpmulti.harness import (
     parse_config,
     parse_distribution,
     plan_sample_size,
+    read_learn,
     run_experiment,
     sample_and_learn,
     to_csv,
@@ -288,6 +290,17 @@ def _sweep_config(kind, body, axis=None, values=()):
     return parse_config(f"[experiment]\nkind = {kind}\ntrials = 3\nseed = 5\n{sweep}\n[{kind}]\n{body}\n")
 
 
+@pytest.mark.parametrize("case", ["learn-n", "sanitize-n"])
+def test_each_sweep_point_reads_its_distribution_once(monkeypatch, case):
+    reads = []
+    parse = harness.parse_distribution
+    monkeypatch.setattr(harness, "parse_distribution", lambda *args: reads.append(args) or parse(*args))
+    kind, body, axis, values = SWEEP_SECTIONS[case]
+    report = run_experiment(_sweep_config(kind, body, axis, values))
+    assert [row[1] for row in report.rows] == [3, 3]
+    assert len(reads) == 2
+
+
 class TestSweepAxis:
     @pytest.mark.parametrize("case", sorted(SWEEP_SECTIONS))
     def test_first_point_equals_unswept_config(self, case):
@@ -343,9 +356,10 @@ LEDGER_SECTIONS = {
 def test_ledger_equals_planned_charges_on_every_outcome(algorithm, aborts):
     section, abort_n, release_n = LEDGER_SECTIONS[algorithm]
     params = {**section, "algorithm": algorithm}
-    _, p, _, targets, result = sample_and_learn(params, 1, abort_n if aborts else release_n, 0, 0)
+    setting = read_learn({**params, "n": str(abort_n if aborts else release_n)})
+    targets, result = sample_and_learn(setting, 1, 0, 0)
     assert result.failed == aborts
-    assert result.ledger.charges == LEARNERS[algorithm].charges(p, len(targets))
+    assert result.ledger.charges == LEARNERS[algorithm].charges(setting.params, len(targets))
 
 
 def test_direct_sum_sweep_charges_k_base_ledgers_at_every_n():

@@ -27,7 +27,7 @@ from dpmulti.domain import (
     generalization_error,
     sample_database,
 )
-from dpmulti.harness import plan_sample_size, sample_and_learn
+from dpmulti.harness import plan_sample_size, read_learn, sample_and_learn
 from dpmulti.learners import (
     LearnResult,
     direct_sum_learner,
@@ -127,8 +127,8 @@ class TestLearnResult:
             "direct-sum": {"universe": "8", "dist": "weights:1,1,1,1,0,0,0,0"},
             "erm": {"universe": "8"},
         }[algorithm]
-        params = {"algorithm": algorithm, "k": "3", "delta": "0.01", **settings}
-        *_, targets, res = sample_and_learn(params, 5, 1200, 0, 0)
+        params = {"algorithm": algorithm, "k": "3", "delta": "0.01", "n": "1200", **settings}
+        targets, res = sample_and_learn(read_learn(params), 5, 0, 0)
         assert isinstance(targets, Hypotheses) and len(targets) == 3
         assert isinstance(res.hypotheses, Hypotheses) and len(res.hypotheses) == 3
 

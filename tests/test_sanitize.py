@@ -19,7 +19,6 @@ from dpmulti.domain import (
 from dpmulti.mechanisms import dp_bound_holds, exponential_mechanism_pmf, laplace_sample, noisy_threshold_pmf
 from dpmulti.rng import stream
 from dpmulti.sanitize import (
-    SINK,
     EnumerationBudgetError,
     SanitizedAnswers,
     SyntheticDatabase,
@@ -262,7 +261,6 @@ class TestAnswersToSynthetic:
                 assert synth.size <= math.ceil(1 / alpha) + len(ans.answers)
 
     def test_sink_is_outside_universe(self):
-        assert SINK == -1
         u = Universe.indexed(4)
         synth = answers_to_synthetic(SanitizedAnswers(u, [], []), 0.5)
         assert synth.elements.size == 0 and synth.sink_rows >= 1
