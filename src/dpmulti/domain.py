@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -392,16 +393,17 @@ def _check_pmf_entries(pmf: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Exact pmf over a finite universe."""
+    """Exact pmf over a finite universe; pmf is a read-only copy of the input."""
 
     universe: Universe
     pmf: np.ndarray
 
     def __post_init__(self):
-        pmf = np.asarray(self.pmf, dtype=np.float64)
+        pmf = np.array(self.pmf, dtype=np.float64)
         if pmf.shape != (self.universe.size,):
             raise ValueError(f"pmf shape {pmf.shape} does not match universe size {self.universe.size}")
         _check_pmf_entries(pmf)
+        pmf.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
 
     @staticmethod
@@ -425,8 +427,40 @@ class Distribution:
             raise ValueError("weights must have positive total")
         return Distribution(universe, w / total)
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(cdf, lo, whether any bucket is mixed): the table that `sample` describes."""
+        cdf = self.pmf.cumsum()
+        cdf /= cdf[-1]
+        buckets = 1 << (self.universe.size - 1).bit_length()
+        lo = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
+        scaled = cdf * buckets
+        lo[scaled[scaled != np.floor(scaled)].astype(np.intp)] = -1
+        return cdf, lo, bool((lo < 0).any())
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(self.universe.size, size=n, p=self.pmf).astype(np.int64)
+        """n i.i.d. draws as an int64 array: the same draws, and the same RNG use, as
+        `rng.choice(|X|, size=n, p=pmf)`.
+
+        `choice` takes u = rng.random(n) and returns cdf.searchsorted(u, side="right")
+        with cdf = pmf.cumsum() / its last entry. The table, built on the first call
+        and cached on the instance, splits [0, 1) into G = 2^ceil(log2 |X|) equal
+        buckets and stores lo[b] = #{j : cdf[j] <= b/G} for each bucket b, or -1 when
+        some cdf value lies strictly inside (b/G, (b+1)/G) (a mixed bucket). G is a
+        power of two, so u*G and every bucket edge are exact, and for u in a bucket
+        with no cdf value inside, #{j : cdf[j] <= u} = lo[b]. A draw therefore reads
+        lo[floor(u*G)], and only draws that land in mixed buckets fall back to
+        choice's own search.
+        """
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        cdf, lo, any_mixed = self._table
+        u = rng.random(n)
+        idx = lo[(u * lo.size).astype(np.intp)]
+        if any_mixed:
+            mixed = np.flatnonzero(idx < 0)
+            idx[mixed] = cdf.searchsorted(u[mixed], side="right")
+        return idx
 
 
 def generalization_error(dist: Distribution, c: Concept, h: Concept) -> float:
@@ -468,17 +502,21 @@ def generalization_errors(dist: Distribution, targets: Hypotheses, hyps: Hypothe
 
 @dataclass(frozen=True)
 class LabeledDistribution:
-    """Joint pmf over (element, k-bit label vector); labels packed little-endian."""
+    """Joint pmf over (element, k-bit label vector); labels packed little-endian.
+
+    pmf is a read-only copy of the input.
+    """
 
     universe: Universe
     k: int
     pmf: np.ndarray  # shape (|X|, 2^k)
 
     def __post_init__(self):
-        pmf = np.asarray(self.pmf, dtype=np.float64)
+        pmf = np.array(self.pmf, dtype=np.float64)
         if pmf.shape != (self.universe.size, 1 << self.k):
             raise ValueError(f"pmf shape {pmf.shape} does not match (|X|, 2^k)")
         _check_pmf_entries(pmf)
+        pmf.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
 
     @staticmethod

@@ -458,6 +458,65 @@ class TestSampling:
         assert (db.labels[:, 0] == evaluate_many(c, db.xs)).all()
 
 
+def _weights(size, weights):
+    return Distribution.from_weights(Universe.indexed(size), weights)
+
+
+_RS = np.random.default_rng(2015)
+_SPARSE = np.zeros(100)
+_SPARSE[[3, 4, 17, 50, 51, 52, 90]] = [0.5, 2.0, 1.0, 3.0, 0.25, 1.5, 0.75]
+SAMPLE_DISTS = {
+    **{f"uniform-{size}": Distribution.uniform(Universe.indexed(size)) for size in (3, 100, 1000, 1024, 65536)},
+    "random-37": _weights(37, _RS.random(37)),
+    "random-1024": _weights(1024, _RS.random(1024)),
+    "sparse-100": _weights(100, _SPARSE),
+    "point-mass-first": Distribution.point_mass(Universe.indexed(100), 0),
+    "point-mass-last": Distribution.point_mass(Universe.indexed(100), 99),
+    "point-mass-last-1024": Distribution.point_mass(Universe.indexed(1024), 1023),
+}
+
+
+class TestDistributionSample:
+    @pytest.mark.parametrize("name", list(SAMPLE_DISTS))
+    def test_draws_match_rng_choice(self, name):
+        # Draw for draw, and the generator left in the same state.
+        dist = SAMPLE_DISTS[name]
+        for seed, n in enumerate((0, 1, 7, 480, 2726)):
+            ours, theirs = stream(11, seed), stream(11, seed)
+            xs = dist.sample(n, ours)
+            expected = theirs.choice(dist.universe.size, size=n, p=dist.pmf).astype(np.int64)
+            assert xs.dtype == np.int64 and np.array_equal(xs, expected), (name, n)
+            assert ours.random() == theirs.random(), (name, n)
+
+    def test_zero_draws_consume_no_randomness(self):
+        rng = stream(11, 99)
+        xs = _weights(5, [1, 2, 3, 4, 5]).sample(0, rng)
+        assert xs.dtype == np.int64 and xs.shape == (0,)
+        assert rng.random() == stream(11, 99).random()
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match=r"n must be >= 0, got -1"):
+            Distribution.uniform(U5).sample(-1, stream(11, 98))
+
+
+class TestFrozenPmf:
+    def test_distribution_pmf_is_a_read_only_copy(self):
+        weights = np.array([0.25, 0.25, 0.5, 0.0])
+        dist = Distribution(U4, weights)
+        with pytest.raises(ValueError):
+            dist.pmf[0] = 1.0
+        weights[:] = [1.0, 0.0, 0.0, 0.0]
+        assert dist.pmf.tolist() == [0.25, 0.25, 0.5, 0.0]
+
+    def test_labeled_distribution_pmf_is_a_read_only_copy(self):
+        joint = np.array([[0.25, 0.0], [0.0, 0.25], [0.5, 0.0], [0.0, 0.0]])
+        ld = LabeledDistribution(U4, 1, joint)
+        with pytest.raises(ValueError):
+            ld.pmf[0, 0] = 1.0
+        joint[0, 0] = 0.0
+        assert ld.pmf[0, 0] == 0.25
+
+
 class TestLabeledDistribution:
     def test_realizable_matches_concept_labels(self):
         d = Distribution.uniform(U4)

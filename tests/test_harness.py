@@ -103,6 +103,47 @@ epsilon = 1
 """
 POINT_GOLDEN_SHA256 = "614d3563729fb2fe274e32376f2b46d6cacebf1ab24a93e245137224462197f4"
 
+# Universes that are not a power of two, with weights whose cdf values fall
+# inside the sampling table's buckets, so Distribution.sample takes its
+# mixed-bucket search. The digests are those of reports drawn with rng.choice.
+NONDYADIC_WEIGHTS = "weights:0,5,3,1,0,2,7,1,1,4,3,0"
+SANITIZE_NONDYADIC_GOLDEN_CFG = f"""
+[experiment]
+kind = sanitize
+trials = 6
+seed = 1861917694
+sweep = n
+values = 300 1200
+
+[sanitize]
+universe = 12
+alpha = 0.2
+epsilon = 1
+delta = 0.01
+dist = {NONDYADIC_WEIGHTS}
+"""
+SANITIZE_NONDYADIC_GOLDEN_SHA256 = "46ef91ccf84b22301d9ab3e1d4b8d2a5b1583306734f535486b571a82c169931"
+
+POINT_NONDYADIC_GOLDEN_CFG = f"""
+[experiment]
+kind = learn
+trials = 6
+seed = 1861917694
+sweep = n
+values = 60 2000
+
+[learn]
+algorithm = points
+universe = 12
+dist = {NONDYADIC_WEIGHTS}
+k = 8
+alpha = 0.2
+beta = 0.1
+delta = 0.01
+epsilon = 1
+"""
+POINT_NONDYADIC_GOLDEN_SHA256 = "4a1f3c2f7c974d893026322de5fadd4c9ef71ec207f7b92ad4333db0be9bd9be"
+
 SANITIZE_CFG = """
 [experiment]
 kind = sanitize
@@ -210,6 +251,16 @@ class TestRunExperiment:
         report = run_experiment(parse_config(POINT_GOLDEN_CFG))
         assert [row[2] for row in report.rows] == [0.0, 0.0, 1.0]
         assert hashlib.sha256(to_json(report).encode()).hexdigest() == POINT_GOLDEN_SHA256
+
+    @pytest.mark.parametrize(
+        "cfg,sha256",
+        [(SANITIZE_NONDYADIC_GOLDEN_CFG, SANITIZE_NONDYADIC_GOLDEN_SHA256),
+         (POINT_NONDYADIC_GOLDEN_CFG, POINT_NONDYADIC_GOLDEN_SHA256)],
+        ids=["sanitize", "points"],
+    )
+    def test_nondyadic_weights_report_golden(self, cfg, sha256):
+        report = run_experiment(parse_config(cfg))
+        assert hashlib.sha256(to_json(report).encode()).hexdigest() == sha256
 
     def test_thread_count_invariance(self):
         cfg = parse_config(ATTACK_CFG)
