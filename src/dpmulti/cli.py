@@ -127,25 +127,20 @@ def _cmd_learn(args) -> int:
     # The CLI's delta default is 0.01; a [learn] section's is 0.0.
     setting = read_learn({"delta": "0.01", **_section(args, "learn")})
     targets, result = sample_and_learn(setting, args.seed, 0, 0)
-
     columns = ["label", "hypothesis", "parameter", "target", "error"]
-    rows = []
     target_params = targets.params.tolist()
     if result.failed:
         rows = [[j, "bottom", -1, c, 1.0] for j, c in enumerate(target_params)]
     else:
         table = result.hypotheses
         errors = generalization_errors(setting.dist, targets, table)
-        for j, (p, c, err) in enumerate(zip(table.params.tolist(), target_params, errors)):
-            rows.append([j, "zero" if p < 0 else table.kind, p, c, err])
+        rows = [[j, "zero" if p < 0 else table.kind, p, c, err]
+                for j, (p, c, err) in enumerate(zip(table.params.tolist(), target_params, errors))]
     meta = {"seed": args.seed, "n": setting.n, "failed": result.failed,
             "below_sample_bound": result.below_sample_bound}
-    if result.ledger.charges:
-        total = result.ledger.basic_total()
-        meta["epsilon_total"] = total.epsilon
-        meta["delta_total"] = total.delta
-    report = TrialReport("learn", columns, rows, meta=meta)
-    _emit(report, args.format, args.out)
+    if setting.plan:  # erm's empty plan reports no privacy total
+        meta["epsilon_total"], meta["delta_total"] = setting.total
+    _emit(TrialReport("learn", columns, rows, meta=meta), args.format, args.out)
     return 0
 
 

@@ -156,9 +156,6 @@ class Concept:
             raise ValueError(f"{self.kind} concept requires a parameter")
         self.universe.check_element(self.param)
 
-    def __call__(self, x: int) -> int:
-        return evaluate(self, x)
-
 
 def point(universe: Universe, p: int) -> Concept:
     return Concept(POINT, universe, p)
@@ -381,30 +378,74 @@ def empirical_error(db: MultiLabeledDatabase, j: int, h: Concept) -> Fraction:
     return Fraction(mismatches, db.n)
 
 
-def _check_pmf_entries(pmf: np.ndarray) -> None:
-    """Reject entries that are not finite (NaN passes the next two tests), negative, or do not sum to 1."""
+def _frozen_pmf(pmf, shape: tuple[int, ...], expected: str) -> np.ndarray:
+    """A read-only float64 copy of pmf. It must have the given shape (named by expected), and its entries
+    must be finite (NaN passes the next two tests), non-negative, and sum to 1."""
+    pmf = np.array(pmf, dtype=np.float64)
+    if pmf.shape != shape:
+        raise ValueError(f"pmf shape {pmf.shape} does not match {expected}")
     if not np.isfinite(pmf).all():
         raise ValueError("pmf entries must be finite")
     if pmf.min() < 0:
         raise ValueError("pmf entries must be non-negative")
     if abs(math.fsum(pmf.ravel().tolist()) - 1.0) > PMF_TOL:
         raise ValueError("pmf must sum to 1 within 1e-12")
+    pmf.flags.writeable = False
+    return pmf
 
 
-@dataclass(frozen=True)
+def _guide_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(cdf, lo, whether any bucket is mixed): the table that _table_sample describes, for probabilities p.
+
+    cdf[j] * G is exact, so cdf[j] <= b/G exactly when ceil(cdf[j] * G) <= b, and
+    one bincount of those ceilings counts lo[b] for every bucket b at once.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    buckets = 1 << (p.size - 1).bit_length()
+    scaled = cdf * buckets
+    ceil = np.ceil(scaled).astype(np.intp)
+    lo = np.bincount(ceil, minlength=buckets + 1)[:buckets].cumsum()
+    mixed = ceil[ceil != scaled] - 1  # the bucket whose inside holds each non-integer scaled cdf value
+    lo[mixed] = -1
+    return cdf, lo, mixed.size > 0
+
+
+def _table_sample(table: tuple[np.ndarray, np.ndarray, bool], n: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. indices as an int64 array: the same draws, and the same RNG use, as
+    `rng.choice(len(p), size=n, p=p)` for the p that _guide_table built the table from.
+
+    `choice` takes u = rng.random(n) and returns cdf.searchsorted(u, side="right")
+    with cdf = p.cumsum() / its last entry. The table splits [0, 1) into
+    G = 2^ceil(log2 len(p)) equal buckets and stores lo[b] = #{j : cdf[j] <= b/G}
+    for each bucket b, or -1 when some cdf value lies strictly inside
+    (b/G, (b+1)/G) (a mixed bucket). G is a power of two, so u*G and every bucket
+    edge are exact, and for u in a bucket with no cdf value inside,
+    #{j : cdf[j] <= u} = lo[b]. A draw therefore reads lo[floor(u*G)], and only
+    draws that land in mixed buckets fall back to choice's own search
+    (Chen and Asau 1974; Devroye 1986, III.2.4).
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    cdf, lo, any_mixed = table
+    u = rng.random(n)
+    idx = lo[(u * lo.size).astype(np.intp)]
+    if any_mixed:
+        mixed = np.flatnonzero(idx < 0)
+        idx[mixed] = cdf.searchsorted(u[mixed], side="right")
+    return idx
+
+
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    """Exact pmf over a finite universe; pmf is a read-only copy of the input."""
+    """Exact pmf over a finite universe; pmf is a read-only copy of the input. It compares by identity."""
 
     universe: Universe
     pmf: np.ndarray
 
     def __post_init__(self):
-        pmf = np.array(self.pmf, dtype=np.float64)
-        if pmf.shape != (self.universe.size,):
-            raise ValueError(f"pmf shape {pmf.shape} does not match universe size {self.universe.size}")
-        _check_pmf_entries(pmf)
-        pmf.flags.writeable = False
-        object.__setattr__(self, "pmf", pmf)
+        size = self.universe.size
+        object.__setattr__(self, "pmf", _frozen_pmf(self.pmf, (size,), f"universe size {size}"))
 
     @staticmethod
     def uniform(universe: Universe) -> "Distribution":
@@ -429,38 +470,13 @@ class Distribution:
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(cdf, lo, whether any bucket is mixed): the table that `sample` describes."""
-        cdf = self.pmf.cumsum()
-        cdf /= cdf[-1]
-        buckets = 1 << (self.universe.size - 1).bit_length()
-        lo = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
-        scaled = cdf * buckets
-        lo[scaled[scaled != np.floor(scaled)].astype(np.intp)] = -1
-        return cdf, lo, bool((lo < 0).any())
+        return _guide_table(self.pmf)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n i.i.d. draws as an int64 array: the same draws, and the same RNG use, as
-        `rng.choice(|X|, size=n, p=pmf)`.
-
-        `choice` takes u = rng.random(n) and returns cdf.searchsorted(u, side="right")
-        with cdf = pmf.cumsum() / its last entry. The table, built on the first call
-        and cached on the instance, splits [0, 1) into G = 2^ceil(log2 |X|) equal
-        buckets and stores lo[b] = #{j : cdf[j] <= b/G} for each bucket b, or -1 when
-        some cdf value lies strictly inside (b/G, (b+1)/G) (a mixed bucket). G is a
-        power of two, so u*G and every bucket edge are exact, and for u in a bucket
-        with no cdf value inside, #{j : cdf[j] <= u} = lo[b]. A draw therefore reads
-        lo[floor(u*G)], and only draws that land in mixed buckets fall back to
-        choice's own search.
-        """
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        cdf, lo, any_mixed = self._table
-        u = rng.random(n)
-        idx = lo[(u * lo.size).astype(np.intp)]
-        if any_mixed:
-            mixed = np.flatnonzero(idx < 0)
-            idx[mixed] = cdf.searchsorted(u[mixed], side="right")
-        return idx
+        `rng.choice(|X|, size=n, p=pmf)`, through a guide table built on the first
+        call and cached on the instance (see _table_sample)."""
+        return _table_sample(self._table, n, rng)
 
 
 def generalization_error(dist: Distribution, c: Concept, h: Concept) -> float:
@@ -500,11 +516,11 @@ def generalization_errors(dist: Distribution, targets: Hypotheses, hyps: Hypothe
     return errors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDistribution:
     """Joint pmf over (element, k-bit label vector); labels packed little-endian.
 
-    pmf is a read-only copy of the input.
+    pmf is a read-only copy of the input. It compares by identity.
     """
 
     universe: Universe
@@ -512,12 +528,7 @@ class LabeledDistribution:
     pmf: np.ndarray  # shape (|X|, 2^k)
 
     def __post_init__(self):
-        pmf = np.array(self.pmf, dtype=np.float64)
-        if pmf.shape != (self.universe.size, 1 << self.k):
-            raise ValueError(f"pmf shape {pmf.shape} does not match (|X|, 2^k)")
-        _check_pmf_entries(pmf)
-        pmf.flags.writeable = False
-        object.__setattr__(self, "pmf", pmf)
+        object.__setattr__(self, "pmf", _frozen_pmf(self.pmf, (self.universe.size, 1 << self.k), "(|X|, 2^k)"))
 
     @staticmethod
     def realizable(dist: Distribution, targets: Hypotheses) -> "LabeledDistribution":
@@ -539,8 +550,14 @@ class LabeledDistribution:
         cond = np.prod(np.where(bits[None, :, :] == 1, probs[:, None, :], 1.0 - probs[:, None, :]), axis=2)
         return LabeledDistribution(dist.universe, k, dist.pmf[:, None] * cond)
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        return _guide_table(self.pmf.ravel() / self.pmf.sum())
+
     def sample(self, n: int, rng: np.random.Generator) -> MultiLabeledDatabase:
-        flat = rng.choice(self.pmf.size, size=n, p=self.pmf.ravel() / self.pmf.sum())
+        """n i.i.d. rows: the same draws, and the same RNG use, as
+        `rng.choice(pmf.size, size=n, p=pmf.ravel() / pmf.sum())` (see _table_sample)."""
+        flat = _table_sample(self._table, n, rng)
         xs = (flat // self.pmf.shape[1]).astype(np.int64)
         labels = _unpack_words((flat % self.pmf.shape[1])[:, None], self.k)
         return MultiLabeledDatabase(self.universe, xs, labels)

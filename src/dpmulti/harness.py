@@ -23,7 +23,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -56,7 +56,7 @@ from .learners import (
     point_learner,
     point_rows_bound,
 )
-from .mechanisms import PrivacyParams, check_delta, check_epsilon, check_fraction
+from .mechanisms import PrivacyParams, check_delta, check_epsilon, check_fraction, compose_basic
 from .rng import stream
 from .sanitize import sanitize_points
 
@@ -446,7 +446,7 @@ def _learn_params(
 
 
 class LearnSetting(NamedTuple):
-    """A learn section's values; targets is None when each trial draws its own."""
+    """A learn section's values (targets is None when each trial draws its own); total composes the plan."""
 
     n: int
     entry: Learner
@@ -455,10 +455,13 @@ class LearnSetting(NamedTuple):
     k: int
     dist: Distribution
     targets: Hypotheses | None
+    plan: list[PrivacyParams]
+    total: tuple[float, float]
 
 
 def read_learn(params: Mapping) -> LearnSetting:
-    """Read a learn section once; its checks run in the order their errors are reported."""
+    """Read a learn section once, in the order its errors are reported. An empty plan totals (0, 0), and a plan
+    that cannot compose, as direct-sum's with k * delta >= 1, is named learn.k."""
     n = _need(params, "learn", "n", int, low=1)
     algorithm = params.get("algorithm", "")
     if algorithm not in LEARNERS:
@@ -468,60 +471,63 @@ def read_learn(params: Mapping) -> LearnSetting:
     universe, cclass = _learn_universe(params, entry.exact)
     p = _learn_params(params, "learn", entry, cclass.kind, 0.0, None)
     learner = entry.build(p)
+    plan = entry.charges(p, k)
+    with _naming("learn", "k"):
+        total = astuple(compose_basic(plan)) if plan else (0.0, 0.0)
     dist = parse_distribution(params.get("dist", "uniform"), universe)
-    return LearnSetting(n, entry, p, learner, k, dist, _fixed_targets(params, cclass, k))
+    return LearnSetting(n, entry, p, learner, k, dist, _fixed_targets(params, cclass, k), plan, total)
 
 
 def sample_and_learn(s: LearnSetting, seed: int, point_idx: int, trial: int):
     """(targets, result) of one trial on the stream keyed by (seed, point_idx, trial), which draws any random
-    targets before the sample; the result's ledger must equal the entry's planned charges, one by one."""
+    targets before the sample; the result's ledger must equal the setting's plan, one charge at a time."""
     rng = stream(seed, point_idx, trial)
     targets = s.targets
     if targets is None:
         targets = Hypotheses(s.dist.universe, s.params.kind, rng.integers(0, s.dist.universe.size, size=s.k))
     db = sample_database(s.dist, targets, s.n, rng)
     result = s.learner(db, rng)
-    planned = s.entry.charges(s.params, s.k)
-    if result.ledger.charges != planned:
-        raise RuntimeError(f"ledger charges {result.ledger.charges} != planned charges {planned}")
+    if result.ledger.charges != s.plan:
+        raise RuntimeError(f"ledger charges {result.ledger.charges} != planned charges {s.plan}")
     return targets, result
 
 
-def run_learn_trial(seed: int, s: LearnSetting, point_idx: int, trial: int) -> tuple[bool, float, float, float]:
+def run_learn_trial(seed: int, s: LearnSetting, point_idx: int, trial: int) -> tuple[bool, float]:
     targets, result = sample_and_learn(s, seed, point_idx, trial)
-    if result.ledger.charges:
-        total = result.ledger.basic_total()
-        eps_total, delta_total = total.epsilon, total.delta
-    else:
-        eps_total = delta_total = 0.0
     if result.failed:
-        return False, 1.0, eps_total, delta_total
+        return False, 1.0
     max_err = max(generalization_errors(s.dist, targets, result.hypotheses))
-    if s.entry.exact:
-        success = np.array_equal(result.hypotheses.params, targets.params)
-    else:
-        success = max_err <= s.params.alpha
-    return success, max_err, eps_total, delta_total
+    success = np.array_equal(result.hypotheses.params, targets.params) if s.entry.exact else max_err <= s.params.alpha
+    return success, max_err
 
 
-def read_sanitize(params: Mapping) -> tuple[int, Distribution, float, float, float]:
-    """Read a sanitize section once: (n, dist, alpha, epsilon, delta), checked in the order errors are reported."""
+class SanitizeSetting(NamedTuple):
+    """A sanitize section's values; total is the (epsilon, delta) of its one release."""
+
+    n: int
+    dist: Distribution
+    alpha: float
+    total: tuple[float, float]
+
+
+def read_sanitize(params: Mapping) -> SanitizeSetting:
+    """Read a sanitize section once, checked in the order its errors are reported."""
     n = _need(params, "sanitize", "n", int, low=1)
     size = _need(params, "sanitize", "universe", int)
-    privacy = sanitize_privacy(params)
+    alpha, epsilon, delta = sanitize_privacy(params)
     with _naming("sanitize", "universe"):
         universe = Universe.indexed(size)
-    return n, parse_distribution(params.get("dist", "uniform"), universe, "sanitize"), *privacy
+    dist = parse_distribution(params.get("dist", "uniform"), universe, "sanitize")
+    return SanitizeSetting(n, dist, alpha, (epsilon, delta))
 
 
-def run_sanitize_trial(seed: int, setting: tuple, point_idx: int, trial: int) -> tuple[bool, float, float, float]:
-    n, dist, alpha, eps, delta = setting
+def run_sanitize_trial(seed: int, s: SanitizeSetting, point_idx: int, trial: int) -> tuple[bool, float]:
     rng = stream(seed, point_idx, trial)
-    db = MultiLabeledDatabase.unlabeled(dist.universe, dist.sample(n, rng))
-    answers = sanitize_points(db, alpha, eps, delta, rng)
-    truth = np.bincount(db.xs, minlength=dist.universe.size) / db.n
+    db = MultiLabeledDatabase.unlabeled(s.dist.universe, s.dist.sample(s.n, rng))
+    answers = sanitize_points(db, s.alpha, *s.total, rng)
+    truth = np.bincount(db.xs, minlength=s.dist.universe.size) / db.n
     max_err = float(np.abs(answers.as_vector() - truth).max())
-    return max_err <= alpha, max_err, eps, delta
+    return max_err <= s.alpha, max_err
 
 
 # The integer keys a sweep may set, per experiment kind.
@@ -551,11 +557,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
     columns = [axis, "trials", "success_rate", "mean_max_error", "epsilon_total", "delta_total"]
     rows = []
     for point_idx, (point, setting) in enumerate(zip(config.points(), settings)):
-        outcomes = [runner(config.seed, setting, point_idx, t) for t in range(config.trials)]
-        success = sum(1 for ok, *_ in outcomes if ok)
-        mean_err = math.fsum(err for _, err, *_ in outcomes) / config.trials
-        key = setting[0] if point is None else point  # n, first in every setting, when nothing is swept
-        rows.append([key, config.trials, success / config.trials, mean_err, outcomes[0][2], outcomes[0][3]])
+        successes, errors = zip(*(runner(config.seed, setting, point_idx, t) for t in range(config.trials)))
+        key = setting.n if point is None else point
+        rows.append([key, config.trials, sum(successes) / config.trials, math.fsum(errors) / config.trials,
+                     *setting.total])
     return TrialReport(config.kind, columns, rows, meta={"seed": config.seed})
 
 

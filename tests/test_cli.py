@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from dpmulti import fingerprint, harness
 from dpmulti.cli import main
 from dpmulti.domain import THRESH, ConceptClass, Distribution, MultiLabeledDatabase, Universe, save_database
 from dpmulti.harness import LEARNERS, format_float, read_learn, sample_and_learn
-from dpmulti.mechanisms import compose_basic
+from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, compose_basic
 from dpmulti.rng import stream
 
 CONFIG = """
@@ -576,6 +577,22 @@ class TestExitCodes:
         assert main(["mech", "compose", "--epsilon", "1", "--count", "-2"]) == 1
         assert "mech.compose: --count must be >= 1, got -2" in capsys.readouterr().err
 
+    def test_advanced_compose_needs_delta_prime(self, capsys):
+        assert main(["mech", "compose", "--epsilon", "1", "--count", "2", "--mode", "advanced"]) == 1
+        assert capsys.readouterr().err == "error: mech.compose: --delta-prime required in advanced mode\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("kind = learn\n", "config: File contains no section headers."),
+        ("[learn]\nalgorithm = points\n", "experiment: section missing"),
+        ("[experiment]\nkind = learn\ntrials = 1\nseed = 1\nsweep = n\nvalues = 10 x\n\n"
+         "[learn]\nalgorithm = erm\nk = 2\nuniverse = 8\n", "experiment.values: integers required"),
+    ], ids=["no-section-headers", "no-experiment-section", "values-not-integers"])
+    def test_malformed_config_file_is_named(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        assert main(["experiment", "run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_bad_learn_class_is_blamed_before_the_sweep(self, capsys, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text("[experiment]\nkind = learn\ntrials = 1\nseed = 1\nsweep = universe\nvalues = 4 8\n\n"
@@ -604,8 +621,12 @@ class TestExitCodes:
         (["--universe", "8", "--k", "x"], "learn.k"),
         (["--universe", "8", "--class", "bogus"], "learn.class"),
         (["--universe", "8", "--seed", "-3"], "--seed"),
+        (("learn", "algorithm = bogus\nk = 2\nn = 100\nuniverse = 8"), "learn.algorithm"),
+        (("attack", "n_users = 4\nxi = 0.1\nlearner = bogus"), "attack.learner"),
+        (["--universe", "8", "--targets", "1,x"], "learn.targets"),
     ], ids=["sanitize-universe1", "sanitize-n0", "learn-n0", "learn-d30", "config-targets-outside", "targets-outside",
-            "dist-nan", "dist-inf", "d-huge", "d-negative", "k-not-an-integer", "class-unknown", "seed-negative"])
+            "dist-nan", "dist-inf", "d-huge", "d-negative", "k-not-an-integer", "class-unknown", "seed-negative",
+            "config-algorithm-unknown", "config-attack-learner-unknown", "targets-not-integers"])
     def test_bad_value_names_its_key(self, capsys, tmp_path, case, key):
         if isinstance(case, list):
             argv = ["learn", "erm", "--k", "2", "--n", "100", "--seed", "1", *case]
@@ -710,7 +731,10 @@ class TestExitCodes:
         ("sanitize", "sweep = universe\nvalues = 8 2000000", "n = 100\nalpha = 0.2\nepsilon = 1\ndelta = 0.01",
          "sanitize.universe"),
         ("learn", "sweep = k\nvalues = 2 3", "algorithm = erm\nn = 100\nuniverse = 8\ntargets = 1,2", "learn.targets"),
-    ], ids=["sanitize-universe", "learn-targets"])
+        # k * delta >= 1: direct-sum's plan of 2k charges cannot compose at the second point.
+        ("learn", "sweep = k\nvalues = 2 100", "algorithm = direct-sum\nn = 2726\nuniverse = 16\ndelta = 0.01",
+         "learn.k"),
+    ], ids=["sanitize-universe", "learn-targets", "direct-sum-k"])
     def test_bad_second_sweep_point_is_refused_before_any_trial(self, capsys, tmp_path, monkeypatch, kind, sweep,
                                                                  section, key):
         cfg = tmp_path / "exp.ini"
@@ -721,6 +745,31 @@ class TestExitCodes:
         assert main(["experiment", "run", "--config", str(cfg)]) == 1
         assert f"error: {key}: " in capsys.readouterr().err
         assert len(ran) == 0
+
+    @pytest.mark.parametrize("command", ["experiment", "learn"])
+    def test_direct_sum_plan_that_cannot_compose_is_refused_before_any_learner(self, capsys, tmp_path, monkeypatch,
+                                                                              command):
+        calls = []
+        monkeypatch.setattr(harness, "point_learner", lambda *args, **kwargs: calls.append(args))
+        section = {"k": "100", "n": "2726", "universe": "16", "delta": "0.01"}
+        if command == "learn":
+            argv = ["learn", "direct-sum", *(f"--{key}={value}" for key, value in section.items()), "--seed", "1"]
+        else:
+            lines = "".join(f"{key} = {value}\n" for key, value in section.items())
+            cfg = tmp_path / "exp.ini"
+            cfg.write_text(f"[experiment]\nkind = learn\ntrials = 2\nseed = 1\n\n[learn]\nalgorithm = direct-sum\n"
+                           + lines)
+            argv = ["experiment", "run", "--config", str(cfg)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: learn.k: delta must be in [0, 1), got 1.0\n"
+        assert calls == []
+
+    def test_ledger_that_differs_from_the_plan_is_a_runtime_failure(self, capsys, monkeypatch):
+        learn = harness.point_learner
+        monkeypatch.setattr(harness, "point_learner", lambda *args, **kwargs: replace(
+            learn(*args, **kwargs), ledger=PrivacyLedger([PrivacyParams(1.0, 0.01)])))
+        assert main(["learn", "points", "--k", "2", "--n", "400", "--universe", "8", "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("runtime failure: ledger charges ")
 
     def test_learn_command_reads_its_distribution_once(self, capsys, monkeypatch):
         reads = []

@@ -500,6 +500,15 @@ class TestDistributionSample:
 
 
 class TestFrozenPmf:
+    @pytest.mark.parametrize("make", [
+        lambda: Distribution.uniform(U4),
+        lambda: LabeledDistribution.realizable(Distribution.uniform(U4), Hypotheses(U4, THRESH, np.array([1]))),
+    ], ids=["distribution", "labeled-distribution"])
+    def test_compares_by_identity_and_hashes(self, make):
+        a, b = make(), make()
+        assert a == a and a != b and np.array_equal(a.pmf, b.pmf)
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_distribution_pmf_is_a_read_only_copy(self):
         weights = np.array([0.25, 0.25, 0.5, 0.0])
         dist = Distribution(U4, weights)
@@ -515,6 +524,46 @@ class TestFrozenPmf:
             ld.pmf[0, 0] = 1.0
         joint[0, 0] = 0.0
         assert ld.pmf[0, 0] == 0.25
+
+
+def _realizable(dist, kind, params):
+    return LabeledDistribution.realizable(dist, Hypotheses(dist.universe, kind, np.array(params)))
+
+
+LABELED_DISTS = {
+    "realizable-uniform-4": _realizable(Distribution.uniform(U4), THRESH, [1, 2]),
+    "realizable-random-37": _realizable(SAMPLE_DISTS["random-37"], POINT, [3, 36, 0]),
+    "realizable-point-mass": _realizable(SAMPLE_DISTS["point-mass-last"], THRESH, [98, 99]),
+    "label-probs-8x8": LabeledDistribution.from_label_probs(
+        Distribution.uniform(Universe.indexed(8)), np.random.default_rng(26).random((8, 8)) * 0.9 + 0.05),
+    "label-probs-sparse": LabeledDistribution.from_label_probs(
+        _weights(8, [0, 1, 0, 3, 0.5, 0, 0, 2]), np.tile([0.0, 0.3, 1.0], (8, 1))),
+}
+
+
+class TestLabeledDistributionSample:
+    @pytest.mark.parametrize("name", list(LABELED_DISTS))
+    def test_draws_match_rng_choice(self, name):
+        # Draw for draw, and the generator left in the same state.
+        ld = LABELED_DISTS[name]
+        for seed, n in enumerate((0, 1, 7, 400, 2726)):
+            ours, theirs = stream(12, seed), stream(12, seed)
+            db = ld.sample(n, ours)
+            flat = theirs.choice(ld.pmf.size, size=n, p=ld.pmf.ravel() / ld.pmf.sum())
+            codes = flat % ld.pmf.shape[1]
+            assert db.xs.dtype == np.int64 and np.array_equal(db.xs, flat // ld.pmf.shape[1]), (name, n)
+            assert np.array_equal(db.labels, (codes[:, None] >> np.arange(ld.k)) & 1), (name, n)
+            assert ours.random() == theirs.random(), (name, n)
+
+    def test_zero_draws_consume_no_randomness(self):
+        rng = stream(12, 99)
+        db = LABELED_DISTS["label-probs-8x8"].sample(0, rng)
+        assert db.n == 0 and db.labels.shape == (0, 8)
+        assert rng.random() == stream(12, 99).random()
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match=r"n must be >= 0, got -1"):
+            LABELED_DISTS["realizable-uniform-4"].sample(-1, stream(12, 98))
 
 
 class TestLabeledDistribution:

@@ -27,6 +27,7 @@ from dpmulti.harness import (
     to_csv,
     to_json,
 )
+from dpmulti.mechanisms import PrivacyLedger, PrivacyParams
 from dpmulti.sanitize import EnumerationBudgetError
 
 PARITY_SWEEP = """
@@ -411,6 +412,18 @@ def test_ledger_equals_planned_charges_on_every_outcome(algorithm, aborts):
     targets, result = sample_and_learn(setting, 1, 0, 0)
     assert result.failed == aborts
     assert result.ledger.charges == LEARNERS[algorithm].charges(setting.params, len(targets))
+
+
+def test_ledger_that_differs_from_the_plan_is_refused(monkeypatch):
+    # A points learner whose ledger holds its total as one charge, not the plan's two halves.
+    learn = harness.point_learner
+    monkeypatch.setattr(harness, "point_learner", lambda *args, **kwargs: replace(
+        learn(*args, **kwargs), ledger=PrivacyLedger([PrivacyParams(1.0, 0.01)])))
+    body = "algorithm = points\nk = 2\nn = 400\nuniverse = 8\ndelta = 0.01"
+    with pytest.raises(RuntimeError) as refused:
+        run_experiment(_sweep_config("learn", body))
+    half = PrivacyParams(0.5, 0.005)
+    assert str(refused.value) == f"ledger charges {[PrivacyParams(1.0, 0.01)]} != planned charges {[half, half]}"
 
 
 def test_direct_sum_sweep_charges_k_base_ledgers_at_every_n():
