@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -83,13 +83,15 @@ def _parity_bits(values: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(values) & 1).astype(np.uint8)
 
 
-def _pack_words(bits01: np.ndarray) -> np.ndarray:
-    """0/1 array (..., k) -> uint64 words (..., max(1, ceil(k/64))), bit j in word j // 64.
+def _word_count(k: int) -> int:
+    """Words per row of k packed labels: max(1, ceil(k/64)), at least one so that a parity vote key is never empty."""
+    return max(1, -(-k // 64))
 
-    At least one word, so that a parity vote key is never empty.
-    """
+
+def _pack_words(bits01: np.ndarray) -> np.ndarray:
+    """0/1 array (..., k) -> uint64 words (..., _word_count(k)), bit j in bit j % 64 of word j // 64."""
     packed = np.packbits(bits01, axis=-1, bitorder="little")
-    words = max(1, -(-bits01.shape[-1] // 64))
+    words = _word_count(bits01.shape[-1])
     padded = np.zeros(packed.shape[:-1] + (8 * words,), dtype=np.uint8)
     padded[..., : packed.shape[-1]] = packed
     return padded.view("<u8")
@@ -100,7 +102,7 @@ def _unpack_words(words: np.ndarray, k: int) -> np.ndarray:
 
     The inverse of _pack_words on a (..., k) array.
     """
-    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, count=k, bitorder="little")
+    return np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8), axis=-1, count=k, bitorder="little")
 
 
 def _tally(keys: np.ndarray, group: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -215,6 +217,25 @@ def _row_blocks(rows: int, columns: int) -> Iterator[slice]:
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
+# Hypotheses.label_words labels points through a table over the whole universe
+# only while that table has at most this many uint64 cells (|X| * words, 512 KiB);
+# above it, through rows of the sorted distinct parameters, which do not grow
+# with |X|. Timed at n = 480 and 2726, k = 32, 256 and 2048, the universe table
+# was the faster route up to 2^16 cells and lost from about 2^17.
+LABEL_TABLE_CELLS = 1 << 16
+
+
+def _xor_table(planes: np.ndarray) -> np.ndarray:
+    """The (2^b, W) uint64 table whose row y XORs planes[i] over the set bits i of y, for b = len(planes).
+
+    It is built by doubling: rows [2^i, 2^(i+1)) are rows [0, 2^i) XOR planes[i].
+    """
+    table = np.zeros((1 << len(planes), planes.shape[1]), dtype=np.uint64)
+    for i, plane in enumerate(planes):
+        np.bitwise_xor(table[: 1 << i], plane, out=table[1 << i : 2 << i])
+    return table
+
+
 def evaluate_many(concept: Concept, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluate over an int array; returns uint8 bits."""
     xs = _checked_elements(concept.universe, xs)
@@ -229,10 +250,12 @@ class Hypotheses:
     params[j] is h_j's parameter in the class `kind`; -1 is the constant-zero
     hypothesis, allowed for point and threshold kinds (x == -1 and x <= -1 hold
     nowhere). The constructor checks every parameter at once. evaluate(xs) is
-    the (k, len(xs)) bit matrix of all k hypotheses. It is the one form in
-    which a set of hypotheses is passed around: learners release it,
+    the (k, len(xs)) bit matrix of all k hypotheses, and label_words(xs) the
+    same labels packed per example (label j in bit j % 64 of word j // 64),
+    filled by a labeller per class without that matrix. It is the one form
+    in which a set of hypotheses is passed around: learners release it,
     sample_database and LabeledDistribution.realizable label through its
-    evaluate, and dichotomy_projection returns its witnesses as one.
+    label_words, and dichotomy_projection returns its witnesses as one.
     Iterating it yields one Concept per parameter, built on access, for
     scalar use; a table is not a Concept list, so it has no indexing and
     compares by identity.
@@ -257,25 +280,74 @@ class Hypotheses:
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
 
+    def _elements(self, xs: np.ndarray) -> np.ndarray:
+        """xs as a checked 1-D int64 array of elements."""
+        xs = _checked_elements(self.universe, xs)
+        if xs.ndim != 1:
+            raise ValueError(f"elements must be a 1-D array, got shape {xs.shape}")
+        return xs
+
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """The (k, len(xs)) uint8 matrix whose row j is h_j on the 1-D element array xs.
 
         It is stored example-major (the transpose of a C-ordered (len(xs), k)
         array), so a reduction over the examples, such as .mean(axis=1),
-        walks contiguous runs of k hypotheses instead of one short row each,
-        and its .T is the (len(xs), k) label array of a sampled database.
+        walks contiguous runs of k hypotheses instead of one short row each.
         It is filled a block of examples at a time (EVAL_BLOCK_CELLS cells),
         so the kernel's temporaries stay bounded whatever k and len(xs) are.
+        It is the reference for label_words.
         """
-        xs = _checked_elements(self.universe, xs)
-        if xs.ndim != 1:
-            raise ValueError(f"elements must be a 1-D array, got shape {xs.shape}")
+        xs = self._elements(xs)
         if len(xs) * len(self) <= EVAL_BLOCK_CELLS:  # one block: no buffer to copy through
             return _evaluate_params(self.kind, self.params, xs[:, None]).T
         out = np.empty((len(xs), len(self)), dtype=np.uint8)
         for block in _row_blocks(len(xs), len(self)):
             out[block] = _evaluate_params(self.kind, self.params, xs[block, None])
         return out.T
+
+    def label_words(self, xs: np.ndarray) -> np.ndarray:
+        """The labels of the 1-D element array xs, packed: _pack_words(self.evaluate(xs).T), bit for bit.
+
+        Row i has shape max(1, ceil(k/64)) and dtype uint64, with h_j(xs[i]) in
+        bit j % 64 of word j // 64. No (len(xs), k) matrix is built; each class
+        has its own labeller:
+          point   bit j is ORed into the row of params[j], and each x reads its
+                  row. While |X| * words <= LABEL_TABLE_CELLS the rows span the
+                  universe, plus a spare last row that param -1 lands in and no
+                  x reads. Above it they are the sorted distinct params, and x
+                  reads the row found by searchsorted only when it is that param.
+          thresh  the rows of the sorted distinct params, suffix-ORed, so the
+                  row of params[u] holds every h_j with params[j] >= params[u];
+                  x reads the row at searchsorted(params, x) (an all-zero
+                  spare row past the last param).
+          parity  with M_b the packed bit b of every mask, x's word is the XOR
+                  of M_b over the set bits b of x. One table per 12 bits of x
+                  is built by doubling (tab[2^b + y] = M_b ^ tab[y], at most
+                  4096 rows), and x's word XORs ceil(d/12) reads; for d <= 12
+                  that is one table over the universe.
+        """
+        xs = self._elements(xs)
+        k = len(self)
+        if self.kind == PARITY:
+            planes = _pack_words(((self.params >> np.arange(self.universe.bit_width)[:, None]) & 1).astype(np.uint8))
+            reads = (_xor_table(planes[lo : lo + 12])[(xs >> lo) & 0xFFF] for lo in range(0, len(planes), 12))
+            return reduce(np.bitwise_xor, reads)
+        j = np.arange(k)
+        word, bit = j // 64, np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
+        if self.kind == POINT and self.universe.size * _word_count(k) <= LABEL_TABLE_CELLS:
+            table = np.zeros((self.universe.size + 1, _word_count(k)), dtype=np.uint64)
+            np.bitwise_or.at(table, (self.params, word), bit)
+            return table[xs]
+        distinct, inverse = np.unique(self.params, return_inverse=True)
+        rows = np.zeros((len(distinct) + 1, _word_count(k)), dtype=np.uint64)
+        np.bitwise_or.at(rows, (inverse, word), bit)
+        at = np.searchsorted(distinct, xs)
+        if self.kind == THRESH:
+            rows[:-1] = np.bitwise_or.accumulate(rows[-2::-1], axis=0)[::-1]
+            return rows[at]
+        words = rows[at]
+        words[np.append(distinct, -1)[at] != xs] = 0
+        return words
 
     def __len__(self) -> int:
         return self.params.shape[0]
@@ -329,42 +401,74 @@ def xor_eval_matrix(cclass: ConceptClass) -> np.ndarray:
     return np.unique(flat, axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiLabeledDatabase:
-    """Rows (x, y_1..y_k) over a finite universe; k = 0 gives an unlabeled database."""
+    """Rows (x, y_1..y_k) over a finite universe, the labels stored packed; k = 0 gives an unlabeled database.
+
+    words is the one stored form of the labels: shape (n, max(1, ceil(k/64))),
+    dtype uint64, label j of row i in bit j % 64 of words[i, j // 64] (the
+    _pack_words layout), and no bit set at or above k; the database keeps a
+    read-only copy of it. labels is the (n, k) uint8 view derived from words,
+    unpacked on first access, cached and read-only, for callers that need 0/1
+    columns. from_labels packs 0/1 labels once, and keeps a read-only copy of
+    them as that view, since they are what words unpack to. A database
+    compares by identity.
+    """
 
     universe: Universe
-    xs: np.ndarray      # shape (n,), int64
-    labels: np.ndarray  # shape (n, k), uint8
+    xs: np.ndarray     # shape (n,), int64
+    words: np.ndarray  # shape (n, max(1, ceil(k/64))), uint64
+    k: int
 
     def __post_init__(self):
         xs = _checked_elements(self.universe, self.xs)
-        labels = np.asarray(self.labels, dtype=np.uint8)
-        if labels.ndim != 2 or labels.shape[0] != xs.shape[0]:
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
+        words = np.array(self.words)  # a private copy, made read-only below
+        shape = (xs.shape[0], _word_count(self.k))
+        if words.dtype != np.uint64 or words.shape != shape:
+            raise ValueError(f"words must be uint64 of shape {shape}, got {words.dtype} {words.shape}")
+        used = self.k - 64 * (shape[1] - 1)  # labels held by the last word
+        if used < 64 and len(words) and int(words[:, -1].max()) >> used:
+            raise ValueError(f"words set a label bit at or above k={self.k}")
+        words.flags.writeable = False
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "words", words)
+
+    @staticmethod
+    def from_labels(universe: Universe, xs: np.ndarray, labels: np.ndarray) -> "MultiLabeledDatabase":
+        """The database of 0/1 labels (n, k), packed once into words; a copy of labels is its labels view."""
+        labels = np.array(labels, dtype=np.uint8)
+        if labels.ndim != 2 or labels.shape[:1] != np.shape(xs)[:1]:
             raise ValueError("labels must have shape (n, k)")
         if labels.size and labels.max() > 1:
             raise ValueError("labels must be bits")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "labels", labels)
+        db = MultiLabeledDatabase(universe, xs, _pack_words(labels), labels.shape[1])
+        labels.flags.writeable = False
+        db.__dict__["labels"] = labels  # the cached_property's slot: what unpacking words would give
+        return db
 
     @staticmethod
     def from_rows(universe: Universe, rows: Sequence[tuple[int, Sequence[int]]]) -> "MultiLabeledDatabase":
         xs = np.array([r[0] for r in rows], dtype=np.int64)
         labels = np.array([list(r[1]) for r in rows], dtype=np.uint8).reshape(len(rows), -1)
-        return MultiLabeledDatabase(universe, xs, labels)
+        return MultiLabeledDatabase.from_labels(universe, xs, labels)
 
     @staticmethod
     def unlabeled(universe: Universe, xs: np.ndarray) -> "MultiLabeledDatabase":
         xs = np.asarray(xs, dtype=np.int64)
-        return MultiLabeledDatabase(universe, xs, np.zeros((xs.shape[0], 0), dtype=np.uint8))
+        return MultiLabeledDatabase(universe, xs, np.zeros((xs.shape[0], 1), dtype=np.uint64), 0)
 
     @property
     def n(self) -> int:
         return self.xs.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.labels.shape[1]
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The (n, k) uint8 labels, unpacked from words on first access; read-only."""
+        labels = _unpack_words(self.words, self.k)
+        labels.flags.writeable = False
+        return labels
 
 
 def empirical_error(db: MultiLabeledDatabase, j: int, h: Concept) -> Fraction:
@@ -536,7 +640,7 @@ class LabeledDistribution:
         dist.universe.require_same(targets.universe)
         k = len(targets)
         xs = dist.universe.elements()
-        codes = _pack_words(targets.evaluate(xs).T)[:, 0]
+        codes = targets.label_words(xs)[:, 0]
         pmf = np.zeros((dist.universe.size, 1 << k))
         pmf[xs, codes] = dist.pmf
         return LabeledDistribution(dist.universe, k, pmf)
@@ -559,8 +663,8 @@ class LabeledDistribution:
         `rng.choice(pmf.size, size=n, p=pmf.ravel() / pmf.sum())` (see _table_sample)."""
         flat = _table_sample(self._table, n, rng)
         xs = (flat // self.pmf.shape[1]).astype(np.int64)
-        labels = _unpack_words((flat % self.pmf.shape[1])[:, None], self.k)
-        return MultiLabeledDatabase(self.universe, xs, labels)
+        words = (flat % self.pmf.shape[1]).astype(np.uint64)[:, None]  # the packed label vector itself
+        return MultiLabeledDatabase(self.universe, xs, words, self.k)
 
     def marginal_error(self, j: int, h: Concept) -> float:
         """P[h(x) != y_j] under the joint pmf."""
@@ -579,12 +683,12 @@ def sample_database(
     n: int,
     rng: np.random.Generator,
 ) -> MultiLabeledDatabase:
-    """Draw n elements i.i.d. from dist; label j of each row is targets[j] on it."""
+    """Draw n elements i.i.d. from dist; label j of each row is targets[j] on it, packed by targets.label_words."""
     if n < 1:
         raise ValueError("n must be >= 1")
     dist.universe.require_same(targets.universe)
     xs = dist.sample(n, rng)
-    return MultiLabeledDatabase(dist.universe, xs, targets.evaluate(xs).T)
+    return MultiLabeledDatabase(dist.universe, xs, targets.label_words(xs), len(targets))
 
 
 def dichotomy_projection(cclass: ConceptClass, points: Sequence[int]) -> Hypotheses:
@@ -666,7 +770,7 @@ def load_database(path) -> MultiLabeledDatabase:
                 raise ValueError(f"{path}:{lineno}: expected 1+{k} fields, got {len(parts)}")
             xs.append(_file_field(path, lineno, "x", parts[0], universe.size))
             labels.append([_file_field(path, lineno, f"y{j}", b, 2) for j, b in enumerate(parts[1:], start=1)])
-    return MultiLabeledDatabase(
+    return MultiLabeledDatabase.from_labels(
         universe,
         np.array(xs, dtype=np.int64),
         np.array(labels, dtype=np.uint8).reshape(len(xs), k),

@@ -186,7 +186,7 @@ def pirate_word(
         junk = universe.size - 1
         xs = np.concatenate([xs, np.full(pad, junk, dtype=np.int64)])
         labels = np.concatenate([labels, np.zeros((pad, k), dtype=np.uint8)])
-    db = MultiLabeledDatabase(universe, xs, labels)
+    db = MultiLabeledDatabase.from_labels(universe, xs, labels)
 
     result = learner(db, rng)
     if result.failed:

@@ -459,9 +459,15 @@ class LearnSetting(NamedTuple):
     total: tuple[float, float]
 
 
+def _plan_total(plan: list[PrivacyParams], section: str, key: str) -> tuple[float, float]:
+    """The basic-composition total of plan, or (0, 0) for an empty one; a plan that cannot compose, as
+    direct-sum's with k * delta >= 1, is refused as `<section>.<key>`."""
+    with _naming(section, key):
+        return astuple(compose_basic(plan)) if plan else (0.0, 0.0)
+
+
 def read_learn(params: Mapping) -> LearnSetting:
-    """Read a learn section once, in the order its errors are reported. An empty plan totals (0, 0), and a plan
-    that cannot compose, as direct-sum's with k * delta >= 1, is named learn.k."""
+    """Read a learn section once, in the order its errors are reported; its plan is composed by _plan_total."""
     n = _need(params, "learn", "n", int, low=1)
     algorithm = params.get("algorithm", "")
     if algorithm not in LEARNERS:
@@ -472,8 +478,7 @@ def read_learn(params: Mapping) -> LearnSetting:
     p = _learn_params(params, "learn", entry, cclass.kind, 0.0, None)
     learner = entry.build(p)
     plan = entry.charges(p, k)
-    with _naming("learn", "k"):
-        total = astuple(compose_basic(plan)) if plan else (0.0, 0.0)
+    total = _plan_total(plan, "learn", "k")
     dist = parse_distribution(params.get("dist", "uniform"), universe)
     return LearnSetting(n, entry, p, learner, k, dist, _fixed_targets(params, cclass, k), plan, total)
 
@@ -588,6 +593,8 @@ def _run_attack(config: ExperimentConfig) -> TrialReport:
     if entry.exact and fingerprint.VARIANTS[variant] != PARITY:
         raise ConfigError(f"attack.variant: expected parity for the {name} learner, got {variant!r}")
     p = _learn_params(params, "attack", entry, fingerprint.VARIANTS[variant], 0.01, 1.0)
+    # Every code column is one label, so the learner's plan is composed once at the code length.
+    _plan_total(entry.charges(p, length or fingerprint.code_length(n_users, xi)), "attack", "length")
     # Attack databases have <= 8 users; a size-6 synthetic database keeps
     # the exhaustive sanitizer inside its enumeration budget.
     learner = entry.build(replace(p, synth_size=6))

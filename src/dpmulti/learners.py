@@ -260,11 +260,11 @@ def _parity_tally(
 ) -> tuple[np.ndarray, float, bool]:
     """parity_learner's deterministic part: (best masks, distance, below bound).
 
-    The labels are packed into 64-bit words once, one gf2_solve_blocks call
-    eliminates every block, and _tally ranks the blocks' solution words; ties
-    go to the vector of the earliest block. best masks is the int64[k] parity
-    masks of the most voted vector, and distance is _stability_distance of the
-    top two vote counts.
+    The database's packed label words are the right-hand sides, one
+    gf2_solve_blocks call eliminates every block, and _tally ranks the
+    blocks' solution words; ties go to the vector of the earliest block. best
+    masks is the int64[k] parity masks of the most voted vector, and distance
+    is _stability_distance of the top two vote counts.
     """
     universe = db.universe
     if universe.bit_width is None:
@@ -278,7 +278,7 @@ def _parity_tally(
     m_eff = min(m, db.n // s)
 
     used = m_eff * s
-    rhs = _pack_words(db.labels[:used]).reshape(m_eff, s, -1)
+    rhs = db.words[:used].reshape(m_eff, s, -1)
     solutions, ok = gf2_solve_blocks(bits, db.xs[:used].reshape(m_eff, s), rhs)
     votes = solutions[ok]
     first, counts = _tally(votes.reshape(-1, solutions[0].size))
@@ -380,10 +380,10 @@ def _point_tally(db: MultiLabeledDatabase, heavy: np.ndarray) -> tuple[np.ndarra
     """point_learner's deterministic part given the heavy set: (params, distance).
 
     heavy is a sorted int64 array of distinct elements. One _tally of the
-    heavy rows' label words, grouped by element, gives each element's top and
-    runner-up (x, vector) counts (an absent element has the all-zero vector at
-    count 0; ties go to the earliest row). The best selection takes every top
-    vector. Label j maps to the first heavy element whose top vector has bit j
+    heavy rows' stored label words, grouped by element, gives each element's
+    top and runner-up (x, vector) counts (an absent element has the all-zero
+    vector at count 0; ties go to the earliest row). The best selection takes
+    every top vector, and only those rows are unpacked. Label j maps to the first heavy element whose top vector has bit j
     set, else to the constant-zero hypothesis (-1).
     """
     top_count = np.zeros(len(heavy), dtype=np.int64)
@@ -392,13 +392,13 @@ def _point_tally(db: MultiLabeledDatabase, heavy: np.ndarray) -> tuple[np.ndarra
     is_heavy = np.zeros(db.universe.size, dtype=bool)
     is_heavy[heavy] = True
     rows = np.flatnonzero(is_heavy[db.xs])
-    first, counts = _tally(_pack_words(db.labels)[rows], db.xs[rows])
+    first, counts = _tally(db.words[rows], db.xs[rows])
     group_x = db.xs[rows[first]]
     # Each element's run opens with its top vector; a second entry is its runner-up.
     _, head = np.unique(group_x, return_index=True)
     slot = np.searchsorted(heavy, group_x[head])
     top_count[slot] = counts[head]
-    top_vec[slot] = db.labels[rows[first[head]]].astype(bool)
+    top_vec[slot] = _unpack_words(db.words[rows[first[head]]], db.k)
     runner = np.diff(np.r_[head, len(group_x)]) > 1
     second_count[slot[runner]] = counts[head[runner] + 1]
     # Any other selection downgrades some element to (at best) its runner-up
@@ -519,6 +519,12 @@ def generic_multi_learner(
     return LearnResult(Hypotheses(db.universe, cclass.kind, witnesses.params[chosen]), ledger, below, details)
 
 
+def _label_column(db: MultiLabeledDatabase, j: int) -> MultiLabeledDatabase:
+    """The one-label database of db's rows and label j, whose one word is bit j % 64 of word j // 64."""
+    bit = (db.words[:, j // 64 : j // 64 + 1] >> np.uint64(j % 64)) & np.uint64(1)
+    return MultiLabeledDatabase(db.universe, db.xs, bit, 1)
+
+
 def direct_sum_learner(base: LearnerFn, db: MultiLabeledDatabase, rng: np.random.Generator) -> LearnResult:
     """Run a single-concept learner independently on each label column.
 
@@ -529,7 +535,7 @@ def direct_sum_learner(base: LearnerFn, db: MultiLabeledDatabase, rng: np.random
     """
     if db.k == 0:
         raise ValueError("direct sum needs at least one label, got k=0")
-    results = [base(MultiLabeledDatabase(db.universe, db.xs, db.labels[:, j : j + 1]), rng) for j in range(db.k)]
+    results = [base(_label_column(db, j), rng) for j in range(db.k)]
     ledger = PrivacyLedger([charge for result in results for charge in result.ledger.charges])
     below = any(result.below_sample_bound for result in results)
     if any(result.failed for result in results):

@@ -63,11 +63,15 @@ class PrivacyLedger:
 
 
 def compose_basic(charges: Sequence[PrivacyParams]) -> PrivacyParams:
-    """Coordinate-wise sum: m runs of (eps_i, delta_i) cost (sum eps, sum delta)."""
+    """Coordinate-wise sum: m runs of (eps_i, delta_i) cost (sum eps, sum delta).
+
+    A sum delta that reaches 1 is refused as the composed delta of the m charges.
+    """
     if not charges:
         raise ValueError("cannot compose an empty ledger")
     eps = math.fsum(c.epsilon for c in charges)
     delta = math.fsum(c.delta for c in charges)
+    check_delta(delta, f"the composed delta of {len(charges)} charges")
     return PrivacyParams(eps, delta)
 
 

@@ -761,8 +761,28 @@ class TestExitCodes:
                            + lines)
             argv = ["experiment", "run", "--config", str(cfg)]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: learn.k: delta must be in [0, 1), got 1.0\n"
+        assert capsys.readouterr().err == ("error: learn.k: the composed delta of 200 charges must be in [0, 1), "
+                                           "got 1.0\n")
         assert calls == []
+
+    @pytest.mark.parametrize("command", ["experiment", "attack"])
+    def test_attack_plan_that_cannot_compose_is_refused_before_any_trial(self, capsys, tmp_path, monkeypatch,
+                                                                          command):
+        # direct-sum charges each of the 300 code columns (epsilon/2, 0.005) twice: delta composes to 3.
+        plays = []
+        monkeypatch.setattr(fingerprint, "_play", lambda *args: plays.append(args))
+        if command == "attack":
+            argv = ["attack", "boneh-shaw", "--n", "4", "--xi", "0.1", "--trials", "1", "--learner", "direct-sum",
+                    "--length", "300", "--seed", "1"]
+        else:
+            cfg = tmp_path / "exp.ini"
+            cfg.write_text("[experiment]\nkind = attack\ntrials = 1\nseed = 1\n\n"
+                           "[attack]\nn_users = 4\nxi = 0.1\nlearner = direct-sum\nlength = 300\n")
+            argv = ["experiment", "run", "--config", str(cfg)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("error: attack.length: the composed delta of 600 charges must be in "
+                                           "[0, 1), got 3.0\n")
+        assert plays == []
 
     def test_ledger_that_differs_from_the_plan_is_a_runtime_failure(self, capsys, monkeypatch):
         learn = harness.point_learner

@@ -1,6 +1,7 @@
 """Domain vocabulary: concepts, databases, errors, dichotomies, sampling."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from dpmulti.domain import (
     EVAL_BLOCK_CELLS,
+    LABEL_TABLE_CELLS,
     PARITY,
     POINT,
     THRESH,
@@ -35,7 +37,7 @@ from dpmulti.domain import (
     vc_sample_size,
     zero,
 )
-from dpmulti.domain import _parity_bits
+from dpmulti.domain import _pack_words, _parity_bits, _unpack_words
 from dpmulti.rng import stream
 
 U5 = Universe.indexed(5)
@@ -267,13 +269,13 @@ class TestEmpiricalError:
         for _ in range(20):
             xs = rng.integers(0, 5, size=17)
             ys = rng.integers(0, 2, size=(17, 1))
-            db = MultiLabeledDatabase(U5, xs, ys.astype(np.uint8))
+            db = MultiLabeledDatabase.from_labels(U5, xs, ys.astype(np.uint8))
             err = empirical_error(db, 0, thresh(U5, 2))
             assert (err * 17).denominator == 1
             assert 0 <= err <= 1
 
     def test_empty_database(self):
-        db = MultiLabeledDatabase(U5, np.array([], dtype=np.int64), np.zeros((0, 1), dtype=np.uint8))
+        db = MultiLabeledDatabase.from_labels(U5, np.array([], dtype=np.int64), np.zeros((0, 1), dtype=np.uint8))
         with pytest.raises(EmptyDatabaseError):
             empirical_error(db, 0, zero(U5))
 
@@ -430,6 +432,143 @@ class TestShatterCertificates:
             self._shattered(cclass, list(sub))
             for sub in itertools.combinations(range(u.size), bits + 1)
         )
+
+
+# Universes on both sides of LABEL_TABLE_CELLS for points: the table over the
+# universe while |X| * words fits in it (16 and 2^16 elements at k <= 64,
+# 2^16 / 3 elements at k <= 192), the sorted-parameter route above it (2^16
+# elements at k = 65 and 130, 2^16 + 1 and 2^20 elements). Parity reads one
+# table per 12 bits of x: one for d <= 12, two or more above.
+LABELLER_UNIVERSES = {
+    POINT: [Universe.indexed(16), Universe.indexed(LABEL_TABLE_CELLS // 3), Universe.indexed(LABEL_TABLE_CELLS),
+            Universe.indexed(LABEL_TABLE_CELLS + 1), Universe.indexed(1 << 20)],
+    THRESH: [Universe.indexed(16), Universe.indexed(LABEL_TABLE_CELLS + 1), Universe.indexed(1 << 20)],
+    PARITY: [Universe.bitvectors(1), Universe.bitvectors(4), Universe.bitvectors(12), Universe.bitvectors(13),
+             Universe.bitvectors(17), Universe.bitvectors(20)],
+}
+LABELLER_CASES = [(kind, universe) for kind, universes in LABELLER_UNIVERSES.items() for universe in universes]
+
+
+class TestLabelWords:
+    """Hypotheses.label_words against its reference, _pack_words(evaluate(xs).T), on every route."""
+
+    @pytest.mark.parametrize("k", [1, 32, 64, 65, 130])
+    @pytest.mark.parametrize("kind,universe", LABELLER_CASES, ids=[f"{k}-{u.size}" for k, u in LABELLER_CASES])
+    def test_matches_packed_evaluate(self, kind, universe, k):
+        rng = stream(31, k)
+        low = 0 if kind == PARITY else -1
+        params = rng.integers(low, universe.size, size=k)
+        params[k // 2 :] = params[: k - k // 2]  # duplicate parameters
+        params[::7] = low  # the zero hypothesis (point, thresh), the all-zero mask (parity)
+        table = Hypotheses(universe, kind, params)
+        # Elements that some target hits, the extremes, and random elements that most targets miss.
+        hit = np.clip(params, 0, None)
+        xs = np.concatenate([hit, hit + 1, [0, universe.size - 1], rng.integers(0, universe.size, size=300)])
+        xs = np.clip(xs, 0, universe.size - 1)
+        got = table.label_words(xs)
+        assert got.dtype == np.uint64 and got.shape == (len(xs), -(-k // 64))
+        assert np.array_equal(got, _pack_words(table.evaluate(xs).T))
+
+    @pytest.mark.parametrize("kind,universe", LABELLER_CASES, ids=[f"{k}-{u.size}" for k, u in LABELLER_CASES])
+    def test_edge_tables(self, kind, universe):
+        xs = stream(31, 0).integers(0, universe.size, size=50)
+        empty = Hypotheses(universe, kind, np.zeros(0, dtype=np.int64))
+        assert np.array_equal(empty.label_words(xs), np.zeros((50, 1), dtype=np.uint64))
+        zero_param = Hypotheses(universe, kind, np.full(3, 0 if kind == PARITY else -1))
+        assert not zero_param.label_words(xs).any()
+        table = Hypotheses(universe, kind, np.array([1, 1, universe.size - 1]))
+        assert table.label_words(np.zeros(0, dtype=np.int64)).shape == (0, 1)
+        assert np.array_equal(table.label_words(xs), _pack_words(table.evaluate(xs).T))
+
+    @pytest.mark.parametrize("kind,universe,k", [
+        (POINT, Universe.indexed(1 << 20), 64),
+        (THRESH, Universe.indexed(1 << 20), 64),
+        (PARITY, Universe.bitvectors(20), 64),
+        (POINT, Universe.indexed(LABEL_TABLE_CELLS), 65),  # 2^16 elements of two words: past LABEL_TABLE_CELLS
+    ])
+    def test_large_universe_builds_no_universe_table(self, kind, universe, k):
+        # One uint64 column over 2^20 elements would take 8 MiB, and two over 2^16 elements 1 MiB.
+        table = Hypotheses(universe, kind, stream(31, 1).integers(0, universe.size, size=k))
+        xs = stream(31, 2).integers(0, universe.size, size=2000)
+        tracemalloc.start()
+        try:
+            table.label_words(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 19
+
+    def test_elements_are_checked(self):
+        table = Hypotheses(U5, POINT, np.array([1, 2]))
+        with pytest.raises(ValueError, match="element outside universe"):
+            table.label_words(np.array([5]))
+        with pytest.raises(ValueError, match="1-D"):
+            table.label_words(np.zeros((2, 2), dtype=np.int64))
+
+
+class TestPackedDatabase:
+    @pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 130])
+    def test_from_labels_round_trips(self, k):
+        labels = stream(32, k).integers(0, 2, size=(20, k)).astype(np.uint8)
+        db = MultiLabeledDatabase.from_labels(U5, np.arange(20) % 5, labels)
+        assert db.k == k and db.n == 20
+        assert db.words.dtype == np.uint64 and db.words.shape == (20, max(1, -(-k // 64)))
+        assert np.array_equal(db.words, _pack_words(labels))
+        assert db.labels.dtype == np.uint8 and np.array_equal(db.labels, labels)
+        assert db.labels is db.labels and not db.labels.flags.writeable
+
+    @pytest.mark.parametrize("k,word,bit", [(0, 0, 0), (3, 0, 3), (3, 0, 63), (64, 0, 63), (65, 1, 1), (130, 2, 2)])
+    def test_word_bits_above_k(self, k, word, bit):
+        words = np.zeros((4, max(1, -(-k // 64))), dtype=np.uint64)
+        words[2, word] = np.uint64(1) << np.uint64(bit)
+        if k > 64 * word + bit:  # a label bit: accepted
+            assert MultiLabeledDatabase(U5, np.arange(4), words, k).labels[2, 64 * word + bit] == 1
+        else:
+            with pytest.raises(ValueError, match=f"at or above k={k}"):
+                MultiLabeledDatabase(U5, np.arange(4), words, k)
+
+    def test_word_shape_and_dtype_checked(self):
+        xs = np.arange(4)
+        for words, k in [(np.zeros((4, 1), dtype=np.uint64), 65), (np.zeros((3, 1), dtype=np.uint64), 1),
+                         (np.zeros((4, 1), dtype=np.int64), 1), (np.zeros(4, dtype=np.uint64), 1)]:
+            with pytest.raises(ValueError, match="words must be uint64"):
+                MultiLabeledDatabase(U5, xs, words, k)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            MultiLabeledDatabase(U5, xs, np.zeros((4, 1), dtype=np.uint64), -1)
+        with pytest.raises(ValueError, match="element outside universe"):
+            MultiLabeledDatabase(U5, np.array([5]), np.zeros((1, 1), dtype=np.uint64), 1)
+
+    def test_from_labels_checks_bits_and_shape(self):
+        with pytest.raises(ValueError, match="labels must be bits"):
+            MultiLabeledDatabase.from_labels(U5, np.arange(2), np.array([[0], [2]]))
+        with pytest.raises(ValueError, match=r"labels must have shape \(n, k\)"):
+            MultiLabeledDatabase.from_labels(U5, np.arange(2), np.array([0, 1]))
+        with pytest.raises(ValueError, match=r"^labels must have shape \(n, k\)$"):
+            MultiLabeledDatabase.from_labels(U5, np.arange(3), np.zeros((2, 1)))
+
+    def test_words_and_labels_are_read_only_copies(self):
+        words = np.array([[1], [0]], dtype=np.uint64)
+        db = MultiLabeledDatabase(U5, np.arange(2), words, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            db.words[0, 0] = 0
+        words[0, 0] = 0  # the caller's array stays writable and is not the database's
+        assert db.words[0, 0] == 1 and db.labels[0, 0] == 1
+        labels = np.array([[1], [0]], dtype=np.uint8)
+        db = MultiLabeledDatabase.from_labels(U5, np.arange(2), labels)
+        labels[0, 0] = 0
+        assert db.labels[0, 0] == 1 and not db.labels.flags.writeable
+        assert np.array_equal(db.labels, _unpack_words(db.words, 1))
+
+    def test_compares_by_identity_and_hashes(self):
+        a = MultiLabeledDatabase.from_rows(U5, [(0, [1]), (3, [0])])
+        b = MultiLabeledDatabase.from_rows(U5, [(0, [1]), (3, [0])])
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+    def test_sampled_database_stores_the_labeller_words(self):
+        table = Hypotheses(U16, THRESH, np.array([3, 9, -1]))
+        db = sample_database(Distribution.uniform(U16), table, 50, stream(32, 1))
+        assert db.k == 3 and np.array_equal(db.words, table.label_words(db.xs))
 
 
 class TestSampling:

@@ -72,9 +72,9 @@ class TestErmMulti:
     def test_label_permutation_equivariance(self):
         u = Universe.indexed(6)
         rng = stream(30, 1)
-        db = MultiLabeledDatabase(u, rng.integers(0, 6, size=50), rng.integers(0, 2, size=(50, 3)).astype(np.uint8))
+        db = MultiLabeledDatabase.from_labels(u, rng.integers(0, 6, size=50), rng.integers(0, 2, size=(50, 3)).astype(np.uint8))
         perm = [2, 0, 1]
-        permuted = MultiLabeledDatabase(u, db.xs, db.labels[:, perm])
+        permuted = MultiLabeledDatabase.from_labels(u, db.xs, db.labels[:, perm])
         a = erm_multi(db, ConceptClass(POINT, u)).hypotheses
         b = erm_multi(permuted, ConceptClass(POINT, u)).hypotheses
         assert b.kind == a.kind and b.params.tolist() == a.params[perm].tolist()
@@ -86,7 +86,7 @@ class TestErmMulti:
         for trial in range(5):
             rng = stream(30, 3, trial)
             n, k = int(rng.integers(1, 300)), int(rng.integers(0, 80))
-            db = MultiLabeledDatabase(u, rng.integers(0, u.size, size=n), rng.integers(0, 2, size=(n, k)).astype(np.uint8))
+            db = MultiLabeledDatabase.from_labels(u, rng.integers(0, u.size, size=n), rng.integers(0, 2, size=(n, k)).astype(np.uint8))
             evals, labels = cclass.eval_matrix(db.xs).astype(np.int64), db.labels.astype(np.int64)
             got = erm_mismatch_counts(db, cclass)
             assert got.dtype == np.int64
@@ -100,7 +100,7 @@ class TestErmMulti:
         for trial, k in enumerate([0, 1, 7, 64, 2370]):
             rng = stream(30, 4, trial)
             n = int(rng.integers(1, 5))
-            db = MultiLabeledDatabase(u, rng.integers(0, u.size, size=n), rng.integers(0, 2, size=(n, k)).astype(np.uint8))
+            db = MultiLabeledDatabase.from_labels(u, rng.integers(0, u.size, size=n), rng.integers(0, 2, size=(n, k)).astype(np.uint8))
             got = erm_multi(db, cclass).hypotheses
             assert got.kind == kind
             assert got.params.tolist() == np.argmin(erm_mismatch_counts(db, cclass), axis=0).tolist()
@@ -110,7 +110,7 @@ class TestLearnResult:
     def test_erm_multi_releases_the_argmin_table(self):
         u = Universe.indexed(8)
         rng = stream(30, 2)
-        db = MultiLabeledDatabase(u, rng.integers(0, 8, size=60), rng.integers(0, 2, size=(60, 5)).astype(np.uint8))
+        db = MultiLabeledDatabase.from_labels(u, rng.integers(0, 8, size=60), rng.integers(0, 2, size=(60, 5)).astype(np.uint8))
         cclass = ConceptClass(THRESH, u)
         res = erm_multi(db, cclass)
         assert res.ledger.charges == [] and not res.below_sample_bound
@@ -379,7 +379,7 @@ def _witness_database(relabel: bool) -> MultiLabeledDatabase:
     labels = (np.bitwise_count(xs & masks) & 1).astype(np.uint8)
     if relabel:
         labels[18 * s + 1] = 1
-    return MultiLabeledDatabase(Universe.bitvectors(2), xs, labels[:, None])
+    return MultiLabeledDatabase.from_labels(Universe.bitvectors(2), xs, labels[:, None])
 
 
 def _parity_law(db, eps, delta, beta) -> dict:
@@ -395,7 +395,7 @@ def _neighbours(db):
             if x != db.xs[i] or bits != tuple(db.labels[i].tolist()):
                 xs, labels = db.xs.copy(), db.labels.copy()
                 xs[i], labels[i] = x, bits
-                yield MultiLabeledDatabase(db.universe, xs, labels)
+                yield MultiLabeledDatabase.from_labels(db.universe, xs, labels)
 
 
 def _all_databases(universe, k, n):
@@ -430,7 +430,7 @@ class TestParityLearner:
         db = _witness_database(relabel=False)
         xs, labels = db.xs.reshape(36, 8), db.labels.reshape(36, 8).copy()
         labels[18:20] = labels[:2]
-        db = MultiLabeledDatabase(db.universe, xs.ravel(), labels.reshape(-1, 1))
+        db = MultiLabeledDatabase.from_labels(db.universe, xs.ravel(), labels.reshape(-1, 1))
         masks, p_release, p_bottom = parity_learner_pmf(db, eps, delta, beta)
         assert masks.tolist() == [1]
         assert p_release == pytest.approx(0.5 * math.exp(-(math.log(10) - 1)), abs=1e-12)
@@ -481,7 +481,7 @@ class TestParityLearner:
             xs = rng.integers(0, u.size, size=n)
             labels = np.bitwise_count(xs[:, None] & rng.integers(0, u.size, size=k)[None, :]) & 1
             labels ^= rng.random((n, k)) < 0.05
-            databases.append(MultiLabeledDatabase(u, xs, labels.astype(np.uint8)))
+            databases.append(MultiLabeledDatabase.from_labels(u, xs, labels.astype(np.uint8)))
         assert _stable_under_substitution(tally, databases)
 
     @pytest.mark.parametrize("k", [0, 1, 5, 64, 100])
@@ -500,7 +500,7 @@ class TestParityLearner:
                 ys = np.array([[(x & mk).bit_count() & 1 for mk in masks.tolist()] for x in xs.tolist()], dtype=np.uint8)
             else:
                 ys = rng.integers(0, 2, size=(n, k)).astype(np.uint8)
-            db = MultiLabeledDatabase(u, xs, ys.reshape(n, k))
+            db = MultiLabeledDatabase.from_labels(u, xs, ys.reshape(n, k))
             res = parity_learner(db, eps, delta, beta, stream(39, k, trial, 1))
             want, want_below = _reference_parity_learner(db, eps, delta, beta, stream(39, k, trial, 1))
             got = None if res.failed else tuple(h.param for h in res.hypotheses)
@@ -519,7 +519,7 @@ class TestParityLearner:
         xs = np.resize(np.array([1, 2, 3, 0]), m * s)
         masks = np.repeat(np.resize(np.array([first, other]), m), s)
         labels = (np.bitwise_count(xs & masks) & 1).astype(np.uint8)[:, None]
-        db = MultiLabeledDatabase(u, xs, labels)
+        db = MultiLabeledDatabase.from_labels(u, xs, labels)
         released = 0
         for trial in range(40):
             res = parity_learner(db, eps, delta, beta, stream(39, 7, trial))
@@ -580,7 +580,7 @@ class TestParityLearner:
         # variables make all blocks agree, so the all-zero mask vector is
         # released. Documents behavior outside the uniform-examples promise.
         u = Universe.bitvectors(4)
-        db = MultiLabeledDatabase(u, np.zeros(1000, dtype=np.int64), np.zeros((1000, 2), dtype=np.uint8))
+        db = MultiLabeledDatabase.from_labels(u, np.zeros(1000, dtype=np.int64), np.zeros((1000, 2), dtype=np.uint8))
         res = parity_learner(db, 1.0, 0.1, 0.1, stream(35, 0))
         assert not res.failed
         assert tuple(h.param for h in res.hypotheses) == (0, 0)
@@ -600,7 +600,7 @@ class TestParityLearner:
         u, cc, targets, rng = self._setup(d=4, k=3, seed=38)
         db = sample_database(Distribution.uniform(u), targets, 700, rng)
         perm = [1, 2, 0]
-        permuted = MultiLabeledDatabase(u, db.xs, db.labels[:, perm])
+        permuted = MultiLabeledDatabase.from_labels(u, db.xs, db.labels[:, perm])
         a = parity_learner(db, 1.0, 0.1, 0.1, stream(38, 1))
         b = parity_learner(permuted, 1.0, 0.1, 0.1, stream(38, 1))
         assert not a.failed and not b.failed
@@ -623,7 +623,7 @@ class TestParityLearner:
                     xs = rng.choice(1024, size=pool, replace=False)[rng.integers(0, pool, size=n)]
                     labels = np.bitwise_count(xs[:, None] & rng.integers(0, 1024, size=k)[None, :]) & 1
                     labels ^= rng.random((n, k)) < flip
-                    db = MultiLabeledDatabase(universe, xs, labels.astype(np.uint8))
+                    db = MultiLabeledDatabase.from_labels(universe, xs, labels.astype(np.uint8))
                     masks, p_release, _ = parity_learner_pmf(db, 1.0, 0.1, 0.1)
                     digest.update(masks.astype("<i8").tobytes() + np.float64(p_release).tobytes())
         assert digest.hexdigest() == "839d54d62a23e759dcc5234e93aadc81bab5008731530f449011a041c2b49d90"
@@ -635,7 +635,7 @@ def _point_witness(relabel: bool) -> MultiLabeledDatabase:
     labels = np.array([1, 1, 1, 1, 1, 0, 0, 0], dtype=np.uint8)
     if relabel:
         labels[4] = 0
-    return MultiLabeledDatabase(Universe.indexed(4), np.zeros(8, dtype=np.int64), labels[:, None])
+    return MultiLabeledDatabase.from_labels(Universe.indexed(4), np.zeros(8, dtype=np.int64), labels[:, None])
 
 
 def _point_selection_law(db, monkeypatch) -> dict:
@@ -682,7 +682,7 @@ class TestPointLearner:
             xs = rng.choice(u.size, size=n, p=[0.45, 0.45, 0.1, 0.0])
             labels = (xs[:, None] == rng.integers(0, u.size, size=k)[None, :]) ^ (rng.random((n, k)) < 0.05)
             heavy = np.arange(int(rng.integers(1, 4)))
-            db = MultiLabeledDatabase(u, xs, labels.astype(np.uint8))
+            db = MultiLabeledDatabase.from_labels(u, xs, labels.astype(np.uint8))
             stable[len(heavy)] += _stable_under_substitution(lambda db: _point_tally(db, heavy), [db])
         assert stable[1] and stable[2]
 
@@ -737,7 +737,7 @@ class TestPointLearner:
         # All-distinct rows with 1/n below the sanitizer's release-0 cut leave
         # no heavy elements, so every label deterministically maps to zero.
         u = Universe.indexed(256)
-        db = MultiLabeledDatabase(u, np.arange(256, dtype=np.int64), np.ones((256, 2), dtype=np.uint8))
+        db = MultiLabeledDatabase.from_labels(u, np.arange(256, dtype=np.int64), np.ones((256, 2), dtype=np.uint8))
         res = point_learner(db, 0.5, 1.0, 0.05, stream(43, 0))
         assert not res.failed
         assert all(h.kind == "zero" for h in res.hypotheses)
@@ -753,7 +753,7 @@ class TestPointLearner:
         # Against the rule written out: answers reaching alpha/15, and past the
         # cap floor(15/alpha) = 30 only the largest, ties to the smaller element.
         u = Universe.indexed(64)
-        db = MultiLabeledDatabase(u, np.zeros(4, dtype=np.int64), np.zeros((4, 1), dtype=np.uint8))
+        db = MultiLabeledDatabase.from_labels(u, np.zeros(4, dtype=np.int64), np.zeros((4, 1), dtype=np.uint8))
         fed = []
 
         def record(db, heavy):
@@ -783,11 +783,11 @@ class TestPointLearner:
         xs = rng.integers(0, 4, size=2000)
         bits = (xs[:, None] >> np.arange(3)) & 1
         labels = (bits ^ (rng.random((2000, 3)) < 0.05)).astype(np.uint8)
-        a = point_learner(MultiLabeledDatabase(u, xs, labels), 0.2, 1.0, 0.01, stream(45, 1))
+        a = point_learner(MultiLabeledDatabase.from_labels(u, xs, labels), 0.2, 1.0, 0.01, stream(45, 1))
         assert not a.failed
         assert a.hypotheses.params.tolist() == [1, 2, -1]
         for perm in ([2, 0, 1], [1, 2, 0]):
-            b = point_learner(MultiLabeledDatabase(u, xs, labels[:, perm]), 0.2, 1.0, 0.01, stream(45, 1))
+            b = point_learner(MultiLabeledDatabase.from_labels(u, xs, labels[:, perm]), 0.2, 1.0, 0.01, stream(45, 1))
             assert not b.failed
             assert b.hypotheses.kind == a.hypotheses.kind
             assert b.hypotheses.params.tolist() == a.hypotheses.params[perm].tolist()
@@ -800,7 +800,7 @@ class TestPointLearner:
         for _ in range(20):
             n = int(rng.integers(0, 120))
             pool = rng.integers(0, 2, size=(int(rng.integers(1, 4)), k)).astype(np.uint8)
-            db = MultiLabeledDatabase(u, rng.integers(0, 6, size=n), pool[rng.integers(0, len(pool), size=n)])
+            db = MultiLabeledDatabase.from_labels(u, rng.integers(0, 6, size=n), pool[rng.integers(0, len(pool), size=n)])
             heavy = np.sort(rng.choice(10, size=int(rng.integers(1, 11)), replace=False))
             _check_top_vectors(db, heavy, monkeypatch)
         # Over 1000 elements, rows fall on 240..271, across the byte boundary at
@@ -809,7 +809,7 @@ class TestPointLearner:
         for _ in range(10):
             n = int(rng.integers(1, 200))
             pool = rng.integers(0, 2, size=(int(rng.integers(1, 4)), k)).astype(np.uint8)
-            db = MultiLabeledDatabase(u, rng.integers(240, 272, size=n), pool[rng.integers(0, len(pool), size=n)])
+            db = MultiLabeledDatabase.from_labels(u, rng.integers(240, 272, size=n), pool[rng.integers(0, len(pool), size=n)])
             candidates = np.r_[np.arange(240, 272), [0, 500, 999]]
             heavy = np.sort(rng.choice(candidates, size=int(rng.integers(1, 20)), replace=False))
             _check_top_vectors(db, heavy, monkeypatch)
@@ -1041,6 +1041,19 @@ class TestDirectSum:
         assert labels_seen == db.labels.T.tolist()
         assert res.ledger.charges == [PrivacyParams(0.1, 0.01)] * 3
 
+    def test_each_label_database_is_its_single_column(self):
+        # 130 labels span three words, so columns come from every word and from bits 0 and 63.
+        u = Universe.indexed(8)
+        rng = stream(66, 0)
+        db = MultiLabeledDatabase.from_labels(u, rng.integers(0, 8, size=40), rng.integers(0, 2, size=(40, 130)))
+        singles = []
+        direct_sum_learner(lambda single, rng: singles.append(single) or _StubBase(u)(single, rng), db, stream(66, 1))
+        assert len(singles) == 130
+        for j, single in enumerate(singles):
+            assert single.k == 1 and single.words.dtype == np.uint64 and single.words.shape == (40, 1)
+            assert single.xs is db.xs
+            assert np.array_equal(single.labels, db.labels[:, j : j + 1]), j
+
     def test_union_bound_accuracy(self):
         u = Universe.indexed(8)
         dist = Distribution.from_weights(u, [1, 1, 1, 1, 0, 0, 0, 0])
@@ -1062,11 +1075,11 @@ class TestDirectSum:
     def test_permutation_invariance_of_objective(self):
         u = Universe.indexed(6)
         rng = stream(64, 0)
-        db = MultiLabeledDatabase(
+        db = MultiLabeledDatabase.from_labels(
             u, rng.integers(0, 6, size=150), rng.integers(0, 2, size=(150, 3)).astype(np.uint8)
         )
         perm = [2, 0, 1]
-        permuted = MultiLabeledDatabase(u, db.xs, db.labels[:, perm])
+        permuted = MultiLabeledDatabase.from_labels(u, db.xs, db.labels[:, perm])
         a = direct_sum_learner(_StubBase(u), db, stream(64, 1))
         b = direct_sum_learner(_StubBase(u), permuted, stream(64, 1))
         assert b.hypotheses.kind == a.hypotheses.kind
@@ -1082,7 +1095,7 @@ class TestDirectSum:
         assert not res.failed
         assert res.hypotheses.kind == POINT and res.hypotheses.params[1] == -1
         rng = stream(66, 1)
-        singles = [base(MultiLabeledDatabase(u, db.xs, db.labels[:, j : j + 1]), rng).hypotheses for j in range(3)]
+        singles = [base(MultiLabeledDatabase.from_labels(u, db.xs, db.labels[:, j : j + 1]), rng).hypotheses for j in range(3)]
         assert res.hypotheses.params.tolist() == [p for table in singles for p in table.params.tolist()]
 
     def test_k0_rejected(self):

@@ -324,6 +324,10 @@ class TestComposition:
         with pytest.raises(ValueError):
             compose_basic([])
 
+    def test_basic_refuses_a_composed_delta_of_one(self):
+        with pytest.raises(ValueError, match=r"^the composed delta of 4 charges must be in \[0, 1\), got 1\.0$"):
+            compose_basic([PrivacyParams(0.1, 0.25)] * 4)
+
     @pytest.mark.parametrize("charges,eps,delta", BASIC_GOLDEN)
     def test_basic_golden(self, charges, eps, delta):
         total = compose_basic([PrivacyParams(e, d) for e, d in charges])
