@@ -383,8 +383,9 @@ def _point_tally(db: MultiLabeledDatabase, heavy: np.ndarray) -> tuple[np.ndarra
     heavy rows' stored label words, grouped by element, gives each element's
     top and runner-up (x, vector) counts (an absent element has the all-zero
     vector at count 0; ties go to the earliest row). The best selection takes
-    every top vector, and only those rows are unpacked. Label j maps to the first heavy element whose top vector has bit j
-    set, else to the constant-zero hypothesis (-1).
+    every top vector, and only those rows are unpacked. Label j maps to the
+    first heavy element whose top vector has bit j set, else to the
+    constant-zero hypothesis (-1).
     """
     top_count = np.zeros(len(heavy), dtype=np.int64)
     top_vec = np.zeros((len(heavy), db.k), dtype=bool)
