@@ -60,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(learn)
 
     san = sub.add_parser("sanitize", help="differentially private query release",
-                         description="--alpha, --epsilon and --delta are the [sanitize] config keys of their names.")
+                         description="--epsilon and --delta are the [sanitize] config keys of their names.")
     san.add_argument("queries", choices=("points",))
-    for key in ("alpha", "epsilon", "delta"):
+    for key in ("epsilon", "delta"):
         san.add_argument("--" + key)
     san.add_argument("--input", required=True, help="database file (header + `x y1 .. yk` rows)")
     _add_common(san)
@@ -145,12 +145,12 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
-    alpha, epsilon, delta = sanitize_privacy(_section(args, "sanitize"))
+    epsilon, delta = sanitize_privacy(_section(args, "sanitize"))
     try:
         db = load_database(args.input)
     except OSError as exc:
         raise ConfigError(f"--input: cannot read {args.input}: {exc}") from exc
-    answers = sanitize_points(db, alpha, epsilon, delta, stream(args.seed, 0, 0))
+    answers = sanitize_points(db, epsilon, delta, stream(args.seed, 0, 0))
     rows = [[x, a] for x, a in zip(answers.support.tolist(), answers.answers.tolist())]
     meta = {"seed": args.seed, "n": db.n, "universe": db.universe.size}
     _emit(TrialReport("sanitize", ["x", "a_x"], rows, meta=meta), args.format, args.out)

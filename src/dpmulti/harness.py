@@ -44,6 +44,7 @@ from .domain import (
 )
 from .learners import (
     LearnerFn,
+    LearnResult,
     direct_sum_learner,
     erm_multi,
     generic_charges,
@@ -358,13 +359,9 @@ def _checked(params: Mapping, section: str, key: str, check: Callable, default: 
     return value
 
 
-def sanitize_privacy(params: Mapping) -> tuple[float, float, float]:
-    """A [sanitize] section's alpha, epsilon and delta, each checked under its key."""
-    return (
-        _checked(params, "sanitize", "alpha", check_fraction),
-        _checked(params, "sanitize", "epsilon", check_epsilon),
-        _checked(params, "sanitize", "delta", check_fraction),
-    )
+def sanitize_privacy(params: Mapping) -> tuple[float, float]:
+    """A [sanitize] section's epsilon and delta, each checked under its key."""
+    return _checked(params, "sanitize", "epsilon", check_epsilon), _checked(params, "sanitize", "delta", check_fraction)
 
 
 @contextlib.contextmanager
@@ -483,6 +480,13 @@ def read_learn(params: Mapping) -> LearnSetting:
     return LearnSetting(n, entry, p, learner, k, dist, _fixed_targets(params, cclass, k), plan, total)
 
 
+def _held_to_plan(result: LearnResult, plan: list[PrivacyParams]) -> LearnResult:
+    """result, once its ledger is checked equal to plan, one charge at a time."""
+    if result.ledger.charges != plan:
+        raise RuntimeError(f"ledger charges {result.ledger.charges} != planned charges {plan}")
+    return result
+
+
 def sample_and_learn(s: LearnSetting, seed: int, point_idx: int, trial: int):
     """(targets, result) of one trial on the stream keyed by (seed, point_idx, trial), which draws any random
     targets before the sample; the result's ledger must equal the setting's plan, one charge at a time."""
@@ -491,10 +495,7 @@ def sample_and_learn(s: LearnSetting, seed: int, point_idx: int, trial: int):
     if targets is None:
         targets = Hypotheses(s.dist.universe, s.params.kind, rng.integers(0, s.dist.universe.size, size=s.k))
     db = sample_database(s.dist, targets, s.n, rng)
-    result = s.learner(db, rng)
-    if result.ledger.charges != s.plan:
-        raise RuntimeError(f"ledger charges {result.ledger.charges} != planned charges {s.plan}")
-    return targets, result
+    return targets, _held_to_plan(s.learner(db, rng), s.plan)
 
 
 def run_learn_trial(seed: int, s: LearnSetting, point_idx: int, trial: int) -> tuple[bool, float]:
@@ -519,7 +520,8 @@ def read_sanitize(params: Mapping) -> SanitizeSetting:
     """Read a sanitize section once, checked in the order its errors are reported."""
     n = _need(params, "sanitize", "n", int, low=1)
     size = _need(params, "sanitize", "universe", int)
-    alpha, epsilon, delta = sanitize_privacy(params)
+    alpha = _checked(params, "sanitize", "alpha", check_fraction)
+    epsilon, delta = sanitize_privacy(params)
     with _naming("sanitize", "universe"):
         universe = Universe.indexed(size)
     dist = parse_distribution(params.get("dist", "uniform"), universe, "sanitize")
@@ -529,7 +531,7 @@ def read_sanitize(params: Mapping) -> SanitizeSetting:
 def run_sanitize_trial(seed: int, s: SanitizeSetting, point_idx: int, trial: int) -> tuple[bool, float]:
     rng = stream(seed, point_idx, trial)
     db = MultiLabeledDatabase.unlabeled(s.dist.universe, s.dist.sample(s.n, rng))
-    answers = sanitize_points(db, s.alpha, *s.total, rng)
+    answers = sanitize_points(db, *s.total, rng)
     truth = np.bincount(db.xs, minlength=s.dist.universe.size) / db.n
     max_err = float(np.abs(answers.as_vector() - truth).max())
     return max_err <= s.alpha, max_err
@@ -593,13 +595,15 @@ def _run_attack(config: ExperimentConfig) -> TrialReport:
     if entry.exact and fingerprint.VARIANTS[variant] != PARITY:
         raise ConfigError(f"attack.variant: expected parity for the {name} learner, got {variant!r}")
     p = _learn_params(params, "attack", entry, fingerprint.VARIANTS[variant], 0.01, 1.0)
-    # Every code column is one label, so the learner's plan is composed once at the code length.
-    _plan_total(entry.charges(p, length or fingerprint.code_length(n_users, xi)), "attack", "length")
+    # Every code column is one label: the plan is composed once at the code length, and held to on every play.
+    plan = entry.charges(p, length or fingerprint.code_length(n_users, xi))
+    _plan_total(plan, "attack", "length")
     # Attack databases have <= 8 users; a size-6 synthetic database keeps
     # the exhaustive sanitizer inside its enumeration budget.
-    learner = entry.build(replace(p, synth_size=6))
+    learn = entry.build(replace(p, synth_size=6))
     report = fingerprint.attack_experiment(
-        learner, n_users, xi, config.trials, variant, p.alpha, config.seed, length=length
+        lambda db, rng: _held_to_plan(learn(db, rng), plan), n_users, xi, config.trials, variant, p.alpha,
+        config.seed, length=length,
     )
     columns = ["n_users", "trials", *_ATTACK_RATES]
     rows = [[n_users, config.trials, *(getattr(report, rate) for rate in _ATTACK_RATES)]]

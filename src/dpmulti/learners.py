@@ -345,12 +345,13 @@ def point_learner(
 ) -> LearnResult:
     """Learn k point functions with an (epsilon, delta) charge independent of k.
 
-    Half the budget sanitizes the element frequencies; elements whose released
-    frequency reaches alpha/15 form the heavy set G (capped at floor(15/alpha)
-    entries). The other half runs one stable selection over per-heavy-element
-    label vectors, maximizing the minimal count of any selected (x, vector)
-    pair. Given G the tally (_point_tally) is deterministic, and it feeds the
-    selection its distance to instability, not the raw gap. `beta` only
+    Half the budget sanitizes the element frequencies (sanitize_points, a
+    stability histogram that answers every element absent from the sample 0);
+    elements whose released frequency reaches alpha/15 form the heavy set G
+    (capped at floor(15/alpha) entries). The other half runs one stable
+    selection over per-heavy-element label vectors, maximizing the minimal
+    count of any selected (x, vector) pair. Given G the tally (_point_tally) is
+    deterministic, and it feeds the selection its distance to instability. `beta` only
     informs the sample-size advisory flag; alpha, epsilon, delta and beta are
     checked (ValueError) before any randomness is drawn.
     """
@@ -361,7 +362,7 @@ def point_learner(
     below = db.n < point_rows_bound(alpha, beta, delta, epsilon)
     ledger = PrivacyLedger(point_charges(epsilon, delta))
 
-    answers = sanitize_points(db, alpha / 30.0, epsilon / 2.0, delta / 2.0, rng)
+    answers = sanitize_points(db, epsilon / 2.0, delta / 2.0, rng)
     # The floor(15/alpha) largest answers, ties to the smaller element, that reach alpha/15.
     top = np.lexsort((answers.support, -answers.answers))[: int(15.0 / alpha)]
     heavy = np.sort(answers.support[top][answers.answers[top] >= alpha / 15.0])
@@ -499,9 +500,9 @@ def generic_multi_learner(
     db.universe.require_same(cclass.universe)
     sanitizer = generic_sanitizer(cclass, delta, sanitizer)
     if sanitizer == "points":
-        # Point-query error alpha/10 twice (release + reconstruction) bounds the
-        # pairwise-xor query error by 2*(alpha/10 + alpha/10) = 2*alpha/5.
-        answers = sanitize_points(db, alpha / 10.0, epsilon, delta, rng)
+        # Point-query error alpha/10 twice (the release, at generic_rows_bound's rows, and the
+        # reconstruction) bounds the pairwise-xor query error by 2*(alpha/10 + alpha/10) = 2*alpha/5.
+        answers = sanitize_points(db, epsilon, delta, rng)
         synth = answers_to_synthetic(answers, alpha / 10.0)
     else:
         synth = sanitize_exhaustive(db, (cclass, "xor"), alpha / 5.0, epsilon, rng, synth_size=synth_size)

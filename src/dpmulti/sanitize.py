@@ -2,8 +2,9 @@
 
 Two sanitizers are provided:
 
-* sanitize_points: one noisy_threshold release of every point-function count,
-  plus a reconstruction of the answers into a small synthetic database.
+* sanitize_points: a stability histogram, one noisy_threshold release of
+  every nonzero point-function count, (epsilon, delta)-DP at every n, plus a
+  reconstruction of the answers into a small synthetic database.
 * sanitize_exhaustive: the exponential mechanism over every candidate
   synthetic database of a fixed size m, scored by worst-case query error.
   It runs over the C(|X|+m-1, m) histograms, not the |X|^m ordered tuples,
@@ -85,45 +86,30 @@ class SyntheticDatabase:
         return np.unique(self.elements)
 
 
-def point_sanitizer_min_rows(alpha: float, epsilon: float, delta: float) -> int:
-    """Rows needed for the release-0 tail in the crossing case to sit within delta/2.
-
-    Solving exp(-eps*n*alpha/8 + eps/2) <= delta gives
-    n >= 4/alpha + (8 / (eps*alpha)) ln(1/delta).
-    """
-    return math.ceil(4.0 / alpha + (8.0 / (epsilon * alpha)) * math.log(1.0 / delta))
-
-
 def point_sanitizer_rows(alpha: float, beta: float, delta: float, epsilon: float) -> int:
     """Pinned sample-size bound for the point sanitizer: ceil(8 ln(16/(a*b*d)) / (a*eps))."""
     return math.ceil(8.0 * math.log(16.0 / (alpha * beta * delta)) / (alpha * epsilon))
 
 
-def sanitize_points(
-    db: MultiLabeledDatabase,
-    alpha: float,
-    epsilon: float,
-    delta: float,
-    rng: np.random.Generator,
-) -> SanitizedAnswers:
-    """Release an approximate answer for every point-function counting query.
+def sanitize_points(db: MultiLabeledDatabase, epsilon: float, delta: float, rng: np.random.Generator) -> SanitizedAnswers:
+    """Answer every point-function counting query by a stability histogram.
 
-    For each x: counts at or below alpha/4 release 0 outright; the others go
-    through one noisy_threshold call at scale 2/(eps*n) and are released only
-    if the noisy value reaches alpha/2 (else 0). Released answers (all above
-    0) are capped at 1, post-processing that is privacy-neutral. Costs
-    (epsilon, delta); delta is the accounting share of the deterministic
-    release-0 branch, not a noise knob. Callers must supply enough rows (see
-    point_sanitizer_rows); the bound is deliberately not enforced here.
+    Every nonzero count goes, by ascending element, through one noisy_threshold
+    call on its frequency at scale 2/(eps*n); the element is released when that
+    reaches (1 + 2 ln(2/delta)/eps)/n, capped at 1, and every other element is
+    answered 0. (epsilon, delta)-DP at every n (Korolova, Kenthapadi, Mishra and
+    Ntoulas 2009; Bun, Nissim and Stemmer 2016): under substitution at most two
+    counts move, each by 1. One nonzero in both databases costs eps/2 (Lap(2/eps)
+    on counts); one moving from 0 to 1 is released with probability delta/4.
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot sanitize an empty database")
-    check_fraction(alpha, "alpha")
     check_fraction(delta, "delta")
     check_epsilon(epsilon)
-    freqs = np.bincount(db.xs, minlength=db.universe.size) / db.n
-    candidates = np.flatnonzero(freqs > alpha / 4.0)
-    released, noisy = noisy_threshold(freqs[candidates], 2.0 / (epsilon * db.n), alpha / 2.0, rng)
+    counts = np.bincount(db.xs, minlength=db.universe.size)
+    candidates = np.flatnonzero(counts)
+    threshold = (1.0 + 2.0 * math.log(2.0 / delta) / epsilon) / db.n
+    released, noisy = noisy_threshold(counts[candidates] / db.n, 2.0 / (epsilon * db.n), threshold, rng)
     return SanitizedAnswers(db.universe, candidates[released], np.minimum(noisy[released], 1.0))
 
 

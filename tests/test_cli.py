@@ -142,7 +142,7 @@ class TestSanitizeCommand:
     def test_csv_columns(self, capsys, db_file):
         code, out = _run(
             capsys,
-            "sanitize", "points", "--alpha", "0.2", "--epsilon", "1", "--delta", "0.01",
+            "sanitize", "points", "--epsilon", "1", "--delta", "0.01",
             "--input", db_file, "--seed", "5",
         )
         assert code == 0
@@ -151,9 +151,9 @@ class TestSanitizeCommand:
         assert len(lines) >= 3  # heavy elements released
 
     def test_rerun_byte_identical(self, capsys, db_file):
-        _, out1 = _run(capsys, "sanitize", "points", "--alpha", "0.2", "--epsilon", "1",
+        _, out1 = _run(capsys, "sanitize", "points", "--epsilon", "1",
                        "--delta", "0.01", "--input", db_file, "--seed", "5")
-        _, out2 = _run(capsys, "sanitize", "points", "--alpha", "0.2", "--epsilon", "1",
+        _, out2 = _run(capsys, "sanitize", "points", "--epsilon", "1",
                        "--delta", "0.01", "--input", db_file, "--seed", "5")
         assert out1 == out2
 
@@ -162,7 +162,7 @@ class TestSanitizeCommand:
         path = tmp_path / "db.txt"
         path.write_text(header + "\n1\n2\n")
         code = main([
-            "sanitize", "points", "--alpha", "0.2", "--epsilon", "1", "--delta", "0.01",
+            "sanitize", "points", "--epsilon", "1", "--delta", "0.01",
             "--input", str(path), "--seed", "5",
         ])
         assert code == 1
@@ -179,7 +179,7 @@ class TestSanitizeCommand:
     def test_unreadable_database_value_is_named(self, capsys, tmp_path, text, where):
         path = tmp_path / "db.txt"
         path.write_text(text)
-        code = main(["sanitize", "points", "--alpha", "0.2", "--epsilon", "1", "--delta", "0.01",
+        code = main(["sanitize", "points", "--epsilon", "1", "--delta", "0.01",
                      "--input", str(path), "--seed", "5"])
         assert code == 1
         assert f"error: {path}{where}\n" == capsys.readouterr().err
@@ -265,10 +265,11 @@ def test_erm_attack_report_golden(capsys, argv, sha256):
             "learn direct-sum --k 9 --n 2726 --universe 16 --seed 3 --format json",
             "a1336585f586b1a3de1170a8ee7c4ca69fa7182917f08f671064a1722c844948",
         ),
-        # k = 2370 code columns learned as points.
+        # k = 2370 code columns learned as points. Re-captured when the point sanitizer became a
+        # stability histogram: on 6 rows it releases nothing, so no play aborts and none is flagged.
         (
             "attack boneh-shaw --learner points --n 6 --xi 0.05 --trials 3 --seed 7 --format json",
-            "3c2e063955c305c1d27cc7871c344b72dd9dcbb5e6cf07d7d821b60d36b49720",
+            "b487fc66b500f45affa751fc58943bd36e0869f8c4238b1d334a6fc519fa5ffe",
         ),
     ],
     ids=["learn-points-k70", "learn-direct-sum-k9", "attack-points-k2370"],
@@ -344,7 +345,7 @@ class TestExperimentCommand:
     "argv",
     [
         ["learn", "erm", "--k", "1", "--n", "20", "--universe", "4", "--seed", "1"],
-        ["sanitize", "points", "--alpha", "0.2", "--epsilon", "1", "--delta", "0.01", "--input", "DB", "--seed", "1"],
+        ["sanitize", "points", "--epsilon", "1", "--delta", "0.01", "--input", "DB", "--seed", "1"],
         ["attack", "boneh-shaw", "--n", "4", "--xi", "0.1", "--trials", "1", "--length", "30", "--seed", "1"],
         ["mech", "laplace", "--scale", "1.0", "--seed", "1"],
         ["mech", "exponential", "--scores", "a:1,b:0", "--epsilon", "1", "--seed", "1"],
@@ -396,7 +397,7 @@ class TestExitCodes:
         assert "epsilon must be finite, got inf" in capsys.readouterr().err
 
     def test_infinite_sanitize_epsilon_is_invalid_input(self, capsys, db_file):
-        argv = ["sanitize", "points", "--alpha", "0.2", "--epsilon", "inf", "--delta", "0.01", "--input", db_file,
+        argv = ["sanitize", "points", "--epsilon", "inf", "--delta", "0.01", "--input", db_file,
                 "--seed", "1"]
         assert main(argv) == 1
         assert "epsilon must be finite, got inf" in capsys.readouterr().err
@@ -444,7 +445,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name", ["nope.txt", "."], ids=["missing", "directory"])
     def test_unreadable_sanitize_input_is_named(self, capsys, tmp_path, name):
-        code = main(["sanitize", "points", "--alpha", "0.2", "--epsilon", "1", "--delta", "0.01",
+        code = main(["sanitize", "points", "--epsilon", "1", "--delta", "0.01",
                      "--input", str(tmp_path / name), "--seed", "5"])
         assert code == 1
         assert "--input: cannot read" in capsys.readouterr().err
@@ -497,7 +498,7 @@ class TestExitCodes:
         assert "learn.class" in capsys.readouterr().err
 
     def test_aborted_direct_sum_reports_full_totals(self, capsys):
-        code, out = _run(capsys, "learn", "direct-sum", "--k", "4", "--n", "30", "--universe", "8", "--seed", "3",
+        code, out = _run(capsys, "learn", "direct-sum", "--k", "4", "--n", "160", "--universe", "8", "--seed", "3",
                          "--format", "json")
         assert code == 0
         meta = json.loads(out)["meta"]
@@ -655,13 +656,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind,key,value,message", [
         ("sanitize", "alpha", "2", "sanitize.alpha must be in (0, 1), got 2.0"),
+        ("sanitize", "alpha", "x", "sanitize.alpha: cannot parse 'x'"),
         ("sanitize", "epsilon", "0", "sanitize.epsilon must be positive, got 0.0"),
         ("sanitize", "epsilon", "inf", "sanitize.epsilon must be finite, got inf"),
         ("sanitize", "delta", "1", "sanitize.delta must be in (0, 1), got 1.0"),
         ("learn", "epsilon", "-1", "learn.epsilon must be positive, got -1.0"),
         ("learn", "epsilon_prime", "0", "learn.epsilon_prime must be positive, got 0.0"),
-    ], ids=["sanitize-alpha2", "sanitize-epsilon0", "sanitize-epsilon-inf", "sanitize-delta1", "learn-epsilon-negative",
-            "learn-epsilon-prime0"])
+    ], ids=["sanitize-alpha2", "sanitize-alpha-not-a-number", "sanitize-epsilon0", "sanitize-epsilon-inf",
+            "sanitize-delta1", "learn-epsilon-negative", "learn-epsilon-prime0"])
     def test_bad_privacy_key_names_its_section(self, capsys, tmp_path, kind, key, value, message):
         body = {"sanitize": {"n": "100", "universe": "8", "alpha": "0.2", "epsilon": "1", "delta": "0.01"},
                 "learn": {"algorithm": "points", "k": "2", "n": "100", "universe": "8", "delta": "0.01",
@@ -707,15 +709,21 @@ class TestExitCodes:
             assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flags,message", [
-        (["--alpha", "2", "--epsilon", "1", "--delta", "0.01"], "sanitize.alpha must be in (0, 1), got 2.0"),
-        (["--alpha", "x", "--epsilon", "1", "--delta", "0.01"], "sanitize.alpha: cannot parse 'x'"),
-        (["--alpha", "0.2", "--epsilon", "0", "--delta", "0.01"], "sanitize.epsilon must be positive, got 0.0"),
-        (["--alpha", "0.2", "--epsilon", "1", "--delta", "1"], "sanitize.delta must be in (0, 1), got 1.0"),
-        (["--alpha", "0.2", "--epsilon", "1"], "sanitize.delta: required"),
-    ], ids=["alpha2", "alpha-not-a-number", "epsilon0", "delta1", "delta-missing"])
+        (["--epsilon", "0", "--delta", "0.01"], "sanitize.epsilon must be positive, got 0.0"),
+        (["--epsilon", "1", "--delta", "1"], "sanitize.delta must be in (0, 1), got 1.0"),
+        (["--epsilon", "1"], "sanitize.delta: required"),
+    ], ids=["epsilon0", "delta1", "delta-missing"])
     def test_sanitize_flag_names_its_key(self, capsys, db_file, flags, message):
         assert main(["sanitize", "points", *flags, "--input", db_file, "--seed", "1"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_sanitize_takes_no_alpha(self, capsys, db_file):
+        # The point sanitizer's release rule reads no accuracy target, so the flag is gone.
+        argv = ["sanitize", "points", "--epsilon", "1", "--delta", "0.01", "--input", db_file, "--seed", "1"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--alpha", "0.2"]) == 1
+        assert "unrecognized arguments: --alpha 0.2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [[], ["--format", "csv"]], ids=["config-format", "format-flag"])
     def test_bad_config_format_is_refused_before_any_trial(self, capsys, tmp_path, monkeypatch, flags):

@@ -83,7 +83,8 @@ PARITY_GOLDEN_SHA256 = "e23a02546abc2382b392e24520f64048402a1d63a12059ea181a44c4
 
 # The point-learn workload's k=32 config, swept across the n where stable
 # selection starts to release; the digest pins the point learner's output.
-# Fed the distance to instability, no trial releases at n = 50 or 60.
+# No trial succeeds at n = 50 or 60: the sanitizer's heavy set is empty in
+# eleven of the twelve, which release all-zero hypotheses, and one aborts.
 POINT_GOLDEN_CFG = """
 [experiment]
 kind = learn
@@ -102,11 +103,12 @@ beta = 0.1
 delta = 0.01
 epsilon = 1
 """
-POINT_GOLDEN_SHA256 = "614d3563729fb2fe274e32376f2b46d6cacebf1ab24a93e245137224462197f4"
+POINT_GOLDEN_SHA256 = "4d9b36d3e0a9ac415471e09dd581ab4d315bb82993103e27c68c0267d80f9f23"
 
 # Universes that are not a power of two, with weights whose cdf values fall
 # inside the sampling table's buckets, so Distribution.sample takes its
-# mixed-bucket search. The digests are those of reports drawn with rng.choice.
+# mixed-bucket search. The samples are the draws of rng.choice; the digests
+# were re-captured when the point sanitizer became a stability histogram.
 NONDYADIC_WEIGHTS = "weights:0,5,3,1,0,2,7,1,1,4,3,0"
 SANITIZE_NONDYADIC_GOLDEN_CFG = f"""
 [experiment]
@@ -123,7 +125,7 @@ epsilon = 1
 delta = 0.01
 dist = {NONDYADIC_WEIGHTS}
 """
-SANITIZE_NONDYADIC_GOLDEN_SHA256 = "46ef91ccf84b22301d9ab3e1d4b8d2a5b1583306734f535486b571a82c169931"
+SANITIZE_NONDYADIC_GOLDEN_SHA256 = "60534c2a54189754b40bf0678538a7021054e408594e56ce572219310cbd91b7"
 
 POINT_NONDYADIC_GOLDEN_CFG = f"""
 [experiment]
@@ -143,7 +145,7 @@ beta = 0.1
 delta = 0.01
 epsilon = 1
 """
-POINT_NONDYADIC_GOLDEN_SHA256 = "4a1f3c2f7c974d893026322de5fadd4c9ef71ec207f7b92ad4333db0be9bd9be"
+POINT_NONDYADIC_GOLDEN_SHA256 = "2af2c3d84f61d38b24fc14449caed0117ec1c25b813c76a3aecf42eef23c2ad1"
 
 SANITIZE_CFG = """
 [experiment]
@@ -393,8 +395,8 @@ class TestSweepAxis:
 
 # algorithm -> (learn section, n at which seed 1 aborts or None if it cannot, n at which it releases)
 LEDGER_SECTIONS = {
-    "points": ({"k": "4", "universe": "8", "delta": "0.01"}, 30, 400),
-    "direct-sum": ({"k": "4", "universe": "8", "delta": "0.01"}, 30, 400),
+    "points": ({"k": "4", "universe": "8", "delta": "0.01"}, 100, 400),
+    "direct-sum": ({"k": "4", "universe": "8", "delta": "0.01"}, 100, 400),
     "parities": ({"k": "3", "d": "3", "delta": "0.1"}, 30, 400),
     "generic": ({"k": "3", "class": "point", "universe": "8", "delta": "0.01", "epsilon_prime": "2"}, None, 400),
     "erm": ({"k": "3", "class": "thresh", "universe": "8"}, None, 30),
@@ -426,10 +428,21 @@ def test_ledger_that_differs_from_the_plan_is_refused(monkeypatch):
     assert str(refused.value) == f"ledger charges {[PrivacyParams(1.0, 0.01)]} != planned charges {[half, half]}"
 
 
+def test_attack_play_whose_ledger_differs_from_the_plan_is_refused(monkeypatch):
+    # The same one-charge ledger, in an attack: every play is held to the plan composed at the code length.
+    learn = harness.point_learner
+    monkeypatch.setattr(harness, "point_learner", lambda *args, **kwargs: replace(
+        learn(*args, **kwargs), ledger=PrivacyLedger([PrivacyParams(1.0, 0.01)])))
+    with pytest.raises(RuntimeError) as refused:
+        run_experiment(_sweep_config("attack", "n_users = 4\nxi = 0.1\nlength = 30\nlearner = points"))
+    half = PrivacyParams(0.5, 0.005)
+    assert str(refused.value) == f"ledger charges {[PrivacyParams(1.0, 0.01)]} != planned charges {[half, half]}"
+
+
 def test_direct_sum_sweep_charges_k_base_ledgers_at_every_n():
     body = "algorithm = direct-sum\nuniverse = 8\nk = 4\ndelta = 0.01"
-    report = run_experiment(_sweep_config("learn", body, "n", (30, 400)))
-    assert report.rows[0][2] == 0  # every trial at n = 30 aborts
+    report = run_experiment(_sweep_config("learn", body, "n", (100, 400)))
+    assert report.rows[0][2] == 0  # every trial at n = 100 aborts
     assert [row[4:] for row in report.rows] == [[4.0, 0.04], [4.0, 0.04]]
 
 

@@ -47,7 +47,14 @@ from dpmulti.learners import (
     point_learner,
     point_rows_bound,
 )
-from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, dp_bound_holds, stable_argmax, stable_argmax_pmf
+from dpmulti.mechanisms import (
+    PrivacyLedger,
+    PrivacyParams,
+    dp_bound_holds,
+    noisy_threshold_pmf,
+    stable_argmax,
+    stable_argmax_pmf,
+)
 from dpmulti.rng import stream
 from dpmulti.sanitize import SanitizedAnswers, answers_to_synthetic, sanitize_points
 
@@ -734,11 +741,15 @@ class TestPointLearner:
         assert good >= 36
 
     def test_empty_heavy_set_all_zero(self):
-        # All-distinct rows with 1/n below the sanitizer's release-0 cut leave
-        # no heavy elements, so every label deterministically maps to zero.
+        # All-distinct rows leave no heavy elements, so every label maps to zero: at
+        # this delta the sanitizer, run at (eps/2, delta/2), releases each count of 1
+        # with probability below 1e-6.
         u = Universe.indexed(256)
-        db = MultiLabeledDatabase.from_labels(u, np.arange(256, dtype=np.int64), np.ones((256, 2), dtype=np.uint8))
-        res = point_learner(db, 0.5, 1.0, 0.05, stream(43, 0))
+        eps, delta, n = 1.0, 1e-6, 256
+        threshold = (1.0 + 2.0 * math.log(2.0 / (delta / 2)) / (eps / 2)) / n
+        assert (noisy_threshold_pmf(np.full(n, 1.0 / n), 2.0 / (eps / 2 * n), threshold) < 1e-6).all()
+        db = MultiLabeledDatabase.from_labels(u, np.arange(n, dtype=np.int64), np.ones((n, 2), dtype=np.uint8))
+        res = point_learner(db, 0.5, eps, delta, stream(43, 0))
         assert not res.failed
         assert all(h.kind == "zero" for h in res.hypotheses)
 
@@ -860,7 +871,7 @@ class TestGenericLearner:
         for trial in range(20):
             rng = stream(50, trial)
             db = sample_database(Distribution.uniform(u), Hypotheses(u, POINT, np.array([3])), 2000, rng)
-            answers = sanitize_points(db, 0.02, 1.0, 0.01, rng)
+            answers = sanitize_points(db, 1.0, 0.01, rng)
             synth = answers_to_synthetic(answers, 0.02)
             support = synth.distinct_elements()
             witnesses = dichotomy_projection(cclass, support)

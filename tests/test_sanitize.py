@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from dpmulti import sanitize
 from dpmulti.domain import (
     POINT,
     THRESH,
@@ -26,7 +27,6 @@ from dpmulti.sanitize import (
     _histogram_table,
     _query_matrix,
     answers_to_synthetic,
-    point_sanitizer_min_rows,
     point_sanitizer_rows,
     sanitize_error,
     sanitize_exhaustive,
@@ -65,20 +65,18 @@ EXACT_CASES = [
 
 class TestSanitizePoints:
     def test_subthreshold_released_exactly_zero(self):
-        # Counts at or below alpha/4 never reach the noisy branch.
+        # Every element absent from the sample is answered exactly 0.
         u = Universe.indexed(8)
-        xs = [0] * 60 + [1] * 2 + [2]  # 2/63 and 1/63 are below 0.5/4
-        alpha = 0.5
+        xs = [0] * 60 + [1] * 2 + [2]
         for trial in range(50):
-            ans = sanitize_points(_unlabeled(u, xs), alpha, 1.0, 0.05, stream(20, trial))
-            assert ans.answer(1) == 0.0
-            assert ans.answer(2) == 0.0
-            assert ans.answer(7) == 0.0
+            ans = sanitize_points(_unlabeled(u, xs), 1.0, 0.05, stream(20, trial))
+            assert set(ans.support.tolist()) <= {0, 1, 2}
+            assert all(ans.answer(x) == 0.0 for x in range(3, 8))
 
     def test_all_distinct_all_zero(self):
         u = Universe.indexed(16)
-        xs = list(range(16))  # 1/16 <= alpha/4 for alpha = 0.25
-        ans = sanitize_points(_unlabeled(u, xs), 0.25, 1.0, 0.01, stream(20, 100))
+        xs = list(range(16))  # each count of 1 is released with probability delta/4; none is, 0.96 of the time
+        ans = sanitize_points(_unlabeled(u, xs), 1.0, 0.01, stream(20, 100))
         assert ans.support.size == 0 and ans.answers.size == 0
 
     def test_single_heavy_element_accurate(self):
@@ -87,15 +85,20 @@ class TestSanitizePoints:
         u = Universe.indexed(4)
         good = 0
         for trial in range(100):
-            ans = sanitize_points(_unlabeled(u, [3] * n), alpha, eps, 0.01, stream(21, trial))
+            ans = sanitize_points(_unlabeled(u, [3] * n), eps, 0.01, stream(21, trial))
             good += abs(ans.answer(3) - 1.0) <= alpha / 2
         assert good >= 90
 
     def test_answers_clamped(self):
+        # At eps = 2 the count of 10 clears its threshold of 4.7 rows almost always, and its noisy
+        # frequency lands above 1 about half the time.
         u = Universe.indexed(2)
+        clamped = 0
         for trial in range(200):
-            ans = sanitize_points(_unlabeled(u, [0] * 10), 0.3, 0.2, 0.05, stream(22, trial))
+            ans = sanitize_points(_unlabeled(u, [0] * 10), 2.0, 0.05, stream(22, trial))
             assert ((0.0 <= ans.answers) & (ans.answers <= 1.0)).all()
+            clamped += int((ans.answers == 1.0).sum())
+        assert clamped >= 50
 
     def test_accuracy_at_pinned_rows(self):
         # All queries within alpha, over mixed-frequency databases, in >= 85%
@@ -113,21 +116,14 @@ class TestSanitizePoints:
         for trial in range(120):
             rng = stream(23, trial)
             db = _unlabeled(u, dist.sample(n, rng))
-            ans = sanitize_points(db, alpha, eps, delta, rng)
+            ans = sanitize_points(db, eps, delta, rng)
             truth = np.bincount(db.xs, minlength=32) / n
             good += bool(np.abs(ans.as_vector() - truth).max() <= alpha)
         assert good >= 0.85 * 120
 
-    def test_min_rows_helper(self):
-        # exp(-eps*n*alpha/8 + eps/2) <= delta at the returned n.
-        for alpha, eps, delta in [(0.2, 1.0, 0.01), (0.5, 0.5, 0.001)]:
-            n = point_sanitizer_min_rows(alpha, eps, delta)
-            assert math.exp(-eps * n * alpha / 8 + eps / 2) <= delta
-            assert math.exp(-eps * (n - 2) * alpha / 8 + eps / 2) > delta * 0.5
-
     def test_matches_per_element_loop(self):
         # The release rule one element at a time, ascending x, one draw per
-        # count above alpha/4: same answers, and the stream ends in the same place.
+        # nonzero count: same answers, and the stream ends in the same place.
         for trial in range(200):
             rng = stream(26, trial)
             size = int(rng.integers(2, 40))
@@ -135,16 +131,16 @@ class TestSanitizePoints:
             xs = rng.choice(size, size=int(rng.integers(1, 300)), p=weights / weights.sum())
             db = _unlabeled(Universe.indexed(size), xs)
             counts = np.bincount(db.xs, minlength=size)
-            alpha, eps = float(rng.uniform(0.02, 0.9)), float(rng.uniform(0.1, 3.0))
-            if trial % 2:  # the alpha/4 cut falls exactly on an occurring count
-                alpha = min(4.0 * rng.choice(counts[counts > 0]) / db.n, 0.9)
+            eps = float(rng.uniform(0.1, 3.0))
+            # Odd trials take a large delta, so that counts of a few rows are released too.
+            delta = float(rng.uniform(0.2, 0.9)) if trial % 2 else float(10.0 ** rng.uniform(-8, -1))
             vec, loop, ref = stream(27, trial), stream(27, trial), {}
-            ans = sanitize_points(db, alpha, eps, 0.01, vec)
+            ans = sanitize_points(db, eps, delta, vec)
+            threshold = (1.0 + 2.0 * math.log(2.0 / delta) / eps) / db.n
             for x in np.flatnonzero(counts):
-                if counts[x] / db.n > alpha / 4:
-                    noisy = counts[x] / db.n + laplace_sample(2.0 / (eps * db.n), loop)
-                    if noisy >= alpha / 2:
-                        ref[int(x)] = min(noisy, 1.0)
+                noisy = counts[x] / db.n + laplace_sample(2.0 / (eps * db.n), loop)
+                if noisy >= threshold:
+                    ref[int(x)] = min(noisy, 1.0)
             assert dict(zip(ans.support.tolist(), ans.answers.tolist())) == ref
             assert ans.support.dtype == np.int64 and ans.answers.dtype == np.float64
             assert vec.random() == loop.random()
@@ -152,75 +148,95 @@ class TestSanitizePoints:
     def test_rejects_bad_input(self):
         u = Universe.indexed(4)
         with pytest.raises(ValueError):
-            sanitize_points(_unlabeled(u, [0]), 1.5, 1.0, 0.01, stream(24, 0))
+            sanitize_points(_unlabeled(u, [0]), 1.0, 1.5, stream(24, 0))
         from dpmulti.domain import EmptyDatabaseError
 
         with pytest.raises(EmptyDatabaseError):
-            sanitize_points(_unlabeled(u, []), 0.2, 1.0, 0.01, stream(24, 1))
+            sanitize_points(_unlabeled(u, []), 1.0, 0.01, stream(24, 1))
 
 
-def _answer_grid_pmf(count, n, alpha, epsilon, edges):
+def _recorded_release(monkeypatch, count, n, epsilon, delta):
+    """(value, scale, threshold) of element 0's noisy_threshold release in sanitize_points, when element 0
+    holds count of n rows, or None when the sanitizer gives it no release. A stub in place of
+    noisy_threshold releases every value it is given at that value, so the answers name the elements
+    that went through it."""
+    calls = []
+
+    def release_all(values, scale, threshold, rng):
+        calls.append((scale, threshold))
+        return np.ones(len(values), dtype=bool), np.asarray(values, dtype=np.float64)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sanitize, "noisy_threshold", release_all)
+        ans = sanitize_points(_unlabeled(Universe.indexed(4), [0] * count + [1] * (n - count)),
+                              epsilon, delta, stream(28, 0))
+    if 0 not in ans.support:
+        return None
+    return (float(ans.answers[ans.support == 0][0]), *calls[0])
+
+
+def _answer_grid_pmf(release, edges):
     """Exact pmf of one query's released answer on {0} + grid bins + {1}.
 
-    Mirrors the four-step release rule: sub-threshold counts release 0 with
-    probability 1; otherwise Lap(2/(eps n)) noise, a release-0 cut at alpha/2,
-    and clamping of values above 1.
+    release is _recorded_release's (value, scale, threshold), or None for an
+    element that is answered 0 with probability 1. Otherwise the answer is
+    value + Lap(scale), released at or above threshold (else 0) and capped at 1.
     """
-    frac = count / n
     pmf = np.zeros(len(edges) + 1)
-    if frac <= alpha / 4:
+    if release is None:
         pmf[0] = 1.0
         return pmf
-    scale = 2.0 / (epsilon * n)
+    value, scale, threshold = release
 
     def cdf(t):
         if t < 0:
             return 0.5 * math.exp(t / scale)
         return 1 - 0.5 * math.exp(-t / scale)
 
-    pmf[0] = cdf(alpha / 2 - frac)
+    pmf[0] = cdf(threshold - value)
     for i in range(len(edges) - 1):
-        lo = max(edges[i], alpha / 2)
+        lo = max(edges[i], threshold)
         hi = edges[i + 1]
-        if hi <= alpha / 2:
+        if hi <= lo:
             continue
-        pmf[i + 1] = max(0.0, cdf(hi - frac) - cdf(lo - frac))
-    pmf[-1] = 1 - cdf(1 - frac)
+        pmf[i + 1] = cdf(hi - value) - cdf(lo - value)
+    pmf[-1] = 1 - cdf(max(1.0, threshold) - value)
     return pmf
 
 
 class TestPerQueryPrivacy:
-    def test_case_analysis_on_neighboring_counts(self):
-        # Each query's exact (discretized) output law changes by at most
-        # (eps/2, delta/2) when one row moves, provided n clears the
-        # release-0 tail bound. 16 neighboring pairs across both regimes.
-        alpha, eps, delta = 0.5, 1.0, 0.05
-        n = 200
-        assert n >= point_sanitizer_min_rows(alpha, eps, delta)
-        boundary = int(alpha * n / 4)
-        pairs = [(0, 1), (5, 6), (boundary - 1, boundary), (boundary, boundary + 1),
-                 (boundary + 1, boundary + 2), (40, 41), (120, 121), (199, 200)]
-        alpha2, n2 = 0.2, 400
-        assert n2 >= point_sanitizer_min_rows(alpha2, eps, delta)
-        boundary2 = int(alpha2 * n2 / 4)
-        pairs2 = [(0, 1), (boundary2, boundary2 + 1), (boundary2 + 5, boundary2 + 6),
-                  (100, 101), (200, 201), (399, 400), (boundary2 - 1, boundary2),
-                  (boundary2 + 1, boundary2 + 2)]
-        checked = 0
-        for a, e, nn, plist in [(alpha, eps, n, pairs), (alpha2, eps, n2, pairs2)]:
-            grid = np.concatenate([[a / 2], np.linspace(a / 2 + 1e-9, 1.0, 40)])
-            for m0, m1 in plist:
-                p = _answer_grid_pmf(m0, nn, a, e, grid)
-                q = _answer_grid_pmf(m1, nn, a, e, grid)
-                # Above the alpha/4 cut, the hand-written release mass is the primitive's.
-                for count, pmf in [(m0, p), (m1, q)]:
-                    if count / nn > a / 4:
-                        release = noisy_threshold_pmf([count / nn], 2.0 / (e * nn), a / 2)[0]
-                        assert 1 - pmf[0] == pytest.approx(release, abs=1e-12)
-                assert dp_bound_holds(p, q, e / 2, delta / 2, tol=1e-9)
-                assert dp_bound_holds(q, p, e / 2, delta / 2, tol=1e-9)
+    def test_case_analysis_on_neighboring_counts(self, monkeypatch):
+        # Each query's exact (discretized) output law, read off the sanitizer's
+        # own release, changes by at most (eps/2, delta/2) when one row moves,
+        # at every n. At n = 200 and 400: pairs from the absent element, around
+        # the release threshold (8.4 rows at eps = 1, delta = 0.05) and far
+        # above it. At n = 10, eps = 0.5, delta = 0.05: every (c, c+1).
+        settings = [
+            (200, 1.0, 0.05, [(0, 1), (1, 2), (5, 6), (7, 8), (8, 9), (9, 10), (40, 41), (199, 200)]),
+            (400, 1.0, 0.05, [(0, 1), (8, 9), (20, 21), (100, 101), (200, 201), (399, 400)]),
+            (10, 0.5, 0.05, [(c, c + 1) for c in range(10)]),
+        ]
+        grid = np.linspace(0.0, 1.0, 41)
+        failures, checked = [], 0
+        for n, eps, delta, pairs in settings:
+            for m0, m1 in pairs:
+                laws = []
+                for count in (m0, m1):
+                    release = _recorded_release(monkeypatch, count, n, eps, delta)
+                    pmf = _answer_grid_pmf(release, grid)
+                    assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+                    if release is not None:
+                        # The hand-written release mass is the primitive's.
+                        assert 1 - pmf[0] == pytest.approx(noisy_threshold_pmf([release[0]], *release[1:])[0],
+                                                           abs=1e-12)
+                    laws.append(pmf)
+                p, q = laws
+                if not (dp_bound_holds(p, q, eps / 2, delta / 2, tol=1e-9)
+                        and dp_bound_holds(q, p, eps / 2, delta / 2, tol=1e-9)):
+                    failures.append((n, m0, m1))
                 checked += 1
-        assert checked == 16
+        assert failures == []
+        assert checked == 24
 
 
 class TestAnswersToSynthetic:
