@@ -80,7 +80,6 @@ from .harness import (
     TrialReport,
     emit,
     parse_config,
-    plan_sample_size,
     run_experiment,
 )
 from .rng import stream

@@ -217,9 +217,9 @@ class AttackReport:
 
     @property
     def completeness_rate(self) -> float:
-        """Feasible, traced words among the unflagged completeness trials."""
+        """Accurate, feasible, traced plays among the unflagged completeness trials."""
         unflagged = [r for r in self.rows if not r["flagged"]]
-        traced = sum(1 for r in unflagged if r["feasible"] and r["accused"] >= 0)
+        traced = sum(1 for r in unflagged if r["accurate"] and r["feasible"] and r["accused"] >= 0)
         return traced / len(unflagged) if unflagged else 0.0
 
     @property

@@ -45,21 +45,19 @@ from .domain import (
 from .learners import (
     LearnerFn,
     LearnResult,
+    check_generic_budget,
     direct_sum_learner,
     erm_multi,
     generic_charges,
     generic_multi_learner,
-    generic_rows_bound,
-    parity_block_plan,
     parity_charges,
     parity_learner,
     point_charges,
     point_learner,
-    point_rows_bound,
 )
 from .mechanisms import PrivacyParams, check_delta, check_epsilon, check_fraction, compose_basic
 from .rng import stream
-from .sanitize import sanitize_points
+from .sanitize import EnumerationBudgetError, sanitize_points
 
 
 class ConfigError(ValueError):
@@ -86,7 +84,7 @@ class Learner:
 
     build(params) returns a (db, rng) learner that looks the learner up by its
     module-level name at call time, so wrappers installed on module attributes
-    see every call. plan takes plan_sample_size's keywords.
+    see every call, and sets below_sample_bound from the learner's own bound.
     charges(params, k) calls the learner's charge schedule: the ledger it must
     hold on every outcome, aborts included. An exact learner learns parities
     only, and its trials succeed only on exact recovery of the targets.
@@ -94,7 +92,6 @@ class Learner:
     """
 
     build: Callable[[LearnParams], LearnerFn]
-    plan: Callable[..., int]
     charges: Callable[[LearnParams, int], list[PrivacyParams]]
     exact: bool = False
     delta_check: Callable[[float, str], None] = check_fraction
@@ -109,76 +106,34 @@ def _generic(p: LearnParams) -> LearnerFn:
     )
 
 
-def _erm_rows(cclass: ConceptClass, alpha: float, beta: float, **_) -> int:
-    """erm's plan, the realizable VC bound; its learner flags n below it."""
-    return vc_sample_size(cclass.vc_dim, alpha, beta)
-
-
 def _erm(p: LearnParams) -> LearnerFn:
     def learn(db, rng):
         cclass = ConceptClass(p.kind, db.universe)
-        return replace(erm_multi(db, cclass), below_sample_bound=db.n < _erm_rows(cclass, p.alpha, p.beta))
+        return replace(erm_multi(db, cclass), below_sample_bound=db.n < vc_sample_size(cclass.vc_dim, p.alpha, p.beta))
 
     return learn
 
 
-_POINTS = Learner(
-    lambda p: lambda db, rng: point_learner(db, p.alpha, p.epsilon, p.delta, rng, beta=p.beta),
-    lambda alpha, beta, delta, epsilon, **_: point_rows_bound(alpha, beta, delta, epsilon),
-    lambda p, k: point_charges(p.epsilon, p.delta),
-)
+def _points(p: LearnParams) -> LearnerFn:
+    return lambda db, rng: point_learner(db, p.alpha, p.epsilon, p.delta, rng, beta=p.beta)
+
 
 LEARNERS: dict[str, Learner] = {
-    "points": _POINTS,
+    "points": Learner(_points, lambda p, k: point_charges(p.epsilon, p.delta)),
     "parities": Learner(
         lambda p: lambda db, rng: parity_learner(db, p.epsilon, p.delta, p.beta, rng),
-        lambda cclass, epsilon, beta, delta, **_: math.prod(
-            parity_block_plan(cclass.universe.bit_width, epsilon, beta, delta)
-        ),
         lambda p, k: parity_charges(p.epsilon, p.delta),
         exact=True,
     ),
     "generic": Learner(
-        _generic,
-        lambda cclass, k, alpha, beta, epsilon, epsilon_prime, delta, **_: generic_rows_bound(
-            cclass, k, alpha, beta, epsilon, epsilon_prime, delta
-        ),
-        lambda p, k: generic_charges(k, p.epsilon, p.epsilon_prime, p.delta),
-        delta_check=check_delta,
+        _generic, lambda p, k: generic_charges(k, p.epsilon, p.epsilon_prime, p.delta), delta_check=check_delta
     ),
     "direct-sum": Learner(
-        lambda p: lambda db, rng: direct_sum_learner(_POINTS.build(p), db, rng),
-        _POINTS.plan,
+        lambda p: lambda db, rng: direct_sum_learner(_points(p), db, rng),
         lambda p, k: point_charges(p.epsilon, p.delta) * k,
     ),
-    "erm": Learner(
-        _erm,
-        _erm_rows,
-        lambda p, k: [],
-        delta_check=lambda delta, name: None,  # erm charges nothing
-    ),
+    "erm": Learner(_erm, lambda p, k: [], delta_check=lambda delta, name: None),  # erm charges nothing
 }
-
-
-def plan_sample_size(
-    algorithm: str,
-    *,
-    cclass: ConceptClass | None = None,
-    k: int = 1,
-    alpha: float | None = None,
-    beta: float | None = None,
-    epsilon: float | None = None,
-    delta: float | None = None,
-    epsilon_prime: float | None = None,
-) -> int:
-    """Planning sample size for each learner, with this package's pinned
-    constants; erm plans the realizable VC bound."""
-    if algorithm not in LEARNERS:
-        raise ValueError(f"unknown algorithm tag {algorithm!r}")
-    return LEARNERS[algorithm].plan(
-        cclass=cclass, k=k, alpha=alpha, beta=beta, epsilon=epsilon, delta=delta,
-        epsilon_prime=epsilon_prime,
-    )
 
 
 def format_float(value: float) -> str:
@@ -366,9 +321,11 @@ def sanitize_privacy(params: Mapping) -> tuple[float, float]:
 
 @contextlib.contextmanager
 def _naming(section: str, key: str):
-    """Report a value that a constructor or reader refuses as `<section>.<key>: <message>`."""
+    """Name a value a constructor or reader refuses as `<section>.<key>: <message>`; budget refusals keep their type."""
     try:
         yield
+    except EnumerationBudgetError as exc:
+        raise EnumerationBudgetError(f"{section}.{key}: {exc}") from None
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{section}.{key}: {exc}") from None
 
@@ -400,13 +357,13 @@ def _learn_class(params: dict, parities: bool) -> str:
     return class_kind
 
 
-def _learn_universe(params: dict, parities: bool) -> tuple[Universe, ConceptClass]:
+def _learn_universe(params: dict, parities: bool) -> tuple[str, ConceptClass]:
     class_kind = _learn_class(params, parities)
     key, make = ("d", Universe.bitvectors) if class_kind == PARITY else ("universe", Universe.indexed)
     value = _need(params, "learn", key, int)
     with _naming("learn", key):
         universe = make(value)
-    return universe, ConceptClass(class_kind, universe)
+    return key, ConceptClass(class_kind, universe)
 
 
 def _fixed_targets(params: Mapping, cclass: ConceptClass, k: int) -> Hypotheses | None:
@@ -471,12 +428,16 @@ def read_learn(params: Mapping) -> LearnSetting:
         raise ConfigError(f"learn.algorithm: expected one of {tuple(LEARNERS)}, got {algorithm!r}")
     entry = LEARNERS[algorithm]
     k = _need(params, "learn", "k", int, low=1)
-    universe, cclass = _learn_universe(params, entry.exact)
+    universe_key, cclass = _learn_universe(params, entry.exact)
     p = _learn_params(params, "learn", entry, cclass.kind, 0.0, None)
     learner = entry.build(p)
     plan = entry.charges(p, k)
     total = _plan_total(plan, "learn", "k")
-    dist = parse_distribution(params.get("dist", "uniform"), universe)
+    if algorithm == "generic":  # over budget at m = 1 names the universe key, else the key that sets m
+        for key, m in ((universe_key, 1), ("synth_size" if p.synth_size else universe_key, p.synth_size)):
+            with _naming("learn", key):
+                check_generic_budget(cclass, p.alpha, p.delta, m)
+    dist = parse_distribution(params.get("dist", "uniform"), cclass.universe)
     return LearnSetting(n, entry, p, learner, k, dist, _fixed_targets(params, cclass, k), plan, total)
 
 

@@ -25,13 +25,16 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .domain import (
+    EVAL_BLOCK_CELLS,
     PARITY,
     POINT,
     ConceptClass,
     EmptyDatabaseError,
     Hypotheses,
     MultiLabeledDatabase,
+    _evaluate_params,
     _pack_words,
+    _row_blocks,
     _tally,
     _unpack_words,
     dichotomy_projection,
@@ -46,7 +49,14 @@ from .mechanisms import (
     stable_argmax,
     stable_argmax_pmf,
 )
-from .sanitize import answers_to_synthetic, point_sanitizer_rows, sanitize_exhaustive, sanitize_points
+from .sanitize import (
+    answers_to_synthetic,
+    check_budget,
+    exhaustive_synth_size,
+    point_sanitizer_rows,
+    sanitize_exhaustive,
+    sanitize_points,
+)
 
 LearnerFn = Callable[[MultiLabeledDatabase, np.random.Generator], "LearnResult"]
 
@@ -93,8 +103,14 @@ def erm_multi(db: MultiLabeledDatabase, cclass: ConceptClass) -> LearnResult:
 
 
 def erm_mismatch_counts(db: MultiLabeledDatabase, cclass: ConceptClass) -> np.ndarray:
-    """Mismatch-count matrix (|C|, k) underlying erm_multi; exposed for oracles."""
-    return _mismatch_counts(cclass.eval_matrix(db.xs), db.labels)
+    """(|C|, k) mismatch counts underlying erm_multi, counted a block of concepts at a time; exposed for oracles."""
+    params = cclass.universe.elements()[:, None]
+    if len(cclass) * db.n <= EVAL_BLOCK_CELLS:  # one block: no buffer to copy through
+        return _mismatch_counts(_evaluate_params(cclass.kind, params, db.xs), db.labels)
+    counts = np.empty((len(cclass), db.k), dtype=np.int64)
+    for block in _row_blocks(len(cclass), db.n):
+        counts[block] = _mismatch_counts(_evaluate_params(cclass.kind, params[block], db.xs), db.labels)
+    return counts
 
 
 def _mismatch_counts(evals: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -428,6 +444,12 @@ def generic_sanitizer(cclass: ConceptClass, delta: float, sanitizer: str = "auto
     if sanitizer not in ("points", "exhaustive"):
         raise ValueError(f"unknown sanitizer {sanitizer!r}")
     return sanitizer
+
+
+def check_generic_budget(cclass: ConceptClass, alpha: float, delta: float, synth_size: int | None = None) -> None:
+    """Refuse (EnumerationBudgetError), with no data, the exhaustive sanitization generic_multi_learner would run."""
+    if generic_sanitizer(cclass, delta) == "exhaustive":
+        check_budget((cclass, "xor"), exhaustive_synth_size((cclass, "xor"), alpha / 5.0, synth_size))
 
 
 def generic_rows_bound(

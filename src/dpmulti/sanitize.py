@@ -9,7 +9,7 @@ Two sanitizers are provided:
   synthetic database of a fixed size m, scored by worst-case query error.
   It runs over the C(|X|+m-1, m) histograms, not the |X|^m ordered tuples,
   with the same law on the released (sorted) multiset. Exact and exhaustive
-  by design; the histogram count is capped by ENUMERATION_BUDGET. Only the
+  by design; check_budget caps the histogram count and table sizes. Only the
   target answers and the worst-case errors depend on the data: the
   histograms, their query answers and log multinomials are built once per
   (query class, m) and kept read-only in a small cache (_histogram_table),
@@ -30,6 +30,10 @@ from .mechanisms import check_epsilon, check_fraction, exponential_mechanism, ex
 
 # Most candidate histograms the exhaustive sanitizer enumerates and scores.
 ENUMERATION_BUDGET = 1 << 20
+
+# Most cells in any table the exhaustive sanitizer builds (H x |X| histograms, query pairs x |X|, queries x H
+# answers): 2^27 admits the answers at |X| = 64, m = 3; the xor closure takes 38 s at 2^27 cells (|X| = 512).
+TABLE_BUDGET = 1 << 27
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -185,14 +189,11 @@ def sanitize_exhaustive(
     the multinomial(h) ordered tuples with histogram h share its score, so
     this is the law, on the released multiset, of the exponential mechanism
     over all |X|^m tuples. The chosen multiset is released in sorted order.
-    Exact but exponential, so the C(|X|+m-1, m) histograms are capped by
-    ENUMERATION_BUDGET.
+    Exact but exponential, so check_budget caps its size; m is exhaustive_synth_size's.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if synth_size is None:
-        cclass = _base_class(query_class)
-        synth_size = max(1, math.ceil(cclass.vc_dim * math.log(2.0 / min(alpha, 1.0)) / alpha**2))
+    synth_size = exhaustive_synth_size(query_class, alpha, synth_size)
     scores, histograms = _exhaustive_candidates(db, query_class, synth_size, epsilon)
     idx = exponential_mechanism(scores, epsilon, 1.0, rng)
     return SyntheticDatabase(db.universe, np.repeat(np.arange(db.universe.size), histograms[idx]))
@@ -213,6 +214,31 @@ def sanitize_exhaustive_pmf(
     elements = np.arange(db.universe.size)
     multisets = [tuple(np.repeat(elements, h).tolist()) for h in histograms]
     return exponential_mechanism_pmf(scores, epsilon, 1.0), multisets
+
+
+def exhaustive_synth_size(query_class, alpha: float, synth_size: int | None = None) -> int:
+    """The synthetic size m sanitize_exhaustive runs at: synth_size, or by default ceil(vc ln(2/alpha) / alpha^2)."""
+    vc = _base_class(query_class).vc_dim
+    return max(1, math.ceil(vc * math.log(2.0 / min(alpha, 1.0)) / alpha**2)) if synth_size is None else synth_size
+
+
+def check_budget(query_class: ConceptClass | tuple[ConceptClass, str], synth_size: int) -> None:
+    """Refuse (EnumerationBudgetError) m over ENUMERATION_BUDGET histograms, or a table over TABLE_BUDGET cells."""
+    cclass = _base_class(query_class)
+    size = cclass.universe.size
+    # count = C(m+i, i) grows with i up to C(|X|+m-1, m) at i = |X|-1; stopping
+    # once it passes the budget keeps it a small integer, however big m is.
+    count = 1
+    for i in range(1, size):
+        count = count * (synth_size + i) // i
+        if count > ENUMERATION_BUDGET:
+            raise EnumerationBudgetError(
+                f"C(|X|+m-1, m) histograms at |X| = {size}, m = {synth_size} exceed budget "
+                f"{ENUMERATION_BUDGET}; for point queries use sanitize_points instead"
+            )
+    pairs = len(cclass) ** 2 if isinstance(query_class, tuple) else len(cclass)
+    if max(count, pairs) * size > TABLE_BUDGET or len(_query_matrix(query_class)) * count > TABLE_BUDGET:
+        raise EnumerationBudgetError(f"tables at |X| = {size}, m = {synth_size} exceed {TABLE_BUDGET} cells")
 
 
 def _exhaustive_candidates(db, query_class, synth_size, epsilon):
@@ -237,20 +263,11 @@ def _exhaustive_candidates(db, query_class, synth_size, epsilon):
     if synth_size < 1:
         raise ValueError(f"synth_size must be >= 1, got {synth_size}")
     check_epsilon(epsilon)
-    size = db.universe.size
-    # count = C(m+i, i) grows with i up to C(|X|+m-1, m) at i = |X|-1; stopping
-    # once it passes the budget keeps it a small integer, however big m is.
-    count = 1
-    for i in range(1, size):
-        count = count * (synth_size + i) // i
-        if count > ENUMERATION_BUDGET:
-            raise EnumerationBudgetError(
-                f"C(|X|+m-1, m) histograms at |X| = {size}, m = {synth_size} exceed budget "
-                f"{ENUMERATION_BUDGET}; for point queries use sanitize_points instead"
-            )
+    check_budget(query_class, synth_size)
     histograms, answers, log_multinomial = _histogram_table(query_class, synth_size)
-    target = _query_answers(_query_matrix(query_class), np.bincount(db.xs, minlength=size), db.n)
-    scores = -db.n * np.abs(answers - target[:, None]).max(axis=0)
+    target = _query_answers(_query_matrix(query_class), np.bincount(db.xs, minlength=db.universe.size), db.n)
+    gaps = answers - target[:, None]  # abs in place: scoring adds one copy of the answers table, not two
+    scores = -db.n * np.abs(gaps, out=gaps).max(axis=0)
     return scores + (2.0 / epsilon) * log_multinomial, histograms
 
 

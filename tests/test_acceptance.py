@@ -29,14 +29,16 @@ from dpmulti.domain import (
     sample_database,
 )
 from dpmulti.fingerprint import attack_experiment, code_length
-from dpmulti.harness import parse_config, plan_sample_size, run_experiment, to_csv, to_json
+from dpmulti.harness import parse_config, run_experiment, to_csv, to_json
 from dpmulti.learners import (
     erm_mismatch_counts,
     erm_multi,
     generic_multi_learner,
     gf2_solve,
+    parity_block_plan,
     parity_learner,
     point_learner,
+    point_rows_bound,
 )
 from dpmulti.mechanisms import (
     PrivacyParams,
@@ -142,8 +144,7 @@ def test_criterion_05_parity_learner_exact_recovery():
     t0 = time.perf_counter()
     eps, delta, beta, d, k = 1.0, 0.1, 0.1, 6, 3
     u = Universe.bitvectors(d)
-    cc = ConceptClass(PARITY, u)
-    n = plan_sample_size("parities", cclass=cc, epsilon=eps, beta=beta, delta=delta)
+    n = math.prod(parity_block_plan(d, eps, beta, delta))
     dist = Distribution.uniform(u)
 
     def recovery_rate(rows, salt):
@@ -170,7 +171,7 @@ def test_criterion_06_point_learner_accuracy():
     t0 = time.perf_counter()
     alpha, eps, delta, beta, k = 0.2, 1.0, 0.01, 0.1, 4
     u = Universe.indexed(16)
-    n = plan_sample_size("points", alpha=alpha, beta=beta, delta=delta, epsilon=eps)
+    n = point_rows_bound(alpha, beta, delta, eps)
     dist = Distribution.from_weights(u, [1, 1, 1, 1] + [0] * 12)
     good = 0
     shape_ok = True

@@ -265,6 +265,8 @@ class TestAttackExperiment:
         report = attack_experiment(_all_zero_learner, 4, 0.1, 10, "pac", 0.2, seed=99, length=30)
         assert report.accuracy_rate <= 0.5
         assert len(report.rows) == 10
+        # An inaccurate play is no successful attack, however its word traces.
+        assert report.completeness_rate <= report.accuracy_rate
 
     def test_desk_scale_guard(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dpmulti import harness
-from dpmulti.domain import PARITY, POINT, ConceptClass, Universe
+from dpmulti.domain import PARITY, POINT, ConceptClass, Universe, vc_sample_size
 from dpmulti.harness import (
     LEARNERS,
     ConfigError,
@@ -20,13 +20,13 @@ from dpmulti.harness import (
     format_float,
     parse_config,
     parse_distribution,
-    plan_sample_size,
     read_learn,
     run_experiment,
     sample_and_learn,
     to_csv,
     to_json,
 )
+from dpmulti.learners import generic_rows_bound, parity_block_plan, point_rows_bound
 from dpmulti.mechanisms import PrivacyLedger, PrivacyParams
 from dpmulti.sanitize import EnumerationBudgetError
 
@@ -205,37 +205,30 @@ class TestParseConfig:
 
 
 class TestPlanSampleSize:
+    """Each learner's pinned sample bound, read from its one bound function."""
+
     def test_parity_example(self):
-        cc = ConceptClass(PARITY, Universe.bitvectors(6))
-        assert plan_sample_size("parities", cclass=cc, epsilon=1.0, beta=0.1, delta=0.1) == 1152
+        assert math.prod(parity_block_plan(6, 1.0, 0.1, 0.1)) == 1152
 
     def test_points_example(self):
-        n = plan_sample_size("points", alpha=0.2, beta=0.1, delta=0.01, epsilon=1.0)
+        n = point_rows_bound(0.2, 0.1, 0.01, 1.0)
         assert n == math.ceil(64 * (1 / 0.2) * math.log(1 / (0.2 * 0.1 * 0.01)))
         assert n == 2726
 
     def test_erm_delegates_to_vc_bound(self):
-        cc = ConceptClass(POINT, Universe.indexed(8))
-        assert plan_sample_size("erm", cclass=cc, alpha=0.1, beta=0.1) == 6940
+        assert vc_sample_size(ConceptClass(POINT, Universe.indexed(8)).vc_dim, 0.1, 0.1) == 6940
 
     def test_generic_positive(self):
-        cc = ConceptClass(POINT, Universe.indexed(8))
-        n = plan_sample_size(
-            "generic", cclass=cc, k=2, alpha=0.2, beta=0.1, epsilon=1.0, epsilon_prime=1.0, delta=0.01
-        )
-        assert n > 0
-
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            plan_sample_size("boosting", alpha=0.1, beta=0.1)
+        assert generic_rows_bound(ConceptClass(POINT, Universe.indexed(8)), 2, 0.2, 0.1, 1.0, 1.0, 0.01) > 0
 
     @pytest.mark.parametrize("algorithm,alpha", [("points", 0), ("points", 1.5), ("generic", 0), ("generic", 1.5)])
     def test_alpha_outside_unit_interval_rejected(self, algorithm, alpha):
         cc = ConceptClass(POINT, Universe.indexed(8))
         with pytest.raises(ValueError, match=rf"alpha must be in \(0, 1\), got {alpha}"):
-            plan_sample_size(
-                algorithm, cclass=cc, k=2, alpha=alpha, beta=0.1, epsilon=1.0, epsilon_prime=1.0, delta=0.01
-            )
+            if algorithm == "points":
+                point_rows_bound(alpha, 0.1, 0.01, 1.0)
+            else:
+                generic_rows_bound(cc, 2, alpha, 0.1, 1.0, 1.0, 0.01)
 
 
 class TestRunExperiment:
@@ -466,6 +459,31 @@ def test_synth_size_key_reaches_the_generic_learner():
     assert report.rows[0][4:] == [3.0, 0.0]
     with pytest.raises(ConfigError, match="learn.synth_size"):
         run_experiment(_sweep_config("learn", body + "\nsynth_size = four"))
+
+
+def test_generic_section_over_budget_is_refused_before_any_trial(monkeypatch):
+    calls = []
+    learner = harness.generic_multi_learner
+    monkeypatch.setattr(harness, "generic_multi_learner", lambda *args, **kw: calls.append(1) or learner(*args, **kw))
+    body = "algorithm = generic\nclass = thresh\nk = 2\nn = 100\nepsilon_prime = 1"
+    refused = r"^learn\.universe: C\(\|X\|\+m-1, m\) histograms at \|X\| = 8, m = 2446 "
+    with pytest.raises(EnumerationBudgetError, match=refused):
+        run_experiment(_sweep_config("learn", body, "universe", (2, 8)))
+    assert calls == []
+    run_experiment(_sweep_config("learn", body + "\nuniverse = 2"))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({"universe": "64", "synth_size": "4"}, r"^learn\.synth_size: tables at \|X\| = 64, m = 4 exceed 134217728 cells"),
+    ({"universe": "1048576", "synth_size": "1"}, r"^learn\.universe: tables at \|X\| = 1048576, m = 1 exceed"),
+    ({"class": "parity", "d": "16", "synth_size": "1"}, r"^learn\.d: tables at \|X\| = 65536, m = 1 exceed"),
+])
+def test_generic_budget_refusal_names_the_key_that_sets_the_size(extra, message):
+    params = {"algorithm": "generic", "class": "thresh", "k": "2", "n": "400", "epsilon_prime": "1", **extra}
+    with pytest.raises(EnumerationBudgetError, match=message):
+        read_learn(params)
+    read_learn({**params, "synth_size": "1", "universe": "8", "d": "3"})
 
 
 def _at_nine_digits(rows):

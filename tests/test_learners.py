@@ -11,6 +11,7 @@ import pytest
 
 from dpmulti import learners
 from dpmulti.domain import (
+    EVAL_BLOCK_CELLS,
     MAX_PARITY_BITS,
     PARITY,
     POINT,
@@ -27,7 +28,7 @@ from dpmulti.domain import (
     generalization_error,
     sample_database,
 )
-from dpmulti.harness import plan_sample_size, read_learn, sample_and_learn
+from dpmulti.harness import read_learn, sample_and_learn
 from dpmulti.learners import (
     LearnResult,
     direct_sum_learner,
@@ -98,6 +99,18 @@ class TestErmMulti:
             got = erm_mismatch_counts(db, cclass)
             assert got.dtype == np.int64
             assert np.array_equal(got, evals @ (1 - labels) + (1 - evals) @ labels)
+
+    @pytest.mark.parametrize("kind", [POINT, THRESH, PARITY])
+    def test_mismatch_counts_blocked_match_the_unblocked_reference(self, kind):
+        # 512 concepts on 700 rows is 5.5 blocks of EVAL_BLOCK_CELLS evaluations, the last one short.
+        u = Universe.bitvectors(9)
+        cclass = ConceptClass(kind, u)
+        assert len(cclass) * 700 > 5 * EVAL_BLOCK_CELLS
+        rng = stream(30, 5)
+        labels = rng.integers(0, 2, size=(700, 3)).astype(np.uint8)
+        db = MultiLabeledDatabase.from_labels(u, rng.integers(0, u.size, size=700), labels)
+        reference = np.count_nonzero(cclass.eval_matrix(db.xs)[:, :, None] != db.labels[None], axis=1)
+        assert np.array_equal(erm_mismatch_counts(db, cclass), reference)
 
     @pytest.mark.parametrize("kind", [POINT, THRESH, PARITY])
     def test_equals_argmin_of_mismatch_counts(self, kind):
@@ -944,10 +957,9 @@ class TestGenericLearner:
         cclass = ConceptClass(kind, Universe.indexed(8))
         assert generic_sanitizer(cclass, delta, sanitizer) == resolved
         assert generic_rows_bound(cclass, 2, 0.2, 0.1, 1.0, 1.0, delta, sanitizer) == rows
+        assert generic_rows_bound(cclass, 2, 0.2, 0.1, 1.0, 1.0, delta, resolved) == rows
         if sanitizer == "auto":
-            assert plan_sample_size(
-                "generic", cclass=cclass, k=2, alpha=0.2, beta=0.1, epsilon=1.0, epsilon_prime=1.0, delta=delta
-            ) == rows
+            assert generic_rows_bound(cclass, 2, 0.2, 0.1, 1.0, 1.0, delta) == rows
 
     def test_below_bound_flag_uses_the_resolved_sanitizer(self):
         u = Universe.indexed(8)
