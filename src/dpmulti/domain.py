@@ -17,6 +17,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .mechanisms import pinned_bound
+
 MAX_UNIVERSE_SIZE = 1 << 20
 MAX_PARITY_BITS = 20
 PMF_TOL = 1e-12
@@ -393,14 +395,6 @@ class ConceptClass:
         return _evaluate_params(self.kind, self.universe.elements()[:, None], np.asarray(xs, dtype=np.int64))
 
 
-def xor_eval_matrix(cclass: ConceptClass) -> np.ndarray:
-    """Evaluation matrix, on every element, of the pairwise-xor closure {f xor g}, deduplicated."""
-    base = cclass.eval_matrix()
-    pairs = base[:, None, :] ^ base[None, :, :]
-    flat = pairs.reshape(-1, pairs.shape[-1])
-    return np.unique(flat, axis=0)
-
-
 @dataclass(frozen=True, eq=False)
 class MultiLabeledDatabase:
     """Rows (x, y_1..y_k) over a finite universe, the labels stored packed; k = 0 gives an unlabeled database.
@@ -567,9 +561,12 @@ class Distribution:
         w = np.asarray(weights, dtype=np.float64)
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        total = w.sum()
+        with np.errstate(over="ignore"):
+            total = w.sum()
         if total <= 0:
             raise ValueError("weights must have positive total")
+        if not math.isfinite(total):
+            raise ValueError("weights must have a total below the largest float")
         return Distribution(universe, w / total)
 
     @cached_property
@@ -703,6 +700,7 @@ def dichotomy_projection(cclass: ConceptClass, points: Sequence[int]) -> Hypothe
     return Hypotheses(cclass.universe, cclass.kind, np.sort(first))
 
 
+@pinned_bound
 def vc_sample_size(vc: int, alpha: float, beta: float) -> int:
     """Realizable sample size from the standard VC bound: ceil((64/alpha) * (vc*ln(64/alpha) + ln(8/beta)))."""
     if vc < 1:

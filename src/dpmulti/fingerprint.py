@@ -24,7 +24,7 @@ import numpy as np
 
 from .domain import PARITY, THRESH, ConceptClass, Hypotheses, MultiLabeledDatabase, Universe
 from .learners import LearnerFn, erm_mismatch_counts
-from .mechanisms import check_fraction
+from .mechanisms import check_fraction, pinned_bound
 from .rng import stream
 
 # Each attack variant's concept class kind: the learners and the accuracy contract use it.
@@ -55,6 +55,7 @@ class Codebook:
         return self.length // (self.n_users - 1)
 
 
+@pinned_bound
 def code_length(n_users: int, security: float) -> int:
     """Secure length ceil(2 n^3 ln(2n/security)), rounded up to a multiple of n-1."""
     raw = math.ceil(2 * n_users**3 * math.log(2 * n_users / security))

@@ -46,6 +46,7 @@ from .mechanisms import (
     check_fraction,
     compose_basic,
     exponential_mechanism,
+    pinned_bound,
     stable_argmax,
     stable_argmax_pmf,
 )
@@ -264,6 +265,7 @@ def generic_charges(k: int, epsilon: float, epsilon_prime: float, delta: float) 
     return [PrivacyParams(epsilon, delta)] + [PrivacyParams(epsilon_prime)] * k
 
 
+@pinned_bound
 def parity_block_plan(bits: int, epsilon: float, beta: float, delta: float) -> tuple[int, int]:
     """Pinned block schedule: m = ceil(8/eps * ln(4/(beta*delta))) blocks of s = 4*bits rows."""
     _check_approx_dp(epsilon, delta, beta)
@@ -344,6 +346,7 @@ def parity_learner_pmf(
     return masks, p_release, p_bottom
 
 
+@pinned_bound
 def point_rows_bound(alpha: float, beta: float, delta: float, epsilon: float) -> int:
     """Pinned sample bound for the point learner: ceil(64/(alpha*eps) * ln(1/(alpha*beta*delta)))."""
     check_fraction(alpha, "alpha")
@@ -449,9 +452,10 @@ def generic_sanitizer(cclass: ConceptClass, delta: float, sanitizer: str = "auto
 def check_generic_budget(cclass: ConceptClass, alpha: float, delta: float, synth_size: int | None = None) -> None:
     """Refuse (EnumerationBudgetError), with no data, the exhaustive sanitization generic_multi_learner would run."""
     if generic_sanitizer(cclass, delta) == "exhaustive":
-        check_budget((cclass, "xor"), exhaustive_synth_size((cclass, "xor"), alpha / 5.0, synth_size))
+        check_budget(cclass, exhaustive_synth_size(cclass, alpha / 5.0, synth_size))
 
 
+@pinned_bound
 def generic_rows_bound(
     cclass: ConceptClass,
     k: int,
@@ -521,13 +525,14 @@ def generic_multi_learner(
     ledger = PrivacyLedger(generic_charges(db.k, epsilon, epsilon_prime, delta))
     db.universe.require_same(cclass.universe)
     sanitizer = generic_sanitizer(cclass, delta, sanitizer)
+    below = db.n < generic_rows_bound(cclass, max(db.k, 1), alpha, beta, epsilon, epsilon_prime, delta, sanitizer)
     if sanitizer == "points":
         # Point-query error alpha/10 twice (the release, at generic_rows_bound's rows, and the
         # reconstruction) bounds the pairwise-xor query error by 2*(alpha/10 + alpha/10) = 2*alpha/5.
         answers = sanitize_points(db, epsilon, delta, rng)
         synth = answers_to_synthetic(answers, alpha / 10.0)
     else:
-        synth = sanitize_exhaustive(db, (cclass, "xor"), alpha / 5.0, epsilon, rng, synth_size=synth_size)
+        synth = sanitize_exhaustive(db, cclass, alpha / 5.0, epsilon, rng, synth_size=synth_size)
 
     support = synth.distinct_elements()
     witnesses = dichotomy_projection(cclass, support)
@@ -538,7 +543,6 @@ def generic_multi_learner(
         for j in range(db.k)
     ]
 
-    below = db.n < generic_rows_bound(cclass, max(db.k, 1), alpha, beta, epsilon, epsilon_prime, delta, sanitizer)
     details = {"support_size": int(len(support)), "hypothesis_count": len(witnesses)}
     return LearnResult(Hypotheses(db.universe, cclass.kind, witnesses.params[chosen]), ledger, below, details)
 

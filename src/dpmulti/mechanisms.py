@@ -9,9 +9,11 @@ Logarithms in mechanism thresholds are natural logs throughout.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,6 +42,24 @@ def check_delta(delta: float, name: str = "delta") -> None:
         raise ValueError(f"{name} must be in [0, 1), got {delta}")
 
 
+def pinned_bound(bound: Callable[..., int]) -> Callable[..., int]:
+    """Decorate a pinned bound so that arguments at which its float arithmetic leaves the finite floats
+    (a power that overflows, a divisor that underflows to 0, a ceil of inf) are refused with a ValueError
+    that names them, as invalid input rather than a runtime failure."""
+    signature = inspect.signature(bound)
+
+    @functools.wraps(bound)
+    def guarded(*args, **kwargs):
+        try:
+            return bound(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            values = signature.bind(*args, **kwargs).arguments.items()
+            named = ", ".join(f"{key} = {v}" for key, v in values if isinstance(v, (int, float)))
+            raise ValueError(f"{bound.__name__} is not a finite number at {named}") from None
+
+    return guarded
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """An (epsilon, delta) differential privacy guarantee."""
@@ -65,11 +85,16 @@ class PrivacyLedger:
 def compose_basic(charges: Sequence[PrivacyParams]) -> PrivacyParams:
     """Coordinate-wise sum: m runs of (eps_i, delta_i) cost (sum eps, sum delta).
 
-    A sum delta that reaches 1 is refused as the composed delta of the m charges.
+    A sum epsilon past the largest float, or a sum delta that reaches 1, is
+    refused as the composed epsilon or delta of the m charges.
     """
     if not charges:
         raise ValueError("cannot compose an empty ledger")
-    eps = math.fsum(c.epsilon for c in charges)
+    try:
+        eps = math.fsum(c.epsilon for c in charges)
+    except OverflowError:
+        eps = math.inf
+    check_epsilon(eps, f"the composed epsilon of {len(charges)} charges")
     delta = math.fsum(c.delta for c in charges)
     check_delta(delta, f"the composed delta of {len(charges)} charges")
     return PrivacyParams(eps, delta)
@@ -122,30 +147,28 @@ def noisy_threshold_pmf(values: np.ndarray, scale: float, threshold: float) -> n
     return np.where(t >= 0, half_tail, 1.0 - half_tail)
 
 
-def _score_array(scores: np.ndarray) -> np.ndarray:
-    """Scores as a 1-D float64 array, checked non-empty and finite."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise ValueError("scores must be a non-empty 1-D array")
-    bad = scores[~np.isfinite(scores)]
-    if bad.size:
-        raise ValueError(f"candidate score must be finite, got {bad[0]}")
-    return scores
-
-
 def exponential_mechanism_pmf(scores: np.ndarray, epsilon: float, sensitivity: float) -> np.ndarray:
     """Exact output pmf: P[i] proportional to exp(epsilon * scores[i] / (2 sensitivity)).
 
     Scores are max-shifted before exponentiation; the shift cancels in the
-    normalization, so the pmf is unchanged and overflow-free.
+    normalization, so the pmf is unchanged and overflow-free. Scores must be
+    finite, and an epsilon at which a logit overflows is refused.
     """
-    scores = _score_array(scores)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or scores.size == 0:
+        raise ValueError("scores must be a non-empty 1-D array")
+    peak = float(np.abs(scores).max())  # nan or inf when some score is not finite
+    if not math.isfinite(peak):
+        raise ValueError(f"candidate score must be finite, got {scores[~np.isfinite(scores)][0]}")
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
+    # The largest |logit|, in the logits' own float operations: when it is finite, no logit overflows.
+    if not math.isfinite(epsilon * peak / (2.0 * sensitivity)):
+        raise ValueError(f"epsilon = {epsilon} overflows a logit epsilon * score / (2 sensitivity)")
     logits = epsilon * scores / (2.0 * sensitivity)
     weights = np.exp(logits - logits.max())
     return weights / weights.sum()

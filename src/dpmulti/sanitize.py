@@ -6,14 +6,14 @@ Two sanitizers are provided:
   every nonzero point-function count, (epsilon, delta)-DP at every n, plus a
   reconstruction of the answers into a small synthetic database.
 * sanitize_exhaustive: the exponential mechanism over every candidate
-  synthetic database of a fixed size m, scored by worst-case query error.
-  It runs over the C(|X|+m-1, m) histograms, not the |X|^m ordered tuples,
-  with the same law on the released (sorted) multiset. Exact and exhaustive
-  by design; check_budget caps the histogram count and table sizes. Only the
-  target answers and the worst-case errors depend on the data: the
-  histograms, their query answers and log multinomials are built once per
-  (query class, m) and kept read-only in a small cache (_histogram_table),
-  as the query matrix is per query class (_query_matrix).
+  synthetic database of a fixed size m, scored by worst-case error on a
+  class's disagreement sets {x : f(x) != g(x)}, built in closed form
+  (_query_matrix). It runs over the C(|X|+m-1, m) histograms, not the |X|^m
+  ordered tuples, with the same law on the released (sorted) multiset.
+  Exact and exhaustive by design; check_budget caps the histogram count and
+  table sizes. Only the target answers and the worst-case errors depend on
+  the data: the histograms, their query answers and log multinomials are
+  built once per (class, m) and kept read-only in a small cache.
 """
 
 from __future__ import annotations
@@ -25,14 +25,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ConceptClass, EmptyDatabaseError, MultiLabeledDatabase, Universe, _checked_elements, xor_eval_matrix
-from .mechanisms import check_epsilon, check_fraction, exponential_mechanism, exponential_mechanism_pmf, noisy_threshold
+from .domain import PARITY, POINT, ConceptClass, EmptyDatabaseError, MultiLabeledDatabase, Universe, _checked_elements
+from .mechanisms import (
+    check_epsilon,
+    check_fraction,
+    exponential_mechanism,
+    exponential_mechanism_pmf,
+    noisy_threshold,
+    pinned_bound,
+)
 
 # Most candidate histograms the exhaustive sanitizer enumerates and scores.
 ENUMERATION_BUDGET = 1 << 20
 
-# Most cells in any table the exhaustive sanitizer builds (H x |X| histograms, query pairs x |X|, queries x H
-# answers): 2^27 admits the answers at |X| = 64, m = 3; the xor closure takes 38 s at 2^27 cells (|X| = 512).
+# Most cells in any table the exhaustive sanitizer builds (H x |X| histograms, queries x |X|, queries x H
+# answers): 2^27 admits the answers at |X| = 64, m = 3, and at m = 1 points and thresholds up to |X| = 645
+# and parities up to d = 13, whose learn generic runs take about 2 s and 7 s on a 2-core machine.
 TABLE_BUDGET = 1 << 27
 
 
@@ -90,6 +98,7 @@ class SyntheticDatabase:
         return np.unique(self.elements)
 
 
+@pinned_bound
 def point_sanitizer_rows(alpha: float, beta: float, delta: float, epsilon: float) -> int:
     """Pinned sample-size bound for the point sanitizer: ceil(8 ln(16/(a*b*d)) / (a*eps))."""
     return math.ceil(8.0 * math.log(16.0 / (alpha * beta * delta)) / (alpha * epsilon))
@@ -110,10 +119,12 @@ def sanitize_points(db: MultiLabeledDatabase, epsilon: float, delta: float, rng:
         raise EmptyDatabaseError("cannot sanitize an empty database")
     check_fraction(delta, "delta")
     check_epsilon(epsilon)
+    scale = 2.0 / (epsilon * db.n)
+    check_epsilon(scale, f"the noise scale 2/(epsilon*n) at epsilon = {epsilon}, n = {db.n}")
     counts = np.bincount(db.xs, minlength=db.universe.size)
     candidates = np.flatnonzero(counts)
     threshold = (1.0 + 2.0 * math.log(2.0 / delta) / epsilon) / db.n
-    released, noisy = noisy_threshold(counts[candidates] / db.n, 2.0 / (epsilon * db.n), threshold, rng)
+    released, noisy = noisy_threshold(counts[candidates] / db.n, scale, threshold, rng)
     return SanitizedAnswers(db.universe, candidates[released], np.minimum(noisy[released], 1.0))
 
 
@@ -132,23 +143,19 @@ def answers_to_synthetic(ans: SanitizedAnswers, alpha: float) -> SyntheticDataba
     return SyntheticDatabase(ans.universe, rows, sink_rows=max(0, m - len(rows)))
 
 
-def _base_class(query_class: ConceptClass | tuple[ConceptClass, str]) -> ConceptClass:
-    return query_class[0] if isinstance(query_class, tuple) else query_class
-
-
 @functools.lru_cache(maxsize=4)
-def _query_matrix(query_class: ConceptClass | tuple[ConceptClass, str]) -> np.ndarray:
-    """Read-only evaluation matrix, over the class's universe, of a class or its
-    pairwise-xor closure ("xor" tag). It depends on nothing else, so the last
-    few are cached; an entry holds at most |X|^2 rows of |X| bytes.
+def _query_matrix(cclass: ConceptClass) -> np.ndarray:
+    """Read-only uint8 evaluation matrix of the class's disagreement sets: for parities the class itself
+    (a parity xor a parity is one), else the empty set and, per pair a < b, {a, b} for points or (a, b]
+    for thresholds. It depends on nothing else, so the last few are cached.
     """
-    if isinstance(query_class, tuple):
-        cclass, tag = query_class
-        if tag != "xor":
-            raise ValueError(f"unknown query-class tag {tag!r}")
-        full = xor_eval_matrix(cclass)
+    if cclass.kind == PARITY:
+        full = cclass.eval_matrix()
     else:
-        full = query_class.eval_matrix()
+        xs = cclass.universe.elements()
+        a, b = (end[:, None] for end in np.triu_indices(len(xs), 1))
+        pairs = (xs == a) | (xs == b) if cclass.kind == POINT else (a < xs) & (xs <= b)
+        full = np.concatenate([np.zeros((1, len(xs)), dtype=bool), pairs]).view(np.uint8)
     full.setflags(write=False)
     return full
 
@@ -160,12 +167,12 @@ def _query_answers(query_matrix_full: np.ndarray, counts: np.ndarray, total: int
 def sanitize_error(
     db: MultiLabeledDatabase,
     synth: SyntheticDatabase,
-    query_class: ConceptClass | tuple[ConceptClass, str],
+    cclass: ConceptClass,
 ) -> float:
-    """Worst query-answer gap max_c |c(D) - c(D_hat)|, by enumeration."""
+    """Worst gap |q(D) - q(D_hat)| over the class's disagreement sets q, by enumeration."""
     db.universe.require_same(synth.universe)
-    db.universe.require_same(_base_class(query_class).universe)
-    full = _query_matrix(query_class)
+    db.universe.require_same(cclass.universe)
+    full = _query_matrix(cclass)
     counts_db = np.bincount(db.xs, minlength=db.universe.size)
     counts_synth = np.bincount(synth.elements, minlength=db.universe.size)
     a = _query_answers(full, counts_db, db.n)
@@ -175,7 +182,7 @@ def sanitize_error(
 
 def sanitize_exhaustive(
     db: MultiLabeledDatabase,
-    query_class: ConceptClass | tuple[ConceptClass, str],
+    cclass: ConceptClass,
     alpha: float,
     epsilon: float,
     rng: np.random.Generator,
@@ -184,24 +191,24 @@ def sanitize_exhaustive(
     """Pure-DP sanitizer: exponential mechanism over all size-m databases.
 
     A candidate is a multiset of m elements, named by its histogram h; its
-    score is -n * max_c |c(D) - c(h)|, sensitivity 1. Histogram h is drawn
-    with probability proportional to multinomial(h) * exp(eps * score / 2):
-    the multinomial(h) ordered tuples with histogram h share its score, so
-    this is the law, on the released multiset, of the exponential mechanism
-    over all |X|^m tuples. The chosen multiset is released in sorted order.
+    score is -n * max_q |q(D) - q(h)| over the disagreement sets q,
+    sensitivity 1. Histogram h is drawn with probability proportional to
+    multinomial(h) * exp(eps * score / 2): the multinomial(h) ordered tuples
+    with histogram h share its score, so this is the law, on the released
+    multiset, of the exponential mechanism over all |X|^m tuples. The chosen multiset is released in sorted order.
     Exact but exponential, so check_budget caps its size; m is exhaustive_synth_size's.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    synth_size = exhaustive_synth_size(query_class, alpha, synth_size)
-    scores, histograms = _exhaustive_candidates(db, query_class, synth_size, epsilon)
+    synth_size = exhaustive_synth_size(cclass, alpha, synth_size)
+    scores, histograms = _exhaustive_candidates(db, cclass, synth_size, epsilon)
     idx = exponential_mechanism(scores, epsilon, 1.0, rng)
     return SyntheticDatabase(db.universe, np.repeat(np.arange(db.universe.size), histograms[idx]))
 
 
 def sanitize_exhaustive_pmf(
     db: MultiLabeledDatabase,
-    query_class: ConceptClass | tuple[ConceptClass, str],
+    cclass: ConceptClass,
     epsilon: float,
     synth_size: int,
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
@@ -210,21 +217,21 @@ def sanitize_exhaustive_pmf(
     multisets[i] is the sorted tuple released for outcome i, in
     lexicographic order, and pmf[i] its probability.
     """
-    scores, histograms = _exhaustive_candidates(db, query_class, synth_size, epsilon)
+    scores, histograms = _exhaustive_candidates(db, cclass, synth_size, epsilon)
     elements = np.arange(db.universe.size)
     multisets = [tuple(np.repeat(elements, h).tolist()) for h in histograms]
     return exponential_mechanism_pmf(scores, epsilon, 1.0), multisets
 
 
-def exhaustive_synth_size(query_class, alpha: float, synth_size: int | None = None) -> int:
+@pinned_bound
+def exhaustive_synth_size(cclass: ConceptClass, alpha: float, synth_size: int | None = None) -> int:
     """The synthetic size m sanitize_exhaustive runs at: synth_size, or by default ceil(vc ln(2/alpha) / alpha^2)."""
-    vc = _base_class(query_class).vc_dim
+    vc = cclass.vc_dim
     return max(1, math.ceil(vc * math.log(2.0 / min(alpha, 1.0)) / alpha**2)) if synth_size is None else synth_size
 
 
-def check_budget(query_class: ConceptClass | tuple[ConceptClass, str], synth_size: int) -> None:
+def check_budget(cclass: ConceptClass, synth_size: int) -> None:
     """Refuse (EnumerationBudgetError) m over ENUMERATION_BUDGET histograms, or a table over TABLE_BUDGET cells."""
-    cclass = _base_class(query_class)
     size = cclass.universe.size
     # count = C(m+i, i) grows with i up to C(|X|+m-1, m) at i = |X|-1; stopping
     # once it passes the budget keeps it a small integer, however big m is.
@@ -236,12 +243,12 @@ def check_budget(query_class: ConceptClass | tuple[ConceptClass, str], synth_siz
                 f"C(|X|+m-1, m) histograms at |X| = {size}, m = {synth_size} exceed budget "
                 f"{ENUMERATION_BUDGET}; for point queries use sanitize_points instead"
             )
-    pairs = len(cclass) ** 2 if isinstance(query_class, tuple) else len(cclass)
-    if max(count, pairs) * size > TABLE_BUDGET or len(_query_matrix(query_class)) * count > TABLE_BUDGET:
+    queries = size if cclass.kind == PARITY else 1 + math.comb(size, 2)  # the rows _query_matrix would build
+    if max(count, queries) * size > TABLE_BUDGET or queries * count > TABLE_BUDGET:
         raise EnumerationBudgetError(f"tables at |X| = {size}, m = {synth_size} exceed {TABLE_BUDGET} cells")
 
 
-def _exhaustive_candidates(db, query_class, synth_size, epsilon):
+def _exhaustive_candidates(db, cclass, synth_size, epsilon):
     """Check and score every candidate histogram, for the sampler and its oracle.
 
     Returns (scores, histograms): histograms is the read-only (H, |X|) count
@@ -259,32 +266,30 @@ def _exhaustive_candidates(db, query_class, synth_size, epsilon):
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot sanitize an empty database")
-    db.universe.require_same(_base_class(query_class).universe)
+    db.universe.require_same(cclass.universe)
     if synth_size < 1:
         raise ValueError(f"synth_size must be >= 1, got {synth_size}")
     check_epsilon(epsilon)
-    check_budget(query_class, synth_size)
-    histograms, answers, log_multinomial = _histogram_table(query_class, synth_size)
-    target = _query_answers(_query_matrix(query_class), np.bincount(db.xs, minlength=db.universe.size), db.n)
+    check_budget(cclass, synth_size)
+    histograms, answers, log_multinomial = _histogram_table(cclass, synth_size)
+    target = _query_answers(_query_matrix(cclass), np.bincount(db.xs, minlength=db.universe.size), db.n)
     gaps = answers - target[:, None]  # abs in place: scoring adds one copy of the answers table, not two
     scores = -db.n * np.abs(gaps, out=gaps).max(axis=0)
     return scores + (2.0 / epsilon) * log_multinomial, histograms
 
 
 @functools.lru_cache(maxsize=4)
-def _histogram_table(
-    query_class: ConceptClass | tuple[ConceptClass, str], synth_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _histogram_table(cclass: ConceptClass, synth_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (histograms, answers, log_multinomial) of the size-m multisets.
 
     histograms is the (H, |X|) count array, in the order _exhaustive_candidates
     documents; answers[q, i] is query q's answer on histogram i; and
     log_multinomial[i] is ln multinomial(histograms[i]). None of it depends on
-    the data, so the last few (query class, m) pairs are cached. An entry holds
+    the data, so the last few (class, m) pairs are cached. An entry holds
     H * (|X| + Q + 1) * 8 bytes for Q queries, less than one call's scoring
     allocates anyway. Callers check the enumeration budget first.
     """
-    size = _base_class(query_class).universe.size
+    size = cclass.universe.size
     # Stars and bars: |X|-1 bars among m+|X|-1 slots cut the m stars into a
     # histogram. Bar sets in descending order give the multisets in ascending order.
     slots = synth_size + size - 1
@@ -295,7 +300,7 @@ def _histogram_table(
         count=count * (size - 1),
     ).reshape(count, size - 1)[::-1]
     histograms = np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots)), axis=1) - 1
-    answers = _query_answers(_query_matrix(query_class), histograms.T, synth_size)  # (queries, histograms)
+    answers = _query_answers(_query_matrix(cclass), histograms.T, synth_size)  # (queries, histograms)
     log_factorial = np.array([math.lgamma(c + 1) for c in range(synth_size + 1)])
     log_multinomial = log_factorial[synth_size] - log_factorial[histograms].sum(axis=1)
     for table in (histograms, answers, log_multinomial):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -832,6 +833,51 @@ class TestExitCodes:
                          "--seed", "1", "--format", "json")
         assert code == 0
         assert json.loads(out)["meta"]["below_sample_bound"] is below
+
+    @pytest.mark.parametrize("argv,named", [
+        (["learn", "points", "--universe", "16", "--epsilon", "1e-320"], "epsilon = 1e-320"),
+        (["learn", "points", "--universe", "16", "--delta", "1e-320"], "delta = 1e-320"),
+        (["learn", "parities", "--d", "4", "--epsilon", "1e-320"], "epsilon = 1e-320"),
+        (["learn", "direct-sum", "--universe", "16", "--epsilon", "1e-320"], "epsilon = 1e-320"),
+        (["learn", "generic", "--class", "point", "--universe", "16", "--epsilon-prime", "1e-320"],
+         "epsilon_prime = 1e-320"),
+        (["learn", "parities", "--d", "4", "--delta", "1e-320", "--beta", "1e-10"], "delta = 1e-320"),
+        (["learn", "generic", "--class", "thresh", "--universe", "8", "--epsilon-prime", "1", "--delta", "0",
+          "--alpha", "1e-300"], "alpha = 2e-301"),
+        (["learn", "generic", "--class", "thresh", "--universe", "8", "--epsilon-prime", "1", "--delta", "0",
+          "--alpha", "1e-300", "--synth-size", "3"], "alpha = 1e-300"),
+        (["learn", "generic", "--class", "thresh", "--universe", "8", "--epsilon-prime", "1", "--delta", "0",
+          "--epsilon", "1e-320", "--synth-size", "3"], "epsilon = 1e-320"),
+        (["learn", "generic", "--class", "point", "--universe", "16", "--epsilon-prime", "1e308"],
+         "learn.k: the composed epsilon of 4 charges"),
+        (["learn", "generic", "--class", "point", "--universe", "16", "--epsilon-prime", "1", "--alpha", "1e-300"],
+         "alpha = 1e-300"),
+        (["learn", "points", "--universe", "4", "--dist", "weights:1e308,1e308,1e308,1e308"], "learn.dist: "),
+        (["mech", "compose", "--epsilon", "1e308", "--count", "3"], "the composed epsilon of 3 charges"),
+        (["mech", "exponential", "--scores", "a:0,b:3", "--epsilon", "1e308", "--draws", "3"], "epsilon = 1e+308"),
+        (["experiment", "run", "--config", "{sanitize}"], "epsilon = 1e-320"),
+        (["attack", "boneh-shaw", "--n", "4", "--xi", "1e-320", "--trials", "1"], "security = 1e-320"),
+    ], ids=["points-epsilon", "points-delta", "parities-epsilon", "direct-sum-epsilon", "generic-epsilon-prime",
+            "parities-beta-delta", "generic-alpha-default-size", "generic-alpha", "generic-exhaustive-epsilon",
+            "generic-composed-epsilon", "generic-points-alpha", "dist-weights-overflow", "compose-epsilon",
+            "exponential-epsilon", "sanitize-section-epsilon", "attack-xi"])
+    def test_extreme_in_range_value_is_invalid_input(self, capsys, tmp_path, argv, named):
+        # Each value passes its own range check, but a bound or noise scale it sets leaves the finite floats:
+        # refused as invalid input naming the value, with no runtime failure and no RuntimeWarning.
+        cfg = tmp_path / "sanitize.ini"
+        cfg.write_text("[experiment]\nkind = sanitize\ntrials = 1\nseed = 1\n\n"
+                       "[sanitize]\nn = 50\nuniverse = 8\nalpha = 0.2\nepsilon = 1e-320\ndelta = 0.01\n")
+        argv = [str(cfg) if a == "{sanitize}" else a for a in argv]
+        if argv[0] == "learn":
+            argv += ["--k", "3", "--n", "50"]
+        if argv[:2] != ["experiment", "run"] and argv[:2] != ["mech", "compose"]:
+            argv += ["--seed", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would surface as a runtime failure, exit 2
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error: ") and named in err and "runtime failure" not in err
 
     def test_unwritable_out_is_invalid_input(self, capsys, tmp_path):
         target = tmp_path / "missing_dir" / "x.csv"

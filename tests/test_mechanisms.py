@@ -159,6 +159,13 @@ class TestExponentialMechanism:
         with pytest.raises(ValueError, match="epsilon must be finite, got inf"):
             exponential_mechanism_pmf(np.array([0.0, -1.0]), math.inf, 1.0)
 
+    def test_overflowing_logit_rejected(self):
+        # At eps = 1e308 the logit of score 3 overflows; the max shift would give an all-NaN pmf,
+        # and every draw the first candidate. Below the overflow the pmf is the concentrated law.
+        with pytest.raises(ValueError, match=r"^epsilon = 1e\+308 overflows a logit"):
+            exponential_mechanism_pmf(np.array([3.0, 0.0]), 1e308, 1.0)
+        assert exponential_mechanism_pmf(np.array([3.0, 0.0]), 1e300, 1.0).tolist() == [1.0, 0.0]
+
     def test_shift_invariance(self):
         scores = np.array([4.0, -1.0, 2.5])
         assert np.allclose(
@@ -327,6 +334,10 @@ class TestComposition:
     def test_basic_refuses_a_composed_delta_of_one(self):
         with pytest.raises(ValueError, match=r"^the composed delta of 4 charges must be in \[0, 1\), got 1\.0$"):
             compose_basic([PrivacyParams(0.1, 0.25)] * 4)
+
+    def test_basic_refuses_a_composed_epsilon_past_the_largest_float(self):
+        with pytest.raises(ValueError, match=r"^the composed epsilon of 3 charges must be finite, got inf$"):
+            compose_basic([PrivacyParams(1e308)] * 3)
 
     @pytest.mark.parametrize("charges,eps,delta", BASIC_GOLDEN)
     def test_basic_golden(self, charges, eps, delta):

@@ -9,6 +9,7 @@ import pytest
 
 from dpmulti import sanitize
 from dpmulti.domain import (
+    PARITY,
     POINT,
     THRESH,
     ConceptClass,
@@ -27,6 +28,7 @@ from dpmulti.sanitize import (
     _histogram_table,
     _query_matrix,
     answers_to_synthetic,
+    check_budget,
     point_sanitizer_rows,
     sanitize_error,
     sanitize_exhaustive,
@@ -39,10 +41,20 @@ def _unlabeled(universe, xs):
     return MultiLabeledDatabase.unlabeled(universe, np.array(xs, dtype=np.int64))
 
 
-def _per_tuple_scores(db, query_class, m):
-    """Reference scorer: one bincount per ordered tuple, on a freshly built query matrix."""
+def _reference_closure(cclass):
+    """Reference disagreement sets: every pairwise xor of the class's evaluation matrix, deduplicated."""
+    base = cclass.eval_matrix()
+    return np.unique((base[:, None, :] ^ base[None, :, :]).reshape(-1, base.shape[1]), axis=0)
+
+
+def _universe(kind, size):
+    return Universe.bitvectors(size.bit_length() - 1) if kind == PARITY else Universe.indexed(size)
+
+
+def _per_tuple_scores(db, cclass, m):
+    """Reference scorer: one bincount per ordered tuple, on the reference disagreement sets."""
     size = db.universe.size
-    full = _query_matrix.__wrapped__(query_class)
+    full = _reference_closure(cclass)
     target = (full @ np.bincount(db.xs, minlength=size).astype(np.float64)) / db.n
     tuples = list(itertools.product(range(size), repeat=m))
     counts = np.zeros((len(tuples), size))
@@ -52,14 +64,13 @@ def _per_tuple_scores(db, query_class, m):
     return -db.n * np.abs(answers - target[:, None]).max(axis=0)
 
 
-# (|X|, m, query class); (200, 2) has more histograms than a base-(m+1) count key
-# could index in int64. Its xor closure (~20k queries) is left out: the
-# reference would multiply that by 40k tuples.
+# (|X|, m, class); (256, 2) on parities has C(257, 2) = 32,896 histograms, more than
+# a base-(m+1) count key could index in int64. Each id ends in "xor": the queries
+# are the class's pairwise-xor closure, its disagreement sets.
 EXACT_CASES = [
-    (size, m, kind, queries)
-    for size, m in [(2, 1), (2, 12), (3, 4), (8, 5), (200, 2)]
-    for kind in (POINT, THRESH)
-    for queries in (("plain",) if size == 200 else ("plain", "xor"))
+    pytest.param(size, m, kind, id=f"{size}-{m}-{kind}-xor")
+    for size, m in [(2, 1), (2, 12), (3, 4), (8, 5), (256, 2)]
+    for kind in ((PARITY,) if size == 256 else (POINT, THRESH))
 ]
 
 
@@ -290,18 +301,11 @@ class TestSanitizeError:
         assert sanitize_error(db, synth, ConceptClass(POINT, u)) == 0.0
 
     def test_hand_computed(self):
+        # On |X| = 2 the thresholds disagree on {} and {1}.
         u = Universe.indexed(2)
         db = _unlabeled(u, [0, 0, 0, 1])
         synth = SyntheticDatabase(u, np.array([0, 1]))
-        assert sanitize_error(db, synth, ConceptClass(POINT, u)) == pytest.approx(0.25)
-
-    def test_xor_closure_queries(self):
-        u = Universe.indexed(4)
-        db = _unlabeled(u, [0, 1, 2, 3])
-        synth = SyntheticDatabase(u, np.array([0, 0, 0, 0]))
-        err_thresh = sanitize_error(db, synth, ConceptClass(THRESH, u))
-        err_xor = sanitize_error(db, synth, (ConceptClass(THRESH, u), "xor"))
-        assert err_xor >= err_thresh - 1e-12
+        assert sanitize_error(db, synth, ConceptClass(THRESH, u)) == pytest.approx(0.25)
 
     def test_query_class_on_another_universe_rejected(self):
         u = Universe.indexed(4)
@@ -310,33 +314,46 @@ class TestSanitizeError:
         with pytest.raises(UniverseMismatchError):
             sanitize_error(db, synth, ConceptClass(POINT, Universe.indexed(5)))
         with pytest.raises(UniverseMismatchError):
-            sanitize_exhaustive_pmf(db, (ConceptClass(THRESH, Universe.bitvectors(2)), "xor"), 1.0, 2)
+            sanitize_exhaustive_pmf(db, ConceptClass(THRESH, Universe.bitvectors(2)), 1.0, 2)
 
 
 class TestQueryMatrix:
-    @pytest.mark.parametrize("queries", ["plain", "xor"])
-    def test_built_once_per_query_class_and_read_only(self, queries):
-        def query_class():
-            cclass = ConceptClass(THRESH, Universe.indexed(8))
-            return (cclass, "xor") if queries == "xor" else cclass
-
-        full = _query_matrix(query_class())
-        # An equal query class built anew finds the same cached array.
-        assert _query_matrix(query_class()) is full
+    def test_built_once_per_query_class_and_read_only(self):
+        full = _query_matrix(ConceptClass(THRESH, Universe.indexed(8)))
+        # An equal class built anew finds the same cached array.
+        assert _query_matrix(ConceptClass(THRESH, Universe.indexed(8))) is full
         assert not full.flags.writeable
         with pytest.raises(ValueError):
             full[0, 0] = 1
-        assert np.array_equal(full, _query_matrix.__wrapped__(query_class()))
+        assert np.array_equal(full, _query_matrix.__wrapped__(ConceptClass(THRESH, Universe.indexed(8))))
 
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError, match="unknown query-class tag 'and'"):
-            _query_matrix((ConceptClass(THRESH, Universe.indexed(4)), "and"))
+    @pytest.mark.parametrize("kind,size", [(kind, size) for kind in (POINT, THRESH) for size in (2, 3, 8, 33)]
+                             + [(PARITY, 1 << d) for d in (1, 2, 4)])
+    def test_rows_are_the_reference_closure(self, kind, size):
+        # |X| rows for parities, else the empty set and one row per pair a < b; no row twice.
+        cclass = ConceptClass(kind, _universe(kind, size))
+        rows = _query_matrix.__wrapped__(cclass)
+        assert rows.dtype == np.uint8
+        assert rows.shape == (size if kind == PARITY else 1 + math.comb(size, 2), size)
+        assert np.array_equal(np.unique(rows, axis=0), _reference_closure(cclass))
+
+    @pytest.mark.parametrize("kind,admitted", [(POINT, 645), (THRESH, 645), (PARITY, 1 << 13)])
+    def test_budget_boundary_at_one_synthetic_row(self, kind, admitted):
+        # Queries x |X| cells at m = 1: 1 + C(645, 2) rows of 645 and 2^13 rows of 2^13 fit 2^27;
+        # 646 and 2^14 do not. The check counts the rows and builds none.
+        before = _query_matrix.cache_info()
+        check_budget(ConceptClass(kind, _universe(kind, admitted)), 1)
+        refused = 2 * admitted if kind == PARITY else admitted + 1
+        with pytest.raises(EnumerationBudgetError, match=f"tables at \\|X\\| = {refused}, m = 1 exceed"):
+            check_budget(ConceptClass(kind, _universe(kind, refused)), 1)
+        assert _query_matrix.cache_info() == before
 
 
-def _fresh_candidates(db, query_class, m, eps):
-    """Reference: _exhaustive_candidates' scoring on an uncached histogram table and query matrix."""
-    histograms, answers, log_multinomial = _histogram_table.__wrapped__(query_class, m)
-    full = _query_matrix.__wrapped__(query_class)
+def _fresh_candidates(db, cclass, m, eps):
+    """Reference: _exhaustive_candidates' scoring on an uncached histogram table, answered on the reference closure."""
+    histograms, _, log_multinomial = _histogram_table.__wrapped__(cclass, m)
+    full = _reference_closure(cclass)
+    answers = (full @ histograms.T.astype(np.float64)) / m
     target = (full @ np.bincount(db.xs, minlength=db.universe.size).astype(np.float64)) / db.n
     scores = -db.n * np.abs(answers - target[:, None]).max(axis=0)
     return scores + (2.0 / eps) * log_multinomial, histograms
@@ -354,18 +371,16 @@ class TestHistogramTable:
 
     def test_query_classes_get_distinct_entries(self):
         u = Universe.indexed(8)
-        query_classes = [ConceptClass(THRESH, u), ConceptClass(POINT, u),
-                         (ConceptClass(THRESH, u), "xor"), (ConceptClass(POINT, u), "xor")]
+        query_classes = [ConceptClass(THRESH, u), ConceptClass(POINT, u), ConceptClass(PARITY, Universe.bitvectors(3))]
         answers = [_histogram_table(q, 3)[1] for q in query_classes]
-        # All four are held at once, each is its own class's answers, and no two coincide.
+        # All three are held at once, each is its own class's answers, and no two coincide.
         assert all(_histogram_table(q, 3)[1] is a for q, a in zip(query_classes, answers))
         assert all(np.array_equal(a, _histogram_table.__wrapped__(q, 3)[1]) for q, a in zip(query_classes, answers))
         assert len({(a.shape, a.tobytes()) for a in answers}) == len(query_classes)
 
-    @pytest.mark.parametrize("queries", ["plain", "xor"])
-    def test_warm_scores_equal_a_fresh_build_bit_for_bit(self, queries):
+    def test_warm_scores_equal_a_fresh_build_bit_for_bit(self):
         u = Universe.indexed(8)
-        query_class = (ConceptClass(THRESH, u), "xor") if queries == "xor" else ConceptClass(THRESH, u)
+        query_class = ConceptClass(THRESH, u)
         _exhaustive_candidates(_unlabeled(u, [0]), query_class, 5, 1.0)  # warm the entry
         for trial in range(4):
             db = _unlabeled(u, stream(34, trial).integers(0, 8, size=50 + 100 * trial))
@@ -386,7 +401,7 @@ class TestHistogramTable:
 
     def test_sampler_and_oracle_share_one_entry(self):
         u = Universe.indexed(5)
-        query_class = (ConceptClass(THRESH, u), "xor")
+        query_class = ConceptClass(THRESH, u)
         db = _unlabeled(u, [0, 1, 1, 4])
         sanitize_exhaustive(db, query_class, 0.5, 1.0, stream(35, 0), synth_size=4)
         before = _histogram_table.cache_info()
@@ -398,18 +413,19 @@ class TestHistogramTable:
 
 class TestSanitizeExhaustive:
     def test_output_law_matches_exact_pmf(self):
-        # |X|=2, m=2 for D=(0,0,1,1): the perfect multiset (0,1) scores 0 and
-        # stands for two tuples; (0,0) and (1,1) score -2 and stand for one each.
+        # |X|=2, m=2 for D=(0,0,1,1), scored on the thresholds' disagreement sets {} and {1}:
+        # the perfect multiset (0,1) scores 0 and stands for two tuples; (0,0) and (1,1)
+        # score -2 and stand for one each.
         u = Universe.indexed(2)
         db = _unlabeled(u, [0, 0, 1, 1])
         eps = 2.0
-        pmf, multisets = sanitize_exhaustive_pmf(db, ConceptClass(POINT, u), eps, 2)
+        pmf, multisets = sanitize_exhaustive_pmf(db, ConceptClass(THRESH, u), eps, 2)
         weights = {(0, 0): math.exp(-eps), (0, 1): 2.0, (1, 1): math.exp(-eps)}
         assert multisets == [(0, 0), (0, 1), (1, 1)]
         assert np.allclose(pmf, [weights[t] / sum(weights.values()) for t in multisets])
         counts = {t: 0 for t in multisets}
         for trial in range(4000):
-            out = sanitize_exhaustive(db, ConceptClass(POINT, u), 0.5, eps, stream(26, trial), synth_size=2)
+            out = sanitize_exhaustive(db, ConceptClass(THRESH, u), 0.5, eps, stream(26, trial), synth_size=2)
             counts[tuple(out.elements.tolist())] += 1
         freqs = np.array([counts[t] / 4000 for t in multisets])
         assert np.abs(freqs - pmf).max() < 0.03
@@ -419,7 +435,7 @@ class TestSanitizeExhaustive:
         db = _unlabeled(u, [0, 0, 1, 1])
         hits = 0
         for trial in range(100):
-            out = sanitize_exhaustive(db, ConceptClass(POINT, u), 0.5, 50.0, stream(27, trial), synth_size=2)
+            out = sanitize_exhaustive(db, ConceptClass(THRESH, u), 0.5, 50.0, stream(27, trial), synth_size=2)
             hits += set(out.elements.tolist()) == {0, 1}
         assert hits == 100
 
@@ -478,12 +494,12 @@ class TestSanitizeExhaustive:
         out = sanitize_exhaustive(db, ConceptClass(THRESH, u), 0.5, 1.0, stream(29, 3), synth_size=58)
         assert out.size == 58 and np.all(np.diff(out.elements) >= 0)
 
-    @pytest.mark.parametrize("size,m,kind,queries", EXACT_CASES)
-    def test_scores_equal_per_tuple_reference(self, size, m, kind, queries):
+    @pytest.mark.parametrize("size,m,kind", EXACT_CASES)
+    def test_scores_equal_per_tuple_reference(self, size, m, kind):
         # Unshifted, each histogram's score is the reference score of its sorted tuple.
-        u = Universe.indexed(size)
+        u = _universe(kind, size)
         db = _unlabeled(u, stream(30, size, m).integers(0, size, size=37))
-        query_class = (ConceptClass(kind, u), "xor") if queries == "xor" else ConceptClass(kind, u)
+        query_class = ConceptClass(kind, u)
         eps = 1.0
         scores, histograms = _exhaustive_candidates(db, query_class, m, eps)
         assert len(histograms) == math.comb(size + m - 1, m)
@@ -492,12 +508,12 @@ class TestSanitizeExhaustive:
         reference = _per_tuple_scores(db, query_class, m)[sorted_tuples @ size ** np.arange(m - 1, -1, -1)]
         assert np.abs(scores - (2.0 / eps) * np.log(multinomials) - reference).max() <= 1e-12
 
-    @pytest.mark.parametrize("size,m,kind,queries", [case for case in EXACT_CASES if case[0] ** case[1] <= 8**5])
-    def test_law_equals_summed_tuple_law(self, size, m, kind, queries):
+    @pytest.mark.parametrize("size,m,kind", [case for case in EXACT_CASES if case.values[0] ** case.values[1] <= 8**5])
+    def test_law_equals_summed_tuple_law(self, size, m, kind):
         # The tuple-level exponential mechanism, summed per sorted tuple, is the histogram law.
-        u = Universe.indexed(size)
+        u = _universe(kind, size)
         db = _unlabeled(u, stream(33, size, m).integers(0, size, size=29))
-        query_class = (ConceptClass(kind, u), "xor") if queries == "xor" else ConceptClass(kind, u)
+        query_class = ConceptClass(kind, u)
         reference = _per_tuple_scores(db, query_class, m)
         tuples = np.sort(np.array(list(itertools.product(range(size), repeat=m))), axis=1)
         sorted_tuples, outcome = np.unique(tuples, axis=0, return_inverse=True)
@@ -512,7 +528,7 @@ class TestSanitizeExhaustive:
         # Frozen from the histogram sanitizer: same RNG draws, same released rows.
         u = Universe.indexed(8)
         db = MultiLabeledDatabase.unlabeled(u, stream(31, 0).integers(0, 8, size=400))
-        queries = (ConceptClass(THRESH, u), "xor")
+        queries = ConceptClass(THRESH, u)
         digest = hashlib.sha256()
         for t in range(20):
             synth = sanitize_exhaustive(db, queries, 0.04, 1.0, stream(31, 1, t), synth_size=5)
