@@ -16,6 +16,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .domain import generalization_errors, load_database
 from .harness import (
     LEARNERS,
@@ -196,8 +198,9 @@ def _cmd_mech(args) -> int:
         _check_count(args, "--draws", 0)
         names, scores = _parse_scores(args.scores)
         rng = stream(args.seed, 0, 0)
-        picks = [exponential_mechanism(scores, args.epsilon, args.sensitivity, rng) for _ in range(args.draws)]
-        report = TrialReport("mech", ["draw", "choice"], [[i, names[p]] for i, p in enumerate(picks)],
+        picks = exponential_mechanism(np.broadcast_to(scores, (args.draws, len(scores))), args.epsilon,
+                                      args.sensitivity, rng)
+        report = TrialReport("mech", ["draw", "choice"], [[i, names[p]] for i, p in enumerate(picks.tolist())],
                              meta={"epsilon": args.epsilon, "seed": args.seed})
     else:
         _check_count(args, "--count", 1)

@@ -486,10 +486,40 @@ def _frozen_pmf(pmf, shape: tuple[int, ...], expected: str) -> np.ndarray:
         raise ValueError("pmf entries must be finite")
     if pmf.min() < 0:
         raise ValueError("pmf entries must be non-negative")
-    if abs(math.fsum(pmf.ravel().tolist()) - 1.0) > PMF_TOL:
+    if not _sums_to_one(pmf.ravel()):
         raise ValueError("pmf must sum to 1 within 1e-12")
     pmf.flags.writeable = False
     return pmf
+
+
+_PMF_BLOCK = 4096
+# gamma_(b-1) = (b-1)u / (1 - (b-1)u), u = 2^-53: a float sum of b non-negative entries, in any order,
+# differs from their exact sum by at most gamma_(b-1) times it (Higham 2002, section 4.2).
+_PMF_BLOCK_GAMMA = (_PMF_BLOCK - 1) * 2.0**-53 / (1 - (_PMF_BLOCK - 1) * 2.0**-53)
+
+
+def _sums_to_one(flat: np.ndarray) -> bool:
+    """Whether abs(math.fsum(flat) - 1) <= PMF_TOL, for finite non-negative entries, decided without that
+    fsum unless the sum lies near the edge of the tolerance.
+
+    Float sums of blocks of at most _PMF_BLOCK entries, added by fsum, give a
+    total T with |T - S| <= (gamma + 2u) S for the exact sum S, and S <= 2T.
+    fsum(flat) is S rounded, within u S of S, and near 1 its distance to 1 is
+    exact (Sterbenz). So when |T - 1| is farther from PMF_TOL than
+    slack = 2 (gamma + 3u) T, plus an absolute term for the rounding of slack
+    itself, T decides as fsum would; otherwise fsum decides. A block sum past
+    the largest float makes T and slack inf, so fsum decides there too.
+    """
+    with np.errstate(over="ignore"):
+        blocks = np.add.reduceat(flat, np.arange(0, flat.size, _PMF_BLOCK))
+    total = math.fsum(blocks.tolist())
+    slack = 2 * (_PMF_BLOCK_GAMMA + 3 * 2.0**-53) * total + 2.0**-50
+    miss = abs(total - 1.0)
+    if miss + slack <= PMF_TOL:
+        return True
+    if miss - slack > PMF_TOL:
+        return False
+    return abs(math.fsum(flat.tolist()) - 1.0) <= PMF_TOL
 
 
 def _guide_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -647,8 +677,14 @@ class LabeledDistribution:
         """Labels drawn independently per coordinate: label_probs[x, j] = P(y_j = 1 | x)."""
         probs = np.asarray(label_probs, dtype=np.float64)
         k = probs.shape[1]
-        bits = _unpack_words(np.arange(1 << k)[:, None], k)  # (2^k, k)
-        cond = np.prod(np.where(bits[None, :, :] == 1, probs[:, None, :], 1.0 - probs[:, None, :]), axis=2)
+        # Doubling: after step j, cond[:, y] for y < 2^(j+1) is the product over labels i <= j of
+        # P(y_i | x), multiplied left to right as a product over the k axis would be, so in the same bits.
+        cond = np.ones((probs.shape[0], 1 << k))
+        complement = 1.0 - probs
+        for j in range(k):
+            half = 1 << j
+            np.multiply(cond[:, :half], probs[:, j : j + 1], out=cond[:, half : 2 * half])
+            cond[:, :half] *= complement[:, j : j + 1]
         return LabeledDistribution(dist.universe, k, dist.pmf[:, None] * cond)
 
     @cached_property

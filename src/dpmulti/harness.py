@@ -30,9 +30,9 @@ import numpy as np
 
 from . import fingerprint
 from .domain import (
+    CLASS_KINDS,
     PARITY,
     POINT,
-    THRESH,
     ConceptClass,
     Distribution,
     Hypotheses,
@@ -86,13 +86,15 @@ class Learner:
     module-level name at call time, so wrappers installed on module attributes
     see every call, and sets below_sample_bound from the learner's own bound.
     charges(params, k) calls the learner's charge schedule: the ledger it must
-    hold on every outcome, aborts included. An exact learner learns parities
-    only, and its trials succeed only on exact recovery of the targets.
+    hold on every outcome, aborts included. kinds are the concept classes a
+    learn section may give it, the first being the default. An exact
+    learner's trials succeed only on exact recovery of the targets.
     delta_check(delta, name) refuses a delta outside the learner's range.
     """
 
     build: Callable[[LearnParams], LearnerFn]
     charges: Callable[[LearnParams, int], list[PrivacyParams]]
+    kinds: tuple[str, ...] = CLASS_KINDS
     exact: bool = False
     delta_check: Callable[[float, str], None] = check_fraction
 
@@ -119,10 +121,11 @@ def _points(p: LearnParams) -> LearnerFn:
 
 
 LEARNERS: dict[str, Learner] = {
-    "points": Learner(_points, lambda p, k: point_charges(p.epsilon, p.delta)),
+    "points": Learner(_points, lambda p, k: point_charges(p.epsilon, p.delta), kinds=(POINT,)),
     "parities": Learner(
         lambda p: lambda db, rng: parity_learner(db, p.epsilon, p.delta, p.beta, rng),
         lambda p, k: parity_charges(p.epsilon, p.delta),
+        kinds=(PARITY,),
         exact=True,
     ),
     "generic": Learner(
@@ -131,6 +134,7 @@ LEARNERS: dict[str, Learner] = {
     "direct-sum": Learner(
         lambda p: lambda db, rng: direct_sum_learner(_points(p), db, rng),
         lambda p, k: point_charges(p.epsilon, p.delta) * k,
+        kinds=(POINT,),
     ),
     "erm": Learner(_erm, lambda p, k: [], delta_check=lambda delta, name: None),  # erm charges nothing
 }
@@ -348,17 +352,17 @@ def parse_distribution(spec: str, universe: Universe, section: str = "learn") ->
         return Distribution.from_weights(universe, weights)
 
 
-def _learn_class(params: dict, parities: bool) -> str:
-    """A learn section's concept class; parities read `d`, the other classes read `universe`."""
-    class_kind = params.get("class", PARITY if parities else POINT)
-    if class_kind not in (POINT, THRESH, PARITY) or (parities and class_kind != PARITY):
-        expected = PARITY if parities else "point|thresh|parity"
-        raise ConfigError(f"learn.class: expected {expected}, got {class_kind!r}")
+def _learn_class(params: dict, kinds: tuple[str, ...]) -> str:
+    """A learn section's concept class, one of kinds (the first by default); parities read `d`, the other
+    classes read `universe`."""
+    class_kind = params.get("class", kinds[0])
+    if class_kind not in kinds:
+        raise ConfigError(f"learn.class: expected {'|'.join(kinds)}, got {class_kind!r}")
     return class_kind
 
 
-def _learn_universe(params: dict, parities: bool) -> tuple[str, ConceptClass]:
-    class_kind = _learn_class(params, parities)
+def _learn_universe(params: dict, kinds: tuple[str, ...]) -> tuple[str, ConceptClass]:
+    class_kind = _learn_class(params, kinds)
     key, make = ("d", Universe.bitvectors) if class_kind == PARITY else ("universe", Universe.indexed)
     value = _need(params, "learn", key, int)
     with _naming("learn", key):
@@ -428,7 +432,7 @@ def read_learn(params: Mapping) -> LearnSetting:
         raise ConfigError(f"learn.algorithm: expected one of {tuple(LEARNERS)}, got {algorithm!r}")
     entry = LEARNERS[algorithm]
     k = _need(params, "learn", "k", int, low=1)
-    universe_key, cclass = _learn_universe(params, entry.exact)
+    universe_key, cclass = _learn_universe(params, entry.kinds)
     p = _learn_params(params, "learn", entry, cclass.kind, 0.0, None)
     learner = entry.build(p)
     plan = entry.charges(p, k)
@@ -514,7 +518,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
         raise ConfigError(f"experiment.sweep: {config.kind} takes {allowed}, got {config.sweep_axis!r}")
     if config.kind == "learn" and config.sweep_axis in ("d", "universe"):
         entry = LEARNERS.get(config.params.get("algorithm", ""))
-        read = "d" if _learn_class(config.params, entry is not None and entry.exact) == PARITY else "universe"
+        kinds = CLASS_KINDS if entry is None else entry.kinds
+        read = "d" if _learn_class(config.params, kinds) == PARITY else "universe"
         if config.sweep_axis != read:
             raise ConfigError(f"experiment.sweep: this learn class reads {read}, not {config.sweep_axis!r}")
     if config.kind == "attack":

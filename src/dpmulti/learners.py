@@ -509,8 +509,8 @@ def generic_multi_learner(
     The sanitized database pins down a small hypothesis set H (one witness per
     dichotomy the class realizes on the sanitized support), and each label is
     then resolved by an exponential-mechanism selection over H scored by
-    negative mismatch count. Charges (epsilon, delta) once plus k times
-    (epsilon_prime, 0).
+    negative mismatch count, all k in one row-wise call. Charges (epsilon,
+    delta) once plus k times (epsilon_prime, 0).
 
     sanitizer: "points" routes through the point-query sanitizer (point
     classes, approximate DP), "exhaustive" through the enumerative pure-DP
@@ -538,10 +538,7 @@ def generic_multi_learner(
     witnesses = dichotomy_projection(cclass, support)
     mismatches = _mismatch_counts(witnesses.evaluate(db.xs), db.labels)
 
-    chosen = [
-        exponential_mechanism(-mismatches[:, j].astype(np.float64), epsilon_prime, 1.0, rng)
-        for j in range(db.k)
-    ]
+    chosen = exponential_mechanism(-mismatches.T.astype(np.float64, order="C"), epsilon_prime, 1.0, rng)
 
     details = {"support_size": int(len(support)), "hypothesis_count": len(witnesses)}
     return LearnResult(Hypotheses(db.universe, cclass.kind, witnesses.params[chosen]), ledger, below, details)

@@ -150,14 +150,20 @@ def noisy_threshold_pmf(values: np.ndarray, scale: float, threshold: float) -> n
 def exponential_mechanism_pmf(scores: np.ndarray, epsilon: float, sensitivity: float) -> np.ndarray:
     """Exact output pmf: P[i] proportional to exp(epsilon * scores[i] / (2 sensitivity)).
 
-    Scores are max-shifted before exponentiation; the shift cancels in the
-    normalization, so the pmf is unchanged and overflow-free. Scores must be
-    finite, and an epsilon at which a logit overflows is refused.
+    scores has shape (H,), or (k, H) for k selections over H candidates each,
+    and the pmf has the same shape, one law per row along the last axis. Each
+    row is held C-contiguous, so numpy runs the same exp and pairwise-sum
+    kernels on it as on a 1-D array, and a row's pmf is bit for bit the 1-D
+    pmf of that row. Scores are max-shifted per row before exponentiation;
+    the shift cancels in the normalization, so the pmf is unchanged and
+    overflow-free. Scores must be finite, and an epsilon at which a logit
+    overflows is refused.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise ValueError("scores must be a non-empty 1-D array")
-    peak = float(np.abs(scores).max())  # nan or inf when some score is not finite
+    if scores.ndim not in (1, 2) or scores.shape[-1] == 0:
+        raise ValueError(f"scores must be a 1-D or 2-D array with a non-empty last axis, got shape {scores.shape}")
+    scores = np.ascontiguousarray(scores)
+    peak = float(np.abs(scores).max(initial=0.0))  # nan or inf when some score is not finite
     if not math.isfinite(peak):
         raise ValueError(f"candidate score must be finite, got {scores[~np.isfinite(scores)][0]}")
     if not epsilon >= 0:
@@ -170,20 +176,28 @@ def exponential_mechanism_pmf(scores: np.ndarray, epsilon: float, sensitivity: f
     if not math.isfinite(epsilon * peak / (2.0 * sensitivity)):
         raise ValueError(f"epsilon = {epsilon} overflows a logit epsilon * score / (2 sensitivity)")
     logits = epsilon * scores / (2.0 * sensitivity)
-    weights = np.exp(logits - logits.max())
-    return weights / weights.sum()
+    weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def exponential_mechanism(
     scores: np.ndarray, epsilon: float, sensitivity: float, rng: np.random.Generator
-) -> int:
+) -> int | np.ndarray:
     """Sample an index i with probability proportional to exp(eps*scores[i]/2s).
 
-    Draws one uniform from rng.
+    Scores of shape (H,) draw one uniform from rng and return an int. Scores
+    of shape (k, H) make k independent selections, one per row: they draw
+    rng.random(k), the same uniforms in the same order as k calls on the
+    rows, and return the k indices as an int array. Each index is the count
+    of the row's cdf entries <= its uniform, capped at H - 1: that is
+    searchsorted(side="right") on the non-decreasing cumsum of the pmf, and
+    counting over the first H - 1 cdf entries alone applies the cap.
     """
     pmf = exponential_mechanism_pmf(scores, epsilon, sensitivity)
-    idx = int(np.searchsorted(np.cumsum(pmf), rng.random(), side="right"))
-    return min(idx, len(pmf) - 1)
+    cdf = np.cumsum(pmf[..., :-1], axis=-1)
+    u = rng.random(pmf.shape[:-1])
+    picks = (cdf <= u[..., None]).sum(axis=-1)
+    return int(picks) if pmf.ndim == 1 else picks
 
 
 def _check_stable(gap: float, epsilon: float, delta: float) -> None:

@@ -138,6 +138,8 @@ def answers_to_synthetic(ans: SanitizedAnswers, alpha: float) -> SyntheticDataba
     database then grows past m and the bound degrades gracefully.
     """
     check_fraction(alpha, "alpha")
+    if not 1.0 / alpha < 2.0**53:  # row counts are taken as float64 products, exact below 2^53
+        raise ValueError(f"alpha = {alpha} puts 1/alpha, the synthetic size, at or above 2^53")
     m = math.ceil(1.0 / alpha) + len(ans.support)
     rows = np.repeat(ans.support, (ans.answers * m).astype(np.int64))
     return SyntheticDatabase(ans.universe, rows, sink_rows=max(0, m - len(rows)))
@@ -272,6 +274,8 @@ def _exhaustive_candidates(db, cclass, synth_size, epsilon):
     check_epsilon(epsilon)
     check_budget(cclass, synth_size)
     histograms, answers, log_multinomial = _histogram_table(cclass, synth_size)
+    if not math.isfinite((2.0 / epsilon) * float(log_multinomial.max())):
+        raise ValueError(f"epsilon = {epsilon} overflows the offset (2/epsilon) ln multinomial(h)")
     target = _query_answers(_query_matrix(cclass), np.bincount(db.xs, minlength=db.universe.size), db.n)
     gaps = answers - target[:, None]  # abs in place: scoring adds one copy of the answers table, not two
     scores = -db.n * np.abs(gaps, out=gaps).max(axis=0)

@@ -24,7 +24,7 @@ from dpmulti.domain import (
     vc_sample_size,
 )
 from dpmulti.harness import LEARNERS, format_float, read_learn, sample_and_learn
-from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, compose_basic
+from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, compose_basic, exponential_mechanism
 from dpmulti.rng import stream
 
 CONFIG = """
@@ -340,6 +340,23 @@ class TestMechCommand:
         choices = {line.split(",")[1] for line in out.strip().splitlines()[1:]}
         assert choices == {"a"}
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12])
+    def test_exponential_report_is_a_loop_of_scalar_draws(self, capsys, seed):
+        # One row-wise call over the draws reports what one 1-D call per draw would, on the same stream.
+        code, out = _run(capsys, "mech", "exponential", "--scores", "a:1,b:0,c:0.5,d:-2", "--epsilon", "1.5",
+                         "--draws", "40", "--seed", str(seed))
+        rng = stream(seed, 0, 0)
+        picks = [exponential_mechanism(np.array([1.0, 0.0, 0.5, -2.0]), 1.5, 1.0, rng) for _ in range(40)]
+        assert code == 0
+        assert out.splitlines() == ["draw,choice", *(f"{i},{'abcd'[p]}" for i, p in enumerate(picks))]
+        assert len(set(picks)) > 1
+
+    def test_readme_exponential_example(self, capsys):
+        code, out = _run(capsys, "mech", "exponential", "--scores", "a:10,b:0", "--epsilon", "2", "--draws", "10",
+                         "--seed", "7")
+        assert code == 0
+        assert out == "draw,choice\n" + "".join(f"{i},a\n" for i in range(10))
+
 
 class TestExperimentCommand:
     def test_bad_config_exit_code(self, capsys, tmp_path):
@@ -506,6 +523,19 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv + ["--class", "point"]) == 1
         assert "learn.class" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm,domain", [
+        ("points", ["--class", "thresh", "--universe", "16"]),
+        ("points", ["--class", "parity", "--d", "4"]),
+        ("direct-sum", ["--class", "thresh", "--universe", "16"]),
+        ("direct-sum", ["--class", "parity", "--d", "4"]),
+    ], ids=["points-thresh", "points-parity", "direct-sum-thresh", "direct-sum-parity"])
+    def test_point_learners_with_another_class_are_invalid_input(self, capsys, algorithm, domain):
+        # Both run the point learner, so they learn the point class only, as parities learns parities only.
+        argv = ["learn", algorithm, "--k", "2", "--n", "300", "--seed", "1"]
+        assert main(argv + domain) == 1
+        assert capsys.readouterr().err == f"error: learn.class: expected point, got '{domain[1]}'\n"
+        assert main(argv + ["--class", "point", "--universe", "16"]) == 0
 
     def test_aborted_direct_sum_reports_full_totals(self, capsys):
         code, out = _run(capsys, "learn", "direct-sum", "--k", "4", "--n", "160", "--universe", "8", "--seed", "3",

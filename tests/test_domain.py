@@ -1,6 +1,7 @@
 """Domain vocabulary: concepts, databases, errors, dichotomies, sampling."""
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from dpmulti.domain import (
     EVAL_BLOCK_CELLS,
     LABEL_TABLE_CELLS,
     PARITY,
+    PMF_TOL,
     POINT,
     THRESH,
     Concept,
@@ -663,6 +665,67 @@ class TestFrozenPmf:
             ld.pmf[0, 0] = 1.0
         joint[0, 0] = 0.0
         assert ld.pmf[0, 0] == 0.25
+
+
+def _pmf_summing_to(offset, size=3 * 4096 + 5):
+    """A seeded pmf over several sum blocks whose fsum is 1 + offset: its largest entry absorbs the difference."""
+    p = stream(16, 0).random(size)
+    p /= p.sum()
+    p[p.argmax()] += offset - (math.fsum(p.tolist()) - 1.0)
+    return p
+
+
+class TestPmfSumCheck:
+    # The blocked check needs the full fsum only within about 9.1e-13 (its slack) of the tolerance's edge.
+    @pytest.mark.parametrize("offset,near_edge", [
+        (0.0, False), (5e-14, False), (-5e-14, False),
+        (1e-12 - 1e-15, True), (-(1e-12 - 1e-15), True),
+        (1e-12 + 1e-15, True), (-(1e-12 + 1e-15), True),
+        (3e-12, False), (-3e-12, False),
+    ])
+    def test_decision_is_the_full_fsum_decision(self, monkeypatch, offset, near_edge):
+        p = _pmf_summing_to(offset)
+        expected = abs(math.fsum(p.tolist()) - 1.0) <= PMF_TOL
+        assert expected == (abs(offset) <= 1e-12)
+        fsum, lengths = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda xs: lengths.append(len(xs)) or fsum(xs))
+        try:
+            Distribution(Universe.indexed(p.size), p)
+            accepted = True
+        except ValueError as exc:
+            assert str(exc) == "pmf must sum to 1 within 1e-12"
+            accepted = False
+        assert accepted == expected
+        assert (p.size in lengths) == near_edge  # the full fsum ran only at the edge
+
+    @pytest.mark.parametrize("offset", [1e-12 - 1e-15, 1e-12 + 1e-15, -(1e-12 + 1e-15)])
+    def test_one_block_edge_cases(self, offset):
+        p = _pmf_summing_to(offset, size=1000)
+        expected = abs(math.fsum(p.tolist()) - 1.0) <= PMF_TOL
+        try:
+            LabeledDistribution(Universe.indexed(500), 1, p.reshape(500, 2))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expected
+
+
+def _label_probs_reference(dist, probs):
+    """from_label_probs as one (|X|, 2^k, k) broadcast and a product over the k axis."""
+    k = probs.shape[1]
+    bits = _unpack_words(np.arange(1 << k)[:, None], k)
+    cond = np.prod(np.where(bits[None, :, :] == 1, probs[:, None, :], 1.0 - probs[:, None, :]), axis=2)
+    return dist.pmf[:, None] * cond
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_from_label_probs_is_the_broadcast_product_bit_for_bit(k):
+    rng = stream(17, k)
+    for dist in (Distribution.uniform(Universe.indexed(8)), _weights(5, rng.random(5)), _weights(3, [0.0, 1.0, 2.0])):
+        probs = rng.random((dist.universe.size, k))
+        probs[0, ::2], probs[-1, ::3] = 0.0, 1.0  # some labels certain
+        ld = LabeledDistribution.from_label_probs(dist, probs)
+        assert ld.pmf.tobytes() == _label_probs_reference(dist, probs).tobytes()
 
 
 def _realizable(dist, kind, params):

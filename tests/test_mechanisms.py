@@ -2,6 +2,7 @@
 stable selection, composition accounting, and the exact DP inequality checker."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,78 @@ class TestExponentialMechanism:
     def test_empty_score_array_rejected(self):
         with pytest.raises(ValueError):
             exponential_mechanism_pmf(np.array([], dtype=np.float64), 1.0, 1.0)
+
+
+def _row_scores(k, shape_seed, h, ties):
+    """A seeded (k, h) score array; with ties, integer scores in a range of 3 so that rows repeat values."""
+    rng = stream(14, shape_seed)
+    if ties:
+        return rng.integers(-1, 2, size=(k, h)).astype(np.float64)
+    return rng.normal(scale=20.0, size=(k, h))
+
+
+# (k, H, ties): one candidate, H around numpy's pairwise-sum block of 128, many tied scores.
+ROW_SHAPES = [(3, 1, False), (5, 7, False), (4, 127, False), (4, 128, False), (3, 129, True), (2, 1000, False),
+              (6, 300, True), (1, 792, False), (8, 6, True)]
+
+
+class TestRowWiseExponentialMechanism:
+    @pytest.mark.parametrize("k,h,ties", ROW_SHAPES)
+    def test_row_pmf_is_the_1d_pmf_bit_for_bit(self, k, h, ties):
+        scores = _row_scores(k, h, h, ties)
+        rows = exponential_mechanism_pmf(scores, 0.7, 1.0)
+        assert rows.shape == (k, h)
+        for j in range(k):
+            assert rows[j].tobytes() == exponential_mechanism_pmf(scores[j], 0.7, 1.0).tobytes(), j
+        # A strided (Fortran-order) copy of the same scores gives the same bits.
+        assert exponential_mechanism_pmf(np.asfortranarray(scores), 0.7, 1.0).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("k,h,ties", ROW_SHAPES)
+    def test_row_draws_are_a_loop_of_scalar_draws(self, k, h, ties):
+        # One uniform per row, in row order: the same stream gives the same picks through one
+        # row-wise call or one 1-D call per row, and leaves the stream at the same place.
+        scores = _row_scores(k, h, h, ties)
+        for seed in range(5):
+            rows, loop = stream(15, seed), stream(15, seed)
+            picks = exponential_mechanism(scores, 0.7, 1.0, rows)
+            assert picks.shape == (k,) and picks.dtype.kind == "i"
+            assert picks.tolist() == [exponential_mechanism(row, 0.7, 1.0, loop) for row in scores]
+            assert rows.random() == loop.random()
+
+    def test_zero_rows_draw_nothing(self):
+        rng = stream(15, 99)
+        picks = exponential_mechanism(np.zeros((0, 5)), 1.0, 1.0, rng)
+        assert picks.shape == (0,)
+        assert exponential_mechanism_pmf(np.zeros((0, 5)), 1.0, 1.0).shape == (0, 5)
+        assert rng.random() == stream(15, 99).random()
+
+    def test_one_dimensional_call_returns_an_int(self):
+        assert type(exponential_mechanism(np.array([0.0, 1.0]), 1.0, 1.0, stream(15, 1))) is int
+
+    @pytest.mark.parametrize("row,epsilon,sensitivity", [
+        ([0.0, math.nan, -1.0], 1.0, 1.0),
+        ([0.0, math.inf, -1.0], 1.0, 1.0),
+        ([0.0, -math.inf, -1.0], 1.0, 1.0),
+        ([0.0, 1.0, 2.0], -1.0, 1.0),
+        ([0.0, 1.0, 2.0], math.inf, 1.0),
+        ([0.0, 1.0, 2.0], math.nan, 1.0),
+        ([0.0, 1.0, 2.0], 1.0, 0.0),
+        ([3.0, 0.0, 1.0], 1e308, 1.0),
+    ], ids=["nan", "inf", "-inf", "negative-eps", "inf-eps", "nan-eps", "zero-sensitivity", "overflow"])
+    def test_row_call_refuses_with_the_1d_message(self, row, epsilon, sensitivity):
+        with pytest.raises(ValueError) as one_d:
+            exponential_mechanism(np.array(row), epsilon, sensitivity, stream(15, 2))
+        scores = np.array([[0.0, 0.5, 1.0], row, [1.0, 1.0, 1.0]])
+        for call in (lambda: exponential_mechanism(scores, epsilon, sensitivity, stream(15, 2)),
+                     lambda: exponential_mechanism_pmf(scores, epsilon, sensitivity)):
+            with pytest.raises(ValueError) as rows:
+                call()
+            assert str(rows.value) == str(one_d.value)
+
+    @pytest.mark.parametrize("shape", [(), (2, 0), (0, 0), (2, 2, 2)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match=rf"non-empty last axis, got shape {re.escape(str(shape))}$"):
+            exponential_mechanism_pmf(np.zeros(shape), 1.0, 1.0)
 
 
 class TestStableArgmax:

@@ -292,6 +292,13 @@ class TestAnswersToSynthetic:
         synth = answers_to_synthetic(SanitizedAnswers(u, [], []), 0.5)
         assert synth.elements.size == 0 and synth.sink_rows >= 1
 
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-320])
+    def test_alpha_too_small_for_the_row_counts_is_named(self, alpha):
+        # Refused before the float row counts are cast (pytest turns the cast's RuntimeWarning into an error).
+        ans = SanitizedAnswers(Universe.indexed(4), [0, 1], [0.5, 0.5])
+        with pytest.raises(ValueError, match=rf"^alpha = {alpha} puts 1/alpha, the synthetic size, at or above 2\^53$"):
+            answers_to_synthetic(ans, alpha)
+
 
 class TestSanitizeError:
     def test_identical_databases(self):
@@ -412,6 +419,24 @@ class TestHistogramTable:
 
 
 class TestSanitizeExhaustive:
+    @pytest.mark.parametrize("epsilon,synth_size", [(1e-320, 1), (1e-320, 3), (1e-308, 1), (2e-308, 4)])
+    def test_epsilon_overflowing_the_multinomial_offset_is_named(self, epsilon, synth_size):
+        # Refused before (2/eps) ln multinomial(h) gives inf * 0 = nan or an overflow, which pytest's
+        # warnings-as-errors would raise. At 2e-308, 2/eps is finite but 2/eps * ln 4! is not.
+        u = Universe.indexed(8)
+        db = _unlabeled(u, [0, 3, 5, 7])
+        message = rf"^epsilon = {epsilon} overflows the offset \(2/epsilon\) ln multinomial\(h\)$"
+        with pytest.raises(ValueError, match=message):
+            sanitize_exhaustive(db, ConceptClass(THRESH, u), 0.5, epsilon, stream(26, 0), synth_size=synth_size)
+        with pytest.raises(ValueError, match=message):
+            sanitize_exhaustive_pmf(db, ConceptClass(THRESH, u), epsilon, synth_size)
+
+    def test_smallest_epsilon_with_a_finite_offset_runs(self):
+        # 2/eps * ln 3! is just below the largest float.
+        u = Universe.indexed(8)
+        assert sanitize_exhaustive(_unlabeled(u, [0, 3, 5, 7]), ConceptClass(THRESH, u), 0.5, 2e-308, stream(26, 0),
+                                   synth_size=3).size == 3
+
     def test_output_law_matches_exact_pmf(self):
         # |X|=2, m=2 for D=(0,0,1,1), scored on the thresholds' disagreement sets {} and {1}:
         # the perfect multiset (0,1) scores 0 and stands for two tuples; (0,0) and (1,1)
