@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -227,14 +227,28 @@ def _row_blocks(rows: int, columns: int) -> Iterator[slice]:
 LABEL_TABLE_CELLS = 1 << 16
 
 
+@lru_cache(maxsize=13)
+def _gray_walk(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """For i = 1..2^b - 1: the bit ctz(i) that Gray code i flips, and Gray code i = i ^ (i >> 1).
+
+    label_words builds tables of b <= 12 bits, so every walk it uses stays cached (at most 64 KiB).
+    """
+    i = np.arange(1, 1 << b)
+    flips, codes = np.frexp(i & -i)[1] - 1, i ^ (i >> 1)  # i & -i is 2^ctz(i)
+    flips.setflags(write=False)
+    codes.setflags(write=False)
+    return flips, codes
+
+
 def _xor_table(planes: np.ndarray) -> np.ndarray:
     """The (2^b, W) uint64 table whose row y XORs planes[i] over the set bits i of y, for b = len(planes).
 
-    It is built by doubling: rows [2^i, 2^(i+1)) are rows [0, 2^i) XOR planes[i].
+    It is built in Gray-code order: Gray code i differs from Gray code i - 1 in
+    bit ctz(i) alone, so the running XOR of planes[ctz(1..i)] is row Gray code i.
     """
+    flips, codes = _gray_walk(len(planes))
     table = np.zeros((1 << len(planes), planes.shape[1]), dtype=np.uint64)
-    for i, plane in enumerate(planes):
-        np.bitwise_xor(table[: 1 << i], plane, out=table[1 << i : 2 << i])
+    table[codes] = np.bitwise_xor.accumulate(planes[flips], axis=0)
     return table
 
 
@@ -324,8 +338,8 @@ class Hypotheses:
                   spare row past the last param).
           parity  with M_b the packed bit b of every mask, x's word is the XOR
                   of M_b over the set bits b of x. One table per 12 bits of x
-                  is built by doubling (tab[2^b + y] = M_b ^ tab[y], at most
-                  4096 rows), and x's word XORs ceil(d/12) reads; for d <= 12
+                  is built as a running XOR in Gray-code order (at most 4096
+                  rows), and x's word XORs ceil(d/12) reads; for d <= 12
                   that is one table over the universe.
         """
         xs = self._elements(xs)

@@ -136,12 +136,18 @@ def trace_word(word: np.ndarray, codebook: Codebook) -> int | None:
 
 @dataclass(frozen=True)
 class PirateResult:
-    """A pirate word plus the artifacts needed to audit the trial."""
+    """A pirate word plus the artifacts needed to audit the trial.
+
+    evals is the (k, rows) bit matrix of the hypotheses on the database's
+    examples that the word was rounded from; it and hypotheses are None for a
+    failed learner.
+    """
 
     word: np.ndarray
     flagged: bool
     hypotheses: Hypotheses | None
     database: MultiLabeledDatabase
+    evals: np.ndarray | None
 
 
 def _attack_universe(variant: str, n_users: int) -> Universe:
@@ -193,9 +199,10 @@ def pirate_word(
     if result.failed:
         picks = rng.integers(0, len(members), size=k)
         fallback = codebook.words[np.array(members)[picks], np.arange(k)]
-        return PirateResult(fallback.astype(np.uint8), True, None, db)
+        return PirateResult(fallback.astype(np.uint8), True, None, db, None)
 
-    averages = result.hypotheses.evaluate(db.xs).mean(axis=1)
+    evals = result.hypotheses.evaluate(db.xs)
+    averages = evals.mean(axis=1)
     flagged = False
     if variant == "pac":
         word = (averages >= 0.5).astype(np.uint8)
@@ -205,7 +212,7 @@ def pirate_word(
         word = (averages >= 0.5 - alpha).astype(np.uint8)
         mid = (averages > alpha) & (averages < 0.5 - alpha)
         flagged = bool(mid.any())
-    return PirateResult(word, flagged, result.hypotheses, db)
+    return PirateResult(word, flagged, result.hypotheses, db, evals)
 
 
 @dataclass(frozen=True)
@@ -237,12 +244,19 @@ class AttackReport:
 
 
 def _contract_met(result: PirateResult, cclass: ConceptClass, alpha: float) -> bool:
-    """Did the learner meet the agnostic alpha contract on the attack database?"""
-    if result.hypotheses is None:
+    """Did the learner meet the agnostic alpha contract on the attack database?
+
+    Each label's errors are counted from the play's own evaluation. The class
+    minimum is never below 0 and dividing by n is monotone, so when every
+    label has errors / n <= alpha the contract holds without computing it.
+    """
+    if result.evals is None:
         return False
     db = result.database
+    errors = np.count_nonzero(result.evals != db.labels.T, axis=1)
+    if (errors / db.n <= alpha).all():
+        return True
     best = erm_mismatch_counts(db, cclass).min(axis=0)
-    errors = np.count_nonzero(result.hypotheses.evaluate(db.xs) != db.labels.T, axis=1)
     return bool(((errors - best) / db.n <= alpha).all())
 
 

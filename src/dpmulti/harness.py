@@ -248,7 +248,7 @@ class ExperimentConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

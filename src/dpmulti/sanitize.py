@@ -135,13 +135,18 @@ def answers_to_synthetic(ans: SanitizedAnswers, alpha: float) -> SyntheticDataba
     m = ceil(1/alpha) + |support|, and residual mass goes to sink rows, so
     max_x |freq(x) - a_x| <= alpha whenever the answers carry total mass <= 1.
     Answer maps with mass > 1 are not representable as frequencies; the
-    database then grows past m and the bound degrades gracefully.
+    database then grows past m and the bound degrades gracefully. An alpha
+    whose real rows would number over TABLE_BUDGET is refused by name.
     """
     check_fraction(alpha, "alpha")
     if not 1.0 / alpha < 2.0**53:  # row counts are taken as float64 products, exact below 2^53
         raise ValueError(f"alpha = {alpha} puts 1/alpha, the synthetic size, at or above 2^53")
     m = math.ceil(1.0 / alpha) + len(ans.support)
-    rows = np.repeat(ans.support, (ans.answers * m).astype(np.int64))
+    counts = (ans.answers * m).astype(np.int64)
+    total = counts.sum(dtype=np.float64)  # exact up to 2^53, and no int64 wrap past it
+    if total > TABLE_BUDGET:
+        raise ValueError(f"alpha = {alpha} asks for {total:.0f} synthetic rows, over the budget of {TABLE_BUDGET}")
+    rows = np.repeat(ans.support, counts)
     return SyntheticDatabase(ans.universe, rows, sink_rows=max(0, m - len(rows)))
 
 

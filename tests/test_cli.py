@@ -634,6 +634,17 @@ class TestExitCodes:
         assert main(["experiment", "run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("line,key", [
+        ("universe = 2\ndist = weights:1%,1", "learn.dist"),
+        ("universe = %(k)s", "learn.universe"),
+    ], ids=["percent", "interpolation"])
+    def test_config_values_are_read_literally(self, capsys, tmp_path, line, key):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\nkind = learn\ntrials = 1\nseed = 1\n\n"
+                       f"[learn]\nalgorithm = erm\nk = 2\nn = 100\n{line}\n")
+        assert main(["experiment", "run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
     def test_bad_learn_class_is_blamed_before_the_sweep(self, capsys, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text("[experiment]\nkind = learn\ntrials = 1\nseed = 1\nsweep = universe\nvalues = 4 8\n\n"

@@ -39,7 +39,7 @@ from dpmulti.domain import (
     vc_sample_size,
     zero,
 )
-from dpmulti.domain import _pack_words, _parity_bits, _unpack_words
+from dpmulti.domain import _pack_words, _parity_bits, _unpack_words, _xor_table
 from dpmulti.rng import stream
 
 U5 = Universe.indexed(5)
@@ -499,6 +499,17 @@ class TestLabelWords:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 19
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("b", range(13))
+    def test_xor_table_matches_doubling(self, b, width):
+        # The reference build: rows [2^i, 2^(i+1)) are rows [0, 2^i) XOR planes[i].
+        planes = stream(31, 3 + b).integers(0, 1 << 64, size=(b, width), dtype=np.uint64)
+        want = np.zeros((1 << b, width), dtype=np.uint64)
+        for i, plane in enumerate(planes):
+            np.bitwise_xor(want[: 1 << i], plane, out=want[1 << i : 2 << i])
+        got = _xor_table(planes)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
 
     def test_elements_are_checked(self):
         table = Hypotheses(U5, POINT, np.array([1, 2]))

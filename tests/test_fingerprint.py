@@ -20,7 +20,9 @@ from dpmulti.fingerprint import (
     pirate_word,
     trace_word,
 )
-from dpmulti.learners import LearnResult, erm_multi
+from dpmulti import fingerprint
+from dpmulti.harness import parse_config, run_experiment
+from dpmulti.learners import LearnResult, erm_mismatch_counts, erm_multi
 from dpmulti.mechanisms import PrivacyLedger
 from dpmulti.rng import stream
 
@@ -238,6 +240,83 @@ class TestContractMet:
         cb = gen_codebook(4, 30, 0.1, stream(105, 0))
         res = pirate_word(_failing_learner, cb, range(4), "pac", 0.2, stream(105, 1))
         assert not _contract_met(res, ConceptClass(THRESH, res.database.universe), 0.99)
+
+
+def _reference_contract_met(result, cclass, alpha):
+    """The contract check as first written: a second evaluate, and the class minimum always."""
+    if result.hypotheses is None:
+        return False
+    db = result.database
+    best = erm_mismatch_counts(db, cclass).min(axis=0)
+    errors = np.count_nonzero(result.hypotheses.evaluate(db.xs) != db.labels.T, axis=1)
+    return bool(((errors - best) / db.n <= alpha).all())
+
+
+ALPHA_GRID = [1e-9, 0.05, 0.1, 1 / 6, 0.2, 0.25, 1 / 3, 0.4, 0.5, 0.75, 0.99]
+
+
+def _plays(variant, seed):
+    """Pirate results of a random table, ERM, all-zero and failed learner on one codebook of the variant."""
+    n = 4 if variant == "parity" else 6
+    cb = gen_codebook(n, 10 * (n - 1), 0.1, stream(107, seed))
+    erm = lambda db, rng: erm_multi(db, ConceptClass(VARIANTS[variant], db.universe))
+    learners = [_random_table_learner(seed), erm, _all_zero_learner, _failing_learner]
+    return [pirate_word(learner, cb, range(n), variant, 0.2, stream(108, seed)) for learner in learners]
+
+
+class TestContractShortcut:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_class_minimum_only_past_alpha_n(self, monkeypatch, variant):
+        calls = []
+        counts = fingerprint.erm_mismatch_counts
+        monkeypatch.setattr(fingerprint, "erm_mismatch_counts", lambda *args: calls.append(args) or counts(*args))
+        seen = set()
+        for seed in range(4):
+            for res in _plays(variant, seed):
+                cclass = ConceptClass(VARIANTS[variant], res.database.universe)
+                for alpha in ALPHA_GRID:
+                    del calls[:]
+                    met = _contract_met(res, cclass, alpha)
+                    if res.evals is None:
+                        want = 0
+                    else:
+                        errors = np.count_nonzero(res.evals != res.database.labels.T, axis=1)
+                        want = 0 if (errors <= alpha * res.database.n).all() else 1
+                    assert len(calls) == want
+                    seen.add((want, met))
+        assert {(0, True), (1, False)} <= seen
+        # Stairstep columns are thresholds, so only parity plays have a class minimum above 0 to subtract.
+        assert ((1, True) in seen) == (variant == "parity")
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_equals_the_reference_formula(self, variant):
+        rng = stream(109, 0)
+        for seed in range(6):
+            for res in _plays(variant, seed):
+                cclass = ConceptClass(VARIANTS[variant], res.database.universe)
+                for alpha in [*ALPHA_GRID, *rng.uniform(0, 1, size=20)]:
+                    assert _contract_met(res, cclass, float(alpha)) is _reference_contract_met(res, cclass, float(alpha))
+
+    def test_evals_are_the_rounded_evaluation(self):
+        for res in _plays("pac", 0):
+            if res.hypotheses is None:
+                assert res.evals is None and res.flagged
+            else:
+                assert np.array_equal(res.evals, res.hypotheses.evaluate(res.database.xs))
+
+    @pytest.mark.parametrize("learner,variant,alpha", [
+        (learner, variant, alpha)
+        for learner in ("erm", "generic", "points", "parities")
+        for variant in (("parity",) if learner == "parities" else sorted(VARIANTS))
+        for alpha in (0.2, 0.45)
+    ])
+    def test_attack_reports_are_unchanged(self, monkeypatch, learner, variant, alpha):
+        cfg = parse_config(f"[experiment]\nkind = attack\ntrials = 4\nseed = 11\n\n[attack]\nn_users = 4\nxi = 0.1\n"
+                           f"length = 30\nlearner = {learner}\nvariant = {variant}\nalpha = {alpha}\n")
+        got = run_experiment(cfg)
+        monkeypatch.setattr(fingerprint, "_contract_met", _reference_contract_met)
+        want = run_experiment(cfg)
+        assert got.per_trial_rows == want.per_trial_rows and got.rows == want.rows
 
 
 class TestAttackExperiment:

@@ -299,6 +299,15 @@ class TestAnswersToSynthetic:
         with pytest.raises(ValueError, match=rf"^alpha = {alpha} puts 1/alpha, the synthetic size, at or above 2\^53$"):
             answers_to_synthetic(ans, alpha)
 
+    def test_real_rows_over_the_table_budget_are_refused(self):
+        ans = SanitizedAnswers(Universe.indexed(8), [1, 2], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^alpha = 1e-15 asks for \d+ synthetic rows, over the budget of 134217728$"):
+            answers_to_synthetic(ans, 1e-15)
+
+    def test_sink_rows_are_not_built_so_not_budgeted(self):
+        synth = answers_to_synthetic(SanitizedAnswers(Universe.indexed(8), [], []), 1e-15)
+        assert synth.elements.size == 0 and synth.sink_rows == math.ceil(1e15)
+
 
 class TestSanitizeError:
     def test_identical_databases(self):
