@@ -399,40 +399,65 @@ def point_learner(
 def _point_tally(db: MultiLabeledDatabase, heavy: np.ndarray) -> tuple[np.ndarray, float]:
     """point_learner's deterministic part given the heavy set: (params, distance).
 
-    heavy is a sorted int64 array of distinct elements. One _tally of the
-    heavy rows' stored label words, grouped by element, gives each element's
-    top and runner-up (x, vector) counts (an absent element has the all-zero
-    vector at count 0; ties go to the earliest row). The best selection takes
-    every top vector, and only those rows are unpacked. Label j maps to the
-    first heavy element whose top vector has bit j set, else to the
-    constant-zero hypothesis (-1).
+    heavy is a non-empty sorted int64 array of distinct elements. When every
+    heavy element's rows carry one label vector, as every sample of a
+    realizable target does, the tally is a count: each element's top count is
+    its row count, its top vector that one vector, and every runner-up count
+    0. Otherwise one _tally of the heavy rows' stored label words, grouped by
+    element, sorts them to give each element's top and runner-up (x, vector)
+    counts (ties go to the earliest row). Either way an absent element has the
+    all-zero vector at count 0, the best selection takes every top vector, and
+    only those are unpacked. Label j maps to the first heavy element whose top
+    vector has bit j set, else to the constant-zero hypothesis (-1).
     """
-    top_count = np.zeros(len(heavy), dtype=np.int64)
-    top_vec = np.zeros((len(heavy), db.k), dtype=bool)
-    second_count = np.zeros(len(heavy), dtype=np.int64)
-    is_heavy = np.zeros(db.universe.size, dtype=bool)
-    is_heavy[heavy] = True
-    rows = np.flatnonzero(is_heavy[db.xs])
+    # heavy[i] owns slot i + 1 and slot 0 takes every other row, so mixed
+    # labels outside the heavy set never force the sort. The table holds
+    # slots in the narrowest unsigned dtype: one byte per element of the
+    # universe while fewer than 256 elements are heavy.
+    slot_of = np.zeros(db.universe.size, dtype=np.min_scalar_type(len(heavy)))
+    slot_of[heavy] = np.arange(1, len(heavy) + 1)
+    slot = slot_of[db.xs]
+    # A slot's reference vector is whichever of its rows numpy's repeated
+    # fancy-index writes leave; any row serves, since every row is compared with it.
+    top_words = np.zeros((len(heavy) + 1, db.words.shape[1]), dtype=np.uint64)
+    top_words[slot] = db.words
+    if slot[(db.words != top_words[slot]).any(axis=1)].any():
+        top_count, runner_up = _ranked_point_counts(db, slot, top_words)
+    else:
+        top_count, runner_up = np.bincount(slot, minlength=len(top_words))[1:], 0
+    top_vec = _unpack_words(top_words[1:], db.k)
+    params = np.where(top_vec.any(axis=0), heavy[top_vec.argmax(axis=0)], -1)
+    return params, _stability_distance(top_count.min(), runner_up)
+
+
+def _ranked_point_counts(db: MultiLabeledDatabase, slot: np.ndarray, top_words: np.ndarray) -> tuple[np.ndarray, int]:
+    """_point_tally's sorted case: (each heavy element's top count, best runner-up score).
+
+    One _tally of the rows in slots 1.. ranks each heavy element's vectors;
+    each present element's row of top_words becomes its top vector.
+    """
+    top_count = np.zeros(len(top_words), dtype=np.int64)
+    second_count = np.zeros(len(top_words), dtype=np.int64)
+    rows = np.flatnonzero(slot)
     first, counts = _tally(db.words[rows], db.xs[rows])
-    group_x = db.xs[rows[first]]
+    group = slot[rows[first]]
     # Each element's run opens with its top vector; a second entry is its runner-up.
-    _, head = np.unique(group_x, return_index=True)
-    slot = np.searchsorted(heavy, group_x[head])
-    top_count[slot] = counts[head]
-    top_vec[slot] = _unpack_words(db.words[rows[first[head]]], db.k)
-    runner = np.diff(np.r_[head, len(group_x)]) > 1
-    second_count[slot[runner]] = counts[head[runner] + 1]
+    _, head = np.unique(group, return_index=True)
+    top = group[head]
+    top_count[top] = counts[head]
+    top_words[top] = db.words[rows[first[head]]]
+    runner = np.diff(np.r_[head, len(group)]) > 1
+    second_count[top[runner]] = counts[head[runner] + 1]
+    top_count, second_count = top_count[1:], second_count[1:]
     # Any other selection downgrades some element to (at best) its runner-up
     # count; downgrading one x is optimal, and the minimum of the other top
     # counts is the second smallest v1 when x holds the smallest v0, else v0.
-    if len(heavy) > 1:
+    if len(top_count) > 1:
         v0, v1 = np.partition(top_count, 1)[:2]
         others = np.where(top_count == v0, v1, v0)
     else:
         others = top_count
-    runner_up = np.minimum(others, second_count).max()
-    params = np.where(top_vec.any(axis=0), heavy[top_vec.argmax(axis=0)], -1)
-    return params, _stability_distance(top_count.min(), runner_up)
+    return top_count, int(np.minimum(others, second_count).max())
 
 
 def generic_sanitizer(cclass: ConceptClass, delta: float, sanitizer: str = "auto") -> str:

@@ -816,7 +816,7 @@ class TestPointLearner:
             assert b.hypotheses.kind == a.hypotheses.kind
             assert b.hypotheses.params.tolist() == a.hypotheses.params[perm].tolist()
 
-    @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 64, 2370])
+    @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 64, 65, 2370])
     def test_top_vectors_match_per_row_reference(self, k, monkeypatch):
         # Few distinct label rows force count ties; elements 6..9 never occur.
         u = Universe.indexed(10)
@@ -827,6 +827,22 @@ class TestPointLearner:
             db = MultiLabeledDatabase.from_labels(u, rng.integers(0, 6, size=n), pool[rng.integers(0, len(pool), size=n)])
             heavy = np.sort(rng.choice(10, size=int(rng.integers(1, 11)), replace=False))
             _check_top_vectors(db, heavy, monkeypatch)
+        # n = 0: every heavy element is absent.
+        empty = MultiLabeledDatabase.from_labels(u, np.zeros(0, dtype=np.int64), np.zeros((0, k), dtype=np.uint8))
+        _check_top_vectors(empty, np.array([0, 3, 9]), monkeypatch)
+        # One label vector per element, as a realizable target gives, then the
+        # same pool with one row of heavy element 2 flipped; element 5 is never
+        # heavy and its rows mix two vectors, which must not force the ranking.
+        for _ in range(10):
+            n = int(rng.integers(1, 120))
+            xs = rng.integers(0, 6, size=n)
+            labels = rng.integers(0, 2, size=(10, k)).astype(np.uint8)[xs]
+            labels[xs == 5] = rng.integers(0, 2, size=(int((xs == 5).sum()), k))
+            heavy = np.sort(np.r_[2, rng.choice([0, 1, 3, 4, 6, 9], size=int(rng.integers(0, 6)), replace=False)])
+            _check_top_vectors(MultiLabeledDatabase.from_labels(u, xs, labels), heavy, monkeypatch)
+            if k and (xs == 2).any():
+                labels[np.flatnonzero(xs == 2)[-1], rng.integers(0, k)] ^= 1
+                _check_top_vectors(MultiLabeledDatabase.from_labels(u, xs, labels), heavy, monkeypatch)
         # Over 1000 elements, rows fall on 240..271, across the byte boundary at
         # 256, and the heavy set holds some of them plus elements that never occur.
         u = Universe.indexed(1000)
@@ -837,6 +853,14 @@ class TestPointLearner:
             candidates = np.r_[np.arange(240, 272), [0, 500, 999]]
             heavy = np.sort(rng.choice(candidates, size=int(rng.integers(1, 20)), replace=False))
             _check_top_vectors(db, heavy, monkeypatch)
+        # 300 heavy elements, past the 255 that one byte per slot can number.
+        xs = rng.integers(0, 400, size=600)
+        labels = rng.integers(0, 2, size=(400, k)).astype(np.uint8)[xs]
+        heavy = np.sort(rng.choice(400, size=300, replace=False))
+        _check_top_vectors(MultiLabeledDatabase.from_labels(u, xs, labels), heavy, monkeypatch)
+        if k:
+            labels[np.flatnonzero(np.isin(xs, heavy))[-1], k - 1] ^= 1
+            _check_top_vectors(MultiLabeledDatabase.from_labels(u, xs, labels), heavy, monkeypatch)
 
 
 def _check_top_vectors(db, heavy, monkeypatch):
@@ -844,20 +868,26 @@ def _check_top_vectors(db, heavy, monkeypatch):
     must feed _stability_distance its exact (top, runner-up) counts and map
     label j to itself iff its top vector has bit j; with the whole heavy set,
     the feed is the least top count against the best one-element downgrade,
-    and label j maps to the first element whose top vector has bit j."""
-    fed = []
-    distance = learners._stability_distance
+    and label j maps to the first element whose top vector has bit j. The
+    rows are ranked (one _tally call) exactly when some element of the heavy
+    set holds two label vectors, which is when its runner-up count is not 0."""
+    fed, ranked = [], []
+    distance, tally = learners._stability_distance, learners._tally
     monkeypatch.setattr(learners, "_stability_distance", lambda *pair: fed.append(pair) or distance(*pair))
+    monkeypatch.setattr(learners, "_tally", lambda *args: ranked.append(args) or tally(*args))
     tops, vecs, seconds = zip(*(_reference_top_vectors(db, x) for x in heavy))
     for x, top, vec, second in zip(heavy, tops, vecs, seconds):
         params, _ = _point_tally(db, np.array([x]))
         assert fed.pop() == (top, second)
         assert params.tolist() == [int(x) if bit else -1 for bit in vec]
+        assert len(ranked) == (second > 0)
+        ranked.clear()
     params, _ = _point_tally(db, heavy)
     runner_up = max(min([seconds[i], *tops[:i], *tops[i + 1 :]]) for i in range(len(heavy)))
     assert fed.pop() == (min(tops), runner_up)
     want = [next((int(x) for x, vec in zip(heavy, vecs) if vec[j]), -1) for j in range(db.k)]
     assert params.tolist() == want
+    assert len(ranked) == any(second > 0 for second in seconds)
 
 
 def _reference_top_vectors(db, x):
