@@ -408,6 +408,34 @@ class ConceptClass:
             xs = self.universe.elements()
         return _evaluate_params(self.kind, self.universe.elements()[:, None], np.asarray(xs, dtype=np.int64))
 
+    def sums(self, v: np.ndarray) -> np.ndarray:
+        """eval_matrix() @ v in exact int64, for v of shape (|X|, ...), without building the matrix.
+
+        Row p sums v over the ones of concept p: for points v[p] itself, for
+        thresholds the prefix sum up to p, and for parities (sum(v) - W(v)[p]) / 2,
+        where the Walsh-Hadamard transform W(v)[a] = sum_x (-1)^popcount(a & x) v[x]
+        is taken by in-place butterflies and W(v)[0] is sum(v).
+        """
+        v = np.asarray(v)
+        if v.shape[:1] != (self.universe.size,):
+            raise ValueError(f"expected {self.universe.size} rows, got shape {v.shape}")
+        w = np.array(v, dtype=np.int64, order="C")  # a copy, worked in place
+        if self.kind == THRESH:
+            return np.cumsum(w, axis=0, out=w)
+        if self.kind == POINT:
+            return w
+        h = 1
+        while h < len(w):  # butterflies on bit h: (a, b) -> (a + b, a - b), as b = (a + b) - 2b
+            pairs = w.reshape(len(w) // (2 * h), 2, h, *w.shape[1:])
+            a, b = pairs[:, 0], pairs[:, 1]
+            a += b
+            b *= -2
+            b += a
+            h *= 2
+        np.subtract(w[0].copy(), w, out=w)
+        w //= 2
+        return w
+
 
 @dataclass(frozen=True, eq=False)
 class MultiLabeledDatabase:

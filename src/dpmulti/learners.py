@@ -34,7 +34,6 @@ from .domain import (
     MultiLabeledDatabase,
     _evaluate_params,
     _pack_words,
-    _row_blocks,
     _tally,
     _unpack_words,
     dichotomy_projection,
@@ -104,13 +103,22 @@ def erm_multi(db: MultiLabeledDatabase, cclass: ConceptClass) -> LearnResult:
 
 
 def erm_mismatch_counts(db: MultiLabeledDatabase, cclass: ConceptClass) -> np.ndarray:
-    """(|C|, k) mismatch counts underlying erm_multi, counted a block of concepts at a time; exposed for oracles."""
-    params = cclass.universe.elements()[:, None]
-    if len(cclass) * db.n <= EVAL_BLOCK_CELLS:  # one block: no buffer to copy through
-        return _mismatch_counts(_evaluate_params(cclass.kind, params, db.xs), db.labels)
-    counts = np.empty((len(cclass), db.k), dtype=np.int64)
-    for block in _row_blocks(len(cclass), db.n):
-        counts[block] = _mismatch_counts(_evaluate_params(cclass.kind, params[block], db.xs), db.labels)
+    """(|C|, k) mismatch counts underlying erm_multi; exposed for oracles.
+
+    Above one block of evaluations they come in closed form from per-element
+    counts: with ones[x, j] the rows at x whose label j is 1 and rows[x] all rows
+    at x, concept p mismatches sum_x ones[x, j] plus, over its ones x,
+    rows[x] - 2 ones[x, j], which cclass.sums adds up without evaluating a concept.
+    """
+    if len(cclass) * db.n <= EVAL_BLOCK_CELLS:  # small shapes, attack plays among them, evaluate directly
+        return _mismatch_counts(_evaluate_params(cclass.kind, cclass.universe.elements()[:, None], db.xs), db.labels)
+    ones = np.zeros((len(cclass), db.k), dtype=np.int64)
+    np.add.at(ones, db.xs, db.labels)
+    total = ones.sum(axis=0)
+    ones *= -2
+    ones += np.bincount(db.xs, minlength=len(cclass))[:, None]
+    counts = cclass.sums(ones)
+    counts += total
     return counts
 
 

@@ -7,13 +7,15 @@ Two sanitizers are provided:
   reconstruction of the answers into a small synthetic database.
 * sanitize_exhaustive: the exponential mechanism over every candidate
   synthetic database of a fixed size m, scored by worst-case error on a
-  class's disagreement sets {x : f(x) != g(x)}, built in closed form
-  (_query_matrix). It runs over the C(|X|+m-1, m) histograms, not the |X|^m
-  ordered tuples, with the same law on the released (sorted) multiset.
-  Exact and exhaustive by design; check_budget caps the histogram count and
-  table sizes. Only the target answers and the worst-case errors depend on
-  the data: the histograms, their query answers and log multinomials are
-  built once per (class, m) and kept read-only in a small cache.
+  class's disagreement sets {x : f(x) != g(x)}. No query is built: each
+  score is one reduction (_worst_gaps) of the class sums ConceptClass.sums,
+  exact integers divided once. It runs over the C(|X|+m-1, m) histograms, not
+  the |X|^m ordered tuples, with the same law on the released (sorted)
+  multiset. Exact and exhaustive by design; check_budget caps the histogram
+  count and the H x |X| cells of each table. Only the data's class sums and
+  the worst-case errors depend on the data: the histograms, their class sums
+  and log multinomials are built once per (class, m) and kept read-only in a
+  small cache.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import PARITY, POINT, ConceptClass, EmptyDatabaseError, MultiLabeledDatabase, Universe, _checked_elements
+from .domain import PARITY, THRESH, ConceptClass, EmptyDatabaseError, MultiLabeledDatabase, Universe, _checked_elements
 from .mechanisms import (
     check_epsilon,
     check_fraction,
@@ -38,9 +40,10 @@ from .mechanisms import (
 # Most candidate histograms the exhaustive sanitizer enumerates and scores.
 ENUMERATION_BUDGET = 1 << 20
 
-# Most cells in any table the exhaustive sanitizer builds (H x |X| histograms, queries x |X|, queries x H
-# answers): 2^27 admits the answers at |X| = 64, m = 3, and at m = 1 points and thresholds up to |X| = 645
-# and parities up to d = 13, whose learn generic runs take about 2 s and 7 s on a 2-core machine.
+# Most cells in any table the exhaustive sanitizer builds, for every class: the H x |X| histograms and their
+# |X| x H class sums, stored narrow, and the int64 gaps scored from them. At m = 1, 2^27 admits points and
+# thresholds up to |X| = 11,585 and parities up to d = 13, whose learn generic runs take about 4-6 s at
+# 1.3 GB peak RSS and 3-4 s at 0.7 GB on a 2-core machine.
 TABLE_BUDGET = 1 << 27
 
 
@@ -150,25 +153,21 @@ def answers_to_synthetic(ans: SanitizedAnswers, alpha: float) -> SyntheticDataba
     return SyntheticDatabase(ans.universe, rows, sink_rows=max(0, m - len(rows)))
 
 
-@functools.lru_cache(maxsize=4)
-def _query_matrix(cclass: ConceptClass) -> np.ndarray:
-    """Read-only uint8 evaluation matrix of the class's disagreement sets: for parities the class itself
-    (a parity xor a parity is one), else the empty set and, per pair a < b, {a, b} for points or (a, b]
-    for thresholds. It depends on nothing else, so the last few are cached.
+def _worst_gaps(kind: str, sums: np.ndarray) -> np.ndarray:
+    """Worst |d-sum| over the class's disagreement sets {x : f(x) != g(x)}, per column of sums = cclass.sums(d).
+
+    A parity xor a parity is a parity, so for parities the family is the class
+    itself. Otherwise it is the empty set and, per pair a < b, {a, b} for points,
+    whose worst is the larger of the top-two sum and the negated bottom-two sum
+    (at least 0), or (a, b] for thresholds, whose d-sum is sums[b] - sums[a], so
+    its worst is max - min. sums may be overwritten.
     """
-    if cclass.kind == PARITY:
-        full = cclass.eval_matrix()
-    else:
-        xs = cclass.universe.elements()
-        a, b = (end[:, None] for end in np.triu_indices(len(xs), 1))
-        pairs = (xs == a) | (xs == b) if cclass.kind == POINT else (a < xs) & (xs <= b)
-        full = np.concatenate([np.zeros((1, len(xs)), dtype=bool), pairs]).view(np.uint8)
-    full.setflags(write=False)
-    return full
-
-
-def _query_answers(query_matrix_full: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
-    return (query_matrix_full @ counts.astype(np.float64)) / total
+    if kind == THRESH:
+        return sums.max(axis=0) - sums.min(axis=0)
+    if kind == PARITY:
+        return np.abs(sums, out=sums).max(axis=0)
+    sums.sort(axis=0)
+    return np.maximum(sums[-1] + sums[-2], -(sums[0] + sums[1]))
 
 
 def sanitize_error(
@@ -176,15 +175,15 @@ def sanitize_error(
     synth: SyntheticDatabase,
     cclass: ConceptClass,
 ) -> float:
-    """Worst gap |q(D) - q(D_hat)| over the class's disagreement sets q, by enumeration."""
+    """Worst gap |q(D) - q(D_hat)| over the class's disagreement sets q, from exact integer sums."""
     db.universe.require_same(synth.universe)
     db.universe.require_same(cclass.universe)
-    full = _query_matrix(cclass)
+    if db.n * synth.size >= 1 << 61:  # every sum below, the transform's included, is within 3 n |D_hat|
+        raise ValueError(f"n * |D_hat| = {db.n * synth.size} does not fit the exact int64 sums")
     counts_db = np.bincount(db.xs, minlength=db.universe.size)
     counts_synth = np.bincount(synth.elements, minlength=db.universe.size)
-    a = _query_answers(full, counts_db, db.n)
-    b = _query_answers(full, counts_synth, synth.size)
-    return float(np.abs(a - b).max())
+    d = synth.size * counts_db - db.n * counts_synth
+    return float(_worst_gaps(cclass.kind, cclass.sums(d)) / (db.n * synth.size))
 
 
 def sanitize_exhaustive(
@@ -250,8 +249,7 @@ def check_budget(cclass: ConceptClass, synth_size: int) -> None:
                 f"C(|X|+m-1, m) histograms at |X| = {size}, m = {synth_size} exceed budget "
                 f"{ENUMERATION_BUDGET}; for point queries use sanitize_points instead"
             )
-    queries = size if cclass.kind == PARITY else 1 + math.comb(size, 2)  # the rows _query_matrix would build
-    if max(count, queries) * size > TABLE_BUDGET or queries * count > TABLE_BUDGET:
+    if count * size > TABLE_BUDGET:
         raise EnumerationBudgetError(f"tables at |X| = {size}, m = {synth_size} exceed {TABLE_BUDGET} cells")
 
 
@@ -268,8 +266,8 @@ def _exhaustive_candidates(db, cclass, synth_size, epsilon):
     holds, and so does eps-DP.
 
     Every argument is checked on every call, the budget included, before the
-    data-independent part is looked up in _histogram_table; only the target
-    answers and the worst-case error are computed per call.
+    data-independent part is looked up in _histogram_table; only the data's
+    class sums and the worst-case errors are computed per call.
     """
     if db.n == 0:
         raise EmptyDatabaseError("cannot sanitize an empty database")
@@ -278,40 +276,51 @@ def _exhaustive_candidates(db, cclass, synth_size, epsilon):
         raise ValueError(f"synth_size must be >= 1, got {synth_size}")
     check_epsilon(epsilon)
     check_budget(cclass, synth_size)
-    histograms, answers, log_multinomial = _histogram_table(cclass, synth_size)
+    histograms, sums, log_multinomial = _histogram_table(cclass, synth_size)
     if not math.isfinite((2.0 / epsilon) * float(log_multinomial.max())):
         raise ValueError(f"epsilon = {epsilon} overflows the offset (2/epsilon) ln multinomial(h)")
-    target = _query_answers(_query_matrix(cclass), np.bincount(db.xs, minlength=db.universe.size), db.n)
-    gaps = answers - target[:, None]  # abs in place: scoring adds one copy of the answers table, not two
-    scores = -db.n * np.abs(gaps, out=gaps).max(axis=0)
+    # n m |q(D) - q(h)| is |q . d| for d = m c_D - n h, an exact integer; the sums table is widened
+    # before it is scaled, since a narrow table times a Python int stays narrow.
+    gaps = sums * np.int64(-db.n)
+    gaps += synth_size * cclass.sums(np.bincount(db.xs, minlength=db.universe.size))[:, None]
+    scores = -_worst_gaps(cclass.kind, gaps) / synth_size
     return scores + (2.0 / epsilon) * log_multinomial, histograms
 
 
 @functools.lru_cache(maxsize=4)
 def _histogram_table(cclass: ConceptClass, synth_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (histograms, answers, log_multinomial) of the size-m multisets.
+    """Read-only (histograms, sums, log_multinomial) of the size-m multisets.
 
     histograms is the (H, |X|) count array, in the order _exhaustive_candidates
-    documents; answers[q, i] is query q's answer on histogram i; and
-    log_multinomial[i] is ln multinomial(histograms[i]). None of it depends on
-    the data, so the last few (class, m) pairs are cached. An entry holds
-    H * (|X| + Q + 1) * 8 bytes for Q queries, less than one call's scoring
-    allocates anyway. Callers check the enumeration budget first.
+    documents; sums is cclass.sums(histograms.T), the (|X|, H) table whose row p
+    counts each histogram's rows among the ones of concept p, C-contiguous so that
+    scoring reduces along whole rows; and log_multinomial[i] is
+    ln multinomial(histograms[i]). Both count tables hold entries of at most m in
+    the narrowest unsigned type that fits. None of it depends on the data, so the
+    last few (class, m) pairs are cached. Callers check the budget first.
     """
     size = cclass.universe.size
-    # Stars and bars: |X|-1 bars among m+|X|-1 slots cut the m stars into a
-    # histogram. Bar sets in descending order give the multisets in ascending order.
+    narrow = np.min_scalar_type(synth_size)
+    # Stars and bars: m stars and |X|-1 bars fill m+|X|-1 slots. Whichever side is shorter is
+    # enumerated (at most 11 per histogram within the enumeration budget, since C(24, 12) > 2^20).
     slots = synth_size + size - 1
-    count = math.comb(slots, size - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), size - 1)),
-        dtype=np.int64,
-        count=count * (size - 1),
-    ).reshape(count, size - 1)[::-1]
-    histograms = np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots)), axis=1) - 1
-    answers = _query_answers(_query_matrix(cclass), histograms.T, synth_size)  # (queries, histograms)
+    side = min(synth_size, size - 1)
+    count = math.comb(slots, side)
+    chosen = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), side)), dtype=np.int64, count=count * side
+    ).reshape(count, side)
+    if side == synth_size:
+        # Star i at slot s sits after s - i bars, so it is element s - i; star sets in ascending
+        # order give the sorted tuples, and so the multisets, in ascending order.
+        histograms = np.zeros((count, size), dtype=narrow)
+        np.add.at(histograms, (np.arange(count)[:, None], chosen - np.arange(side)), 1)
+    else:
+        # The gaps between bars are the counts; bar sets in descending order give the multisets in ascending order.
+        padded = np.pad(chosen[::-1], ((0, 0), (1, 1)), constant_values=(-1, slots))
+        histograms = (np.diff(padded, axis=1) - 1).astype(narrow)
+    sums = np.ascontiguousarray(cclass.sums(histograms.T), dtype=narrow)
     log_factorial = np.array([math.lgamma(c + 1) for c in range(synth_size + 1)])
     log_multinomial = log_factorial[synth_size] - log_factorial[histograms].sum(axis=1)
-    for table in (histograms, answers, log_multinomial):
+    for table in (histograms, sums, log_multinomial):
         table.setflags(write=False)
-    return histograms, answers, log_multinomial
+    return histograms, sums, log_multinomial

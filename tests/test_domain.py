@@ -252,6 +252,34 @@ class TestHypotheses:
             LabeledDistribution.realizable(Distribution.uniform(U5), table)
 
 
+class TestClassSums:
+    @pytest.mark.parametrize("kind,universe", [(kind, universe) for kind in (POINT, THRESH)
+                                               for universe in (Universe.indexed(2), U5, Universe.indexed(64))]
+                             + [(PARITY, Universe.bitvectors(d)) for d in (1, 2, 6)])
+    @pytest.mark.parametrize("tail", [(), (7,), (0,), (3, 2)])
+    def test_sums_equal_the_evaluation_matrix_product(self, kind, universe, tail):
+        # Negative entries included; the result is exact int64 of shape (|C|,) + tail.
+        cclass = ConceptClass(kind, universe)
+        v = stream(37, universe.size, len(tail)).integers(-1000, 1000, size=(universe.size, *tail))
+        reference, original = np.tensordot(cclass.eval_matrix().astype(np.int64), v, axes=1), v.copy()
+        for same in (v, np.asfortranarray(v), v.astype(np.int16)):
+            got = cclass.sums(same)
+            assert got.dtype == np.int64 and got.shape == reference.shape
+            assert np.array_equal(got, reference)
+        assert np.array_equal(v, original)  # worked on a copy
+
+    def test_unsigned_narrow_input(self):
+        # The sanitizer's uint8 count tables: sums past 255 are not wrapped.
+        cclass = ConceptClass(THRESH, Universe.indexed(4))
+        assert cclass.sums(np.full((4, 1), 200, dtype=np.uint8)).ravel().tolist() == [200, 400, 600, 800]
+        parities = ConceptClass(PARITY, Universe.bitvectors(2))
+        assert parities.sums(np.full(4, 200, dtype=np.uint8)).tolist() == [0, 400, 400, 400]
+
+    def test_wrong_row_count_refused(self):
+        with pytest.raises(ValueError, match=r"^expected 5 rows, got shape \(4, 2\)$"):
+            ConceptClass(POINT, U5).sums(np.zeros((4, 2)))
+
+
 class TestEmpiricalError:
     def test_consistent_labels(self):
         c = point(U5, 1)

@@ -475,10 +475,10 @@ def test_generic_section_over_budget_is_refused_before_any_trial(monkeypatch):
 
 
 @pytest.mark.parametrize("extra,message", [
-    ({"universe": "64", "synth_size": "4"}, r"^learn\.synth_size: tables at \|X\| = 64, m = 4 exceed 134217728 cells"),
+    ({"universe": "645", "synth_size": "2"}, r"^learn\.synth_size: tables at \|X\| = 645, m = 2 exceed 134217728 cells"),
     ({"universe": "1048576", "synth_size": "1"}, r"^learn\.universe: tables at \|X\| = 1048576, m = 1 exceed"),
     ({"class": "parity", "d": "16", "synth_size": "1"}, r"^learn\.d: tables at \|X\| = 65536, m = 1 exceed"),
-    ({"universe": "646", "synth_size": "1"}, r"^learn\.universe: tables at \|X\| = 646, m = 1 exceed"),
+    ({"universe": "11586", "synth_size": "1"}, r"^learn\.universe: tables at \|X\| = 11586, m = 1 exceed"),
     ({"class": "parity", "d": "14", "synth_size": "1"}, r"^learn\.d: tables at \|X\| = 16384, m = 1 exceed"),
 ])
 def test_generic_budget_refusal_names_the_key_that_sets_the_size(extra, message):

@@ -26,7 +26,6 @@ from dpmulti.sanitize import (
     SyntheticDatabase,
     _exhaustive_candidates,
     _histogram_table,
-    _query_matrix,
     answers_to_synthetic,
     check_budget,
     point_sanitizer_rows,
@@ -323,6 +322,25 @@ class TestSanitizeError:
         synth = SyntheticDatabase(u, np.array([0, 1]))
         assert sanitize_error(db, synth, ConceptClass(THRESH, u)) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("kind,size", [(POINT, 2), (POINT, 9), (THRESH, 2), (THRESH, 9), (PARITY, 8)])
+    def test_equals_the_reference_closure_with_sink_rows(self, kind, size):
+        # Sink rows leave the synthetic counts short of |D_hat|, so the d-sums need not total 0.
+        u = _universe(kind, size)
+        full = _reference_closure(ConceptClass(kind, u)).astype(np.float64)
+        for trial in range(6):
+            rng = stream(38, size, trial)
+            db = _unlabeled(u, rng.integers(0, size, size=int(rng.integers(1, 60))))
+            synth = SyntheticDatabase(u, rng.integers(0, size, size=int(rng.integers(1, 6))), sink_rows=trial)
+            target = full @ np.bincount(db.xs, minlength=size) / db.n
+            answers = full @ np.bincount(synth.elements, minlength=size) / synth.size
+            assert sanitize_error(db, synth, ConceptClass(kind, u)) == pytest.approx(np.abs(target - answers).max(), abs=1e-15)
+
+    def test_sizes_past_the_exact_int64_sums_are_refused(self):
+        u = Universe.indexed(4)
+        synth = SyntheticDatabase(u, np.array([0]), sink_rows=(1 << 60) - 1)
+        with pytest.raises(ValueError, match=r"^n \* \|D_hat\| = 2305843009213693952 does not fit"):
+            sanitize_error(_unlabeled(u, [0, 1]), synth, ConceptClass(THRESH, u))
+
     def test_query_class_on_another_universe_rejected(self):
         u = Universe.indexed(4)
         db = _unlabeled(u, [0, 1, 2, 3])
@@ -333,46 +351,42 @@ class TestSanitizeError:
             sanitize_exhaustive_pmf(db, ConceptClass(THRESH, Universe.bitvectors(2)), 1.0, 2)
 
 
+def _fresh_candidates(db, cclass, m, eps):
+    """Reference: scores on an uncached histogram table, from the exact integers -max |closure . d| for
+    d = m c_D - n h over the reference closure, divided by m once, then shifted as _exhaustive_candidates does."""
+    histograms, _, log_multinomial = _histogram_table.__wrapped__(cclass, m)
+    full = _reference_closure(cclass).astype(np.int64)
+    d = m * np.bincount(db.xs, minlength=db.universe.size)[:, None] - db.n * histograms.T.astype(np.int64)
+    scores = -np.abs(full @ d).max(axis=0) / m
+    return scores + (2.0 / eps) * log_multinomial, histograms
+
+
 class TestQueryMatrix:
-    def test_built_once_per_query_class_and_read_only(self):
-        full = _query_matrix(ConceptClass(THRESH, Universe.indexed(8)))
-        # An equal class built anew finds the same cached array.
-        assert _query_matrix(ConceptClass(THRESH, Universe.indexed(8))) is full
-        assert not full.flags.writeable
-        with pytest.raises(ValueError):
-            full[0, 0] = 1
-        assert np.array_equal(full, _query_matrix.__wrapped__(ConceptClass(THRESH, Universe.indexed(8))))
+    """The query family is the test-side matrix _reference_closure; the sanitizer scores it in closed form."""
 
     @pytest.mark.parametrize("kind,size", [(kind, size) for kind in (POINT, THRESH) for size in (2, 3, 8, 33)]
                              + [(PARITY, 1 << d) for d in (1, 2, 4)])
     def test_rows_are_the_reference_closure(self, kind, size):
-        # |X| rows for parities, else the empty set and one row per pair a < b; no row twice.
+        # Scores on the closed-form family equal, bit for bit, those on every row of the closure.
         cclass = ConceptClass(kind, _universe(kind, size))
-        rows = _query_matrix.__wrapped__(cclass)
-        assert rows.dtype == np.uint8
-        assert rows.shape == (size if kind == PARITY else 1 + math.comb(size, 2), size)
-        assert np.array_equal(np.unique(rows, axis=0), _reference_closure(cclass))
+        m = 1 if size == 33 else 3
+        for trial in range(3):
+            db = _unlabeled(cclass.universe, stream(36, size, trial).integers(0, size, size=1 + 97 * trial))
+            scores, histograms = _exhaustive_candidates(db, cclass, m, 1.0)
+            fresh_scores, fresh_histograms = _fresh_candidates(db, cclass, m, 1.0)
+            assert np.array_equal(histograms, fresh_histograms)
+            assert scores.tobytes() == fresh_scores.tobytes()
 
-    @pytest.mark.parametrize("kind,admitted", [(POINT, 645), (THRESH, 645), (PARITY, 1 << 13)])
+    @pytest.mark.parametrize("kind,admitted", [(POINT, 11585), (THRESH, 11585), (PARITY, 1 << 13)])
     def test_budget_boundary_at_one_synthetic_row(self, kind, admitted):
-        # Queries x |X| cells at m = 1: 1 + C(645, 2) rows of 645 and 2^13 rows of 2^13 fit 2^27;
-        # 646 and 2^14 do not. The check counts the rows and builds none.
-        before = _query_matrix.cache_info()
+        # H x |X| cells at m = 1, where H = |X|: 11585^2 and 2^26 fit 2^27; 11586^2 and 2^28 do not.
+        # The check counts the histograms and builds no table.
+        before = _histogram_table.cache_info()
         check_budget(ConceptClass(kind, _universe(kind, admitted)), 1)
         refused = 2 * admitted if kind == PARITY else admitted + 1
         with pytest.raises(EnumerationBudgetError, match=f"tables at \\|X\\| = {refused}, m = 1 exceed"):
             check_budget(ConceptClass(kind, _universe(kind, refused)), 1)
-        assert _query_matrix.cache_info() == before
-
-
-def _fresh_candidates(db, cclass, m, eps):
-    """Reference: _exhaustive_candidates' scoring on an uncached histogram table, answered on the reference closure."""
-    histograms, _, log_multinomial = _histogram_table.__wrapped__(cclass, m)
-    full = _reference_closure(cclass)
-    answers = (full @ histograms.T.astype(np.float64)) / m
-    target = (full @ np.bincount(db.xs, minlength=db.universe.size).astype(np.float64)) / db.n
-    scores = -db.n * np.abs(answers - target[:, None]).max(axis=0)
-    return scores + (2.0 / eps) * log_multinomial, histograms
+        assert _histogram_table.cache_info() == before
 
 
 class TestHistogramTable:
