@@ -6,7 +6,6 @@ and a reproducible experiment harness.
 """
 
 from .domain import (
-    Concept,
     ConceptClass,
     Distribution,
     EmptyDatabaseError,
@@ -16,19 +15,11 @@ from .domain import (
     Universe,
     UniverseMismatchError,
     dichotomy_projection,
-    empirical_error,
-    evaluate,
-    evaluate_many,
-    generalization_error,
     generalization_errors,
     load_database,
-    parity,
-    point,
     sample_database,
     save_database,
-    thresh,
     vc_sample_size,
-    zero,
 )
 from .mechanisms import (
     PrivacyLedger,

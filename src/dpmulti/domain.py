@@ -3,15 +3,15 @@ databases, and error functionals.
 
 Everything here is desk-scale by design: universes are explicitly indexed
 finite sets (|X| <= 2^20, bit-vector domains up to 20 bits), distributions are
-exact pmf vectors, and counting errors are exact rationals. This keeps every
-downstream privacy and accuracy check exactly computable.
+exact pmf vectors, and errors are exact integer counts or exactly summed
+masses. This keeps every downstream privacy and accuracy check exactly
+computable. A set of k hypotheses is always a Hypotheses table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Sequence
 
@@ -138,12 +138,9 @@ def _check_class(kind: str, universe: Universe) -> None:
 
 @dataclass(frozen=True)
 class Concept:
-    """A predicate over a universe: point, threshold, parity, or constant zero.
+    """One hypothesis: point (x == param), thresh (x <= param), parity (popcount(param & x) mod 2) or zero.
 
-    point(p):  x == p
-    thresh(p): x <= p
-    parity(m): <m, x> mod 2 over the bit-vector reading of x
-    zero:      identically 0 (improper hypothesis used by the point learner)
+    Kept only for bench/tracer.py, which patches __post_init__; ROADMAP item 5 removes it with the bench change.
     """
 
     kind: str
@@ -159,35 +156,6 @@ class Concept:
         if self.param is None:
             raise ValueError(f"{self.kind} concept requires a parameter")
         self.universe.check_element(self.param)
-
-
-def point(universe: Universe, p: int) -> Concept:
-    return Concept(POINT, universe, p)
-
-
-def thresh(universe: Universe, p: int) -> Concept:
-    return Concept(THRESH, universe, p)
-
-
-def parity(universe: Universe, mask: int) -> Concept:
-    return Concept(PARITY, universe, mask)
-
-
-def zero(universe: Universe) -> Concept:
-    return Concept(ZERO, universe)
-
-
-def evaluate(concept: Concept, x: int) -> int:
-    """Evaluate a concept on one element, returning a 0/1 int."""
-    concept.universe.check_element(x)
-    x = int(x)
-    if concept.kind == POINT:
-        return int(x == concept.param)
-    if concept.kind == THRESH:
-        return int(x <= concept.param)
-    if concept.kind == PARITY:
-        return (concept.param & x).bit_count() & 1
-    return 0
 
 
 def _evaluate_params(kind: str, params: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -252,8 +220,9 @@ def _xor_table(planes: np.ndarray) -> np.ndarray:
     return table
 
 
+# Kept only for bench/tracer.py, which wraps it by name; ROADMAP item 5 removes it with the bench change.
 def evaluate_many(concept: Concept, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate over an int array; returns uint8 bits."""
+    """One Concept's uint8 bits on an int array of elements."""
     xs = _checked_elements(concept.universe, xs)
     kind, param = (POINT, -1) if concept.kind == ZERO else (concept.kind, concept.param)
     return _evaluate_params(kind, np.int64(param), xs)
@@ -270,11 +239,9 @@ class Hypotheses:
     same labels packed per example (label j in bit j % 64 of word j // 64),
     filled by a labeller per class without that matrix. It is the one form
     in which a set of hypotheses is passed around: learners release it,
-    sample_database and LabeledDistribution.realizable label through its
-    label_words, and dichotomy_projection returns its witnesses as one.
-    Iterating it yields one Concept per parameter, built on access, for
-    scalar use; a table is not a Concept list, so it has no indexing and
-    compares by identity.
+    sample_database labels through its label_words, and dichotomy_projection
+    returns its witnesses as one. A table has no indexing and compares by
+    identity.
     """
 
     universe: Universe
@@ -369,6 +336,7 @@ class Hypotheses:
         return self.params.shape[0]
 
     def __iter__(self) -> Iterator[Concept]:
+        # Kept only for bench/workloads.py, which reads h.param; ROADMAP item 5 removes it with the bench change.
         return (
             Concept(ZERO, self.universe) if p < 0 else Concept(self.kind, self.universe, p)
             for p in self.params.tolist()
@@ -397,10 +365,6 @@ class ConceptClass:
         if self.kind == PARITY:
             return self.universe.bit_width
         return 1
-
-    def concepts(self) -> Iterator[Concept]:
-        for p in range(self.universe.size):
-            yield Concept(self.kind, self.universe, p)
 
     def eval_matrix(self, xs: np.ndarray | None = None) -> np.ndarray:
         """Return the (|C| x len(xs)) 0/1 evaluation matrix in canonical order."""
@@ -485,12 +449,6 @@ class MultiLabeledDatabase:
         return db
 
     @staticmethod
-    def from_rows(universe: Universe, rows: Sequence[tuple[int, Sequence[int]]]) -> "MultiLabeledDatabase":
-        xs = np.array([r[0] for r in rows], dtype=np.int64)
-        labels = np.array([list(r[1]) for r in rows], dtype=np.uint8).reshape(len(rows), -1)
-        return MultiLabeledDatabase.from_labels(universe, xs, labels)
-
-    @staticmethod
     def unlabeled(universe: Universe, xs: np.ndarray) -> "MultiLabeledDatabase":
         xs = np.asarray(xs, dtype=np.int64)
         return MultiLabeledDatabase(universe, xs, np.zeros((xs.shape[0], 1), dtype=np.uint64), 0)
@@ -505,17 +463,6 @@ class MultiLabeledDatabase:
         labels = _unpack_words(self.words, self.k)
         labels.flags.writeable = False
         return labels
-
-
-def empirical_error(db: MultiLabeledDatabase, j: int, h: Concept) -> Fraction:
-    """Exact fraction of db's rows where h disagrees with label j."""
-    if not 0 <= j < db.k:
-        raise ValueError(f"label index {j} outside k={db.k}")
-    if db.n == 0:
-        raise EmptyDatabaseError("empirical error of an empty database")
-    db.universe.require_same(h.universe)
-    mismatches = int(np.count_nonzero(evaluate_many(h, db.xs) != db.labels[:, j]))
-    return Fraction(mismatches, db.n)
 
 
 def _frozen_pmf(pmf, shape: tuple[int, ...], expected: str) -> np.ndarray:
@@ -652,6 +599,7 @@ class Distribution:
         return _table_sample(self._table, n, rng)
 
 
+# Kept only for bench/tracer.py, which wraps it by name; ROADMAP item 5 removes it with the bench change.
 def generalization_error(dist: Distribution, c: Concept, h: Concept) -> float:
     """Mass of the disagreement set of c and h under dist, summed exactly."""
     dist.universe.require_same(c.universe)
@@ -662,7 +610,7 @@ def generalization_error(dist: Distribution, c: Concept, h: Concept) -> float:
 
 
 def generalization_errors(dist: Distribution, targets: Hypotheses, hyps: Hypotheses) -> list[float]:
-    """generalization_error of each (targets[j], hyps[j]) pair, bit for bit.
+    """The mass under dist of each (targets[j], hyps[j]) pair's disagreement set, summed exactly.
 
     A pair of one kind with equal parameters disagrees nowhere, so its error
     is 0.0 without evaluation. The other pairs are evaluated on dist's support
@@ -704,19 +652,11 @@ class LabeledDistribution:
         object.__setattr__(self, "pmf", _frozen_pmf(self.pmf, (self.universe.size, 1 << self.k), "(|X|, 2^k)"))
 
     @staticmethod
-    def realizable(dist: Distribution, targets: Hypotheses) -> "LabeledDistribution":
-        """Every element labelled by the k targets, with dist's mass."""
-        dist.universe.require_same(targets.universe)
-        k = len(targets)
-        xs = dist.universe.elements()
-        codes = targets.label_words(xs)[:, 0]
-        pmf = np.zeros((dist.universe.size, 1 << k))
-        pmf[xs, codes] = dist.pmf
-        return LabeledDistribution(dist.universe, k, pmf)
-
-    @staticmethod
     def from_label_probs(dist: Distribution, label_probs: np.ndarray) -> "LabeledDistribution":
-        """Labels drawn independently per coordinate: label_probs[x, j] = P(y_j = 1 | x)."""
+        """Labels drawn independently per coordinate: label_probs[x, j] = P(y_j = 1 | x).
+
+        At label_probs = targets.evaluate(dist.universe.elements()).T it is the realizable law of targets.
+        """
         probs = np.asarray(label_probs, dtype=np.float64)
         k = probs.shape[1]
         # Doubling: after step j, cond[:, y] for y < 2^(j+1) is the product over labels i <= j of
@@ -740,16 +680,6 @@ class LabeledDistribution:
         xs = (flat // self.pmf.shape[1]).astype(np.int64)
         words = (flat % self.pmf.shape[1]).astype(np.uint64)[:, None]  # the packed label vector itself
         return MultiLabeledDatabase(self.universe, xs, words, self.k)
-
-    def marginal_error(self, j: int, h: Concept) -> float:
-        """P[h(x) != y_j] under the joint pmf."""
-        if not 0 <= j < self.k:
-            raise ValueError(f"label index {j} outside k={self.k}")
-        self.universe.require_same(h.universe)
-        bit_j = _unpack_words(np.arange(1 << self.k)[:, None], self.k)[:, j]
-        hx = evaluate_many(h, self.universe.elements())
-        mism = hx[:, None] != bit_j[None, :]
-        return math.fsum(self.pmf[mism].tolist())
 
 
 def sample_database(

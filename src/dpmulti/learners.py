@@ -32,7 +32,6 @@ from .domain import (
     EmptyDatabaseError,
     Hypotheses,
     MultiLabeledDatabase,
-    _evaluate_params,
     _pack_words,
     _tally,
     _unpack_words,
@@ -111,7 +110,7 @@ def erm_mismatch_counts(db: MultiLabeledDatabase, cclass: ConceptClass) -> np.nd
     rows[x] - 2 ones[x, j], which cclass.sums adds up without evaluating a concept.
     """
     if len(cclass) * db.n <= EVAL_BLOCK_CELLS:  # small shapes, attack plays among them, evaluate directly
-        return _mismatch_counts(_evaluate_params(cclass.kind, cclass.universe.elements()[:, None], db.xs), db.labels)
+        return _mismatch_counts(cclass.eval_matrix(db.xs), db.labels)
     ones = np.zeros((len(cclass), db.k), dtype=np.int64)
     np.add.at(ones, db.xs, db.labels)
     total = ones.sum(axis=0)

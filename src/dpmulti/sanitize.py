@@ -63,10 +63,6 @@ class SanitizedAnswers:
         object.__setattr__(self, "support", np.asarray(self.support, dtype=np.int64))
         object.__setattr__(self, "answers", np.asarray(self.answers, dtype=np.float64))
 
-    def answer(self, x: int) -> float:
-        self.universe.check_element(x)
-        return float(self.answers[self.support == int(x)].sum())
-
     def as_vector(self) -> np.ndarray:
         vec = np.zeros(self.universe.size)
         vec[self.support] = self.answers
@@ -92,10 +88,6 @@ class SyntheticDatabase:
     @property
     def size(self) -> int:
         return int(self.elements.shape[0]) + self.sink_rows
-
-    def frequency(self, x: int) -> float:
-        self.universe.check_element(x)
-        return float(np.count_nonzero(self.elements == x)) / self.size
 
     def distinct_elements(self) -> np.ndarray:
         return np.unique(self.elements)

@@ -3,7 +3,6 @@
 import itertools
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,32 +14,27 @@ from dpmulti.domain import (
     PMF_TOL,
     POINT,
     THRESH,
+    ZERO,
     Concept,
     ConceptClass,
     Distribution,
-    EmptyDatabaseError,
     Hypotheses,
     LabeledDistribution,
     MultiLabeledDatabase,
     Universe,
     UniverseMismatchError,
     dichotomy_projection,
-    empirical_error,
-    evaluate,
-    evaluate_many,
     generalization_error,
     generalization_errors,
     load_database,
-    parity,
-    point,
     sample_database,
     save_database,
-    thresh,
     vc_sample_size,
-    zero,
 )
 from dpmulti.domain import _pack_words, _parity_bits, _unpack_words, _xor_table
 from dpmulti.rng import stream
+
+from scalar_reference import bit, joint_pmf, table_bits
 
 U5 = Universe.indexed(5)
 U3 = Universe.indexed(3)
@@ -48,38 +42,49 @@ U4 = Universe.indexed(4)
 B2 = Universe.bitvectors(2)
 
 
+def _evaluate(universe, kind, params, xs):
+    return Hypotheses(universe, kind, np.array(params)).evaluate(np.array(xs)).tolist()
+
+
 class TestEvaluate:
+    """Hypotheses.evaluate on the classes' truth tables."""
+
     def test_point(self):
-        assert evaluate(point(U5, 2), 2) == 1
-        assert evaluate(point(U5, 2), 3) == 0
+        assert _evaluate(U5, POINT, [2], [2, 3]) == [[1, 0]]
 
     def test_thresh_prefix(self):
-        assert [evaluate(thresh(U5, 2), x) for x in range(5)] == [1, 1, 1, 0, 0]
+        assert _evaluate(U5, THRESH, [2], range(5)) == [[1, 1, 1, 0, 0]]
 
     def test_parity_inner_product(self):
         # <(1,1), (1,1)> = 1*1 + 1*1 = 0 mod 2
-        assert evaluate(parity(B2, 0b11), 0b11) == 0
-        assert evaluate(parity(B2, 0b01), 0b11) == 1
+        assert _evaluate(B2, PARITY, [0b11, 0b01], [0b11]) == [[0], [1]]
 
     def test_zero_always_zero(self):
-        assert all(evaluate(zero(U5), x) == 0 for x in range(5))
+        for kind in (POINT, THRESH):
+            assert _evaluate(U5, kind, [-1], range(5)) == [[0] * 5]
+        assert _evaluate(B2, PARITY, [0], range(4)) == [[0] * 4]
 
-    def test_out_of_universe_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate(point(U5, 2), 7)
+    @pytest.mark.parametrize("kind,universe", [(POINT, U5), (THRESH, U5), (PARITY, B2)], ids=[POINT, THRESH, PARITY])
+    def test_out_of_universe_rejected(self, kind, universe):
+        for x in (universe.size, universe.size + 2, -1):
+            with pytest.raises(ValueError, match="element outside universe"):
+                _evaluate(universe, kind, [1], [0, x])
 
-    def test_vectorized_matches_scalar(self):
-        rng = stream(1, 0)
-        xs = rng.integers(0, 4, size=50)
-        for c in (point(B2, 2), thresh(B2, 1), parity(B2, 3), zero(B2)):
-            assert (evaluate_many(c, xs) == [evaluate(c, int(x)) for x in xs]).all()
+    @pytest.mark.parametrize("kind,universe", [(POINT, U5), (THRESH, U5), (PARITY, Universe.bitvectors(3))], ids=[POINT, THRESH, PARITY])
+    def test_truth_table_matches_scalar_reference(self, kind, universe):
+        # Every concept of the class, and the zero hypothesis where the kind has one, on every element.
+        params = np.arange(0 if kind == PARITY else -1, universe.size)
+        table = Hypotheses(universe, kind, params)
+        xs = universe.elements().tolist()
+        assert table.evaluate(universe.elements()).tolist() == table_bits(table, xs)
 
     def test_parity_linearity(self):
         rng = stream(2, 0)
         u = Universe.bitvectors(6)
         for _ in range(50):
             a, b, x = (int(v) for v in rng.integers(0, 64, size=3))
-            assert evaluate(parity(u, a ^ b), x) == evaluate(parity(u, a), x) ^ evaluate(parity(u, b), x)
+            (ha,), (hb,), (hab,) = _evaluate(u, PARITY, [a, b, a ^ b], [x])
+            assert hab == ha ^ hb
 
     def test_parity_bits_match_int_popcount(self):
         # Values past 32 bits too: the popcount covers every bit of the int64.
@@ -101,22 +106,21 @@ TABLE_CASES = {
 
 
 def _as_concept(universe, kind, p):
-    return zero(universe) if p < 0 else Concept(kind, universe, p)
+    return Concept(ZERO, universe) if p < 0 else Concept(kind, universe, p)
 
 
 class TestHypotheses:
     @pytest.mark.parametrize("kind", sorted(TABLE_CASES))
-    def test_evaluate_matches_stacked_evaluate_many(self, kind):
+    def test_evaluate_matches_scalar_reference(self, kind):
         universe, params = TABLE_CASES[kind]
         table = Hypotheses(universe, kind, np.array(params))
         # One block, then k * n above EVAL_BLOCK_CELLS: a block of examples at a time, the last block short.
         for n in (40, EVAL_BLOCK_CELLS // 2 + 1):
             xs = stream(9, 0).integers(0, universe.size, size=n)
-            expected = np.stack([evaluate_many(_as_concept(universe, kind, p), xs) for p in params])
             got = table.evaluate(xs)
             assert got.dtype == np.uint8 and got.shape == (len(params), n)
             assert got.T.flags.c_contiguous  # stored example-major
-            assert np.array_equal(got, expected)
+            assert got.tolist() == table_bits(table, xs.tolist())
 
     @pytest.mark.parametrize("kind", sorted(TABLE_CASES))
     def test_k0_evaluates_to_empty_matrix(self, kind):
@@ -236,20 +240,14 @@ class TestHypotheses:
         dist = Distribution.from_weights(universe, stream(9, 3).random(universe.size))
         db = sample_database(dist, table, n, stream(9, 4))
         assert np.array_equal(db.xs, dist.sample(n, stream(9, 4)))
-        # The scalar evaluate is the oracle, one (row, label) cell at a time.
-        assert db.labels.tolist() == [[evaluate(c, x) for c in table] for x in db.xs.tolist()]
+        # The scalar reference is the oracle, one (label, row) cell at a time.
+        assert db.labels.T.tolist() == table_bits(table, db.xs.tolist())
         assert db.labels.flags.c_contiguous
-        expected = np.zeros((universe.size, 1 << len(table)))
-        for x in range(universe.size):
-            expected[x, sum(evaluate(c, x) << j for j, c in enumerate(table))] = dist.pmf[x]
-        assert np.array_equal(LabeledDistribution.realizable(dist, table).pmf, expected)
 
     def test_table_on_another_universe_rejected(self):
         table = Hypotheses(U16, POINT, np.array([1, 2]))
         with pytest.raises(UniverseMismatchError):
             sample_database(Distribution.uniform(U5), table, 10, stream(9, 5))
-        with pytest.raises(UniverseMismatchError):
-            LabeledDistribution.realizable(Distribution.uniform(U5), table)
 
 
 class TestClassSums:
@@ -280,51 +278,10 @@ class TestClassSums:
             ConceptClass(POINT, U5).sums(np.zeros((4, 2)))
 
 
-class TestEmpiricalError:
-    def test_consistent_labels(self):
-        c = point(U5, 1)
-        db = MultiLabeledDatabase.from_rows(U5, [(x, [evaluate(c, x)]) for x in [0, 1, 1, 4]])
-        assert empirical_error(db, 0, c) == 0
-
-    def test_counted_mismatches(self):
-        db = MultiLabeledDatabase.from_rows(U5, [(0, [1]), (1, [0]), (2, [1]), (3, [1])])
-        assert empirical_error(db, 0, point(U5, 2)) == Fraction(2, 4)
-
-    def test_zero_vs_all_ones(self):
-        db = MultiLabeledDatabase.from_rows(U5, [(x, [1]) for x in range(5)])
-        assert empirical_error(db, 0, zero(U5)) == 1
-
-    def test_error_times_n_is_integer(self):
-        rng = stream(3, 0)
-        for _ in range(20):
-            xs = rng.integers(0, 5, size=17)
-            ys = rng.integers(0, 2, size=(17, 1))
-            db = MultiLabeledDatabase.from_labels(U5, xs, ys.astype(np.uint8))
-            err = empirical_error(db, 0, thresh(U5, 2))
-            assert (err * 17).denominator == 1
-            assert 0 <= err <= 1
-
-    def test_empty_database(self):
-        db = MultiLabeledDatabase.from_labels(U5, np.array([], dtype=np.int64), np.zeros((0, 1), dtype=np.uint8))
-        with pytest.raises(EmptyDatabaseError):
-            empirical_error(db, 0, zero(U5))
-
-    @pytest.mark.parametrize("j", [-1, 1])
-    def test_label_index_outside_k(self, j):
-        db = MultiLabeledDatabase.from_rows(U5, [(0, [1]), (1, [0])])
-        with pytest.raises(ValueError, match=f"label index {j} outside k=1"):
-            empirical_error(db, j, zero(U5))
-
-    def test_other_universe_rejected(self):
-        db = MultiLabeledDatabase.from_rows(U5, [(0, [1]), (1, [0])])
-        with pytest.raises(UniverseMismatchError):
-            empirical_error(db, 0, zero(U4))
-
-
 class TestGeneralizationError:
     def test_identical_concepts(self):
         d = Distribution.uniform(U5)
-        assert generalization_error(d, thresh(U5, 2), thresh(U5, 2)) == 0.0
+        assert generalization_error(d, Concept(THRESH, U5, 2), Concept(THRESH, U5, 2)) == 0.0
 
     def test_distinct_parities_half(self):
         u = Universe.bitvectors(4)
@@ -334,10 +291,10 @@ class TestGeneralizationError:
             a, b = (int(v) for v in rng.integers(0, 16, size=2))
             if a == b:
                 continue
-            assert generalization_error(d, parity(u, a), parity(u, b)) == 0.5
+            assert generalization_error(d, Concept(PARITY, u, a), Concept(PARITY, u, b)) == 0.5
 
     def test_point_vs_zero(self):
-        assert generalization_error(Distribution.uniform(U4), point(U4, 0), zero(U4)) == 0.25
+        assert generalization_error(Distribution.uniform(U4), Concept(POINT, U4, 0), Concept(ZERO, U4)) == 0.25
 
     def test_matches_empirical_limit(self):
         # Empirical error on 50k samples sits within 0.02 of the exact value
@@ -346,19 +303,20 @@ class TestGeneralizationError:
         for trial in range(10):
             rng = stream(5, trial)
             d = Distribution.from_weights(u, rng.random(8) + 0.05)
-            c = point(u, int(rng.integers(0, 8)))
-            h = thresh(u, int(rng.integers(0, 8)))
+            c = Concept(POINT, u, int(rng.integers(0, 8)))
+            h = Concept(THRESH, u, int(rng.integers(0, 8)))
             exact = generalization_error(d, c, h)
             db = sample_database(d, Hypotheses(u, POINT, np.array([c.param])), 50_000, rng)
-            emp = float(np.count_nonzero(evaluate_many(h, db.xs) != db.labels[:, 0])) / db.n
+            hx = Hypotheses(u, THRESH, np.array([h.param])).evaluate(db.xs)[0]
+            emp = float(np.count_nonzero(hx != db.labels[:, 0])) / db.n
             assert abs(emp - exact) < 0.02
 
 
 def _brute_projection(cclass, pts):
     """Every labeling of pts that the class realizes, mapped to the lowest parameter realizing it."""
     brute = {}
-    for c in cclass.concepts():
-        brute.setdefault(tuple(evaluate(c, p) for p in pts), c.param)
+    for param in range(len(cclass)):
+        brute.setdefault(tuple(bit(cclass.kind, param, p) for p in pts), param)
     return brute
 
 
@@ -387,8 +345,8 @@ class TestDichotomyProjection:
             brute = _brute_projection(cclass, pts)
             proj = dichotomy_projection(cclass, pts)
             assert proj.params.tolist() == sorted(brute.values())
-            for witness in proj:
-                assert brute[tuple(evaluate(witness, p) for p in pts)] == witness.param
+            for witness in proj.params.tolist():
+                assert brute[tuple(bit(kind, witness, p) for p in pts)] == witness
 
     def test_complete_against_enumeration(self):
         rng = stream(6, 1)
@@ -601,8 +559,7 @@ class TestPackedDatabase:
         assert np.array_equal(db.labels, _unpack_words(db.words, 1))
 
     def test_compares_by_identity_and_hashes(self):
-        a = MultiLabeledDatabase.from_rows(U5, [(0, [1]), (3, [0])])
-        b = MultiLabeledDatabase.from_rows(U5, [(0, [1]), (3, [0])])
+        a, b = (MultiLabeledDatabase.from_labels(U5, np.array([0, 3]), np.array([[1], [0]])) for _ in range(2))
         assert a == a and a != b
         assert hash(a) == hash(a) and len({a, b}) == 2
 
@@ -633,9 +590,8 @@ class TestSampling:
 
     def test_labels_consistent_with_concepts(self):
         d = Distribution.uniform(U5)
-        c = thresh(U5, 1)
         db = sample_database(d, Hypotheses(U5, THRESH, np.array([1])), 200, stream(7, 3))
-        assert (db.labels[:, 0] == evaluate_many(c, db.xs)).all()
+        assert db.labels[:, 0].tolist() == [bit(THRESH, 1, x) for x in db.xs.tolist()]
 
 
 def _weights(size, weights):
@@ -682,7 +638,7 @@ class TestDistributionSample:
 class TestFrozenPmf:
     @pytest.mark.parametrize("make", [
         lambda: Distribution.uniform(U4),
-        lambda: LabeledDistribution.realizable(Distribution.uniform(U4), Hypotheses(U4, THRESH, np.array([1]))),
+        lambda: LabeledDistribution.from_label_probs(Distribution.uniform(U4), np.array([[1.0], [1.0], [0.0], [0.0]])),
     ], ids=["distribution", "labeled-distribution"])
     def test_compares_by_identity_and_hashes(self, make):
         a, b = make(), make()
@@ -768,7 +724,25 @@ def test_from_label_probs_is_the_broadcast_product_bit_for_bit(k):
 
 
 def _realizable(dist, kind, params):
-    return LabeledDistribution.realizable(dist, Hypotheses(dist.universe, kind, np.array(params)))
+    """The realizable law of the targets (kind, params), as from_label_probs at their 0/1 labels."""
+    targets = Hypotheses(dist.universe, kind, np.array(params))
+    return LabeledDistribution.from_label_probs(dist, targets.evaluate(dist.universe.elements()).T)
+
+
+@pytest.mark.parametrize("kind,universe,params", [
+    (POINT, U5, [3, -1, 0, 4, 3]),
+    (THRESH, U5, [-1, 0, 2, 4, 2]),
+    (PARITY, Universe.bitvectors(3), [0, 1, 5, 7, 5]),
+], ids=[POINT, THRESH, PARITY])
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_label_probs_at_zero_one_are_the_realizable_law_bit_for_bit(kind, universe, params, k):
+    # Zero-mass elements included: they carry 0.0 at every label vector in both.
+    weights = stream(18, k).random(universe.size)
+    weights[1] = 0.0
+    for dist in (Distribution.uniform(universe), Distribution.from_weights(universe, weights)):
+        targets = Hypotheses(universe, kind, np.array(params[:k], dtype=np.int64))
+        ld = _realizable(dist, kind, params[:k])
+        assert ld.k == k and ld.pmf.tobytes() == joint_pmf(dist, targets).tobytes()
 
 
 LABELED_DISTS = {
@@ -805,31 +779,6 @@ class TestLabeledDistributionSample:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match=r"n must be >= 0, got -1"):
             LABELED_DISTS["realizable-uniform-4"].sample(-1, stream(12, 98))
-
-
-class TestLabeledDistribution:
-    def test_realizable_matches_concept_labels(self):
-        d = Distribution.uniform(U4)
-        ld = LabeledDistribution.realizable(d, Hypotheses(U4, THRESH, np.array([1, 2])))
-        db = ld.sample(300, stream(8, 0))
-        assert (db.labels[:, 0] == evaluate_many(thresh(U4, 1), db.xs)).all()
-        assert (db.labels[:, 1] == evaluate_many(thresh(U4, 2), db.xs)).all()
-
-    def test_marginal_error_matches_montecarlo(self):
-        d = Distribution.uniform(U4)
-        probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.0, 1.0]])
-        ld = LabeledDistribution.from_label_probs(d, probs)
-        h = thresh(U4, 1)
-        exact = ld.marginal_error(0, h)
-        db = ld.sample(40_000, stream(8, 1))
-        emp = float(np.count_nonzero(evaluate_many(h, db.xs) != db.labels[:, 0])) / db.n
-        assert abs(exact - emp) < 0.02
-
-    @pytest.mark.parametrize("j", [5, 2, -1])
-    def test_marginal_error_rejects_label_outside_k(self, j):
-        ld = LabeledDistribution.realizable(Distribution.uniform(U4), Hypotheses(U4, THRESH, np.array([1, 2])))
-        with pytest.raises(ValueError, match=rf"label index {j} outside k=2"):
-            ld.marginal_error(j, thresh(U4, 1))
 
 
 class TestParameterChecks:
@@ -885,7 +834,7 @@ class TestDatabaseFiles:
         assert load_database(path).universe.bit_width == 3
 
     def test_header_format(self, tmp_path):
-        db = MultiLabeledDatabase.from_rows(U3, [(0, [1, 0]), (2, [0, 1])])
+        db = MultiLabeledDatabase.from_labels(U3, np.array([0, 2]), np.array([[1, 0], [0, 1]]))
         path = tmp_path / "db.txt"
         save_database(db, path)
         lines = path.read_text().splitlines()
@@ -908,11 +857,13 @@ class TestValidation:
 
     def test_parity_needs_bitvector_universe(self):
         with pytest.raises(ValueError):
-            parity(U5, 1)
+            Hypotheses(U5, PARITY, np.array([1]))
+        with pytest.raises(ValueError):
+            ConceptClass(PARITY, U5)
 
     def test_concept_param_range(self):
         with pytest.raises(ValueError):
-            point(U3, 3)
+            Concept(POINT, U3, 3)
         with pytest.raises(ValueError):
             Concept("zero", U3, 1)
 

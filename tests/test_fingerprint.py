@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dpmulti.domain import PARITY, POINT, THRESH, ConceptClass, Hypotheses, empirical_error
+from dpmulti.domain import PARITY, POINT, THRESH, ConceptClass, Hypotheses
 from dpmulti.fingerprint import (
     VARIANTS,
     Codebook,
@@ -25,6 +25,8 @@ from dpmulti.harness import parse_config, run_experiment
 from dpmulti.learners import LearnResult, erm_mismatch_counts, erm_multi
 from dpmulti.mechanisms import PrivacyLedger
 from dpmulti.rng import stream
+
+from scalar_reference import bit
 
 
 def _erm_thresholds(db, rng):
@@ -203,12 +205,18 @@ def _random_table_learner(seed):
 
 
 def _contract_gaps(result, cclass):
-    """Per label, the exact excess empirical error of the released hypothesis over the class's best."""
+    """Per label, the exact excess empirical error of the released hypothesis over the class's best, by brute force."""
     db = result.database
-    return [
-        empirical_error(db, j, h) - min(empirical_error(db, j, c) for c in cclass.concepts())
-        for j, h in enumerate(result.hypotheses)
-    ]
+    xs = db.xs.tolist()
+
+    def mismatches(kind, param, ys):
+        return sum(bit(kind, param, x) != y for x, y in zip(xs, ys))
+
+    gaps = []
+    for h, ys in zip(result.hypotheses.params.tolist(), db.labels.T.tolist()):
+        best = min(mismatches(cclass.kind, c, ys) for c in range(len(cclass)))
+        gaps.append(Fraction(mismatches(result.hypotheses.kind, h, ys) - best, db.n))
+    return gaps
 
 
 class TestContractMet:
