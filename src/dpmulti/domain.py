@@ -71,10 +71,6 @@ class Universe:
     def elements(self) -> np.ndarray:
         return np.arange(self.size, dtype=np.int64)
 
-    def check_element(self, x: int):
-        if not 0 <= int(x) < self.size:
-            raise ValueError(f"element {x} outside universe of size {self.size}")
-
     def require_same(self, other: "Universe"):
         if self != other:
             raise UniverseMismatchError(f"universe mismatch: {self} vs {other}")
@@ -155,7 +151,7 @@ class Concept:
         _check_class(self.kind, self.universe)
         if self.param is None:
             raise ValueError(f"{self.kind} concept requires a parameter")
-        self.universe.check_element(self.param)
+        _checked_elements(self.universe, [self.param])
 
 
 def _evaluate_params(kind: str, params: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -169,11 +165,21 @@ def _evaluate_params(kind: str, params: np.ndarray, xs: np.ndarray) -> np.ndarra
     return _parity_bits(params & xs)
 
 
-def _checked_elements(universe: Universe, xs: np.ndarray) -> np.ndarray:
-    """xs as an int64 array whose every entry is an element of universe."""
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.size and (xs.min() < 0 or xs.max() >= universe.size):
-        raise ValueError("element outside universe")
+def _integer_array(values, what: str) -> np.ndarray:
+    """values as a 1-D int64 array, not copied if it is one, from any integer dtype or a list; else ValueError."""
+    raw = np.asarray(values)
+    if raw.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array, got shape {raw.shape}")
+    if raw.size and raw.dtype.kind not in "iu":  # an empty list reads as float64
+        raise ValueError(f"{what} must be integers, got dtype {raw.dtype}")
+    return raw.astype(np.int64, copy=False)
+
+
+def _checked_elements(universe: Universe, xs) -> np.ndarray:
+    """The one check on arrays of elements: _integer_array(xs), every entry in [0, |X|) (a negative fails as uint64)."""
+    xs = _integer_array(xs, "elements")
+    if xs.size and np.maximum.reduce(xs.view(np.uint64)) >= universe.size:
+        raise ValueError(f"element outside universe of size {universe.size}: got [{xs.min()}, {xs.max()}]")
     return xs
 
 
@@ -250,10 +256,7 @@ class Hypotheses:
 
     def __post_init__(self):
         _check_class(self.kind, self.universe)
-        raw = np.asarray(self.params)
-        if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
-            raise ValueError("hypothesis parameters must be a 1-D integer array")
-        params = raw.astype(np.int64)
+        params = np.array(_integer_array(self.params, "hypothesis parameters"))  # a copy, made read-only below
         low = 0 if self.kind == PARITY else -1
         if params.size and (params.min() < low or params.max() >= self.universe.size):
             raise ValueError(
@@ -263,15 +266,8 @@ class Hypotheses:
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
 
-    def _elements(self, xs: np.ndarray) -> np.ndarray:
-        """xs as a checked 1-D int64 array of elements."""
-        xs = _checked_elements(self.universe, xs)
-        if xs.ndim != 1:
-            raise ValueError(f"elements must be a 1-D array, got shape {xs.shape}")
-        return xs
-
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        """The (k, len(xs)) uint8 matrix whose row j is h_j on the 1-D element array xs.
+        """The (k, len(xs)) uint8 matrix whose row j is h_j on the elements xs, as _checked_elements reads them.
 
         It is stored example-major (the transpose of a C-ordered (len(xs), k)
         array), so a reduction over the examples, such as .mean(axis=1),
@@ -280,7 +276,7 @@ class Hypotheses:
         so the kernel's temporaries stay bounded whatever k and len(xs) are.
         It is the reference for label_words.
         """
-        xs = self._elements(xs)
+        xs = _checked_elements(self.universe, xs)
         if len(xs) * len(self) <= EVAL_BLOCK_CELLS:  # one block: no buffer to copy through
             return _evaluate_params(self.kind, self.params, xs[:, None]).T
         out = np.empty((len(xs), len(self)), dtype=np.uint8)
@@ -289,7 +285,7 @@ class Hypotheses:
         return out.T
 
     def label_words(self, xs: np.ndarray) -> np.ndarray:
-        """The labels of the 1-D element array xs, packed: _pack_words(self.evaluate(xs).T), bit for bit.
+        """The labels of the elements xs, packed: _pack_words(self.evaluate(xs).T), bit for bit.
 
         Row i has shape max(1, ceil(k/64)) and dtype uint64, with h_j(xs[i]) in
         bit j % 64 of word j // 64. No (len(xs), k) matrix is built; each class
@@ -309,7 +305,7 @@ class Hypotheses:
                   rows), and x's word XORs ceil(d/12) reads; for d <= 12
                   that is one table over the universe.
         """
-        xs = self._elements(xs)
+        xs = _checked_elements(self.universe, xs)
         k = len(self)
         if self.kind == PARITY:
             planes = _pack_words(((self.params >> np.arange(self.universe.bit_width)[:, None]) & 1).astype(np.uint8))
@@ -366,14 +362,12 @@ class ConceptClass:
             return self.universe.bit_width
         return 1
 
-    def eval_matrix(self, xs: np.ndarray | None = None) -> np.ndarray:
-        """Return the (|C| x len(xs)) 0/1 evaluation matrix in canonical order."""
-        if xs is None:
-            xs = self.universe.elements()
-        return _evaluate_params(self.kind, self.universe.elements()[:, None], np.asarray(xs, dtype=np.int64))
+    def eval_matrix(self, xs: np.ndarray) -> np.ndarray:
+        """The (|C|, len(xs)) uint8 matrix of every concept, in canonical order, on the elements xs."""
+        return _evaluate_params(self.kind, self.universe.elements()[:, None], _checked_elements(self.universe, xs))
 
     def sums(self, v: np.ndarray) -> np.ndarray:
-        """eval_matrix() @ v in exact int64, for v of shape (|X|, ...), without building the matrix.
+        """eval_matrix(universe.elements()) @ v in exact int64 for v of shape (|X|, ...), without the matrix.
 
         Row p sums v over the ones of concept p: for points v[p] itself, for
         thresholds the prefix sum up to p, and for parities (sum(v) - W(v)[p]) / 2,
@@ -450,8 +444,7 @@ class MultiLabeledDatabase:
 
     @staticmethod
     def unlabeled(universe: Universe, xs: np.ndarray) -> "MultiLabeledDatabase":
-        xs = np.asarray(xs, dtype=np.int64)
-        return MultiLabeledDatabase(universe, xs, np.zeros((xs.shape[0], 1), dtype=np.uint64), 0)
+        return MultiLabeledDatabase(universe, xs, np.zeros(np.shape(xs)[:1] + (1,), dtype=np.uint64), 0)
 
     @property
     def n(self) -> int:
@@ -570,9 +563,8 @@ class Distribution:
 
     @staticmethod
     def point_mass(universe: Universe, x: int) -> "Distribution":
-        universe.check_element(x)
         pmf = np.zeros(universe.size)
-        pmf[x] = 1.0
+        pmf[_checked_elements(universe, [x])] = 1.0
         return Distribution(universe, pmf)
 
     @staticmethod

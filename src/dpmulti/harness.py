@@ -120,8 +120,10 @@ def _points(p: LearnParams) -> LearnerFn:
     return lambda db, rng: point_learner(db, p.alpha, p.epsilon, p.delta, rng, beta=p.beta)
 
 
+_POINTS = Learner(_points, lambda p, k: point_charges(p.epsilon, p.delta), kinds=(POINT,))
+
 LEARNERS: dict[str, Learner] = {
-    "points": Learner(_points, lambda p, k: point_charges(p.epsilon, p.delta), kinds=(POINT,)),
+    "points": _POINTS,
     "parities": Learner(
         lambda p: lambda db, rng: parity_learner(db, p.epsilon, p.delta, p.beta, rng),
         lambda p, k: parity_charges(p.epsilon, p.delta),
@@ -131,10 +133,11 @@ LEARNERS: dict[str, Learner] = {
     "generic": Learner(
         _generic, lambda p, k: generic_charges(k, p.epsilon, p.epsilon_prime, p.delta), delta_check=check_delta
     ),
-    "direct-sum": Learner(
-        lambda p: lambda db, rng: direct_sum_learner(_points(p), db, rng),
-        lambda p, k: point_charges(p.epsilon, p.delta) * k,
-        kinds=(POINT,),
+    # The points learner on each label column: its plan at k = 1, k times, over its classes and checks.
+    "direct-sum": replace(
+        _POINTS,
+        build=lambda p: lambda db, rng: direct_sum_learner(_POINTS.build(p), db, rng),
+        charges=lambda p, k: _POINTS.charges(p, 1) * k,
     ),
     "erm": Learner(_erm, lambda p, k: [], delta_check=lambda delta, name: None),  # erm charges nothing
 }
@@ -558,8 +561,8 @@ def _run_attack(config: ExperimentConfig) -> TrialReport:
     if variant not in fingerprint.VARIANTS:
         raise ConfigError(f"attack.variant: expected {'|'.join(fingerprint.VARIANTS)}, got {variant!r}")
     entry = LEARNERS[name]
-    if entry.exact and fingerprint.VARIANTS[variant] != PARITY:
-        raise ConfigError(f"attack.variant: expected parity for the {name} learner, got {variant!r}")
+    if entry.exact and fingerprint.VARIANTS[variant] not in entry.kinds:
+        raise ConfigError(f"attack.variant: expected {'|'.join(entry.kinds)} for the {name} learner, got {variant!r}")
     p = _learn_params(params, "attack", entry, fingerprint.VARIANTS[variant], 0.01, 1.0)
     # Every code column is one label: the plan is composed once at the code length, and held to on every play.
     plan = entry.charges(p, length or fingerprint.code_length(n_users, xi))

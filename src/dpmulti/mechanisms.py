@@ -86,18 +86,11 @@ def compose_basic(charges: Sequence[PrivacyParams]) -> PrivacyParams:
     """Coordinate-wise sum: m runs of (eps_i, delta_i) cost (sum eps, sum delta).
 
     A sum epsilon past the largest float, or a sum delta that reaches 1, is
-    refused as the composed epsilon or delta of the m charges.
+    refused by _composed.
     """
     if not charges:
         raise ValueError("cannot compose an empty ledger")
-    try:
-        eps = math.fsum(c.epsilon for c in charges)
-    except OverflowError:
-        eps = math.inf
-    check_epsilon(eps, f"the composed epsilon of {len(charges)} charges")
-    delta = math.fsum(c.delta for c in charges)
-    check_delta(delta, f"the composed delta of {len(charges)} charges")
-    return PrivacyParams(eps, delta)
+    return _composed(len(charges), lambda: math.fsum(c.epsilon for c in charges), math.fsum(c.delta for c in charges))
 
 
 def compose_advanced(charges: Sequence[PrivacyParams], delta_prime: float) -> PrivacyParams:
@@ -113,8 +106,23 @@ def compose_advanced(charges: Sequence[PrivacyParams], delta_prime: float) -> Pr
     if any(c != first for c in charges[1:]):
         raise ValueError("advanced composition requires identical charges")
     m = len(charges)
-    eps = math.sqrt(2 * m * math.log(1 / delta_prime)) * first.epsilon + 2 * m * first.epsilon**2
-    return PrivacyParams(eps, m * first.delta + delta_prime)
+    return _composed(
+        m,
+        lambda: math.sqrt(2 * m * math.log(1 / delta_prime)) * first.epsilon + 2 * m * first.epsilon**2,
+        m * first.delta + delta_prime,
+    )
+
+
+def _composed(m: int, epsilon: Callable[[], float], delta: float) -> PrivacyParams:
+    """The total (epsilon(), delta) of m composed charges. An epsilon that overflows or passes the largest
+    float, or a delta that reaches 1, is refused as the composed epsilon or delta of the m charges."""
+    try:
+        eps = epsilon()
+    except OverflowError:
+        eps = math.inf
+    check_epsilon(eps, f"the composed epsilon of {m} charges")
+    check_delta(delta, f"the composed delta of {m} charges")
+    return PrivacyParams(eps, delta)
 
 
 def laplace_sample(scale: float, rng: np.random.Generator, size: int | None = None):

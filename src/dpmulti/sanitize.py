@@ -60,7 +60,7 @@ class SanitizedAnswers:
     answers: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "support", np.asarray(self.support, dtype=np.int64))
+        object.__setattr__(self, "support", _checked_elements(self.universe, self.support))
         object.__setattr__(self, "answers", np.asarray(self.answers, dtype=np.float64))
 
     def as_vector(self) -> np.ndarray:

@@ -895,12 +895,19 @@ class TestExitCodes:
          "alpha = 1e-300"),
         (["learn", "points", "--universe", "4", "--dist", "weights:1e308,1e308,1e308,1e308"], "learn.dist: "),
         (["mech", "compose", "--epsilon", "1e308", "--count", "3"], "the composed epsilon of 3 charges"),
+        (["mech", "compose", "--epsilon", "1e200", "--count", "3", "--mode", "advanced", "--delta-prime", "0.1"],
+         "the composed epsilon of 3 charges"),
+        (["mech", "compose", "--epsilon", "1e154", "--count", "3", "--mode", "advanced", "--delta-prime", "0.1"],
+         "the composed epsilon of 3 charges"),
+        (["mech", "compose", "--epsilon", "1", "--delta", "0.2", "--count", "10", "--mode", "advanced",
+          "--delta-prime", "0.5"], "the composed delta of 10 charges must be in [0, 1), got 2.5"),
         (["mech", "exponential", "--scores", "a:0,b:3", "--epsilon", "1e308", "--draws", "3"], "epsilon = 1e+308"),
         (["experiment", "run", "--config", "{sanitize}"], "epsilon = 1e-320"),
         (["attack", "boneh-shaw", "--n", "4", "--xi", "1e-320", "--trials", "1"], "security = 1e-320"),
     ], ids=["points-epsilon", "points-delta", "parities-epsilon", "direct-sum-epsilon", "generic-epsilon-prime",
             "parities-beta-delta", "generic-alpha-default-size", "generic-alpha", "generic-exhaustive-epsilon",
             "generic-composed-epsilon", "generic-points-alpha", "dist-weights-overflow", "compose-epsilon",
+            "compose-advanced-epsilon-squared", "compose-advanced-epsilon", "compose-advanced-delta",
             "exponential-epsilon", "sanitize-section-epsilon", "attack-xi"])
     def test_extreme_in_range_value_is_invalid_input(self, capsys, tmp_path, argv, named):
         # Each value passes its own range check, but a bound or noise scale it sets leaves the finite floats:

@@ -259,7 +259,7 @@ class TestClassSums:
         # Negative entries included; the result is exact int64 of shape (|C|,) + tail.
         cclass = ConceptClass(kind, universe)
         v = stream(37, universe.size, len(tail)).integers(-1000, 1000, size=(universe.size, *tail))
-        reference, original = np.tensordot(cclass.eval_matrix().astype(np.int64), v, axes=1), v.copy()
+        reference, original = np.tensordot(cclass.eval_matrix(universe.elements()).astype(np.int64), v, axes=1), v.copy()
         for same in (v, np.asfortranarray(v), v.astype(np.int16)):
             got = cclass.sums(same)
             assert got.dtype == np.int64 and got.shape == reference.shape
@@ -870,3 +870,55 @@ class TestValidation:
     def test_pmf_normalization(self):
         with pytest.raises(ValueError):
             Distribution(U3, np.array([0.5, 0.5, 0.1]))
+
+
+
+U8 = Universe.indexed(8)
+POINT_TABLE = Hypotheses(U8, POINT, np.array([1, 2]))
+SQUARE = np.zeros((2, 2), dtype=np.int64)
+OUTSIDE = r"^element outside universe of size 8: got "
+FLOAT = r"^elements must be integers, got dtype float64$"
+NOT_1D = r"^elements must be a 1-D array, got shape \(2, 2\)$"
+
+
+class TestElementCheck:
+    """Every array of elements is read by one check: 1-D integers inside the universe."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: dichotomy_projection(ConceptClass(POINT, U8), [100, -5]), OUTSIDE + r"\[-5, 100\]$"),
+        (lambda: ConceptClass(POINT, U8).eval_matrix([100]), OUTSIDE + r"\[100, 100\]$"),
+        (lambda: POINT_TABLE.evaluate(np.array([2.7])), FLOAT),
+        (lambda: POINT_TABLE.label_words(np.array([2.7])), FLOAT),
+        (lambda: POINT_TABLE.evaluate(SQUARE), NOT_1D),
+        (lambda: MultiLabeledDatabase(U8, SQUARE, np.zeros((2, 1), dtype=np.uint64), 1), NOT_1D),
+        (lambda: MultiLabeledDatabase.unlabeled(U8, np.array([0.5, 1.0])), FLOAT),
+        (lambda: Distribution.point_mass(U8, 8), OUTSIDE + r"\[8, 8\]$"),
+        (lambda: Distribution.point_mass(U8, -1), OUTSIDE + r"\[-1, -1\]$"),
+        (lambda: Concept(POINT, U8, 8), OUTSIDE + r"\[8, 8\]$"),
+        (lambda: Hypotheses(U8, POINT, np.array([1.0])), r"^hypothesis parameters must be integers, got dtype float64$"),
+        (lambda: Hypotheses(U8, POINT, SQUARE), r"^hypothesis parameters must be a 1-D array, got shape \(2, 2\)$"),
+    ], ids=["projection-range", "eval-matrix-range", "evaluate-float", "label-words-float", "evaluate-2d",
+            "database-2d", "unlabeled-float", "point-mass-high", "point-mass-negative", "concept-range",
+            "params-float", "params-2d"])
+    def test_refusal_names_what_was_wrong(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("xs", [np.array([0, 7, 3], dtype=np.int32), np.array([0, 7, 3], dtype=np.uint8),
+                                    [0, 7, 3], []], ids=["int32", "uint8", "list", "empty-list"])
+    def test_integer_inputs_read_as_int64(self, xs):
+        want = np.array(xs, dtype=np.int64)
+        db = MultiLabeledDatabase.unlabeled(U8, xs)
+        assert db.xs.dtype == np.int64 and np.array_equal(db.xs, want)
+        assert np.array_equal(POINT_TABLE.evaluate(xs), POINT_TABLE.evaluate(want))
+        assert np.array_equal(POINT_TABLE.label_words(xs), POINT_TABLE.label_words(want))
+        cclass = ConceptClass(THRESH, U8)
+        assert np.array_equal(cclass.eval_matrix(xs), cclass.eval_matrix(want))
+        params = Hypotheses(U8, POINT, xs).params
+        assert params.dtype == np.int64 and np.array_equal(params, want)
+
+    def test_an_int64_array_is_kept_and_hypothesis_parameters_are_copied(self):
+        xs = np.array([1, 2], dtype=np.int64)
+        assert MultiLabeledDatabase.unlabeled(U8, xs).xs is xs
+        table = Hypotheses(U8, POINT, xs)
+        assert table.params is not xs and xs.flags.writeable

@@ -9,7 +9,6 @@ import pytest
 from dpmulti.domain import PARITY, POINT, THRESH, ConceptClass, Hypotheses
 from dpmulti.fingerprint import (
     VARIANTS,
-    Codebook,
     _contract_met,
     accusation_threshold,
     attack_experiment,

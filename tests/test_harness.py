@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dpmulti import harness
-from dpmulti.domain import PARITY, POINT, ConceptClass, Universe, vc_sample_size
+from dpmulti.domain import POINT, THRESH, ConceptClass, Universe, vc_sample_size
 from dpmulti.harness import (
     LEARNERS,
     ConfigError,
@@ -437,6 +437,22 @@ def test_direct_sum_sweep_charges_k_base_ledgers_at_every_n():
     report = run_experiment(_sweep_config("learn", body, "n", (100, 400)))
     assert report.rows[0][2] == 0  # every trial at n = 100 aborts
     assert [row[4:] for row in report.rows] == [[4.0, 0.04], [4.0, 0.04]]
+
+
+def test_direct_sum_plan_is_the_points_plan_per_label():
+    points, direct_sum = LEARNERS["points"], LEARNERS["direct-sum"]
+    assert list(LEARNERS) == ["points", "parities", "generic", "direct-sum", "erm"]
+    assert (direct_sum.kinds, direct_sum.exact, direct_sum.delta_check) == (
+        points.kinds, points.exact, points.delta_check)
+    p = read_learn({"algorithm": "direct-sum", "n": "100", "k": "3", "universe": "8", "delta": "0.01"}).params
+    assert direct_sum.charges(p, 3) == points.charges(p, 1) * 3
+
+
+def test_exact_attack_learner_is_held_to_its_own_classes(monkeypatch):
+    # The variant's class is checked against the entry's kinds, not against parity by name.
+    monkeypatch.setitem(harness.LEARNERS, "parities", replace(LEARNERS["parities"], kinds=(THRESH,)))
+    with pytest.raises(ConfigError, match=r"^attack.variant: expected thresh for the parities learner, got 'parity'$"):
+        run_experiment(_sweep_config("attack", "n_users = 3\nxi = 0.1\nlearner = parities\nvariant = parity"))
 
 
 def test_parities_learner_rejects_other_classes():

@@ -412,6 +412,15 @@ class TestComposition:
         with pytest.raises(ValueError, match=r"^the composed epsilon of 3 charges must be finite, got inf$"):
             compose_basic([PrivacyParams(1e308)] * 3)
 
+    @pytest.mark.parametrize("charge,m,delta_prime,message", [
+        (PrivacyParams(1e200), 3, 0.1, r"^the composed epsilon of 3 charges must be finite, got inf$"),
+        (PrivacyParams(1e154), 3, 0.1, r"^the composed epsilon of 3 charges must be finite, got inf$"),
+        (PrivacyParams(1.0, 0.2), 10, 0.5, r"^the composed delta of 10 charges must be in \[0, 1\), got 2\.5$"),
+    ], ids=["epsilon-squared-overflows", "epsilon-total-past-largest-float", "delta-total-past-one"])
+    def test_advanced_refuses_a_total_as_basic_does(self, charge, m, delta_prime, message):
+        with pytest.raises(ValueError, match=message):
+            compose_advanced([charge] * m, delta_prime)
+
     @pytest.mark.parametrize("charges,eps,delta", BASIC_GOLDEN)
     def test_basic_golden(self, charges, eps, delta):
         total = compose_basic([PrivacyParams(e, d) for e, d in charges])

@@ -42,7 +42,7 @@ def _unlabeled(universe, xs):
 
 def _reference_closure(cclass):
     """Reference disagreement sets: every pairwise xor of the class's evaluation matrix, deduplicated."""
-    base = cclass.eval_matrix()
+    base = cclass.eval_matrix(cclass.universe.elements())
     return np.unique((base[:, None, :] ^ base[None, :, :]).reshape(-1, base.shape[1]), axis=0)
 
 
@@ -252,6 +252,20 @@ class TestPerQueryPrivacy:
 def _frequencies(synth):
     """Each element's share of the synthetic database's rows, sink rows included in the total."""
     return np.bincount(synth.elements, minlength=synth.universe.size) / synth.size
+
+
+class TestElementCheck:
+    def test_synthetic_rows_must_be_a_1d_array(self):
+        with pytest.raises(ValueError, match=r"^elements must be a 1-D array, got shape \(2, 2\)$"):
+            SyntheticDatabase(Universe.indexed(8), np.zeros((2, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("support,message", [
+        ([8], r"^element outside universe of size 8: got \[8, 8\]$"),
+        ([0.5], r"^elements must be integers, got dtype float64$"),
+    ], ids=["range", "float"])
+    def test_answer_support_is_checked(self, support, message):
+        with pytest.raises(ValueError, match=message):
+            SanitizedAnswers(Universe.indexed(8), support, [1.0])
 
 
 class TestAnswersToSynthetic:
