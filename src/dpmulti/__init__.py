@@ -26,6 +26,7 @@ from .mechanisms import (
     PrivacyParams,
     compose_advanced,
     compose_basic,
+    compose_basic_copies,
     dp_bound_holds,
     exponential_mechanism,
     exponential_mechanism_pmf,

@@ -35,7 +35,7 @@ from .harness import (
 from .mechanisms import (
     PrivacyParams,
     compose_advanced,
-    compose_basic,
+    compose_basic_copies,
     exponential_mechanism,
     laplace_sample,
 )
@@ -204,13 +204,13 @@ def _cmd_mech(args) -> int:
                              meta={"epsilon": args.epsilon, "seed": args.seed})
     else:
         _check_count(args, "--count", 1)
-        charges = [PrivacyParams(args.epsilon, args.delta)] * args.count
+        charge = PrivacyParams(args.epsilon, args.delta)
         if args.mode == "basic":
-            total = compose_basic(charges)
+            total = compose_basic_copies(charge, args.count)
         else:
             if args.delta_prime is None:
                 raise ConfigError("mech.compose: --delta-prime required in advanced mode")
-            total = compose_advanced(charges, args.delta_prime)
+            total = compose_advanced(charge, args.count, args.delta_prime)
         report = TrialReport("mech", ["epsilon_total", "delta_total"],
                              [[total.epsilon, total.delta]], meta={"mode": args.mode})
     _emit(report, args.format, args.out)

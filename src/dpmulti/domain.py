@@ -36,7 +36,7 @@ class UniverseMismatchError(ValueError):
 
 
 class EmptyDatabaseError(ValueError):
-    """Operation requires at least one database row."""
+    """A database was given no rows; MultiLabeledDatabase refuses it."""
 
 
 def _check_bit_width(bits: int) -> None:
@@ -405,8 +405,8 @@ class MultiLabeledDatabase:
     read-only copy of it. labels is the (n, k) uint8 view derived from words,
     unpacked on first access, cached and read-only, for callers that need 0/1
     columns. from_labels packs 0/1 labels once, and keeps a read-only copy of
-    them as that view, since they are what words unpack to. A database
-    compares by identity.
+    them as that view, since they are what words unpack to. A database has
+    n >= 1 rows (EmptyDatabaseError otherwise) and compares by identity.
     """
 
     universe: Universe
@@ -416,6 +416,8 @@ class MultiLabeledDatabase:
 
     def __post_init__(self):
         xs = _checked_elements(self.universe, self.xs)
+        if not len(xs):
+            raise EmptyDatabaseError("a database needs at least one row")
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
         words = np.array(self.words)  # a private copy, made read-only below
@@ -423,7 +425,7 @@ class MultiLabeledDatabase:
         if words.dtype != np.uint64 or words.shape != shape:
             raise ValueError(f"words must be uint64 of shape {shape}, got {words.dtype} {words.shape}")
         used = self.k - 64 * (shape[1] - 1)  # labels held by the last word
-        if used < 64 and len(words) and int(words[:, -1].max()) >> used:
+        if used < 64 and int(words[:, -1].max()) >> used:
             raise ValueError(f"words set a label bit at or above k={self.k}")
         words.flags.writeable = False
         object.__setattr__(self, "xs", xs)
@@ -680,9 +682,7 @@ def sample_database(
     n: int,
     rng: np.random.Generator,
 ) -> MultiLabeledDatabase:
-    """Draw n elements i.i.d. from dist; label j of each row is targets[j] on it, packed by targets.label_words."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Draw n >= 1 elements i.i.d. from dist; label j of each row is targets[j] on it, packed by targets.label_words."""
     dist.universe.require_same(targets.universe)
     xs = dist.sample(n, rng)
     return MultiLabeledDatabase(dist.universe, xs, targets.label_words(xs), len(targets))
@@ -738,7 +738,8 @@ def load_database(path) -> MultiLabeledDatabase:
     """Parse the fixture format written by save_database.
 
     A value it cannot read raises ValueError naming `<path>:<line>` and the
-    field: a header key, `x`, or label `y<j>` (from 1).
+    field: a header key, `x`, or label `y<j>` (from 1). A file with no rows
+    raises ValueError naming `<path>`.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -768,8 +769,7 @@ def load_database(path) -> MultiLabeledDatabase:
                 raise ValueError(f"{path}:{lineno}: expected 1+{k} fields, got {len(parts)}")
             xs.append(_file_field(path, lineno, "x", parts[0], universe.size))
             labels.append([_file_field(path, lineno, f"y{j}", b, 2) for j, b in enumerate(parts[1:], start=1)])
-    return MultiLabeledDatabase.from_labels(
-        universe,
-        np.array(xs, dtype=np.int64),
-        np.array(labels, dtype=np.uint8).reshape(len(xs), k),
-    )
+    try:
+        return MultiLabeledDatabase.from_labels(universe, xs, np.reshape(labels, (len(xs), k)))
+    except EmptyDatabaseError as exc:
+        raise ValueError(f"{path}: {exc}") from None

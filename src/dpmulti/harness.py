@@ -355,18 +355,16 @@ def parse_distribution(spec: str, universe: Universe, section: str = "learn") ->
         return Distribution.from_weights(universe, weights)
 
 
-def _learn_class(params: dict, kinds: tuple[str, ...]) -> str:
-    """A learn section's concept class, one of kinds (the first by default); parities read `d`, the other
-    classes read `universe`."""
+def _learn_universe(params: dict, kinds: tuple[str, ...]) -> tuple[str, ConceptClass]:
+    """A learn section's universe key and concept class, one of kinds (the first by default). The parity
+    class reads `d` and the other classes read `universe`; each refuses the key it does not read."""
     class_kind = params.get("class", kinds[0])
     if class_kind not in kinds:
         raise ConfigError(f"learn.class: expected {'|'.join(kinds)}, got {class_kind!r}")
-    return class_kind
-
-
-def _learn_universe(params: dict, kinds: tuple[str, ...]) -> tuple[str, ConceptClass]:
-    class_kind = _learn_class(params, kinds)
     key, make = ("d", Universe.bitvectors) if class_kind == PARITY else ("universe", Universe.indexed)
+    other = "universe" if key == "d" else "d"
+    if other in params:
+        raise ConfigError(f"learn.{other}: the {class_kind} class reads {key}, not {other}")
     value = _need(params, "learn", key, int)
     with _naming("learn", key):
         universe = make(value)
@@ -519,12 +517,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialReport:
     if config.sweep_axis is not None and config.sweep_axis not in axes:
         allowed = " | ".join(axes) if axes else "no sweep"
         raise ConfigError(f"experiment.sweep: {config.kind} takes {allowed}, got {config.sweep_axis!r}")
-    if config.kind == "learn" and config.sweep_axis in ("d", "universe"):
-        entry = LEARNERS.get(config.params.get("algorithm", ""))
-        kinds = CLASS_KINDS if entry is None else entry.kinds
-        read = "d" if _learn_class(config.params, kinds) == PARITY else "universe"
-        if config.sweep_axis != read:
-            raise ConfigError(f"experiment.sweep: this learn class reads {read}, not {config.sweep_axis!r}")
     if config.kind == "attack":
         return _run_attack(config)
     reader, runner = (read_learn, run_learn_trial) if config.kind == "learn" else (read_sanitize, run_sanitize_trial)

@@ -29,7 +29,6 @@ from .domain import (
     PARITY,
     POINT,
     ConceptClass,
-    EmptyDatabaseError,
     Hypotheses,
     MultiLabeledDatabase,
     _pack_words,
@@ -82,17 +81,15 @@ class LearnResult:
 def erm_multi(db: MultiLabeledDatabase, cclass: ConceptClass) -> LearnResult:
     """Per-label empirical-error minimizer over a finite class, charging nothing.
 
-    The objective separates per label, so each column is solved independently;
-    ties break to the lowest concept parameter. The released table holds the
-    argmin parameters as they are.
+    The objective separates per label, so each column of db's n >= 1 rows is
+    solved independently; ties break to the lowest concept parameter. The
+    released table holds the argmin parameters as they are.
 
     The argmin is one axis-0 minimum of the keys count * |C| + parameter: the
     smallest key has the smallest count and, among equal counts, the lowest
     parameter, which key % |C| recovers. Counts are at most n and |C| is at
     most 2^20, so the keys fit in int64.
     """
-    if db.n == 0:
-        raise EmptyDatabaseError("cannot minimize empirical error on an empty database")
     db.universe.require_same(cclass.universe)
     keys = erm_mismatch_counts(db, cclass)
     size = keys.shape[0]
@@ -287,15 +284,14 @@ def _parity_tally(
 
     The database's packed label words are the right-hand sides, one
     gf2_solve_blocks call eliminates every block, and _tally ranks the
-    blocks' solution words; ties go to the vector of the earliest block. best
-    masks is the int64[k] parity masks of the most voted vector, and distance
-    is _stability_distance of the top two vote counts.
+    blocks' solution words; ties go to the vector of the earliest block (db's
+    n >= 1 rows fill at least one). best masks is the int64[k] parity masks of
+    the most voted vector, and distance is _stability_distance of the top two
+    vote counts.
     """
     universe = db.universe
     if universe.bit_width is None:
         raise ValueError("parity learner requires a bit-vector universe")
-    if db.n == 0:
-        raise EmptyDatabaseError("cannot learn from an empty database")
     bits = universe.bit_width
     m, s_target = parity_block_plan(bits, epsilon, beta, delta)
     below = db.n < m * s_target
@@ -379,10 +375,8 @@ def point_learner(
     count of any selected (x, vector) pair. Given G the tally (_point_tally) is
     deterministic, and it feeds the selection its distance to instability. `beta` only
     informs the sample-size advisory flag; alpha, epsilon, delta and beta are
-    checked (ValueError) before any randomness is drawn.
+    checked (ValueError) before any randomness is drawn; db has n >= 1 rows.
     """
-    if db.n == 0:
-        raise EmptyDatabaseError("cannot learn from an empty database")
     universe = db.universe
     k = db.k
     below = db.n < point_rows_bound(alpha, beta, delta, epsilon)
@@ -549,10 +543,8 @@ def generic_multi_learner(
     sanitizer (synth_size caps its candidate databases at desk scale), "auto"
     picks by class and delta (generic_sanitizer), and below_sample_bound uses
     the bound of the sanitizer that ran. alpha, epsilon, epsilon_prime and
-    delta are checked (ValueError) before any randomness is drawn.
+    delta are checked (ValueError) before any randomness is drawn; db has n >= 1 rows.
     """
-    if db.n == 0:
-        raise EmptyDatabaseError("cannot learn from an empty database")
     _check_generic(alpha, epsilon_prime)
     ledger = PrivacyLedger(generic_charges(db.k, epsilon, epsilon_prime, delta))
     db.universe.require_same(cclass.universe)

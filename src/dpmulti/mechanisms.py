@@ -88,41 +88,48 @@ def compose_basic(charges: Sequence[PrivacyParams]) -> PrivacyParams:
     A sum epsilon past the largest float, or a sum delta that reaches 1, is
     refused by _composed.
     """
-    if not charges:
-        raise ValueError("cannot compose an empty ledger")
-    return _composed(len(charges), lambda: math.fsum(c.epsilon for c in charges), math.fsum(c.delta for c in charges))
+    return _composed(len(charges), lambda: math.fsum(c.epsilon for c in charges),
+                     lambda: math.fsum(c.delta for c in charges))
 
 
-def compose_advanced(charges: Sequence[PrivacyParams], delta_prime: float) -> PrivacyParams:
-    """Advanced composition of m identical (eps, delta) charges.
+def compose_basic_copies(charge: PrivacyParams, m: int) -> PrivacyParams:
+    """compose_basic of m copies of charge, in closed form: (m eps, m delta).
+
+    Each product is correctly rounded, as fsum's total of the m copies is, so
+    the two agree at every count below 2^53; no list of charges is built.
+    """
+    return _composed(m, lambda: m * charge.epsilon, lambda: m * charge.delta)
+
+
+def compose_advanced(charge: PrivacyParams, m: int, delta_prime: float) -> PrivacyParams:
+    """Advanced composition of m copies of charge.
 
     eps' = sqrt(2 m ln(1/delta')) * eps + 2 m eps^2, delta' extra slack:
-    total (eps', m delta + delta'). Requires homogeneous charges.
+    total (eps', m delta + delta').
     """
-    if not charges:
-        raise ValueError("cannot compose an empty ledger")
     check_fraction(delta_prime, "delta_prime")
-    first = charges[0]
-    if any(c != first for c in charges[1:]):
-        raise ValueError("advanced composition requires identical charges")
-    m = len(charges)
     return _composed(
         m,
-        lambda: math.sqrt(2 * m * math.log(1 / delta_prime)) * first.epsilon + 2 * m * first.epsilon**2,
-        m * first.delta + delta_prime,
+        lambda: math.sqrt(2 * m * math.log(1 / delta_prime)) * charge.epsilon + 2 * m * charge.epsilon**2,
+        lambda: m * charge.delta + delta_prime,
     )
 
 
-def _composed(m: int, epsilon: Callable[[], float], delta: float) -> PrivacyParams:
-    """The total (epsilon(), delta) of m composed charges. An epsilon that overflows or passes the largest
-    float, or a delta that reaches 1, is refused as the composed epsilon or delta of the m charges."""
+def _composed(m: int, epsilon: Callable[[], float], delta: Callable[[], float]) -> PrivacyParams:
+    """The total (epsilon(), delta()) of m >= 1 composed charges. An epsilon that overflows or passes the
+    largest float, or a delta that reaches 1, is refused as the composed epsilon or delta of the m charges.
+    delta() runs only once epsilon() is finite: a count too large for a float overflows epsilon's product
+    first, so delta's (m * 0.0 included) never meets it."""
+    if m < 1:
+        raise ValueError(f"cannot compose {m} charges")
     try:
         eps = epsilon()
     except OverflowError:
         eps = math.inf
     check_epsilon(eps, f"the composed epsilon of {m} charges")
-    check_delta(delta, f"the composed delta of {m} charges")
-    return PrivacyParams(eps, delta)
+    total_delta = delta()
+    check_delta(total_delta, f"the composed delta of {m} charges")
+    return PrivacyParams(eps, total_delta)
 
 
 def laplace_sample(scale: float, rng: np.random.Generator, size: int | None = None):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import PARITY, THRESH, ConceptClass, EmptyDatabaseError, MultiLabeledDatabase, Universe, _checked_elements
+from .domain import PARITY, THRESH, ConceptClass, MultiLabeledDatabase, Universe, _checked_elements
 from .mechanisms import (
     check_epsilon,
     check_fraction,
@@ -105,13 +105,11 @@ def sanitize_points(db: MultiLabeledDatabase, epsilon: float, delta: float, rng:
     Every nonzero count goes, by ascending element, through one noisy_threshold
     call on its frequency at scale 2/(eps*n); the element is released when that
     reaches (1 + 2 ln(2/delta)/eps)/n, capped at 1, and every other element is
-    answered 0. (epsilon, delta)-DP at every n (Korolova, Kenthapadi, Mishra and
+    answered 0. (epsilon, delta)-DP at every n >= 1 (Korolova, Kenthapadi, Mishra and
     Ntoulas 2009; Bun, Nissim and Stemmer 2016): under substitution at most two
     counts move, each by 1. One nonzero in both databases costs eps/2 (Lap(2/eps)
     on counts); one moving from 0 to 1 is released with probability delta/4.
     """
-    if db.n == 0:
-        raise EmptyDatabaseError("cannot sanitize an empty database")
     check_fraction(delta, "delta")
     check_epsilon(epsilon)
     scale = 2.0 / (epsilon * db.n)
@@ -258,11 +256,10 @@ def _exhaustive_candidates(db, cclass, synth_size, epsilon):
     holds, and so does eps-DP.
 
     Every argument is checked on every call, the budget included, before the
-    data-independent part is looked up in _histogram_table; only the data's
-    class sums and the worst-case errors are computed per call.
+    data-independent part is looked up in _histogram_table (db has n >= 1
+    rows); only the data's class sums and the worst-case errors are computed
+    per call.
     """
-    if db.n == 0:
-        raise EmptyDatabaseError("cannot sanitize an empty database")
     db.universe.require_same(cclass.universe)
     if synth_size < 1:
         raise ValueError(f"synth_size must be >= 1, got {synth_size}")

@@ -250,7 +250,7 @@ def test_criterion_09_composition_arithmetic():
             total.delta, delta, rel_tol=1e-13, abs_tol=1e-300
         )
     for (m, e, d, dp), eps, delta in ADVANCED_GOLDEN:
-        total = compose_advanced([PrivacyParams(e, d)] * m, dp)
+        total = compose_advanced(PrivacyParams(e, d), m, dp)
         ok &= math.isclose(total.epsilon, eps, rel_tol=1e-13) and math.isclose(
             total.delta, delta, rel_tol=1e-13
         )

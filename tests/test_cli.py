@@ -184,7 +184,10 @@ class TestSanitizeCommand:
         ("# universe=8 k=1\n1 0\n2 a\n", ":3: y1: cannot parse 'a'"),
         ("# universe=8 k=1\n1 2\n", ":2: y1: must be in [0, 2), got 2"),
         ("# universe=8 k=0\n1\n8\n", ":3: x: must be in [0, 8), got 8"),
-    ], ids=["header-k", "header-no-equals", "header-bits", "label-a", "label-2", "element-outside"])
+        ("# universe=8 k=2\n", ": a database needs at least one row"),
+        ("# universe=8 k=0\n\n  \n", ": a database needs at least one row"),
+    ], ids=["header-k", "header-no-equals", "header-bits", "label-a", "label-2", "element-outside", "no-rows",
+            "blank-lines-only"])
     def test_unreadable_database_value_is_named(self, capsys, tmp_path, text, where):
         path = tmp_path / "db.txt"
         path.write_text(text)
@@ -391,6 +394,36 @@ def test_threads_flag_rejected(capsys, db_file, tmp_path, argv):
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv,err", [
+        ("learn parities --k 2 --n 2000 --d 4 --universe 99", "learn.universe: the parity class reads d, not universe"),
+        ("learn erm --k 2 --n 200 --universe 16 --d 99", "learn.d: the point class reads universe, not d"),
+        ("learn erm --class parity --k 2 --n 200 --d 4 --universe 16",
+         "learn.universe: the parity class reads d, not universe"),
+        ("learn generic --class thresh --k 2 --n 200 --universe 4 --d 2 --epsilon-prime 1 --synth-size 1",
+         "learn.d: the thresh class reads universe, not d"),
+        ("learn direct-sum --k 2 --n 200 --universe 8 --d 3", "learn.d: the point class reads universe, not d"),
+    ], ids=["parities-universe", "erm-d", "erm-parity-universe", "generic-thresh-d", "direct-sum-d"])
+    def test_universe_key_the_class_does_not_read_is_refused(self, capsys, argv, err):
+        assert main([*argv.split(), "--seed", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize("sweep,section,err", [
+        ("", "algorithm = points\nk = 2\nn = 100\nuniverse = 8\nd = 3", "learn.d: the point class reads universe, not d"),
+        ("sweep = universe\nvalues = 2 3\n", "algorithm = erm\nclass = parity\nk = 2\nn = 100\nd = 3",
+         "learn.universe: the parity class reads d, not universe"),
+        ("sweep = d\nvalues = 2 3\n", "algorithm = erm\nclass = thresh\nk = 2\nn = 100\nuniverse = 8",
+         "learn.d: the thresh class reads universe, not d"),
+    ], ids=["section", "parity-sweeps-universe", "thresh-sweeps-d"])
+    def test_config_universe_key_the_class_does_not_read_is_refused_before_any_trial(
+            self, capsys, tmp_path, monkeypatch, sweep, section, err):
+        trials = []
+        monkeypatch.setattr(harness, "run_learn_trial", lambda *args: trials.append(args))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\nkind = learn\ntrials = 1\nseed = 1\n{sweep}\n[learn]\n{section}\n")
+        assert main(["experiment", "run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert trials == []
 
     def test_bad_flag_value(self, capsys):
         assert main(["attack", "boneh-shaw", "--n", "four", "--xi", "0.1",
@@ -613,6 +646,21 @@ class TestExitCodes:
     def test_bad_mech_argument_is_named(self, capsys, argv, message):
         assert main(["mech", *argv, "--seed", "1"]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,total", [([], "1e+30,0"), (["--mode", "advanced", "--delta-prime", "0.1"], "2e+30,0.1")],
+                             ids=["basic", "advanced"])
+    @pytest.mark.parametrize("count", [10**11, 10**30, 10**400], ids=["1e11", "1e30", "1e400"])
+    def test_compose_takes_a_count_no_list_could_hold(self, capsys, mode, total, count):
+        # The charges are composed in closed form; 10**400 does not fit a float and its epsilon overflows.
+        code = main(["mech", "compose", "--epsilon", "1", "--count", str(count), *mode])
+        out, err = capsys.readouterr()
+        if count == 10**400:
+            assert (code, out) == (1, "")
+            assert err == f"error: the composed epsilon of {count} charges must be finite, got inf\n"
+        elif count == 10**30:
+            assert (code, out, err) == (0, f"epsilon_total,delta_total\n{total}\n", "")
+        else:
+            assert code == 0 and err == ""
 
     def test_compose_count_below_one_is_named(self, capsys):
         assert main(["mech", "compose", "--epsilon", "1", "--count", "-2"]) == 1

@@ -18,6 +18,7 @@ from dpmulti.domain import (
     Concept,
     ConceptClass,
     Distribution,
+    EmptyDatabaseError,
     Hypotheses,
     LabeledDistribution,
     MultiLabeledDatabase,
@@ -759,26 +760,68 @@ LABELED_DISTS = {
 class TestLabeledDistributionSample:
     @pytest.mark.parametrize("name", list(LABELED_DISTS))
     def test_draws_match_rng_choice(self, name):
-        # Draw for draw, and the generator left in the same state.
+        # Draw for draw, and the generator left in the same state; zero draws make no database.
         ld = LABELED_DISTS[name]
         for seed, n in enumerate((0, 1, 7, 400, 2726)):
             ours, theirs = stream(12, seed), stream(12, seed)
-            db = ld.sample(n, ours)
             flat = theirs.choice(ld.pmf.size, size=n, p=ld.pmf.ravel() / ld.pmf.sum())
-            codes = flat % ld.pmf.shape[1]
-            assert db.xs.dtype == np.int64 and np.array_equal(db.xs, flat // ld.pmf.shape[1]), (name, n)
-            assert np.array_equal(db.labels, (codes[:, None] >> np.arange(ld.k)) & 1), (name, n)
+            if n == 0:
+                with pytest.raises(EmptyDatabaseError):
+                    ld.sample(n, ours)
+            else:
+                db = ld.sample(n, ours)
+                codes = flat % ld.pmf.shape[1]
+                assert db.xs.dtype == np.int64 and np.array_equal(db.xs, flat // ld.pmf.shape[1]), (name, n)
+                assert np.array_equal(db.labels, (codes[:, None] >> np.arange(ld.k)) & 1), (name, n)
             assert ours.random() == theirs.random(), (name, n)
 
     def test_zero_draws_consume_no_randomness(self):
         rng = stream(12, 99)
-        db = LABELED_DISTS["label-probs-8x8"].sample(0, rng)
-        assert db.n == 0 and db.labels.shape == (0, 8)
+        with pytest.raises(EmptyDatabaseError, match="^a database needs at least one row$"):
+            LABELED_DISTS["label-probs-8x8"].sample(0, rng)
         assert rng.random() == stream(12, 99).random()
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match=r"n must be >= 0, got -1"):
             LABELED_DISTS["realizable-uniform-4"].sample(-1, stream(12, 98))
+
+
+class TestEmptyDatabase:
+    # A database has at least one row: every route that builds one refuses zero.
+    @pytest.mark.parametrize("build", [
+        lambda: MultiLabeledDatabase(U4, np.zeros(0, dtype=np.int64), np.zeros((0, 1), dtype=np.uint64), 1),
+        lambda: MultiLabeledDatabase.from_labels(U4, [], np.zeros((0, 3), dtype=np.uint8)),
+        lambda: MultiLabeledDatabase.unlabeled(U4, np.zeros(0, dtype=np.int64)),
+        lambda: LABELED_DISTS["realizable-uniform-4"].sample(0, stream(13, 0)),
+        lambda: sample_database(Distribution.uniform(U4), Hypotheses(U4, POINT, np.array([1, 2])), 0, stream(13, 1)),
+    ], ids=["constructor", "from-labels", "unlabeled", "labeled-distribution-sample", "sample-database"])
+    def test_every_route_refuses_zero_rows(self, build):
+        with pytest.raises(EmptyDatabaseError, match="^a database needs at least one row$"):
+            build()
+
+    def test_sample_database_of_zero_rows_consumes_no_randomness(self):
+        rng = stream(13, 2)
+        with pytest.raises(EmptyDatabaseError):
+            sample_database(Distribution.uniform(U4), Hypotheses(U4, POINT, np.array([1, 2])), 0, rng)
+        assert rng.random() == stream(13, 2).random()
+
+    def test_sample_database_refuses_a_negative_size(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            sample_database(Distribution.uniform(U4), Hypotheses(U4, POINT, np.array([1, 2])), -1, stream(13, 3))
+
+    @pytest.mark.parametrize("text", ["# universe=8 k=2\n", "# universe=8 k=0\n\n   \n"], ids=["header-only", "blank-rows"])
+    def test_load_database_refuses_a_file_with_no_rows_naming_its_path(self, tmp_path, text):
+        path = tmp_path / "db.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as refused:
+            load_database(path)
+        assert str(refused.value) == f"{path}: a database needs at least one row"
+
+    def test_one_row_is_a_database(self, tmp_path):
+        db = MultiLabeledDatabase.from_labels(U4, [3], [[1, 0]])
+        assert db.n == 1 and db.words.tolist() == [[1]]
+        save_database(db, tmp_path / "db.txt")
+        assert load_database(tmp_path / "db.txt").labels.tolist() == [[1, 0]]
 
 
 class TestParameterChecks:
@@ -908,8 +951,12 @@ class TestElementCheck:
                                     [0, 7, 3], []], ids=["int32", "uint8", "list", "empty-list"])
     def test_integer_inputs_read_as_int64(self, xs):
         want = np.array(xs, dtype=np.int64)
-        db = MultiLabeledDatabase.unlabeled(U8, xs)
-        assert db.xs.dtype == np.int64 and np.array_equal(db.xs, want)
+        if len(want):
+            db = MultiLabeledDatabase.unlabeled(U8, xs)
+            assert db.xs.dtype == np.int64 and np.array_equal(db.xs, want)
+        else:  # a database has at least one row
+            with pytest.raises(EmptyDatabaseError):
+                MultiLabeledDatabase.unlabeled(U8, xs)
         assert np.array_equal(POINT_TABLE.evaluate(xs), POINT_TABLE.evaluate(want))
         assert np.array_equal(POINT_TABLE.label_words(xs), POINT_TABLE.label_words(want))
         cclass = ConceptClass(THRESH, U8)

@@ -366,23 +366,26 @@ class TestSweepAxis:
         assert [row[4] for row in report.rows] == [1.0 + 2.0 * k for k in values]
 
     @pytest.mark.parametrize(
-        "kind,body,axis",
+        "kind,body,axis,refused",
         [
-            ("learn", SWEEP_SECTIONS["learn-n"][1], "bogus"),
-            ("learn", SWEEP_SECTIONS["learn-n"][1], "alpha"),
-            ("sanitize", SWEEP_SECTIONS["sanitize-universe"][1], "d"),
-            ("attack", "n_users = 4\nxi = 0.1", "n"),
-            # Keys the class never reads: every point would rerun one config on fresh streams.
-            ("learn", SWEEP_SECTIONS["learn-universe"][1], "d"),
-            ("learn", "algorithm = points\nk = 3\nn = 40\nuniverse = 8", "d"),
-            ("learn", SWEEP_SECTIONS["learn-d"][1], "universe"),
-            ("learn", "algorithm = parities\nk = 3\nn = 40\nd = 3", "universe"),
+            ("learn", SWEEP_SECTIONS["learn-n"][1], "bogus", "experiment.sweep"),
+            ("learn", SWEEP_SECTIONS["learn-n"][1], "alpha", "experiment.sweep"),
+            ("sanitize", SWEEP_SECTIONS["sanitize-universe"][1], "d", "experiment.sweep"),
+            ("attack", "n_users = 4\nxi = 0.1", "n", "experiment.sweep"),
+            # Keys the class never reads, refused by the key when the first point is read.
+            ("learn", SWEEP_SECTIONS["learn-universe"][1], "d", r"^learn\.d: the thresh class reads universe, not d$"),
+            ("learn", "algorithm = points\nk = 3\nn = 40\nuniverse = 8", "d",
+             r"^learn\.d: the point class reads universe, not d$"),
+            ("learn", SWEEP_SECTIONS["learn-d"][1], "universe",
+             r"^learn\.universe: the parity class reads d, not universe$"),
+            ("learn", "algorithm = parities\nk = 3\nn = 40\nd = 3", "universe",
+             r"^learn\.universe: the parity class reads d, not universe$"),
         ],
         ids=["learn-bogus", "learn-alpha", "sanitize-d", "attack-n",
              "thresh-d", "point-d", "parity-class-universe", "parities-universe"],
     )
-    def test_unknown_axis_rejected(self, kind, body, axis):
-        with pytest.raises(ConfigError, match="experiment.sweep"):
+    def test_unknown_axis_rejected(self, kind, body, axis, refused):
+        with pytest.raises(ConfigError, match=refused):
             run_experiment(_sweep_config(kind, body, axis, (10, 20)))
 
 
@@ -501,7 +504,7 @@ def test_generic_budget_refusal_names_the_key_that_sets_the_size(extra, message)
     params = {"algorithm": "generic", "class": "thresh", "k": "2", "n": "400", "epsilon_prime": "1", **extra}
     with pytest.raises(EnumerationBudgetError, match=message):
         read_learn(params)
-    read_learn({**params, "synth_size": "1", "universe": "8", "d": "3"})
+    read_learn({**params, "synth_size": "1", **({"d": "3"} if "d" in extra else {"universe": "8"})})
 
 
 def _at_nine_digits(rows):

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dpmulti.domain import (
     THRESH,
     ConceptClass,
     Distribution,
+    EmptyDatabaseError,
     Hypotheses,
     LabeledDistribution,
     MultiLabeledDatabase,
@@ -55,7 +57,7 @@ from dpmulti.mechanisms import (
     stable_argmax_pmf,
 )
 from dpmulti.rng import stream
-from dpmulti.sanitize import SanitizedAnswers, answers_to_synthetic, sanitize_points
+from dpmulti.sanitize import SanitizedAnswers, answers_to_synthetic, sanitize_exhaustive, sanitize_points
 
 from scalar_reference import bit
 
@@ -820,12 +822,15 @@ class TestPointLearner:
         for _ in range(20):
             n = int(rng.integers(0, 120))
             pool = rng.integers(0, 2, size=(int(rng.integers(1, 4)), k)).astype(np.uint8)
-            db = MultiLabeledDatabase.from_labels(u, rng.integers(0, 6, size=n), pool[rng.integers(0, len(pool), size=n)])
+            xs, labels = rng.integers(0, 6, size=n), pool[rng.integers(0, len(pool), size=n)]
             heavy = np.sort(rng.choice(10, size=int(rng.integers(1, 11)), replace=False))
-            _check_top_vectors(db, heavy, monkeypatch)
-        # n = 0: every heavy element is absent.
-        empty = MultiLabeledDatabase.from_labels(u, np.zeros(0, dtype=np.int64), np.zeros((0, k), dtype=np.uint8))
-        _check_top_vectors(empty, np.array([0, 3, 9]), monkeypatch)
+            if n == 0:  # a database has at least one row
+                with pytest.raises(EmptyDatabaseError):
+                    MultiLabeledDatabase.from_labels(u, xs, labels)
+                continue
+            _check_top_vectors(MultiLabeledDatabase.from_labels(u, xs, labels), heavy, monkeypatch)
+        with pytest.raises(EmptyDatabaseError):
+            MultiLabeledDatabase.from_labels(u, np.zeros(0, dtype=np.int64), np.zeros((0, k), dtype=np.uint8))
         # One label vector per element, as a realizable target gives, then the
         # same pool with one row of heavy element 2 flipped; element 5 is never
         # heavy and its rows mix two vectors, which must not force the ranking.
@@ -1137,6 +1142,17 @@ class TestDirectSum:
         singles = [base(MultiLabeledDatabase.from_labels(u, db.xs, db.labels[:, j : j + 1]), rng).hypotheses for j in range(3)]
         assert res.hypotheses.params.tolist() == [p for table in singles for p in table.params.tolist()]
 
+    def test_label_column_is_a_database_of_one_label(self):
+        # Its column is built through the database constructor, so it gets the same row check.
+        u = Universe.indexed(6)
+        labels = stream(67, 1).integers(0, 2, size=(5, 70)).astype(np.uint8)
+        db = MultiLabeledDatabase.from_labels(u, np.arange(5), labels)
+        for j in (0, 63, 64, 69):
+            assert learners._label_column(db, j).labels.tolist() == labels[:, j : j + 1].tolist()
+        rowless = SimpleNamespace(universe=u, xs=np.zeros(0, dtype=np.int64), words=np.zeros((0, 2), dtype=np.uint64))
+        with pytest.raises(EmptyDatabaseError):
+            learners._label_column(rowless, 0)
+
     def test_k0_rejected(self):
         u = Universe.indexed(6)
         with pytest.raises(ValueError, match="k=0"):
@@ -1149,3 +1165,37 @@ class TestDirectSum:
         base = lambda single, rng: erm_multi(single, ConceptClass(next(kinds), u))
         with pytest.raises(ValueError, match="more than one kind"):
             direct_sum_learner(base, db, stream(68, 1))
+
+
+class TestOneRow:
+    # One row is the smallest database; every learner and sanitizer runs on it with no guard of its own.
+    U = Universe.indexed(8)
+    ONE = MultiLabeledDatabase.from_labels(U, [5], [[1, 0]])
+
+    @pytest.mark.parametrize("learn,charges", [
+        (lambda db, rng: erm_multi(db, ConceptClass(THRESH, db.universe)), []),
+        (lambda db, rng: point_learner(db, 0.2, 1.0, 0.01, rng), [PrivacyParams(0.5, 0.005)] * 2),
+        (lambda db, rng: generic_multi_learner(db, ConceptClass(POINT, db.universe), 0.2, 0.1, 1.0, 2.0, 0.01, rng),
+         [PrivacyParams(1.0, 0.01)] + [PrivacyParams(2.0)] * 2),
+        (lambda db, rng: generic_multi_learner(db, ConceptClass(THRESH, db.universe), 0.2, 0.1, 1.0, 2.0, 0.0, rng,
+                                               synth_size=2), [PrivacyParams(1.0)] + [PrivacyParams(2.0)] * 2),
+        (lambda db, rng: direct_sum_learner(lambda single, r: point_learner(single, 0.2, 1.0, 0.01, r), db, rng),
+         [PrivacyParams(0.5, 0.005)] * 4),
+        (lambda db, rng: parity_learner(MultiLabeledDatabase.from_labels(Universe.bitvectors(3), db.xs, db.labels),
+                                        1.0, 0.1, 0.1, rng), [PrivacyParams(1.0, 0.1)]),
+    ], ids=["erm", "points", "generic-points", "generic-exhaustive", "direct-sum", "parities"])
+    def test_learner_runs_on_one_row(self, learn, charges):
+        result = learn(self.ONE, stream(69, 0))
+        assert result.ledger.charges == charges
+        if result.hypotheses is not None:
+            assert result.hypotheses.evaluate(np.arange(8)).shape == (2, 8)
+        if charges:
+            assert result.below_sample_bound
+        else:  # ERM fits its one row
+            assert result.hypotheses.evaluate([5])[:, 0].tolist() == [1, 0]
+
+    def test_sanitizers_run_on_one_row(self):
+        answers = sanitize_points(self.ONE, 1.0, 0.01, stream(69, 1))
+        assert set(answers.support.tolist()) <= {5}
+        synth = sanitize_exhaustive(self.ONE, ConceptClass(THRESH, self.U), 0.5, 1.0, stream(69, 2), synth_size=2)
+        assert synth.size == 2

@@ -13,6 +13,7 @@ from dpmulti.mechanisms import (
     PrivacyParams,
     compose_advanced,
     compose_basic,
+    compose_basic_copies,
     dp_bound_holds,
     exponential_mechanism,
     exponential_mechanism_pmf,
@@ -384,7 +385,7 @@ class TestComposition:
         assert total.epsilon == pytest.approx(0.2) and total.delta == pytest.approx(2e-6)
 
     def test_advanced_dominates_single_charge(self):
-        adv = compose_advanced([PrivacyParams(0.1)], 0.01)
+        adv = compose_advanced(PrivacyParams(0.1), 1, 0.01)
         assert adv.epsilon >= 0.1
 
     def test_advanced_beats_basic_for_many_small_charges(self):
@@ -393,12 +394,8 @@ class TestComposition:
         # every m >= 8, eps <= 0.05 (1e-6 would not at m = 8).
         for m in (8, 32, 100):
             for eps in (0.01, 0.05):
-                charges = [PrivacyParams(eps)] * m
-                assert compose_advanced(charges, 0.05).epsilon < compose_basic(charges).epsilon
-
-    def test_heterogeneous_rejected(self):
-        with pytest.raises(ValueError):
-            compose_advanced([PrivacyParams(0.1), PrivacyParams(0.2)], 0.01)
+                charge = PrivacyParams(eps)
+                assert compose_advanced(charge, m, 0.05).epsilon < compose_basic([charge] * m).epsilon
 
     def test_empty_ledger_rejected(self):
         with pytest.raises(ValueError):
@@ -419,7 +416,38 @@ class TestComposition:
     ], ids=["epsilon-squared-overflows", "epsilon-total-past-largest-float", "delta-total-past-one"])
     def test_advanced_refuses_a_total_as_basic_does(self, charge, m, delta_prime, message):
         with pytest.raises(ValueError, match=message):
-            compose_advanced([charge] * m, delta_prime)
+            compose_advanced(charge, m, delta_prime)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 100, 1000, 12345])
+    @pytest.mark.parametrize("epsilon,delta", [(0.1, 0.0), (0.01, 1e-09), (0.3, 1e-7), (1 / 3, 1e-5), (0.05, 3e-5)])
+    def test_basic_copies_equal_the_list_total(self, m, epsilon, delta):
+        # m * x and fsum of m copies of x are both the correctly rounded product.
+        charge = PrivacyParams(epsilon, delta)
+        assert compose_basic_copies(charge, m) == compose_basic([charge] * m)
+
+    @pytest.mark.parametrize("charges,eps,delta", [case for case in BASIC_GOLDEN if len(set(case[0])) == 1])
+    def test_basic_copies_golden(self, charges, eps, delta):
+        total = compose_basic_copies(PrivacyParams(*charges[0]), len(charges))
+        assert total.epsilon == pytest.approx(eps, rel=1e-13, abs=1e-300)
+        assert total.delta == pytest.approx(delta, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("m", [10**30, 10**400])
+    @pytest.mark.parametrize("compose", [compose_basic_copies, lambda charge, m: compose_advanced(charge, m, 0.1)],
+                             ids=["basic", "advanced"])
+    def test_a_count_past_any_list_composes_or_is_refused_by_its_total(self, compose, m):
+        # 10**30 copies compose to a finite epsilon; 10**400 does not fit a float, so epsilon overflows
+        # before delta's m * 0.0 would.
+        if m < 2**1024:
+            assert compose(PrivacyParams(1.0), m).delta in (0.0, 0.1)
+        else:
+            with pytest.raises(ValueError, match=rf"^the composed epsilon of {m} charges must be finite, got inf$"):
+                compose(PrivacyParams(1.0), m)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_a_count_below_one_is_refused(self, m):
+        for compose in (compose_basic_copies, lambda charge, m: compose_advanced(charge, m, 0.1)):
+            with pytest.raises(ValueError, match=rf"^cannot compose {m} charges$"):
+                compose(PrivacyParams(1.0), m)
 
     @pytest.mark.parametrize("charges,eps,delta", BASIC_GOLDEN)
     def test_basic_golden(self, charges, eps, delta):
@@ -430,14 +458,14 @@ class TestComposition:
     @pytest.mark.parametrize("case,eps,delta", ADVANCED_GOLDEN)
     def test_advanced_golden(self, case, eps, delta):
         m, e, d, dp = case
-        total = compose_advanced([PrivacyParams(e, d)] * m, dp)
+        total = compose_advanced(PrivacyParams(e, d), m, dp)
         assert total.epsilon == pytest.approx(eps, rel=1e-13, abs=1e-300)
         assert total.delta == pytest.approx(delta, rel=1e-13, abs=1e-300)
 
     def test_ledger_interface(self):
         ledger = PrivacyLedger([PrivacyParams(0.5, 0.25)] * 2)
         assert ledger.basic_total() == PrivacyParams(1.0, 0.5)
-        assert compose_advanced(ledger.charges, 0.01).delta == pytest.approx(0.51)
+        assert compose_advanced(ledger.charges[0], len(ledger.charges), 0.01).delta == pytest.approx(0.51)
 
 
 class TestDpBoundHolds:
