@@ -172,6 +172,22 @@ def _check_count(args, flag: str, low: int) -> None:
         raise ConfigError(f"mech.{args.mechanism}: {flag} must be >= {low}, got {value}")
 
 
+# The most noise cells one laplace or exponential run draws: --draws, times the
+# scores for exponential. Every draw is also a report row, about 600 bytes in a
+# JSON report, so sanitize's TABLE_BUDGET of 2^27 cells would not fit in 4 GB;
+# 2^22 draws of laplace peak at 2.4 GB of RSS (JSON; 0.84 GB as CSV).
+MECH_CELLS = 1 << 22
+
+
+def _check_draws(args, width: int) -> None:
+    """Refuse a --draws below 0, or whose noise array of --draws x width cells passes MECH_CELLS, before any draw."""
+    _check_count(args, "--draws", 0)
+    most = MECH_CELLS // width
+    if args.draws > most:
+        raise ConfigError(f"mech.{args.mechanism}: --draws must be <= {most} (at most {MECH_CELLS} noise cells), "
+                          f"got {args.draws}")
+
+
 def _parse_scores(text: str) -> tuple[list[str], list[float]]:
     names, scores = [], []
     for part in text.split(","):
@@ -189,14 +205,14 @@ def _parse_scores(text: str) -> tuple[list[str], list[float]]:
 
 def _cmd_mech(args) -> int:
     if args.mechanism == "laplace":
-        _check_count(args, "--draws", 0)
+        _check_draws(args, 1)
         rng = stream(args.seed, 0, 0)
         draws = laplace_sample(args.scale, rng, size=args.draws)
         report = TrialReport("mech", ["draw", "value"], [[i, float(v)] for i, v in enumerate(draws)],
                              meta={"scale": args.scale, "seed": args.seed})
     elif args.mechanism == "exponential":
-        _check_count(args, "--draws", 0)
         names, scores = _parse_scores(args.scores)
+        _check_draws(args, len(scores))
         rng = stream(args.seed, 0, 0)
         picks = exponential_mechanism(np.broadcast_to(scores, (args.draws, len(scores))), args.epsilon,
                                       args.sensitivity, rng)
@@ -248,7 +264,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"runtime failure: {exc}", file=sys.stderr)
+        print(f"runtime failure: {str(exc) or type(exc).__name__}", file=sys.stderr)  # MemoryError() has no text
         return 2
 
 

@@ -111,7 +111,8 @@ def _generic(p: LearnParams) -> LearnerFn:
 def _erm(p: LearnParams) -> LearnerFn:
     def learn(db, rng):
         cclass = ConceptClass(p.kind, db.universe)
-        return replace(erm_multi(db, cclass), below_sample_bound=db.n < vc_sample_size(cclass.vc_dim, p.alpha, p.beta))
+        below = db.n < vc_sample_size(cclass.vc_dim, p.alpha, p.beta)
+        return LearnResult(erm_multi(db, cclass).hypotheses, below_sample_bound=below)
 
     return learn
 

@@ -87,50 +87,79 @@ def erm_multi(db: MultiLabeledDatabase, cclass: ConceptClass) -> LearnResult:
 
     The argmin is one axis-0 minimum of the keys count * |C| + parameter: the
     smallest key has the smallest count and, among equal counts, the lowest
-    parameter, which key % |C| recovers. Counts are at most n and |C| is at
-    most 2^20, so the keys fit in int64.
+    parameter, which key % |C| recovers.
     """
     db.universe.require_same(cclass.universe)
-    keys = erm_mismatch_counts(db, cclass)
-    size = keys.shape[0]
-    keys *= size
-    keys += np.arange(size)[:, None]
-    return LearnResult(Hypotheses(db.universe, cclass.kind, keys.min(axis=0) % size))
+    keys = _erm_table(db, cclass, tiebreak=True)
+    return LearnResult(Hypotheses(db.universe, cclass.kind, keys.min(axis=0).astype(np.int64) % len(cclass)))
 
 
 def erm_mismatch_counts(db: MultiLabeledDatabase, cclass: ConceptClass) -> np.ndarray:
-    """(|C|, k) mismatch counts underlying erm_multi; exposed for oracles.
+    """(|C|, k) int64 mismatch counts underlying erm_multi; exposed for oracles."""
+    return _erm_table(db, cclass).astype(np.int64, copy=False)
 
-    Above one block of evaluations they come in closed form from per-element
-    counts: with ones[x, j] the rows at x whose label j is 1 and rows[x] all rows
-    at x, concept p mismatches sum_x ones[x, j] plus, over its ones x,
-    rows[x] - 2 ones[x, j], which cclass.sums adds up without evaluating a concept.
+
+def _erm_table(db: MultiLabeledDatabase, cclass: ConceptClass, tiebreak: bool = False) -> np.ndarray:
+    """(|C|, k) mismatch counts, or with tiebreak the keys count * |C| + parameter.
+
+    Within one block of evaluations they are one product, _mismatch_keys, in
+    float32 there (every key is at most |C| * (n + 1) <= 2^17). Above it they come
+    in closed form from per-element counts, in int64 (counts are at most n and
+    |C| at most 2^20): with ones[x, j] the rows at x whose label j is 1 and
+    rows[x] all rows at x, concept p mismatches sum_x ones[x, j] plus, over its
+    ones x, rows[x] - 2 ones[x, j], which cclass.sums adds up without
+    evaluating a concept.
     """
-    if len(cclass) * db.n <= EVAL_BLOCK_CELLS:  # small shapes, attack plays among them, evaluate directly
-        return _mismatch_counts(cclass.eval_matrix(db.xs), db.labels)
-    ones = np.zeros((len(cclass), db.k), dtype=np.int64)
+    size = len(cclass)
+    if size * db.n <= EVAL_BLOCK_CELLS:  # small shapes, attack plays among them, evaluate directly
+        return _mismatch_keys(cclass.eval_matrix(db.xs), db.labels, tiebreak)
+    ones = np.zeros((size, db.k), dtype=np.int64)
     np.add.at(ones, db.xs, db.labels)
     total = ones.sum(axis=0)
     ones *= -2
-    ones += np.bincount(db.xs, minlength=len(cclass))[:, None]
+    ones += np.bincount(db.xs, minlength=size)[:, None]
     counts = cclass.sums(ones)
     counts += total
+    if tiebreak:
+        counts *= size
+        counts += np.arange(size)[:, None]
     return counts
 
 
-def _mismatch_counts(evals: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Entry (h, j): rows where 0/1 evals[h] differs from label column j, as int64.
+def _product_dtype(rows: int, scale: int) -> type:
+    """The float type in which _mismatch_keys adds exactly, from its shapes alone.
 
-    |e - y| = e + (1 - 2e)y, so one product with the +-1 matrix 1 - 2e gives
-    every count once the row sums of e are added into its buffer in place. It
-    is taken in float64, which adds integers below 2^53 exactly, so the counts
-    are exact. evals is copied row-major, since a table's evaluate() is stored
-    example-major and its short rows would otherwise be strided.
+    Every term, partial sum and key of that product is an integer of size below
+    scale * (rows + 1). float32 holds every integer up to 2^24, so it adds them
+    exactly in any order while that bound is at most 2^24; above it float64
+    does (exact below 2^53).
     """
-    evals = evals.astype(np.float64, order="C")
-    counts = (1 - 2 * evals) @ labels.astype(np.float64)
-    counts += evals.sum(axis=1)[:, None]
-    return counts.astype(np.int64)
+    return np.float32 if scale * (rows + 1) <= 1 << 24 else np.float64
+
+
+def _mismatch_keys(evals: np.ndarray, labels: np.ndarray, tiebreak: bool = False) -> np.ndarray:
+    """Entry (h, j): s * (rows where 0/1 evals[h] differs from label column j) + h, as floats.
+
+    s is len(evals) with tiebreak, and otherwise 1 with no h added, so the
+    entries are the mismatch counts. |e - y| = e + (1 - 2e)y, so the entries are
+    one product of the +-1 matrix s(1 - 2e) with the labels, plus
+    s * rowsum(e) + h added into its buffer in place. The product is taken in
+    the type _product_dtype picks from the shapes, in which every entry is an
+    exact integer. evals is copied row-major, since a table's evaluate() is
+    stored example-major and its short rows would otherwise be strided.
+    """
+    scale = len(evals) if tiebreak else 1
+    dtype = _product_dtype(len(labels), scale)
+    signs = evals.astype(dtype, order="C")
+    offsets = signs.sum(axis=1)
+    if tiebreak:
+        offsets *= scale
+        offsets += np.arange(scale, dtype=dtype)
+    signs *= -2 * scale
+    signs += scale
+    keys = signs @ labels.astype(dtype)
+    keys += offsets[:, None]
+    return keys
 
 
 def _check_gf2_bits(bits: int) -> None:
@@ -560,7 +589,7 @@ def generic_multi_learner(
 
     support = synth.distinct_elements()
     witnesses = dichotomy_projection(cclass, support)
-    mismatches = _mismatch_counts(witnesses.evaluate(db.xs), db.labels)
+    mismatches = _mismatch_keys(witnesses.evaluate(db.xs), db.labels)
 
     chosen = exponential_mechanism(-mismatches.T.astype(np.float64, order="C"), epsilon_prime, 1.0, rng)
 

@@ -8,12 +8,13 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dpmulti import fingerprint, harness
-from dpmulti.cli import main
+from dpmulti import cli, fingerprint, harness
+from dpmulti.cli import MECH_CELLS, main
 from dpmulti.domain import (
     THRESH,
     ConceptClass,
@@ -23,7 +24,7 @@ from dpmulti.domain import (
     save_database,
     vc_sample_size,
 )
-from dpmulti.harness import LEARNERS, format_float, read_learn, sample_and_learn
+from dpmulti.harness import LEARNERS, ConfigError, format_float, read_learn, sample_and_learn
 from dpmulti.mechanisms import PrivacyLedger, PrivacyParams, compose_basic, exponential_mechanism
 from dpmulti.rng import stream
 
@@ -666,6 +667,28 @@ class TestExitCodes:
         assert main(["mech", "compose", "--epsilon", "1", "--count", "-2"]) == 1
         assert "mech.compose: --count must be >= 1, got -2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,most", [(["laplace", "--scale", "1"], MECH_CELLS),
+                                           (["exponential", "--scores", "a:10,b:0", "--epsilon", "2"], MECH_CELLS // 2)],
+                             ids=["laplace", "exponential"])
+    def test_draws_no_array_could_hold_are_refused_before_any_draw(self, capsys, monkeypatch, argv, most):
+        monkeypatch.setattr(cli, "stream", lambda *args: pytest.fail("randomness was drawn"))
+        assert main(["mech", *argv, "--draws", "100000000000000", "--seed", "7"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: mech.{argv[0]}: --draws must be <= {most} (at most {MECH_CELLS} noise cells), "
+                       "got 100000000000000\n")
+
+    @pytest.mark.parametrize("width", [1, 2, 3, MECH_CELLS, MECH_CELLS + 1])
+    def test_draws_budget_boundary(self, width):
+        # The check alone, so no array is drawn on either side: draws x width cells within MECH_CELLS pass.
+        most = MECH_CELLS // width
+        assert most * width <= MECH_CELLS < (most + 1) * width
+        args = SimpleNamespace(mechanism="exponential", draws=most)
+        cli._check_draws(args, width)
+        args.draws = most + 1
+        with pytest.raises(ConfigError, match=f"--draws must be <= {most} "):
+            cli._check_draws(args, width)
+
     def test_advanced_compose_needs_delta_prime(self, capsys):
         assert main(["mech", "compose", "--epsilon", "1", "--count", "2", "--mode", "advanced"]) == 1
         assert capsys.readouterr().err == "error: mech.compose: --delta-prime required in advanced mode\n"
@@ -897,6 +920,17 @@ class TestExitCodes:
             learn(*args, **kwargs), ledger=PrivacyLedger([PrivacyParams(1.0, 0.01)])))
         assert main(["learn", "points", "--k", "2", "--n", "400", "--universe", "8", "--seed", "1"]) == 2
         assert capsys.readouterr().err.startswith("runtime failure: ledger charges ")
+
+    @pytest.mark.parametrize("exc,line", [(MemoryError(), "MemoryError"), (RuntimeError("out of disk"), "out of disk")],
+                             ids=["no-text", "text"])
+    def test_runtime_failure_line_is_never_empty(self, capsys, monkeypatch, exc, line):
+        # MemoryError() from list growth has no text; the line then names the exception's type.
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_attack", fail)
+        assert main(["attack", "boneh-shaw", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"runtime failure: {line}\n"
 
     def test_learn_command_reads_its_distribution_once(self, capsys, monkeypatch):
         reads = []

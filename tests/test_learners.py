@@ -127,6 +127,51 @@ class TestErmMulti:
             assert got.params.tolist() == np.argmin(erm_mismatch_counts(db, cclass), axis=0).tolist()
 
 
+    @pytest.mark.parametrize("kind", [POINT, THRESH, PARITY])
+    @pytest.mark.parametrize("bits,n,k", [(16, 1, 5), (1, EVAL_BLOCK_CELLS // 2, 64), (16, 2, 3), (1, EVAL_BLOCK_CELLS // 2 + 1, 64)],
+                             ids=["65536-concepts-one-row", "2-concepts-32768-rows", "past-the-block-wide",
+                                  "past-the-block-tall"])
+    def test_exact_at_the_ends_of_the_evaluated_path(self, kind, bits, n, k):
+        # |C| * n = EVAL_BLOCK_CELLS at both extremes, where the keys are largest (up to 2^17) and
+        # are taken in float32; one row or one more row takes the closed-form path.
+        u = Universe.indexed(1 << bits) if kind != PARITY else Universe.bitvectors(bits)
+        cclass = ConceptClass(kind, u)
+        rng = stream(30, 6, bits, n)
+        db = MultiLabeledDatabase.from_labels(u, rng.integers(0, u.size, size=n), rng.integers(0, 2, size=(n, k)).astype(np.uint8))
+        evaluated = len(cclass) * n <= EVAL_BLOCK_CELLS
+        assert evaluated == (len(cclass) * n == EVAL_BLOCK_CELLS)
+        if evaluated:
+            assert learners._product_dtype(n, len(cclass)) == np.float32
+        counts = erm_mismatch_counts(db, cclass)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.count_nonzero(cclass.eval_matrix(db.xs)[:, :, None] != db.labels[None], axis=1))
+        assert erm_multi(db, cclass).hypotheses.params.tolist() == np.argmin(counts, axis=0).tolist()
+
+    def test_keys_are_exact_up_to_the_float32_bound(self):
+        # 4096 hypotheses on 4095 rows: keys reach 4096 * 4095 + 4095 = 2^24 - 1, the largest float32 admits.
+        rows, size = 4095, 4096
+        assert learners._product_dtype(rows, size) == np.float32
+        rng = stream(30, 7)
+        evals = rng.integers(0, 2, size=(size, rows)).astype(np.uint8)
+        evals[-1] = 1
+        labels = rng.integers(0, 2, size=(rows, 4)).astype(np.uint8)
+        labels[:, 0] = 0
+        keys = learners._mismatch_keys(evals, labels, tiebreak=True)
+        assert keys.dtype == np.float32 and keys[-1, 0] == (1 << 24) - 1
+        e, y = evals.astype(np.int64), labels.astype(np.int64)
+        reference = size * (e @ (1 - y) + (1 - e) @ y) + np.arange(size)[:, None]
+        assert np.array_equal(keys.astype(np.int64), reference)
+
+    def test_product_falls_back_to_float64_where_keys_could_reach_2_24(self):
+        # Chosen from the shapes alone, so no database of 2^24 rows is built.
+        assert learners._product_dtype(2**24 - 1, 1) == np.float32
+        assert learners._product_dtype(2**24, 1) == np.float64  # the generic learner's counts on 2^24 rows
+        assert learners._product_dtype(2**16 - 1, 2**8) == np.float32
+        assert learners._product_dtype(2**16, 2**8) == np.float64
+        for bits in range(17):  # every evaluated ERM shape, |C| * n <= EVAL_BLOCK_CELLS, is in float32
+            assert learners._product_dtype(EVAL_BLOCK_CELLS >> bits, 1 << bits) == np.float32
+
+
 class TestLearnResult:
     def test_erm_multi_releases_the_argmin_table(self):
         u = Universe.indexed(8)
