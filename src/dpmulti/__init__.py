@@ -70,7 +70,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     TrialReport,
-    emit,
     parse_config,
     run_experiment,
 )

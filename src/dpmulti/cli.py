@@ -4,8 +4,9 @@ Subcommands: learn, sanitize, attack, mech, experiment. All randomness comes
 from --seed; runs are reproducible byte for byte. The harness owns experiment
 I/O: each learn, sanitize and attack flag but --seed reaches it as a string
 under its config key (SECTION_KEYS; attack's --n is n_users, --trials is
-experiment.trials), so a bad value is named `<section>.<key>`, and harness.emit
-writes every report. Only `mech` reads its own flags.
+experiment.trials), so a bad value is named `<section>.<key>`. Only `mech`
+reads its own flags. Each subcommand's handler (set_defaults run=) returns its
+report, and main writes it once, through _emit, to stdout or --out.
 Exit codes: 0 success, 1 invalid configuration or arguments (an unwritable
 --out included), 2 runtime failure.
 """
@@ -25,12 +26,13 @@ from .harness import (
     ConfigError,
     TrialReport,
     config_from_sections,
-    emit,
     load_config,
     read_learn,
     run_experiment,
     sample_and_learn,
     sanitize_privacy,
+    to_csv,
+    to_json,
 )
 from .mechanisms import (
     PrivacyParams,
@@ -43,10 +45,12 @@ from .rng import stream
 from .sanitize import EnumerationBudgetError, sanitize_points
 
 
-def _add_common(parser):
+def _add_common(parser, run):
+    """--seed, --format and --out, and run, the handler that returns the subcommand's report."""
     parser.add_argument("--seed", type=int, required=True, help="master seed (no ambient randomness)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.set_defaults(run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key in SECTION_KEYS["learn"]:
         if key != "algorithm":
             learn.add_argument("--" + key.replace("_", "-"), dest=key)
-    _add_common(learn)
+    _add_common(learn, _cmd_learn)
 
     san = sub.add_parser("sanitize", help="differentially private query release",
                          description="--epsilon and --delta are the [sanitize] config keys of their names.")
@@ -67,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key in ("epsilon", "delta"):
         san.add_argument("--" + key)
     san.add_argument("--input", required=True, help="database file (header + `x y1 .. yk` rows)")
-    _add_common(san)
+    _add_common(san, _cmd_sanitize)
 
     attack = sub.add_parser("attack", help="fingerprinting-code tracing attack experiments",
                             description="--trials is the [experiment] key, --n the [attack] key n_users, and every "
@@ -77,20 +81,20 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--xi", help="code security level")
     for key in ("trials", "learner", "variant", "alpha", "length"):
         attack.add_argument("--" + key)
-    _add_common(attack)
+    _add_common(attack, _cmd_attack)
 
     mech = sub.add_parser("mech", help="mechanism demos")
     mech_sub = mech.add_subparsers(dest="mechanism", required=True)
     lap = mech_sub.add_parser("laplace")
     lap.add_argument("--scale", type=float, required=True)
     lap.add_argument("--draws", type=int, default=10)
-    _add_common(lap)
+    _add_common(lap, _cmd_laplace)
     em = mech_sub.add_parser("exponential")
     em.add_argument("--scores", required=True, help="comma list id:score, e.g. a:10,b:0")
     em.add_argument("--epsilon", type=float, required=True)
     em.add_argument("--sensitivity", type=float, default=1.0)
     em.add_argument("--draws", type=int, default=10)
-    _add_common(em)
+    _add_common(em, _cmd_exponential)
     comp = mech_sub.add_parser("compose")
     comp.add_argument("--epsilon", type=float, required=True)
     comp.add_argument("--delta", type=float, default=0.0)
@@ -99,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--delta-prime", type=float, default=None)
     comp.add_argument("--format", choices=("csv", "json"), default="csv")
     comp.add_argument("--out", default=None)
+    comp.set_defaults(run=_cmd_compose)
 
     exp = sub.add_parser("experiment", help="run a declarative experiment config")
     exp_sub = exp.add_subparsers(dest="action", required=True)
@@ -106,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True)
     run.add_argument("--format", choices=("csv", "json"), default=None, help="override config format")
     run.add_argument("--out", default=None)
+    run.set_defaults(run=_cmd_experiment)
     return parser
 
 
@@ -115,17 +121,19 @@ def _section(args, section: str) -> dict:
 
 
 def _emit(report: TrialReport, fmt: str, out: str | None) -> None:
-    """Write the report to stdout, or to --out; an --out that cannot be written is invalid input."""
+    """Write the report as fmt, csv or json, to stdout or to --out; an --out that cannot be written is invalid input."""
+    text = to_json(report) if fmt == "json" else to_csv(report)
     if out is None:
-        emit(report, fmt, sys.stdout)
+        sys.stdout.write(text)
         return
     try:
-        emit(report, fmt, out)
+        with open(out, "w") as fh:
+            fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"--out: {exc}") from None
+        raise ConfigError(f"--out: cannot write report to {out}: {exc.strerror or exc}") from None
 
 
-def _cmd_learn(args) -> int:
+def _cmd_learn(args) -> TrialReport:
     # The CLI's delta default is 0.01; a [learn] section's is 0.0.
     setting = read_learn({"delta": "0.01", **_section(args, "learn")})
     targets, result = sample_and_learn(setting, args.seed, 0, 0)
@@ -142,11 +150,10 @@ def _cmd_learn(args) -> int:
             "below_sample_bound": result.below_sample_bound}
     if setting.plan:  # erm's empty plan reports no privacy total
         meta["epsilon_total"], meta["delta_total"] = setting.total
-    _emit(TrialReport("learn", columns, rows, meta=meta), args.format, args.out)
-    return 0
+    return TrialReport("learn", columns, rows, meta=meta)
 
 
-def _cmd_sanitize(args) -> int:
+def _cmd_sanitize(args) -> TrialReport:
     epsilon, delta = sanitize_privacy(_section(args, "sanitize"))
     try:
         db = load_database(args.input)
@@ -155,15 +162,13 @@ def _cmd_sanitize(args) -> int:
     answers = sanitize_points(db, epsilon, delta, stream(args.seed, 0, 0))
     rows = [[x, a] for x, a in zip(answers.support.tolist(), answers.answers.tolist())]
     meta = {"seed": args.seed, "n": db.n, "universe": db.universe.size}
-    _emit(TrialReport("sanitize", ["x", "a_x"], rows, meta=meta), args.format, args.out)
-    return 0
+    return TrialReport("sanitize", ["x", "a_x"], rows, meta=meta)
 
 
-def _cmd_attack(args) -> int:
+def _cmd_attack(args) -> TrialReport:
     experiment = {"kind": "attack", **_section(args, "experiment")}
     config = config_from_sections(experiment, {"attack": _section(args, "attack")})
-    _emit(run_experiment(config), args.format, args.out)
-    return 0
+    return run_experiment(config)
 
 
 def _check_count(args, flag: str, low: int) -> None:
@@ -203,43 +208,43 @@ def _parse_scores(text: str) -> tuple[list[str], list[float]]:
     return names, scores
 
 
-def _cmd_mech(args) -> int:
-    if args.mechanism == "laplace":
-        _check_draws(args, 1)
-        rng = stream(args.seed, 0, 0)
-        draws = laplace_sample(args.scale, rng, size=args.draws)
-        report = TrialReport("mech", ["draw", "value"], [[i, float(v)] for i, v in enumerate(draws)],
-                             meta={"scale": args.scale, "seed": args.seed})
-    elif args.mechanism == "exponential":
-        names, scores = _parse_scores(args.scores)
-        _check_draws(args, len(scores))
-        rng = stream(args.seed, 0, 0)
-        picks = exponential_mechanism(np.broadcast_to(scores, (args.draws, len(scores))), args.epsilon,
-                                      args.sensitivity, rng)
-        report = TrialReport("mech", ["draw", "choice"], [[i, names[p]] for i, p in enumerate(picks.tolist())],
-                             meta={"epsilon": args.epsilon, "seed": args.seed})
+def _cmd_laplace(args) -> TrialReport:
+    _check_draws(args, 1)
+    draws = laplace_sample(args.scale, stream(args.seed, 0, 0), size=args.draws)
+    return TrialReport("mech", ["draw", "value"], [[i, float(v)] for i, v in enumerate(draws)],
+                       meta={"scale": args.scale, "seed": args.seed})
+
+
+def _cmd_exponential(args) -> TrialReport:
+    names, scores = _parse_scores(args.scores)
+    _check_draws(args, len(scores))
+    picks = exponential_mechanism(np.broadcast_to(scores, (args.draws, len(scores))), args.epsilon,
+                                  args.sensitivity, stream(args.seed, 0, 0))
+    return TrialReport("mech", ["draw", "choice"], [[i, names[p]] for i, p in enumerate(picks.tolist())],
+                       meta={"epsilon": args.epsilon, "seed": args.seed})
+
+
+def _cmd_compose(args) -> TrialReport:
+    _check_count(args, "--count", 1)
+    charge = PrivacyParams(args.epsilon, args.delta)
+    if args.mode == "basic":
+        total = compose_basic_copies(charge, args.count)
     else:
-        _check_count(args, "--count", 1)
-        charge = PrivacyParams(args.epsilon, args.delta)
-        if args.mode == "basic":
-            total = compose_basic_copies(charge, args.count)
-        else:
-            if args.delta_prime is None:
-                raise ConfigError("mech.compose: --delta-prime required in advanced mode")
-            total = compose_advanced(charge, args.count, args.delta_prime)
-        report = TrialReport("mech", ["epsilon_total", "delta_total"],
-                             [[total.epsilon, total.delta]], meta={"mode": args.mode})
-    _emit(report, args.format, args.out)
-    return 0
+        if args.delta_prime is None:
+            raise ConfigError("mech.compose: --delta-prime required in advanced mode")
+        total = compose_advanced(charge, args.count, args.delta_prime)
+    return TrialReport("mech", ["epsilon_total", "delta_total"], [[total.epsilon, total.delta]],
+                       meta={"mode": args.mode})
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> TrialReport:
+    """The config's report; --format, when not given, becomes the config's format."""
     try:
         config = load_config(args.config)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
-    _emit(run_experiment(config), args.format or config.format, args.out)
-    return 0
+    args.format = args.format or config.format
+    return run_experiment(config)
 
 
 def main(argv=None) -> int:
@@ -251,15 +256,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # mech compose takes no seed
             raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
-        if args.command == "learn":
-            return _cmd_learn(args)
-        if args.command == "sanitize":
-            return _cmd_sanitize(args)
-        if args.command == "attack":
-            return _cmd_attack(args)
-        if args.command == "mech":
-            return _cmd_mech(args)
-        return _cmd_experiment(args)
+        _emit(args.run(args), args.format, args.out)
+        return 0
     except (ConfigError, ValueError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

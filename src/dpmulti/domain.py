@@ -136,6 +136,8 @@ def _check_class(kind: str, universe: Universe) -> None:
 class Concept:
     """One hypothesis: point (x == param), thresh (x <= param), parity (popcount(param & x) mod 2) or zero.
 
+    A plain record: Hypotheses.__iter__ yields parameters its table has checked,
+    and evaluate_many checks the record it is given.
     Kept only for bench/tracer.py, which patches __post_init__; ROADMAP item 5 removes it with the bench change.
     """
 
@@ -144,14 +146,7 @@ class Concept:
     param: int | None = None
 
     def __post_init__(self):
-        if self.kind == ZERO:
-            if self.param is not None:
-                raise ValueError("zero concept takes no parameter")
-            return
-        _check_class(self.kind, self.universe)
-        if self.param is None:
-            raise ValueError(f"{self.kind} concept requires a parameter")
-        _checked_elements(self.universe, [self.param])
+        """Checks nothing; bench/tracer.py patches it to count builds."""
 
 
 def _evaluate_params(kind: str, params: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -228,10 +223,12 @@ def _xor_table(planes: np.ndarray) -> np.ndarray:
 
 # Kept only for bench/tracer.py, which wraps it by name; ROADMAP item 5 removes it with the bench change.
 def evaluate_many(concept: Concept, xs: np.ndarray) -> np.ndarray:
-    """One Concept's uint8 bits on an int array of elements."""
-    xs = _checked_elements(concept.universe, xs)
+    """One Concept's uint8 bits on an int array of elements, through a one-entry table that checks it; zero is
+    the point class's -1, and a zero record that carries a parameter is refused."""
+    if concept.kind == ZERO and concept.param is not None:
+        raise ValueError("zero concept takes no parameter")
     kind, param = (POINT, -1) if concept.kind == ZERO else (concept.kind, concept.param)
-    return _evaluate_params(kind, np.int64(param), xs)
+    return Hypotheses(concept.universe, kind, [param]).evaluate(xs)[0]
 
 
 @dataclass(frozen=True, eq=False)

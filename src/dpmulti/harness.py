@@ -57,7 +57,7 @@ from .learners import (
 )
 from .mechanisms import PrivacyParams, check_delta, check_epsilon, check_fraction, compose_basic
 from .rng import stream
-from .sanitize import EnumerationBudgetError, sanitize_points
+from .sanitize import TABLE_BUDGET, EnumerationBudgetError, sanitize_points
 
 
 class ConfigError(ValueError):
@@ -165,29 +165,8 @@ class TrialReport:
     meta: dict = field(default_factory=dict)
 
 
-def emit(report: TrialReport, fmt: str, destination) -> None:
-    """Write a report as CSV (single table) or JSON (full structure).
-
-    CSV carries the per-trial table when present, otherwise the aggregates.
-    Floats are printed at 9 significant digits in both formats.
-    """
-    if fmt == "csv":
-        text = to_csv(report)
-    elif fmt == "json":
-        text = to_json(report)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    try:
-        with open(destination, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {destination}: {exc.strerror or exc}") from exc
-
-
 def to_csv(report: TrialReport) -> str:
+    """A report as one CSV table: the per-trial table when present, otherwise the aggregates."""
     if report.per_trial_rows is not None:
         columns, rows = report.per_trial_columns, report.per_trial_rows
     else:
@@ -213,6 +192,17 @@ def to_json(report: TrialReport) -> str:
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
+
+# The largest counts a section admits, each refused by name before any plan or array is built, so that
+# every run fits in 4 GB (README lists the peaks measured at each bound):
+#   learn.k <= MAX_LABELS; the point labeller's table then has at most 2^16 x 2^10 uint64 cells (512 MiB).
+#   attack.length <= MAX_CODE_LENGTH, which every default code length (at most 726,705) is under; an
+#     attack's universe has at most 8 elements, so its tables are short.
+#   learn.n * ceil(k/64) and sanitize.n (one word a row) <= SAMPLE_CELLS, a sample's packed label words.
+#   For erm, |C| * learn.k <= TABLE_BUDGET, the cells of its (|C|, k) count table.
+MAX_LABELS = 1 << 16
+MAX_CODE_LENGTH = 1 << 20
+SAMPLE_CELLS = 1 << 22
 
 # The keys each section reads; a section refuses any other. A kind's section may also set the report `format`.
 SECTION_KEYS = {
@@ -300,8 +290,9 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def _need(params: Mapping, section: str, key: str, cast: Callable, default=None, low: int | None = None):
-    """A section's key through cast; required unless it has a default, and at least low if given."""
+def _need(params: Mapping, section: str, key: str, cast: Callable, default=None, low: int | None = None,
+          high: int | None = None):
+    """A section's key through cast; required unless it has a default, at least low and at most high if given."""
     if key not in params:
         if default is not None:
             return default
@@ -312,6 +303,8 @@ def _need(params: Mapping, section: str, key: str, cast: Callable, default=None,
         raise ConfigError(f"{section}.{key}: cannot parse {params[key]!r}") from None
     if low is not None and value < low:
         raise ConfigError(f"{section}.{key}: must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{section}.{key}: must be <= {high}, got {value}")
     return value
 
 
@@ -428,13 +421,19 @@ def _plan_total(plan: list[PrivacyParams], section: str, key: str) -> tuple[floa
 
 def read_learn(params: Mapping) -> LearnSetting:
     """Read a learn section once, in the order its errors are reported; its plan is composed by _plan_total."""
-    n = _need(params, "learn", "n", int, low=1)
+    n = _need(params, "learn", "n", int, low=1, high=SAMPLE_CELLS)
     algorithm = params.get("algorithm", "")
     if algorithm not in LEARNERS:
         raise ConfigError(f"learn.algorithm: expected one of {tuple(LEARNERS)}, got {algorithm!r}")
     entry = LEARNERS[algorithm]
-    k = _need(params, "learn", "k", int, low=1)
+    k = _need(params, "learn", "k", int, low=1, high=MAX_LABELS)
+    most = SAMPLE_CELLS // -(-k // 64)
+    if n > most:
+        raise ConfigError(f"learn.n: must be <= {most} at k = {k} (n * ceil(k/64) <= {SAMPLE_CELLS}), got {n}")
     universe_key, cclass = _learn_universe(params, entry.kinds)
+    if algorithm == "erm" and len(cclass) * k > TABLE_BUDGET:
+        raise ConfigError(f"learn.k: must be <= {TABLE_BUDGET // len(cclass)} for erm over {len(cclass)} concepts "
+                          f"(|C| * k <= {TABLE_BUDGET}), got {k}")
     p = _learn_params(params, "learn", entry, cclass.kind, 0.0, None)
     learner = entry.build(p)
     plan = entry.charges(p, k)
@@ -485,7 +484,7 @@ class SanitizeSetting(NamedTuple):
 
 def read_sanitize(params: Mapping) -> SanitizeSetting:
     """Read a sanitize section once, checked in the order its errors are reported."""
-    n = _need(params, "sanitize", "n", int, low=1)
+    n = _need(params, "sanitize", "n", int, low=1, high=SAMPLE_CELLS)
     size = _need(params, "sanitize", "universe", int)
     alpha = _checked(params, "sanitize", "alpha", check_fraction)
     epsilon, delta = sanitize_privacy(params)
@@ -544,7 +543,7 @@ def _run_attack(config: ExperimentConfig) -> TrialReport:
     if not 2 <= n_users <= fingerprint.MAX_USERS:
         raise ConfigError(f"attack.n_users: must be in [2, {fingerprint.MAX_USERS}], got {n_users}")
     xi = _checked(params, "attack", "xi", check_fraction)
-    length = _need(params, "attack", "length", int, low=1) if "length" in params else None
+    length = _need(params, "attack", "length", int, low=1, high=MAX_CODE_LENGTH) if "length" in params else None
     if length is not None and length % (n_users - 1):
         raise ConfigError(f"attack.length: must be a multiple of n_users - 1 = {n_users - 1}, got {length}")
     name = params.get("learner", "erm").strip()

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -390,6 +391,74 @@ def test_threads_flag_rejected(capsys, db_file, tmp_path, argv):
     argv = [{"DB": db_file, "CONFIG": str(cfg)}.get(arg, arg) for arg in argv]
     assert main(argv) == 0
     assert main(argv + ["--threads", "2"]) == 1
+
+
+# Every command that writes a report; DB and CONFIG are filled in per test.
+REPORT_COMMANDS = {
+    "learn": ["learn", "points", "--k", "3", "--n", "200", "--universe", "8", "--seed", "1"],
+    "sanitize-points": ["sanitize", "points", "--epsilon", "1", "--delta", "0.01", "--input", "DB", "--seed", "1"],
+    "attack": ["attack", "boneh-shaw", "--n", "4", "--xi", "0.1", "--trials", "2", "--length", "30", "--seed", "1"],
+    "mech-laplace": ["mech", "laplace", "--scale", "1.0", "--seed", "1"],
+    "mech-exponential": ["mech", "exponential", "--scores", "a:1,b:0", "--epsilon", "1", "--seed", "1"],
+    "mech-compose": ["mech", "compose", "--epsilon", "0.1", "--delta", "0.001", "--count", "3"],
+    "experiment-run": ["experiment", "run", "--config", "CONFIG"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", None], ids=["csv", "json", "default"])
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+def test_stdout_and_out_write_the_same_bytes(capsys, db_file, tmp_path, command, fmt):
+    # The default is csv, or an experiment config's own format (json here).
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG + "format = json\n")
+    argv = [{"DB": db_file, "CONFIG": str(cfg)}.get(arg, arg) for arg in REPORT_COMMANDS[command]]
+    argv += ["--format", fmt] if fmt else []
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("{") == (fmt == "json" or (fmt is None and command == "experiment-run"))
+    target = tmp_path / "report"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode()
+    # A refused --out prints nothing to stdout.
+    missing = tmp_path / "missing" / "report"
+    assert main(argv + ["--out", str(missing)]) == 1
+    assert capsys.readouterr() == ("", f"error: --out: cannot write report to {missing}: No such file or directory\n")
+
+
+BIG = "1000000000000000000000000000000"  # 10^30
+
+
+@pytest.mark.parametrize("argv,line", [
+    (f"learn generic --class thresh --universe 8 --k {BIG} --n 400 --epsilon-prime 1 --delta 0 --synth-size 2",
+     f"learn.k: must be <= 65536, got {BIG}"),
+    (f"learn direct-sum --k {BIG} --n 400 --universe 8", f"learn.k: must be <= 65536, got {BIG}"),
+    (f"learn points --k {BIG} --n 400 --universe 8", f"learn.k: must be <= 65536, got {BIG}"),
+    (f"learn erm --k {BIG} --n 400 --universe 8", f"learn.k: must be <= 65536, got {BIG}"),
+    ("learn points --k 100000000 --n 400 --universe 8", "learn.k: must be <= 65536, got 100000000"),
+    ("learn erm --k 2 --n 1000000000 --universe 8", "learn.n: must be <= 4194304, got 1000000000"),
+    ("learn erm --k 65536 --n 4097 --universe 8",
+     "learn.n: must be <= 4096 at k = 65536 (n * ceil(k/64) <= 4194304), got 4097"),
+    ("learn erm --k 65536 --n 1 --universe 4096", "learn.k: must be <= 32768 for erm over 4096 concepts "
+                                                  "(|C| * k <= 134217728), got 65536"),
+    ("experiment run --config SANITIZE", "sanitize.n: must be <= 4194304, got 1000000000"),
+    (f"attack boneh-shaw --n 6 --xi 0.05 --trials 1 --learner erm --length {BIG}",
+     f"attack.length: must be <= 1048576, got {BIG}"),
+], ids=["generic-k", "direct-sum-k", "points-k", "erm-k", "points-k-1e8", "erm-n", "erm-sample-words",
+        "erm-count-table", "sanitize-n", "attack-length"])
+def test_counts_no_run_could_hold_are_refused_by_name(capsys, tmp_path, argv, line):
+    cfg = tmp_path / "sanitize.ini"
+    cfg.write_text("[experiment]\nkind = sanitize\ntrials = 1\nseed = 1\n\n"
+                   "[sanitize]\nn = 1000000000\nuniverse = 8\nalpha = 0.2\nepsilon = 1\ndelta = 0.01\n")
+    argv = [str(cfg) if arg == "SANITIZE" else arg for arg in argv.split()]
+    tracemalloc.start()
+    try:
+        code = main(argv + ([] if argv[0] == "experiment" else ["--seed", "1"]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, *capsys.readouterr()) == (1, "", f"error: {line}\n")
+    assert peak < 1 << 20  # refused before any plan list or array is built
 
 
 class TestExitCodes:

@@ -25,6 +25,7 @@ from dpmulti.domain import (
     Universe,
     UniverseMismatchError,
     dichotomy_projection,
+    evaluate_many,
     generalization_error,
     generalization_errors,
     load_database,
@@ -905,10 +906,16 @@ class TestValidation:
             ConceptClass(PARITY, U5)
 
     def test_concept_param_range(self):
-        with pytest.raises(ValueError):
-            Concept(POINT, U3, 3)
-        with pytest.raises(ValueError):
-            Concept("zero", U3, 1)
+        # A Concept is a plain record; it is refused where it is evaluated.
+        xs = U3.elements()
+        with pytest.raises(ValueError, match=r"^point parameters must be in \[-1, 3\), got \[3, 3\]$"):
+            evaluate_many(Concept(POINT, U3, 3), xs)
+        with pytest.raises(ValueError, match="^zero concept takes no parameter$"):
+            evaluate_many(Concept(ZERO, U3, 1), xs)
+        with pytest.raises(ValueError, match="^unknown concept class 'line'$"):
+            evaluate_many(Concept("line", U3, 1), xs)
+        # A point record with parameter -1 is the zero hypothesis, as it is in a table.
+        assert np.array_equal(evaluate_many(Concept(POINT, U3, -1), xs), evaluate_many(Concept(ZERO, U3), xs))
 
     def test_pmf_normalization(self):
         with pytest.raises(ValueError):
@@ -937,7 +944,7 @@ class TestElementCheck:
         (lambda: MultiLabeledDatabase.unlabeled(U8, np.array([0.5, 1.0])), FLOAT),
         (lambda: Distribution.point_mass(U8, 8), OUTSIDE + r"\[8, 8\]$"),
         (lambda: Distribution.point_mass(U8, -1), OUTSIDE + r"\[-1, -1\]$"),
-        (lambda: Concept(POINT, U8, 8), OUTSIDE + r"\[8, 8\]$"),
+        (lambda: evaluate_many(Concept(POINT, U8, 8), [0]), r"^point parameters must be in \[-1, 8\), got \[8, 8\]$"),
         (lambda: Hypotheses(U8, POINT, np.array([1.0])), r"^hypothesis parameters must be integers, got dtype float64$"),
         (lambda: Hypotheses(U8, POINT, SQUARE), r"^hypothesis parameters must be a 1-D array, got shape \(2, 2\)$"),
     ], ids=["projection-range", "eval-matrix-range", "evaluate-float", "label-words-float", "evaluate-2d",

@@ -10,17 +10,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpmulti import harness
+from dpmulti import fingerprint, harness
 from dpmulti.domain import POINT, THRESH, ConceptClass, Universe, vc_sample_size
 from dpmulti.harness import (
     LEARNERS,
+    MAX_CODE_LENGTH,
+    MAX_LABELS,
+    SAMPLE_CELLS,
     ConfigError,
     TrialReport,
-    emit,
     format_float,
     parse_config,
     parse_distribution,
     read_learn,
+    read_sanitize,
     run_experiment,
     sample_and_learn,
     to_csv,
@@ -28,7 +31,7 @@ from dpmulti.harness import (
 )
 from dpmulti.learners import generic_rows_bound, parity_block_plan, point_rows_bound
 from dpmulti.mechanisms import PrivacyLedger, PrivacyParams
-from dpmulti.sanitize import EnumerationBudgetError
+from dpmulti.sanitize import TABLE_BUDGET, EnumerationBudgetError
 
 PARITY_SWEEP = """
 [experiment]
@@ -542,14 +545,6 @@ class TestEmit:
         report = TrialReport("learn", ["v"], [[1 / 3]])
         assert "0.333333333" in to_csv(report)
 
-    def test_emit_to_path_and_stream(self, tmp_path):
-        report = TrialReport("learn", ["a"], [[1]])
-        target = tmp_path / "r.csv"
-        emit(report, "csv", target)
-        assert target.read_text() == "a\n1\n"
-        with pytest.raises(OSError, match="nonexistent"):
-            emit(report, "csv", tmp_path / "nonexistent" / "r.csv")
-
     def test_golden_attack_csv(self):
         # Schema + value stability for a pinned fixture config.
         report = run_experiment(parse_config(ATTACK_CFG))
@@ -578,3 +573,73 @@ class TestParseDistribution:
         path.write_text("1\n3\n")
         d = parse_distribution(str(path), Universe.indexed(2))
         assert np.allclose(d.pmf, [0.25, 0.75])
+
+
+class TestCountBounds:
+    """Count keys that size an allocation, each admitted at its bound and refused one above it, before any
+    plan list or array is built; only the sections are read, no trial runs."""
+
+    # Each learner's section at n = 1; direct-sum's k * delta stays below 1 at k = MAX_LABELS.
+    LEARN = {"points": {"universe": "8", "delta": "1e-6"}, "parities": {"d": "4", "delta": "1e-6"},
+             "direct-sum": {"universe": "8", "delta": "1e-6"}, "erm": {"class": "thresh", "universe": "8"},
+             "generic": {"class": "thresh", "universe": "8", "epsilon_prime": "1", "synth_size": "2"}}
+
+    @pytest.mark.parametrize("algorithm", sorted(LEARN))
+    def test_learn_k(self, algorithm):
+        params = {"algorithm": algorithm, "n": "1", **self.LEARN[algorithm]}
+        setting = read_learn({**params, "k": str(MAX_LABELS)})
+        assert setting.k == MAX_LABELS and setting.plan == LEARNERS[algorithm].charges(setting.params, MAX_LABELS)
+        for k in (MAX_LABELS + 1, 10**30):
+            with pytest.raises(ConfigError, match=rf"^learn\.k: must be <= {MAX_LABELS}, got {k}$"):
+                read_learn({**params, "k": str(k)})
+
+    @pytest.mark.parametrize("k", [1, 64, 65, 4096, MAX_LABELS])
+    def test_learn_n_bounds_the_sample_words(self, k):
+        most = SAMPLE_CELLS // -(-k // 64)  # n * ceil(k/64) packed label words
+        params = {"algorithm": "erm", "k": str(k), "universe": "8"}
+        assert read_learn({**params, "n": str(most)}).n == most
+        above = (rf"^learn\.n: must be <= {SAMPLE_CELLS}, got {most + 1}$" if k <= 64 else
+                 rf"^learn\.n: must be <= {most} at k = {k} \(n \* ceil\(k/64\) <= {SAMPLE_CELLS}\), got {most + 1}$")
+        with pytest.raises(ConfigError, match=above):
+            read_learn({**params, "n": str(most + 1)})
+
+    @pytest.mark.parametrize("kind,key,value,concepts", [
+        ("point", "universe", 2048, 2048), ("point", "universe", 2049, 2049), ("thresh", "universe", 4096, 4096),
+        ("parity", "d", 16, 1 << 16)])
+    def test_erm_count_table(self, kind, key, value, concepts):
+        # erm's (|C|, k) count table: |C| * k <= TABLE_BUDGET.
+        params = {"algorithm": "erm", "class": kind, key: str(value), "n": "1"}
+        most = min(TABLE_BUDGET // concepts, MAX_LABELS)
+        assert read_learn({**params, "k": str(most)}).k == most
+        if most < MAX_LABELS:
+            with pytest.raises(ConfigError, match=rf"^learn\.k: must be <= {most} for erm over {concepts} concepts "
+                                                  rf"\(\|C\| \* k <= {TABLE_BUDGET}\), got {most + 1}$"):
+                read_learn({**params, "k": str(most + 1)})
+
+    def test_sanitize_n(self):
+        params = {"universe": "8", "alpha": "0.2", "epsilon": "1", "delta": "0.01"}
+        assert read_sanitize({**params, "n": str(SAMPLE_CELLS)}).n == SAMPLE_CELLS
+        for n in (SAMPLE_CELLS + 1, 10**9):
+            with pytest.raises(ConfigError, match=rf"^sanitize\.n: must be <= {SAMPLE_CELLS}, got {n}$"):
+                read_sanitize({**params, "n": str(n)})
+
+    @pytest.mark.parametrize("learner", ["erm", "generic", "points"])
+    def test_attack_length(self, monkeypatch, learner):
+        class Reached(Exception):
+            pass
+
+        def attack_experiment(learn, n_users, xi, trials, variant, alpha, seed, length):
+            raise Reached(length)
+
+        monkeypatch.setattr(fingerprint, "attack_experiment", attack_experiment)
+        body = f"n_users = 2\nxi = 0.1\nlearner = {learner}\nlength = "
+        with pytest.raises(Reached) as reached:
+            run_experiment(_sweep_config("attack", body + str(MAX_CODE_LENGTH)))
+        assert reached.value.args == (MAX_CODE_LENGTH,)
+        for length in (MAX_CODE_LENGTH + 1, 10**30):
+            with pytest.raises(ConfigError, match=rf"^attack\.length: must be <= {MAX_CODE_LENGTH}, got {length}$"):
+                run_experiment(_sweep_config("attack", body + str(length)))
+
+    def test_every_default_code_length_is_admitted(self):
+        # Without a length key the code is code_length(n_users, xi); xi down to 1e-307 stays under the bound.
+        assert max(fingerprint.code_length(n, 1e-307) for n in range(2, fingerprint.MAX_USERS + 1)) <= MAX_CODE_LENGTH
