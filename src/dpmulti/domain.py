@@ -603,21 +603,40 @@ def generalization_error(dist: Distribution, c: Concept, h: Concept) -> float:
 def generalization_errors(dist: Distribution, targets: Hypotheses, hyps: Hypotheses) -> list[float]:
     """The mass under dist of each (targets[j], hyps[j]) pair's disagreement set, summed exactly.
 
-    A pair of one kind with equal parameters disagrees nowhere, so its error
-    is 0.0 without evaluation. The other pairs are evaluated on dist's support
-    only, a block of pairs at a time, with one fsum of disagreement mass per
-    pair; zero-mass elements add nothing to an exact sum.
+    Every error is the correctly rounded exact sum of the pair's disagreement
+    masses, so it is +0.0 when they are all zero. Pairs of one kind:
+      - equal parameters disagree nowhere: 0.0;
+      - points t != h disagree at t and h only: mass[t] + mass[h], where
+        mass is pmf with a spare 0.0 at index -1 for the zero hypothesis. One
+        IEEE add of two terms is their exact sum correctly rounded;
+      - thresholds t != h disagree on (min, max]: one fsum of that slice of
+        mass, whose cost is the interval's length, not the universe's.
+    mass is pmf + 0.0, which maps a -0.0 entry to 0.0, so no sum of zeros
+    is -0.0. Parity pairs and pairs of two kinds are evaluated on dist's
+    support only, a block of pairs at a time, with one fsum of disagreement
+    mass per pair; zero-mass elements add nothing to an exact sum.
     """
     dist.universe.require_same(targets.universe)
     targets.universe.require_same(hyps.universe)
     if len(targets) != len(hyps):
         raise ValueError(f"{len(targets)} targets but {len(hyps)} hypotheses")
-    support = np.flatnonzero(dist.pmf)
-    mass = dist.pmf[support]
+    errors = [0.0] * len(targets)
     pairs = np.arange(len(targets))
     if targets.kind == hyps.kind:
         pairs = pairs[targets.params != hyps.params]
-    errors = [0.0] * len(targets)
+        if targets.kind != PARITY:
+            mass = np.append(dist.pmf, 0.0) + 0.0
+            ts, hs = targets.params[pairs], hyps.params[pairs]
+            if targets.kind == POINT:
+                sums = (mass[ts] + mass[hs]).tolist()
+            else:
+                bounds = zip(np.minimum(ts, hs).tolist(), np.maximum(ts, hs).tolist())
+                sums = (math.fsum(mass[lo + 1 : hi + 1].tolist()) for lo, hi in bounds)
+            for j, error in zip(pairs.tolist(), sums):
+                errors[j] = error
+            return errors
+    support = np.flatnonzero(dist.pmf)
+    mass = dist.pmf[support]
     for block in _row_blocks(len(pairs), support.size):
         js = pairs[block]
         diff = _evaluate_params(targets.kind, targets.params[js, None], support) != _evaluate_params(

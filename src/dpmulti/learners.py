@@ -113,17 +113,35 @@ def _erm_table(db: MultiLabeledDatabase, cclass: ConceptClass, tiebreak: bool = 
     size = len(cclass)
     if size * db.n <= EVAL_BLOCK_CELLS:  # small shapes, attack plays among them, evaluate directly
         return _mismatch_keys(cclass.eval_matrix(db.xs), db.labels, tiebreak)
-    ones = np.zeros((size, db.k), dtype=np.int64)
-    np.add.at(ones, db.xs, db.labels)
-    total = ones.sum(axis=0)
-    ones *= -2
-    ones += np.bincount(db.xs, minlength=size)[:, None]
-    counts = cclass.sums(ones)
+    gaps, total = _label_gaps(db, size)
+    counts = cclass.sums(gaps)
     counts += total
     if tiebreak:
         counts *= size
         counts += np.arange(size)[:, None]
     return counts
+
+
+def _label_gaps(db: MultiLabeledDatabase, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (size, k) int64 table rows[x] - 2 ones[x, j] and the k totals sum_x ones[x, j] (see _erm_table).
+
+    ones is counted only over the elements the sample holds, one label at a
+    time into a contiguous row, since a column of the (size, k) table is
+    strided and size can be far above n. Its temporaries, the largest as big
+    as the table, are gone before cclass.sums copies the table.
+    """
+    rows = np.bincount(db.xs, minlength=size)
+    seen = np.flatnonzero(rows)
+    at = (np.cumsum(rows > 0) - 1)[db.xs]  # each row's element as an index into seen
+    ones = np.empty((db.k, seen.size), dtype=np.int64)
+    for j, column in enumerate(db.labels.T):  # float64 bincounts hold the counts (at most n) exactly
+        ones[j] = np.bincount(at, weights=column, minlength=seen.size)
+    total = ones.sum(axis=1)
+    ones *= -2
+    ones += rows[seen]
+    gaps = np.zeros((size, db.k), dtype=np.int64)
+    gaps[seen] = ones.T
+    return gaps, total
 
 
 def _product_dtype(rows: int, scale: int) -> type:

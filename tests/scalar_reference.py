@@ -6,6 +6,8 @@ point is x == p, threshold x <= p, parity popcount(p & x) mod 2, and the
 zero hypothesis (param -1 of a point or threshold, or kind "zero") is 0.
 """
 
+import math
+
 import numpy as np
 
 from dpmulti.domain import PARITY, POINT, THRESH, ZERO
@@ -36,3 +38,12 @@ def joint_pmf(dist, targets):
         code = sum(bit(targets.kind, p, x) << j for j, p in enumerate(targets.params.tolist()))
         pmf[x, code] = dist.pmf[x]
     return pmf
+
+
+def disagreement_masses(dist, targets, hyps):
+    """Per pair j, one math.fsum of dist's mass over the elements where targets[j] and hyps[j] differ."""
+    pmf = dist.pmf.tolist()
+    return [
+        math.fsum(m for x, m in enumerate(pmf) if bit(targets.kind, t, x) != bit(hyps.kind, h, x))
+        for t, h in zip(targets.params.tolist(), hyps.params.tolist())
+    ]

@@ -36,7 +36,7 @@ from dpmulti.domain import (
 from dpmulti.domain import _pack_words, _parity_bits, _unpack_words, _xor_table
 from dpmulti.rng import stream
 
-from scalar_reference import bit, joint_pmf, table_bits
+from scalar_reference import bit, disagreement_masses, joint_pmf, table_bits
 
 U5 = Universe.indexed(5)
 U3 = Universe.indexed(3)
@@ -203,24 +203,27 @@ class TestHypotheses:
             dist = Distribution.from_weights(universe, rng.random(universe.size))
             hyps = Hypotheses(universe, kind, np.array(params))
             targets = Hypotheses(universe, kind, rng.integers(0, universe.size, size=len(params)))
-            expected = [generalization_error(dist, c, h) for c, h in zip(targets, hyps)]
-            assert generalization_errors(dist, targets, hyps) == expected
+            assert generalization_errors(dist, targets, hyps) == disagreement_masses(dist, targets, hyps)
 
-    @pytest.mark.parametrize("kind,universe", [(POINT, Universe.indexed(1500)), (PARITY, Universe.bitvectors(10))])
+    @pytest.mark.parametrize(
+        "kind,universe",
+        [(POINT, Universe.indexed(1500)), (THRESH, Universe.indexed(1500)), (PARITY, Universe.bitvectors(10))],
+    )
     def test_generalization_errors_across_row_blocks(self, kind, universe):
         # More labels than one block of the disagreement matrix holds at this universe size.
         rng = stream(9, 2)
         k = 3 * EVAL_BLOCK_CELLS // universe.size + 2
         dist = Distribution.from_weights(universe, rng.random(universe.size))
         targets, hyps = (Hypotheses(universe, kind, rng.integers(0, universe.size, size=k)) for _ in range(2))
-        expected = [generalization_error(dist, c, h) for c, h in zip(targets, hyps)]
-        assert generalization_errors(dist, targets, hyps) == expected
+        assert generalization_errors(dist, targets, hyps) == disagreement_masses(dist, targets, hyps)
 
-    @pytest.mark.parametrize("target_kind,hyp_kind", [(POINT, POINT), (THRESH, THRESH), (POINT, THRESH)])
+    @pytest.mark.parametrize(
+        "target_kind,hyp_kind", [(POINT, POINT), (THRESH, THRESH), (POINT, THRESH), (THRESH, POINT)]
+    )
     def test_generalization_errors_equal_per_pair_with_skipped_work(self, target_kind, hyp_kind):
         # Half the elements carry no mass, about a third of the pairs share their
-        # parameter, -1 (zero) parameters occur, and the differing pairs span
-        # several blocks of the support; every error is still the per-pair one.
+        # parameter, -1 (zero) parameters occur on either side, and the differing
+        # pairs span several blocks of the support; every error is still the per-pair one.
         rng = stream(9, 6)
         universe = Universe.indexed(1500)
         dist = Distribution.from_weights(universe, rng.random(universe.size) * (rng.random(universe.size) < 0.5))
@@ -230,9 +233,41 @@ class TestHypotheses:
         params[:4] = -1
         hyp_params = np.where(rng.random(k) < 0.3, params, rng.integers(-1, universe.size, size=k))
         hyp_params[:2] = -1
+        hyp_params[4:6] = -1
         targets, hyps = Hypotheses(universe, target_kind, params), Hypotheses(universe, hyp_kind, hyp_params)
-        expected = [generalization_error(dist, c, h) for c, h in zip(targets, hyps)]
-        assert generalization_errors(dist, targets, hyps) == expected
+        assert generalization_errors(dist, targets, hyps) == disagreement_masses(dist, targets, hyps)
+
+    @pytest.mark.parametrize("kind", [POINT, THRESH])
+    def test_generalization_errors_at_the_ends_and_on_zero_mass(self, kind):
+        # Every pair over a universe whose first, last and a middle element carry no
+        # mass: -1 on either side, equal pairs, intervals that touch 0 and |X| - 1.
+        universe = Universe.indexed(9)
+        dist = Distribution.from_weights(universe, [0, 3, 1e-300, 2, 0, 5, 7, 1e300, 0])
+        params = np.arange(-1, universe.size)
+        ts, hs = (a.ravel() for a in np.meshgrid(params, params))
+        targets, hyps = Hypotheses(universe, kind, ts), Hypotheses(universe, kind, hs)
+        got = generalization_errors(dist, targets, hyps)
+        assert [e.hex() for e in got] == [e.hex() for e in disagreement_masses(dist, targets, hyps)]
+        assert got[ts.tolist().index(-1)] == 0.0  # (-1, -1)
+        if kind == THRESH:
+            whole = np.flatnonzero((ts == -1) & (hs == universe.size - 1))[0]
+            assert got[whole] == math.fsum(dist.pmf.tolist())
+
+    @pytest.mark.parametrize("kind", [POINT, THRESH])
+    def test_generalization_errors_of_signed_zero_masses_are_positive_zero(self, kind):
+        # weights:1,-0,-0,1 is a valid distribution whose pmf holds -0.0; a pair that
+        # disagrees only there has error +0.0, as an exact sum of zeros is.
+        universe = Universe.indexed(4)
+        dist = Distribution.from_weights(universe, [1.0, -0.0, -0.0, 1.0])
+        assert math.copysign(1.0, dist.pmf[1]) == -1.0
+        params = np.arange(-1, universe.size)
+        ts, hs = (a.ravel() for a in np.meshgrid(params, params))
+        targets, hyps = Hypotheses(universe, kind, ts), Hypotheses(universe, kind, hs)
+        got = generalization_errors(dist, targets, hyps)
+        assert got == disagreement_masses(dist, targets, hyps)
+        zeros = [e for e in got if e == 0]
+        assert len(zeros) > universe.size + 1  # more than the equal pairs
+        assert all(math.copysign(1.0, e) == 1.0 for e in zeros)
 
     @pytest.mark.parametrize("kind", sorted(TABLE_CASES))
     @pytest.mark.parametrize("n", [60, EVAL_BLOCK_CELLS // 2], ids=["one-block", "row-blocks"])
